@@ -18,9 +18,7 @@ from .equivariant import (TangentReport, decompose_quotient,
                           is_permutation_module_sum, is_symmetric,
                           tangent_dimension)
 from .ideals import (DEGLEX, DEGREVLEX, EliminationOrder, Ideal,
-                     associated_graded, colength, groebner,
-                     hilbert_function, intersect, maximal_power,
-                     normal_form, orbit_ideal)
+                     maximal_power, orbit_ideal)
 from .poly import (Polynomial, apolar_pair, apply_permutation,
                    elementary_symmetric, parse_polynomial, power_sum,
                    reynolds)

@@ -18,13 +18,10 @@ from itertools import combinations
 from .combinat import IsotypicDecomposition, Partition
 from .ideals import Ideal, maximal_power
 from .poly import Polynomial, power_sum
+from .specht import _x
 
 # ---------------------------------------------------------------------------
 # generator families
-
-
-def _x(i: int, n: int) -> Polynomial:
-    return Polynomial.variable(i, n)
 
 
 def differences(n: int) -> list[Polynomial]:
@@ -264,8 +261,6 @@ def row_case(label: str, n: int, r: int | None = None,
             continue
         if param is not None and case.param != param:
             continue
-        if param is None and case.param is not None and label in {"5", "7c", "11"}:
-            # default to the first torus-fixed member
-            return case
+        # without a parameter, a parameter row yields its first torus-fixed member
         return case
     raise ValueError(f"no case for row {label} at n={n}, r={r}, param={param}")

@@ -2,15 +2,17 @@
 
 Verbs: ``specht``, ``tanisaki``, ``table1``, ``lemmas``, ``tangent``,
 ``decompose``, ``gr``.  Every verb emits a machine-readable report (JSON
-with a ``schema_version`` field) or a plain-text rendering, and the exit
-code is zero exactly when all verifications in the run passed.  Fixed
-seeds give bit-identical reports.
+with a ``schema_version`` field) or a plain-text rendering.  The exit code
+is 0 when all verifications in the run passed, 1 when one failed, 2 on bad
+input and 3 when an internal invariant check broke.  Fixed seeds give
+bit-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -47,6 +49,18 @@ class RunConfig:
     parallelism: int = 1
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def pool_size(jobs: int, cases: int) -> int:
+    """Worker processes for ``jobs`` requested: never more than the CPUs or the cases."""
+    return min(jobs, os.cpu_count() or 1, cases)
+
+
 def _parse_partition(text: str) -> Partition:
     return Partition(int(p) for p in text.split(","))
 
@@ -78,11 +92,11 @@ def _ideal_from_args(args, n: int) -> Ideal:
         param = None
         if getattr(args, "param", None):
             a, b = args.param.split(":")
-            param = (Fraction(a), Fraction(b))
+            param = (_parse_rational(a), _parse_rational(b))
         return row_case(args.row, n, r=getattr(args, "colength", None), param=param).ideal
     if getattr(args, "tanisaki", None):
         return tanisaki_ideal(_parse_partition(args.tanisaki))
-    raise SystemExit("provide an ideal via --gens, --row, or --tanisaki")
+    raise ValueError("provide an ideal via --gens, --row, or --tanisaki")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +106,7 @@ def _ideal_from_args(args, n: int) -> Ideal:
 def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
     lam = _parse_partition(args.lam)
     if lam.n != config.n:
-        raise SystemExit(f"partition {lam.parts} is not a partition of n={config.n}")
+        raise ValueError(f"partition {lam.parts} is not a partition of n={config.n}")
     result: dict = {
         "lambda": list(lam.parts),
         "min_degree": d_min(lam),
@@ -100,7 +114,7 @@ def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
     if args.tableau:
         t = _parse_tableau(args.tableau)
         if t.shape != lam:
-            raise SystemExit(f"tableau shape {t.shape.parts} does not match {lam.parts}")
+            raise ValueError(f"tableau shape {t.shape.parts} does not match {lam.parts}")
         result["tableau"] = args.tableau
         result["specht_polynomial"] = str(specht_polynomial(t, config.n))
     else:
@@ -120,11 +134,12 @@ def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
 def cmd_tanisaki(args, config: RunConfig) -> tuple[list[dict], bool]:
     n = config.n
     if not 2 <= n <= 6:
-        raise SystemExit("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
+        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
     lam = _parse_partition(args.lam)
     if lam.n != n:
-        raise SystemExit(f"partition {lam.parts} is not a partition of n={n}")
-    ideal = tanisaki_ideal(lam, args.mode if args.mode != "all" else "subset_elementary")
+        raise ValueError(f"partition {lam.parts} is not a partition of n={n}")
+    reference = args.mode if args.mode != "all" else "subset_elementary"
+    ideal = tanisaki_ideal(lam, reference)
     record: dict = {
         "lambda": list(lam.parts),
         "mode": args.mode,
@@ -136,7 +151,7 @@ def cmd_tanisaki(args, config: RunConfig) -> tuple[list[dict], bool]:
     }
     ok = record["colength"] == record["expected_colength"]
     if args.mode == "all":
-        agree = all(tanisaki_ideal(lam, mode) == ideal for mode in MODES)
+        agree = all(tanisaki_ideal(lam, mode) == ideal for mode in MODES if mode != reference)
         record["modes_agree"] = agree
         ok = ok and agree
     record["ok"] = ok
@@ -180,10 +195,11 @@ def verify_row_case(case: RowCase) -> dict:
 def cmd_table1(args, config: RunConfig) -> tuple[list[dict], bool]:
     n = config.n
     if not 3 <= n <= 5:
-        raise SystemExit("table1 is guarded at 3 <= n <= 5")
+        raise ValueError("table1 is guarded at 3 <= n <= 5")
     cases = classification_cases(n, _random_parameters(config.seed))
-    if config.parallelism > 1:
-        with Pool(config.parallelism) as pool:
+    workers = pool_size(config.parallelism, len(cases))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(verify_row_case, cases)
     else:
         results = [verify_row_case(case) for case in cases]
@@ -194,7 +210,7 @@ def cmd_table1(args, config: RunConfig) -> tuple[list[dict], bool]:
 def cmd_lemmas(args, config: RunConfig) -> tuple[list[dict], bool]:
     n = config.n
     if not 3 <= n <= 5:
-        raise SystemExit("lemmas is guarded at 3 <= n <= 5")
+        raise ValueError("lemmas is guarded at 3 <= n <= 5")
     results: list[dict] = []
     x1 = Polynomial.variable(1, n)
     x2 = Polynomial.variable(2, n)
@@ -241,7 +257,7 @@ def cmd_lemmas(args, config: RunConfig) -> tuple[list[dict], bool]:
 
 def cmd_tangent(args, config: RunConfig) -> tuple[list[dict], bool]:
     if not 2 <= config.n <= 6:
-        raise SystemExit("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
+        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
     ideal = _ideal_from_args(args, config.n)
     report = tangent_dimension(ideal)
     record = json.loads(report.to_json())
@@ -251,7 +267,7 @@ def cmd_tangent(args, config: RunConfig) -> tuple[list[dict], bool]:
 
 def cmd_decompose(args, config: RunConfig) -> tuple[list[dict], bool]:
     if not 2 <= config.n <= 6:
-        raise SystemExit("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
+        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
     ideal = _ideal_from_args(args, config.n)
     decomposition = decompose_quotient(ideal)
     perm = is_permutation_module_sum(decomposition)
@@ -267,10 +283,10 @@ def cmd_decompose(args, config: RunConfig) -> tuple[list[dict], bool]:
 
 def cmd_gr(args, config: RunConfig) -> tuple[list[dict], bool]:
     if not 2 <= config.n <= 6:
-        raise SystemExit("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    point = tuple(Fraction(v) for v in args.point.split(","))
+        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
+    point = tuple(_parse_rational(v) for v in args.point.split(","))
     if len(point) != config.n:
-        raise SystemExit(f"point has {len(point)} coordinates, expected {config.n}")
+        raise ValueError(f"point has {len(point)} coordinates, expected {config.n}")
     ideal = orbit_ideal(point)
     graded = ideal.associated_graded()
     record: dict = {
@@ -340,7 +356,8 @@ def run(argv: list[str] | None = None) -> int:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for table1, capped at the CPU count")
 
     p = sub.add_parser("specht", help="Specht and higher Specht polynomials of a shape")
     common(p)
@@ -372,6 +389,8 @@ def run(argv: list[str] | None = None) -> int:
     p.add_argument("--point", required=True, help="comma-separated rational coordinates")
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     config = RunConfig(n=args.n, command=args.command, output_path=args.out,
                        format=args.format, seed=args.seed, parallelism=args.jobs)
 
@@ -389,6 +408,8 @@ def run(argv: list[str] | None = None) -> int:
         results, ok = handlers[args.command](args, config)
     except ValueError as error:
         parser.exit(2, f"symideal {args.command}: {error}\n")
+    except ArithmeticError as error:
+        parser.exit(3, f"symideal {args.command}: internal invariant broken: {error}\n")
     record = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,

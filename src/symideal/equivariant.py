@@ -25,9 +25,10 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        conjugacy_class_size, irreducible_character,
                        kostka_number, partitions_of)
 from .ideals import Ideal
-from .linalg import Echelon, KernelEchelon, solve_in_span
-from .poly import (Monomial, Polynomial, apply_permutation, apolar_scalar,
-                   integrate_duals, monomial_key)
+from .linalg import KernelEchelon, nullspace_tags, solve_in_span
+from .poly import (Monomial, Polynomial, apolar_complement, apply_permutation,
+                   integrate_duals, linear_combination, monomial_key,
+                   permute_monomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -44,14 +45,6 @@ def is_symmetric(ideal: Ideal) -> bool:
             if not ideal.contains(apply_permutation(sigma, g)):
                 return False
     return True
-
-
-def _permuted_monomial(sigma: Permutation, m: Monomial) -> Monomial:
-    out = [0] * len(m)
-    for i, e in enumerate(m):
-        if e:
-            out[sigma.images[i] - 1] = e
-    return tuple(out)
 
 
 def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDecomposition:
@@ -77,7 +70,7 @@ def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDeco
         sigma = Permutation.from_cycle_type(mu)
         per_degree: dict[int, Fraction] = {d: Fraction(0) for d in degrees}
         for m in basis:
-            image = _permuted_monomial(sigma, m)
+            image = permute_monomial(sigma, m)
             if image == m:
                 per_degree[sum(m)] += 1
                 continue
@@ -186,34 +179,15 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
         w_space = integrate_duals(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        tracker = KernelEchelon(key=monomial_key)
-        new_gens: list[Polynomial] = []
-        for idx, f in enumerate(w_space):
-            relation = tracker.add(_poly_row(ideal.normal_form(f)), idx)
-            if relation is not None:
-                g = Polynomial.zero(n)
-                for t, c in relation.items():
-                    g = g + w_space[t] * c
-                new_gens.append(g)
+        rows = ((_poly_row(ideal.normal_form(f)), t) for t, f in enumerate(w_space))
+        new_gens = [linear_combination(w_space, relation)
+                    for relation in nullspace_tags(rows, key=monomial_key)]
         if len(new_gens) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
         if d < N:
             # next dual space: the pairing-orthogonal complement of the new
             # generators inside W_d (the pairing is definite, so dims add)
-            dual_tracker = KernelEchelon(key=lambda c: c)
-            next_duals: list[Polynomial] = []
-            for idx, f in enumerate(w_space):
-                col = {}
-                for gi, g in enumerate(new_gens):
-                    value = apolar_scalar(g, f)
-                    if value:
-                        col[gi] = value
-                relation = dual_tracker.add(col, idx)
-                if relation is not None:
-                    h = Polynomial.zero(n)
-                    for t, c in relation.items():
-                        h = h + w_space[t] * c
-                    next_duals.append(h)
+            next_duals = apolar_complement(w_space, new_gens)
             if len(next_duals) != hf_d:
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
             duals = next_duals
@@ -234,7 +208,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     for sigma in sigmas:
         cols = []
         for m in basis:
-            image = _permuted_monomial(sigma, m)
+            image = permute_monomial(sigma, m)
             reduced = ideal.normal_form(Polynomial.monomial(image))
             cols.append({b: c for b, c in reduced.terms.items()})
         rho_action.append(cols)
@@ -258,27 +232,25 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
         gen_action.append(matrix)
 
     position = {m: p for p, m in enumerate(basis)}
-    tracker = KernelEchelon(key=lambda c: c)
-    solutions: list[dict] = []
-    for i in range(len(gens)):
-        for b in basis:
-            col: dict = {}
-            for s in range(len(sigmas)):
-                for row, c in rho_action[s][position[b]].items():
-                    key = (s, row, i)
-                    col[key] = col.get(key, 0) + c
-                for (jj, i_prime), c in gen_action[s].items():
-                    if jj == i:
-                        key = (s, b, i_prime)
-                        value = col.get(key, 0) - c
-                        if value:
-                            col[key] = value
-                        else:
-                            col.pop(key, None)
-            relation = tracker.add(col, (b, i))
-            if relation is not None:
-                solutions.append(relation)
-    return solutions
+
+    def equivariance_column(b: Monomial, i: int) -> dict:
+        col: dict = {}
+        for s in range(len(sigmas)):
+            for row, c in rho_action[s][position[b]].items():
+                key = (s, row, i)
+                col[key] = col.get(key, 0) + c
+            for (jj, i_prime), c in gen_action[s].items():
+                if jj == i:
+                    key = (s, b, i_prime)
+                    value = col.get(key, 0) - c
+                    if value:
+                        col[key] = value
+                    else:
+                        col.pop(key, None)
+        return col
+
+    return nullspace_tags((equivariance_column(b, i), (b, i))
+                          for i in range(len(gens)) for b in basis)
 
 
 def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentReport:
@@ -323,17 +295,12 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
         by_degree.setdefault(sum(m), []).append(m)
 
     n2_count = 0
-    constraint_rank = Echelon(key=lambda c: c)
+    constraint_rank = KernelEchelon()
     top = syzygy_bound - 1 + extra_syzygy_degrees
     for d in range(min(gen_degrees) + 1, top + 1):
-        tracker = KernelEchelon(key=monomial_key)
-        relations: list[dict] = []
-        for i, e_i in enumerate(gen_degrees):
-            for b in by_degree.get(d - e_i, []):
-                product = Polynomial.monomial(b) * gens[i]
-                relation = tracker.add(_poly_row(square.normal_form(product)), (i, b))
-                if relation is not None:
-                    relations.append(relation)
+        products = ((_poly_row(square.normal_form(Polynomial.monomial(b) * gens[i])), (i, b))
+                    for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, []))
+        relations = nullspace_tags(products, key=monomial_key)
         n2_count += len(relations)
         for relation in relations:
             rows: dict[Monomial, dict[int, Fraction]] = {}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, inf
 
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, degree_monomials, parse_polynomial
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -265,11 +265,14 @@ def _buchberger(inputs: list[list], order: MonomialOrder) -> list[list]:
             alive.append(True)
             update(len(G) - 1)
 
+    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], order)
+
+
+def _reduce_basis(basis: list[list], order: MonomialOrder) -> list[list]:
+    """The reduced Groebner basis from any Groebner basis of the ideal."""
     # minimal basis: leading monomials pairwise non-divisible
-    minimal = [G[i] for i in range(len(G)) if alive[i]]
-    minimal.sort(key=lambda t: t[0][0])
     kept: list[list] = []
-    for g in minimal:
+    for g in sorted(basis, key=lambda t: t[0][0]):
         if not any(_divides(h[0][1], g[0][1]) for h in kept):
             kept.append(g)
     # tail-reduce each element against the others
@@ -313,18 +316,7 @@ class Ideal:
 
     def _seed_basis(self, order: MonomialOrder, basis: list[list]) -> None:
         """Install a known Groebner basis (reduced to canonical form)."""
-        basis = sorted(basis, key=lambda t: t[0][0])
-        kept: list[list] = []
-        for g in basis:
-            if not any(_divides(h[0][1], g[0][1]) for h in kept):
-                kept.append(g)
-        reduced = []
-        for idx, g in enumerate(kept):
-            others = kept[:idx] + kept[idx + 1:]
-            rem, _ = _normal_form(g, others, order)
-            reduced.append(_normalize(rem))
-        reduced.sort(key=lambda t: t[0][0])
-        self._gb[order.name] = reduced
+        self._gb[order.name] = _reduce_basis(basis, order)
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
@@ -349,9 +341,6 @@ class Ideal:
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
-
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.generators)
 
     # -- zero-dimensional toolkit ------------------------------------------
     def standard_monomials(self, order: MonomialOrder = DEGREVLEX) -> list[Monomial] | None:
@@ -483,60 +472,20 @@ class Ideal:
 
     @staticmethod
     def from_json(text: str) -> "Ideal":
-        from .poly import parse_polynomial
-
         record = json.loads(text)
         n = record["ambient_n"]
         return Ideal(n, [parse_polynomial(s, n) for s in record["generators"]])
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
-
-
-def groebner(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
-    return ideal.groebner_basis(order)
-
-
-def normal_form(f: Polynomial, ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    return ideal.normal_form(f, order)
-
-
-def contains(ideal: Ideal, f: Polynomial) -> bool:
-    return ideal.contains(f)
-
-
-def colength(ideal: Ideal):
-    return ideal.colength()
-
-
-def hilbert_function(ideal: Ideal) -> tuple[int, ...]:
-    return ideal.hilbert_function()
-
-
-def intersect(a: Ideal, b: Ideal) -> Ideal:
-    return a.intersect(b)
-
-
-def associated_graded(ideal: Ideal) -> Ideal:
-    return ideal.associated_graded()
+# constructors
 
 
 def maximal_power(n: int, d: int) -> Ideal:
     """The d-th power of the homogeneous maximal ideal, by its monomials."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    monos: list[Monomial] = []
-
-    def walk(i: int, remaining: int, prefix: tuple) -> None:
-        if i == n - 1:
-            monos.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            walk(i + 1, remaining - e, prefix + (e,))
-
-    walk(0, d, ())
-    return Ideal(n, [Polynomial.monomial(m) for m in monos])
+    return Ideal(n, [Polynomial.monomial(m) for m in degree_monomials(n, d)])
 
 
 def point_ideal(point) -> Ideal:

@@ -13,93 +13,14 @@ from fractions import Fraction
 from math import gcd
 
 
-def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
-
-
-def to_int_row(row: dict) -> dict:
-    """Clear denominators and strip content; keys with zero values dropped."""
-    lcm = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            lcm = lcm * d // gcd(lcm, d)
-    out = {}
-    for k, v in row.items():
-        value = int(v * lcm) if isinstance(v, Fraction) else int(v) * lcm
-        if value:
-            out[k] = value
-    return _strip_content(out)
-
-
-class Echelon:
-    """Incremental echelon form over arbitrary hashable column keys.
-
-    ``key`` orders the columns; each row pivots on its largest column.
-    """
-
-    def __init__(self, key=None):
-        self.key = key if key is not None else lambda c: c
-        self.pivots: dict = {}  # pivot column -> reduced integer row
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, row: dict) -> dict:
-        """Fully reduce an integer row against the current pivots."""
-        row = dict(row)
-        while row:
-            col = max(row, key=self.key)
-            pivot = self.pivots.get(col)
-            if pivot is None:
-                return row
-            a, b = pivot[col], row[col]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
-            new = {}
-            for k, v in row.items():
-                new[k] = ca * v
-            for k, v in pivot.items():
-                value = new.get(k, 0) - cb * v
-                if value:
-                    new[k] = value
-                else:
-                    new.pop(k, None)
-            row = _strip_content(new)
-        return row
-
-    def add(self, row: dict) -> dict | None:
-        """Insert a row; returns the reduced pivot row, or None if dependent."""
-        reduced = self.reduce(to_int_row(row))
-        if not reduced:
-            return None
-        col = max(reduced, key=self.key)
-        if reduced[col] < 0:
-            reduced = {k: -v for k, v in reduced.items()}
-        self.pivots[col] = reduced
-        return reduced
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(to_int_row(row))
-
-    def rows(self) -> list[dict]:
-        return [self.pivots[c] for c in sorted(self.pivots, key=self.key, reverse=True)]
-
-
 class KernelEchelon:
-    """Echelon form that tracks tags, exposing kernel combinations.
+    """Incremental echelon form that tracks tags, exposing kernel combinations.
 
-    Feed vectors one at a time with distinct tags.  When a vector is
-    dependent on the earlier ones, ``add`` returns the integer relation
-    {tag: coefficient} expressing the dependency (sum of coeff*vector = 0).
+    ``key`` orders the columns; each row pivots on its largest column.  Feed
+    vectors one at a time, each with a distinct tag or with none.  When a
+    vector is dependent on the earlier ones, ``add`` returns the integer
+    relation {tag: coefficient} expressing the dependency (sum of
+    coeff*vector = 0); untagged vectors contribute nothing to it.
     """
 
     def __init__(self, key=None):
@@ -110,7 +31,8 @@ class KernelEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: dict, tag) -> dict | None:
+    def add(self, row: dict, tag=None) -> dict | None:
+        """Insert a row; None when it is a new pivot, else its relation."""
         # clear denominators only; the scale goes into the tag so that the
         # invariant "stored row == sum of tag-coefficients times originals"
         # holds exactly (content stripping would silently break it)
@@ -119,7 +41,7 @@ class KernelEchelon:
             if isinstance(v, Fraction):
                 lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         row = {k: int(v * lcm) for k, v in row.items() if v}
-        tags = {tag: lcm}
+        tags = {} if tag is None else {tag: lcm}
         while row:
             col = max(row, key=self.key)
             entry = self.pivots.get(col)
@@ -157,8 +79,9 @@ class KernelEchelon:
         return tags
 
 
-def nullspace_tags(vectors: list[tuple[dict, object]], key=None) -> list[dict]:
-    """Kernel relations among tagged vectors, as integer tag-combinations."""
+def nullspace_tags(vectors, key=None) -> list[dict]:
+    """Kernel relations among (row, tag) pairs, as integer tag-combinations,
+    one per vector dependent on those before it."""
     tracker = KernelEchelon(key=key)
     out = []
     for row, tag in vectors:
@@ -182,7 +105,7 @@ def solve_in_span(basis: list[dict], target: dict, key=None) -> list[Fraction] |
 
 
 def rank_of(rows: list[dict], key=None) -> int:
-    ech = Echelon(key=key)
+    tracker = KernelEchelon(key=key)
     for row in rows:
-        ech.add(row)
-    return ech.rank
+        tracker.add(row)
+    return tracker.rank

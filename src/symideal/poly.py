@@ -18,12 +18,9 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .combinat import Permutation
+from .linalg import nullspace_tags
 
 Monomial = tuple[int, ...]
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def monomial_key(m: Monomial) -> tuple:
@@ -88,12 +85,6 @@ class Polynomial:
 
     def homogeneous_part(self, d: int) -> "Polynomial":
         return Polynomial(self.ambient_n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.ambient_n, t) for d, t in sorted(out.items())}
 
     def top_form(self) -> "Polynomial":
         """Highest-degree homogeneous part."""
@@ -267,7 +258,10 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         match = _TERM_RE.match(chunk)
         if not match or (not match.group("coeff") and not match.group("body")):
             raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = Fraction(match.group("coeff")) if match.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(match.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         exps = [0] * n
         body = match.group("body")
         if body:
@@ -291,19 +285,20 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
 # ---- the S_n action and symmetric builders --------------------------------
 
+def permute_monomial(sigma: Permutation, m: Monomial) -> Monomial:
+    """The exponent of x_i moves to x_{sigma(i)}."""
+    out = [0] * len(m)
+    for i, e in enumerate(m):
+        if e:
+            out[sigma.images[i] - 1] = e
+    return tuple(out)
+
+
 def apply_permutation(sigma: Permutation, f: Polynomial) -> Polynomial:
     """Relabel variables: x_i goes to x_{sigma(i)}."""
     if sigma.n != f.ambient_n:
         raise ValueError("ambient sizes differ")
-    images = sigma.images
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        new = [0] * f.ambient_n
-        for i, e in enumerate(mono):
-            if e:
-                new[images[i] - 1] = e
-        terms[tuple(new)] = coeff
-    return Polynomial(f.ambient_n, terms)
+    return Polynomial(f.ambient_n, {permute_monomial(sigma, m): c for m, c in f.terms.items()})
 
 
 def reynolds(f: Polynomial) -> Polynomial:
@@ -313,13 +308,6 @@ def reynolds(f: Polynomial) -> Polynomial:
     for images in permutations(range(1, n + 1)):
         total = total + apply_permutation(Permutation(images), f)
     return total * Fraction(1, factorial(n))
-
-
-def orbit_polynomials(f: Polynomial) -> list[Polynomial]:
-    """Distinct images of f under all variable permutations, in print order."""
-    n = f.ambient_n
-    seen = {apply_permutation(Permutation(images), f) for images in permutations(range(1, n + 1))}
-    return sorted(seen, key=str)
 
 
 def power_sum(k: int, n: int) -> Polynomial:
@@ -349,6 +337,13 @@ def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
+def degree_monomials(n: int, d: int) -> list[Monomial]:
+    """All exponent vectors of total degree d, lexicographically descending."""
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1) for rest in degree_monomials(n - 1, d - e)]
+
+
 def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
     """Apply f as a constant-coefficient differential operator to g."""
     if f.ambient_n != g.ambient_n:
@@ -373,9 +368,18 @@ def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
-    """The pairing of two equal-degree homogeneous polynomials, as a number."""
-    result = apolar_pair(f, g)
-    return result.coefficient((0,) * f.ambient_n)
+    """The constant term of ``apolar_pair(f, g)``: sum of f_m g_m m! over
+    the shared monomials; for equal-degree forms, the whole pairing."""
+    if f.ambient_n != g.ambient_n:
+        raise ValueError("ambient sizes differ")
+    if len(f.terms) > len(g.terms):
+        f, g = g, f
+    total = Fraction(0)
+    for m, c in f.terms.items():
+        other = g.terms.get(m)
+        if other is not None:
+            total += c * other * monomial_weight(m)
+    return total
 
 
 def monomial_weight(m: Monomial) -> int:
@@ -403,37 +407,54 @@ def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]
     linear algebra runs over the (small) dual span, never over the full
     degree piece.
     """
-    from .linalg import KernelEchelon
-
     if not duals or d <= 0:
         return []
     partials = {(j, t): derivative(duals[t], j + 1)
                 for j in range(n) for t in range(len(duals))}
-    tracker = KernelEchelon(key=lambda c: c)
-    solutions: list[dict] = []
-    for j in range(n):
-        for t in range(len(duals)):
-            col: dict = {}
-            for k in range(n):
-                if k == j:
-                    continue
-                lo, hi = min(j, k), max(j, k)
-                sign = 1 if j == lo else -1
-                for m, c in partials[(k, t)].terms.items():
-                    key = ((lo, hi), m)
-                    value = col.get(key, 0) + sign * c
-                    if value:
-                        col[key] = value
-                    else:
-                        col.pop(key, None)
-            relation = tracker.add(col, (j, t))
-            if relation is not None:
-                solutions.append(relation)
+
+    def cross_partials(j: int, t: int) -> dict:
+        col: dict = {}
+        for k in range(n):
+            if k == j:
+                continue
+            lo, hi = min(j, k), max(j, k)
+            sign = 1 if j == lo else -1
+            for m, c in partials[(k, t)].terms.items():
+                key = ((lo, hi), m)
+                value = col.get(key, 0) + sign * c
+                if value:
+                    col[key] = value
+                else:
+                    col.pop(key, None)
+        return col
+
+    rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
     out = []
-    for relation in solutions:
+    for relation in nullspace_tags(rows):
         f = Polynomial.zero(n)
         for (j, t), coeff in relation.items():
             f = f + Polynomial.variable(j + 1, n) * duals[t] * coeff
         if not f.is_zero():
             out.append(f * Fraction(1, d))
     return out
+
+
+def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
+    """The sum of coeffs[t] * space[t]; ``space`` must be nonempty."""
+    f = Polynomial.zero(space[0].ambient_n)
+    for t, c in coeffs.items():
+        f = f + space[t] * c
+    return f
+
+
+def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
+    """Members of the span of ``space`` that pair to zero with all of ``others``.
+
+    One combination of ``space`` per kernel relation of the pairing matrix,
+    so for independent ``space`` a basis of len(space) minus its rank
+    members.  ``apolar_scalar`` is symmetric, so the side each argument
+    pairs from does not matter.
+    """
+    rows = (({u: apolar_scalar(f, g) for u, g in enumerate(others)}, t)
+            for t, f in enumerate(space))
+    return [linear_combination(space, relation) for relation in nullspace_tags(rows)]

@@ -23,9 +23,9 @@ from itertools import combinations
 from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
-from .poly import (Polynomial, apolar_pair, apolar_scalar,
-                   elementary_symmetric, integrate_duals, monomial_key,
-                   power_sum)
+from .poly import (Polynomial, apolar_complement, apolar_pair,
+                   degree_monomials, elementary_symmetric, integrate_duals,
+                   monomial_key, power_sum)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -70,20 +70,6 @@ def _reduced_generators(lam: Partition) -> list[Polynomial]:
     return gens
 
 
-def _degree_monomials(n: int, d: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def walk(i: int, remaining: int, prefix: tuple) -> None:
-        if i == n - 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            walk(i + 1, remaining - e, prefix + (e,))
-
-    walk(0, d, ())
-    return out
-
-
 def _dual_layer(spechts: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     """Basis of the span of the degree-d derivatives of the Specht span.
 
@@ -91,17 +77,15 @@ def _dual_layer(spechts: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     full degree piece; its dimension is the quotient's Hilbert function,
     so all subsequent linear algebra stays small.
     """
-    from .linalg import Echelon
-
-    ech = Echelon(key=monomial_key)
+    ech = KernelEchelon(key=monomial_key)
     basis: list[Polynomial] = []
     if not spechts:
         return basis
-    top = spechts[0].degree()
+    operators = [Polynomial.monomial(m) for m in degree_monomials(n, spechts[0].degree() - d)]
     for s in spechts:
-        for mono in _degree_monomials(n, top - d):
-            image = apolar_pair(Polynomial.monomial(mono), s)
-            if not image.is_zero() and ech.add(dict(image.terms)) is not None:
+        for op in operators:
+            image = apolar_pair(op, s)
+            if ech.add(dict(image.terms)) is None:
                 basis.append(image)
     return basis
 
@@ -116,21 +100,8 @@ def _apolar_generators(lam: Partition) -> list[Polynomial]:
     gens: list[Polynomial] = []
     previous_duals = _dual_layer(spechts, n, 0)
     for d in range(1, top + 1):
-        w_space = integrate_duals(previous_duals, n, d)
         current_duals = _dual_layer(spechts, n, d)
-        tracker = KernelEchelon(key=lambda c: c)
-        for idx, f in enumerate(w_space):
-            col = {}
-            for ui, u in enumerate(current_duals):
-                value = apolar_scalar(f, u)
-                if value:
-                    col[ui] = value
-            relation = tracker.add(col, idx)
-            if relation is not None:
-                g = Polynomial.zero(n)
-                for t, c in relation.items():
-                    g = g + w_space[t] * c
-                gens.append(g)
+        gens += apolar_complement(integrate_duals(previous_duals, n, d), current_duals)
         previous_duals = current_duals
     return gens
 
@@ -264,14 +235,12 @@ def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
     n = f.ambient_n
     d = f.degree()
     span = KernelEchelon(key=monomial_key)
-    counter = 0
     for g in generators:
         if not g.is_homogeneous():
             raise ValueError("degreewise membership needs homogeneous generators")
         e = g.degree()
         if e > d or g.is_zero():
             continue
-        for mono in _degree_monomials(n, d - e):
-            counter += 1
-            span.add(dict((Polynomial.monomial(mono) * g).terms), ("g", counter))
-    return span.add(dict(f.terms), "target") is not None
+        for mono in degree_monomials(n, d - e):
+            span.add(dict((Polynomial.monomial(mono) * g).terms))
+    return span.add(dict(f.terms)) is not None

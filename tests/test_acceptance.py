@@ -109,7 +109,7 @@ def test_criterion_5_tangent_dimensions():
         ("row 7a, n=3", row_case("7a", 3), 4),
         ("row 7c [1:0], n=3", row_case("7c", 3, param=(Fraction(1), Fraction(0))), 5),
         ("row 7c [1:0], n=4", row_case("7c", 4, param=(Fraction(1), Fraction(0))), 5),
-        ("row 2a d=3, n=4", row_case("5", 4, param=(Fraction(-1), Fraction(4))), 5),
+        ("row 5 [-1:4], n=4", row_case("5", 4, param=(Fraction(-1), Fraction(4))), 5),
         ("row 2a d=4, n=4", row_case("2a", 4, 7), 6),
         ("row 2b d=3, n=4", row_case("2b", 4, 7), 5),
         ("row 6, n=4", row_case("6", 4), 1),

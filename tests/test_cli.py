@@ -145,3 +145,56 @@ class TestOtherVerbs:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("# specht n=3")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["gr", "--n", "3", "--point", "1/0,1,1"],
+        ["tangent", "--n", "3", "--gens", "1/0*x1; x2"],
+        ["tangent", "--n", "4", "--row", "5", "--param", "1/0:1"],
+    ])
+    def test_zero_denominator_is_bad_input(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "zero denominator" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_guard_is_bad_input(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["table1", "--n", "6"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "symideal table1: table1 is guarded at 3 <= n <= 5\n"
+
+    def test_broken_invariant_exits_3(self, monkeypatch, capsys):
+        import symideal.cli as cli
+
+        def broken(ideal):
+            raise ArithmeticError("generator count mismatch in degree 2")
+
+        monkeypatch.setattr(cli, "tangent_dimension", broken)
+        with pytest.raises(SystemExit) as info:
+            run(["tangent", "--n", "3", "--tanisaki", "2,1"])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err == ("symideal tangent: internal invariant broken: "
+                       "generator count mismatch in degree 2\n")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["table1", "--n", "3", "--jobs", jobs])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        import symideal.cli as cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli.pool_size(1, 33) == 1
+        assert cli.pool_size(3, 33) == 3
+        assert cli.pool_size(10000, 33) == 4
+        assert cli.pool_size(10000, 2) == 2
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.pool_size(8, 33) == 1

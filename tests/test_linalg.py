@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symideal.linalg import Echelon, KernelEchelon, rank_of, solve_in_span
+from symideal.linalg import KernelEchelon, nullspace_tags, rank_of, solve_in_span
 
 
 @st.composite
@@ -42,12 +42,7 @@ def test_rank_matches_dense_oracle(rows):
 @settings(max_examples=120, deadline=None)
 @given(st.lists(sparse_vectors(), max_size=8))
 def test_kernel_relations_are_exact(rows):
-    tracker = KernelEchelon()
-    relations = []
-    for i, row in enumerate(rows):
-        rel = tracker.add(dict(row), i)
-        if rel is not None:
-            relations.append(rel)
+    relations = nullspace_tags((dict(row), i) for i, row in enumerate(rows))
     # every emitted relation combines the original vectors to zero
     for rel in relations:
         acc: dict = {}
@@ -62,10 +57,11 @@ def test_kernel_relations_are_exact(rows):
 @settings(max_examples=120, deadline=None)
 @given(st.lists(sparse_vectors(), max_size=6), sparse_vectors())
 def test_membership_echelon(rows, target):
-    ech = Echelon()
+    # untagged rows: a target is a member exactly when add returns a relation
+    tracker = KernelEchelon()
     for row in rows:
-        ech.add(dict(row))
-    member = ech.contains(dict(target))
+        tracker.add(dict(row))
+    member = tracker.add(dict(target)) is not None
     assert member == (fraction_rank(rows + [target]) == fraction_rank(rows))
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from symideal.combinat import Permutation
 from symideal.poly import (Polynomial, apolar_pair, apolar_scalar,
-                           apply_permutation, derivative,
+                           apply_permutation, degree_monomials, derivative,
                            elementary_symmetric, integrate_duals,
                            monomial_weight, parse_polynomial, power_sum,
                            reynolds)
@@ -200,6 +200,16 @@ class TestApolar:
             return Polynomial(n, terms)
         f, g = homog("f"), homog("g")
         assert apolar_scalar(f, g) == apolar_scalar(g, f)
+
+    def test_degree_monomials_order(self):
+        assert degree_monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        monos = degree_monomials(3, 3)
+        assert monos == sorted(monos, reverse=True) and len(set(monos)) == 10
+
+    @settings(max_examples=50, deadline=None)
+    @given(polynomials(), polynomials())
+    def test_scalar_is_constant_term_of_pairing(self, f, g):
+        assert apolar_scalar(f, g) == apolar_pair(f, g).coefficient((0,) * f.ambient_n)
 
 
 class TestTextFormat:

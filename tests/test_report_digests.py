@@ -1,0 +1,46 @@
+"""Pinned SHA-256 digests of ten JSON reports.
+
+Each report runs in-process through ``cli.run`` with ``--format json`` and
+the digest of its standard output is compared with a value recorded from
+the library at version 0.1.0.  A refactor that claims "same outputs" must
+keep every digest; a deliberate change to a report's content must update
+its digest here and say why.  The reports carry ``library_version``, so a
+``__version__`` bump changes every digest.
+"""
+
+import hashlib
+
+import pytest
+
+from symideal.cli import run
+
+PINNED = {
+    "table1 --n 3 --seed 0":
+        "6d2bcb4d94a1c2249ad7a1f82f8e54f7092c62084496ea6263fca2ac3a1f2936",
+    "lemmas --n 3":
+        "ce4536428b1a25c037c1d50ec508dfc685b43f8b5a8bb1ef4978bdd2d442964e",
+    "lemmas --n 4":
+        "cb2580baa782e88cb5c0ab33ecdfc72582995d448644dec76826170d4bc1a5f8",
+    "tanisaki --n 4 --lambda 2,1,1 --mode apolar":
+        "1a2ab4525b8a0dc46dfe67fc3e5111aa3dce89219d52132a57ffff1cba438567",
+    "tanisaki --n 4 --lambda 2,2 --mode apolar":
+        "05bbabbadf1bf7a2244b759d81a1202efb8f28f277a0648d86649b528897708e",
+    "tanisaki --n 5 --lambda 3,2 --mode apolar":
+        "513ffd283346c95e468616efdadbf5553d3a5200669da7cab2833692b1784294",
+    "tanisaki --n 5 --lambda 3,1,1 --mode apolar":
+        "05ae6b300e3bc3582d0343196aa156ae5b8009ec0177771bc121aaeb4a11f184",
+    "tanisaki --n 4 --lambda 2,1,1 --mode all":
+        "8f53f302b0027471684c0cbe65bd0b874df64cd243b6ff9d1b5c2a7b358350c6",
+    "tangent --n 4 --row 6":
+        "7c1bac8f4bc48d1a1547ea94d41054603dbc751c5c354ccb248c96a288163a9a",
+    "tangent --n 5 --tanisaki 3,2":
+        "13672b75a9f5ff3f0f36e80913113348d8c9e175553cd095ba0aa84a7be8fee8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_report_digest(command, capsys):
+    code = run(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
