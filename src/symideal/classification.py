@@ -253,6 +253,8 @@ def classification_cases(n: int, parameter_samples: list[tuple[Fraction, Fractio
 def row_case(label: str, n: int, r: int | None = None,
              param: tuple[Fraction, Fraction] | None = None) -> RowCase:
     """Fetch one concrete case by label (and colength / parameter)."""
+    if param is not None and not any(param):
+        raise ValueError("parameter [0:0] is not a point of the projective line")
     samples = [param] if param is not None else []
     for case in classification_cases(n, samples):
         if case.label != label:

@@ -91,8 +91,10 @@ def _ideal_from_args(args, n: int) -> Ideal:
 
         param = None
         if getattr(args, "param", None):
-            a, b = args.param.split(":")
-            param = (_parse_rational(a), _parse_rational(b))
+            parts = args.param.split(":")
+            if len(parts) != 2:
+                raise ValueError(f"--param takes the form a:b, got {args.param!r}")
+            param = (_parse_rational(parts[0]), _parse_rational(parts[1]))
         return row_case(args.row, n, r=getattr(args, "colength", None), param=param).ideal
     if getattr(args, "tanisaki", None):
         return tanisaki_ideal(_parse_partition(args.tanisaki))

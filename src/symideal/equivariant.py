@@ -130,7 +130,12 @@ def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | N
 
 @dataclass
 class TangentReport:
-    """Result of the equivariant tangent-space computation."""
+    """Result of the equivariant tangent-space computation.
+
+    ``details`` holds deterministic work counts of the relation step:
+    ``products`` reduced modulo the square of the ideal, distinct
+    ``images`` reduced modulo the ideal, and ``constraint_rows``.
+    """
 
     ideal: Ideal
     n1_dims: dict[int, int]
@@ -295,12 +300,16 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
         by_degree.setdefault(sum(m), []).append(m)
 
     n2_count = 0
+    products = constraint_rows = 0
+    images: dict[tuple[int, int, Monomial], Polynomial] = {}  # (t, i, b) -> b*phi_t(v_i) mod I
     constraint_rank = KernelEchelon()
     top = syzygy_bound - 1 + extra_syzygy_degrees
     for d in range(min(gen_degrees) + 1, top + 1):
-        products = ((_poly_row(square.normal_form(Polynomial.monomial(b) * gens[i])), (i, b))
-                    for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, []))
-        relations = nullspace_tags(products, key=monomial_key)
+        pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
+        products += len(pairs)
+        relations = nullspace_tags(
+            ((_poly_row(square.normal_form(Polynomial.monomial(b) * gens[i])), (i, b))
+             for i, b in pairs), key=monomial_key)
         n2_count += len(relations)
         for relation in relations:
             rows: dict[Monomial, dict[int, Fraction]] = {}
@@ -309,9 +318,14 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
                 for (i, b), coeff in relation.items():
                     value = hom_values[t][i]
                     if not value.is_zero():
-                        total = total + ideal.normal_form(Polynomial.monomial(b) * value) * coeff
+                        image = images.get((t, i, b))
+                        if image is None:
+                            image = images[(t, i, b)] = ideal.normal_form(
+                                Polynomial.monomial(b) * value)
+                        total = total + image * coeff
                 for m, c in total.terms.items():
                     rows.setdefault(m, {})[t] = c
+            constraint_rows += len(rows)
             for row in rows.values():
                 constraint_rank.add(row)
 
@@ -324,4 +338,6 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
         tangent_dim=tangent,
         equivariant_hom_dim=k,
         wall_time_s=time.monotonic() - start,
+        details={"products": products, "images": len(images),
+                 "constraint_rows": constraint_rows},
     )

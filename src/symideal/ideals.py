@@ -148,18 +148,24 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _normal_form(terms: list, basis: list[list], order: MonomialOrder) -> tuple[list, int]:
-    """Fully reduce; returns (remainder, mult) with remainder = mult*f - combination."""
+def _normal_form(terms: list, basis: list[list], order: MonomialOrder,
+                 divisors: dict) -> tuple[list, int]:
+    """Fully reduce; returns (remainder, mult) with remainder = mult*f - combination.
+
+    ``divisors`` maps a leading monomial to the first basis element (in
+    basis order) dividing it, or to None; it is filled on demand and is
+    valid only for this basis.
+    """
     mult = 1
     rem: list = []
     work = list(terms)
     while work:
         key, lm, lc = work[0]
-        reducer = None
-        for g in basis:
-            if _divides(g[0][1], lm):
-                reducer = g
-                break
+        if lm in divisors:
+            reducer = divisors[lm]
+        else:
+            reducer = divisors[lm] = next(
+                (g for g in basis if _divides(g[0][1], lm)), None)
         if reducer is None:
             rem.append(work[0])
             work = work[1:]
@@ -243,7 +249,7 @@ def _buchberger(inputs: list[list], order: MonomialOrder) -> list[list]:
                 alive[i] = False
 
     for f in sorted(inputs, key=lambda t: t[0][0]):
-        rem, _ = _normal_form(f, [g for g in G], order)
+        rem, _ = _normal_form(f, G, order, {})
         rem = _normalize(rem)
         if rem:
             G.append(rem)
@@ -258,7 +264,7 @@ def _buchberger(inputs: list[list], order: MonomialOrder) -> list[list]:
         s = _spoly(G[i], G[j], order)
         if not s:
             continue
-        rem, _ = _normal_form(s, G, order)
+        rem, _ = _normal_form(s, G, order, {})
         rem = _normalize(rem)
         if rem:
             G.append(rem)
@@ -279,7 +285,7 @@ def _reduce_basis(basis: list[list], order: MonomialOrder) -> list[list]:
     reduced: list[list] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        rem, _ = _normal_form(g, others, order)
+        rem, _ = _normal_form(g, others, order, {})
         reduced.append(_normalize(rem))
     reduced.sort(key=lambda t: t[0][0])
     return reduced
@@ -304,6 +310,8 @@ class Ideal:
         self.ambient_n = ambient_n
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._gb: dict[str, list[list]] = {}
+        # per order: leading monomial -> first divisor in the basis, or None
+        self._divisors: dict[str, dict] = {}
         self._standard: dict[str, list[Monomial] | None] = {}
 
     # -- Groebner bases ---------------------------------------------------
@@ -317,6 +325,7 @@ class Ideal:
     def _seed_basis(self, order: MonomialOrder, basis: list[list]) -> None:
         """Install a known Groebner basis (reduced to canonical form)."""
         self._gb[order.name] = _reduce_basis(basis, order)
+        self._divisors.pop(order.name, None)
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
@@ -335,7 +344,8 @@ class Ideal:
         terms = [(order.key(m), m, int(c * lcm_den)) for m, c in f.terms.items()]
         terms.sort(key=lambda t: t[0], reverse=True)
         # terms == lcm_den * f exactly; rem == mult * lcm_den * f modulo the ideal
-        rem, mult = _normal_form(terms, basis, order)
+        rem, mult = _normal_form(terms, basis, order,
+                                 self._divisors.setdefault(order.name, {}))
         scale = Fraction(1, lcm_den * mult)
         return Polynomial(self.ambient_n, {m: Fraction(c) * scale for _, m, c in rem})
 

@@ -161,6 +161,24 @@ class TestExitCodes:
         assert "zero denominator" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("verb", ["tangent", "decompose"])
+    @pytest.mark.parametrize("row", ["5", "7c", "11"])
+    def test_zero_parameter_is_bad_input(self, verb, row, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([verb, "--n", "4", "--row", row, "--param", "0:0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (f"symideal {verb}: parameter [0:0] is not a point "
+                       "of the projective line\n")
+
+    @pytest.mark.parametrize("param", ["1:2:3", "1"])
+    def test_param_part_count_is_checked(self, param, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["tangent", "--n", "3", "--row", "5", "--param", param])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"symideal tangent: --param takes the form a:b, got '{param}'\n"
+
     def test_guard_is_bad_input(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["table1", "--n", "6"])

@@ -142,6 +142,18 @@ class TestTangentDimension:
             extended = tangent_dimension(ideal, extra_syzygy_degrees=2)
             assert base.tangent_dim == extended.tangent_dim
 
+    def test_details_count_the_relation_step(self):
+        lam = Partition((2, 1, 1))
+        first = tangent_dimension(tanisaki_ideal(lam))
+        second = tangent_dimension(tanisaki_ideal(lam))
+        assert first.details == second.details
+        assert set(first.details) == {"products", "images", "constraint_rows"}
+        k, gens = first.equivariant_hom_dim, sum(first.n1_dims.values())
+        colength = first.ideal.colength()
+        assert 0 < first.details["images"] <= k * gens * colength
+        assert first.details["products"] > 0
+        assert first.details["constraint_rows"] >= k - first.tangent_dim
+
     def test_report_serialization(self):
         report = tangent_dimension(maximal_power(3, 2))
         record = json.loads(report.to_json())

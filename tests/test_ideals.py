@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symideal.combinat import Partition, Permutation
 from symideal.ideals import (DEGLEX, DEGREVLEX, EliminationOrder, Ideal,
@@ -54,7 +56,7 @@ class TestGroebner:
                 for j in range(i + 1, len(basis)):
                     s = _spoly(basis[i], basis[j], DEGREVLEX)
                     if s:
-                        rem, _ = _normal_form(s, basis, DEGREVLEX)
+                        rem, _ = _normal_form(s, basis, DEGREVLEX, {})
                         assert not rem
 
     def test_membership_agrees_across_orders(self):
@@ -88,6 +90,70 @@ class TestNormalForm:
         f, g = x(1, n) ** 2, x(2, n) ** 2
         lhs = ideal.normal_form(f + 3 * g)
         assert lhs == ideal.normal_form(f) + 3 * ideal.normal_form(g)
+
+
+def polynomials(n, max_degree, min_terms=0, max_terms=3):
+    monomials = st.tuples(*[st.integers(0, max_degree)] * n).filter(
+        lambda m: sum(m) <= max_degree)
+    coefficients = st.integers(-4, 4).filter(bool)
+    return st.dictionaries(monomials, coefficients, min_size=min_terms,
+                           max_size=max_terms).map(
+        lambda terms: Polynomial(n, {m: Fraction(c) for m, c in terms.items()}))
+
+
+@st.composite
+def ideal_and_probes(draw):
+    n = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(polynomials(n, 2), min_size=1, max_size=3))
+    probes = draw(st.lists(polynomials(n, 4, 1, 4), min_size=1, max_size=12))
+    return n, gens, probes
+
+
+class TestDivisorMemo:
+    """The per-ideal divisor memo never changes a normal form."""
+
+    @staticmethod
+    def assert_warm_matches_fresh(warm, fresh_copy, probes, orders=(DEGREVLEX,)):
+        for order in orders:  # warm one memo per order
+            for f in probes:
+                warm.normal_form(f, order)
+            assert warm._divisors[order.name]
+        for order in orders:
+            for f in probes:
+                assert warm.normal_form(f, order) == fresh_copy().normal_form(f, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ideal_and_probes())
+    def test_warm_ideal_matches_fresh_copy(self, case):
+        n, gens, probes = case
+        self.assert_warm_matches_fresh(Ideal(n, gens), lambda: Ideal(n, gens), probes,
+                                       (DEGREVLEX, DEGLEX))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=2, max_size=4, unique=True),
+           st.lists(polynomials(2, 4, 1, 4), min_size=1, max_size=12))
+    def test_intersection_matches_fresh_copy(self, points, probes):
+        half = len(points) // 2
+        left = point_ideal(points[0])
+        for p in points[1:half]:
+            left = left.intersect(point_ideal(p))
+        right = point_ideal(points[half])
+        for p in points[half + 1:]:
+            right = right.intersect(point_ideal(p))
+        meet = left.intersect(right)  # basis installed by _seed_basis
+        self.assert_warm_matches_fresh(meet, lambda: Ideal(2, meet.generators), probes)
+
+    def test_seed_basis_drops_the_memo(self):
+        n = 2
+        ideal = Ideal(n, [x(1, n), x(2, n)])
+        assert ideal.normal_form(x(1, n)).is_zero()
+        assert DEGREVLEX.name in ideal._divisors
+        other = Ideal(n, [x(1, n) - x(2, n), x(2, n) ** 2])
+        ideal._seed_basis(DEGREVLEX, other._engine_basis(DEGREVLEX))
+        assert DEGREVLEX.name not in ideal._divisors
+        # a stale memo would still reduce x1 by the old basis element x1
+        assert ideal.normal_form(x(1, n)) == x(2, n)
 
 
 class TestColength:

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of ten JSON reports.
+"""Pinned SHA-256 digests of twelve JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -35,6 +35,10 @@ PINNED = {
         "7c1bac8f4bc48d1a1547ea94d41054603dbc751c5c354ccb248c96a288163a9a",
     "tangent --n 5 --tanisaki 3,2":
         "13672b75a9f5ff3f0f36e80913113348d8c9e175553cd095ba0aa84a7be8fee8",
+    "tangent --n 5 --tanisaki 3,1,1":
+        "8acace52128e9147cdf3bdf224e941eb3e8638b574225e81510c5a3a3fd9dfc1",
+    "tangent --n 5 --tanisaki 2,2,1":
+        "552abffb0ed6a35ab98d3e7e985d51be1322330375cac05464004cd4a0b8c9db",
 }
 
 
