@@ -56,6 +56,27 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _parse_gens(text: str, n: int) -> list[Polynomial]:
+    """``--gens``: polynomials separated by semicolons."""
+    return [parse_polynomial(chunk, n) for chunk in text.split(";") if chunk.strip()]
+
+
+def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
+    """``--point``: n comma-separated rationals."""
+    point = tuple(_parse_rational(v) for v in text.split(","))
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} coordinates, expected {n}")
+    return point
+
+
+def _parse_param(text: str) -> tuple[Fraction, Fraction]:
+    """``--param``: a:b."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"--param takes the form a:b, got {text!r}")
+    return _parse_rational(parts[0]), _parse_rational(parts[1])
+
+
 def pool_size(jobs: int, cases: int) -> int:
     """Worker processes for ``jobs`` requested: never more than the CPUs or the cases."""
     return min(jobs, os.cpu_count() or 1, cases)
@@ -84,17 +105,11 @@ def _random_parameters(seed: int, count: int = 3) -> list[tuple[Fraction, Fracti
 
 def _ideal_from_args(args, n: int) -> Ideal:
     if getattr(args, "gens", None):
-        gens = [parse_polynomial(chunk, n) for chunk in args.gens.split(";") if chunk.strip()]
-        return Ideal(n, gens)
+        return Ideal(n, _parse_gens(args.gens, n))
     if getattr(args, "row", None):
         from .classification import row_case
 
-        param = None
-        if getattr(args, "param", None):
-            parts = args.param.split(":")
-            if len(parts) != 2:
-                raise ValueError(f"--param takes the form a:b, got {args.param!r}")
-            param = (_parse_rational(parts[0]), _parse_rational(parts[1]))
+        param = None if getattr(args, "param", None) is None else _parse_param(args.param)
         return row_case(args.row, n, r=getattr(args, "colength", None), param=param).ideal
     if getattr(args, "tanisaki", None):
         return tanisaki_ideal(_parse_partition(args.tanisaki))
@@ -286,9 +301,7 @@ def cmd_decompose(args, config: RunConfig) -> tuple[list[dict], bool]:
 def cmd_gr(args, config: RunConfig) -> tuple[list[dict], bool]:
     if not 2 <= config.n <= 6:
         raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    point = tuple(_parse_rational(v) for v in args.point.split(","))
-    if len(point) != config.n:
-        raise ValueError(f"point has {len(point)} coordinates, expected {config.n}")
+    point = _parse_point(args.point, config.n)
     ideal = orbit_ideal(point)
     graded = ideal.associated_graded()
     record: dict = {
@@ -391,6 +404,8 @@ def run(argv: list[str] | None = None) -> int:
     p.add_argument("--point", required=True, help="comma-separated rational coordinates")
 
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads an option value "--" as []
+        parser.exit(2, f"symideal {args.command}: '--' is not an option value\n")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     config = RunConfig(n=args.n, command=args.command, output_path=args.out,

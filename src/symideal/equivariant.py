@@ -39,12 +39,16 @@ def group_generators(n: int) -> list[Permutation]:
 
 
 def is_symmetric(ideal: Ideal) -> bool:
-    """True iff each generator stays inside under the two group generators."""
-    for sigma in group_generators(ideal.ambient_n):
-        for g in ideal.generators:
-            if not ideal.contains(apply_permutation(sigma, g)):
-                return False
-    return True
+    """True iff each generator stays inside under the two group generators.
+
+    The verdict is kept on the ideal, whose generators never change, so
+    each ideal is checked once however many callers ask.
+    """
+    if ideal._symmetric is None:
+        ideal._symmetric = all(ideal.contains(apply_permutation(sigma, g))
+                               for sigma in group_generators(ideal.ambient_n)
+                               for g in ideal.generators)
+    return ideal._symmetric
 
 
 def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDecomposition:

@@ -1,5 +1,29 @@
 """Groebner-basis engine and zero-dimensional ideal toolkit.
 
+Monomials inside the engine are packed integers.  Every order's
+``key(m)`` is one Python int that increases strictly with the monomial
+while all exponents stay below 2**(W - 1), with W = 32 bits per exponent
+field, and that is additive: key(a*b) == key(a) + key(b).  An engine term
+is a ``(key, coeff)`` pair and the key *is* the monomial: comparing two
+monomials compares two ints, and multiplying a polynomial by a monomial u
+adds key(u) to each of its keys.  ``order.unpack(key, n)`` turns a key
+back into an exponent tuple only at the boundary: polynomials handed out,
+standard monomials, intersections and the pair bookkeeping of Buchberger's
+algorithm.
+
+Divisibility works on a second packing, ``order.exps(key, n)``: the
+exponents side by side in W-bit fields whose top bit is a guard bit.  With
+G the guard bits of all fields, a divides x exactly when
+``((x | G) - a) & G == G``.  The leading exponents of a basis are packed
+once and kept beside it.
+
+Exactness: an exponent at or past 2**(W - 2) where a polynomial enters the
+engine raises ``ValueError``; every basis element is checked once to stay
+below that bound, and so is the multiplier u of every reduction step and
+S-polynomial (``ArithmeticError`` otherwise).  Every product then stays
+below 2**(W - 1), so no field ever carries into the next and every key
+comparison is exact.
+
 The engine works on integer-coefficient term lists (content 1, positive
 leading coefficient) so that all reductions are fraction-free; rational
 results are reconstructed from tracked multipliers.  Pair selection uses
@@ -13,57 +37,111 @@ from __future__ import annotations
 import heapq
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import gcd, inf
+from struct import Struct
 
 from .poly import Monomial, Polynomial, degree_monomials, parse_polynomial
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial orders as packed integer keys
+
+W = 32  # bits per exponent field
+LIMIT = 1 << (W - 2)  # exponents entering the engine stay below this
+
+
+@lru_cache(maxsize=None)
+def _fields(n: int, byteorder: str) -> Struct:
+    """n unsigned W-bit fields; the first exponent sits in the low field
+    for ``"little"`` and in the high field for ``"big"``."""
+    return Struct(("<" if byteorder == "little" else ">") + f"{n}I")
+
+
+def _pack(m: Monomial, byteorder: str = "little") -> int:
+    return int.from_bytes(_fields(len(m), byteorder).pack(*m), byteorder)
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> tuple[int, int]:
+    """(guard, quarter): the top bit of each of n fields, and its top two bits."""
+    return (_pack((1 << (W - 1),) * n), _pack((3 << (W - 2),) * n))
 
 
 class MonomialOrder:
-    """Total multiplicative order; key(m) increases with the monomial."""
+    """Total multiplicative order; key(m) is an int increasing with the
+    monomial and additive over products."""
 
     name = "abstract"
+    byteorder = "little"  # field layout of ``exps``
 
-    def key(self, m: Monomial) -> tuple:
+    def key(self, m: Monomial) -> int:
         raise NotImplementedError
+
+    def exps(self, key: int, n: int) -> int:
+        """The exponents of the monomial with this key, packed in W-bit fields."""
+        raise NotImplementedError
+
+    def unpack(self, key: int, n: int) -> Monomial:
+        """The exponent tuple of the monomial with this key."""
+        return _fields(n, self.byteorder).unpack(
+            self.exps(key, n).to_bytes(W // 8 * n, self.byteorder))
 
     def __repr__(self) -> str:
         return self.name
 
 
 class DegRevLex(MonomialOrder):
+    """key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
+
     name = "degrevlex"
 
-    def key(self, m: Monomial) -> tuple:
-        return (sum(m), tuple(-e for e in reversed(m)))
+    def key(self, m: Monomial) -> int:
+        return (sum(m) << (W * len(m))) - _pack(m)
+
+    def exps(self, key: int, n: int) -> int:
+        return -key & ((1 << (W * n)) - 1)
 
 
 class DegLex(MonomialOrder):
-    name = "deglex"
+    """key = deg * B**n + sum(e_i * B**(n-i)), B = 2**W."""
 
-    def key(self, m: Monomial) -> tuple:
-        return (sum(m), m)
+    name = "deglex"
+    byteorder = "big"
+
+    def key(self, m: Monomial) -> int:
+        return (sum(m) << (W * len(m))) + _pack(m, "big")
+
+    def exps(self, key: int, n: int) -> int:
+        return key & ((1 << (W * n)) - 1)
 
 
 class EliminationOrder(MonomialOrder):
     """Block order making the last ``tail`` variables dominant.
 
-    Restricted to monomials free of the tail block it agrees with
-    degrevlex on the head block, so elimination outputs are degrevlex
-    Groebner bases of the eliminated ideal.
+    key = DRL(tail) * M + DRL(head) with M = B**(h+2) for h head
+    variables.  For exponents below 2**(W-1) the head key lies between
+    -B**h and h * B**(h+1) / 2, inside (-M/2, M/2), so it is a signed
+    digit and keys compare by the tail first.  Restricted to monomials free
+    of the tail block it agrees with degrevlex on the head block, so
+    elimination outputs are degrevlex Groebner bases of the eliminated
+    ideal.
     """
 
     def __init__(self, tail: int = 1):
         self.tail = tail
         self.name = f"eliminate_last_{tail}"
 
-    def key(self, m: Monomial) -> tuple:
-        head, tail = m[: len(m) - self.tail], m[len(m) - self.tail:]
-        return (sum(tail), tuple(-e for e in reversed(tail)),
-                sum(head), tuple(-e for e in reversed(head)))
+    def key(self, m: Monomial) -> int:
+        h = len(m) - self.tail
+        return (DEGREVLEX.key(m[h:]) << (W * (h + 2))) + DEGREVLEX.key(m[:h])
+
+    def exps(self, key: int, n: int) -> int:
+        h = n - self.tail
+        shift = W * (h + 2)
+        tail = (key + (1 << (shift - 1))) >> shift
+        head = key - (tail << shift)
+        return DEGREVLEX.exps(head, h) | (DEGREVLEX.exps(tail, self.tail) << (W * h))
 
 
 DEGREVLEX = DegRevLex()
@@ -71,69 +149,104 @@ DEGLEX = DegLex()
 
 
 # ---------------------------------------------------------------------------
-# engine term lists: list[(key, monomial, int coeff)] sorted descending by key
+# engine term lists: list[(key, int coeff)] sorted descending by key
 
 
-def _strip(terms: list, extra: int = 0) -> tuple[list, int]:
-    """Divide all coefficients (and extra) by their common content."""
-    g = abs(extra)
-    for _, _, c in terms:
+def _strip(terms: list) -> list:
+    """Divide all coefficients by their common content."""
+    g = 0
+    for _, c in terms:
         g = gcd(g, c)
         if g == 1:
-            return terms, extra
+            return terms
     if g > 1:
-        terms = [(k, m, c // g) for k, m, c in terms]
-        extra //= g
-    return terms, extra
-
-
-def _to_engine(f: Polynomial, order: MonomialOrder) -> list:
-    lcm_den = 1
-    for c in f.terms.values():
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    terms = [(order.key(m), m, int(c * lcm_den)) for m, c in f.terms.items()]
-    terms.sort(key=lambda t: t[0], reverse=True)
-    terms, _ = _strip(terms)
-    if terms and terms[0][2] < 0:
-        terms = [(k, m, -c) for k, m, c in terms]
+        terms = [(k, c // g) for k, c in terms]
     return terms
 
 
-def _to_poly(terms: list, n: int, mult: int = 1) -> Polynomial:
-    return Polynomial(n, {m: Fraction(c, mult) for _, m, c in terms})
+def _normalize(terms: list) -> list:
+    terms = _strip(terms)
+    if terms and terms[0][1] < 0:
+        terms = [(k, -c) for k, c in terms]
+    return terms
 
 
-def _shift(terms: list, u: Monomial, scalar: int, order: MonomialOrder) -> list:
-    if not any(u):
-        return [(k, m, c * scalar) for k, m, c in terms]
+def _engine_terms(f: Polynomial, order: MonomialOrder) -> tuple[list, int]:
+    """(terms, den): ``terms`` is den*f with integer coefficients, for the
+    least common denominator den of f's coefficients."""
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    terms = []
+    for m, c in f.terms.items():
+        if max(m, default=0) >= LIMIT:
+            raise ValueError(f"exponent {max(m)} is too large: the engine takes "
+                             f"exponents below 2^{W - 2}")
+        terms.append((order.key(m), c.numerator * (den // c.denominator)))
+    terms.sort(reverse=True)
+    return terms, den
+
+
+def _to_engine(f: Polynomial, order: MonomialOrder) -> list:
+    return _normalize(_engine_terms(f, order)[0])
+
+
+def _to_poly(terms: list, order: MonomialOrder, n: int, mult: int = 1) -> Polynomial:
+    return Polynomial(n, {order.unpack(k, n): Fraction(c, mult) for k, c in terms})
+
+
+def _lead(g: list, order: MonomialOrder, n: int) -> int:
+    """Packed leading exponents of a new basis element, after checking that
+    all its exponents stay below the bound."""
+    quarter = _masks(n)[1]
+    for k, _ in g:
+        if order.exps(k, n) & quarter:
+            raise ArithmeticError(f"a Groebner basis exponent reached 2^{W - 2}")
+    return order.exps(g[0][0], n)
+
+
+def _shift(terms: list, ku: int, scalar: int) -> list:
+    return [(k + ku, c * scalar) for k, c in terms]
+
+
+def _merge(a: list, i: int, ca: int, b: list, ku: int, cb: int) -> list:
+    """ca*a[i:] + cb*u*b[1:] as one descending term list, for key(u) == ku."""
+    if ca != 1:
+        a, i = [(k, c * ca) for k, c in a[i:]], 0
     out = []
-    for _, m, c in terms:
-        mono = tuple(a + b for a, b in zip(m, u))
-        out.append((order.key(mono), mono, c * scalar))
-    return out
-
-
-def _add(a: list, b: list) -> list:
-    """Sum of two descending term lists (same order)."""
-    out = []
-    i = j = 0
+    append = out.append
+    j = 1
     la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ka, kb = a[i][0], b[j][0]
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif kb > ka:
-            out.append(b[j])
-            j += 1
-        else:
-            c = a[i][2] + b[j][2]
-            if c:
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    if i < la and j < lb:
+        ka = a[i][0]
+        kb = b[j][0] + ku
+        while True:
+            if ka > kb:
+                append(a[i])
+                i += 1
+                if i == la:
+                    break
+                ka = a[i][0]
+            elif kb > ka:
+                append((kb, b[j][1] * cb))
+                j += 1
+                if j == lb:
+                    break
+                kb = b[j][0] + ku
+            else:
+                c = a[i][1] + b[j][1] * cb
+                if c:
+                    append((ka, c))
+                i += 1
+                j += 1
+                if i == la or j == lb:
+                    break
+                ka = a[i][0]
+                kb = b[j][0] + ku
+    if i < la:
+        out += a[i:]
+    if j < lb:
+        out += [(k + ku, c * cb) for k, c in b[j:]]
     return out
 
 
@@ -148,144 +261,161 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _normal_form(terms: list, basis: list[list], order: MonomialOrder,
-                 divisors: dict) -> tuple[list, int]:
+def _reducer(k: int, basis: list[list], leads: list[int], order: MonomialOrder,
+             n: int) -> list | None:
+    """The first basis element (in basis order) whose leading monomial
+    divides the monomial with key k, or None."""
+    guard, quarter = _masks(n)
+    x = order.exps(k, n)
+    xg = x | guard
+    for g, a in zip(basis, leads):
+        if (xg - a) & guard == guard:
+            if (x - a) & quarter:
+                raise ArithmeticError(f"a reduction multiplier reached 2^{W - 2}")
+            return g
+    return None
+
+
+_UNSEEN = object()
+
+
+def _normal_form(terms: list, basis: list[list], leads: list[int], order: MonomialOrder,
+                 n: int, divisors: dict) -> tuple[list, int]:
     """Fully reduce; returns (remainder, mult) with remainder = mult*f - combination.
 
-    ``divisors`` maps a leading monomial to the first basis element (in
-    basis order) dividing it, or to None; it is filled on demand and is
-    valid only for this basis.
+    ``leads`` holds the packed leading exponents of ``basis``.
+    ``divisors`` maps a leading key to ``_reducer``'s answer for it, the
+    first basis element (in basis order) dividing it, or None.  It is
+    filled on demand, so each multiplier is checked against the bound once
+    per basis, and it is valid only for this basis.
     """
     mult = 1
     rem: list = []
-    work = list(terms)
-    while work:
-        key, lm, lc = work[0]
-        if lm in divisors:
-            reducer = divisors[lm]
-        else:
-            reducer = divisors[lm] = next(
-                (g for g in basis if _divides(g[0][1], lm)), None)
-        if reducer is None:
-            rem.append(work[0])
-            work = work[1:]
+    work = terms
+    i = 0
+    while i < len(work):
+        k, lc = work[i]
+        g = divisors.get(k, _UNSEEN)
+        if g is _UNSEEN:
+            g = divisors[k] = _reducer(k, basis, leads, order, n)
+        if g is None:
+            rem.append(work[i])
+            i += 1
             continue
-        glc = reducer[0][2]
+        glc = g[0][1]
         d = gcd(glc, lc)
         ca, cb = glc // d, lc // d
-        u = tuple(x - y for x, y in zip(lm, reducer[0][1]))
         if ca != 1:
-            work = [(k, m, c * ca) for k, m, c in work]
-            rem = [(k, m, c * ca) for k, m, c in rem]
+            rem = [(t, c * ca) for t, c in rem]
             mult *= ca
-        work = _add(work, _shift(reducer, u, -cb, order))
+        # the leading terms cancel: ca*lc == cb*glc
+        work = _merge(work, i + 1, ca, g, k - g[0][0], -cb)
+        i = 0
         if mult.bit_length() > 1024:
             g_all = mult
-            for _, _, c in rem:
+            for _, c in rem:
                 g_all = gcd(g_all, c)
-            for _, _, c in work:
+            for _, c in work:
                 g_all = gcd(g_all, c)
             if g_all > 1:
-                rem = [(k, m, c // g_all) for k, m, c in rem]
-                work = [(k, m, c // g_all) for k, m, c in work]
+                rem = [(t, c // g_all) for t, c in rem]
+                work = [(t, c // g_all) for t, c in work]
                 mult //= g_all
     return rem, mult
 
 
-def _spoly(f: list, g: list, order: MonomialOrder) -> list:
-    lf, cf = f[0][1], f[0][2]
-    lg, cg = g[0][1], g[0][2]
-    lcm = _lcm(lf, lg)
+def _spoly(f: list, g: list, order: MonomialOrder, n: int) -> list:
+    lcm = order.key(_lcm(order.unpack(f[0][0], n), order.unpack(g[0][0], n)))
+    kf, kg = lcm - f[0][0], lcm - g[0][0]
+    if (order.exps(kf, n) | order.exps(kg, n)) & _masks(n)[1]:
+        raise ArithmeticError(f"an S-polynomial multiplier reached 2^{W - 2}")
+    cf, cg = f[0][1], g[0][1]
     d = gcd(cf, cg)
-    uf = tuple(x - y for x, y in zip(lcm, lf))
-    ug = tuple(x - y for x, y in zip(lcm, lg))
-    return _add(_shift(f, uf, cg // d, order), _shift(g, ug, -(cf // d), order))
+    return _merge(_shift(f, kf, cg // d), 1, 1, g, kg, -(cf // d))
 
 
-def _normalize(terms: list) -> list:
-    terms, _ = _strip(terms)
-    if terms and terms[0][2] < 0:
-        terms = [(k, m, -c) for k, m, c in terms]
-    return terms
-
-
-def _buchberger(inputs: list[list], order: MonomialOrder) -> list[list]:
+def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
     """Reduced Groebner basis from engine term lists."""
     G: list[list] = []
+    leads: list[int] = []  # packed leading exponents, for the reductions
+    lms: list[Monomial] = []  # leading monomials, for the pair bookkeeping
     alive: list[bool] = []
-    heap: list = []  # (lcm key, i, j, lcm)
+    heap: list = []  # (lcm key, i, j)
     pair_alive: set = set()
 
     def update(t: int) -> None:
         # Gebauer-Moeller: prune the new pairs among themselves...
-        lt = G[t][0][1]
-        C = [(i, _lcm(G[i][0][1], lt)) for i in range(t) if alive[i]]
+        lt = lms[t]
+        C = [(i, _lcm(lms[i], lt)) for i in range(t) if alive[i]]
         D: list = []
         while C:
             i, lcm_i = C.pop()
-            coprime = all(x == 0 or y == 0 for x, y in zip(G[i][0][1], lt))
+            coprime = all(x == 0 or y == 0 for x, y in zip(lms[i], lt))
             if coprime or not any(
                 _divides(lcm_j, lcm_i) for _, lcm_j in C + D
             ):
                 D.append((i, lcm_i))
         # ...then drop the non-coprime survivors into the queue...
         for i, lcm_i in D:
-            coprime = all(x == 0 or y == 0 for x, y in zip(G[i][0][1], lt))
+            coprime = all(x == 0 or y == 0 for x, y in zip(lms[i], lt))
             if not coprime:
-                heapq.heappush(heap, (order.key(lcm_i), i, t, lcm_i))
+                heapq.heappush(heap, (order.key(lcm_i), i, t))
                 pair_alive.add((i, t))
         # ...and prune the old pairs superseded by the new element.
         for i, j in list(pair_alive):
             if j == t:
                 continue
-            lcm_ij = _lcm(G[i][0][1], G[j][0][1])
+            lcm_ij = _lcm(lms[i], lms[j])
             if (_divides(lt, lcm_ij)
-                    and _lcm(G[i][0][1], lt) != lcm_ij
-                    and _lcm(G[j][0][1], lt) != lcm_ij):
+                    and _lcm(lms[i], lt) != lcm_ij
+                    and _lcm(lms[j], lt) != lcm_ij):
                 pair_alive.discard((i, j))
         # mark superseded basis elements as non-minimal (kept as reducers)
         for i in range(t):
-            if alive[i] and _divides(lt, G[i][0][1]):
+            if alive[i] and _divides(lt, lms[i]):
                 alive[i] = False
 
-    for f in sorted(inputs, key=lambda t: t[0][0]):
-        rem, _ = _normal_form(f, G, order, {})
+    def add(f: list) -> None:
+        rem, _ = _normal_form(f, G, leads, order, n, {})
         rem = _normalize(rem)
         if rem:
             G.append(rem)
+            leads.append(_lead(rem, order, n))
+            lms.append(order.unpack(rem[0][0], n))
             alive.append(True)
             update(len(G) - 1)
 
+    for f in sorted(inputs, key=lambda t: t[0][0]):
+        add(f)
+
     while heap:
-        _, i, j, _ = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if (i, j) not in pair_alive:
             continue
         pair_alive.discard((i, j))
-        s = _spoly(G[i], G[j], order)
-        if not s:
-            continue
-        rem, _ = _normal_form(s, G, order, {})
-        rem = _normalize(rem)
-        if rem:
-            G.append(rem)
-            alive.append(True)
-            update(len(G) - 1)
+        s = _spoly(G[i], G[j], order, n)
+        if s:
+            add(s)
 
-    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], order)
+    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], order, n)
 
 
-def _reduce_basis(basis: list[list], order: MonomialOrder) -> list[list]:
+def _reduce_basis(basis: list[list], order: MonomialOrder, n: int) -> list[list]:
     """The reduced Groebner basis from any Groebner basis of the ideal."""
+    guard = _masks(n)[0]
     # minimal basis: leading monomials pairwise non-divisible
     kept: list[list] = []
+    leads: list[int] = []
     for g in sorted(basis, key=lambda t: t[0][0]):
-        if not any(_divides(h[0][1], g[0][1]) for h in kept):
+        x = order.exps(g[0][0], n) | guard
+        if not any((x - a) & guard == guard for a in leads):
             kept.append(g)
+            leads.append(x ^ guard)
     # tail-reduce each element against the others
     reduced: list[list] = []
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        rem, _ = _normal_form(g, others, order, {})
+        rem, _ = _normal_form(g, kept[:idx] + kept[idx + 1:], leads[:idx] + leads[idx + 1:],
+                              order, n, {})
         reduced.append(_normalize(rem))
     reduced.sort(key=lambda t: t[0][0])
     return reduced
@@ -310,44 +440,46 @@ class Ideal:
         self.ambient_n = ambient_n
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._gb: dict[str, list[list]] = {}
-        # per order: leading monomial -> first divisor in the basis, or None
+        # per order: packed leading exponents of the basis elements
+        self._leads: dict[str, list[int]] = {}
+        # per order: leading key -> first divisor in the basis, or None
         self._divisors: dict[str, dict] = {}
+        self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
         self._standard: dict[str, list[Monomial] | None] = {}
 
     # -- Groebner bases ---------------------------------------------------
     def _engine_basis(self, order: MonomialOrder = DEGREVLEX) -> list[list]:
         if order.name not in self._gb:
             inputs = [_to_engine(g, order) for g in self.generators]
-            inputs = [f for f in inputs if f]
-            self._gb[order.name] = _buchberger(inputs, order)
+            self._install(order, _buchberger(inputs, order, self.ambient_n))
         return self._gb[order.name]
 
     def _seed_basis(self, order: MonomialOrder, basis: list[list]) -> None:
         """Install a known Groebner basis (reduced to canonical form)."""
-        self._gb[order.name] = _reduce_basis(basis, order)
+        self._install(order, _reduce_basis(basis, order, self.ambient_n))
+
+    def _install(self, order: MonomialOrder, basis: list[list]) -> None:
+        self._gb[order.name] = basis
+        self._leads[order.name] = [_lead(g, order, self.ambient_n) for g in basis]
         self._divisors.pop(order.name, None)
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
         basis = self._engine_basis(order)
-        return tuple(_to_poly(g, self.ambient_n).monic() for g in basis)
+        return tuple(_to_poly(g, order, self.ambient_n).monic() for g in basis)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
         if f.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
         if f.is_zero():
             return f
+        n = self.ambient_n
         basis = self._engine_basis(order)
-        lcm_den = 1
-        for c in f.terms.values():
-            lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-        terms = [(order.key(m), m, int(c * lcm_den)) for m, c in f.terms.items()]
-        terms.sort(key=lambda t: t[0], reverse=True)
-        # terms == lcm_den * f exactly; rem == mult * lcm_den * f modulo the ideal
-        rem, mult = _normal_form(terms, basis, order,
+        terms, den = _engine_terms(f, order)
+        # rem == mult * den * f modulo the ideal
+        rem, mult = _normal_form(terms, basis, self._leads[order.name], order, n,
                                  self._divisors.setdefault(order.name, {}))
-        scale = Fraction(1, lcm_den * mult)
-        return Polynomial(self.ambient_n, {m: Fraction(c) * scale for _, m, c in rem})
+        return _to_poly(rem, order, n, den * mult)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -358,7 +490,7 @@ class Ideal:
         if order.name not in self._standard:
             basis = self._engine_basis(order)
             n = self.ambient_n
-            lms = [g[0][1] for g in basis]
+            lms = [order.unpack(g[0][0], n) for g in basis]
             if any(sum(m) == 0 for m in lms):
                 self._standard[order.name] = []
                 return []
@@ -433,13 +565,12 @@ class Ideal:
 
         gens = [lift(g, True, False) for g in self.groebner_basis()]
         gens += [lift(g, False, True) for g in other.groebner_basis()]
-        basis = _buchberger([_to_engine(g, order) for g in gens], order)
-        kept = []
-        for g in basis:
-            if g[0][1][n] == 0:  # leading term free of t => whole element is
-                kept.append([(DEGREVLEX.key(m[:n]), m[:n], c) for _, m, c in g])
-        result = Ideal(n, [_to_poly(g, n).monic() for g in kept])
-        result._seed_basis(DEGREVLEX, [sorted(g, key=lambda t: t[0], reverse=True) for g in kept])
+        basis = _buchberger([_to_engine(g, order) for g in gens], order, n + 1)
+        # leading term free of t => whole element is; a monomial free of t
+        # has the same key in the elimination order as in degrevlex on x
+        kept = [g for g in basis if order.unpack(g[0][0], n + 1)[n] == 0]
+        result = Ideal(n, [_to_poly(g, DEGREVLEX, n).monic() for g in kept])
+        result._seed_basis(DEGREVLEX, kept)
         return result
 
     def associated_graded(self) -> "Ideal":

@@ -26,6 +26,9 @@ class KernelEchelon:
     def __init__(self, key=None):
         self.key = key if key is not None else lambda c: c
         self.pivots: dict = {}  # pivot column -> (row, tags)
+        # column -> key, for every column of a row added so far; elimination
+        # only combines such rows, so it never meets another column
+        self._keys: dict = {}
 
     @property
     def rank(self) -> int:
@@ -42,8 +45,12 @@ class KernelEchelon:
                 lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         row = {k: int(v * lcm) for k, v in row.items() if v}
         tags = {} if tag is None else {tag: lcm}
+        keys = self._keys
+        for col in row:
+            if col not in keys:
+                keys[col] = self.key(col)
         while row:
-            col = max(row, key=self.key)
+            col = max(row, key=keys.__getitem__)
             entry = self.pivots.get(col)
             if entry is None:
                 self.pivots[col] = (row, tags)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symideal import cli
 from symideal.cli import run
+from symideal.poly import parse_polynomial
 
 
 def run_json(argv, tmp_path, name):
@@ -171,7 +177,7 @@ class TestExitCodes:
         assert err == (f"symideal {verb}: parameter [0:0] is not a point "
                        "of the projective line\n")
 
-    @pytest.mark.parametrize("param", ["1:2:3", "1"])
+    @pytest.mark.parametrize("param", ["1:2:3", "1", ""])
     def test_param_part_count_is_checked(self, param, capsys):
         with pytest.raises(SystemExit) as info:
             run(["tangent", "--n", "3", "--row", "5", "--param", param])
@@ -199,6 +205,34 @@ class TestExitCodes:
         assert err == ("symideal tangent: internal invariant broken: "
                        "generator count mismatch in degree 2\n")
 
+    @pytest.mark.parametrize("verb", ["tangent", "decompose"])
+    def test_exponent_past_the_engine_bound_is_bad_input(self, verb, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([verb, "--n", "2", "--gens", f"x1^{2 ** 30}*x2; x1; x2"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "exponent 1073741824 is too large" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_basis_exponent_past_the_engine_bound_exits_3(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["decompose", "--n", "3", "--gens", f"x1^2 - x2; x1^2*x2^{2 ** 30 - 1}"])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert "internal invariant broken" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gr", "--n", "3", "--point=--"],
+        ["specht", "--n", "3", "--lambda=--"],
+        ["table1", "--n", "3", "--jobs=--"],
+    ])
+    def test_double_dash_value_is_bad_input(self, argv, capsys):
+        # argparse hands the verbs [] for an option value "--"
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"symideal {argv[0]}: '--' is not an option value\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):
         with pytest.raises(SystemExit) as info:
@@ -216,3 +250,65 @@ class TestExitCodes:
         assert cli.pool_size(10000, 2) == 2
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli.pool_size(8, 33) == 1
+
+
+# characters of the input grammars, plus a few that no grammar accepts
+# and some that Python's number parsing treats specially
+ALPHABET = "x0123456789^*/+-.,;: \t\n_e٣"
+
+
+def bad_input_exit(argv) -> tuple[int, str]:
+    """Run the CLI on input expected to be rejected; (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+    return info.value.code, err.getvalue()
+
+
+class TestParserFuzz:
+    """Every text either parses to values that survive printing and
+    parsing again, or is rejected with exit 2 and one line, before any
+    algebra starts (so no case here builds an ideal or starts a pool)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(ALPHABET, max_size=24), st.integers(1, 4))
+    def test_parse_polynomial(self, text, n):
+        try:
+            poly = parse_polynomial(text, n)
+        except ValueError:
+            return
+        assert parse_polynomial(str(poly), n) == poly
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(ALPHABET, max_size=24))
+    def test_gens(self, text):
+        try:
+            gens = cli._parse_gens(text, 3)
+        except ValueError:
+            code, err = bad_input_exit(["decompose", "--n", "3", f"--gens={text}"])
+            assert code == 2 and err.count("\n") == 1, err
+        else:
+            assert cli._parse_gens("; ".join(str(g) for g in gens), 3) == gens
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(ALPHABET, max_size=16))
+    def test_point(self, text):
+        try:
+            point = cli._parse_point(text, 3)
+        except ValueError:
+            code, err = bad_input_exit(["gr", "--n", "3", f"--point={text}"])
+            assert code == 2 and err.count("\n") == 1, err
+        else:
+            assert cli._parse_point(",".join(str(v) for v in point), 3) == point
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(ALPHABET, max_size=16))
+    def test_param(self, text):
+        try:
+            param = cli._parse_param(text)
+        except ValueError:
+            code, err = bad_input_exit(["tangent", "--n", "3", "--row", "5", f"--param={text}"])
+            assert code == 2 and err.count("\n") == 1, err
+        else:
+            assert cli._parse_param(f"{param[0]}:{param[1]}") == param

@@ -26,6 +26,16 @@ class TestIsSymmetric:
     def test_single_variable_is_not(self):
         assert not is_symmetric(Ideal(2, [x(1, 2)]))
 
+    def test_verdict_is_kept_and_still_enforced(self):
+        asymmetric = Ideal(2, [x(1, 2), x(2, 2) ** 2])  # homogeneous, colength 2
+        assert not is_symmetric(asymmetric)
+        asymmetric.contains = None  # a second check would call it
+        assert not is_symmetric(asymmetric)
+        with pytest.raises(ValueError):
+            decompose_quotient(asymmetric)
+        with pytest.raises(ValueError):
+            tangent_dimension(asymmetric)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_classification_entries(self, n):
         from symideal.classification import classification_cases

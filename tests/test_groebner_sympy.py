@@ -1,0 +1,131 @@
+"""Differential check of the Groebner engine against sympy.
+
+sympy is a second, independent Buchberger implementation; it is only a
+test dependency (the tests are skipped when it is missing).  Its
+``grevlex`` and ``grlex`` orders with x1 > ... > xn are DEGREVLEX and
+DEGLEX here, and both engines return the reduced basis, which is unique
+once made monic, so the bases must agree exactly.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symideal.ideals import DEGLEX, DEGREVLEX, Ideal, orbit_ideal, orbit_points, point_ideal
+from symideal.poly import Polynomial
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
+
+SYMPY_ORDER = {DEGREVLEX.name: "grevlex", DEGLEX.name: "grlex"}
+
+
+def symbols(n):
+    return sympy.symbols(f"x1:{n + 1}")
+
+
+def to_sympy(f: Polynomial, xs):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[x ** e for x, e in zip(xs, m)])
+                       for m, c in f.terms.items()])
+
+
+def from_sympy(expr, xs) -> Polynomial:
+    poly = sympy.Poly(expr, *xs, domain="QQ")
+    return Polynomial(len(xs), {m: Fraction(int(c.numerator), int(c.denominator))
+                                for m, c in poly.terms()})
+
+
+def sympy_basis(gens, n, order_name) -> set[Polynomial]:
+    """sympy's reduced basis, made monic."""
+    xs = symbols(n)
+    basis = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order=SYMPY_ORDER[order_name])
+    return {from_sympy(g, xs).monic() for g in basis.exprs}
+
+
+# block order: t above every x, grevlex inside each block
+ELIMINATE_FIRST = ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+
+
+def sympy_intersection(left, right, n) -> list[Polynomial]:
+    """I ∩ J by sympy's own elimination: (t*I + (1-t)*J) ∩ Q[x], then
+    reduced in grevlex."""
+    t = sympy.Symbol("t")
+    xs = symbols(n)
+    gens = ([t * to_sympy(g, xs) for g in left]
+            + [(1 - t) * to_sympy(g, xs) for g in right])
+    eliminated = sympy.groebner(gens, t, *xs, order=ELIMINATE_FIRST)
+    free = [g for g in eliminated.exprs if t not in g.free_symbols]
+    basis = sympy.groebner(free, *xs, order="grevlex")
+    return [from_sympy(g, xs).monic() for g in basis.exprs]
+
+
+def reynolds(f: Polynomial) -> Polynomial:
+    """Average of f over all permutations of the variables."""
+    n = f.ambient_n
+    total = Polynomial.zero(n)
+    images = list(permutations(range(n)))
+    for perm in images:
+        total = total + Polynomial(n, {tuple(m[i] for i in perm): c
+                                       for m, c in f.terms.items()})
+    return total * Fraction(1, len(images))
+
+
+def polynomials(n, max_degree):
+    monomials = st.tuples(*[st.integers(0, max_degree)] * n).filter(
+        lambda m: 0 < sum(m) <= max_degree)
+    return st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3).map(
+        lambda terms: Polynomial(n, {m: Fraction(c) for m, c in terms.items()}))
+
+
+@st.composite
+def symmetric_gens(draw, n):
+    """Reynolds images of random generators, the first shifted by a constant."""
+    gens = [reynolds(f) for f in draw(st.lists(polynomials(n, 3), min_size=1, max_size=3))]
+    gens[0] = gens[0] + draw(st.integers(-2, 2))
+    return [g for g in gens if not g.is_zero()]
+
+
+def symmetric_ideals(count, sizes=(2, 3)):
+    """n and ``count`` lists of generators of symmetric ideals in n variables."""
+    return st.sampled_from(sizes).flatmap(
+        lambda n: st.tuples(st.just(n), *[symmetric_gens(n)] * count))
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_ideals(1), st.sampled_from([DEGREVLEX, DEGLEX]))
+def test_symmetric_ideals_match_sympy(case, order):
+    n, gens = case
+    ours = Ideal(n, gens).groebner_basis(order)
+    assert len(set(ours)) == len(ours)
+    assert set(ours) == sympy_basis(gens, n, order.name)
+
+
+@pytest.mark.parametrize("point", [(1, 2), (1, 1, -2), (0, 1, 3), (2, 2, -1, -1), (1, -1, 0, 0)])
+def test_orbit_ideals_match_sympy(point):
+    ideal = orbit_ideal(point)
+    # sympy rebuilds the ideal from the maximal ideals of the orbit's
+    # points, one intersection at a time, by its own elimination
+    n = len(point)
+    pts = orbit_points(point)
+    expected = point_ideal(pts[0]).groebner_basis()
+    for p in pts[1:]:
+        expected = sympy_intersection(expected, point_ideal(p).groebner_basis(), n)
+    assert set(ideal.groebner_basis()) == set(expected)
+    # the same ideal in deglex, from its degrevlex basis
+    assert (set(Ideal(n, ideal.groebner_basis()).groebner_basis(DEGLEX))
+            == sympy_basis(ideal.groebner_basis(), n, DEGLEX.name))
+
+
+# sympy's elimination of random pairs at n = 3 can take seconds; the
+# orbit ideals above cover intersections at n = 3 and 4
+@settings(max_examples=15, deadline=None)
+@given(symmetric_ideals(2, sizes=(2,)))
+def test_intersection_matches_sympy(case):
+    n, left_gens, right_gens = case
+    ours = Ideal(n, left_gens).intersect(Ideal(n, right_gens)).groebner_basis()
+    assert set(ours) == set(sympy_intersection(left_gens, right_gens, n))

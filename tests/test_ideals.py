@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symideal.combinat import Partition, Permutation
-from symideal.ideals import (DEGLEX, DEGREVLEX, EliminationOrder, Ideal,
-                             _normal_form, _spoly, maximal_power, orbit_ideal,
-                             orbit_points, point_ideal)
+from symideal.ideals import (DEGLEX, DEGREVLEX, LIMIT, W, EliminationOrder,
+                             Ideal, _masks, _normal_form, _spoly,
+                             maximal_power, orbit_ideal, orbit_points,
+                             point_ideal)
 from symideal.poly import Polynomial, apply_permutation, power_sum
 
 
@@ -52,11 +53,12 @@ class TestGroebner:
             gens = [random_poly(rng, n) for _ in range(3)]
             ideal = Ideal(n, [g for g in gens if not g.is_zero()])
             basis = ideal._engine_basis(DEGREVLEX)
+            leads = ideal._leads[DEGREVLEX.name]
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    s = _spoly(basis[i], basis[j], DEGREVLEX)
+                    s = _spoly(basis[i], basis[j], DEGREVLEX, n)
                     if s:
-                        rem, _ = _normal_form(s, basis, DEGREVLEX, {})
+                        rem, _ = _normal_form(s, basis, leads, DEGREVLEX, n, {})
                         assert not rem
 
     def test_membership_agrees_across_orders(self):
@@ -338,3 +340,131 @@ class TestSerialization:
         order = EliminationOrder(1)
         # any power of the tail variable beats anything without it
         assert order.key((0, 0, 1)) > order.key((5, 5, 0))
+
+
+# -- packed monomial keys ------------------------------------------------------
+
+ORDERS = [DEGREVLEX, DEGLEX, EliminationOrder(1), EliminationOrder(2)]
+
+
+def tuple_key(order, m):
+    """The tuple keys the orders used before keys were packed into ints."""
+    if order is DEGREVLEX:
+        return (sum(m), tuple(-e for e in reversed(m)))
+    if order is DEGLEX:
+        return (sum(m), m)
+    head, tail = m[: len(m) - order.tail], m[len(m) - order.tail:]
+    return (sum(tail), tuple(-e for e in reversed(tail)),
+            sum(head), tuple(-e for e in reversed(head)))
+
+
+def exponents(bound):
+    """Exponents below ``bound``: mostly small, sometimes near the bound."""
+    return st.one_of(st.integers(0, 3), st.integers(bound - 4, bound - 1),
+                     st.integers(0, bound - 1))
+
+
+@st.composite
+def order_and_monomials(draw, bound, count):
+    order = draw(st.sampled_from(ORDERS))
+    n = draw(st.integers(getattr(order, "tail", 0) + 1, 5))
+    monos = draw(st.lists(st.tuples(*[exponents(bound)] * n), min_size=count,
+                          max_size=count + 4))
+    return order, n, monos
+
+
+class TestPackedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(order_and_monomials(LIMIT, 2))
+    def test_key_is_additive(self, case):
+        order, _, (a, b, *_) = case
+        product = tuple(x + y for x, y in zip(a, b))
+        assert order.key(product) == order.key(a) + order.key(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_and_monomials(1 << (W - 1), 2))
+    def test_key_sorts_as_the_tuple_key(self, case):
+        order, _, monos = case
+        assert (sorted(monos, key=order.key)
+                == sorted(monos, key=lambda m: tuple_key(order, m)))
+        a, b = monos[0], monos[1]
+        assert (order.key(a) < order.key(b)) == (tuple_key(order, a) < tuple_key(order, b))
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_and_monomials(1 << (W - 1), 1))
+    def test_unpack_inverts_key(self, case):
+        order, n, monos = case
+        for m in monos:
+            assert order.unpack(order.key(m), n) == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(exponents(1 << (W - 1)), min_size=1, max_size=5), st.integers(1, 2))
+    def test_tail_free_elimination_key_is_degrevlex(self, head, tail):
+        # Ideal.intersect keeps the elimination keys of t-free elements
+        m = tuple(head) + (0,) * tail
+        assert EliminationOrder(tail).key(m) == DEGREVLEX.key(tuple(head))
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_and_monomials(LIMIT, 2))
+    def test_guard_bit_divisibility(self, case):
+        order, n, (a, b, *_) = case
+        x = tuple(p + q for p, q in zip(a, b))  # a divides x
+        guard = _masks(n)[0]
+        for lead, m in ((a, x), (b, x), (x, a)):
+            packed_lead = order.exps(order.key(lead), n)
+            packed_m = order.exps(order.key(m), n)
+            divides = all(p <= q for p, q in zip(lead, m))
+            assert (((packed_m | guard) - packed_lead) & guard == guard) == divides
+
+
+class TestExponentBound:
+    """Each bound check on its own; without it every case here would
+    finish quickly with a wrong answer instead of raising."""
+
+    def test_input_at_the_bound_is_rejected(self):
+        n = 2
+        at_bound = Polynomial.monomial((LIMIT, 0))
+        with pytest.raises(ValueError):
+            Ideal(n, [x(1, n)]).normal_form(at_bound + x(2, n))
+        with pytest.raises(ValueError):
+            Ideal(n, [at_bound, x(1, n)]).groebner_basis()
+        with pytest.raises(ValueError):
+            Ideal(n, [x(2, n)]).intersect(Ideal(n, [at_bound, x(1, n)]))
+
+    def test_below_the_bound_is_exact(self):
+        n = 2
+        big = LIMIT - 1
+        ideal = Ideal(n, [x(2, n)])
+        probe = Polynomial.monomial((big, 0)) + Polynomial.monomial((big - 1, 1), 3)
+        assert ideal.normal_form(probe) == Polynomial.monomial((big, 0))
+        # x1^2 -> x1*x2 moves exponent from x1 to x2: the remainder may pass
+        # the bound, since it never enters a reduction again
+        shuffle = Ideal(n, [x(1, n) ** 2 - x(1, n) * x(2, n)])
+        assert (shuffle.normal_form(Polynomial.monomial((2, big)))
+                == Polynomial.monomial((1, LIMIT)))
+
+    def test_multiplier_past_the_bound_raises(self):
+        # a work term x1*x2^LIMIT, as a reduction step can create one, meets
+        # the reducer x1: the multiplier x2^LIMIT is past the bound
+        n = 2
+        ideal = Ideal(n, [x(1, n)])
+        basis = ideal._engine_basis(DEGREVLEX)
+        work = [(DEGREVLEX.key((1, LIMIT)), 1)]
+        with pytest.raises(ArithmeticError):
+            _normal_form(work, basis, ideal._leads[DEGREVLEX.name], DEGREVLEX, n, {})
+
+    def test_spoly_multiplier_past_the_bound_raises(self):
+        n = 2
+        f = [(DEGREVLEX.key((LIMIT, 0)), 1)]
+        g = [(DEGREVLEX.key((0, 1)), 1)]
+        with pytest.raises(ArithmeticError):
+            _spoly(f, g, DEGREVLEX, n)
+
+    def test_basis_element_past_the_bound_raises(self):
+        n = 2
+        gens = [x(1, n) ** 2 - x(2, n), Polynomial.monomial((2, LIMIT - 1))]
+        # the second generator reduces to x2^LIMIT, a basis element whose
+        # leading monomial is coprime to x1^2, so no S-pair is formed
+        with pytest.raises(ArithmeticError):
+            Ideal(n, gens).groebner_basis()
