@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
@@ -24,8 +23,9 @@ from . import __version__
 from .classification import (RowCase, classification_cases,
                              lemma_membership_ideal_a,
                              lemma_membership_ideal_b, pair_product_ideal,
-                             relation_f, relation_g, relation_p)
-from .combinat import Partition, Tableau, d_min, multinomial, partitions_of
+                             relation_f, relation_g, relation_p, row_case)
+from .combinat import (Partition, Tableau, d_min, multinomial, partitions_of,
+                       standard_tableaux)
 from .equivariant import (decompose_quotient, is_permutation_module_sum,
                           is_symmetric, tangent_dimension)
 from .ideals import Ideal, orbit_ideal
@@ -36,17 +36,17 @@ from .tanisaki import MODES, inclusion_chain_check, tanisaki_ideal
 
 SCHEMA_VERSION = 1
 
-
-@dataclass
-class RunConfig:
-    """Settings shared by all verbs."""
-
-    n: int
-    command: str
-    output_path: str | None = None
-    format: str = "text"
-    seed: int = 0
-    parallelism: int = 1
+# the n each verb accepts, checked before it starts; one Specht polynomial
+# (``specht --tableau``) is not guarded
+N_GUARDS = {
+    "specht": (1, 6),
+    "tanisaki": (2, 6),
+    "table1": (3, 5),
+    "lemmas": (3, 5),
+    "tangent": (2, 6),
+    "decompose": (2, 6),
+    "gr": (2, 6),
+}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -82,8 +82,11 @@ def pool_size(jobs: int, cases: int) -> int:
     return min(jobs, os.cpu_count() or 1, cases)
 
 
-def _parse_partition(text: str) -> Partition:
-    return Partition(int(p) for p in text.split(","))
+def _parse_partition(text: str, n: int) -> Partition:
+    lam = Partition(int(p) for p in text.split(","))
+    if lam.n != n:
+        raise ValueError(f"partition {lam.parts} is not a partition of n={n}")
+    return lam
 
 
 def _parse_tableau(text: str) -> Tableau:
@@ -103,16 +106,16 @@ def _random_parameters(seed: int, count: int = 3) -> list[tuple[Fraction, Fracti
     return out
 
 
-def _ideal_from_args(args, n: int) -> Ideal:
-    if getattr(args, "gens", None):
+def _ideal_from_args(args) -> Ideal:
+    """The ideal named by ``--gens``, ``--row`` or ``--tanisaki``."""
+    n = args.n
+    if args.gens:
         return Ideal(n, _parse_gens(args.gens, n))
-    if getattr(args, "row", None):
-        from .classification import row_case
-
-        param = None if getattr(args, "param", None) is None else _parse_param(args.param)
-        return row_case(args.row, n, r=getattr(args, "colength", None), param=param).ideal
-    if getattr(args, "tanisaki", None):
-        return tanisaki_ideal(_parse_partition(args.tanisaki))
+    if args.row:
+        param = None if args.param is None else _parse_param(args.param)
+        return row_case(args.row, n, r=args.colength, param=param).ideal
+    if args.tanisaki:
+        return tanisaki_ideal(_parse_partition(args.tanisaki, n))
     raise ValueError("provide an ideal via --gens, --row, or --tanisaki")
 
 
@@ -120,10 +123,8 @@ def _ideal_from_args(args, n: int) -> Ideal:
 # verb implementations; each returns (results, ok)
 
 
-def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
-    lam = _parse_partition(args.lam)
-    if lam.n != config.n:
-        raise ValueError(f"partition {lam.parts} is not a partition of n={config.n}")
+def cmd_specht(args) -> tuple[list[dict], bool]:
+    lam = _parse_partition(args.lam, args.n)
     result: dict = {
         "lambda": list(lam.parts),
         "min_degree": d_min(lam),
@@ -133,10 +134,8 @@ def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
         if t.shape != lam:
             raise ValueError(f"tableau shape {t.shape.parts} does not match {lam.parts}")
         result["tableau"] = args.tableau
-        result["specht_polynomial"] = str(specht_polynomial(t, config.n))
+        result["specht_polynomial"] = str(specht_polynomial(t, args.n))
     else:
-        from .combinat import standard_tableaux
-
         spechts = [specht_polynomial(t) for t in standard_tableaux(lam)]
         basis = coinvariant_isotypic_basis(lam)
         result["specht_polynomials"] = [str(f) for f in spechts]
@@ -148,13 +147,8 @@ def cmd_specht(args, config: RunConfig) -> tuple[list[dict], bool]:
     return [result], True
 
 
-def cmd_tanisaki(args, config: RunConfig) -> tuple[list[dict], bool]:
-    n = config.n
-    if not 2 <= n <= 6:
-        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    lam = _parse_partition(args.lam)
-    if lam.n != n:
-        raise ValueError(f"partition {lam.parts} is not a partition of n={n}")
+def cmd_tanisaki(args) -> tuple[list[dict], bool]:
+    lam = _parse_partition(args.lam, args.n)
     reference = args.mode if args.mode != "all" else "subset_elementary"
     ideal = tanisaki_ideal(lam, reference)
     record: dict = {
@@ -209,12 +203,9 @@ def verify_row_case(case: RowCase) -> dict:
     return record
 
 
-def cmd_table1(args, config: RunConfig) -> tuple[list[dict], bool]:
-    n = config.n
-    if not 3 <= n <= 5:
-        raise ValueError("table1 is guarded at 3 <= n <= 5")
-    cases = classification_cases(n, _random_parameters(config.seed))
-    workers = pool_size(config.parallelism, len(cases))
+def cmd_table1(args) -> tuple[list[dict], bool]:
+    cases = classification_cases(args.n, _random_parameters(args.seed))
+    workers = pool_size(args.jobs, len(cases))
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(verify_row_case, cases)
@@ -224,10 +215,8 @@ def cmd_table1(args, config: RunConfig) -> tuple[list[dict], bool]:
     return results, ok
 
 
-def cmd_lemmas(args, config: RunConfig) -> tuple[list[dict], bool]:
-    n = config.n
-    if not 3 <= n <= 5:
-        raise ValueError("lemmas is guarded at 3 <= n <= 5")
+def cmd_lemmas(args) -> tuple[list[dict], bool]:
+    n = args.n
     results: list[dict] = []
     x1 = Polynomial.variable(1, n)
     x2 = Polynomial.variable(2, n)
@@ -272,20 +261,16 @@ def cmd_lemmas(args, config: RunConfig) -> tuple[list[dict], bool]:
     return results, ok
 
 
-def cmd_tangent(args, config: RunConfig) -> tuple[list[dict], bool]:
-    if not 2 <= config.n <= 6:
-        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    ideal = _ideal_from_args(args, config.n)
+def cmd_tangent(args) -> tuple[list[dict], bool]:
+    ideal = _ideal_from_args(args)
     report = tangent_dimension(ideal)
     record = json.loads(report.to_json())
     record["generators"] = [str(g) for g in ideal.generators]
     return [record], True
 
 
-def cmd_decompose(args, config: RunConfig) -> tuple[list[dict], bool]:
-    if not 2 <= config.n <= 6:
-        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    ideal = _ideal_from_args(args, config.n)
+def cmd_decompose(args) -> tuple[list[dict], bool]:
+    ideal = _ideal_from_args(args)
     decomposition = decompose_quotient(ideal)
     perm = is_permutation_module_sum(decomposition)
     record = {
@@ -298,10 +283,8 @@ def cmd_decompose(args, config: RunConfig) -> tuple[list[dict], bool]:
     return [record], True
 
 
-def cmd_gr(args, config: RunConfig) -> tuple[list[dict], bool]:
-    if not 2 <= config.n <= 6:
-        raise ValueError("the ideal-theoretic verbs are guarded at 2 <= n <= 6")
-    point = _parse_point(args.point, config.n)
+def cmd_gr(args) -> tuple[list[dict], bool]:
+    point = _parse_point(args.point, args.n)
     ideal = orbit_ideal(point)
     graded = ideal.associated_graded()
     record: dict = {
@@ -408,9 +391,6 @@ def run(argv: list[str] | None = None) -> int:
         parser.exit(2, f"symideal {args.command}: '--' is not an option value\n")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    config = RunConfig(n=args.n, command=args.command, output_path=args.out,
-                       format=args.format, seed=args.seed, parallelism=args.jobs)
-
     handlers = {
         "specht": cmd_specht,
         "tanisaki": cmd_tanisaki,
@@ -422,7 +402,10 @@ def run(argv: list[str] | None = None) -> int:
     }
     started = time.monotonic()
     try:
-        results, ok = handlers[args.command](args, config)
+        lo, hi = N_GUARDS[args.command]
+        if not lo <= args.n <= hi and not getattr(args, "tableau", None):
+            raise ValueError(f"{args.command} is guarded at {lo} <= n <= {hi}")
+        results, ok = handlers[args.command](args)
     except ValueError as error:
         parser.exit(2, f"symideal {args.command}: {error}\n")
     except ArithmeticError as error:
@@ -431,19 +414,19 @@ def run(argv: list[str] | None = None) -> int:
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
         "monomial_order": "degrevlex",
-        "command": config.command,
-        "n": config.n,
-        "seed": config.seed,
+        "command": args.command,
+        "n": args.n,
+        "seed": args.seed,
         "ok": ok,
         "results": results,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps(_strip_wall_times(record), indent=2, default=str) + "\n"
     else:
         text = _render_text(record)
-    if config.output_path:
-        with open(config.output_path, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -24,11 +24,10 @@ from math import factorial
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        conjugacy_class_size, irreducible_character,
                        kostka_number, partitions_of)
-from .ideals import Ideal
+from .ideals import DEGREVLEX, Ideal
 from .linalg import KernelEchelon, nullspace_tags, solve_in_span
 from .poly import (Monomial, Polynomial, apolar_complement, apply_permutation,
-                   integrate_duals, linear_combination, monomial_key,
-                   permute_monomial)
+                   integrate_duals, linear_combination, permute_monomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -51,6 +50,12 @@ def is_symmetric(ideal: Ideal) -> bool:
     return ideal._symmetric
 
 
+def _action(ideal: Ideal, sigma: Permutation) -> list[dict[int, Fraction]]:
+    """The quotient coordinates of sigma(m) for each standard monomial m."""
+    return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
+            for m in ideal.standard_monomials()]
+
+
 def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDecomposition:
     """Multiplicities of the irreducibles in the quotient ring.
 
@@ -71,15 +76,10 @@ def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDeco
     degrees = sorted({sum(m) for m in basis})
     traces: dict[Partition, dict[int, Fraction]] = {}
     for mu in classes:
-        sigma = Permutation.from_cycle_type(mu)
         per_degree: dict[int, Fraction] = {d: Fraction(0) for d in degrees}
-        for m in basis:
-            image = permute_monomial(sigma, m)
-            if image == m:
-                per_degree[sum(m)] += 1
-                continue
-            reduced = ideal.normal_form(Polynomial.monomial(image))
-            per_degree[sum(m)] += reduced.coefficient(m)
+        action = _action(ideal, Permutation.from_cycle_type(mu))
+        for m, image in zip(basis, action):
+            per_degree[sum(m)] += image.get(DEGREVLEX.key(m), 0)
         traces[mu] = per_degree
 
     order = factorial(n)
@@ -165,10 +165,6 @@ class TangentReport:
         })
 
 
-def _poly_row(f: Polynomial) -> dict:
-    return dict(f.terms)
-
-
 def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
     """Graded minimal generating space of a homogeneous ideal.
 
@@ -188,9 +184,8 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
         w_space = integrate_duals(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        rows = ((_poly_row(ideal.normal_form(f)), t) for t, f in enumerate(w_space))
-        new_gens = [linear_combination(w_space, relation)
-                    for relation in nullspace_tags(rows, key=monomial_key)]
+        rows = ((ideal.coordinates(f), t) for t, f in enumerate(w_space))
+        new_gens = [linear_combination(w_space, relation) for relation in nullspace_tags(rows)]
         if len(new_gens) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
         if d < N:
@@ -213,14 +208,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     basis = ideal.standard_monomials()
     sigmas = group_generators(n)
 
-    rho_action = []  # per sigma, per basis position: image in coordinates
-    for sigma in sigmas:
-        cols = []
-        for m in basis:
-            image = permute_monomial(sigma, m)
-            reduced = ideal.normal_form(Polynomial.monomial(image))
-            cols.append({b: c for b, c in reduced.terms.items()})
-        rho_action.append(cols)
+    rho_action = [_action(ideal, sigma) for sigma in sigmas]
 
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(gen_degrees):
@@ -229,10 +217,9 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     for sigma in sigmas:
         matrix: dict[tuple[int, int], Fraction] = {}
         for d, indices in by_degree.items():
-            rows = [_poly_row(gens[i]) for i in indices]
+            rows = [gens[i].terms for i in indices]
             for i in indices:
-                image = apply_permutation(sigma, gens[i])
-                coeffs = solve_in_span(rows, _poly_row(image), key=monomial_key)
+                coeffs = solve_in_span(rows, apply_permutation(sigma, gens[i]).terms)
                 if coeffs is None:
                     raise ArithmeticError("generator space is not permutation-stable")
                 for pos, c in enumerate(coeffs):
@@ -240,17 +227,16 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                         matrix[(indices[pos], i)] = c
         gen_action.append(matrix)
 
-    position = {m: p for p, m in enumerate(basis)}
-
-    def equivariance_column(b: Monomial, i: int) -> dict:
+    def equivariance_column(p: int, i: int) -> dict:
         col: dict = {}
+        kb = DEGREVLEX.key(basis[p])
         for s in range(len(sigmas)):
-            for row, c in rho_action[s][position[b]].items():
+            for row, c in rho_action[s][p].items():
                 key = (s, row, i)
                 col[key] = col.get(key, 0) + c
             for (jj, i_prime), c in gen_action[s].items():
                 if jj == i:
-                    key = (s, b, i_prime)
+                    key = (s, kb, i_prime)
                     value = col.get(key, 0) - c
                     if value:
                         col[key] = value
@@ -258,8 +244,8 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                         col.pop(key, None)
         return col
 
-    return nullspace_tags((equivariance_column(b, i), (b, i))
-                          for i in range(len(gens)) for b in basis)
+    return nullspace_tags((equivariance_column(p, i), (b, i))
+                          for i in range(len(gens)) for p, b in enumerate(basis))
 
 
 def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentReport:
@@ -305,30 +291,31 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
 
     n2_count = 0
     products = constraint_rows = 0
-    images: dict[tuple[int, int, Monomial], Polynomial] = {}  # (t, i, b) -> b*phi_t(v_i) mod I
+    images: dict[tuple[int, int, Monomial], dict] = {}  # (t, i, b) -> b*phi_t(v_i) mod I
     constraint_rank = KernelEchelon()
     top = syzygy_bound - 1 + extra_syzygy_degrees
     for d in range(min(gen_degrees) + 1, top + 1):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
         products += len(pairs)
         relations = nullspace_tags(
-            ((_poly_row(square.normal_form(Polynomial.monomial(b) * gens[i])), (i, b))
-             for i, b in pairs), key=monomial_key)
+            (square.coordinates(Polynomial.monomial(b) * gens[i]), (i, b)) for i, b in pairs)
         n2_count += len(relations)
         for relation in relations:
-            rows: dict[Monomial, dict[int, Fraction]] = {}
+            rows: dict[int, dict[int, Fraction]] = {}
             for t in range(k):
-                total = Polynomial.zero(n)
+                total: dict[int, Fraction] = {}
                 for (i, b), coeff in relation.items():
                     value = hom_values[t][i]
                     if not value.is_zero():
                         image = images.get((t, i, b))
                         if image is None:
-                            image = images[(t, i, b)] = ideal.normal_form(
+                            image = images[(t, i, b)] = ideal.coordinates(
                                 Polynomial.monomial(b) * value)
-                        total = total + image * coeff
-                for m, c in total.terms.items():
-                    rows.setdefault(m, {})[t] = c
+                        for m, c in image.items():
+                            total[m] = total.get(m, 0) + c * coeff
+                for m, c in total.items():
+                    if c:
+                        rows.setdefault(m, {})[t] = c
             constraint_rows += len(rows)
             for row in rows.values():
                 constraint_rank.add(row)

@@ -30,6 +30,13 @@ results are reconstructed from tracked multipliers.  Pair selection uses
 the normal strategy with Gebauer-Moeller elimination, which makes reduced
 bases deterministic.  Reduced Groebner bases are canonical for a fixed
 order, so ideal equality is decided by comparing them.
+
+An ``Ideal`` keeps one ``_Quotient`` record per order: the reduced basis,
+its packed leading exponents, the divisor memo of the reductions and the
+standard monomials, built together and replaced together.
+``Ideal.coordinates(f)`` gives the normal form as {DEGREVLEX.key(m):
+coeff}, the coordinates of f in R/I on its standard monomials, with int
+columns that sort in the monomial order.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import heapq
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import gcd, inf
 from struct import Struct
@@ -425,8 +432,52 @@ def _reduce_basis(basis: list[list], order: MonomialOrder, n: int) -> list[list]
 # the Ideal type
 
 
+class _Quotient:
+    """R/I for one order: the reduced Groebner basis, the packed leading
+    exponents of its elements, the divisor memo of ``_normal_form`` and, on
+    first use, the standard monomials.  A new basis gets a new record, so
+    the memo never outlives the basis it was filled from."""
+
+    def __init__(self, basis: list[list], order: MonomialOrder, n: int) -> None:
+        self.basis = basis
+        self.leads = [_lead(g, order, n) for g in basis]
+        self.divisors: dict = {}  # leading key -> first divisor in the basis, or None
+        self.order, self.n = order, n
+
+    @cached_property
+    def standard(self) -> list[Monomial] | None:
+        """Monomials outside the leading-term staircase; None when infinite."""
+        n = self.n
+        lms = [self.order.unpack(g[0][0], n) for g in self.basis]
+        if any(sum(m) == 0 for m in lms):
+            return []
+        caps = []
+        for i in range(n):
+            pure = [m[i] for m in lms if sum(m) == m[i]]
+            if not pure:
+                return None
+            caps.append(min(pure))
+        found: list[Monomial] = []
+        mono = [0] * n
+
+        def walk(i: int) -> None:
+            if i == n:
+                m = tuple(mono)
+                if not any(_divides(lm, m) for lm in lms):
+                    found.append(m)
+                return
+            for e in range(caps[i]):
+                mono[i] = e
+                walk(i + 1)
+            mono[i] = 0
+
+        walk(0)
+        found.sort(key=DEGREVLEX.key)
+        return found
+
+
 class Ideal:
-    """A polynomial ideal with cached reduced Groebner bases per order."""
+    """A polynomial ideal with one cached ``_Quotient`` record per order."""
 
     def __init__(self, ambient_n: int, generators) -> None:
         gens = []
@@ -439,33 +490,25 @@ class Ideal:
                 gens.append(g)
         self.ambient_n = ambient_n
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._gb: dict[str, list[list]] = {}
-        # per order: packed leading exponents of the basis elements
-        self._leads: dict[str, list[int]] = {}
-        # per order: leading key -> first divisor in the basis, or None
-        self._divisors: dict[str, dict] = {}
+        self._quotients: dict[str, _Quotient] = {}
         self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
-        self._standard: dict[str, list[Monomial] | None] = {}
 
     # -- Groebner bases ---------------------------------------------------
-    def _engine_basis(self, order: MonomialOrder = DEGREVLEX) -> list[list]:
-        if order.name not in self._gb:
+    def _quotient(self, order: MonomialOrder = DEGREVLEX) -> _Quotient:
+        if order.name not in self._quotients:
             inputs = [_to_engine(g, order) for g in self.generators]
-            self._install(order, _buchberger(inputs, order, self.ambient_n))
-        return self._gb[order.name]
+            self._quotients[order.name] = _Quotient(
+                _buchberger(inputs, order, self.ambient_n), order, self.ambient_n)
+        return self._quotients[order.name]
 
     def _seed_basis(self, order: MonomialOrder, basis: list[list]) -> None:
         """Install a known Groebner basis (reduced to canonical form)."""
-        self._install(order, _reduce_basis(basis, order, self.ambient_n))
-
-    def _install(self, order: MonomialOrder, basis: list[list]) -> None:
-        self._gb[order.name] = basis
-        self._leads[order.name] = [_lead(g, order, self.ambient_n) for g in basis]
-        self._divisors.pop(order.name, None)
+        n = self.ambient_n
+        self._quotients[order.name] = _Quotient(_reduce_basis(basis, order, n), order, n)
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
-        basis = self._engine_basis(order)
+        basis = self._quotient(order).basis
         return tuple(_to_poly(g, order, self.ambient_n).monic() for g in basis)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -474,12 +517,16 @@ class Ideal:
         if f.is_zero():
             return f
         n = self.ambient_n
-        basis = self._engine_basis(order)
+        q = self._quotient(order)
         terms, den = _engine_terms(f, order)
         # rem == mult * den * f modulo the ideal
-        rem, mult = _normal_form(terms, basis, self._leads[order.name], order, n,
-                                 self._divisors.setdefault(order.name, {}))
+        rem, mult = _normal_form(terms, q.basis, q.leads, order, n, q.divisors)
         return _to_poly(rem, order, n, den * mult)
+
+    def coordinates(self, f: Polynomial) -> dict[int, Fraction]:
+        """The degrevlex normal form of f as {DEGREVLEX.key(m): coeff}: int
+        columns that sort in the monomial order and add under products."""
+        return {DEGREVLEX.key(m): c for m, c in self.normal_form(f).terms.items()}
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -487,38 +534,7 @@ class Ideal:
     # -- zero-dimensional toolkit ------------------------------------------
     def standard_monomials(self, order: MonomialOrder = DEGREVLEX) -> list[Monomial] | None:
         """Monomials outside the leading-term staircase; None when infinite."""
-        if order.name not in self._standard:
-            basis = self._engine_basis(order)
-            n = self.ambient_n
-            lms = [order.unpack(g[0][0], n) for g in basis]
-            if any(sum(m) == 0 for m in lms):
-                self._standard[order.name] = []
-                return []
-            caps = []
-            for i in range(n):
-                pure = [m[i] for m in lms if sum(m) == m[i]]
-                if not pure:
-                    self._standard[order.name] = None
-                    return None
-                caps.append(min(pure))
-            found: list[Monomial] = []
-            mono = [0] * n
-
-            def walk(i: int) -> None:
-                if i == n:
-                    m = tuple(mono)
-                    if not any(_divides(lm, m) for lm in lms):
-                        found.append(m)
-                    return
-                for e in range(caps[i]):
-                    mono[i] = e
-                    walk(i + 1)
-                mono[i] = 0
-
-            walk(0)
-            found.sort(key=DEGREVLEX.key)
-            self._standard[order.name] = found
-        return self._standard[order.name]
+        return self._quotient(order).standard
 
     def colength(self, order: MonomialOrder = DEGREVLEX):
         """Vector-space dimension of the quotient; inf when not finite."""
@@ -604,7 +620,7 @@ class Ideal:
             "ambient_n": self.ambient_n,
             "generators": [str(g) for g in self.generators],
         }
-        if DEGREVLEX.name in self._gb:
+        if DEGREVLEX.name in self._quotients:
             record["groebner"] = {
                 "order": DEGREVLEX.name,
                 "basis": [str(g) for g in self.groebner_basis()],

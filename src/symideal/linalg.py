@@ -1,8 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts mapping hashable column keys to integers.  Elimination is
-fraction-free: a reduction step replaces r by (p[c]*r - r[c]*p) followed by
-content removal, so entries stay integral and bounded.  Rational input is
+Rows are dicts mapping comparable column keys to numbers, and a row
+pivots on its largest column.  The quotient coordinates of
+``Ideal.coordinates`` are int columns that sort in the monomial order, so
+rows of normal forms pivot on their leading monomials.  Elimination is
+fraction-free: a reduction step replaces r by (p[c]*r - r[c]*p) followed
+by content removal, so entries stay integral and bounded.  Rational input is
 cleared to integers on entry; rational answers are reconstructed from the
 tracked tags on the way out.
 """
@@ -16,19 +19,15 @@ from math import gcd
 class KernelEchelon:
     """Incremental echelon form that tracks tags, exposing kernel combinations.
 
-    ``key`` orders the columns; each row pivots on its largest column.  Feed
-    vectors one at a time, each with a distinct tag or with none.  When a
-    vector is dependent on the earlier ones, ``add`` returns the integer
-    relation {tag: coefficient} expressing the dependency (sum of
-    coeff*vector = 0); untagged vectors contribute nothing to it.
+    Each row pivots on its largest column.  Feed vectors one at a time,
+    each with a distinct tag or with none.  When a vector is dependent on
+    the earlier ones, ``add`` returns the integer relation {tag:
+    coefficient} expressing the dependency (sum of coeff*vector = 0);
+    untagged vectors contribute nothing to it.
     """
 
-    def __init__(self, key=None):
-        self.key = key if key is not None else lambda c: c
+    def __init__(self):
         self.pivots: dict = {}  # pivot column -> (row, tags)
-        # column -> key, for every column of a row added so far; elimination
-        # only combines such rows, so it never meets another column
-        self._keys: dict = {}
 
     @property
     def rank(self) -> int:
@@ -45,12 +44,8 @@ class KernelEchelon:
                 lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         row = {k: int(v * lcm) for k, v in row.items() if v}
         tags = {} if tag is None else {tag: lcm}
-        keys = self._keys
-        for col in row:
-            if col not in keys:
-                keys[col] = self.key(col)
         while row:
-            col = max(row, key=keys.__getitem__)
+            col = max(row)
             entry = self.pivots.get(col)
             if entry is None:
                 self.pivots[col] = (row, tags)
@@ -86,10 +81,10 @@ class KernelEchelon:
         return tags
 
 
-def nullspace_tags(vectors, key=None) -> list[dict]:
+def nullspace_tags(vectors) -> list[dict]:
     """Kernel relations among (row, tag) pairs, as integer tag-combinations,
     one per vector dependent on those before it."""
-    tracker = KernelEchelon(key=key)
+    tracker = KernelEchelon()
     out = []
     for row, tag in vectors:
         relation = tracker.add(row, tag)
@@ -98,9 +93,9 @@ def nullspace_tags(vectors, key=None) -> list[dict]:
     return out
 
 
-def solve_in_span(basis: list[dict], target: dict, key=None) -> list[Fraction] | None:
+def solve_in_span(basis: list[dict], target: dict) -> list[Fraction] | None:
     """Coefficients expressing target over the basis rows, or None."""
-    tracker = KernelEchelon(key=key)
+    tracker = KernelEchelon()
     for i, row in enumerate(basis):
         if tracker.add(row, i) is not None:
             raise ValueError("basis rows are linearly dependent")
@@ -110,9 +105,3 @@ def solve_in_span(basis: list[dict], target: dict, key=None) -> list[Fraction] |
     scale = relation["target"]
     return [Fraction(-relation.get(i, 0), scale) for i in range(len(basis))]
 
-
-def rank_of(rows: list[dict], key=None) -> int:
-    tracker = KernelEchelon(key=key)
-    for row in rows:
-        tracker.add(row)
-    return tracker.rank

@@ -120,13 +120,6 @@ def higher_specht(t: Tableau, s: Tableau) -> Polynomial:
     return total
 
 
-def minimal_index_tableau(lam: Partition) -> Tableau:
-    """The standard tableau whose index word has the smallest entry sum.
-
-    Located by exhaustive search; it comes out as the row-by-row filling."""
-    return min(standard_tableaux(lam), key=lambda s: (sum(index(s)), s.reading()))
-
-
 def coinvariant_isotypic_basis(lam: Partition) -> list[Polynomial]:
     """Higher Specht polynomials for all standard pairs of this shape."""
     tabs = standard_tableaux(lam)
@@ -255,10 +248,3 @@ def lemma_component(d: int, n: int, tag: str) -> list[Polynomial]:
 def component_type(tag: str, n: int) -> Partition:
     """The irreducible type a tagged summand carries."""
     return _component_builders(n)[tag][1]
-
-
-def format_component(lam_or_tag, d: int, polys: list[Polynomial]) -> str:
-    """Plain-text export: a header line then one polynomial per line."""
-    lines = [f"# component={lam_or_tag} degree={d} count={len(polys)}"]
-    lines.extend(str(f) for f in polys)
-    return "\n".join(lines) + "\n"

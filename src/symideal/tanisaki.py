@@ -25,7 +25,7 @@ from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
 from .poly import (Polynomial, apolar_complement, apolar_pair,
                    degree_monomials, elementary_symmetric, integrate_duals,
-                   monomial_key, power_sum)
+                   power_sum)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -77,7 +77,7 @@ def _dual_layer(spechts: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     full degree piece; its dimension is the quotient's Hilbert function,
     so all subsequent linear algebra stays small.
     """
-    ech = KernelEchelon(key=monomial_key)
+    ech = KernelEchelon()
     basis: list[Polynomial] = []
     if not spechts:
         return basis
@@ -221,26 +221,3 @@ def inclusion_chain_check(mu: Partition) -> InclusionReport:
     return InclusionReport(mu, first_holds, second_holds, first_strict, second_strict,
                            failures, witnesses)
 
-
-def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
-    """Degreewise membership test for homogeneous data, no Groebner basis.
-
-    Decides whether f lies in the span of the degree-matched multiples of
-    the generators; valid because everything is homogeneous.
-    """
-    if f.is_zero():
-        return True
-    if not f.is_homogeneous():
-        raise ValueError("degreewise membership needs homogeneous input")
-    n = f.ambient_n
-    d = f.degree()
-    span = KernelEchelon(key=monomial_key)
-    for g in generators:
-        if not g.is_homogeneous():
-            raise ValueError("degreewise membership needs homogeneous generators")
-        e = g.degree()
-        if e > d or g.is_zero():
-            continue
-        for mono in degree_monomials(n, d - e):
-            span.add(dict((Polynomial.monomial(mono) * g).terms))
-    return span.add(dict(f.terms)) is not None

@@ -191,6 +191,52 @@ class TestExitCodes:
         assert info.value.code == 2
         assert capsys.readouterr().err == "symideal table1: table1 is guarded at 3 <= n <= 5\n"
 
+    @pytest.mark.parametrize("verb, argv, n", [
+        ("specht", ["--lambda", "1"], 0),
+        ("specht", ["--lambda", "12"], 12),
+        ("tanisaki", ["--lambda", "1"], 1),
+        ("tanisaki", ["--lambda", "7"], 7),
+        ("table1", [], 2),
+        ("table1", [], 6),
+        ("lemmas", [], 2),
+        ("lemmas", [], 6),
+        ("tangent", ["--tanisaki", "7"], 7),
+        ("decompose", ["--tanisaki", "1"], 1),
+        ("gr", ["--point", "1,2,3,4,5,6,7"], 7),
+    ])
+    def test_every_verb_is_guarded_before_it_starts(self, verb, argv, n, monkeypatch, capsys):
+        def started(*args):
+            raise AssertionError("the verb started")
+
+        for name in vars(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, started)
+        with pytest.raises(SystemExit) as info:
+            run([verb, "--n", str(n)] + argv)
+        assert info.value.code == 2
+        lo, hi = cli.N_GUARDS[verb]
+        assert capsys.readouterr().err == f"symideal {verb}: {verb} is guarded at {lo} <= n <= {hi}\n"
+
+    def test_one_specht_polynomial_is_not_guarded(self, monkeypatch):
+        # the guard stops the n! fillings of specht without --tableau, not
+        # the single product of specht --tableau (the README runs it at n = 9)
+        monkeypatch.setattr(cli, "cmd_specht", lambda args: ([{"n": args.n}], True))
+        assert run(["specht", "--n", "12", "--lambda", "12",
+                    "--tableau", ",".join(map(str, range(1, 13)))]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["tangent", "--n", "4", "--tanisaki", "2,1"],
+        ["decompose", "--n", "2", "--tanisaki", "2,1"],
+        ["tangent", "--n", "2", "--tanisaki", "3,3,3"],
+    ])
+    def test_tanisaki_partition_must_match_n(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        parts = tuple(int(p) for p in argv[-1].split(","))
+        assert capsys.readouterr().err == (
+            f"symideal {argv[0]}: partition {parts} is not a partition of n={argv[2]}\n")
+
     def test_broken_invariant_exits_3(self, monkeypatch, capsys):
         import symideal.cli as cli
 

@@ -52,8 +52,8 @@ class TestGroebner:
             n = rng.choice([2, 3])
             gens = [random_poly(rng, n) for _ in range(3)]
             ideal = Ideal(n, [g for g in gens if not g.is_zero()])
-            basis = ideal._engine_basis(DEGREVLEX)
-            leads = ideal._leads[DEGREVLEX.name]
+            quotient = ideal._quotient(DEGREVLEX)
+            basis, leads = quotient.basis, quotient.leads
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     s = _spoly(basis[i], basis[j], DEGREVLEX, n)
@@ -93,6 +93,17 @@ class TestNormalForm:
         lhs = ideal.normal_form(f + 3 * g)
         assert lhs == ideal.normal_form(f) + 3 * ideal.normal_form(g)
 
+    def test_coordinates_are_the_normal_form_by_order_key(self):
+        n = 3
+        ideal = Ideal(n, [power_sum(k, n) for k in range(1, n + 1)])
+        f = x(1, n) ** 2 * x(2, n) + 3 * x(3, n) ** 4 - x(2, n)
+        nf = ideal.normal_form(f)
+        coords = ideal.coordinates(f)
+        assert coords == {DEGREVLEX.key(m): c for m, c in nf.terms.items()}
+        # the int columns sort as the monomials do: the largest is the leading one
+        assert max(coords) == DEGREVLEX.key(nf.leading_monomial())
+        assert ideal.coordinates(power_sum(2, n) * x(1, n)) == {}
+
 
 def polynomials(n, max_degree, min_terms=0, max_terms=3):
     monomials = st.tuples(*[st.integers(0, max_degree)] * n).filter(
@@ -119,7 +130,7 @@ class TestDivisorMemo:
         for order in orders:  # warm one memo per order
             for f in probes:
                 warm.normal_form(f, order)
-            assert warm._divisors[order.name]
+            assert warm._quotient(order).divisors
         for order in orders:
             for f in probes:
                 assert warm.normal_form(f, order) == fresh_copy().normal_form(f, order)
@@ -150,12 +161,17 @@ class TestDivisorMemo:
         n = 2
         ideal = Ideal(n, [x(1, n), x(2, n)])
         assert ideal.normal_form(x(1, n)).is_zero()
-        assert DEGREVLEX.name in ideal._divisors
+        assert ideal.standard_monomials() == [(0, 0)]
+        stale = ideal._quotient(DEGREVLEX)
+        assert stale.divisors
         other = Ideal(n, [x(1, n) - x(2, n), x(2, n) ** 2])
-        ideal._seed_basis(DEGREVLEX, other._engine_basis(DEGREVLEX))
-        assert DEGREVLEX.name not in ideal._divisors
-        # a stale memo would still reduce x1 by the old basis element x1
+        ideal._seed_basis(DEGREVLEX, other._quotient(DEGREVLEX).basis)
+        fresh = ideal._quotient(DEGREVLEX)
+        assert fresh is not stale and not fresh.divisors
+        # a stale memo would still reduce x1 by the old basis element x1,
+        # and stale standard monomials would still be [1]
         assert ideal.normal_form(x(1, n)) == x(2, n)
+        assert ideal.standard_monomials() == [(0, 0), (0, 1)]
 
 
 class TestColength:
@@ -449,10 +465,10 @@ class TestExponentBound:
         # the reducer x1: the multiplier x2^LIMIT is past the bound
         n = 2
         ideal = Ideal(n, [x(1, n)])
-        basis = ideal._engine_basis(DEGREVLEX)
+        quotient = ideal._quotient(DEGREVLEX)
         work = [(DEGREVLEX.key((1, LIMIT)), 1)]
         with pytest.raises(ArithmeticError):
-            _normal_form(work, basis, ideal._leads[DEGREVLEX.name], DEGREVLEX, n, {})
+            _normal_form(work, quotient.basis, quotient.leads, DEGREVLEX, n, {})
 
     def test_spoly_multiplier_past_the_bound_raises(self):
         n = 2

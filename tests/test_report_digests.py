@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twelve JSON reports.
+"""Pinned SHA-256 digests of sixteen JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -39,6 +39,14 @@ PINNED = {
         "8acace52128e9147cdf3bdf224e941eb3e8638b574225e81510c5a3a3fd9dfc1",
     "tangent --n 5 --tanisaki 2,2,1":
         "552abffb0ed6a35ab98d3e7e985d51be1322330375cac05464004cd4a0b8c9db",
+    "tangent --n 6 --tanisaki 5,1":
+        "5b3f7394f52a16c59ac9eb771905269910eac2825be24d9219d6f4fdedf28142",
+    "tangent --n 6 --tanisaki 4,2":
+        "e5c162388fe9d0f659e7697a998ac659f156e1ff7055b2f8e2942d1682276dfd",
+    "tangent --n 6 --tanisaki 3,3":
+        "97ad51b52cd3bcc0602f7bd9c58c6963c0bb742d783cd208b0ff0643df1f7d67",
+    "decompose --n 4 --row 9":
+        "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
 }
 
 

@@ -4,19 +4,38 @@ from math import factorial
 import pytest
 
 from symideal.combinat import (Partition, Permutation, Tableau, all_tableaux,
-                               d_min, irreducible_character,
+                               d_min, index, irreducible_character,
                                conjugacy_class_size, partitions_of,
                                specht_dimension, standard_tableaux)
 from symideal.ideals import Ideal
-from symideal.linalg import rank_of
-from symideal.poly import (Polynomial, apolar_scalar, apply_permutation,
-                           monomial_key, power_sum)
+from symideal.linalg import KernelEchelon
+from symideal.poly import Polynomial, apolar_scalar, apply_permutation, power_sum
 from symideal.specht import (SpechtDatum, coinvariant_isotypic_basis,
                              component_type, degree_component_tags,
-                             distinct_specht_polynomials, format_component,
-                             higher_specht, lemma_component,
-                             minimal_index_tableau, specht_ideal,
+                             distinct_specht_polynomials, higher_specht,
+                             lemma_component, specht_ideal,
                              specht_polynomial, vandermonde)
+
+
+def rank_of(rows):
+    tracker = KernelEchelon()
+    for row in rows:
+        tracker.add(row)
+    return tracker.rank
+
+
+def minimal_index_tableau(lam: Partition) -> Tableau:
+    """The standard tableau whose index word has the smallest entry sum.
+
+    Located by exhaustive search; it comes out as the row-by-row filling."""
+    return min(standard_tableaux(lam), key=lambda s: (sum(index(s)), s.reading()))
+
+
+def format_component(lam_or_tag, d: int, polys: list[Polynomial]) -> str:
+    """Plain-text export: a header line then one polynomial per line."""
+    lines = [f"# component={lam_or_tag} degree={d} count={len(polys)}"]
+    lines.extend(str(f) for f in polys)
+    return "\n".join(lines) + "\n"
 
 
 def poly_rows(polys):
@@ -76,7 +95,7 @@ class TestSpechtPolynomial:
     def test_span_has_module_dimension(self, n):
         for lam in partitions_of(n):
             polys = distinct_specht_polynomials(lam)
-            assert rank_of(poly_rows(polys), key=monomial_key) == specht_dimension(lam)
+            assert rank_of(poly_rows(polys)) == specht_dimension(lam)
 
 
 class TestHigherSpecht:
@@ -156,7 +175,7 @@ class TestCoinvariantBasis:
         for lam in partitions_of(n):
             for f in coinvariant_isotypic_basis(lam):
                 rows.append(dict(coinvariant.normal_form(f).terms))
-        assert rank_of(rows, key=monomial_key) == factorial(n)
+        assert rank_of(rows) == factorial(n)
 
     def test_alternating_shape_is_vandermonde_line(self):
         basis = coinvariant_isotypic_basis(Partition([1, 1, 1]))
@@ -216,13 +235,13 @@ class TestLowDegreeComponents:
         rows, expected_dim = [], 0
         for tag in tags:
             polys = lemma_component(d, n, tag)
-            rank = rank_of(poly_rows(polys), key=monomial_key)
+            rank = rank_of(poly_rows(polys))
             assert rank == specht_dimension(component_type(tag, n))
             rows.extend(poly_rows(polys))
             expected_dim += rank
         from math import comb
 
-        assert rank_of(rows, key=monomial_key) == comb(n + d - 1, d) == expected_dim
+        assert rank_of(rows) == comb(n + d - 1, d) == expected_dim
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_cross_type_orthogonality(self, n):

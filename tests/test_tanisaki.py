@@ -4,12 +4,37 @@ from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
                                transpose)
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
-from symideal.poly import Polynomial, power_sum
-from symideal.tanisaki import (MODES, TanisakiSpec, homogeneous_membership,
-                               inclusion_chain_check, power_sum_specht_ideal,
-                               tanisaki_ideal, tilde_ideal,
-                               two_row_presentation,
+from symideal.linalg import KernelEchelon
+from symideal.poly import Polynomial, degree_monomials, power_sum
+from symideal.tanisaki import (MODES, TanisakiSpec, inclusion_chain_check,
+                               power_sum_specht_ideal, tanisaki_ideal,
+                               tilde_ideal, two_row_presentation,
                                _subset_elementary_generators)
+
+
+def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
+    """Degreewise membership test for homogeneous data, no Groebner basis.
+
+    Decides whether f lies in the span of the degree-matched multiples of
+    the generators; valid because everything is homogeneous.  An oracle
+    for the Groebner route, checked against it in TestDegreewiseMembership.
+    """
+    if f.is_zero():
+        return True
+    if not f.is_homogeneous():
+        raise ValueError("degreewise membership needs homogeneous input")
+    n = f.ambient_n
+    d = f.degree()
+    span = KernelEchelon()
+    for g in generators:
+        if not g.is_homogeneous():
+            raise ValueError("degreewise membership needs homogeneous generators")
+        e = g.degree()
+        if e > d or g.is_zero():
+            continue
+        for mono in degree_monomials(n, d - e):
+            span.add(dict((Polynomial.monomial(mono) * g).terms))
+    return span.add(dict(f.terms)) is not None
 
 
 class TestConstruction:
