@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import factorial, prod
 from multiprocessing import Pool
 
 from . import __version__
@@ -37,16 +38,19 @@ from .tanisaki import MODES, inclusion_chain_check, tanisaki_ideal
 SCHEMA_VERSION = 1
 
 # the n each verb accepts, checked before it starts; one Specht polynomial
-# (``specht --tableau``) is not guarded
+# (``specht --tableau``) is bounded by its term count instead
 N_GUARDS = {
     "specht": (1, 6),
     "tanisaki": (2, 6),
     "table1": (3, 5),
-    "lemmas": (3, 5),
+    "lemmas": (3, 6),
     "tangent": (2, 6),
     "decompose": (2, 6),
     "gr": (2, 6),
 }
+
+# ``specht --tableau``: a column of height k contributes k! terms
+TABLEAU_TERM_BOUND = factorial(7)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -133,6 +137,10 @@ def cmd_specht(args) -> tuple[list[dict], bool]:
         t = _parse_tableau(args.tableau)
         if t.shape != lam:
             raise ValueError(f"tableau shape {t.shape.parts} does not match {lam.parts}")
+        terms = prod(factorial(len(col)) for col in t.columns())
+        if terms > TABLEAU_TERM_BOUND:
+            raise ValueError(f"tableau has {terms} terms, above the bound "
+                             f"{TABLEAU_TERM_BOUND} = 7!")
         result["tableau"] = args.tableau
         result["specht_polynomial"] = str(specht_polynomial(t, args.n))
     else:

@@ -325,19 +325,6 @@ def standard_tableaux(lam: Partition) -> list[Tableau]:
     return sorted(found, key=lambda t: t.reading())
 
 
-def all_tableaux(lam: Partition) -> list[Tableau]:
-    """All n! bijective fillings of the diagram, in reading order."""
-    shape = lam.parts
-    result = []
-    for perm in permutations(range(1, lam.n + 1)):
-        rows, pos = [], 0
-        for length in shape:
-            rows.append(perm[pos:pos + length])
-            pos += length
-        result.append(Tableau(rows))
-    return result
-
-
 def specht_dimension(lam: Partition) -> int:
     """Number of standard tableaux, by the hook length formula."""
     lam_t = transpose(lam)

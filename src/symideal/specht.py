@@ -7,10 +7,11 @@ polynomials of a fixed shape.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
-from .combinat import (Partition, Permutation, Tableau, all_tableaux,
-                       index, standard_tableaux, word)
+from .combinat import (Partition, Permutation, Tableau, index,
+                       standard_tableaux, transpose, word)
 from .ideals import Ideal
 from .poly import Polynomial, apply_permutation, power_sum
 
@@ -61,9 +62,12 @@ def vandermonde(indices, n: int) -> Polynomial:
 
 def specht_polynomial(t: Tableau, n: int | None = None) -> Polynomial:
     """Product of the column Vandermonde polynomials of the tableau."""
-    n = n or t.n
+    return _column_product(t.columns(), n or t.n)
+
+
+def _column_product(columns, n: int) -> Polynomial:
     result = Polynomial.one(n)
-    for col in t.columns():
+    for col in columns:
         result = result * vandermonde(col, n)
     return result
 
@@ -127,11 +131,42 @@ def coinvariant_isotypic_basis(lam: Partition) -> list[Polynomial]:
 
 
 def distinct_specht_polynomials(lam: Partition) -> list[Polynomial]:
-    """Specht polynomials over all fillings, deduplicated up to scalar."""
-    seen: set[Polynomial] = set()
-    for t in all_tableaux(lam):
-        seen.add(specht_polynomial(t).monic())
-    return sorted(seen, key=str)
+    """The distinct Specht polynomials of the shape up to scalar, made monic
+    and sorted by text, in a new list on each call."""
+    return list(_distinct_spechts(lam))
+
+
+@lru_cache(maxsize=None)
+def _distinct_spechts(lam: Partition) -> tuple[Polynomial, ...]:
+    # the Specht polynomial of a filling is +- the product of its column
+    # Vandermondes, so it depends only on the set of column sets; distinct
+    # sets give non-associate products by unique factorisation
+    n = lam.n
+    tall = [h for h in transpose(lam).parts if h > 1]  # columns of height 1 give 1
+    return tuple(sorted((_column_product(cols, n).monic()
+                         for cols in _column_sets(tall, n)), key=str))
+
+
+def _column_sets(heights: list[int], n: int):
+    """Disjoint blocks of {1..n} with these non-increasing sizes, each set
+    of blocks once: blocks of equal size come in order of least element."""
+
+    def extend(k: int, free: tuple[int, ...], after: int):
+        if k == len(heights):
+            yield ()
+            return
+        size = heights[k]
+        same = k + 1 < len(heights) and heights[k + 1] == size
+        for pos, least in enumerate(free):
+            if least <= after:
+                continue
+            for rest in combinations(free[pos + 1:], size - 1):
+                block = (least,) + rest
+                left = tuple(i for i in free if i not in block)
+                for tail in extend(k + 1, left, least if same else 0):
+                    yield (block,) + tail
+
+    return extend(0, tuple(range(1, n + 1)), 0)
 
 
 def specht_ideal(lam: Partition) -> Ideal:

@@ -176,6 +176,7 @@ def test_criterion_8_property_suites():
 
     # higher Specht divisibility across all shapes
     from symideal.specht import higher_specht
+    from test_combinat import all_tableaux
     from test_specht import reduction_by_single
 
     rng = random.Random(20240809)
@@ -183,8 +184,6 @@ def test_criterion_8_property_suites():
         for lam in partitions_of(n):
             tabs = standard_tableaux(lam)
             pairs = [(t, s) for s in tabs for t in tabs]
-            from symideal.combinat import all_tableaux
-
             fillings = all_tableaux(lam)
             pairs += [(rng.choice(fillings), rng.choice(tabs)) for _ in range(2)]
             for t, s in pairs:

@@ -39,6 +39,7 @@ class TestSpechtVerb:
         expected = (vandermonde((9, 2, 5), 9) * vandermonde((3, 1, 7), 9)
                     * vandermonde((6, 8), 9))
         assert parse_polynomial(text, 9) == expected
+        assert len(expected.terms) == 3 * 2 * 3 * 2 * 2  # under the term bound
 
     def test_trivial_shape(self, tmp_path):
         code, record = run_json(["specht", "--n", "3", "--lambda", "3"], tmp_path, "u.json")
@@ -110,6 +111,16 @@ class TestLemmasVerb:
         assert code == 0 and record["ok"]
         containments = record["results"][0]["containments"]
         assert all(containments.values())
+
+
+    def test_n6(self, tmp_path):
+        code, record = run_json(["lemmas", "--n", "6"], tmp_path, "l6.json")
+        assert code == 0 and record["ok"]
+        block = record["results"][0]
+        assert all(block["containments"].values()) and all(block["memberships"].values())
+        chains = record["results"][1]["inclusion_chains"]
+        assert len(chains) == 11
+        assert all(c["holds"] and not c["failures"] for c in chains)
 
 
 class TestOtherVerbs:
@@ -199,7 +210,7 @@ class TestExitCodes:
         ("table1", [], 2),
         ("table1", [], 6),
         ("lemmas", [], 2),
-        ("lemmas", [], 6),
+        ("lemmas", [], 7),
         ("tangent", ["--tanisaki", "7"], 7),
         ("decompose", ["--tanisaki", "1"], 1),
         ("gr", ["--point", "1,2,3,4,5,6,7"], 7),
@@ -218,11 +229,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"symideal {verb}: {verb} is guarded at {lo} <= n <= {hi}\n"
 
     def test_one_specht_polynomial_is_not_guarded(self, monkeypatch):
-        # the guard stops the n! fillings of specht without --tableau, not
-        # the single product of specht --tableau (the README runs it at n = 9)
+        # the n guard stops the higher Specht basis of specht without
+        # --tableau, not the single product of specht --tableau (the README
+        # runs it at n = 9); that product is bounded by its term count
         monkeypatch.setattr(cli, "cmd_specht", lambda args: ([{"n": args.n}], True))
         assert run(["specht", "--n", "12", "--lambda", "12",
                     "--tableau", ",".join(map(str, range(1, 13)))]) == 0
+
+    def test_tableau_term_count_is_bounded(self, monkeypatch, capsys):
+        # one column of height 8 has 8! = 40320 terms
+        def built(*args):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(cli, "specht_polynomial", built)
+        with pytest.raises(SystemExit) as info:
+            run(["specht", "--n", "8", "--lambda", "1,1,1,1,1,1,1,1",
+                 "--tableau", "/".join(map(str, range(1, 9)))])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "symideal specht: tableau has 40320 terms, above the bound 5040 = 7!\n")
+        # one column of height 7 sits on the bound and is built
+        monkeypatch.setattr(cli, "specht_polynomial", lambda t, n: "built")
+        assert run(["specht", "--n", "7", "--lambda", "1,1,1,1,1,1,1",
+                    "--tableau", "/".join(map(str, range(1, 8)))]) == 0
+        assert "specht_polynomial: built" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["tangent", "--n", "4", "--tanisaki", "2,1"],

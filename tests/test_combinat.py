@@ -1,15 +1,27 @@
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
 from symideal.combinat import (IsotypicDecomposition, Partition, Permutation,
-                               R_k, Tableau, all_tableaux,
-                               conjugacy_class_size, d_min, dominates, index,
-                               irreducible_character, kostka_decomposition,
-                               kostka_number, multinomial, partitions_of,
-                               r_lambda, specht_dimension, standard_tableaux,
-                               transpose, word)
+                               R_k, Tableau, conjugacy_class_size, d_min,
+                               dominates, index, irreducible_character,
+                               kostka_decomposition, kostka_number,
+                               multinomial, partitions_of, r_lambda,
+                               specht_dimension, standard_tableaux, transpose,
+                               word)
+
+
+def all_tableaux(lam):
+    """All n! bijective fillings of the diagram, in reading order."""
+    result = []
+    for perm in permutations(range(1, lam.n + 1)):
+        rows, pos = [], 0
+        for length in lam.parts:
+            rows.append(perm[pos:pos + length])
+            pos += length
+        result.append(Tableau(rows))
+    return result
 
 
 def brute_force_partition_count(n):

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of sixteen JSON reports.
+"""Pinned SHA-256 digests of eighteen JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -21,6 +21,8 @@ PINNED = {
         "ce4536428b1a25c037c1d50ec508dfc685b43f8b5a8bb1ef4978bdd2d442964e",
     "lemmas --n 4":
         "cb2580baa782e88cb5c0ab33ecdfc72582995d448644dec76826170d4bc1a5f8",
+    "lemmas --n 5":
+        "31991340e36472588297e50a20610e31b3acfba2997d859601f109d175cca01b",
     "tanisaki --n 4 --lambda 2,1,1 --mode apolar":
         "1a2ab4525b8a0dc46dfe67fc3e5111aa3dce89219d52132a57ffff1cba438567",
     "tanisaki --n 4 --lambda 2,2 --mode apolar":
@@ -47,6 +49,8 @@ PINNED = {
         "97ad51b52cd3bcc0602f7bd9c58c6963c0bb742d783cd208b0ff0643df1f7d67",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
+    "specht --n 6 --lambda 1,1,1,1,1,1":
+        "9f9379feddd0e1364bf082edf89cfdabdca2474cfa7ec266bf4cef8f36567487",
 }
 
 

@@ -1,12 +1,12 @@
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
-from symideal.combinat import (Partition, Permutation, Tableau, all_tableaux,
-                               d_min, index, irreducible_character,
-                               conjugacy_class_size, partitions_of,
-                               specht_dimension, standard_tableaux)
+from symideal.combinat import (Partition, Permutation, Tableau, d_min, index,
+                               irreducible_character, conjugacy_class_size,
+                               partitions_of, specht_dimension,
+                               standard_tableaux, transpose)
 from symideal.ideals import Ideal
 from symideal.linalg import KernelEchelon
 from symideal.poly import Polynomial, apolar_scalar, apply_permutation, power_sum
@@ -15,6 +15,7 @@ from symideal.specht import (SpechtDatum, coinvariant_isotypic_basis,
                              distinct_specht_polynomials, higher_specht,
                              lemma_component, specht_ideal,
                              specht_polynomial, vandermonde)
+from test_combinat import all_tableaux
 
 
 def rank_of(rows):
@@ -96,6 +97,36 @@ class TestSpechtPolynomial:
         for lam in partitions_of(n):
             polys = distinct_specht_polynomials(lam)
             assert rank_of(poly_rows(polys)) == specht_dimension(lam)
+
+
+def fillings_oracle(lam: Partition) -> list[Polynomial]:
+    """Every filling's Specht polynomial, deduplicated up to scalar."""
+    return sorted({specht_polynomial(t).monic() for t in all_tableaux(lam)}, key=str)
+
+
+class TestDistinctSpecht:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_fillings_oracle(self, n):
+        for lam in partitions_of(n):
+            assert distinct_specht_polynomials(lam) == fillings_oracle(lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_polynomial_per_set_of_columns(self, n):
+        # n! / (prod_j c_j! * prod_k m_k!) for column heights c_j, m_k of them of height k
+        for lam in partitions_of(n):
+            heights = transpose(lam).parts
+            count = factorial(n) // (prod(factorial(c) for c in heights)
+                                     * prod(factorial(heights.count(k)) for k in set(heights)))
+            polys = distinct_specht_polynomials(lam)
+            assert len(polys) == len(set(polys)) == count
+
+    def test_each_call_returns_a_fresh_list(self):
+        lam = Partition([2, 2, 1])
+        first = distinct_specht_polynomials(lam)
+        second = distinct_specht_polynomials(lam)
+        assert first == second and first is not second
+        first.clear()
+        assert second and distinct_specht_polynomials(lam) == second
 
 
 class TestHigherSpecht:
