@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every JSON report in the "same behaviour" set.
+
+The set is ``table1 --n 3..5 --seed 0..2``, ``lemmas --n 3..5`` and
+``tanisaki --mode all`` for every partition of n = 3..5.  Each report runs
+in-process through ``cli.run`` with ``--format json``, and one line
+``sha256  command`` is printed per report, in a fixed order.  A change that
+claims the same outputs is checked by running this on both commits and
+comparing the two outputs:
+
+    PYTHONPATH=src python scripts/report_digests.py > after.txt
+    diff before.txt after.txt
+
+It takes a few minutes, so it is not part of the test suite.  Exits 1 if a
+report does not pass.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from symideal.cli import run
+from symideal.combinat import partitions_of
+
+
+def commands() -> list[str]:
+    out = [f"table1 --n {n} --seed {seed}" for n in range(3, 6) for seed in range(3)]
+    out += [f"lemmas --n {n}" for n in range(3, 6)]
+    for n in range(3, 6):
+        for lam in partitions_of(n):
+            parts = ",".join(str(p) for p in lam.parts)
+            out.append(f"tanisaki --n {n} --lambda {parts} --mode all")
+    return out
+
+
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        for command in commands():
+            code = run(command.split() + ["--format", "json", "--out", str(path)])
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {command}", flush=True)
+            if code != 0:
+                failed.append(command)
+    for command in failed:
+        print(f"failed: {command}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

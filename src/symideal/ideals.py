@@ -8,14 +8,27 @@ is a ``(key, coeff)`` pair and the key *is* the monomial: comparing two
 monomials compares two ints, and multiplying a polynomial by a monomial u
 adds key(u) to each of its keys.  ``order.unpack(key, n)`` turns a key
 back into an exponent tuple only at the boundary: polynomials handed out,
-standard monomials, intersections and the pair bookkeeping of Buchberger's
-algorithm.
+standard monomials and intersections.
 
 Divisibility works on a second packing, ``order.exps(key, n)``: the
 exponents side by side in W-bit fields whose top bit is a guard bit.  With
-G the guard bits of all fields, a divides x exactly when
-``((x | G) - a) & G == G``.  The leading exponents of a basis are packed
-once and kept beside it.
+G the guard bits of all fields and L their low bits, a divides x exactly
+when ``((x | G) - a) & G == G``; the guard bits of ``((a | G) - b) & G``
+mark the fields where a >= b, which gives the per-field maximum (the lcm),
+and ``((a | G) - L) & G`` marks the nonzero fields, so two monomials are
+coprime when these masks do not meet.  The leading exponents of a basis
+are packed once and kept beside it, and Buchberger's pair bookkeeping
+(Gebauer-Moeller) runs on them, with each live pair's packed lcm stored
+and its key computed only when the pair is queued.
+
+A reduction keeps the work polynomial as a dict from key to coefficient
+beside a max-heap of its keys, so each step touches only the reducer's
+tail.  The reducer of a key is the first basis element, in basis order,
+whose leading monomial divides it; a divisor memo remembers it, or how
+many elements were checked without finding one.  ``_buchberger`` keeps
+one memo for its whole run, which stays valid because its basis only
+grows by appending: a "none" entry is re-checked against the elements
+appended since.
 
 Exactness: an exponent at or past 2**(W - 2) where a polynomial enters the
 engine raises ``ValueError``; every basis element is checked once to stay
@@ -41,11 +54,11 @@ columns that sort in the monomial order.
 
 from __future__ import annotations
 
-import heapq
 import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
+from heapq import heappop, heappush
+from itertools import chain, permutations
 from math import gcd, inf
 from struct import Struct
 
@@ -70,9 +83,24 @@ def _pack(m: Monomial, byteorder: str = "little") -> int:
 
 
 @lru_cache(maxsize=None)
-def _masks(n: int) -> tuple[int, int]:
-    """(guard, quarter): the top bit of each of n fields, and its top two bits."""
-    return (_pack((1 << (W - 1),) * n), _pack((3 << (W - 2),) * n))
+def _masks(n: int) -> tuple[int, int, int]:
+    """(guard, quarter, low): the top bit of each of n fields, its top two
+    bits, and its low bit."""
+    return (_pack((1 << (W - 1),) * n), _pack((3 << (W - 2),) * n), _pack((1,) * n))
+
+
+def _packed_lcm(a: int, b: int, guard: int) -> int:
+    """The per-field maximum of two packed exponent vectors."""
+    ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+    mask = ge - (ge >> (W - 1))
+    return (a & mask) | (b & ~mask)
+
+
+def _support(a: int, n: int) -> int:
+    """The guard bit of each nonzero field of packed exponents: two
+    monomials are coprime when their supports do not meet."""
+    guard, _, low = _masks(n)
+    return ((a | guard) - low) & guard
 
 
 class MonomialOrder:
@@ -89,10 +117,13 @@ class MonomialOrder:
         """The exponents of the monomial with this key, packed in W-bit fields."""
         raise NotImplementedError
 
+    def monomial(self, exps: int, n: int) -> Monomial:
+        """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
+        return _fields(n, self.byteorder).unpack(exps.to_bytes(W // 8 * n, self.byteorder))
+
     def unpack(self, key: int, n: int) -> Monomial:
         """The exponent tuple of the monomial with this key."""
-        return _fields(n, self.byteorder).unpack(
-            self.exps(key, n).to_bytes(W // 8 * n, self.byteorder))
+        return self.monomial(self.exps(key, n), n)
 
     def __repr__(self) -> str:
         return self.name
@@ -212,69 +243,15 @@ def _lead(g: list, order: MonomialOrder, n: int) -> int:
     return order.exps(g[0][0], n)
 
 
-def _shift(terms: list, ku: int, scalar: int) -> list:
-    return [(k + ku, c * scalar) for k, c in terms]
-
-
-def _merge(a: list, i: int, ca: int, b: list, ku: int, cb: int) -> list:
-    """ca*a[i:] + cb*u*b[1:] as one descending term list, for key(u) == ku."""
-    if ca != 1:
-        a, i = [(k, c * ca) for k, c in a[i:]], 0
-    out = []
-    append = out.append
-    j = 1
-    la, lb = len(a), len(b)
-    if i < la and j < lb:
-        ka = a[i][0]
-        kb = b[j][0] + ku
-        while True:
-            if ka > kb:
-                append(a[i])
-                i += 1
-                if i == la:
-                    break
-                ka = a[i][0]
-            elif kb > ka:
-                append((kb, b[j][1] * cb))
-                j += 1
-                if j == lb:
-                    break
-                kb = b[j][0] + ku
-            else:
-                c = a[i][1] + b[j][1] * cb
-                if c:
-                    append((ka, c))
-                i += 1
-                j += 1
-                if i == la or j == lb:
-                    break
-                ka = a[i][0]
-                kb = b[j][0] + ku
-    if i < la:
-        out += a[i:]
-    if j < lb:
-        out += [(k + ku, c * cb) for k, c in b[j:]]
-    return out
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def _reducer(k: int, basis: list[list], leads: list[int], order: MonomialOrder,
-             n: int) -> list | None:
-    """The first basis element (in basis order) whose leading monomial
-    divides the monomial with key k, or None."""
-    guard, quarter = _masks(n)
+             n: int, start: int = 0) -> list | None:
+    """The first basis element from ``basis[start]`` on (in basis order)
+    whose leading monomial divides the monomial with key k, or None."""
+    guard, quarter, _ = _masks(n)
     x = order.exps(k, n)
     xg = x | guard
+    if start:
+        basis, leads = basis[start:], leads[start:]
     for g, a in zip(basis, leads):
         if (xg - a) & guard == guard:
             if (x - a) & quarter:
@@ -283,112 +260,132 @@ def _reducer(k: int, basis: list[list], leads: list[int], order: MonomialOrder,
     return None
 
 
-_UNSEEN = object()
-
-
 def _normal_form(terms: list, basis: list[list], leads: list[int], order: MonomialOrder,
                  n: int, divisors: dict) -> tuple[list, int]:
     """Fully reduce; returns (remainder, mult) with remainder = mult*f - combination.
 
-    ``leads`` holds the packed leading exponents of ``basis``.
-    ``divisors`` maps a leading key to ``_reducer``'s answer for it, the
-    first basis element (in basis order) dividing it, or None.  It is
-    filled on demand, so each multiplier is checked against the bound once
-    per basis, and it is valid only for this basis.
+    ``leads`` holds the packed leading exponents of ``basis``.  The work
+    polynomial is a dict from key to coefficient beside a max-heap of its
+    keys; a cancelled term stays in the dict with coefficient 0 until its
+    key is popped, so each key sits in the heap once and a reduction step
+    touches only the reducer's tail.
+
+    ``divisors`` maps a leading key to the first basis element (in basis
+    order) dividing it or, when none does, to the number of basis elements
+    checked.  It is filled on demand, so each multiplier is checked against
+    the bound once per (key, reducer).  It stays valid while the basis only
+    grows by appending: a "none" entry is re-checked against the elements
+    appended since.
     """
     mult = 1
     rem: list = []
-    work = terms
-    i = 0
-    while i < len(work):
-        k, lc = work[i]
-        g = divisors.get(k, _UNSEEN)
-        if g is _UNSEEN:
-            g = divisors[k] = _reducer(k, basis, leads, order, n)
-        if g is None:
-            rem.append(work[i])
-            i += 1
+    work = dict(terms)
+    heap = [-k for k, _ in terms]  # ascending, so already a heap
+    size = len(basis)
+    while heap:
+        k = -heappop(heap)
+        lc = work.pop(k)
+        if not lc:
+            continue
+        g = divisors.get(k)
+        if g is None or g.__class__ is int and g < size:
+            g = divisors[k] = _reducer(k, basis, leads, order, n, g or 0) or size
+        if g.__class__ is int:
+            rem.append((k, lc))
             continue
         glc = g[0][1]
         d = gcd(glc, lc)
-        ca, cb = glc // d, lc // d
+        ca, cb = glc // d, -lc // d
         if ca != 1:
             rem = [(t, c * ca) for t, c in rem]
+            work = {t: c * ca for t, c in work.items()}
             mult *= ca
-        # the leading terms cancel: ca*lc == cb*glc
-        work = _merge(work, i + 1, ca, g, k - g[0][0], -cb)
-        i = 0
+        # the leading terms cancel: ca*lc == -cb*glc
+        ku = k - g[0][0]
+        for t, c in g[1:]:
+            t += ku
+            old = work.get(t)
+            if old is None:
+                work[t] = c * cb
+                heappush(heap, -t)
+            else:
+                work[t] = old + c * cb
         if mult.bit_length() > 1024:
-            g_all = mult
-            for _, c in rem:
-                g_all = gcd(g_all, c)
-            for _, c in work:
-                g_all = gcd(g_all, c)
+            g_all = gcd(mult, *[c for _, c in rem], *work.values())
             if g_all > 1:
                 rem = [(t, c // g_all) for t, c in rem]
-                work = [(t, c // g_all) for t, c in work]
+                work = {t: c // g_all for t, c in work.items()}
                 mult //= g_all
     return rem, mult
 
 
 def _spoly(f: list, g: list, order: MonomialOrder, n: int) -> list:
-    lcm = order.key(_lcm(order.unpack(f[0][0], n), order.unpack(g[0][0], n)))
-    kf, kg = lcm - f[0][0], lcm - g[0][0]
-    if (order.exps(kf, n) | order.exps(kg, n)) & _masks(n)[1]:
+    guard, quarter, _ = _masks(n)
+    a, b = order.exps(f[0][0], n), order.exps(g[0][0], n)
+    lcm = _packed_lcm(a, b, guard)
+    if ((lcm - a) | (lcm - b)) & quarter:
         raise ArithmeticError(f"an S-polynomial multiplier reached 2^{W - 2}")
+    key = order.key(order.monomial(lcm, n))
+    kf, kg = key - f[0][0], key - g[0][0]
     cf, cg = f[0][1], g[0][1]
     d = gcd(cf, cg)
-    return _merge(_shift(f, kf, cg // d), 1, 1, g, kg, -(cf // d))
+    sf, sg = cg // d, -cf // d  # the leading terms cancel: sf*cf == -sg*cg
+    terms = {k + kf: c * sf for k, c in f[1:]}
+    for k, c in g[1:]:
+        k += kg
+        c = terms.pop(k, 0) + c * sg
+        if c:
+            terms[k] = c
+    return sorted(terms.items(), reverse=True)
 
 
 def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
     """Reduced Groebner basis from engine term lists."""
+    guard = _masks(n)[0]
     G: list[list] = []
-    leads: list[int] = []  # packed leading exponents, for the reductions
-    lms: list[Monomial] = []  # leading monomials, for the pair bookkeeping
+    leads: list[int] = []  # packed leading exponents
+    support: list[int] = []  # the guard bit of each nonzero field of a lead
     alive: list[bool] = []
     heap: list = []  # (lcm key, i, j)
-    pair_alive: set = set()
+    pairs: dict = {}  # (i, j) -> packed lcm, for each live pair
+    divisors: dict = {}  # one memo for the run: G only grows by appending
 
     def update(t: int) -> None:
+        lt, st = leads[t], support[t]
+        lcms = [_packed_lcm(a, lt, guard) for a in leads[:t]]
         # Gebauer-Moeller: prune the new pairs among themselves...
-        lt = lms[t]
-        C = [(i, _lcm(lms[i], lt)) for i in range(t) if alive[i]]
+        C = [(i, lcms[i]) for i in range(t) if alive[i]]
         D: list = []
         while C:
-            i, lcm_i = C.pop()
-            coprime = all(x == 0 or y == 0 for x, y in zip(lms[i], lt))
-            if coprime or not any(
-                _divides(lcm_j, lcm_i) for _, lcm_j in C + D
-            ):
-                D.append((i, lcm_i))
-        # ...then drop the non-coprime survivors into the queue...
-        for i, lcm_i in D:
-            coprime = all(x == 0 or y == 0 for x, y in zip(lms[i], lt))
-            if not coprime:
-                heapq.heappush(heap, (order.key(lcm_i), i, t))
-                pair_alive.add((i, t))
-        # ...and prune the old pairs superseded by the new element.
-        for i, j in list(pair_alive):
-            if j == t:
+            i, lcm = C.pop()
+            x = lcm | guard
+            if support[i] & st and any((x - m) & guard == guard for _, m in chain(C, D)):
                 continue
-            lcm_ij = _lcm(lms[i], lms[j])
-            if (_divides(lt, lcm_ij)
-                    and _lcm(lms[i], lt) != lcm_ij
-                    and _lcm(lms[j], lt) != lcm_ij):
-                pair_alive.discard((i, j))
+            D.append((i, lcm))
+        # ...then drop the non-coprime survivors into the queue...
+        for i, lcm in D:
+            if support[i] & st:
+                heappush(heap, (order.key(order.monomial(lcm, n)), i, t))
+                pairs[i, t] = lcm
+        # ...and prune the old pairs superseded by the new element.
+        stale = [(i, j) for (i, j), lcm in pairs.items()
+                 if j != t and ((lcm | guard) - lt) & guard == guard
+                 and lcms[i] != lcm and lcms[j] != lcm]
+        for pair in stale:
+            del pairs[pair]
         # mark superseded basis elements as non-minimal (kept as reducers)
         for i in range(t):
-            if alive[i] and _divides(lt, lms[i]):
+            if alive[i] and ((leads[i] | guard) - lt) & guard == guard:
                 alive[i] = False
 
     def add(f: list) -> None:
-        rem, _ = _normal_form(f, G, leads, order, n, {})
+        rem, _ = _normal_form(f, G, leads, order, n, divisors)
         rem = _normalize(rem)
         if rem:
             G.append(rem)
-            leads.append(_lead(rem, order, n))
-            lms.append(order.unpack(rem[0][0], n))
+            lead = _lead(rem, order, n)
+            leads.append(lead)
+            support.append(_support(lead, n))
             alive.append(True)
             update(len(G) - 1)
 
@@ -396,10 +393,9 @@ def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
         add(f)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pair_alive:
+        _, i, j = heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
-        pair_alive.discard((i, j))
         s = _spoly(G[i], G[j], order, n)
         if s:
             add(s)
@@ -441,7 +437,7 @@ class _Quotient:
     def __init__(self, basis: list[list], order: MonomialOrder, n: int) -> None:
         self.basis = basis
         self.leads = [_lead(g, order, n) for g in basis]
-        self.divisors: dict = {}  # leading key -> first divisor in the basis, or None
+        self.divisors: dict = {}  # leading key -> first divisor in the basis, or len(basis)
         self.order, self.n = order, n
 
     @cached_property
@@ -457,13 +453,16 @@ class _Quotient:
             if not pure:
                 return None
             caps.append(min(pure))
+        guard = _masks(n)[0]
+        byteorder = self.order.byteorder
         found: list[Monomial] = []
         mono = [0] * n
 
         def walk(i: int) -> None:
             if i == n:
                 m = tuple(mono)
-                if not any(_divides(lm, m) for lm in lms):
+                x = _pack(m, byteorder) | guard
+                if not any((x - a) & guard == guard for a in self.leads):
                     found.append(m)
                 return
             for e in range(caps[i]):

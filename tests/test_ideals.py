@@ -1,6 +1,7 @@
+import heapq
 import random
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial, gcd, inf
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from symideal.combinat import Partition, Permutation
 from symideal.ideals import (DEGLEX, DEGREVLEX, LIMIT, W, EliminationOrder,
-                             Ideal, _masks, _normal_form, _spoly,
-                             maximal_power, orbit_ideal, orbit_points,
-                             point_ideal)
+                             Ideal, _buchberger, _engine_terms, _lead, _masks,
+                             _normal_form, _normalize, _packed_lcm, _spoly,
+                             _support, _to_engine, maximal_power, orbit_ideal,
+                             orbit_points, point_ideal)
 from symideal.poly import Polynomial, apply_permutation, power_sum
 
 
@@ -433,6 +435,24 @@ class TestPackedKeys:
             divides = all(p <= q for p, q in zip(lead, m))
             assert (((packed_m | guard) - packed_lead) & guard == guard) == divides
 
+    @settings(max_examples=300, deadline=None)
+    @given(order_and_monomials(LIMIT, 2), st.data())
+    def test_packed_lcm_support_and_divisibility_match_the_tuples(self, case, data):
+        order, n, (a, b, *_) = case
+        # zero out some fields so that coprime pairs and equal fields occur
+        zero = data.draw(st.lists(st.sampled_from(["a", "b", "none"]), min_size=n,
+                                  max_size=n))
+        a = tuple(0 if z == "a" else e for e, z in zip(a, zero))
+        b = tuple(0 if z == "b" else e for e, z in zip(b, zero))
+        guard = _masks(n)[0]
+        pa, pb = order.exps(order.key(a), n), order.exps(order.key(b), n)
+        assert order.monomial(_packed_lcm(pa, pb, guard), n) == tuple(map(max, a, b))
+        coprime = all(p == 0 or q == 0 for p, q in zip(a, b))
+        assert (not _support(pa, n) & _support(pb, n)) == coprime
+        for p, q, u, v in ((pa, pb, a, b), (pb, pa, b, a)):
+            divides = all(s <= t for s, t in zip(u, v))
+            assert (((q | guard) - p) & guard == guard) == divides
+
 
 class TestExponentBound:
     """Each bound check on its own; without it every case here would
@@ -484,3 +504,286 @@ class TestExponentBound:
         # leading monomial is coprime to x1^2, so no S-pair is formed
         with pytest.raises(ArithmeticError):
             Ideal(n, gens).groebner_basis()
+
+
+# -- oracles: the engine loops before the heap reduction -----------------------
+#
+# The merge-based reduction and the tuple-based Gebauer-Moeller bookkeeping,
+# kept as they were so that the rewritten loops can be compared with them.
+
+
+def merge_oracle(a, i, ca, b, ku, cb):
+    """ca*a[i:] + cb*u*b[1:] as one descending term list, for key(u) == ku."""
+    if ca != 1:
+        a, i = [(k, c * ca) for k, c in a[i:]], 0
+    out = []
+    j = 1
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ka, kb = a[i][0], b[j][0] + ku
+        if ka > kb:
+            out.append(a[i])
+            i += 1
+        elif kb > ka:
+            out.append((kb, b[j][1] * cb))
+            j += 1
+        else:
+            c = a[i][1] + b[j][1] * cb
+            if c:
+                out.append((ka, c))
+            i += 1
+            j += 1
+    out += a[i:]
+    out += [(k + ku, c * cb) for k, c in b[j:]]
+    return out
+
+
+def tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reducer_oracle(k, basis, leads, order, n):
+    guard, quarter = _masks(n)[:2]
+    x = order.exps(k, n)
+    for g, a in zip(basis, leads):
+        if ((x | guard) - a) & guard == guard:
+            if (x - a) & quarter:
+                raise ArithmeticError("a reduction multiplier reached the bound")
+            return g
+    return None
+
+
+def normal_form_oracle(terms, basis, leads, order, n):
+    divisors = {}
+    mult = 1
+    rem = []
+    work = terms
+    i = 0
+    while i < len(work):
+        k, lc = work[i]
+        if k not in divisors:
+            divisors[k] = reducer_oracle(k, basis, leads, order, n)
+        g = divisors[k]
+        if g is None:
+            rem.append(work[i])
+            i += 1
+            continue
+        glc = g[0][1]
+        d = gcd(glc, lc)
+        ca, cb = glc // d, lc // d
+        if ca != 1:
+            rem = [(t, c * ca) for t, c in rem]
+            mult *= ca
+        work = merge_oracle(work, i + 1, ca, g, k - g[0][0], -cb)
+        i = 0
+        if mult.bit_length() > 1024:
+            g_all = mult
+            for _, c in rem + work:
+                g_all = gcd(g_all, c)
+            if g_all > 1:
+                rem = [(t, c // g_all) for t, c in rem]
+                work = [(t, c // g_all) for t, c in work]
+                mult //= g_all
+    return rem, mult
+
+
+def spoly_oracle(f, g, order, n):
+    lcm = order.key(tuple_lcm(order.unpack(f[0][0], n), order.unpack(g[0][0], n)))
+    kf, kg = lcm - f[0][0], lcm - g[0][0]
+    cf, cg = f[0][1], g[0][1]
+    d = gcd(cf, cg)
+    shifted = [(k + kf, c * (cg // d)) for k, c in f]
+    return merge_oracle(shifted, 1, 1, g, kg, -(cf // d))
+
+
+def buchberger_oracle(inputs, order, n):
+    G, leads, lms, alive = [], [], [], []
+    heap, pair_alive = [], set()
+
+    def coprime(a, b):
+        return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    def update(t):
+        lt = lms[t]
+        C = [(i, tuple_lcm(lms[i], lt)) for i in range(t) if alive[i]]
+        D = []
+        while C:
+            i, lcm_i = C.pop()
+            if coprime(lms[i], lt) or not any(tuple_divides(m, lcm_i) for _, m in C + D):
+                D.append((i, lcm_i))
+        for i, lcm_i in D:
+            if not coprime(lms[i], lt):
+                heapq.heappush(heap, (order.key(lcm_i), i, t))
+                pair_alive.add((i, t))
+        for i, j in list(pair_alive):
+            if j == t:
+                continue
+            lcm_ij = tuple_lcm(lms[i], lms[j])
+            if (tuple_divides(lt, lcm_ij) and tuple_lcm(lms[i], lt) != lcm_ij
+                    and tuple_lcm(lms[j], lt) != lcm_ij):
+                pair_alive.discard((i, j))
+        for i in range(t):
+            if alive[i] and tuple_divides(lt, lms[i]):
+                alive[i] = False
+
+    def add(f):
+        rem = _normalize(normal_form_oracle(f, G, leads, order, n)[0])
+        if rem:
+            G.append(rem)
+            leads.append(_lead(rem, order, n))
+            lms.append(order.unpack(rem[0][0], n))
+            alive.append(True)
+            update(len(G) - 1)
+
+    for f in sorted(inputs, key=lambda t: t[0][0]):
+        add(f)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if (i, j) in pair_alive:
+            pair_alive.discard((i, j))
+            s = spoly_oracle(G[i], G[j], order, n)
+            if s:
+                add(s)
+    # reduced basis: minimal leading monomials, then tail reduction
+    kept = []
+    for g in sorted((G[i] for i in range(len(G)) if alive[i]), key=lambda t: t[0][0]):
+        lm = order.unpack(g[0][0], n)
+        if not any(tuple_divides(order.unpack(h[0][0], n), lm) for h in kept):
+            kept.append(g)
+    reduced = []
+    for idx, g in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        rem, _ = normal_form_oracle(g, others, [_lead(h, order, n) for h in others], order, n)
+        reduced.append(_normalize(rem))
+    return sorted(reduced, key=lambda t: t[0][0])
+
+
+ENGINE_ORDERS = [DEGREVLEX, DEGLEX, EliminationOrder(1)]
+
+
+@st.composite
+def reduction_case(draw):
+    """An order, a list of reducers (any polynomials, not a Groebner basis)
+    with leading coefficients up to 9, and a polynomial to reduce."""
+    order = draw(st.sampled_from(ENGINE_ORDERS))
+    n = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
+    basis = []
+    for g in gens:
+        terms = _to_engine(g, order)
+        scale = draw(st.integers(1, 9))  # a leading coefficient past 1
+        basis.append([(terms[0][0], terms[0][1] * scale)] + terms[1:])
+    f = draw(polynomials(n, 4, 1, 6))
+    return order, n, basis, _engine_terms(f, order)[0]
+
+
+def strip_case(order, qs):
+    """Reducers q_j*x1^j + x2^j (q_j from ``qs``, largest power first) after
+    x2, and x3^(m+1) + x1^m + ... + x1 + x3 to reduce: each x1^j multiplies
+    the multiplier by q_j, and once it passes 1,024 bits the content of the
+    remainder and the rest, x3 included, is a product of the q_j used."""
+    n, m = 3, len(qs)
+    v = lambda i: x(i, n)
+    reducers = [v(2)] + [qs[j - 1] * v(1) ** j + v(2) ** j for j in range(m, 0, -1)]
+    f = v(3) ** (m + 1) + sum((v(1) ** j for j in range(1, m + 1)), v(3))
+    basis = [_to_engine(g, order) for g in reducers]
+    return n, basis, _engine_terms(f, order)[0]
+
+
+class TestEngineOracles:
+    """The heap reduction, the packed pair bookkeeping and the run-long
+    divisor memo give exactly what the old loops gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduction_case())
+    def test_normal_form_matches_the_merge_oracle(self, case):
+        order, n, basis, terms = case
+        leads = [_lead(g, order, n) for g in basis]
+        expected = normal_form_oracle(terms, basis, leads, order, n)
+        assert _normal_form(terms, basis, leads, order, n, {}) == expected
+
+    @pytest.mark.parametrize("order", ENGINE_ORDERS, ids=str)
+    def test_scaled_rest_and_content_strip_match_the_oracle(self, order):
+        qs = [(1 << 100) + k for k in (277, 331, 397, 513, 595, 1065, 1189, 1227,
+                                       1393, 1621, 1735, 1797)]
+        n, basis, terms = strip_case(order, qs)
+        leads = [_lead(g, order, n) for g in basis]
+        rem, mult = _normal_form(terms, basis, leads, order, n, {})
+        assert (rem, mult) == normal_form_oracle(terms, basis, leads, order, n)
+        # the multiplier grew past 1,024 bits (every step scaled the rest)
+        # and was cut back by the content strip
+        full = 1
+        for q in qs:
+            full *= q
+        assert full.bit_length() > 1024 and 1 < mult < full
+        assert [k for k, _ in rem] == [order.key((0, 0, len(qs) + 1)), order.key((0, 0, 1))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(reduction_case())
+    def test_spoly_matches_the_tuple_oracle(self, case):
+        order, n, basis, _ = case
+        for f in basis:
+            for g in basis:
+                assert _spoly(f, g, order, n) == spoly_oracle(f, g, order, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ENGINE_ORDERS), st.sampled_from([2, 3]), st.data())
+    def test_buchberger_matches_the_tuple_oracle(self, order, n, data):
+        gens = data.draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
+        inputs = [_to_engine(g, order) for g in gens]
+        assert _buchberger(inputs, order, n) == buchberger_oracle(inputs, order, n)
+
+    @pytest.mark.parametrize("order", ENGINE_ORDERS, ids=str)
+    def test_buchberger_matches_on_many_pairs(self, order):
+        # the power sums and the pair products at n = 4: many pairs, pruned
+        from symideal.classification import pair_products
+
+        n = 4
+        gens = [power_sum(k, n) for k in (1, 2)] + pair_products(n)
+        inputs = [_to_engine(g, order) for g in gens]
+        assert _buchberger(inputs, order, n) == buchberger_oracle(inputs, order, n)
+
+
+class TestRunLongDivisorMemo:
+    """One memo serves a basis that grows by appending."""
+
+    def test_no_divisor_entry_is_rechecked_after_an_append(self):
+        # as in _buchberger: reduce with one basis, append the remainder as
+        # a new element, reduce again with the same memo
+        n, order = 2, DEGREVLEX
+        basis = [_to_engine(x(1, n) ** 2 - x(2, n), order)]
+        leads = [_lead(g, order, n) for g in basis]
+        divisors = {}
+        first, _ = _normal_form(_to_engine(x(2, n) ** 2 + x(2, n), order), basis, leads,
+                                order, n, divisors)
+        assert first == _to_engine(x(2, n) ** 2 + x(2, n), order)  # x2^2 is not reducible
+        assert divisors[order.key((0, 2))] == 1  # checked against one element
+        basis.append(_to_engine(x(2, n) ** 2 - x(1, n), order))
+        leads.append(_lead(basis[-1], order, n))
+        probe = _to_engine(x(2, n) ** 2 + x(2, n), order)
+        second, mult = _normal_form(probe, basis, leads, order, n, divisors)
+        assert (second, mult) == _normal_form(probe, basis, leads, order, n, {})
+        assert second == _to_engine(x(1, n) + x(2, n), order)
+        # a stale "no divisor" entry for x2^2 would leave it in the remainder
+        guard = _masks(n)[0]
+        for k, _ in second:
+            e = order.exps(k, n) | guard
+            assert not any((e - a) & guard == guard for a in leads)
+        assert divisors[order.key((0, 2))] is basis[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduction_case(), st.data())
+    def test_shared_memo_matches_a_fresh_one_as_the_basis_grows(self, case, data):
+        order, n, basis, terms = case
+        probes = data.draw(st.lists(polynomials(n, 4, 1, 5), min_size=1, max_size=4))
+        divisors = {}
+        for size in range(1, len(basis) + 1):
+            prefix, leads = basis[:size], [_lead(g, order, n) for g in basis[:size]]
+            for f in probes:
+                t = _engine_terms(f, order)[0]
+                assert (_normal_form(t, prefix, leads, order, n, divisors)
+                        == _normal_form(t, prefix, leads, order, n, {}))

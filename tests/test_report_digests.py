@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of eighteen JSON reports.
+"""Pinned SHA-256 digests of twenty-one JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -17,6 +17,8 @@ from symideal.cli import run
 PINNED = {
     "table1 --n 3 --seed 0":
         "6d2bcb4d94a1c2249ad7a1f82f8e54f7092c62084496ea6263fca2ac3a1f2936",
+    "table1 --n 4 --seed 1":
+        "2c8b93e075c0e14e728d123d2cfe6eeb1524ccdf023c0884315bb867f8d09b80",
     "lemmas --n 3":
         "ce4536428b1a25c037c1d50ec508dfc685b43f8b5a8bb1ef4978bdd2d442964e",
     "lemmas --n 4":
@@ -33,6 +35,10 @@ PINNED = {
         "05ae6b300e3bc3582d0343196aa156ae5b8009ec0177771bc121aaeb4a11f184",
     "tanisaki --n 4 --lambda 2,1,1 --mode all":
         "8f53f302b0027471684c0cbe65bd0b874df64cd243b6ff9d1b5c2a7b358350c6",
+    "tanisaki --n 5 --lambda 2,2,1 --mode all":
+        "64660b1703ad078aec8978b8689529c9cf83d7ea5239d18e4a04aea8d9327a82",
+    "tanisaki --n 6 --lambda 3,1,1,1 --mode all":
+        "2e2df8d0b16385f34df98c6848f1b324cfcc7ce1dd3a871b093797df635752fa",
     "tangent --n 4 --row 6":
         "7c1bac8f4bc48d1a1547ea94d41054603dbc751c5c354ccb248c96a288163a9a",
     "tangent --n 5 --tanisaki 3,2":
