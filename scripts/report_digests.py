@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of every JSON report in the "same behaviour" set.
+"""Print the SHA-256 of a fixed set of JSON reports.
 
-The set is ``table1 --n 3..5 --seed 0..2``, ``lemmas --n 3..5`` and
-``tanisaki --mode all`` for every partition of n = 3..5.  Each report runs
-in-process through ``cli.run`` with ``--format json``, and one line
+The set is the ROADMAP "same behaviour" set: ``table1 --n 3..5 --seed
+0..2``, ``lemmas --n 3..5`` and ``tanisaki --mode all`` for every partition
+of n = 3..5.  Then come ``specht --lambda`` and ``tanisaki --mode apolar``
+for the same partitions, the reports that print Specht, higher Specht and
+inverse-system polynomials as text.  Each report runs in-process through
+``cli.run`` with ``--format json``, and one line
 ``sha256  command`` is printed per report, in a fixed order.  A change that
 claims the same outputs is checked by running this on both commits and
 comparing the two outputs:
@@ -11,8 +14,8 @@ comparing the two outputs:
     PYTHONPATH=src python scripts/report_digests.py > after.txt
     diff before.txt after.txt
 
-It takes a few minutes, so it is not part of the test suite.  Exits 1 if a
-report does not pass.
+It takes about half a minute on a 2-vCPU machine, so it is not part of
+the test suite.  Exits 1 if a report does not pass.
 """
 
 import hashlib
@@ -31,6 +34,11 @@ def commands() -> list[str]:
         for lam in partitions_of(n):
             parts = ",".join(str(p) for p in lam.parts)
             out.append(f"tanisaki --n {n} --lambda {parts} --mode all")
+    for n in range(3, 6):
+        for lam in partitions_of(n):
+            parts = ",".join(str(p) for p in lam.parts)
+            out.append(f"specht --n {n} --lambda {parts}")
+            out.append(f"tanisaki --n {n} --lambda {parts} --mode apolar")
     return out
 
 

@@ -132,7 +132,6 @@ class RowCase:
     geometry: str  # "smooth" or "singular"
     component_dim: int
     param: tuple[Fraction, Fraction] | None = None
-    notes: str = ""
 
     def describe(self) -> str:
         text = f"row {self.label} (n={self.n}, r={self.colength})"

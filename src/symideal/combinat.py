@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, prod
 
 
@@ -189,10 +188,6 @@ class Permutation:
             images.extend(block)
             start += part
         return Permutation(images)
-
-    @staticmethod
-    def all(n: int) -> list["Permutation"]:
-        return [Permutation(p) for p in permutations(range(1, n + 1))]
 
 
 @dataclass(frozen=True)

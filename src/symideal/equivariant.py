@@ -38,15 +38,18 @@ def group_generators(n: int) -> list[Permutation]:
 
 
 def is_symmetric(ideal: Ideal) -> bool:
-    """True iff each generator stays inside under the two group generators.
+    """True iff each element of the reduced Groebner basis stays inside
+    under the two group generators.
 
-    The verdict is kept on the ideal, whose generators never change, so
-    each ideal is checked once however many callers ask.
+    The basis generates the ideal, so the verdict is the one the input
+    generators would give; the basis is usually much shorter.  The verdict
+    is kept on the ideal, whose generators never change, so each ideal is
+    checked once however many callers ask.
     """
     if ideal._symmetric is None:
         ideal._symmetric = all(ideal.contains(apply_permutation(sigma, g))
                                for sigma in group_generators(ideal.ambient_n)
-                               for g in ideal.generators)
+                               for g in ideal.groebner_basis())
     return ideal._symmetric
 
 
@@ -76,7 +79,7 @@ def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDeco
     degrees = sorted({sum(m) for m in basis})
     traces: dict[Partition, dict[int, Fraction]] = {}
     for mu in classes:
-        per_degree: dict[int, Fraction] = {d: Fraction(0) for d in degrees}
+        per_degree: dict[int, Fraction] = dict.fromkeys(degrees, 0)
         action = _action(ideal, Permutation.from_cycle_type(mu))
         for m, image in zip(basis, action):
             per_degree[sum(m)] += image.get(DEGREVLEX.key(m), 0)
@@ -237,11 +240,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
             for (jj, i_prime), c in gen_action[s].items():
                 if jj == i:
                     key = (s, kb, i_prime)
-                    value = col.get(key, 0) - c
-                    if value:
-                        col[key] = value
-                    else:
-                        col.pop(key, None)
+                    col[key] = col.get(key, 0) - c
         return col
 
     return nullspace_tags((equivariance_column(p, i), (b, i))

@@ -333,10 +333,8 @@ def _spoly(f: list, g: list, order: MonomialOrder, n: int) -> list:
     terms = {k + kf: c * sf for k, c in f[1:]}
     for k, c in g[1:]:
         k += kg
-        c = terms.pop(k, 0) + c * sg
-        if c:
-            terms[k] = c
-    return sorted(terms.items(), reverse=True)
+        terms[k] = terms.get(k, 0) + c * sg
+    return sorted(((k, c) for k, c in terms.items() if c), reverse=True)
 
 
 def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
@@ -570,12 +568,12 @@ class Ideal:
             terms: dict[Monomial, Fraction] = {}
             for m, c in p.terms.items():
                 if t_mult:
-                    terms[m + (1,)] = terms.get(m + (1,), Fraction(0)) + c
+                    terms[m + (1,)] = terms.get(m + (1,), 0) + c
                 if one_minus:
                     key = m + (0,)
-                    terms[key] = terms.get(key, Fraction(0)) + c
+                    terms[key] = terms.get(key, 0) + c
                     key = m + (1,)
-                    terms[key] = terms.get(key, Fraction(0)) - c
+                    terms[key] = terms.get(key, 0) - c
             return Polynomial(n + 1, terms)
 
         gens = [lift(g, True, False) for g in self.groebner_basis()]

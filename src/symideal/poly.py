@@ -4,6 +4,11 @@ Coefficients are exact ``fractions.Fraction`` values; exponent vectors are
 plain tuples of length ``ambient_n``.  Polynomials are immutable: every
 operation returns a new value, so sharing across threads is safe.
 
+Every stored coefficient is a nonzero ``Fraction``.  ``Polynomial.__init__``
+is the one place that drops zeros (and wraps a coefficient that is not yet a
+``Fraction``), so a sum of terms accumulates into a plain dict with
+``acc[k] = acc.get(k, 0) + c`` and is handed to the constructor once.
+
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
 ``^`` (for example ``x1^2*x2 - 3/2*x3``).
@@ -40,7 +45,8 @@ class Polynomial:
             for mono, coeff in terms.items():
                 if len(mono) != ambient_n:
                     raise ValueError(f"monomial {mono} does not have {ambient_n} entries")
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -122,11 +128,7 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            new = terms.get(m, Fraction(0)) + c
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.ambient_n, terms)
 
     __radd__ = __add__
@@ -142,7 +144,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = other if isinstance(other, Fraction) else Fraction(other)
             return Polynomial(self.ambient_n, {m: c * v for m, v in self.terms.items()})
         if other.ambient_n != self.ambient_n:
             raise ValueError("ambient sizes differ")
@@ -151,11 +153,7 @@ class Polynomial:
         for m1, c1 in small.items():
             for m2, c2 in large.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                new = terms.get(m, Fraction(0)) + c1 * c2
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.ambient_n, terms)
 
     __rmul__ = __mul__
@@ -275,11 +273,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     raise ValueError(f"variable {var} out of range for n={n}")
                 exps[idx - 1] += int(power)
         mono = tuple(exps)
-        new = terms.get(mono, Fraction(0)) + sgn * coeff
-        if new:
-            terms[mono] = new
-        else:
-            terms.pop(mono, None)
+        terms[mono] = terms.get(mono, 0) + sgn * coeff
     return Polynomial(n, terms)
 
 
@@ -304,10 +298,8 @@ def apply_permutation(sigma: Permutation, f: Polynomial) -> Polynomial:
 def reynolds(f: Polynomial) -> Polynomial:
     """Average of f over all permutations of the variables."""
     n = f.ambient_n
-    total = Polynomial.zero(n)
-    for images in permutations(range(1, n + 1)):
-        total = total + apply_permutation(Permutation(images), f)
-    return total * Fraction(1, factorial(n))
+    images = [apply_permutation(Permutation(p), f) for p in permutations(range(1, n + 1))]
+    return linear_combination(images, dict.fromkeys(range(len(images)), Fraction(1, factorial(n))))
 
 
 def power_sum(k: int, n: int) -> Polynomial:
@@ -359,11 +351,7 @@ def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
                 if ai:
                     scale *= factorial(bi) // factorial(bi - ai)
             mono = tuple(bi - ai for ai, bi in zip(a, b))
-            new = terms.get(mono, Fraction(0)) + ca * cb * scale
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + ca * cb * scale
     return Polynomial(n, terms)
 
 
@@ -421,30 +409,31 @@ def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]
             sign = 1 if j == lo else -1
             for m, c in partials[(k, t)].terms.items():
                 key = ((lo, hi), m)
-                value = col.get(key, 0) + sign * c
-                if value:
-                    col[key] = value
-                else:
-                    col.pop(key, None)
+                col[key] = col.get(key, 0) + sign * c
         return col
 
     rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
     out = []
     for relation in nullspace_tags(rows):
-        f = Polynomial.zero(n)
+        terms: dict[Monomial, Fraction] = {}
         for (j, t), coeff in relation.items():
-            f = f + Polynomial.variable(j + 1, n) * duals[t] * coeff
+            scale = Fraction(coeff, d)
+            for m, c in duals[t].terms.items():
+                mono = m[:j] + (m[j] + 1,) + m[j + 1:]  # x_{j+1} * m
+                terms[mono] = terms.get(mono, 0) + scale * c
+        f = Polynomial(n, terms)
         if not f.is_zero():
-            out.append(f * Fraction(1, d))
+            out.append(f)
     return out
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
     """The sum of coeffs[t] * space[t]; ``space`` must be nonempty."""
-    f = Polynomial.zero(space[0].ambient_n)
+    terms: dict[Monomial, Fraction] = {}
     for t, c in coeffs.items():
-        f = f + space[t] * c
-    return f
+        for m, v in space[t].terms.items():
+            terms[m] = terms.get(m, 0) + c * v
+    return Polynomial(space[0].ambient_n, terms)
 
 
 def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from .combinat import (Partition, Permutation, Tableau, index,
                        standard_tableaux, transpose, word)
 from .ideals import Ideal
-from .poly import Polynomial, apply_permutation, power_sum
+from .poly import Polynomial, apply_permutation, linear_combination, power_sum
 
 
 class SpechtDatum:
@@ -114,14 +114,12 @@ def higher_specht(t: Tableau, s: Tableau) -> Polynomial:
     if not s.is_standard():
         raise ValueError("second tableau must be standard")
     base = tableau_monomial(t, s)
-    row_images = [apply_permutation(tau, base) for tau, _ in _row_group(t)]
-    row_sum = Polynomial.zero(t.n)
-    for f in row_images:
-        row_sum = row_sum + f
-    total = Polynomial.zero(t.n)
-    for sigma, sign in _column_group(t):
-        total = total + sign * apply_permutation(sigma, row_sum)
-    return total
+    rows = _row_group(t)
+    row_sum = linear_combination([apply_permutation(tau, base) for tau, _ in rows],
+                                 dict.fromkeys(range(len(rows)), 1))
+    columns = _column_group(t)
+    return linear_combination([apply_permutation(sigma, row_sum) for sigma, _ in columns],
+                              {u: sign for u, (_, sign) in enumerate(columns)})
 
 
 def coinvariant_isotypic_basis(lam: Partition) -> list[Polynomial]:

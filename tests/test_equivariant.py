@@ -6,12 +6,12 @@ from symideal.combinat import (IsotypicDecomposition, Partition,
                                kostka_decomposition, partitions_of,
                                specht_dimension)
 from symideal.classification import row_case
-from symideal.equivariant import (decompose_quotient,
+from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
                                   tangent_dimension,
                                   _minimal_generator_space)
 from symideal.ideals import Ideal, maximal_power, orbit_ideal
-from symideal.poly import Polynomial, power_sum
+from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.tanisaki import tanisaki_ideal
 
 
@@ -42,6 +42,26 @@ class TestIsSymmetric:
 
         for case in classification_cases(n):
             assert is_symmetric(case.ideal), case.label
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_basis_verdict_matches_the_generator_check(self, n):
+        from symideal.classification import classification_cases
+
+        def generator_check(ideal):
+            return all(ideal.contains(apply_permutation(sigma, g))
+                       for sigma in group_generators(ideal.ambient_n)
+                       for g in ideal.generators)
+
+        # in the second, the first basis element p1 is stable and x1^2 is not
+        asymmetric = [Ideal(n, [x(1, n)] + [x(i, n) ** 2 for i in range(2, n + 1)]),
+                      Ideal(n, [power_sum(1, n), x(1, n) ** 2])]
+        # generators that are not stable one by one, spanning a stable ideal
+        stable = Ideal(n, [x(i, n) for i in range(1, n + 1)])
+        for ideal in asymmetric:
+            assert not is_symmetric(ideal) and not generator_check(ideal)
+        assert is_symmetric(stable) and generator_check(stable)
+        for case in classification_cases(n):
+            assert is_symmetric(case.ideal) == generator_check(case.ideal), case.label
 
 
 class TestDecomposeQuotient:

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symideal import equivariant, poly
+from symideal.classification import classification_cases
 from symideal.combinat import Permutation
+from symideal.linalg import nullspace_tags
 from symideal.poly import (Polynomial, apolar_pair, apolar_scalar,
                            apply_permutation, degree_monomials, derivative,
                            elementary_symmetric, integrate_duals,
-                           monomial_weight, parse_polynomial, power_sum,
-                           reynolds)
+                           linear_combination, monomial_weight,
+                           parse_polynomial, power_sum, reynolds)
 
 
 def x(i, n):
@@ -251,3 +256,177 @@ class TestDuality:
         assert len(w) == 1
         ratio = {w[0].terms[m] / c for m, c in (p1 * p1).terms.items()}
         assert len(ratio) == 1
+
+
+# ---- the stored-coefficient invariant ---------------------------------------
+
+def assert_clean(f: Polynomial) -> None:
+    """Every stored coefficient is a nonzero Fraction."""
+    for mono, c in f.terms.items():
+        assert type(c) is Fraction and c != 0, (mono, c)
+
+
+def joined(f: Polynomial, g: Polynomial) -> str:
+    """The text of f followed by the terms of g, so that it parses to f + g."""
+    tail = str(g)
+    return str(f) + (" " + tail if tail.startswith("-") else " + " + tail)
+
+
+scalars = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+
+
+class TestStoredCoefficients:
+    @given(polynomials(), polynomials(), scalars, scalars, st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_stores_nonzero_fractions(self, f, g, a, b, i, d):
+        n = f.ambient_n
+        for h in (f + g, f - g, f + a, a - f, f * g, f * a, a * f, -f, f - f,
+                  apolar_pair(f, g), derivative(f, i),
+                  linear_combination([f, g], {0: a, 1: b}), reynolds(f),
+                  parse_polynomial(joined(f, g), n), parse_polynomial(joined(f, -f), n),
+                  *integrate_duals([f, g], n, d)):
+            assert_clean(h)
+
+    def test_constructor_wraps_keeps_and_drops(self):
+        half = Fraction(1, 2)
+        f = Polynomial(2, {(1, 0): 3, (0, 1): 0, (0, 0): Fraction(0), (1, 1): half})
+        assert f.terms == {(1, 0): Fraction(3), (1, 1): half}
+        assert f.terms[(1, 1)] is half  # a Fraction is stored as given
+        assert_clean(f)
+
+    def test_cancellation_leaves_no_term(self):
+        n = 2
+        x1, x2 = x(1, n), x(2, n)
+        total = (x1 - x2) + (x2 - x1)
+        assert total.is_zero() and total.terms == {}
+        square = (x1 + x2) * (x1 - x2)
+        assert (1, 1) not in square.terms
+        assert square.terms == {(2, 0): 1, (0, 2): -1}
+        assert_clean(square)
+        parsed = parse_polynomial("x1 - x1", n)
+        assert parsed.is_zero() and parsed.terms == {}
+        assert parse_polynomial("x1 - x1 + x2", n).terms == {(0, 1): 1}
+        assert apolar_pair(x1 - x2, x1 + x2).is_zero()
+        assert linear_combination([x1, x1], {0: 1, 1: -1}).terms == {}
+
+
+# ---- oracles: the accumulation code before every sum became one dict --------
+
+def linear_combination_oracle(space, coeffs):
+    f = Polynomial.zero(space[0].ambient_n)
+    for t, c in coeffs.items():
+        f = f + space[t] * c
+    return f
+
+
+def reynolds_oracle(f):
+    n = f.ambient_n
+    total = Polynomial.zero(n)
+    for images in permutations(range(1, n + 1)):
+        total = total + apply_permutation(Permutation(images), f)
+    return total * Fraction(1, factorial(n))
+
+
+def integrate_duals_oracle(duals, n, d):
+    if not duals or d <= 0:
+        return []
+    partials = {(j, t): derivative(duals[t], j + 1)
+                for j in range(n) for t in range(len(duals))}
+
+    def cross_partials(j, t):
+        col = {}
+        for k in range(n):
+            if k == j:
+                continue
+            lo, hi = min(j, k), max(j, k)
+            sign = 1 if j == lo else -1
+            for m, c in partials[(k, t)].terms.items():
+                key = ((lo, hi), m)
+                value = col.get(key, 0) + sign * c
+                if value:
+                    col[key] = value
+                else:
+                    col.pop(key, None)
+        return col
+
+    rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
+    out = []
+    for relation in nullspace_tags(rows):
+        f = Polynomial.zero(n)
+        for (j, t), coeff in relation.items():
+            f = f + Polynomial.variable(j + 1, n) * duals[t] * coeff
+        if not f.is_zero():
+            out.append(f * Fraction(1, d))
+    return out
+
+
+def assert_same(got, want):
+    if isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+        return
+    assert got == want
+    assert str(got) == str(want)
+    assert_clean(got)
+
+
+def homogeneous(n, d, max_terms=4):
+    """Random homogeneous forms of degree d, as a hypothesis strategy."""
+    monos = degree_monomials(n, d)
+    return st.dictionaries(st.sampled_from(monos),
+                           st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)),
+                           max_size=max_terms).map(lambda terms: Polynomial(n, terms))
+
+
+class TestAccumulationOracles:
+    @given(st.lists(polynomials(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_combination(self, space, data):
+        coeffs = data.draw(st.dictionaries(st.integers(0, len(space) - 1), scalars))
+        assert_same(linear_combination(space, coeffs), linear_combination_oracle(space, coeffs))
+
+    @given(action_triples())
+    @settings(max_examples=30, deadline=None)
+    def test_reynolds(self, data):
+        f = data[0]
+        assert_same(reynolds(f), reynolds_oracle(f))
+
+    @given(st.integers(2, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_integrate_duals_random(self, n, d, data):
+        duals = data.draw(st.lists(homogeneous(n, d - 1), min_size=1, max_size=4))
+        assert_same(integrate_duals(duals, n, d), integrate_duals_oracle(duals, n, d))
+
+    @given(st.lists(polynomials(), max_size=3), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_integrate_duals_mixed_degrees(self, duals, d):
+        assert_same(integrate_duals(duals, 3, d), integrate_duals_oracle(duals, 3, d))
+
+    def test_dual_spaces_of_the_n4_generator_spaces(self, monkeypatch):
+        """Every integration and combination that ``_minimal_generator_space``
+        meets on the homogeneous classification rows at n = 4 agrees with
+        the oracles, including those inside ``apolar_complement``."""
+        seen = {"integrate": 0, "combine": 0}
+
+        def integrate(duals, n, d):
+            got = integrate_duals(duals, n, d)
+            assert_same(got, integrate_duals_oracle(duals, n, d))
+            seen["integrate"] += 1
+            return got
+
+        def combine(space, coeffs):
+            got = linear_combination(space, coeffs)
+            assert_same(got, linear_combination_oracle(space, coeffs))
+            seen["combine"] += 1
+            return got
+
+        monkeypatch.setattr(equivariant, "integrate_duals", integrate)
+        monkeypatch.setattr(equivariant, "linear_combination", combine)
+        monkeypatch.setattr(poly, "linear_combination", combine)
+        rows = [case for case in classification_cases(4) if case.ideal.is_homogeneous()]
+        assert len(rows) > 10
+        for case in rows:
+            equivariant._minimal_generator_space(case.ideal)
+        assert seen["integrate"] >= 90 and seen["combine"] >= 300

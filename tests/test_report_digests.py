@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twenty-one JSON reports.
+"""Pinned SHA-256 digests of twenty-three JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -33,6 +33,8 @@ PINNED = {
         "513ffd283346c95e468616efdadbf5553d3a5200669da7cab2833692b1784294",
     "tanisaki --n 5 --lambda 3,1,1 --mode apolar":
         "05ae6b300e3bc3582d0343196aa156ae5b8009ec0177771bc121aaeb4a11f184",
+    "tanisaki --n 5 --lambda 2,1,1,1 --mode apolar":
+        "77d7a4043c5be82cf57cfab6f51cdd9c813f381c83d6845534e0cb80240cf112",
     "tanisaki --n 4 --lambda 2,1,1 --mode all":
         "8f53f302b0027471684c0cbe65bd0b874df64cd243b6ff9d1b5c2a7b358350c6",
     "tanisaki --n 5 --lambda 2,2,1 --mode all":
@@ -55,6 +57,8 @@ PINNED = {
         "97ad51b52cd3bcc0602f7bd9c58c6963c0bb742d783cd208b0ff0643df1f7d67",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
+    "specht --n 5 --lambda 2,2,1":
+        "834298067153be118b14e91f1fe7b43e27cbaa9b0296e80f43e7e6016e5a5da3",
     "specht --n 6 --lambda 1,1,1,1,1,1":
         "9f9379feddd0e1364bf082edf89cfdabdca2474cfa7ec266bf4cef8f36567487",
 }

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -10,11 +11,12 @@ from symideal.combinat import (Partition, Permutation, Tableau, d_min, index,
 from symideal.ideals import Ideal
 from symideal.linalg import KernelEchelon
 from symideal.poly import Polynomial, apolar_scalar, apply_permutation, power_sum
-from symideal.specht import (SpechtDatum, coinvariant_isotypic_basis,
-                             component_type, degree_component_tags,
+from symideal.specht import (SpechtDatum, _column_group, _row_group,
+                             coinvariant_isotypic_basis, component_type,
+                             degree_component_tags,
                              distinct_specht_polynomials, higher_specht,
                              lemma_component, specht_ideal,
-                             specht_polynomial, vandermonde)
+                             specht_polynomial, tableau_monomial, vandermonde)
 from test_combinat import all_tableaux
 
 
@@ -175,6 +177,42 @@ class TestHigherSpecht:
             for a, b in zip(col, col[1:]):
                 sigma = Permutation.transposition(a, b, lam.n)
                 assert apply_permutation(sigma, f) == -f
+
+
+def higher_specht_oracle(t: Tableau, s: Tableau) -> Polynomial:
+    """The construction before the sums went through ``linear_combination``."""
+    base = tableau_monomial(t, s)
+    row_sum = Polynomial.zero(t.n)
+    for f in [apply_permutation(tau, base) for tau, _ in _row_group(t)]:
+        row_sum = row_sum + f
+    total = Polynomial.zero(t.n)
+    for sigma, sign in _column_group(t):
+        total = total + sign * apply_permutation(sigma, row_sum)
+    return total
+
+
+def assert_same_polynomial(got: Polynomial, want: Polynomial) -> None:
+    assert got == want and str(got) == str(want)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+class TestHigherSpechtOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_standard_pair(self, n):
+        for lam in partitions_of(n):
+            tabs = standard_tableaux(lam)
+            for t in tabs:
+                for s in tabs:
+                    assert_same_polynomial(higher_specht(t, s), higher_specht_oracle(t, s))
+
+    def test_random_fillings_at_n5(self):
+        rng = random.Random(5)
+        for lam in partitions_of(5):
+            tabs = standard_tableaux(lam)
+            for _ in range(6):
+                t = rng.choice(all_tableaux(lam))
+                s = rng.choice(tabs)
+                assert_same_polynomial(higher_specht(t, s), higher_specht_oracle(t, s))
 
 
 class TestSpechtDatum:
