@@ -5,7 +5,8 @@ The set is the ROADMAP "same behaviour" set: ``table1 --n 3..5 --seed
 0..2``, ``lemmas --n 3..5`` and ``tanisaki --mode all`` for every partition
 of n = 3..5.  Then come ``specht --lambda`` and ``tanisaki --mode apolar``
 for the same partitions, the reports that print Specht, higher Specht and
-inverse-system polynomials as text.  Each report runs in-process through
+inverse-system polynomials as text, and last ``tanisaki --mode apolar``
+for the eight shapes of 6 of colength <= 120.  Each report runs in-process through
 ``cli.run`` with ``--format json``, and one line
 ``sha256  command`` is printed per report, in a fixed order.  A change that
 claims the same outputs is checked by running this on both commits and
@@ -27,6 +28,10 @@ from symideal.cli import run
 from symideal.combinat import partitions_of
 
 
+# the shapes of 6 with colength <= 120, as in the benchmark's tanisaki workload
+N6_APOLAR_SHAPES = ("6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1")
+
+
 def commands() -> list[str]:
     out = [f"table1 --n {n} --seed {seed}" for n in range(3, 6) for seed in range(3)]
     out += [f"lemmas --n {n}" for n in range(3, 6)]
@@ -39,6 +44,8 @@ def commands() -> list[str]:
             parts = ",".join(str(p) for p in lam.parts)
             out.append(f"specht --n {n} --lambda {parts}")
             out.append(f"tanisaki --n {n} --lambda {parts} --mode apolar")
+    for parts in N6_APOLAR_SHAPES:
+        out.append(f"tanisaki --n 6 --lambda {parts} --mode apolar")
     return out
 
 

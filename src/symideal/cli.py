@@ -413,6 +413,9 @@ def run(argv: list[str] | None = None) -> int:
         lo, hi = N_GUARDS[args.command]
         if not lo <= args.n <= hi and not getattr(args, "tableau", None):
             raise ValueError(f"{args.command} is guarded at {lo} <= n <= {hi}")
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+            raise ValueError(f"--out {args.out!r} is not a file in an existing directory")
         results, ok = handlers[args.command](args)
     except ValueError as error:
         parser.exit(2, f"symideal {args.command}: {error}\n")
@@ -434,8 +437,12 @@ def run(argv: list[str] | None = None) -> int:
     else:
         text = _render_text(record)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as error:
+            parser.exit(2, f"symideal {args.command}: cannot write --out {args.out!r}: "
+                           f"{error.strerror}\n")
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

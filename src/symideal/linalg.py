@@ -40,44 +40,43 @@ class KernelEchelon:
         # holds exactly (content stripping would silently break it)
         lcm = 1
         for v in row.values():
-            if isinstance(v, Fraction):
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        row = {k: int(v * lcm) for k, v in row.items() if v}
+            d = v.denominator
+            if d != 1:
+                lcm = lcm * d // gcd(lcm, d)
+        row = {k: v.numerator * (lcm // v.denominator) for k, v in row.items() if v}
         tags = {} if tag is None else {tag: lcm}
+        pivots = self.pivots
         while row:
             col = max(row)
-            entry = self.pivots.get(col)
+            entry = pivots.get(col)
             if entry is None:
-                self.pivots[col] = (row, tags)
+                pivots[col] = (row, tags)
                 return None
+            # row and tags are this call's own dicts: r <- ca*r - cb*p in place
             pivot, pivot_tags = entry
             a, b = pivot[col], row[col]
             g = gcd(a, b)
             ca, cb = a // g, b // g
-            new_row = {k: ca * v for k, v in row.items()}
+            if ca != 1:
+                row = {k: ca * v for k, v in row.items()}
+                tags = {k: ca * v for k, v in tags.items()}
             for k, v in pivot.items():
-                value = new_row.get(k, 0) - cb * v
+                value = row.get(k, 0) - cb * v
                 if value:
-                    new_row[k] = value
+                    row[k] = value
                 else:
-                    new_row.pop(k, None)
-            new_tags = {k: ca * v for k, v in tags.items()}
+                    del row[k]
             for k, v in pivot_tags.items():
-                value = new_tags.get(k, 0) - cb * v
+                value = tags.get(k, 0) - cb * v
                 if value:
-                    new_tags[k] = value
+                    tags[k] = value
                 else:
-                    new_tags.pop(k, None)
+                    del tags[k]
             # strip a common content across row and tags together
-            g_all = 0
-            for v in new_row.values():
-                g_all = gcd(g_all, v)
-            for v in new_tags.values():
-                g_all = gcd(g_all, v)
+            g_all = gcd(*row.values(), *tags.values())
             if g_all > 1:
-                new_row = {k: v // g_all for k, v in new_row.items()}
-                new_tags = {k: v // g_all for k, v in new_tags.items()}
-            row, tags = new_row, new_tags
+                row = {k: v // g_all for k, v in row.items()}
+                tags = {k: v // g_all for k, v in tags.items()}
         return tags
 
 

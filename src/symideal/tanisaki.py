@@ -10,6 +10,10 @@ The three constructions of the ideal attached to a partition:
   per admissible subset;
 * ``apolar``: degreewise annihilator of the span of the Specht
   polynomials of the shape, capped by a power of the maximal ideal.
+  Its inverse system is built one derivative degree at a time: each
+  image of a monomial operator on a Specht polynomial is one partial
+  derivative of an image one degree lower, only one operator degree is
+  held at a time, and each layer keeps a greedy basis of its images.
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
@@ -23,9 +27,8 @@ from itertools import combinations
 from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
-from .poly import (Polynomial, apolar_complement, apolar_pair,
-                   degree_monomials, elementary_symmetric, integrate_duals,
-                   power_sum)
+from .poly import (Polynomial, apolar_complement, degree_monomials,
+                   derivative, elementary_symmetric, integrate_duals, power_sum)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -70,24 +73,44 @@ def _reduced_generators(lam: Partition) -> list[Polynomial]:
     return gens
 
 
-def _dual_layer(spechts: list[Polynomial], n: int, d: int) -> list[Polynomial]:
-    """Basis of the span of the degree-d derivatives of the Specht span.
+def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
+    """Bases of the derivative spans of the Specht span, one per degree.
 
-    This is the pairing-orthogonal complement of the annihilator in the
-    full degree piece; its dimension is the quotient's Hilbert function,
-    so all subsequent linear algebra stays small.
+    Entry d, for d = 0..D with D the Specht degree, is a basis of the span
+    of the degree-d derivatives: the pairing-orthogonal complement of the
+    annihilator in the full degree piece.  Its dimension is the quotient's
+    Hilbert function, so all subsequent linear algebra stays small.
+
+    The basis is greedy: the images of the operators x^a of degree D - d
+    on the Specht polynomials, Specht polynomials outermost and operators
+    in ``degree_monomials`` order, each kept when it is independent of
+    those kept before.  The image of x^a is one partial derivative of the
+    image of x^(a - e_j), j the first index with a_j > 0, so only the
+    images of one operator degree are held at a time; zero images are
+    dropped, as they change no basis.
     """
-    ech = KernelEchelon()
-    basis: list[Polynomial] = []
-    if not spechts:
-        return basis
-    operators = [Polynomial.monomial(m) for m in degree_monomials(n, spechts[0].degree() - d)]
-    for s in spechts:
-        for op in operators:
-            image = apolar_pair(op, s)
-            if ech.add(dict(image.terms)) is None:
-                basis.append(image)
-    return basis
+    top = spechts[0].degree()
+    level = [{(0,) * n: s} for s in spechts]
+    layers: list[list[Polynomial]] = []
+    for k in range(top + 1):
+        if k:
+            steps = []
+            for a in degree_monomials(n, k):
+                j = next(i for i, e in enumerate(a) if e)
+                steps.append((a, a[:j] + (a[j] - 1,) + a[j + 1:], j + 1))
+            for t, images in enumerate(level):
+                following = {}
+                for a, parent, i in steps:
+                    source = images.get(parent)
+                    if source is not None:
+                        image = derivative(source, i)
+                        if image.terms:
+                            following[a] = image
+                level[t] = following
+        ech = KernelEchelon()
+        layers.append([image for images in level for image in images.values()
+                       if ech.add(image.terms) is None])
+    return layers[::-1]
 
 
 def _apolar_generators(lam: Partition) -> list[Polynomial]:
@@ -95,14 +118,10 @@ def _apolar_generators(lam: Partition) -> list[Polynomial]:
     degree: integrate the previous dual layer to get the orthocomplement of
     the carried part, then keep the members orthogonal to the current layer."""
     n = lam.n
-    top = d_min(lam)
-    spechts = distinct_specht_polynomials(lam)
+    layers = _dual_layers(distinct_specht_polynomials(lam), n)
     gens: list[Polynomial] = []
-    previous_duals = _dual_layer(spechts, n, 0)
-    for d in range(1, top + 1):
-        current_duals = _dual_layer(spechts, n, d)
-        gens += apolar_complement(integrate_duals(previous_duals, n, d), current_duals)
-        previous_duals = current_duals
+    for d in range(1, d_min(lam) + 1):
+        gens += apolar_complement(integrate_duals(layers[d - 1], n, d), layers[d])
     return gens
 
 

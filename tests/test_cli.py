@@ -302,6 +302,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal invariant broken" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("out", ["no/such/dir/x.json", "."])
+    def test_out_outside_a_directory_is_bad_input_before_the_verb_starts(
+            self, out, tmp_path, monkeypatch, capsys):
+        def started(*args):
+            raise AssertionError("the verb started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "cmd_specht", started)
+        with pytest.raises(SystemExit) as info:
+            run(["specht", "--n", "3", "--lambda", "2,1", "--out", out])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"symideal specht: --out {out!r} is not a file in an existing directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_the_current_directory_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["specht", "--n", "3", "--lambda", "2,1", "--format", "json",
+                    "--out", "x.json"]) == 0
+        assert json.loads((tmp_path / "x.json").read_text())["command"] == "specht"
+
+    def test_failed_write_is_bad_input(self, tmp_path, monkeypatch, capsys):
+        # a trailing slash passes the directory check and fails at the write
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(["specht", "--n", "3", "--lambda", "2,1", "--out", "x.json/"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "symideal specht: cannot write --out 'x.json/': Is a directory\n")
+
     @pytest.mark.parametrize("argv", [
         ["gr", "--n", "3", "--point=--"],
         ["specht", "--n", "3", "--lambda=--"],

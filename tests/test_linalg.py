@@ -1,9 +1,60 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
+
+
+class KernelEchelonOracle:
+    """The elimination of ``KernelEchelon.add`` as first written: every entry
+    cleared through a Fraction product, every step building new dicts."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def add(self, row: dict, tag=None) -> dict | None:
+        lcm = 1
+        for v in row.values():
+            if isinstance(v, Fraction):
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        row = {k: int(v * lcm) for k, v in row.items() if v}
+        tags = {} if tag is None else {tag: lcm}
+        while row:
+            col = max(row)
+            entry = self.pivots.get(col)
+            if entry is None:
+                self.pivots[col] = (row, tags)
+                return None
+            pivot, pivot_tags = entry
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            ca, cb = a // g, b // g
+            new_row = {k: ca * v for k, v in row.items()}
+            for k, v in pivot.items():
+                value = new_row.get(k, 0) - cb * v
+                if value:
+                    new_row[k] = value
+                else:
+                    new_row.pop(k, None)
+            new_tags = {k: ca * v for k, v in tags.items()}
+            for k, v in pivot_tags.items():
+                value = new_tags.get(k, 0) - cb * v
+                if value:
+                    new_tags[k] = value
+                else:
+                    new_tags.pop(k, None)
+            g_all = 0
+            for v in new_row.values():
+                g_all = gcd(g_all, v)
+            for v in new_tags.values():
+                g_all = gcd(g_all, v)
+            if g_all > 1:
+                new_row = {k: v // g_all for k, v in new_row.items()}
+                new_tags = {k: v // g_all for k, v in new_tags.items()}
+            row, tags = new_row, new_tags
+        return tags
 
 
 @st.composite
@@ -78,3 +129,41 @@ def test_solve_in_span_fractional():
     basis = [{0: Fraction(1, 2), 1: Fraction(1, 3)}]
     coeffs = solve_in_span(basis, {0: Fraction(3, 2), 1: 1})
     assert coeffs == [3]
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def tagged_sequences(draw, cols=5):
+    """Rows mixing int and Fraction entries, zeros included, each tagged or
+    not; some repeat or rescale an earlier row, so that duplicates, negated
+    pivots and contents above one occur."""
+    out = []
+    for i in range(draw(st.integers(0, 10))):
+        if out and draw(st.booleans()):
+            earlier = draw(st.sampled_from(out))[0]
+            factor = draw(st.sampled_from([1, -1, 2, -3, 6, Fraction(4, 3), Fraction(-1, 2)]))
+            row = {c: v * factor for c, v in earlier.items()}
+        else:
+            row = draw(st.dictionaries(st.integers(0, cols - 1), ENTRIES, max_size=cols))
+        out.append((row, draw(st.sampled_from([None, i]))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_sequences())
+def test_add_matches_the_oracle(sequence):
+    tracker, oracle = KernelEchelon(), KernelEchelonOracle()
+    for row, tag in sequence:
+        assert tracker.add(dict(row), tag) == oracle.add(dict(row), tag)
+        assert tracker.pivots == oracle.pivots
+
+
+def test_add_leaves_its_input_unchanged():
+    tracker = KernelEchelon()
+    tracker.add({0: 2, 1: Fraction(1, 2)}, "a")
+    row = {0: 4, 1: Fraction(3, 4)}
+    relation = tracker.add(row, "b")
+    assert row == {0: 4, 1: Fraction(3, 4)}
+    assert relation is None and tracker.rank == 2

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twenty-three JSON reports.
+"""Pinned SHA-256 digests of twenty-five JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -35,6 +35,10 @@ PINNED = {
         "05ae6b300e3bc3582d0343196aa156ae5b8009ec0177771bc121aaeb4a11f184",
     "tanisaki --n 5 --lambda 2,1,1,1 --mode apolar":
         "77d7a4043c5be82cf57cfab6f51cdd9c813f381c83d6845534e0cb80240cf112",
+    "tanisaki --n 6 --lambda 3,2,1 --mode apolar":
+        "2d93b87747afa03dc80607d639ff5b47c940b2d64823fcbab3a472f254a6e1ca",
+    "tanisaki --n 6 --lambda 2,2,2 --mode apolar":
+        "4e306060b6ad034758c86ac783048af01db2b80017d64a36c479078dfd354e17",
     "tanisaki --n 4 --lambda 2,1,1 --mode all":
         "8f53f302b0027471684c0cbe65bd0b874df64cd243b6ff9d1b5c2a7b358350c6",
     "tanisaki --n 5 --lambda 2,2,1 --mode all":

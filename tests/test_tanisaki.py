@@ -1,15 +1,23 @@
-import pytest
+from fractions import Fraction
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symideal import tanisaki
 from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
                                transpose)
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
-from symideal.poly import Polynomial, degree_monomials, power_sum
+from symideal.poly import (Polynomial, apolar_pair, degree_monomials, derivative,
+                           power_sum)
+from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, TanisakiSpec, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
                                tilde_ideal, two_row_presentation,
-                               _subset_elementary_generators)
+                               _dual_layers, _subset_elementary_generators)
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -35,6 +43,75 @@ def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
         for mono in degree_monomials(n, d - e):
             span.add(dict((Polynomial.monomial(mono) * g).terms))
     return span.add(dict(f.terms)) is not None
+
+
+def dual_layer_oracle(spechts: list[Polynomial], n: int, d: int) -> list[Polynomial]:
+    """Greedy basis of the degree-d derivatives: every operator of degree
+    D - d applied to every Specht polynomial through ``apolar_pair``."""
+    ech = KernelEchelon()
+    basis: list[Polynomial] = []
+    if not spechts:
+        return basis
+    operators = [Polynomial.monomial(m) for m in degree_monomials(n, spechts[0].degree() - d)]
+    for s in spechts:
+        for op in operators:
+            image = apolar_pair(op, s)
+            if ech.add(dict(image.terms)) is None:
+                basis.append(image)
+    return basis
+
+
+@st.composite
+def homogeneous_spaces(draw):
+    """One to three nonzero forms of one degree <= 4 in n <= 3 variables,
+    with Fraction coefficients."""
+    n = draw(st.integers(1, 3))
+    monomials = degree_monomials(n, draw(st.integers(0, 4)))
+    coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    forms = st.dictionaries(st.sampled_from(monomials), coefficients, min_size=1)
+    return [Polynomial(n, terms) for terms in draw(st.lists(forms, min_size=1, max_size=3))]
+
+
+def assert_layers_match_the_oracle(spechts: list[Polynomial], n: int) -> None:
+    layers = _dual_layers(spechts, n)
+    assert len(layers) == spechts[0].degree() + 1
+    for d, layer in enumerate(layers):
+        assert layer == dual_layer_oracle(spechts, n, d)
+
+
+class TestDualLayers:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_oracle(self, n):
+        for lam in partitions_of(n):
+            assert_layers_match_the_oracle(distinct_specht_polynomials(lam), n)
+
+    @pytest.mark.parametrize("parts", [(4, 2), (3, 3), (4, 1, 1), (3, 2, 1)])
+    def test_matches_the_oracle_at_six(self, parts):
+        assert_layers_match_the_oracle(distinct_specht_polynomials(Partition(list(parts))), 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_spaces())
+    def test_random_forms_match_the_oracle(self, spechts):
+        assert_layers_match_the_oracle(spechts, spechts[0].ambient_n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_spaces())
+    def test_each_image_is_one_apolar_pair(self, spechts):
+        # the derivatives taken, in order, are the nonzero images x^a . s
+        # of every operator degree k >= 1, Specht polynomials outermost
+        n = spechts[0].ambient_n
+        images = []
+
+        def recording(f, i):
+            images.append(derivative(f, i))
+            return images[-1]
+
+        with mock.patch.object(tanisaki, "derivative", recording):
+            _dual_layers(spechts, n)
+        expected = [apolar_pair(Polynomial.monomial(a), s)
+                    for k in range(1, spechts[0].degree() + 1)
+                    for s in spechts for a in degree_monomials(n, k)]
+        assert [f for f in images if not f.is_zero()] == [f for f in expected if not f.is_zero()]
 
 
 class TestConstruction:
