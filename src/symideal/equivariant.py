@@ -9,7 +9,7 @@ All linear algebra is arranged to scale with the colength rather than
 with ambient degree pieces: generator complements come from integrating
 Macaulay inverse systems (whose graded dimensions are the Hilbert
 function), and relations are only ever needed modulo the square of the
-ideal, where coefficients live in the finite quotient.
+ideal, where they are eliminated together with their images in the quotient.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class TangentReport:
     """Result of the equivariant tangent-space computation.
 
     ``details`` holds deterministic work counts of the relation step:
-    ``products`` reduced modulo the square of the ideal, distinct
-    ``images`` reduced modulo the ideal, and ``constraint_rows``.
+    ``products`` b*v_i reduced modulo the square of the ideal, distinct
+    monomial ``images`` reduced modulo the ideal, and ``constraint_rows``.
     """
 
     ideal: Ideal
@@ -175,7 +175,8 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     of the degree-d quotient piece is carried along, the orthogonal
     complement W_d of m*I inside the full degree piece is obtained by
     integrating the previous dual space, and the new generators are the
-    members of W_d lying in the ideal.  Returns ({degree: generators}, N)
+    members of W_d lying in the ideal, up to the top degree of the reduced
+    Groebner basis, which generates.  Returns ({degree: generators}, N)
     where the quotient vanishes from degree N on.
     """
     n = ideal.ambient_n
@@ -183,7 +184,7 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     N = len(hf)
     duals: list[Polynomial] = [Polynomial.one(n)]
     generators: dict[int, list[Polynomial]] = {}
-    for d in range(1, N + 1):
+    for d in range(1, max(g.degree() for g in ideal.groebner_basis()) + 1):
         w_space = integrate_duals(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
@@ -253,6 +254,14 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
     This is the Zariski tangent space of the invariant punctual Hilbert
     scheme at the point cut out by the (homogeneous, symmetric,
     finite-colength) ideal.
+
+    One row per product b*v_i (b standard) holds its coordinates mod I^2
+    and, in columns below those, those of b*phi_t(v_i) mod I for each
+    hom-basis element t; a pivot there is a relation applied to each phi_t.
+    Minimal first syzygies of an Artinian homogeneous ideal have degree at
+    most reg(I) + 1 = N + 1 (Eisenbud, *The Geometry of Syzygies*, ch. 4),
+    where the elimination stops.  ``n2_count`` counts relations from
+    HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d; the elimination must agree.
     """
     start = time.monotonic()
     n = ideal.ambient_n
@@ -274,50 +283,51 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
     k = len(hom_basis)
     basis = ideal.standard_monomials()
 
-    hom_values: list[list[Polynomial]] = []
-    for t in range(k):
-        values = []
-        for i in range(len(gens)):
-            terms = {b: c for (b, i2), c in hom_basis[t].items() if i2 == i}
-            values.append(Polynomial(n, terms))
-        hom_values.append(values)
+    values: list[dict[Monomial, list]] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
+    for t, phi in enumerate(hom_basis):
+        for (m, i), c in phi.items():
+            values[i].setdefault(m, []).append((t, c))
 
     gb = ideal.groebner_basis()
     square = Ideal(n, [a * b for idx, a in enumerate(gb) for b in gb[idx:]])
+    square_hf = dict(enumerate(square.hilbert_function()))
     by_degree: dict[int, list[Monomial]] = {}
     for m in basis:
         by_degree.setdefault(sum(m), []).append(m)
 
-    n2_count = 0
-    products = constraint_rows = 0
-    images: dict[tuple[int, int, Monomial], dict] = {}  # (t, i, b) -> b*phi_t(v_i) mod I
+    n2_count = products = constraint_rows = 0
+    normal_forms: dict[Monomial, dict[int, Fraction]] = {}  # NF_I(m), deg m < N
     constraint_rank = KernelEchelon()
     top = syzygy_bound - 1 + extra_syzygy_degrees
     for d in range(min(gen_degrees) + 1, top + 1):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
+        relations = len(pairs) - square_hf.get(d, 0) + len(by_degree.get(d, []))
+        n2_count += relations
+        if d > N + 1 + extra_syzygy_degrees:
+            continue
         products += len(pairs)
-        relations = nullspace_tags(
-            (square.coordinates(Polynomial.monomial(b) * gens[i]), (i, b)) for i, b in pairs)
-        n2_count += len(relations)
-        for relation in relations:
-            rows: dict[int, dict[int, Fraction]] = {}
-            for t in range(k):
-                total: dict[int, Fraction] = {}
-                for (i, b), coeff in relation.items():
-                    value = hom_values[t][i]
-                    if not value.is_zero():
-                        image = images.get((t, i, b))
-                        if image is None:
-                            image = images[(t, i, b)] = ideal.coordinates(
-                                Polynomial.monomial(b) * value)
-                        for m, c in image.items():
-                            total[m] = total.get(m, 0) + c * coeff
-                for m, c in total.items():
-                    if c:
-                        rows.setdefault(m, {})[t] = c
-            constraint_rows += len(rows)
-            for row in rows.values():
-                constraint_rank.add(row)
+        echelon = KernelEchelon()
+        for i, b in pairs:
+            row = square.coordinates(Polynomial.monomial(b) * gens[i])
+            for m, coeffs in values[i].items():
+                bm = tuple(x + y for x, y in zip(b, m))
+                if sum(bm) < N and bm not in normal_forms:
+                    normal_forms[bm] = ideal.coordinates(Polynomial.monomial(bm))
+                for key, v in normal_forms.get(bm, {}).items():
+                    for t, c in coeffs:
+                        row[-1 - key * k - t] = row.get(-1 - key * k - t, 0) + c * v
+            echelon.add(row)
+        if len(pairs) - sum(col >= 0 for col in echelon.pivots) != relations:
+            raise ArithmeticError(f"relation count mismatch in degree {d}")
+        for col, (row, _) in echelon.pivots.items():
+            if col < 0:  # the I^2 part cancelled: a relation applied to each phi_t
+                rows: dict[int, dict[int, int]] = {}
+                for column, c in row.items():
+                    key, t = divmod(-1 - column, k)
+                    rows.setdefault(key, {})[t] = c
+                constraint_rows += len(rows)
+                for constraint in rows.values():
+                    constraint_rank.add(constraint)
 
     tangent = k - constraint_rank.rank
     return TangentReport(
@@ -328,6 +338,6 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
         tangent_dim=tangent,
         equivariant_hom_dim=k,
         wall_time_s=time.monotonic() - start,
-        details={"products": products, "images": len(images),
+        details={"products": products, "images": len(normal_forms),
                  "constraint_rows": constraint_rows},
     )

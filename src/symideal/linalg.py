@@ -4,16 +4,18 @@ Rows are dicts mapping comparable column keys to numbers, and a row
 pivots on its largest column.  The quotient coordinates of
 ``Ideal.coordinates`` are int columns that sort in the monomial order, so
 rows of normal forms pivot on their leading monomials.  Elimination is
-fraction-free: a reduction step replaces r by (p[c]*r - r[c]*p) followed
-by content removal, so entries stay integral and bounded.  Rational input is
-cleared to integers on entry; rational answers are reconstructed from the
-tracked tags on the way out.
+fraction-free: a step replaces r by the positive multiple (p[c]*r - r[c]*p),
+so the content is removed once per add (mid-way only past ``STRIP_BITS``).
+Rational input is cleared to integers on entry; rational answers are
+reconstructed from the tracked tags on the way out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+STRIP_BITS = 512  # leading-entry size past which a row's content is stripped mid-way
 
 
 class KernelEchelon:
@@ -46,9 +48,17 @@ class KernelEchelon:
         row = {k: v.numerator * (lcm // v.denominator) for k, v in row.items() if v}
         tags = {} if tag is None else {tag: lcm}
         pivots = self.pivots
-        while row:
-            col = max(row)
+        reduced = False  # a reduction step ran since the last content strip
+        while True:
+            col = max(row, default=None)
             entry = pivots.get(col)
+            if reduced and (entry is None or abs(row[col]).bit_length() > STRIP_BITS):
+                g = gcd(*row.values(), *tags.values())
+                if g > 1:
+                    row = {k: v // g for k, v in row.items()}
+                    tags = {k: v // g for k, v in tags.items()}
+            if not row:
+                return tags
             if entry is None:
                 pivots[col] = (row, tags)
                 return None
@@ -72,12 +82,7 @@ class KernelEchelon:
                     tags[k] = value
                 else:
                     del tags[k]
-            # strip a common content across row and tags together
-            g_all = gcd(*row.values(), *tags.values())
-            if g_all > 1:
-                row = {k: v // g_all for k, v in row.items()}
-                tags = {k: v // g_all for k, v in tags.items()}
-        return tags
+            reduced = True
 
 
 def nullspace_tags(vectors) -> list[dict]:

@@ -1,22 +1,139 @@
 import json
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
-from symideal.combinat import (IsotypicDecomposition, Partition,
+from symideal.combinat import (IsotypicDecomposition, Partition, Permutation,
+                               conjugacy_class_size, irreducible_character,
                                kostka_decomposition, partitions_of,
                                specht_dimension)
-from symideal.classification import row_case
+from symideal.classification import classification_cases, row_case
 from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
                                   tangent_dimension,
+                                  _hom_basis_equivariant,
                                   _minimal_generator_space)
 from symideal.ideals import Ideal, maximal_power, orbit_ideal
-from symideal.poly import Polynomial, apply_permutation, power_sum
+from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
+from symideal.poly import (Polynomial, apolar_complement, apply_permutation,
+                           integrate_duals, linear_combination, power_sum)
 from symideal.tanisaki import tanisaki_ideal
 
 
 def x(i, n):
     return Polynomial.variable(i, n)
+
+
+SHAPES_TO_FIVE = [lam.parts for n in range(1, 6) for lam in partitions_of(n)]
+SHAPES_OF_SIX = [(5, 1), (4, 2), (3, 3)]
+
+
+@lru_cache(maxsize=None)
+def tanisaki_point(parts: tuple[int, ...]) -> Ideal:
+    """One Tanisaki ideal per shape, shared by the oracle tests below."""
+    return tanisaki_ideal(Partition(list(parts)))
+
+
+def homogeneous_rows(n: int) -> list:
+    return [case for case in classification_cases(n) if case.ideal.is_homogeneous()]
+
+
+def generator_space_oracle(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
+    """``_minimal_generator_space`` with its degree loop running to the
+    vanishing degree N instead of the top Groebner degree."""
+    n = ideal.ambient_n
+    hf = ideal.hilbert_function()
+    N = len(hf)
+    duals: list[Polynomial] = [Polynomial.one(n)]
+    generators: dict[int, list[Polynomial]] = {}
+    for d in range(1, N + 1):
+        w_space = integrate_duals(duals, n, d)
+        hf_d = hf[d] if d < len(hf) else 0
+        rows = ((ideal.coordinates(f), t) for t, f in enumerate(w_space))
+        new_gens = [linear_combination(w_space, relation) for relation in nullspace_tags(rows)]
+        assert len(new_gens) == len(w_space) - hf_d
+        if d < N:
+            duals = apolar_complement(w_space, new_gens)
+            assert len(duals) == hf_d
+        if new_gens:
+            generators[d] = new_gens
+    return generators, N
+
+
+def square_of(ideal: Ideal) -> Ideal:
+    gb = ideal.groebner_basis()
+    return Ideal(ideal.ambient_n, [a * b for idx, a in enumerate(gb) for b in gb[idx:]])
+
+
+def relation_step_oracle(ideal: Ideal, extra_syzygy_degrees: int = 0) -> tuple[int, int]:
+    """(tangent_dim, n2_count) by the tagged relation loop: in every degree
+    up to N + top generator degree - 1, a nullspace of the products b*v_i
+    modulo I^2, each relation expanded through every hom-basis element into
+    constraint rows, one polynomial normal form per (t, i, b)."""
+    n = ideal.ambient_n
+    graded_gens, N = _minimal_generator_space(ideal)
+    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+    gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+    hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    k = len(hom_basis)
+    hom_values = [[Polynomial(n, {b: c for (b, i2), c in phi.items() if i2 == i})
+                   for i in range(len(gens))] for phi in hom_basis]
+    square = square_of(ideal)
+    by_degree: dict = {}
+    for m in ideal.standard_monomials():
+        by_degree.setdefault(sum(m), []).append(m)
+    n2_count = 0
+    images: dict = {}
+    constraint_rank = KernelEchelon()
+    top = N + max(gen_degrees) - 1 + extra_syzygy_degrees
+    for d in range(min(gen_degrees) + 1, top + 1):
+        pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
+        relations = nullspace_tags(
+            (square.coordinates(Polynomial.monomial(b) * gens[i]), (i, b)) for i, b in pairs)
+        n2_count += len(relations)
+        for relation in relations:
+            rows: dict = {}
+            for t in range(k):
+                total: dict = {}
+                for (i, b), coeff in relation.items():
+                    if not hom_values[t][i].is_zero():
+                        if (t, i, b) not in images:
+                            images[(t, i, b)] = ideal.coordinates(
+                                Polynomial.monomial(b) * hom_values[t][i])
+                        for m, c in images[(t, i, b)].items():
+                            total[m] = total.get(m, 0) + c * coeff
+                for m, c in total.items():
+                    if c:
+                        rows.setdefault(m, {})[t] = c
+            for row in rows.values():
+                constraint_rank.add(row)
+    return k - constraint_rank.rank, n2_count
+
+
+def generator_space_multiplicities(ideal: Ideal) -> dict[Partition, int]:
+    """Multiplicities of the irreducibles in the minimal generator space N1,
+    from class-representative traces on each degree piece."""
+    n = ideal.ambient_n
+    graded_gens, _ = _minimal_generator_space(ideal)
+    traces = {}
+    for mu in partitions_of(n):
+        sigma = Permutation.from_cycle_type(mu)
+        trace = Fraction(0)
+        for gs in graded_gens.values():
+            rows = [g.terms for g in gs]
+            for i, g in enumerate(gs):
+                trace += solve_in_span(rows, apply_permutation(sigma, g).terms)[i]
+        traces[mu] = trace
+    mult = {}
+    for lam in partitions_of(n):
+        value = sum(conjugacy_class_size(mu) * irreducible_character(lam, mu) * traces[mu]
+                    for mu in traces) / factorial(n)
+        assert value.denominator == 1 and value >= 0
+        if value:
+            mult[lam] = int(value)
+    return mult
 
 
 class TestIsSymmetric:
@@ -136,6 +253,17 @@ class TestMinimalGenerators:
         flat = [g for gs in graded.values() for g in gs]
         assert Ideal(4, flat) == case.ideal
 
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+    def test_tanisaki_generators_match_the_full_degree_loop(self, parts):
+        ideal = tanisaki_point(parts)
+        assert _minimal_generator_space(ideal) == generator_space_oracle(ideal)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_row_generators_match_the_full_degree_loop(self, n):
+        for case in homogeneous_rows(n):
+            assert (_minimal_generator_space(case.ideal)
+                    == generator_space_oracle(case.ideal)), case.describe()
+
 
 class TestTangentDimension:
     def test_rejects_bad_inputs(self):
@@ -178,10 +306,17 @@ class TestTangentDimension:
         second = tangent_dimension(tanisaki_ideal(lam))
         assert first.details == second.details
         assert set(first.details) == {"products", "images", "constraint_rows"}
-        k, gens = first.equivariant_hom_dim, sum(first.n1_dims.values())
-        colength = first.ideal.colength()
-        assert 0 < first.details["images"] <= k * gens * colength
-        assert first.details["products"] > 0
+        k = first.equivariant_hom_dim
+        # products: one elimination row per b*v_i up to degree N + 1;
+        # images: the monomial normal forms NF_I(b*m), b and m standard
+        basis = first.ideal.standard_monomials()
+        N = len(first.ideal.hilbert_function())
+        first_degree = min(first.n1_dims) + 1
+        assert first.details["products"] == sum(
+            count for e, count in first.n1_dims.items() for b in basis
+            if first_degree <= sum(b) + e <= N + 1)
+        products = {tuple(x + y for x, y in zip(b, m)) for b in basis for m in basis}
+        assert 0 < first.details["images"] <= sum(sum(m) < N for m in products)
         assert first.details["constraint_rows"] >= k - first.tangent_dim
 
     def test_report_serialization(self):
@@ -191,3 +326,82 @@ class TestTangentDimension:
                                "syzygy_degree_bound", "tangent_dim", "wall_time_s"}
         assert record["tangent_dim"] == report.tangent_dim
         assert report.n1_dims == {2: 6}
+
+
+class TestRelationStep:
+    """The augmented elimination against the tagged relation loop, and the
+    Hilbert-function relation count against nullspaces."""
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + SHAPES_OF_SIX)
+    def test_tanisaki_points_match_the_tagged_loop(self, parts):
+        ideal = tanisaki_point(parts)
+        report = tangent_dimension(ideal)
+        assert (report.tangent_dim, report.n2_count) == relation_step_oracle(ideal)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_match_the_tagged_loop(self, n):
+        for case in homogeneous_rows(n):
+            report = tangent_dimension(case.ideal)
+            assert ((report.tangent_dim, report.n2_count)
+                    == relation_step_oracle(case.ideal)), case.describe()
+
+    def test_longer_scan_matches_the_tagged_loop(self):
+        ideal = tanisaki_point((2, 2, 1))
+        report = tangent_dimension(ideal, extra_syzygy_degrees=2)
+        assert (report.tangent_dim, report.n2_count) == relation_step_oracle(ideal, 2)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (3, 1, 1),
+                                       (2, 2, 1), (2, 1, 1, 1), (4, 2)])
+    def test_hilbert_function_count_is_the_nullspace_count(self, parts):
+        # in every degree up to N + top generator degree - 1, past the cut
+        # at N + 1 where the elimination stops
+        ideal = tanisaki_point(parts)
+        graded_gens, N = _minimal_generator_space(ideal)
+        gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+        gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+        top = N + max(gen_degrees) - 1
+        assert top > N + 1
+        square = square_of(ideal)
+        hf, square_hf = ideal.hilbert_function(), square.hilbert_function()
+        by_degree: dict = {}
+        for m in ideal.standard_monomials():
+            by_degree.setdefault(sum(m), []).append(m)
+        total = 0
+        for d in range(min(gen_degrees) + 1, top + 1):
+            pairs = [(i, b) for i, e in enumerate(gen_degrees) for b in by_degree.get(d - e, [])]
+            nullity = len(nullspace_tags(
+                (square.coordinates(Polynomial.monomial(b) * gens[i]), None) for i, b in pairs))
+            hf_d = hf[d] if d < len(hf) else 0
+            square_hf_d = square_hf[d] if d < len(square_hf) else 0
+            assert nullity == len(pairs) - (square_hf_d - hf_d), d
+            total += nullity
+        assert tangent_dimension(ideal).n2_count == total
+
+    def test_count_mismatch_exits_3(self, monkeypatch, capsys):
+        import symideal.equivariant as equivariant
+        from symideal.cli import run
+
+        class MiscountedSquare(Ideal):
+            def standard_monomials(self, *args):
+                std = super().standard_monomials(*args)
+                return std + [m for m in std if sum(m) == 2]  # degree 2 counted twice
+
+        monkeypatch.setattr(equivariant, "Ideal", MiscountedSquare)
+        with pytest.raises(SystemExit) as info:
+            run(["tangent", "--n", "3", "--tanisaki", "2,1"])
+        assert info.value.code == 3
+        assert capsys.readouterr().err == ("symideal tangent: internal invariant broken: "
+                                           "relation count mismatch in degree 2\n")
+
+
+@pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+def test_hom_dimension_is_the_schur_pairing(parts):
+    # dim Hom_{S_n}(N1, R/I) = sum over mu of m_mu(N1) * m_mu(R/I)
+    ideal = tanisaki_point(parts)
+    graded_gens, _ = _minimal_generator_space(ideal)
+    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+    gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+    quotient = decompose_quotient(ideal).as_dict()
+    pairing = sum(m * quotient.get(mu, 0)
+                  for mu, m in generator_space_multiplicities(ideal).items())
+    assert len(_hom_basis_equivariant(ideal, gens, gen_degrees)) == pairing

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twenty-five JSON reports.
+"""Pinned SHA-256 digests of twenty-six JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -59,6 +59,8 @@ PINNED = {
         "e5c162388fe9d0f659e7697a998ac659f156e1ff7055b2f8e2942d1682276dfd",
     "tangent --n 6 --tanisaki 3,3":
         "97ad51b52cd3bcc0602f7bd9c58c6963c0bb742d783cd208b0ff0643df1f7d67",
+    "tangent --n 6 --tanisaki 4,1,1":
+        "490d8a7a118da0eff6958b344c073085712c02b6faed3831253d584deb9ddd86",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
     "specht --n 5 --lambda 2,2,1":
