@@ -5,7 +5,7 @@ pivots on its largest column.  The quotient coordinates of
 ``Ideal.coordinates`` are int columns that sort in the monomial order, so
 rows of normal forms pivot on their leading monomials.  Elimination is
 fraction-free: a step replaces r by the positive multiple (p[c]*r - r[c]*p),
-so the content is removed once per add (mid-way only past ``STRIP_BITS``).
+so the content is removed once per add, after the last step.
 Rational input is cleared to integers on entry; rational answers are
 reconstructed from the tracked tags on the way out.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-STRIP_BITS = 512  # leading-entry size past which a row's content is stripped mid-way
 
 
 class KernelEchelon:
@@ -48,20 +46,12 @@ class KernelEchelon:
         row = {k: v.numerator * (lcm // v.denominator) for k, v in row.items() if v}
         tags = {} if tag is None else {tag: lcm}
         pivots = self.pivots
-        reduced = False  # a reduction step ran since the last content strip
-        while True:
-            col = max(row, default=None)
+        reduced = False  # a reduction step ran
+        while row:
+            col = max(row)
             entry = pivots.get(col)
-            if reduced and (entry is None or abs(row[col]).bit_length() > STRIP_BITS):
-                g = gcd(*row.values(), *tags.values())
-                if g > 1:
-                    row = {k: v // g for k, v in row.items()}
-                    tags = {k: v // g for k, v in tags.items()}
-            if not row:
-                return tags
             if entry is None:
-                pivots[col] = (row, tags)
-                return None
+                break
             # row and tags are this call's own dicts: r <- ca*r - cb*p in place
             pivot, pivot_tags = entry
             a, b = pivot[col], row[col]
@@ -83,6 +73,16 @@ class KernelEchelon:
                 else:
                     del tags[k]
             reduced = True
+        # steps scale by positive factors: one strip equals one per step
+        if reduced:
+            g = gcd(*row.values(), *tags.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
+                tags = {k: v // g for k, v in tags.items()}
+        if not row:
+            return tags
+        pivots[col] = (row, tags)
+        return None
 
 
 def nullspace_tags(vectors) -> list[dict]:

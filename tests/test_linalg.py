@@ -134,14 +134,8 @@ def test_solve_in_span_fractional():
 ENTRIES = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
 
 
-# entries past 2**600, so that a reduced leading entry passes STRIP_BITS
-BIG_ENTRIES = st.one_of(ENTRIES, st.builds(lambda a, b, c: (a * 2 ** 600 + b) * c,
-                                           st.integers(-3, 3).filter(bool),
-                                           st.integers(-9, 9), st.sampled_from([1, 2, 6])))
-
-
 @st.composite
-def tagged_sequences(draw, cols=5, entries=ENTRIES):
+def tagged_sequences(draw, cols=5):
     """Rows mixing int and Fraction entries, zeros included, each tagged or
     not; some repeat or rescale an earlier row, so that duplicates, negated
     pivots and contents above one occur."""
@@ -152,7 +146,7 @@ def tagged_sequences(draw, cols=5, entries=ENTRIES):
             factor = draw(st.sampled_from([1, -1, 2, -3, 6, Fraction(4, 3), Fraction(-1, 2)]))
             row = {c: v * factor for c, v in earlier.items()}
         else:
-            row = draw(st.dictionaries(st.integers(0, cols - 1), entries, max_size=cols))
+            row = draw(st.dictionaries(st.integers(0, cols - 1), ENTRIES, max_size=cols))
         out.append((row, draw(st.sampled_from([None, i]))))
     return out
 
@@ -160,17 +154,6 @@ def tagged_sequences(draw, cols=5, entries=ENTRIES):
 @settings(max_examples=200, deadline=None)
 @given(tagged_sequences())
 def test_add_matches_the_oracle(sequence):
-    tracker, oracle = KernelEchelon(), KernelEchelonOracle()
-    for row, tag in sequence:
-        assert tracker.add(dict(row), tag) == oracle.add(dict(row), tag)
-        assert tracker.pivots == oracle.pivots
-
-
-@settings(max_examples=200, deadline=None)
-@given(tagged_sequences(entries=BIG_ENTRIES))
-def test_add_matches_the_oracle_past_the_strip_bits(sequence):
-    # the content is stripped mid-way and once at the end, and the pivots
-    # and relations are still those of a strip after every step
     tracker, oracle = KernelEchelon(), KernelEchelonOracle()
     for row, tag in sequence:
         assert tracker.add(dict(row), tag) == oracle.add(dict(row), tag)
