@@ -2,8 +2,9 @@
 
 The tangent computation follows the presentation route: pick a minimal
 graded stable generating space of the ideal, span the relations among
-those generators, and intersect the relation constraints with the
-equivariance constraints on module homomorphisms into the quotient.
+those generators, and impose the relation constraints on the equivariant
+module homomorphisms into the quotient, found through Young-fixed module
+generators of the generating space (Frobenius reciprocity).
 
 All linear algebra is arranged to scale with the colength rather than
 with ambient degree pieces: generator complements come from integrating
@@ -23,9 +24,9 @@ from math import factorial
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        conjugacy_class_size, irreducible_character,
-                       kostka_number, partitions_of)
+                       kostka_number, multinomial, partitions_of)
 from .ideals import DEGREVLEX, Ideal
-from .linalg import KernelEchelon, nullspace_tags, solve_in_span
+from .linalg import KernelEchelon, nullspace_tags
 from .poly import (Monomial, Polynomial, apolar_complement, apply_permutation,
                    integrate_duals, linear_combination, permute_monomial)
 
@@ -54,8 +55,10 @@ def is_symmetric(ideal: Ideal) -> bool:
 
 
 def _action(ideal: Ideal, sigma: Permutation) -> list[dict[int, Fraction]]:
-    """The quotient coordinates of sigma(m) for each standard monomial m."""
-    return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
+    """The quotient coordinates of sigma(m) for each standard monomial m,
+    integral ones as ints for cheaper arithmetic."""
+    return [{k: v.numerator if v.denominator == 1 else v for k, v in
+             ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m))).items()}
             for m in ideal.standard_monomials()]
 
 
@@ -141,7 +144,8 @@ class TangentReport:
 
     ``details`` holds deterministic work counts of the relation step:
     ``products`` b*v_i reduced modulo the square of the ideal, distinct
-    monomial ``images`` reduced modulo the ideal, and ``constraint_rows``.
+    monomial ``images`` reduced modulo the ideal, and ``constraint_rows``;
+    and ``hom_unknowns`` solved for by the hom step.  None is in ``to_json``.
     """
 
     ideal: Ideal
@@ -204,51 +208,114 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     return generators, N
 
 
+def _combine(terms) -> dict:
+    """The sum of c*vector over (c, vector) pairs, as a sparse vector."""
+    out: dict = {}
+    for c, vector in terms:
+        for key, v in vector.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
+    """Basis of the vectors fixed by the Young subgroup whose blocks the
+    word labels, given the columns of the adjacent transpositions."""
+    inside = [a for a in range(len(word) - 1) if word[a] == word[a + 1]]
+
+    def column(p) -> dict:  # (s_a - 1) applied to the unit vector at p
+        col = {(a, row): c for a in inside for row, c in actions[a][p].items()}
+        for a in inside:
+            col[(a, p)] = col.get((a, p), 0) - 1
+        return col
+
+    return nullspace_tags((column(p), p) for p in keys)
+
+
+def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]:
+    """sigma*vector for one sigma per coset of the Young subgroup fixing it,
+    keyed by the relabelled word, each one swap away from an earlier one."""
+    images, queue = {word: vector}, [word]
+    for w in queue:
+        for a in range(len(w) - 1):
+            swapped = w[:a] + (w[a + 1], w[a]) + w[a + 2:]
+            if swapped not in images:
+                images[swapped] = _combine((c, actions[a][p]) for p, c in images[w].items())
+                queue.append(swapped)
+    return images
+
+
+class _HomBasis(list):
+    unknowns = 0  # the number of unknowns solved for
+
+
 def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                            gen_degrees: list[int]) -> list[dict]:
     """Basis of the equivariant linear maps from the generator space into
-    the quotient, as dicts {(basis_monomial, generator_index): coeff}."""
+    the quotient, as dicts {(basis_monomial, generator_index): coeff}.
+
+    Per degree piece, by Frobenius reciprocity (Hom_{S_n}(M^mu, W) = W^{S_mu}):
+    module generators v_j fixed by Young subgroups S_{mu_j}, with mu scanned
+    down from (n); unknowns phi(v_j) in (R/I)^{S_{mu_j}}; one constraint per
+    relation among the coset images sigma*v_j; phi(sigma*v_j) = sigma*phi(v_j).
+    """
     n = ideal.ambient_n
-    basis = ideal.standard_monomials()
-    sigmas = group_generators(n)
+    monomial_of = {DEGREVLEX.key(m): m for m in ideal.standard_monomials()}
+    swaps = [Permutation.transposition(a, a + 1, n) for a in range(1, n)]
+    quotient_action = [dict(zip(monomial_of, _action(ideal, s))) for s in swaps]
+    quotient_fixed: dict[tuple, list[dict]] = {}
+    out = _HomBasis()
+    for d in sorted(set(gen_degrees)):
+        indices = [i for i, e in enumerate(gen_degrees) if e == d]
+        size = len(indices)
+        echelon = KernelEchelon()  # gives each permuted generator in their basis
+        for pos, i in enumerate(indices):
+            echelon.add(gens[i].terms, pos)
+        permuted = [[echelon.add(apply_permutation(s, gens[i]).terms, "image") for i in indices]
+                    for s in swaps]
+        if any(None in columns for columns in permuted):
+            raise ArithmeticError("generator space is not permutation-stable")
+        actions = [[{pos: Fraction(c, -r["image"]) for pos, c in r.items() if pos != "image"}
+                    for r in columns] for columns in permuted]
 
-    rho_action = [_action(ideal, sigma) for sigma in sigmas]
+        # keep an S_mu-fixed v_j if it enlarges the submodule spanned so far
+        span, relations, fixed = KernelEchelon(), [], []  # fixed[j][t]: images by word
+        for mu in sorted(partitions_of(n), key=multinomial):  # refines dominance
+            if span.rank == size:
+                break
+            word = tuple(b for b, part in enumerate(mu.parts) for _ in range(part))
+            for v in _fixed_vectors(actions, range(size), word):
+                j = len(fixed)
+                if span.add(v, (j, word)) is None:
+                    images = _coset_images(v, word, actions)
+                    relations += [r for r in (span.add(x, (j, w))
+                                              for w, x in list(images.items())[1:])
+                                  if r is not None]
+                    if word not in quotient_fixed:  # a basis of (R/I)^{S_mu}
+                        quotient_fixed[word] = _fixed_vectors(quotient_action, monomial_of, word)
+                    fixed.append([_coset_images(f, word, quotient_action)
+                                  for f in quotient_fixed[word]])
+        unknowns = [(j, t) for j in range(len(fixed)) for t in range(len(fixed[j]))]
+        out.unknowns += len(unknowns)
+        expressions = [span.add({pos: 1}, "generator") for pos in range(size)]
+        scales = [-relation.pop("generator") for relation in expressions]
 
-    by_degree: dict[int, list[int]] = {}
-    for i, d in enumerate(gen_degrees):
-        by_degree.setdefault(d, []).append(i)
-    gen_action = []  # per sigma: {(j, i): c} meaning sigma(v_i) = sum_j c v_j
-    for sigma in sigmas:
-        matrix: dict[tuple[int, int], Fraction] = {}
-        for d, indices in by_degree.items():
-            rows = [gens[i].terms for i in indices]
-            for i in indices:
-                coeffs = solve_in_span(rows, apply_permutation(sigma, gens[i]).terms)
-                if coeffs is None:
-                    raise ArithmeticError("generator space is not permutation-stable")
-                for pos, c in enumerate(coeffs):
-                    if c:
-                        matrix[(indices[pos], i)] = c
-        gen_action.append(matrix)
+        def value(combination: dict, j: int, t: int) -> dict:
+            """Unknown (j, t) applied to a combination of coset images."""
+            return _combine((c, fixed[j][t][w]) for (i, w), c in combination.items() if i == j)
 
-    def equivariance_column(p: int, i: int) -> dict:
-        col: dict = {}
-        kb = DEGREVLEX.key(basis[p])
-        for s in range(len(sigmas)):
-            for row, c in rho_action[s][p].items():
-                key = (s, row, i)
-                col[key] = col.get(key, 0) + c
-            for (jj, i_prime), c in gen_action[s].items():
-                if jj == i:
-                    key = (s, kb, i_prime)
-                    col[key] = col.get(key, 0) - c
-        return col
-
-    return nullspace_tags((equivariance_column(p, i), (b, i))
-                          for i in range(len(gens)) for p, b in enumerate(basis))
+        for solution in nullspace_tags(({(r, key): v for r, relation in enumerate(relations)
+                                         for key, v in value(relation, *u).items()}, u)
+                                       for u in unknowns):
+            phi = {}
+            for pos, relation in enumerate(expressions):
+                image = _combine((a, value(relation, *u)) for u, a in solution.items())
+                phi.update({(monomial_of[key], indices[pos]): Fraction(v, scales[pos])
+                            for key, v in image.items()})
+            out.append(phi)
+    return out
 
 
-def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentReport:
+def tangent_dimension(ideal: Ideal) -> TangentReport:
     """Dimension of the equivariant module homomorphisms into the quotient.
 
     This is the Zariski tangent space of the invariant punctual Hilbert
@@ -298,12 +365,11 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
     n2_count = products = constraint_rows = 0
     normal_forms: dict[Monomial, dict[int, Fraction]] = {}  # NF_I(m), deg m < N
     constraint_rank = KernelEchelon()
-    top = syzygy_bound - 1 + extra_syzygy_degrees
-    for d in range(min(gen_degrees) + 1, top + 1):
+    for d in range(min(gen_degrees) + 1, syzygy_bound):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
         relations = len(pairs) - square_hf.get(d, 0) + len(by_degree.get(d, []))
         n2_count += relations
-        if d > N + 1 + extra_syzygy_degrees:
+        if d > N + 1:
             continue
         products += len(pairs)
         echelon = KernelEchelon()
@@ -339,5 +405,5 @@ def tangent_dimension(ideal: Ideal, extra_syzygy_degrees: int = 0) -> TangentRep
         equivariant_hom_dim=k,
         wall_time_s=time.monotonic() - start,
         details={"products": products, "images": len(normal_forms),
-                 "constraint_rows": constraint_rows},
+                 "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns},
     )

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twenty-six JSON reports.
+"""Pinned SHA-256 digests of twenty-eight JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -61,6 +61,10 @@ PINNED = {
         "97ad51b52cd3bcc0602f7bd9c58c6963c0bb742d783cd208b0ff0643df1f7d67",
     "tangent --n 6 --tanisaki 4,1,1":
         "490d8a7a118da0eff6958b344c073085712c02b6faed3831253d584deb9ddd86",
+    "tangent --n 6 --tanisaki 3,2,1":
+        "15c9e57aa6a3629ccf81322aac579ecf276a08d4914f1248fb95e60bc60db05c",
+    "tangent --n 6 --tanisaki 2,2,2":
+        "74e7d3ecc0659fdfe71e8152bf9e89f709c91be9cb290d7fb16501d03f016354",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
     "specht --n 5 --lambda 2,2,1":
