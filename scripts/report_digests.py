@@ -6,10 +6,12 @@ The set is the ROADMAP "same behaviour" set: ``table1 --n 3..5 --seed
 of n = 3..5.  Then come ``specht --lambda`` and ``tanisaki --mode apolar``
 for the same partitions, the reports that print Specht, higher Specht and
 inverse-system polynomials as text, then ``tanisaki --mode apolar``
-for the eight shapes of 6 of colength <= 120, and last ``tangent
---tanisaki`` for every partition of n = 3..5 and eight shapes of 6.  Each
-report runs in-process through
-``cli.run`` with ``--format json``, and one line
+for the eight shapes of 6 of colength <= 120, then ``tangent
+--tanisaki`` for every partition of n = 3..5 and eight shapes of 6, and
+last ``decompose --tanisaki`` for every partition of n = 3..5 and ``gr``
+at three points, whose orbit ideals are the only non-homogeneous ideals
+in the set.  Each report runs in-process through ``cli.run`` with
+``--format json``, and one line
 ``sha256  command`` is printed per report, in a fixed order.  A change that
 claims the same outputs is checked by running this on both commits and
 comparing the two outputs:
@@ -34,6 +36,9 @@ from symideal.combinat import partitions_of
 N6_APOLAR_SHAPES = ("6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1")
 # the shapes of 6 whose tangent report takes under twenty seconds
 N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", "3,1,1,1")
+# orbit points: one of orbit type (3,1), a rational one with distinct
+# coordinates, and the free orbit at n = 5
+GR_POINTS = ((4, "3,-1,-1,-1"), (4, "1/2,-3,7,0"), (5, "1,2,3,4,5"))
 
 
 def commands() -> list[str]:
@@ -56,6 +61,11 @@ def commands() -> list[str]:
             out.append(f"tangent --n {n} --tanisaki {parts}")
     for parts in N6_TANGENT_SHAPES:
         out.append(f"tangent --n 6 --tanisaki {parts}")
+    for n in range(3, 6):
+        for lam in partitions_of(n):
+            parts = ",".join(str(p) for p in lam.parts)
+            out.append(f"decompose --n {n} --tanisaki {parts}")
+    out += [f"gr --n {n} --point {point}" for n, point in GR_POINTS]
     return out
 
 

@@ -22,8 +22,8 @@ from .ideals import (DEGLEX, DEGREVLEX, EliminationOrder, Ideal,
 from .poly import (Polynomial, apolar_pair, apply_permutation,
                    elementary_symmetric, parse_polynomial, power_sum,
                    reynolds)
-from .specht import (SpechtDatum, coinvariant_isotypic_basis,
-                     higher_specht, lemma_component, specht_ideal,
-                     specht_polynomial, vandermonde)
-from .tanisaki import (TanisakiSpec, inclusion_chain_check, tanisaki_ideal,
-                       tilde_ideal, two_row_presentation)
+from .specht import (coinvariant_isotypic_basis, higher_specht,
+                     lemma_component, specht_ideal, specht_polynomial,
+                     vandermonde)
+from .tanisaki import (inclusion_chain_check, tanisaki_ideal, tilde_ideal,
+                       two_row_presentation)

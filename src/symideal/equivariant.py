@@ -54,15 +54,13 @@ def is_symmetric(ideal: Ideal) -> bool:
     return ideal._symmetric
 
 
-def _action(ideal: Ideal, sigma: Permutation) -> list[dict[int, Fraction]]:
-    """The quotient coordinates of sigma(m) for each standard monomial m,
-    integral ones as ints for cheaper arithmetic."""
-    return [{k: v.numerator if v.denominator == 1 else v for k, v in
-             ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m))).items()}
+def _action(ideal: Ideal, sigma: Permutation) -> list[dict[int, int | Fraction]]:
+    """The quotient coordinates of sigma(m) for each standard monomial m."""
+    return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
             for m in ideal.standard_monomials()]
 
 
-def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDecomposition:
+def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
     """Multiplicities of the irreducibles in the quotient ring.
 
     One representative permutation per conjugacy class is traced on the
@@ -74,8 +72,6 @@ def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDeco
         raise ValueError("quotient must be finite-dimensional")
     if not is_symmetric(ideal):
         raise ValueError("ideal is not stable under variable permutations")
-    if graded is None:
-        graded = ideal.is_homogeneous()
 
     basis = ideal.standard_monomials()
     classes = partitions_of(n)
@@ -102,7 +98,7 @@ def decompose_quotient(ideal: Ideal, graded: bool | None = None) -> IsotypicDeco
             if value:
                 graded_mult[d][lam] = int(value)
                 mult[lam] = mult.get(lam, 0) + int(value)
-    return IsotypicDecomposition.from_dict(mult, graded_mult if graded else None)
+    return IsotypicDecomposition.from_dict(mult, graded_mult if ideal.is_homogeneous() else None)
 
 
 def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | None:

@@ -46,10 +46,10 @@ order, so ideal equality is decided by comparing them.
 
 An ``Ideal`` keeps one ``_Quotient`` record per order: the reduced basis,
 its packed leading exponents, the divisor memo of the reductions and the
-standard monomials, built together and replaced together.
+standard monomials, grown from 1, built together and replaced together.
 ``Ideal.coordinates(f)`` gives the normal form as {DEGREVLEX.key(m):
 coeff}, the coordinates of f in R/I on its standard monomials, with int
-columns that sort in the monomial order.
+columns that sort in the monomial order and int entries where integral.
 """
 
 from __future__ import annotations
@@ -440,35 +440,28 @@ class _Quotient:
 
     @cached_property
     def standard(self) -> list[Monomial] | None:
-        """Monomials outside the leading-term staircase; None when infinite."""
+        """Monomials outside the leading-term staircase; None when infinite.
+
+        The staircase is closed under division, so it grows from 1: each
+        standard monomial m is multiplied by x_i for every i from its last
+        nonzero variable on, which reaches each one exactly once.
+        """
         n = self.n
         lms = [self.order.unpack(g[0][0], n) for g in self.basis]
         if any(sum(m) == 0 for m in lms):
             return []
-        caps = []
-        for i in range(n):
-            pure = [m[i] for m in lms if sum(m) == m[i]]
-            if not pure:
-                return None
-            caps.append(min(pure))
+        if not all(any(sum(m) == m[i] for m in lms) for i in range(n)):
+            return None  # no pure power of x_i leads: the staircase is infinite
         guard = _masks(n)[0]
-        byteorder = self.order.byteorder
-        found: list[Monomial] = []
-        mono = [0] * n
-
-        def walk(i: int) -> None:
-            if i == n:
-                m = tuple(mono)
-                x = _pack(m, byteorder) | guard
-                if not any((x - a) & guard == guard for a in self.leads):
-                    found.append(m)
-                return
-            for e in range(caps[i]):
-                mono[i] = e
-                walk(i + 1)
-            mono[i] = 0
-
-        walk(0)
+        units = [_pack(tuple(int(i == j) for j in range(n)), self.order.byteorder)
+                 for i in range(n)]
+        grown = [(0, 0)]  # (packed exponents, index of the last nonzero variable)
+        for x, last in grown:
+            for i in range(last, n):
+                y = (x + units[i]) | guard
+                if not any((y - a) & guard == guard for a in self.leads):
+                    grown.append((y ^ guard, i))
+        found = [self.order.monomial(x, n) for x, _ in grown]
         found.sort(key=DEGREVLEX.key)
         return found
 
@@ -520,10 +513,12 @@ class Ideal:
         rem, mult = _normal_form(terms, q.basis, q.leads, order, n, q.divisors)
         return _to_poly(rem, order, n, den * mult)
 
-    def coordinates(self, f: Polynomial) -> dict[int, Fraction]:
+    def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The degrevlex normal form of f as {DEGREVLEX.key(m): coeff}: int
-        columns that sort in the monomial order and add under products."""
-        return {DEGREVLEX.key(m): c for m, c in self.normal_form(f).terms.items()}
+        columns that sort in the monomial order and add under products, and
+        integral entries as ints for cheaper arithmetic downstream."""
+        return {DEGREVLEX.key(m): c.numerator if c.denominator == 1 else c
+                for m, c in self.normal_form(f).terms.items()}
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

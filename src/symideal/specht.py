@@ -16,37 +16,6 @@ from .ideals import Ideal
 from .poly import Polynomial, apply_permutation, linear_combination, power_sum
 
 
-class SpechtDatum:
-    """A tableau pair of common shape with its polynomial built lazily.
-
-    The first tableau supplies the variables, the second (standard) one the
-    exponents; the resulting symmetrized polynomial is cached on first use.
-    """
-
-    __slots__ = ("filling", "exponent_source", "_polynomial")
-
-    def __init__(self, filling: Tableau, exponent_source: Tableau):
-        if filling.shape != exponent_source.shape:
-            raise ValueError("shapes differ")
-        if not exponent_source.is_standard():
-            raise ValueError("the exponent tableau must be standard")
-        self.filling = filling
-        self.exponent_source = exponent_source
-        self._polynomial: Polynomial | None = None
-
-    @property
-    def shape(self) -> Partition:
-        return self.filling.shape
-
-    def polynomial(self) -> "Polynomial":
-        if self._polynomial is None:
-            self._polynomial = higher_specht(self.filling, self.exponent_source)
-        return self._polynomial
-
-    def __repr__(self) -> str:
-        return f"SpechtDatum({self.filling!r}, {self.exponent_source!r})"
-
-
 def vandermonde(indices, n: int) -> Polynomial:
     """Product of (x_i - x_j) over index pairs in the given sequence order."""
     seq = [int(i) for i in indices]
@@ -176,108 +145,74 @@ def specht_ideal(lam: Partition) -> Ideal:
 # explicit isotypic spanning sets in degrees one to three
 
 
-def _distinct_index_family(n: int, k: int, builder) -> list[Polynomial]:
-    """Normalized span of builder(i1..ik) over distinct indices."""
-    seen: set[Polynomial] = set()
-    for combo in permutations(range(1, n + 1), k):
-        f = builder(*combo)
-        if not f.is_zero():
-            seen.add(f.monic())
-    return sorted(seen, key=str)
+def _family(k: int, f):
+    """The builder of the normalized span of f(p, x_i1, ..., x_ik) over
+    distinct indices, where p[r] is the power sum of degree r."""
+
+    def build(n: int) -> list[Polynomial]:
+        p = {r: power_sum(r, n) for r in (1, 2, 3)}
+        seen: set[Polynomial] = set()
+        for combo in permutations(range(1, n + 1), k):
+            g = f(p, *(_x(i, n) for i in combo))
+            if not g.is_zero():
+                seen.add(g.monic())
+        return sorted(seen, key=str)
+
+    return build
 
 
 def _x(i: int, n: int) -> Polynomial:
     return Polynomial.variable(i, n)
 
 
-def _component_builders(n: int) -> dict[str, tuple[object, Partition]]:
-    """Tag -> (generator list builder, irreducible type)."""
-    p1 = power_sum(1, n)
-    p2 = power_sum(2, n)
-    p3 = power_sum(3, n)
-    triv = Partition([n])
-    std = Partition([n - 1, 1]) if n >= 2 else triv
-    builders: dict[str, tuple[object, Partition]] = {
-        "p1": (lambda: [p1], triv),
-        "xi-xj": (lambda: _distinct_index_family(n, 2, lambda i, j: _x(i, n) - _x(j, n)), std),
-        "p1^2": (lambda: [p1 * p1], triv),
-        "p2": (lambda: [p2], triv),
-        "p1(xi-xj)": (lambda: _distinct_index_family(n, 2, lambda i, j: p1 * (_x(i, n) - _x(j, n))), std),
-        "xi^2-xj^2": (lambda: _distinct_index_family(n, 2, lambda i, j: _x(i, n) ** 2 - _x(j, n) ** 2), std),
-        "p1^3": (lambda: [p1 ** 3], triv),
-        "p1p2": (lambda: [p1 * p2], triv),
-        "p3": (lambda: [p3], triv),
-        "p1^2(xi-xj)": (lambda: _distinct_index_family(n, 2, lambda i, j: p1 * p1 * (_x(i, n) - _x(j, n))), std),
-        "p2(xi-xj)": (lambda: _distinct_index_family(n, 2, lambda i, j: p2 * (_x(i, n) - _x(j, n))), std),
-        "p1(xi^2-xj^2)": (lambda: _distinct_index_family(n, 2, lambda i, j: p1 * (_x(i, n) ** 2 - _x(j, n) ** 2)), std),
-        "xi^3-xj^3": (lambda: _distinct_index_family(n, 2, lambda i, j: _x(i, n) ** 3 - _x(j, n) ** 3), std),
-    }
-    if n >= 4:
-        pair = Partition([n - 2, 2])
-        builders["(xi-xj)(xk-xl)"] = (
-            lambda: _distinct_index_family(
-                n, 4, lambda i, j, k, l: (_x(i, n) - _x(j, n)) * (_x(k, n) - _x(l, n))),
-            pair)
-        builders["p1(xi-xj)(xk-xl)"] = (
-            lambda: _distinct_index_family(
-                n, 4, lambda i, j, k, l: p1 * (_x(i, n) - _x(j, n)) * (_x(k, n) - _x(l, n))),
-            pair)
-        builders["(xi+xj+xk+xl)(xi-xj)(xk-xl)"] = (
-            lambda: _distinct_index_family(
-                n, 4,
-                lambda i, j, k, l: (_x(i, n) + _x(j, n) + _x(k, n) + _x(l, n))
-                * (_x(i, n) - _x(j, n)) * (_x(k, n) - _x(l, n))),
-            pair)
-    hook = Partition([n - 2, 1, 1]) if n >= 4 else Partition([1, 1, 1])
-    builders["(xi-xj)(xi-xk)(xj-xk)"] = (
-        lambda: _distinct_index_family(
-            n, 3,
-            lambda i, j, k: (_x(i, n) - _x(j, n)) * (_x(i, n) - _x(k, n)) * (_x(j, n) - _x(k, n))),
-        hook)
-    if n >= 6:
-        builders["(xi-xj)(xk-xl)(xs-xt)"] = (
-            lambda: _distinct_index_family(
-                n, 6,
-                lambda i, j, k, l, s, t: (_x(i, n) - _x(j, n)) * (_x(k, n) - _x(l, n))
-                * (_x(s, n) - _x(t, n))),
-            Partition([n - 3, 3]))
-    return builders
+# tag -> (degree, least n, type, builder) in tag order; the type is the
+# parts of the irreducible after its first, which is n minus their sum
+_COMPONENTS = {
+    "p1": (1, 3, (), _family(0, lambda p: p[1])),
+    "xi-xj": (1, 3, (1,), _family(2, lambda p, a, b: a - b)),
+    "p1^2": (2, 3, (), _family(0, lambda p: p[1] * p[1])),
+    "p2": (2, 3, (), _family(0, lambda p: p[2])),
+    "p1(xi-xj)": (2, 3, (1,), _family(2, lambda p, a, b: p[1] * (a - b))),
+    "xi^2-xj^2": (2, 3, (1,), _family(2, lambda p, a, b: a ** 2 - b ** 2)),
+    "(xi-xj)(xk-xl)": (2, 4, (2,), _family(4, lambda p, a, b, c, d: (a - b) * (c - d))),
+    "p1^3": (3, 3, (), _family(0, lambda p: p[1] ** 3)),
+    "p1p2": (3, 3, (), _family(0, lambda p: p[1] * p[2])),
+    "p3": (3, 3, (), _family(0, lambda p: p[3])),
+    "p1^2(xi-xj)": (3, 3, (1,), _family(2, lambda p, a, b: p[1] * p[1] * (a - b))),
+    "p2(xi-xj)": (3, 3, (1,), _family(2, lambda p, a, b: p[2] * (a - b))),
+    "p1(xi^2-xj^2)": (3, 3, (1,), _family(2, lambda p, a, b: p[1] * (a ** 2 - b ** 2))),
+    "xi^3-xj^3": (3, 4, (1,), _family(2, lambda p, a, b: a ** 3 - b ** 3)),
+    "p1(xi-xj)(xk-xl)": (3, 4, (2,),
+        _family(4, lambda p, a, b, c, d: p[1] * (a - b) * (c - d))),
+    "(xi+xj+xk+xl)(xi-xj)(xk-xl)": (3, 5, (2,),
+        _family(4, lambda p, a, b, c, d: (a + b + c + d) * (a - b) * (c - d))),
+    "(xi-xj)(xi-xk)(xj-xk)": (3, 3, (1, 1),
+        _family(3, lambda p, a, b, c: (a - b) * (a - c) * (b - c))),
+    "(xi-xj)(xk-xl)(xs-xt)": (3, 6, (3,),
+        _family(6, lambda p, a, b, c, d, e, f: (a - b) * (c - d) * (e - f))),
+}
 
 
 def degree_component_tags(d: int, n: int) -> list[str]:
     """Valid summand tags for the degree-d decomposition at this n."""
     if n < 3:
         raise ValueError("decompositions are tabulated for n >= 3")
-    if d == 1:
-        return ["p1", "xi-xj"]
-    if d == 2:
-        tags = ["p1^2", "p2", "p1(xi-xj)", "xi^2-xj^2"]
-        if n >= 4:
-            tags.append("(xi-xj)(xk-xl)")
-        return tags
-    if d == 3:
-        tags = ["p1^3", "p1p2", "p3", "p1^2(xi-xj)", "p2(xi-xj)", "p1(xi^2-xj^2)"]
-        if n >= 4:
-            tags.append("xi^3-xj^3")
-            tags.append("p1(xi-xj)(xk-xl)")
-        if n >= 5:
-            tags.append("(xi+xj+xk+xl)(xi-xj)(xk-xl)")
-        tags.append("(xi-xj)(xi-xk)(xj-xk)")
-        if n >= 6:
-            tags.append("(xi-xj)(xk-xl)(xs-xt)")
-        return tags
-    raise ValueError("decompositions are tabulated for degrees 1..3")
+    if d not in (1, 2, 3):
+        raise ValueError("decompositions are tabulated for degrees 1..3")
+    return [tag for tag, (degree, least, _, _) in _COMPONENTS.items()
+            if degree == d and n >= least]
 
 
 def lemma_component(d: int, n: int, tag: str) -> list[Polynomial]:
     """Spanning set of one named direct summand of the degree-d piece."""
     if tag not in degree_component_tags(d, n):
         raise ValueError(f"tag {tag!r} is not a summand for degree {d} at n={n}")
-    builders = _component_builders(n)
-    build, _ = builders[tag]
-    return build()
+    return _COMPONENTS[tag][3](n)
 
 
 def component_type(tag: str, n: int) -> Partition:
     """The irreducible type a tagged summand carries."""
-    return _component_builders(n)[tag][1]
+    _, least, tail, _ = _COMPONENTS[tag]
+    if n < least:
+        raise ValueError(f"tag {tag!r} is not a summand at n={n}")
+    return Partition([n - sum(tail), *tail])

@@ -34,21 +34,6 @@ from .specht import distinct_specht_polynomials
 MODES = ("subset_elementary", "reduced", "apolar")
 
 
-@dataclass(frozen=True)
-class TanisakiSpec:
-    """A partition together with a chosen generator construction."""
-
-    lam: Partition
-    generator_mode: str = "subset_elementary"
-
-    def __post_init__(self) -> None:
-        if self.generator_mode not in MODES:
-            raise ValueError(f"unknown mode {self.generator_mode!r}; choose from {MODES}")
-
-    def build(self) -> "Ideal":
-        return tanisaki_ideal(self.lam, self.generator_mode)
-
-
 def _subset_elementary_generators(lam: Partition) -> list[Polynomial]:
     n = lam.n
     gens = []

@@ -1,19 +1,22 @@
 import heapq
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symideal.combinat import Partition, Permutation
+from symideal.classification import classification_cases
+from symideal.combinat import Partition, Permutation, partitions_of
 from symideal.ideals import (DEGLEX, DEGREVLEX, LIMIT, W, EliminationOrder,
                              Ideal, _buchberger, _engine_terms, _lead, _masks,
-                             _normal_form, _normalize, _packed_lcm, _spoly,
-                             _support, _to_engine, maximal_power, orbit_ideal,
-                             orbit_points, point_ideal)
-from symideal.poly import Polynomial, apply_permutation, power_sum
+                             _normal_form, _normalize, _pack, _packed_lcm,
+                             _spoly, _support, _to_engine, maximal_power,
+                             orbit_ideal, orbit_points, point_ideal)
+from symideal.poly import Polynomial, apply_permutation, degree_monomials, power_sum
+from symideal.tanisaki import tanisaki_ideal
 
 
 def x(i, n):
@@ -105,6 +108,20 @@ class TestNormalForm:
         # the int columns sort as the monomials do: the largest is the leading one
         assert max(coords) == DEGREVLEX.key(nf.leading_monomial())
         assert ideal.coordinates(power_sum(2, n) * x(1, n)) == {}
+
+    def test_coordinates_are_ints_exactly_where_integral(self):
+        n = 3
+        ideal = orbit_ideal((Fraction(1, 2), 0, 3))
+        kinds = set()
+        for d in range(5):
+            for m in degree_monomials(n, d):
+                f = Polynomial.monomial(m)
+                coords = ideal.coordinates(f)
+                assert coords == {DEGREVLEX.key(k): c for k, c in ideal.normal_form(f).terms.items()}
+                for c in coords.values():
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
+                    kinds.add(type(c))
+        assert kinds == {int, Fraction}
 
 
 def polynomials(n, max_degree, min_terms=0, max_terms=3):
@@ -205,6 +222,78 @@ class TestColength:
         gens = [power_sum(j, n) - Fraction(power_sum(j, n).evaluate(point))
                 for j in range(1, n + 1)]
         assert Ideal(n, gens).colength() == factorial(n)
+
+
+def standard_monomials_oracle(ideal, order=DEGREVLEX):
+    """The walk that the growth from 1 replaced: every monomial of the box
+    below the pure-power caps, kept when no leading monomial divides it."""
+    q = ideal._quotient(order)
+    n = q.n
+    lms = [order.unpack(g[0][0], n) for g in q.basis]
+    if any(sum(m) == 0 for m in lms):
+        return []
+    caps = []
+    for i in range(n):
+        pure = [m[i] for m in lms if sum(m) == m[i]]
+        if not pure:
+            return None
+        caps.append(min(pure))
+    guard = _masks(n)[0]
+    found = []
+    for m in product(*(range(c) for c in caps)):
+        x = _pack(m, order.byteorder) | guard
+        if not any((x - a) & guard == guard for a in q.leads):
+            found.append(m)
+    found.sort(key=DEGREVLEX.key)
+    return found
+
+
+def square(ideal):
+    """I^2 from the reduced basis, as the tangent computation builds it."""
+    gb = ideal.groebner_basis()
+    return Ideal(ideal.ambient_n, [a * b for i, a in enumerate(gb) for b in gb[i:]])
+
+
+def assert_grown_as_walked(ideal, order=DEGREVLEX):
+    grown = ideal.standard_monomials(order)
+    assert grown is not None and grown == standard_monomials_oracle(ideal, order)
+
+
+class TestStandardMonomialsOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tanisaki_ideals_and_squares(self, n):
+        for lam in partitions_of(n):
+            ideal = tanisaki_ideal(lam)
+            assert_grown_as_walked(ideal)
+            assert_grown_as_walked(square(ideal))
+
+    @pytest.mark.parametrize("parts", [(5, 1), (4, 2), (3, 3), (4, 1, 1)])
+    def test_tangent_shapes_of_six_and_squares(self, parts):
+        ideal = tanisaki_ideal(Partition(list(parts)))
+        assert_grown_as_walked(ideal)
+        assert_grown_as_walked(square(ideal))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_catalog_rows_and_squares(self, n):
+        for case in classification_cases(n):
+            assert_grown_as_walked(case.ideal)
+            assert_grown_as_walked(square(case.ideal))
+
+    @pytest.mark.parametrize("point", [(0, 1, 2), (1, 1, -2), (Fraction(1, 2), 3, 3),
+                                       (3, -1, -1, -1), (Fraction(1, 2), -3, 7, 0),
+                                       (1, 1, 2, 2)])
+    @pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX], ids=str)
+    def test_orbit_ideals(self, point, order):
+        assert_grown_as_walked(orbit_ideal(point), order)
+
+    def test_unit_ideal_has_no_standard_monomials(self):
+        ideal = Ideal(2, [x(1, 2) + Polynomial.one(2), x(1, 2)])
+        assert ideal.standard_monomials() == standard_monomials_oracle(ideal) == []
+
+    def test_no_pure_power_of_a_variable_is_infinite(self):
+        n = 3  # nothing leads with a power of x2
+        ideal = Ideal(n, [x(1, n) ** 2, x(2, n) * x(3, n), x(3, n) ** 4])
+        assert ideal.standard_monomials() is standard_monomials_oracle(ideal) is None
 
 
 class TestHilbertFunction:

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of twenty-eight JSON reports.
+"""Pinned SHA-256 digests of thirty JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -65,6 +65,10 @@ PINNED = {
         "15c9e57aa6a3629ccf81322aac579ecf276a08d4914f1248fb95e60bc60db05c",
     "tangent --n 6 --tanisaki 2,2,2":
         "74e7d3ecc0659fdfe71e8152bf9e89f709c91be9cb290d7fb16501d03f016354",
+    "gr --n 4 --point 3,-1,-1,-1":
+        "b6cf432ed87427035a24b8afc78b15f3fa0c77cf6d621a1d7b6df33a0ec865be",
+    "gr --n 5 --point 1,2,3,4,5":
+        "005188076c58e0dfd07280eb2f4a436f0fa5d8234605ce5496aac4f408cb8ccb",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
     "specht --n 5 --lambda 2,2,1":

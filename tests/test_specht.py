@@ -11,7 +11,7 @@ from symideal.combinat import (Partition, Permutation, Tableau, d_min, index,
 from symideal.ideals import Ideal
 from symideal.linalg import KernelEchelon
 from symideal.poly import Polynomial, apolar_scalar, apply_permutation, power_sum
-from symideal.specht import (SpechtDatum, _column_group, _row_group,
+from symideal.specht import (_column_group, _row_group,
                              coinvariant_isotypic_basis, component_type,
                              degree_component_tags,
                              distinct_specht_polynomials, higher_specht,
@@ -135,6 +135,8 @@ class TestHigherSpecht:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             higher_specht(Tableau([[1, 2], [3]]), Tableau([[1, 2, 3]]))
+        with pytest.raises(ValueError, match="must be standard"):
+            higher_specht(Tableau([[1, 2], [3]]), Tableau([[2, 3], [1]]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_minimal_index_tableau_gives_specht(self, n):
@@ -213,22 +215,6 @@ class TestHigherSpechtOracle:
                 t = rng.choice(all_tableaux(lam))
                 s = rng.choice(tabs)
                 assert_same_polynomial(higher_specht(t, s), higher_specht_oracle(t, s))
-
-
-class TestSpechtDatum:
-    def test_caches_the_polynomial(self):
-        tabs = standard_tableaux(Partition([2, 1]))
-        datum = SpechtDatum(tabs[0], tabs[1])
-        first = datum.polynomial()
-        assert first == higher_specht(tabs[0], tabs[1])
-        assert datum.polynomial() is first
-        assert datum.shape == Partition([2, 1])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpechtDatum(Tableau([[1, 2], [3]]), Tableau([[1, 2, 3]]))
-        with pytest.raises(ValueError):
-            SpechtDatum(Tableau([[1, 2], [3]]), Tableau([[2, 3], [1]]))
 
 
 class TestCoinvariantBasis:
@@ -333,6 +319,14 @@ class TestLowDegreeComponents:
             lemma_component(3, 5, "(xi-xj)(xk-xl)(xs-xt)")
         with pytest.raises(ValueError):
             lemma_component(4, 5, "p1")
+
+    def test_component_type_rejects_a_tag_below_its_least_n(self):
+        assert "xi^3-xj^3" not in degree_component_tags(3, 3)
+        with pytest.raises(ValueError, match="not a summand at n=3"):
+            component_type("xi^3-xj^3", 3)
+        assert component_type("xi^3-xj^3", 4) == Partition([3, 1])
+        with pytest.raises(KeyError):
+            component_type("p4", 5)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_no_occurrence_below_minimal_degree(self, n):

@@ -14,7 +14,7 @@ from symideal.linalg import KernelEchelon
 from symideal.poly import (Polynomial, apolar_pair, degree_monomials, derivative,
                            power_sum)
 from symideal.specht import distinct_specht_polynomials
-from symideal.tanisaki import (MODES, TanisakiSpec, inclusion_chain_check,
+from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
                                tilde_ideal, two_row_presentation,
                                _dual_layers, _subset_elementary_generators)
@@ -135,12 +135,6 @@ class TestConstruction:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tanisaki_ideal(Partition([2, 1]), "nonsense")
-        with pytest.raises(ValueError):
-            TanisakiSpec(Partition([2, 1]), "nonsense")
-
-    def test_spec_builder(self):
-        spec = TanisakiSpec(Partition([2, 1]), "apolar")
-        assert spec.build() == tanisaki_ideal(Partition([2, 1]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mode_agreement_small(self, n):
