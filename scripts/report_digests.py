@@ -9,7 +9,7 @@ inverse-system polynomials as text, then ``tanisaki --mode apolar``
 for the eight shapes of 6 of colength <= 120, then ``tangent
 --tanisaki`` for every partition of n = 3..5 and eight shapes of 6, and
 last ``decompose --tanisaki`` for every partition of n = 3..5 and ``gr``
-at three points, whose orbit ideals are the only non-homogeneous ideals
+at four points, whose orbit ideals are the only non-homogeneous ideals
 in the set.  Each report runs in-process through ``cli.run`` with
 ``--format json``, and one line
 ``sha256  command`` is printed per report, in a fixed order.  A change that
@@ -37,8 +37,10 @@ N6_APOLAR_SHAPES = ("6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,
 # the shapes of 6 whose tangent report takes under twenty seconds
 N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", "3,1,1,1")
 # orbit points: one of orbit type (3,1), a rational one with distinct
-# coordinates, and the free orbit at n = 5
-GR_POINTS = ((4, "3,-1,-1,-1"), (4, "1/2,-3,7,0"), (5, "1,2,3,4,5"))
+# coordinates, the free orbit at n = 5 and one of orbit type (2,2,1,1),
+# 180 points, whose orbit ideal is eight levels of intersections deep
+GR_POINTS = ((4, "3,-1,-1,-1"), (4, "1/2,-3,7,0"), (5, "1,2,3,4,5"),
+             (6, "1,1,2,2,3,-9"))
 
 
 def commands() -> list[str]:

@@ -17,8 +17,7 @@ from .combinat import index as tableau_index
 from .equivariant import (TangentReport, decompose_quotient,
                           is_permutation_module_sum, is_symmetric,
                           tangent_dimension)
-from .ideals import (DEGLEX, DEGREVLEX, EliminationOrder, Ideal,
-                     maximal_power, orbit_ideal)
+from .ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from .poly import (Polynomial, apolar_pair, apply_permutation,
                    elementary_symmetric, parse_polynomial, power_sum,
                    reynolds)

@@ -111,13 +111,16 @@ def _random_parameters(seed: int, count: int = 3) -> list[tuple[Fraction, Fracti
 
 
 def _ideal_from_args(args) -> Ideal:
-    """The ideal named by ``--gens``, ``--row`` or ``--tanisaki``."""
+    """The ideal named by ``--gens``, ``--row`` or ``--tanisaki``; argparse
+    lets at most one of them through."""
     n = args.n
-    if args.gens:
-        return Ideal(n, _parse_gens(args.gens, n))
     if args.row:
         param = None if args.param is None else _parse_param(args.param)
         return row_case(args.row, n, r=args.colength, param=param).ideal
+    if args.colength is not None or args.param is not None:
+        raise ValueError("--colength and --param apply only with --row")
+    if args.gens:
+        return Ideal(n, _parse_gens(args.gens, n))
     if args.tanisaki:
         return tanisaki_ideal(_parse_partition(args.tanisaki, n))
     raise ValueError("provide an ideal via --gens, --row, or --tanisaki")
@@ -384,11 +387,12 @@ def run(argv: list[str] | None = None) -> int:
     for verb in ("tangent", "decompose"):
         p = sub.add_parser(verb)
         common(p)
-        p.add_argument("--gens", default=None, help="semicolon-separated generators")
-        p.add_argument("--row", default=None, help="classification row label, e.g. 7a")
-        p.add_argument("--colength", type=int, default=None)
-        p.add_argument("--param", default=None, help="a:b for parameter rows")
-        p.add_argument("--tanisaki", default=None, help="partition, e.g. 2,1")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--gens", default=None, help="semicolon-separated generators")
+        source.add_argument("--row", default=None, help="classification row label, e.g. 7a")
+        source.add_argument("--tanisaki", default=None, help="partition, e.g. 2,1")
+        p.add_argument("--colength", type=int, default=None, help="with --row")
+        p.add_argument("--param", default=None, help="a:b for parameter rows, with --row")
 
     p = sub.add_parser("gr", help="orbit vanishing ideal and its associated graded")
     common(p)

@@ -1,6 +1,6 @@
 """Groebner-basis engine and zero-dimensional ideal toolkit.
 
-Monomials inside the engine are packed integers.  Every order's
+Monomials inside the engine are packed integers.  An order's
 ``key(m)`` is one Python int that increases strictly with the monomial
 while all exponents stay below 2**(W - 1), with W = 32 bits per exponent
 field, and that is additive: key(a*b) == key(a) + key(b).  An engine term
@@ -44,9 +44,10 @@ the normal strategy with Gebauer-Moeller elimination, which makes reduced
 bases deterministic.  Reduced Groebner bases are canonical for a fixed
 order, so ideal equality is decided by comparing them.
 
-An ``Ideal`` keeps one ``_Quotient`` record per order: the reduced basis,
-its packed leading exponents, the divisor memo of the reductions and the
-standard monomials, grown from 1, built together and replaced together.
+An ``Ideal`` works in degrevlex only and keeps one ``_Quotient`` record:
+the reduced basis, its packed leading exponents, the divisor memo of the
+reductions and the standard monomials, grown from 1, built together and
+replaced together.  The elimination order serves only ``Ideal.intersect``.
 ``Ideal.coordinates(f)`` gives the normal form as {DEGREVLEX.key(m):
 coeff}, the coordinates of f in R/I on its standard monomials, with int
 columns that sort in the monomial order and int entries where integral.
@@ -72,14 +73,13 @@ LIMIT = 1 << (W - 2)  # exponents entering the engine stay below this
 
 
 @lru_cache(maxsize=None)
-def _fields(n: int, byteorder: str) -> Struct:
-    """n unsigned W-bit fields; the first exponent sits in the low field
-    for ``"little"`` and in the high field for ``"big"``."""
-    return Struct(("<" if byteorder == "little" else ">") + f"{n}I")
+def _fields(n: int) -> Struct:
+    """n unsigned W-bit fields, the first exponent in the low field."""
+    return Struct(f"<{n}I")
 
 
-def _pack(m: Monomial, byteorder: str = "little") -> int:
-    return int.from_bytes(_fields(len(m), byteorder).pack(*m), byteorder)
+def _pack(m: Monomial) -> int:
+    return int.from_bytes(_fields(len(m)).pack(*m), "little")
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +108,6 @@ class MonomialOrder:
     monomial and additive over products."""
 
     name = "abstract"
-    byteorder = "little"  # field layout of ``exps``
 
     def key(self, m: Monomial) -> int:
         raise NotImplementedError
@@ -119,7 +118,7 @@ class MonomialOrder:
 
     def monomial(self, exps: int, n: int) -> Monomial:
         """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
-        return _fields(n, self.byteorder).unpack(exps.to_bytes(W // 8 * n, self.byteorder))
+        return _fields(n).unpack(exps.to_bytes(W // 8 * n, "little"))
 
     def unpack(self, key: int, n: int) -> Monomial:
         """The exponent tuple of the monomial with this key."""
@@ -141,49 +140,30 @@ class DegRevLex(MonomialOrder):
         return -key & ((1 << (W * n)) - 1)
 
 
-class DegLex(MonomialOrder):
-    """key = deg * B**n + sum(e_i * B**(n-i)), B = 2**W."""
-
-    name = "deglex"
-    byteorder = "big"
-
-    def key(self, m: Monomial) -> int:
-        return (sum(m) << (W * len(m))) + _pack(m, "big")
-
-    def exps(self, key: int, n: int) -> int:
-        return key & ((1 << (W * n)) - 1)
-
-
 class EliminationOrder(MonomialOrder):
-    """Block order making the last ``tail`` variables dominant.
+    """Block order making the last variable t dominant.
 
-    key = DRL(tail) * M + DRL(head) with M = B**(h+2) for h head
-    variables.  For exponents below 2**(W-1) the head key lies between
-    -B**h and h * B**(h+1) / 2, inside (-M/2, M/2), so it is a signed
-    digit and keys compare by the tail first.  Restricted to monomials free
-    of the tail block it agrees with degrevlex on the head block, so
-    elimination outputs are degrevlex Groebner bases of the eliminated
-    ideal.
+    key = DRL(t) * M + DRL(head) with M = B**(h+2) for h head variables.
+    For exponents below 2**(W-1) the head key lies between -B**h and
+    h * B**(h+1) / 2, inside (-M/2, M/2), so it is a signed digit and keys
+    compare by t first.  Restricted to monomials free of t it agrees with
+    degrevlex on the head, so elimination outputs are degrevlex Groebner
+    bases of the eliminated ideal.
     """
 
-    def __init__(self, tail: int = 1):
-        self.tail = tail
-        self.name = f"eliminate_last_{tail}"
+    name = "eliminate_last_1"
 
     def key(self, m: Monomial) -> int:
-        h = len(m) - self.tail
-        return (DEGREVLEX.key(m[h:]) << (W * (h + 2))) + DEGREVLEX.key(m[:h])
+        return (DEGREVLEX.key(m[-1:]) << (W * (len(m) + 1))) + DEGREVLEX.key(m[:-1])
 
     def exps(self, key: int, n: int) -> int:
-        h = n - self.tail
-        shift = W * (h + 2)
+        shift = W * (n + 1)
         tail = (key + (1 << (shift - 1))) >> shift
         head = key - (tail << shift)
-        return DEGREVLEX.exps(head, h) | (DEGREVLEX.exps(tail, self.tail) << (W * h))
+        return DEGREVLEX.exps(head, n - 1) | (DEGREVLEX.exps(tail, 1) << (W * (n - 1)))
 
 
 DEGREVLEX = DegRevLex()
-DEGLEX = DegLex()
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +407,16 @@ def _reduce_basis(basis: list[list], order: MonomialOrder, n: int) -> list[list]
 
 
 class _Quotient:
-    """R/I for one order: the reduced Groebner basis, the packed leading
+    """R/I in degrevlex: the reduced Groebner basis, the packed leading
     exponents of its elements, the divisor memo of ``_normal_form`` and, on
     first use, the standard monomials.  A new basis gets a new record, so
     the memo never outlives the basis it was filled from."""
 
-    def __init__(self, basis: list[list], order: MonomialOrder, n: int) -> None:
+    def __init__(self, basis: list[list], n: int) -> None:
         self.basis = basis
-        self.leads = [_lead(g, order, n) for g in basis]
+        self.leads = [_lead(g, DEGREVLEX, n) for g in basis]
         self.divisors: dict = {}  # leading key -> first divisor in the basis, or len(basis)
-        self.order, self.n = order, n
+        self.n = n
 
     @cached_property
     def standard(self) -> list[Monomial] | None:
@@ -447,27 +427,26 @@ class _Quotient:
         nonzero variable on, which reaches each one exactly once.
         """
         n = self.n
-        lms = [self.order.unpack(g[0][0], n) for g in self.basis]
+        lms = [DEGREVLEX.unpack(g[0][0], n) for g in self.basis]
         if any(sum(m) == 0 for m in lms):
             return []
         if not all(any(sum(m) == m[i] for m in lms) for i in range(n)):
             return None  # no pure power of x_i leads: the staircase is infinite
         guard = _masks(n)[0]
-        units = [_pack(tuple(int(i == j) for j in range(n)), self.order.byteorder)
-                 for i in range(n)]
+        units = [1 << (W * i) for i in range(n)]
         grown = [(0, 0)]  # (packed exponents, index of the last nonzero variable)
         for x, last in grown:
             for i in range(last, n):
                 y = (x + units[i]) | guard
                 if not any((y - a) & guard == guard for a in self.leads):
                     grown.append((y ^ guard, i))
-        found = [self.order.monomial(x, n) for x, _ in grown]
+        found = [DEGREVLEX.monomial(x, n) for x, _ in grown]
         found.sort(key=DEGREVLEX.key)
         return found
 
 
 class Ideal:
-    """A polynomial ideal with one cached ``_Quotient`` record per order."""
+    """A polynomial ideal with its cached degrevlex ``_Quotient`` record."""
 
     def __init__(self, ambient_n: int, generators) -> None:
         gens = []
@@ -480,38 +459,38 @@ class Ideal:
                 gens.append(g)
         self.ambient_n = ambient_n
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._quotients: dict[str, _Quotient] = {}
+        self._record: _Quotient | None = None
         self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
 
     # -- Groebner bases ---------------------------------------------------
-    def _quotient(self, order: MonomialOrder = DEGREVLEX) -> _Quotient:
-        if order.name not in self._quotients:
-            inputs = [_to_engine(g, order) for g in self.generators]
-            self._quotients[order.name] = _Quotient(
-                _buchberger(inputs, order, self.ambient_n), order, self.ambient_n)
-        return self._quotients[order.name]
+    def _quotient(self) -> _Quotient:
+        if self._record is None:
+            inputs = [_to_engine(g, DEGREVLEX) for g in self.generators]
+            self._record = _Quotient(_buchberger(inputs, DEGREVLEX, self.ambient_n),
+                                     self.ambient_n)
+        return self._record
 
-    def _seed_basis(self, order: MonomialOrder, basis: list[list]) -> None:
-        """Install a known Groebner basis (reduced to canonical form)."""
+    def _seed_basis(self, basis: list[list]) -> None:
+        """Install a known degrevlex Groebner basis (reduced to canonical form)."""
         n = self.ambient_n
-        self._quotients[order.name] = _Quotient(_reduce_basis(basis, order, n), order, n)
+        self._record = _Quotient(_reduce_basis(basis, DEGREVLEX, n), n)
 
-    def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
-        basis = self._quotient(order).basis
-        return tuple(_to_poly(g, order, self.ambient_n).monic() for g in basis)
+        n = self.ambient_n
+        return tuple(_to_poly(g, DEGREVLEX, n).monic() for g in self._quotient().basis)
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
         if f.is_zero():
             return f
         n = self.ambient_n
-        q = self._quotient(order)
-        terms, den = _engine_terms(f, order)
+        q = self._quotient()
+        terms, den = _engine_terms(f, DEGREVLEX)
         # rem == mult * den * f modulo the ideal
-        rem, mult = _normal_form(terms, q.basis, q.leads, order, n, q.divisors)
-        return _to_poly(rem, order, n, den * mult)
+        rem, mult = _normal_form(terms, q.basis, q.leads, DEGREVLEX, n, q.divisors)
+        return _to_poly(rem, DEGREVLEX, n, den * mult)
 
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The degrevlex normal form of f as {DEGREVLEX.key(m): coeff}: int
@@ -524,13 +503,13 @@ class Ideal:
         return self.normal_form(f).is_zero()
 
     # -- zero-dimensional toolkit ------------------------------------------
-    def standard_monomials(self, order: MonomialOrder = DEGREVLEX) -> list[Monomial] | None:
+    def standard_monomials(self) -> list[Monomial] | None:
         """Monomials outside the leading-term staircase; None when infinite."""
-        return self._quotient(order).standard
+        return self._quotient().standard
 
-    def colength(self, order: MonomialOrder = DEGREVLEX):
+    def colength(self):
         """Vector-space dimension of the quotient; inf when not finite."""
-        std = self.standard_monomials(order)
+        std = self.standard_monomials()
         return inf if std is None else len(std)
 
     def is_homogeneous(self) -> bool:
@@ -541,7 +520,7 @@ class Ideal:
         for g in self.generators:
             if not g.is_homogeneous():
                 raise ValueError("hilbert_function needs homogeneous generators")
-        std = self.standard_monomials(DEGREVLEX)
+        std = self.standard_monomials()
         if std is None:
             raise ValueError("quotient is not finite-dimensional")
         by_degree: dict[int, int] = {}
@@ -557,7 +536,7 @@ class Ideal:
         if other.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
         n = self.ambient_n
-        order = EliminationOrder(1)
+        order = EliminationOrder()
 
         def lift(p: Polynomial, t_mult: bool, one_minus: bool) -> Polynomial:
             terms: dict[Monomial, Fraction] = {}
@@ -578,15 +557,14 @@ class Ideal:
         # has the same key in the elimination order as in degrevlex on x
         kept = [g for g in basis if order.unpack(g[0][0], n + 1)[n] == 0]
         result = Ideal(n, [_to_poly(g, DEGREVLEX, n).monic() for g in kept])
-        result._seed_basis(DEGREVLEX, kept)
+        result._seed_basis(kept)
         return result
 
     def associated_graded(self) -> "Ideal":
         """Ideal of top-degree forms (degree filtration at the origin)."""
         if self.colength() is inf:
             raise ValueError("associated graded requires a finite colength")
-        basis = self.groebner_basis(DEGREVLEX)
-        return Ideal(self.ambient_n, [g.top_form() for g in basis])
+        return Ideal(self.ambient_n, [g.top_form() for g in self.groebner_basis()])
 
     def __add__(self, other: "Ideal") -> "Ideal":
         if other.ambient_n != self.ambient_n:
@@ -608,16 +586,8 @@ class Ideal:
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:
-        record: dict = {
-            "ambient_n": self.ambient_n,
-            "generators": [str(g) for g in self.generators],
-        }
-        if DEGREVLEX.name in self._quotients:
-            record["groebner"] = {
-                "order": DEGREVLEX.name,
-                "basis": [str(g) for g in self.groebner_basis()],
-            }
-        return json.dumps(record)
+        return json.dumps({"ambient_n": self.ambient_n,
+                           "generators": [str(g) for g in self.generators]})
 
     @staticmethod
     def from_json(text: str) -> "Ideal":

@@ -260,6 +260,29 @@ class TestExitCodes:
         assert "specht_polynomial: built" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
+        ["decompose", "--n", "4", "--row", "3", "--tanisaki", "2,2"],
+        ["tangent", "--n", "3", "--gens", "x1; x2; x3", "--tanisaki", "2,1"],
+        ["tangent", "--n", "3", "--gens", "x1; x2; x3", "--row", "1"],
+    ])
+    def test_two_ideal_sources_are_bad_input(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--n", "4", "--tanisaki", "2,2", "--colength", "5"],
+        ["tangent", "--n", "3", "--gens", "x1; x2; x3", "--param", "1:2"],
+        ["tangent", "--n", "3", "--colength", "4"],
+    ])
+    def test_row_options_without_a_row_are_bad_input(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"symideal {argv[0]}: --colength and --param apply only with --row\n")
+
+    @pytest.mark.parametrize("argv", [
         ["tangent", "--n", "4", "--tanisaki", "2,1"],
         ["decompose", "--n", "2", "--tanisaki", "2,1"],
         ["tangent", "--n", "2", "--tanisaki", "3,3,3"],

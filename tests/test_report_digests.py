@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of thirty JSON reports.
+"""Pinned SHA-256 digests of thirty-one JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -69,6 +69,8 @@ PINNED = {
         "b6cf432ed87427035a24b8afc78b15f3fa0c77cf6d621a1d7b6df33a0ec865be",
     "gr --n 5 --point 1,2,3,4,5":
         "005188076c58e0dfd07280eb2f4a436f0fa5d8234605ce5496aac4f408cb8ccb",
+    "gr --n 6 --point 1,1,2,2,3,-9":
+        "788e4e0e5a6fa41421f8e49668015f50701d5a374c750ca35f04276e26d23080",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
     "specht --n 5 --lambda 2,2,1":
