@@ -1,7 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, gcd, inf
 
 import pytest
@@ -65,6 +65,25 @@ class TestGroebner:
                     if s:
                         rem, _ = _normal_form(s, basis, leads, DEGREVLEX, n, {})
                         assert not rem
+
+    def test_membership_agrees_with_the_elimination_order_basis(self):
+        # a second Groebner basis of the same ideal, in the order that
+        # Ideal.intersect uses, decides membership the same way
+        rng = random.Random(5)
+        order = EliminationOrder()
+        for _ in range(10):
+            n = rng.choice([2, 3, 4])
+            gens = [random_poly(rng, n) for _ in range(2)]
+            ideal = Ideal(n, gens)
+            basis = _buchberger([_to_engine(g, order) for g in ideal.generators], order, n)
+            leads = [_lead(g, order, n) for g in basis]
+            member = gens[0] * random_poly(rng, n) + gens[1] * random_poly(rng, n)
+            for probe in (random_poly(rng, n), member):
+                if probe.is_zero():
+                    continue
+                rem, _ = _normal_form(_to_engine(probe, order), basis, leads, order, n, {})
+                assert ideal.contains(probe) == (not rem)
+            assert ideal.contains(member)
 
 
 class TestNormalForm:
@@ -195,6 +214,24 @@ class TestColength:
 
     def test_whole_ring(self):
         assert Ideal(2, [Polynomial.one(2)]).colength() == 0
+
+    @pytest.mark.parametrize("gens", [
+        lambda n: [x(1, n) ** 2, x(2, n) ** 3, x(3, n) ** 4, x(1, n) * x(2, n) * x(3, n)],
+        lambda n: [x(1, n) * x(2, n) - x(3, n), x(1, n) ** 3, x(2, n) ** 2 - x(1, n) * x(3, n),
+                   x(3, n) ** 3 + x(2, n) * x(3, n)],
+    ], ids=["monomial", "mixed"])
+    def test_relabelling_variables_keeps_the_colength(self, gens):
+        # each relabelling has its own degrevlex staircase, all of one size
+        n = 3
+        colength = Ideal(n, gens(n)).colength()
+        assert colength is not inf
+        staircases = set()
+        for images in permutations(range(1, n + 1)):
+            sigma = Permutation(images)
+            relabelled = Ideal(n, [apply_permutation(sigma, g) for g in gens(n)])
+            assert relabelled.colength() == colength
+            staircases.add(tuple(relabelled.standard_monomials()))
+        assert len(staircases) == factorial(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_power_sum_fiber_has_factorial_colength(self, n):
