@@ -7,20 +7,21 @@ of n = 3..5.  Then come ``specht --lambda`` and ``tanisaki --mode apolar``
 for the same partitions, the reports that print Specht, higher Specht and
 inverse-system polynomials as text, then ``tanisaki --mode apolar``
 for the eight shapes of 6 of colength <= 120, then ``tangent
---tanisaki`` for every partition of n = 3..5 and eight shapes of 6, and
-last ``decompose --tanisaki`` for every partition of n = 3..5 and ``gr``
-at four points, whose orbit ideals are the only non-homogeneous ideals
-in the set.  Each report runs in-process through ``cli.run`` with
-``--format json``, and one line
-``sha256  command`` is printed per report, in a fixed order.  A change that
+--tanisaki`` for every partition of n = 3..5 and eight shapes of 6,
+``decompose --tanisaki`` for every partition of n = 3..6, ``gr`` at four
+points, and last ``decompose --gens`` for a free orbit at n = 3 and for
+a homogeneous ideal given by inhomogeneous generators.  The orbit ideals
+are the only non-homogeneous ideals in the set.  Each report runs
+in-process through ``cli.run`` with ``--format json``, and one line
+``sha256  command`` is printed per report, in a fixed order: 120 in all,
+in about a minute on a 2-vCPU machine.  A change that
 claims the same outputs is checked by running this on both commits and
 comparing the two outputs:
 
     PYTHONPATH=src python scripts/report_digests.py > after.txt
     diff before.txt after.txt
 
-It takes about a minute on a 2-vCPU machine, so it is not part of
-the test suite.  Exits 1 if a report does not pass.
+It is not part of the test suite.  Exits 1 if a report does not pass.
 """
 
 import hashlib
@@ -36,6 +37,9 @@ from symideal.combinat import partitions_of
 N6_APOLAR_SHAPES = ("6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1")
 # the shapes of 6 whose tangent report takes under twenty seconds
 N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", "3,1,1,1")
+# split on whitespace, so the generators are written without spaces
+DECOMPOSE_GENS = ((3, "x1+x2+x3;x1^2+x2^2+x3^2-6;x1^3+x2^3+x3^3"),  # the orbit of (0,√3,-√3)
+                  (2, "x1+x2+x1^2;x1+x2;x1*x2"))  # == (x1+x2, x1^2, x1*x2)
 # orbit points: one of orbit type (3,1), a rational one with distinct
 # coordinates, the free orbit at n = 5 and one of orbit type (2,2,1,1),
 # 180 points, whose orbit ideal is eight levels of intersections deep
@@ -63,11 +67,12 @@ def commands() -> list[str]:
             out.append(f"tangent --n {n} --tanisaki {parts}")
     for parts in N6_TANGENT_SHAPES:
         out.append(f"tangent --n 6 --tanisaki {parts}")
-    for n in range(3, 6):
+    for n in range(3, 7):
         for lam in partitions_of(n):
             parts = ",".join(str(p) for p in lam.parts)
             out.append(f"decompose --n {n} --tanisaki {parts}")
     out += [f"gr --n {n} --point {point}" for n, point in GR_POINTS]
+    out += [f"decompose --n {n} --gens {gens}" for n, gens in DECOMPOSE_GENS]
     return out
 
 

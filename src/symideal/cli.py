@@ -104,7 +104,7 @@ def _random_parameters(seed: int, count: int = 3) -> list[tuple[Fraction, Fracti
     while len(out) < count:
         a = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
         b = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
-        if (a, b) == (0, 0) or b == 0 or a == 0:
+        if b == 0 or a == 0:
             continue  # keep clear of the torus-fixed members, sampled anyway
         out.append((a, b))
     return out

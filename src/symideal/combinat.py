@@ -354,6 +354,7 @@ def index(t: Tableau) -> tuple[int, ...]:
     return tuple(idx_of_value[v] for v in w)
 
 
+@lru_cache(maxsize=None)
 def kostka_number(mu: Partition, lam: Partition) -> int:
     """Count of semistandard tableaux of shape mu and content lam."""
     if mu.n != lam.n:
@@ -412,7 +413,7 @@ def _character(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> int:
         target = h - k
         if target < 0 or target in hook_set:
             continue
-        height = sum(1 for other in hooks if target < other < h) - 0
+        height = sum(1 for other in hooks if target < other < h)
         new_hooks = sorted((hook_set - {h}) | {target}, reverse=True)
         new_parts = [new_hooks[i] - (m - 1 - i) for i in range(m)]
         new_parts = [p for p in new_parts if p > 0]

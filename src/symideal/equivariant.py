@@ -1,10 +1,15 @@
 """Isotypic decomposition of quotient rings and equivariant tangent spaces.
 
-The tangent computation follows the presentation route: pick a minimal
-graded stable generating space of the ideal, span the relations among
-those generators, and impose the relation constraints on the equivariant
-module homomorphisms into the quotient, found through Young-fixed module
-generators of the generating space (Frobenius reciprocity).
+Both rest on one S_n action on R/I, kept on the ideal: the quotient
+coordinates of each standard monomial under each adjacent transposition.
+The decomposition counts the vectors fixed by each Young subgroup S_mu and
+solves dim (R/I)^{S_mu} = sum over lam of K_{lam,mu} * m_lam (Frobenius
+reciprocity) down the unitriangular Kostka matrix.  The tangent
+computation follows the presentation route: pick a minimal graded stable
+generating space of the ideal, span the relations among those generators,
+and impose the relation constraints on the equivariant module
+homomorphisms into the quotient, found through Young-fixed module
+generators of the generating space.
 
 All linear algebra is arranged to scale with the colength rather than
 with ambient degree pieces: generator complements come from integrating
@@ -20,15 +25,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
-                       conjugacy_class_size, irreducible_character,
                        kostka_number, multinomial, partitions_of)
 from .ideals import DEGREVLEX, Ideal
 from .linalg import KernelEchelon, nullspace_tags
 from .poly import (Monomial, Polynomial, apolar_complement, apply_permutation,
-                   integrate_duals, linear_combination, permute_monomial)
+                   integrate_duals, linear_combination)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -54,51 +57,70 @@ def is_symmetric(ideal: Ideal) -> bool:
     return ideal._symmetric
 
 
-def _action(ideal: Ideal, sigma: Permutation) -> list[dict[int, int | Fraction]]:
-    """The quotient coordinates of sigma(m) for each standard monomial m."""
-    return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
-            for m in ideal.standard_monomials()]
+def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
+    """Per adjacent transposition (a a+1), the quotient coordinates of each
+    swapped standard monomial, keyed by the monomial's key; kept on the ideal."""
+    if ideal._swaps is None:
+        basis = ideal.standard_monomials()
+        ideal._swaps = [{DEGREVLEX.key(m): ideal.coordinates(Polynomial.monomial(
+                             m[:a] + (m[a + 1], m[a]) + m[a + 2:])) for m in basis}
+                        for a in range(ideal.ambient_n - 1)]
+    return ideal._swaps
+
+
+def _word(mu: Partition) -> tuple[int, ...]:
+    """The block labels 0, .., 0, 1, .., 1, ... of the Young subgroup S_mu."""
+    return tuple(b for b, part in enumerate(mu.parts) for _ in range(part))
+
+
+def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
+    """Basis of the vectors fixed by the Young subgroup whose blocks the
+    word labels, given the columns of the adjacent transpositions."""
+    inside = [a for a in range(len(word) - 1) if word[a] == word[a + 1]]
+
+    def column(p) -> dict:  # (s_a - 1) applied to the unit vector at p
+        col = {(a, row): c for a in inside for row, c in actions[a][p].items()}
+        for a in inside:
+            col[(a, p)] = col.get((a, p), 0) - 1
+        return col
+
+    return nullspace_tags((column(p), p) for p in keys)
+
+
+def _kostka_peel(values: dict[Partition, int], order: list[Partition], kostka) -> dict | None:
+    """The c with values[nu] = sum over mu of kostka(mu, nu) * c[mu], given
+    kostka(nu, nu) = 1 and 0 for mu after nu in order; None if some c[mu] < 0."""
+    remaining, out = dict(values), {}
+    for pos, mu in enumerate(order):
+        out[mu] = remaining.get(mu, 0)
+        if out[mu] < 0:
+            return None
+        for nu in order[pos + 1:]:
+            remaining[nu] = remaining.get(nu, 0) - kostka(mu, nu) * out[mu]
+    return out
 
 
 def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
-    """Multiplicities of the irreducibles in the quotient ring.
-
-    One representative permutation per conjugacy class is traced on the
-    standard-monomial basis; multiplicities come from pairing the trace
-    vector with the character table.
-    """
-    n = ideal.ambient_n
+    """Multiplicities of the irreducibles in the quotient ring, graded for a
+    homogeneous ideal, from the Young-fixed dimensions of each degree piece
+    (one piece otherwise), solved with mu in ``partitions_of`` order."""
     if ideal.colength() == float("inf"):
         raise ValueError("quotient must be finite-dimensional")
     if not is_symmetric(ideal):
         raise ValueError("ideal is not stable under variable permutations")
 
-    basis = ideal.standard_monomials()
-    classes = partitions_of(n)
-    degrees = sorted({sum(m) for m in basis})
-    traces: dict[Partition, dict[int, Fraction]] = {}
-    for mu in classes:
-        per_degree: dict[int, Fraction] = dict.fromkeys(degrees, 0)
-        action = _action(ideal, Permutation.from_cycle_type(mu))
-        for m, image in zip(basis, action):
-            per_degree[sum(m)] += image.get(DEGREVLEX.key(m), 0)
-        traces[mu] = per_degree
-
-    order = factorial(n)
-    mult: dict[Partition, int] = {}
-    graded_mult: dict[int, dict[Partition, int]] = {d: {} for d in degrees}
-    for lam in classes:
-        for d in degrees:
-            total = Fraction(0)
-            for mu in classes:
-                total += conjugacy_class_size(mu) * irreducible_character(lam, mu) * traces[mu][d]
-            value = total / order
-            if value.denominator != 1 or value < 0:
-                raise ArithmeticError(f"non-integral multiplicity {value} for {lam}")
-            if value:
-                graded_mult[d][lam] = int(value)
-                mult[lam] = mult.get(lam, 0) + int(value)
-    return IsotypicDecomposition.from_dict(mult, graded_mult if ideal.is_homogeneous() else None)
+    homogeneous, order = ideal.is_homogeneous(), partitions_of(ideal.ambient_n)  # (n) first
+    pieces: dict[int, list[int]] = {}
+    for m in ideal.standard_monomials():
+        pieces.setdefault(sum(m) if homogeneous else 0, []).append(DEGREVLEX.key(m))
+    graded: dict[int, dict[Partition, int]] = {}
+    for d, keys in pieces.items():
+        fixed = {mu: len(_fixed_vectors(_swap_actions(ideal), keys, _word(mu))) for mu in order}
+        graded[d] = _kostka_peel(fixed, order, kostka_number)
+        if graded[d] is None:
+            raise ArithmeticError(f"negative multiplicity from Young-fixed dimensions {fixed}")
+    mult = {lam: sum(layer[lam] for layer in graded.values()) for lam in order}
+    return IsotypicDecomposition.from_dict(mult, graded if homogeneous else None)
 
 
 def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | None:
@@ -109,25 +131,11 @@ def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | N
     """
     if not rho.multiplicities:
         return []
-    n = rho.multiplicities[0][0].n
-    remaining = dict(rho.multiplicities)
-    coefficients: dict[Partition, int] = {}
-    for mu in reversed(partitions_of(n)):  # ascending: dominance-minimal first
-        value = remaining.get(mu, 0)
-        if value < 0:
-            return None
-        if value:
-            coefficients[mu] = value
-            for lam in partitions_of(n):
-                k = kostka_number(lam, mu)
-                if k:
-                    remaining[lam] = remaining.get(lam, 0) - k * value
-    if any(v != 0 for v in remaining.values()):
+    coefficients = _kostka_peel(rho.as_dict(), partitions_of(rho.multiplicities[0][0].n)[::-1],
+                                lambda mu, lam: kostka_number(lam, mu))
+    if coefficients is None:
         return None
-    out: list[Partition] = []
-    for mu, count in sorted(coefficients.items(), reverse=True):
-        out.extend([mu] * count)
-    return out
+    return [mu for mu, count in sorted(coefficients.items(), reverse=True) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +221,6 @@ def _combine(terms) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
-    """Basis of the vectors fixed by the Young subgroup whose blocks the
-    word labels, given the columns of the adjacent transpositions."""
-    inside = [a for a in range(len(word) - 1) if word[a] == word[a + 1]]
-
-    def column(p) -> dict:  # (s_a - 1) applied to the unit vector at p
-        col = {(a, row): c for a in inside for row, c in actions[a][p].items()}
-        for a in inside:
-            col[(a, p)] = col.get((a, p), 0) - 1
-        return col
-
-    return nullspace_tags((column(p), p) for p in keys)
-
-
 def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]:
     """sigma*vector for one sigma per coset of the Young subgroup fixing it,
     keyed by the relabelled word, each one swap away from an earlier one."""
@@ -257,7 +251,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     n = ideal.ambient_n
     monomial_of = {DEGREVLEX.key(m): m for m in ideal.standard_monomials()}
     swaps = [Permutation.transposition(a, a + 1, n) for a in range(1, n)]
-    quotient_action = [dict(zip(monomial_of, _action(ideal, s))) for s in swaps]
+    quotient_action = _swap_actions(ideal)
     quotient_fixed: dict[tuple, list[dict]] = {}
     out = _HomBasis()
     for d in sorted(set(gen_degrees)):
@@ -278,7 +272,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
         for mu in sorted(partitions_of(n), key=multinomial):  # refines dominance
             if span.rank == size:
                 break
-            word = tuple(b for b, part in enumerate(mu.parts) for _ in range(part))
+            word = _word(mu)
             for v in _fixed_vectors(actions, range(size), word):
                 j = len(fixed)
                 if span.add(v, (j, word)) is None:

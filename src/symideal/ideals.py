@@ -461,6 +461,7 @@ class Ideal:
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._record: _Quotient | None = None
         self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
+        self._swaps: list | None = None  # equivariant._swap_actions, the S_n action on R/I
 
     # -- Groebner bases ---------------------------------------------------
     def _quotient(self) -> _Quotient:
@@ -513,13 +514,13 @@ class Ideal:
         return inf if std is None else len(std)
 
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
+        """Judged on the reduced Groebner basis, homogeneous iff the ideal is."""
+        return all(g.is_homogeneous() for g in self.groebner_basis())
 
     def hilbert_function(self) -> tuple[int, ...]:
         """Dimensions of the graded quotient pieces, up to the last nonzero."""
-        for g in self.generators:
-            if not g.is_homogeneous():
-                raise ValueError("hilbert_function needs homogeneous generators")
+        if not self.is_homogeneous():
+            raise ValueError("hilbert_function needs a homogeneous ideal")
         std = self.standard_monomials()
         if std is None:
             raise ValueError("quotient is not finite-dimensional")

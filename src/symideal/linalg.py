@@ -35,9 +35,8 @@ class KernelEchelon:
 
     def add(self, row: dict, tag=None) -> dict | None:
         """Insert a row; None when it is a new pivot, else its relation."""
-        # clear denominators only; the scale goes into the tag so that the
-        # invariant "stored row == sum of tag-coefficients times originals"
-        # holds exactly (content stripping would silently break it)
+        # the denominator scale goes into the tag, and the content strip below
+        # divides row and tags alike: stored row == sum of tag-coeff * originals
         lcm = 1
         for v in row.values():
             d = v.denominator

@@ -140,6 +140,15 @@ class TestOtherVerbs:
         assert code == 0
         assert record["results"][0]["tangent_dim"] == 1
 
+    def test_tangent_of_a_homogeneous_ideal_with_inhomogeneous_generators(self, tmp_path):
+        # (x1+x2+x1^2, x1+x2, x1*x2) == (x1+x2, x1^2, x1*x2)
+        reports = [run_json(["tangent", "--n", "2", "--gens", gens], tmp_path, "t.json")
+                   for gens in ("x1+x2+x1^2;x1+x2;x1*x2", "x1+x2;x1^2;x1*x2")]
+        assert [code for code, _ in reports] == [0, 0]
+        keys = ("n1_graded_dims", "n2_count", "tangent_dim")
+        first, second = ([record["results"][0][k] for k in keys] for _, record in reports)
+        assert first == second
+
     def test_decompose(self, tmp_path):
         code, record = run_json(
             ["decompose", "--n", "3", "--tanisaki", "1,1,1"], tmp_path, "dec.json")

@@ -1,24 +1,26 @@
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import pytest
 
+from symideal.cli import _random_parameters
 from symideal.combinat import (IsotypicDecomposition, Partition, Permutation,
                                conjugacy_class_size, irreducible_character,
-                               kostka_decomposition, partitions_of,
-                               specht_dimension)
+                               kostka_decomposition, kostka_number,
+                               multinomial, partitions_of, specht_dimension)
 from symideal.classification import classification_cases, row_case
 from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _action,
-                                  _hom_basis_equivariant,
+                                  tangent_dimension, _hom_basis_equivariant,
                                   _minimal_generator_space)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
 from symideal.poly import (Polynomial, apolar_complement, apply_permutation,
-                           integrate_duals, linear_combination, power_sum)
+                           integrate_duals, linear_combination, permute_monomial,
+                           power_sum)
 from symideal.tanisaki import tanisaki_ideal
 
 
@@ -28,6 +30,7 @@ def x(i, n):
 
 SHAPES_TO_FIVE = [lam.parts for n in range(1, 6) for lam in partitions_of(n)]
 SHAPES_OF_SIX = [(5, 1), (4, 2), (3, 3)]
+SHAPES_OF_SIX_TO_180 = [lam.parts for lam in partitions_of(6) if multinomial(lam) <= 180]
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +41,66 @@ def tanisaki_point(parts: tuple[int, ...]) -> Ideal:
 
 def homogeneous_rows(n: int) -> list:
     return [case for case in classification_cases(n) if case.ideal.is_homogeneous()]
+
+
+def _action(ideal: Ideal, sigma: Permutation) -> list[dict]:
+    """The quotient coordinates of sigma(m) for each standard monomial m."""
+    return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
+            for m in ideal.standard_monomials()]
+
+
+def decompose_quotient_oracle(ideal: Ideal) -> IsotypicDecomposition:
+    """``decompose_quotient`` by characters: one representative permutation
+    per conjugacy class is traced on the standard-monomial basis, per
+    degree, and the traces are paired with the character table."""
+    n = ideal.ambient_n
+    basis = ideal.standard_monomials()
+    classes = partitions_of(n)
+    degrees = sorted({sum(m) for m in basis})
+    traces: dict[Partition, dict[int, Fraction]] = {}
+    for mu in classes:
+        per_degree: dict[int, Fraction] = dict.fromkeys(degrees, 0)
+        action = _action(ideal, Permutation.from_cycle_type(mu))
+        for m, image in zip(basis, action):
+            per_degree[sum(m)] += image.get(DEGREVLEX.key(m), 0)
+        traces[mu] = per_degree
+    mult: dict[Partition, int] = {}
+    graded_mult: dict[int, dict[Partition, int]] = {d: {} for d in degrees}
+    for lam in classes:
+        for d in degrees:
+            value = sum(conjugacy_class_size(mu) * irreducible_character(lam, mu) * traces[mu][d]
+                        for mu in classes) / Fraction(factorial(n))
+            assert value.denominator == 1 and value >= 0
+            if value:
+                graded_mult[d][lam] = int(value)
+                mult[lam] = mult.get(lam, 0) + int(value)
+    return IsotypicDecomposition.from_dict(mult, graded_mult if ideal.is_homogeneous() else None)
+
+
+def permutation_module_sum_oracle(rho: IsotypicDecomposition) -> list[Partition] | None:
+    """``is_permutation_module_sum`` peeling every partition, dominance-minimal
+    first, and checking that nothing remains."""
+    if not rho.multiplicities:
+        return []
+    n = rho.multiplicities[0][0].n
+    remaining = dict(rho.multiplicities)
+    coefficients: dict[Partition, int] = {}
+    for mu in reversed(partitions_of(n)):
+        value = remaining.get(mu, 0)
+        if value < 0:
+            return None
+        if value:
+            coefficients[mu] = value
+            for lam in partitions_of(n):
+                k = kostka_number(lam, mu)
+                if k:
+                    remaining[lam] = remaining.get(lam, 0) - k * value
+    if any(v != 0 for v in remaining.values()):
+        return None
+    out: list[Partition] = []
+    for mu, count in sorted(coefficients.items(), reverse=True):
+        out.extend([mu] * count)
+    return out
 
 
 def generator_space_oracle(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
@@ -255,6 +318,50 @@ class TestDecomposeQuotient:
         assert set(layers) == {0, 1}
 
 
+def graded_decomposition(ideal: Ideal) -> tuple:
+    decomposition = decompose_quotient(ideal)
+    return decomposition.multiplicities, decomposition.graded
+
+
+def graded_oracle(ideal: Ideal) -> tuple:
+    decomposition = decompose_quotient_oracle(ideal)
+    return decomposition.multiplicities, decomposition.graded
+
+
+class TestYoungFixedDecomposition:
+    """Young-fixed dimensions and one Kostka solve against the class traces
+    paired with the character table, graded layers included."""
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + SHAPES_OF_SIX_TO_180)
+    def test_tanisaki_points(self, parts):
+        ideal = tanisaki_point(parts)
+        assert graded_decomposition(ideal) == graded_oracle(ideal)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_catalog_rows(self, n, seed):
+        for case in classification_cases(n, _random_parameters(seed)):
+            assert graded_decomposition(case.ideal) == graded_oracle(case.ideal), case.describe()
+
+    @pytest.mark.parametrize("ideal", [
+        orbit_ideal((7, 2, 2)), orbit_ideal((7, 2, 2, 2)), orbit_ideal((7, 2, 2, 2, 2)),
+        orbit_ideal((1, 2, 3)), Ideal(3, [Polynomial.one(3)]),
+        Ideal(3, [power_sum(k, 3) for k in range(1, 4)]),
+        Ideal(2, [x(1, 2) + x(2, 2) + x(1, 2) ** 2, x(1, 2) + x(2, 2), x(1, 2) * x(2, 2)]),
+    ], ids=["orbit3", "orbit4", "orbit5", "free_orbit", "unit", "coinvariant",
+            "homogeneous_ideal_inhomogeneous_generators"])
+    def test_special_ideals(self, ideal):
+        assert graded_decomposition(ideal) == graded_oracle(ideal)
+
+    def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
+        import symideal.equivariant as equivariant
+
+        # with K = 2 below the diagonal, the trivial quotient gives m_(2,1) = 1 - 2
+        monkeypatch.setattr(equivariant, "kostka_number", lambda mu, lam: 2)
+        with pytest.raises(ArithmeticError, match="negative multiplicity"):
+            decompose_quotient(maximal_power(3, 1))
+
+
 class TestPermutationModuleSum:
     def test_simple_peel(self):
         n = 4
@@ -272,6 +379,27 @@ class TestPermutationModuleSum:
     def test_round_trip(self, n):
         for lam in partitions_of(n):
             assert is_permutation_module_sum(kostka_decomposition(lam)) == [lam]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_multiplicities_match_the_oracle(self, n):
+        rng = random.Random(n)
+        shapes = partitions_of(n)
+        found = 0
+        for _ in range(60):
+            # a sum of permutation modules, then maybe one multiplicity moved
+            mult = {lam: 0 for lam in shapes}
+            for mu in shapes:
+                count = rng.randint(0, 2)
+                for lam in shapes:
+                    mult[lam] += count * kostka_number(lam, mu)
+            if rng.random() < 0.5:
+                lam = rng.choice(shapes)
+                mult[lam] = max(0, mult[lam] + rng.choice((-1, 1)))
+            rho = IsotypicDecomposition.from_dict(mult)
+            expected = permutation_module_sum_oracle(rho)
+            assert is_permutation_module_sum(rho) == expected, mult
+            found += expected is not None
+        assert 0 < found < 60
 
 
 class TestMinimalGenerators:

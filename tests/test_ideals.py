@@ -325,6 +325,17 @@ class TestHilbertFunction:
         with pytest.raises(ValueError):
             Ideal(2, [x(1, 2) - Polynomial.one(2)]).hilbert_function()
 
+    def test_homogeneity_is_a_property_of_the_ideal(self):
+        # (x1+x2+x1^2, x1+x2, x1*x2) == (x1+x2, x1^2, x1*x2)
+        n = 2
+        inhomogeneous_gens = Ideal(n, [x(1, n) + x(2, n) + x(1, n) ** 2, x(1, n) + x(2, n),
+                                       x(1, n) * x(2, n)])
+        homogeneous_gens = Ideal(n, [x(1, n) + x(2, n), x(1, n) ** 2, x(1, n) * x(2, n)])
+        assert inhomogeneous_gens == homogeneous_gens
+        assert inhomogeneous_gens.is_homogeneous() and homogeneous_gens.is_homogeneous()
+        assert inhomogeneous_gens.hilbert_function() == homogeneous_gens.hilbert_function() == (1, 1)
+        assert not Ideal(n, [x(1, n) + x(2, n) ** 2, x(2, n) ** 3]).is_homogeneous()
+
     def test_classification_row_shapes(self):
         # (p1, squares, pair products) + m^3 has shape (1, 3, 1) at n=4
         from symideal.classification import pair_products, square_differences

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of thirty-one JSON reports.
+"""Pinned SHA-256 digests of thirty-four JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -73,6 +73,14 @@ PINNED = {
         "788e4e0e5a6fa41421f8e49668015f50701d5a374c750ca35f04276e26d23080",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
+    "decompose --n 6 --tanisaki 2,2,1,1":
+        "750f09343994ec609a5cd8ef51b0aaf991aea6940213cdbfb8b82aab42ada9de",
+    # a free orbit, non-homogeneous
+    "decompose --n 3 --gens x1+x2+x3;x1^2+x2^2+x3^2-6;x1^3+x2^3+x3^3":
+        "09106a68d6be2999e5afb993a9a0408fc714cc74300006df706d0890c0090690",
+    # a homogeneous ideal given by inhomogeneous generators
+    "decompose --n 2 --gens x1+x2+x1^2;x1+x2;x1*x2":
+        "05979d9db292f95dcdd41da0c716098de630b4cf6251269641290f3bd9de71cb",
     "specht --n 5 --lambda 2,2,1":
         "834298067153be118b14e91f1fe7b43e27cbaa9b0296e80f43e7e6016e5a5da3",
     "specht --n 6 --lambda 1,1,1,1,1,1":
