@@ -8,13 +8,13 @@ for the same partitions, the reports that print Specht, higher Specht and
 inverse-system polynomials as text, then ``tanisaki --mode apolar``
 for the eight shapes of 6 of colength <= 120, then ``tangent
 --tanisaki`` for every partition of n = 3..5 and eight shapes of 6,
-``decompose --tanisaki`` for every partition of n = 3..6, ``gr`` at four
+``decompose --tanisaki`` for every partition of n = 3..6, ``gr`` at six
 points, and last ``decompose --gens`` for a free orbit at n = 3 and for
 a homogeneous ideal given by inhomogeneous generators.  The orbit ideals
 are the only non-homogeneous ideals in the set.  Each report runs
 in-process through ``cli.run`` with ``--format json``, and one line
-``sha256  command`` is printed per report, in a fixed order: 120 in all,
-in about a minute on a 2-vCPU machine.  A change that
+``sha256  command`` is printed per report, in a fixed order: 122 in all,
+in about a minute and a half on a 2-vCPU machine.  A change that
 claims the same outputs is checked by running this on both commits and
 comparing the two outputs:
 
@@ -41,10 +41,11 @@ N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", 
 DECOMPOSE_GENS = ((3, "x1+x2+x3;x1^2+x2^2+x3^2-6;x1^3+x2^3+x3^3"),  # the orbit of (0,√3,-√3)
                   (2, "x1+x2+x1^2;x1+x2;x1*x2"))  # == (x1+x2, x1^2, x1*x2)
 # orbit points: one of orbit type (3,1), a rational one with distinct
-# coordinates, the free orbit at n = 5 and one of orbit type (2,2,1,1),
-# 180 points, whose orbit ideal is eight levels of intersections deep
+# coordinates, the free orbit at n = 5, one of orbit type (2,2,1,1) with
+# 180 points, one of type (2,1,1,1,1) with 360 and the free orbit at n = 6,
+# 720 points, the largest kernel that the orbit walk's echelon meets here
 GR_POINTS = ((4, "3,-1,-1,-1"), (4, "1/2,-3,7,0"), (5, "1,2,3,4,5"),
-             (6, "1,1,2,2,3,-9"))
+             (6, "1,1,2,2,3,-9"), (6, "0,1,2,3,4,4"), (6, "1,2,3,4,5,6"))
 
 
 def commands() -> list[str]:

@@ -62,9 +62,14 @@ def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
     swapped standard monomial, keyed by the monomial's key; kept on the ideal."""
     if ideal._swaps is None:
         basis = ideal.standard_monomials()
-        ideal._swaps = [{DEGREVLEX.key(m): ideal.coordinates(Polynomial.monomial(
-                             m[:a] + (m[a + 1], m[a]) + m[a + 2:])) for m in basis}
-                        for a in range(ideal.ambient_n - 1)]
+        standard = {DEGREVLEX.key(m) for m in basis}
+
+        def image(m: Monomial) -> dict[int, int | Fraction]:  # standard: its own coordinates
+            k = DEGREVLEX.key(m)
+            return {k: 1} if k in standard else ideal.coordinates(Polynomial.monomial(m))
+
+        ideal._swaps = [{DEGREVLEX.key(m): image(m[:a] + (m[a + 1], m[a]) + m[a + 2:])
+                         for m in basis} for a in range(ideal.ambient_n - 1)]
     return ideal._swaps
 
 

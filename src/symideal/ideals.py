@@ -1,16 +1,16 @@
-"""Groebner-basis engine and zero-dimensional ideal toolkit.
+"""Groebner-basis engine and zero-dimensional ideal toolkit, in degrevlex.
 
-Monomials inside the engine are packed integers.  An order's
-``key(m)`` is one Python int that increases strictly with the monomial
-while all exponents stay below 2**(W - 1), with W = 32 bits per exponent
-field, and that is additive: key(a*b) == key(a) + key(b).  An engine term
-is a ``(key, coeff)`` pair and the key *is* the monomial: comparing two
+Monomials inside the engine are packed integers.  ``DEGREVLEX.key(m)`` is
+one Python int that increases strictly with the monomial while all
+exponents stay below 2**(W - 1), with W = 32 bits per exponent field, and
+that is additive: key(a*b) == key(a) + key(b).  An engine term is a
+``(key, coeff)`` pair and the key *is* the monomial: comparing two
 monomials compares two ints, and multiplying a polynomial by a monomial u
-adds key(u) to each of its keys.  ``order.unpack(key, n)`` turns a key
-back into an exponent tuple only at the boundary: polynomials handed out,
-standard monomials and intersections.
+adds key(u) to each of its keys.  ``DEGREVLEX.unpack(key, n)`` turns a key
+back into an exponent tuple only at the boundary: polynomials handed out
+and standard monomials.
 
-Divisibility works on a second packing, ``order.exps(key, n)``: the
+Divisibility works on a second packing, ``DEGREVLEX.exps(key, n)``: the
 exponents side by side in W-bit fields whose top bit is a guard bit.  With
 G the guard bits of all fields and L their low bits, a divides x exactly
 when ``((x | G) - a) & G == G``; the guard bits of ``((a | G) - b) & G``
@@ -41,16 +41,20 @@ The engine works on integer-coefficient term lists (content 1, positive
 leading coefficient) so that all reductions are fraction-free; rational
 results are reconstructed from tracked multipliers.  Pair selection uses
 the normal strategy with Gebauer-Moeller elimination, which makes reduced
-bases deterministic.  Reduced Groebner bases are canonical for a fixed
-order, so ideal equality is decided by comparing them.
+bases deterministic.  Reduced Groebner bases are canonical, so ideal
+equality is decided by comparing them.
 
-An ``Ideal`` works in degrevlex only and keeps one ``_Quotient`` record:
-the reduced basis, its packed leading exponents, the divisor memo of the
-reductions and the standard monomials, grown from 1, built together and
-replaced together.  The elimination order serves only ``Ideal.intersect``.
+An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
+leading exponents, the divisor memo of the reductions and the standard
+monomials, grown from 1, built together and replaced together.
 ``Ideal.coordinates(f)`` gives the normal form as {DEGREVLEX.key(m):
 coeff}, the coordinates of f in R/I on its standard monomials, with int
 columns that sort in the monomial order and int entries where integral.
+
+Orbit ideals and intersections are kernels of linear maps from R to
+finite-dimensional spaces (evaluation at points, R -> R/I + R/J), found by
+the Buchberger-Moeller walk of ``_vanishing_ideal`` on one ``KernelEchelon``
+(Moeller-Buchberger 1982; Marinari-Moeller-Mora 1993).
 """
 
 from __future__ import annotations
@@ -63,10 +67,11 @@ from itertools import chain, permutations
 from math import gcd, inf
 from struct import Struct
 
+from .linalg import KernelEchelon
 from .poly import Monomial, Polynomial, degree_monomials, parse_polynomial
 
 # ---------------------------------------------------------------------------
-# monomial orders as packed integer keys
+# the monomial order as packed integer keys
 
 W = 32  # bits per exponent field
 LIMIT = 1 << (W - 2)  # exponents entering the engine stay below this
@@ -103,18 +108,16 @@ def _support(a: int, n: int) -> int:
     return ((a | guard) - low) & guard
 
 
-class MonomialOrder:
-    """Total multiplicative order; key(m) is an int increasing with the
-    monomial and additive over products."""
-
-    name = "abstract"
+class DegRevLex:
+    """Degree reverse lexicographic order, x1 > ... > xn, as packed keys:
+    key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
 
     def key(self, m: Monomial) -> int:
-        raise NotImplementedError
+        return (sum(m) << (W * len(m))) - _pack(m)
 
     def exps(self, key: int, n: int) -> int:
         """The exponents of the monomial with this key, packed in W-bit fields."""
-        raise NotImplementedError
+        return -key & ((1 << (W * n)) - 1)
 
     def monomial(self, exps: int, n: int) -> Monomial:
         """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
@@ -123,44 +126,6 @@ class MonomialOrder:
     def unpack(self, key: int, n: int) -> Monomial:
         """The exponent tuple of the monomial with this key."""
         return self.monomial(self.exps(key, n), n)
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-class DegRevLex(MonomialOrder):
-    """key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
-
-    name = "degrevlex"
-
-    def key(self, m: Monomial) -> int:
-        return (sum(m) << (W * len(m))) - _pack(m)
-
-    def exps(self, key: int, n: int) -> int:
-        return -key & ((1 << (W * n)) - 1)
-
-
-class EliminationOrder(MonomialOrder):
-    """Block order making the last variable t dominant.
-
-    key = DRL(t) * M + DRL(head) with M = B**(h+2) for h head variables.
-    For exponents below 2**(W-1) the head key lies between -B**h and
-    h * B**(h+1) / 2, inside (-M/2, M/2), so it is a signed digit and keys
-    compare by t first.  Restricted to monomials free of t it agrees with
-    degrevlex on the head, so elimination outputs are degrevlex Groebner
-    bases of the eliminated ideal.
-    """
-
-    name = "eliminate_last_1"
-
-    def key(self, m: Monomial) -> int:
-        return (DEGREVLEX.key(m[-1:]) << (W * (len(m) + 1))) + DEGREVLEX.key(m[:-1])
-
-    def exps(self, key: int, n: int) -> int:
-        shift = W * (n + 1)
-        tail = (key + (1 << (shift - 1))) >> shift
-        head = key - (tail << shift)
-        return DEGREVLEX.exps(head, n - 1) | (DEGREVLEX.exps(tail, 1) << (W * (n - 1)))
 
 
 DEGREVLEX = DegRevLex()
@@ -189,7 +154,7 @@ def _normalize(terms: list) -> list:
     return terms
 
 
-def _engine_terms(f: Polynomial, order: MonomialOrder) -> tuple[list, int]:
+def _engine_terms(f: Polynomial) -> tuple[list, int]:
     """(terms, den): ``terms`` is den*f with integer coefficients, for the
     least common denominator den of f's coefficients."""
     den = 1
@@ -200,35 +165,34 @@ def _engine_terms(f: Polynomial, order: MonomialOrder) -> tuple[list, int]:
         if max(m, default=0) >= LIMIT:
             raise ValueError(f"exponent {max(m)} is too large: the engine takes "
                              f"exponents below 2^{W - 2}")
-        terms.append((order.key(m), c.numerator * (den // c.denominator)))
+        terms.append((DEGREVLEX.key(m), c.numerator * (den // c.denominator)))
     terms.sort(reverse=True)
     return terms, den
 
 
-def _to_engine(f: Polynomial, order: MonomialOrder) -> list:
-    return _normalize(_engine_terms(f, order)[0])
+def _to_engine(f: Polynomial) -> list:
+    return _normalize(_engine_terms(f)[0])
 
 
-def _to_poly(terms: list, order: MonomialOrder, n: int, mult: int = 1) -> Polynomial:
-    return Polynomial(n, {order.unpack(k, n): Fraction(c, mult) for k, c in terms})
+def _to_poly(terms: list, n: int, mult: int = 1) -> Polynomial:
+    return Polynomial(n, {DEGREVLEX.unpack(k, n): Fraction(c, mult) for k, c in terms})
 
 
-def _lead(g: list, order: MonomialOrder, n: int) -> int:
+def _lead(g: list, n: int) -> int:
     """Packed leading exponents of a new basis element, after checking that
     all its exponents stay below the bound."""
     quarter = _masks(n)[1]
     for k, _ in g:
-        if order.exps(k, n) & quarter:
+        if DEGREVLEX.exps(k, n) & quarter:
             raise ArithmeticError(f"a Groebner basis exponent reached 2^{W - 2}")
-    return order.exps(g[0][0], n)
+    return DEGREVLEX.exps(g[0][0], n)
 
 
-def _reducer(k: int, basis: list[list], leads: list[int], order: MonomialOrder,
-             n: int, start: int = 0) -> list | None:
+def _reducer(k: int, basis: list[list], leads: list[int], n: int, start: int = 0) -> list | None:
     """The first basis element from ``basis[start]`` on (in basis order)
     whose leading monomial divides the monomial with key k, or None."""
     guard, quarter, _ = _masks(n)
-    x = order.exps(k, n)
+    x = DEGREVLEX.exps(k, n)
     xg = x | guard
     if start:
         basis, leads = basis[start:], leads[start:]
@@ -240,8 +204,8 @@ def _reducer(k: int, basis: list[list], leads: list[int], order: MonomialOrder,
     return None
 
 
-def _normal_form(terms: list, basis: list[list], leads: list[int], order: MonomialOrder,
-                 n: int, divisors: dict) -> tuple[list, int]:
+def _normal_form(terms: list, basis: list[list], leads: list[int], n: int,
+                 divisors: dict) -> tuple[list, int]:
     """Fully reduce; returns (remainder, mult) with remainder = mult*f - combination.
 
     ``leads`` holds the packed leading exponents of ``basis``.  The work
@@ -269,7 +233,7 @@ def _normal_form(terms: list, basis: list[list], leads: list[int], order: Monomi
             continue
         g = divisors.get(k)
         if g is None or g.__class__ is int and g < size:
-            g = divisors[k] = _reducer(k, basis, leads, order, n, g or 0) or size
+            g = divisors[k] = _reducer(k, basis, leads, n, g or 0) or size
         if g.__class__ is int:
             rem.append((k, lc))
             continue
@@ -299,13 +263,13 @@ def _normal_form(terms: list, basis: list[list], leads: list[int], order: Monomi
     return rem, mult
 
 
-def _spoly(f: list, g: list, order: MonomialOrder, n: int) -> list:
+def _spoly(f: list, g: list, n: int) -> list:
     guard, quarter, _ = _masks(n)
-    a, b = order.exps(f[0][0], n), order.exps(g[0][0], n)
+    a, b = DEGREVLEX.exps(f[0][0], n), DEGREVLEX.exps(g[0][0], n)
     lcm = _packed_lcm(a, b, guard)
     if ((lcm - a) | (lcm - b)) & quarter:
         raise ArithmeticError(f"an S-polynomial multiplier reached 2^{W - 2}")
-    key = order.key(order.monomial(lcm, n))
+    key = DEGREVLEX.key(DEGREVLEX.monomial(lcm, n))
     kf, kg = key - f[0][0], key - g[0][0]
     cf, cg = f[0][1], g[0][1]
     d = gcd(cf, cg)
@@ -317,7 +281,7 @@ def _spoly(f: list, g: list, order: MonomialOrder, n: int) -> list:
     return sorted(((k, c) for k, c in terms.items() if c), reverse=True)
 
 
-def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
+def _buchberger(inputs: list[list], n: int) -> list[list]:
     """Reduced Groebner basis from engine term lists."""
     guard = _masks(n)[0]
     G: list[list] = []
@@ -343,7 +307,7 @@ def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
         # ...then drop the non-coprime survivors into the queue...
         for i, lcm in D:
             if support[i] & st:
-                heappush(heap, (order.key(order.monomial(lcm, n)), i, t))
+                heappush(heap, (DEGREVLEX.key(DEGREVLEX.monomial(lcm, n)), i, t))
                 pairs[i, t] = lcm
         # ...and prune the old pairs superseded by the new element.
         stale = [(i, j) for (i, j), lcm in pairs.items()
@@ -357,11 +321,11 @@ def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
                 alive[i] = False
 
     def add(f: list) -> None:
-        rem, _ = _normal_form(f, G, leads, order, n, divisors)
+        rem, _ = _normal_form(f, G, leads, n, divisors)
         rem = _normalize(rem)
         if rem:
             G.append(rem)
-            lead = _lead(rem, order, n)
+            lead = _lead(rem, n)
             leads.append(lead)
             support.append(_support(lead, n))
             alive.append(True)
@@ -374,21 +338,21 @@ def _buchberger(inputs: list[list], order: MonomialOrder, n: int) -> list[list]:
         _, i, j = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        s = _spoly(G[i], G[j], order, n)
+        s = _spoly(G[i], G[j], n)
         if s:
             add(s)
 
-    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], order, n)
+    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
 
 
-def _reduce_basis(basis: list[list], order: MonomialOrder, n: int) -> list[list]:
+def _reduce_basis(basis: list[list], n: int) -> list[list]:
     """The reduced Groebner basis from any Groebner basis of the ideal."""
     guard = _masks(n)[0]
     # minimal basis: leading monomials pairwise non-divisible
     kept: list[list] = []
     leads: list[int] = []
     for g in sorted(basis, key=lambda t: t[0][0]):
-        x = order.exps(g[0][0], n) | guard
+        x = DEGREVLEX.exps(g[0][0], n) | guard
         if not any((x - a) & guard == guard for a in leads):
             kept.append(g)
             leads.append(x ^ guard)
@@ -396,7 +360,7 @@ def _reduce_basis(basis: list[list], order: MonomialOrder, n: int) -> list[list]
     reduced: list[list] = []
     for idx, g in enumerate(kept):
         rem, _ = _normal_form(g, kept[:idx] + kept[idx + 1:], leads[:idx] + leads[idx + 1:],
-                              order, n, {})
+                              n, {})
         reduced.append(_normalize(rem))
     reduced.sort(key=lambda t: t[0][0])
     return reduced
@@ -414,7 +378,7 @@ class _Quotient:
 
     def __init__(self, basis: list[list], n: int) -> None:
         self.basis = basis
-        self.leads = [_lead(g, DEGREVLEX, n) for g in basis]
+        self.leads = [_lead(g, n) for g in basis]
         self.divisors: dict = {}  # leading key -> first divisor in the basis, or len(basis)
         self.n = n
 
@@ -466,20 +430,18 @@ class Ideal:
     # -- Groebner bases ---------------------------------------------------
     def _quotient(self) -> _Quotient:
         if self._record is None:
-            inputs = [_to_engine(g, DEGREVLEX) for g in self.generators]
-            self._record = _Quotient(_buchberger(inputs, DEGREVLEX, self.ambient_n),
-                                     self.ambient_n)
+            inputs = [_to_engine(g) for g in self.generators]
+            self._record = _Quotient(_buchberger(inputs, self.ambient_n), self.ambient_n)
         return self._record
 
     def _seed_basis(self, basis: list[list]) -> None:
-        """Install a known degrevlex Groebner basis (reduced to canonical form)."""
-        n = self.ambient_n
-        self._record = _Quotient(_reduce_basis(basis, DEGREVLEX, n), n)
+        """Install a known reduced Groebner basis, sorted by leading monomial."""
+        self._record = _Quotient(basis, self.ambient_n)
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
         n = self.ambient_n
-        return tuple(_to_poly(g, DEGREVLEX, n).monic() for g in self._quotient().basis)
+        return tuple(_to_poly(g, n).monic() for g in self._quotient().basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ambient_n != self.ambient_n:
@@ -488,10 +450,10 @@ class Ideal:
             return f
         n = self.ambient_n
         q = self._quotient()
-        terms, den = _engine_terms(f, DEGREVLEX)
+        terms, den = _engine_terms(f)
         # rem == mult * den * f modulo the ideal
-        rem, mult = _normal_form(terms, q.basis, q.leads, DEGREVLEX, n, q.divisors)
-        return _to_poly(rem, DEGREVLEX, n, den * mult)
+        rem, mult = _normal_form(terms, q.basis, q.leads, n, q.divisors)
+        return _to_poly(rem, n, den * mult)
 
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The degrevlex normal form of f as {DEGREVLEX.key(m): coeff}: int
@@ -533,33 +495,20 @@ class Ideal:
         return tuple(by_degree.get(d, 0) for d in range(top + 1))
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Auxiliary-variable elimination: (t*I + (1-t)*J) with t removed."""
+        """I ∩ J, the kernel of R -> R/I ⊕ R/J, by ``_vanishing_ideal``;
+        ValueError unless both quotients are finite-dimensional."""
         if other.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
-        n = self.ambient_n
-        order = EliminationOrder()
+        # both bases first, so that an input past the exponent bound says so
+        if inf in (self.colength(), other.colength()):
+            raise ValueError("intersect needs two ideals of finite colength")
 
-        def lift(p: Polynomial, t_mult: bool, one_minus: bool) -> Polynomial:
-            terms: dict[Monomial, Fraction] = {}
-            for m, c in p.terms.items():
-                if t_mult:
-                    terms[m + (1,)] = terms.get(m + (1,), 0) + c
-                if one_minus:
-                    key = m + (0,)
-                    terms[key] = terms.get(key, 0) + c
-                    key = m + (1,)
-                    terms[key] = terms.get(key, 0) - c
-            return Polynomial(n + 1, terms)
+        def value(m: Monomial, parent, i) -> dict:
+            f = Polynomial.monomial(m)
+            return {(side, k): c for side, ideal in enumerate((self, other))
+                    for k, c in ideal.coordinates(f).items()}
 
-        gens = [lift(g, True, False) for g in self.groebner_basis()]
-        gens += [lift(g, False, True) for g in other.groebner_basis()]
-        basis = _buchberger([_to_engine(g, order) for g in gens], order, n + 1)
-        # leading term free of t => whole element is; a monomial free of t
-        # has the same key in the elimination order as in degrevlex on x
-        kept = [g for g in basis if order.unpack(g[0][0], n + 1)[n] == 0]
-        result = Ideal(n, [_to_poly(g, DEGREVLEX, n).monic() for g in kept])
-        result._seed_basis(kept)
-        return result
+        return _vanishing_ideal(self.ambient_n, value)
 
     def associated_graded(self) -> "Ideal":
         """Ideal of top-degree forms (degree filtration at the origin)."""
@@ -608,28 +557,62 @@ def maximal_power(n: int, d: int) -> Ideal:
     return Ideal(n, [Polynomial.monomial(m) for m in degree_monomials(n, d)])
 
 
-def point_ideal(point) -> Ideal:
-    """The maximal ideal of a single rational point."""
-    values = [Fraction(v) for v in point]
-    n = len(values)
-    return Ideal(n, [Polynomial.variable(i + 1, n) - Polynomial.constant(values[i], n)
-                     for i in range(n)])
-
-
 def orbit_points(point) -> list[tuple[Fraction, ...]]:
+    """The distinct permutations of a point, in descending colex order."""
     values = tuple(Fraction(v) for v in point)
-    return sorted(set(permutations(values)))
+    return sorted(set(permutations(values)), key=lambda p: p[::-1], reverse=True)
+
+
+def _vanishing_ideal(n: int, value) -> Ideal:
+    """The kernel of a linear map from R to a finite-dimensional space, when
+    it is an ideal, by the Buchberger-Moeller walk.
+
+    ``value(m, parent, i)`` is the image of the monomial m as a sparse row,
+    given the image ``parent`` of m / x_(i+1) (None at m = 1).  Monomials
+    leave a heap in increasing degrevlex order, skipping the multiples of
+    leading monomials found so far, and their images enter one
+    ``KernelEchelon`` tagged by key.  An independent image makes m standard
+    and queues x_j * m for each j from m's last variable on, as
+    ``_Quotient.standard`` grows; a dependent one makes m a leading
+    monomial, and its relation, over smaller standard monomials only, is an
+    element of the reduced basis.
+    """
+    guard = _masks(n)[0]
+    units = [1 << (W * j) for j in range(n)]
+    steps = [(1 << (W * n)) - u for u in units]  # the key of x_(j+1): B**n - B**j
+    echelon = KernelEchelon()
+    basis: list[list] = []
+    leads: list[int] = []
+    heap = [(0, 0, None, 0)]  # (key, packed exponents, image of m / x_(i+1), i)
+    while heap:
+        key, x, parent, i = heappop(heap)
+        if any(((x | guard) - a) & guard == guard for a in leads):
+            continue
+        image = value(DEGREVLEX.monomial(x, n), parent, i)
+        relation = echelon.add(image, key)
+        if relation is None:
+            for j in range(i, n):
+                heappush(heap, (key + steps[j], x + units[j], image, j))
+        else:
+            basis.append(_normalize(sorted(relation.items(), reverse=True)))
+            leads.append(x)
+    ideal = Ideal(n, [_to_poly(g, n).monic() for g in basis])
+    ideal._seed_basis(basis)
+    return ideal
 
 
 def orbit_ideal(point) -> Ideal:
     """Radical vanishing ideal of the orbit of a point under all coordinate
-    permutations, built by balanced pairwise intersections."""
-    pts = orbit_points(point)
+    permutations: the kernel of evaluation at the orbit points, by
+    ``_vanishing_ideal``, each image its parent's times one coordinate of
+    each point, integral ones as ints.  In colex order of the points, the
+    first monomials walked (x_n, x_(n-1), ...) reduce against few pivots:
+    a quarter fewer row operations than in lex order at (1, .., 6)."""
+    pts = [[v.numerator if v.denominator == 1 else v for v in p] for p in orbit_points(point)]
 
-    def tree(lo: int, hi: int) -> Ideal:
-        if hi - lo == 1:
-            return point_ideal(pts[lo])
-        mid = (lo + hi) // 2
-        return tree(lo, mid).intersect(tree(mid, hi))
+    def value(m: Monomial, parent, i) -> dict:
+        if parent is None:
+            return dict.fromkeys(range(len(pts)), 1)
+        return {p: c * pts[p][i] for p, c in parent.items()}
 
-    return tree(0, len(pts))
+    return _vanishing_ideal(len(point), value)

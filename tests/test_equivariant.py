@@ -15,7 +15,7 @@ from symideal.classification import classification_cases, row_case
 from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
                                   tangent_dimension, _hom_basis_equivariant,
-                                  _minimal_generator_space)
+                                  _minimal_generator_space, _swap_actions)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
 from symideal.poly import (Polynomial, apolar_complement, apply_permutation,
@@ -281,6 +281,37 @@ class TestIsSymmetric:
         assert is_symmetric(stable) and generator_check(stable)
         for case in classification_cases(n):
             assert is_symmetric(case.ideal) == generator_check(case.ideal), case.label
+
+
+class TestSwapActions:
+    """The S_n action kept on the ideal, where a standard image skips its
+    normal form, is the map that takes every normal form."""
+
+    @staticmethod
+    def assert_matches_normal_forms(ideal):
+        n = ideal.ambient_n
+        keys = [DEGREVLEX.key(m) for m in ideal.standard_monomials()]
+        actions = _swap_actions(ideal)
+        assert len(actions) == n - 1
+        for a, action in enumerate(actions):
+            expected = _action(ideal, Permutation.transposition(a + 1, a + 2, n))
+            assert list(action) == keys
+            for key, coords in zip(keys, expected):
+                assert action[key] == coords
+                assert list(map(type, action[key].values())) == list(map(type, coords.values()))
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+    def test_tanisaki_points(self, parts):
+        self.assert_matches_normal_forms(tanisaki_point(parts))
+
+    @pytest.mark.parametrize("point", [(1, 2, 3, 4), (Fraction(1, 2), 0, 0, 3)])
+    def test_orbit_ideals(self, point):
+        self.assert_matches_normal_forms(orbit_ideal(point))
+
+    def test_unit_ideal(self):
+        ideal = Ideal(3, [Polynomial.one(3)])
+        assert _swap_actions(ideal) == [{}, {}]
+        self.assert_matches_normal_forms(ideal)
 
 
 class TestDecomposeQuotient:

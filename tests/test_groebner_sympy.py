@@ -4,7 +4,9 @@ sympy is a second, independent Buchberger implementation; it is only a
 test dependency (the tests are skipped when it is missing).  Its
 ``grevlex`` order with x1 > ... > xn is DEGREVLEX here, and both engines
 return the reduced basis, which is unique once made monic, so the bases
-must agree exactly.
+must agree exactly.  Orbit ideals and intersections, which the library
+finds by linear algebra, are rebuilt by sympy's own elimination, and
+membership is decided a second way by sympy's lex bases.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symideal.ideals import Ideal, orbit_ideal, orbit_points, point_ideal
+from symideal.ideals import Ideal, orbit_ideal, orbit_points
 from symideal.poly import Polynomial
+from test_ideals import membership_cases
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -109,10 +112,11 @@ def test_orbit_ideals_match_sympy(point):
     # sympy rebuilds the ideal from the maximal ideals of the orbit's
     # points, one intersection at a time, by its own elimination
     n = len(point)
-    pts = orbit_points(point)
-    expected = point_ideal(pts[0]).groebner_basis()
-    for p in pts[1:]:
-        expected = sympy_intersection(expected, point_ideal(p).groebner_basis(), n)
+    maximal = [[Polynomial.variable(i + 1, n) - v for i, v in enumerate(p)]
+               for p in orbit_points(point)]
+    expected = maximal[0]
+    for gens in maximal[1:]:
+        expected = sympy_intersection(expected, gens, n)
     assert set(ideal.groebner_basis()) == set(expected)
 
 
@@ -122,5 +126,23 @@ def test_orbit_ideals_match_sympy(point):
 @given(symmetric_ideals(2, sizes=(2,)))
 def test_intersection_matches_sympy(case):
     n, left_gens, right_gens = case
+    # x_i^3 on each side makes both quotients finite, as intersect needs
+    cubes = [Polynomial.variable(i, n) ** 3 for i in range(1, n + 1)]
+    left_gens, right_gens = left_gens + cubes, right_gens + cubes
     ours = Ideal(n, left_gens).intersect(Ideal(n, right_gens)).groebner_basis()
     assert set(ours) == set(sympy_intersection(left_gens, right_gens, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_membership_matches_sympy_lex(n):
+    # a lex basis is another Groebner basis of the same ideal: membership
+    # decided by it agrees with the degrevlex normal form
+    xs = symbols(n)
+    for gens, probes in membership_cases(n):
+        ideal = Ideal(n, gens)
+        nonzero = [to_sympy(g, xs) for g in gens if not g.is_zero()]
+        lex = sympy.groebner(nonzero, *xs, order="lex") if nonzero else None
+        for probe in probes:
+            expected = probe.is_zero() or bool(lex and lex.contains(to_sympy(probe, xs)))
+            assert ideal.contains(probe) == expected
+        assert ideal.contains(probes[-1])

@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
-from symideal.ideals import (DEGREVLEX, LIMIT, W, EliminationOrder, Ideal,
-                             _buchberger, _engine_terms, _lead, _masks,
-                             _normal_form, _normalize, _pack, _packed_lcm,
-                             _spoly, _support, _to_engine, maximal_power,
-                             orbit_ideal, orbit_points, point_ideal)
+from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _engine_terms,
+                             _lead, _masks, _normal_form, _normalize, _pack, _packed_lcm,
+                             _spoly, _support, _to_engine, maximal_power, orbit_ideal,
+                             orbit_points)
 from symideal.poly import Polynomial, apply_permutation, degree_monomials, power_sum
 from symideal.tanisaki import tanisaki_ideal
 
 
 def x(i, n):
     return Polynomial.variable(i, n)
+
+
+def point_ideal(point):
+    """The maximal ideal of a single rational point."""
+    n = len(point)
+    return Ideal(n, [x(i + 1, n) - Fraction(v) for i, v in enumerate(point)])
 
 
 def random_poly(rng, n, max_degree=2, terms=3):
@@ -61,29 +66,34 @@ class TestGroebner:
             basis, leads = quotient.basis, quotient.leads
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    s = _spoly(basis[i], basis[j], DEGREVLEX, n)
+                    s = _spoly(basis[i], basis[j], n)
                     if s:
-                        rem, _ = _normal_form(s, basis, leads, DEGREVLEX, n, {})
+                        rem, _ = _normal_form(s, basis, leads, n, {})
                         assert not rem
 
-    def test_membership_agrees_with_the_elimination_order_basis(self):
-        # a second Groebner basis of the same ideal, in the order that
-        # Ideal.intersect uses, decides membership the same way
-        rng = random.Random(5)
-        order = EliminationOrder()
-        for _ in range(10):
-            n = rng.choice([2, 3, 4])
-            gens = [random_poly(rng, n) for _ in range(2)]
+    def test_membership_agrees_under_every_relabelling(self):
+        # relabelling the variables of ideal and probe by sigma decides
+        # membership in another degrevlex order of the original ring
+        n = 3
+        for gens, probes in membership_cases(n):
             ideal = Ideal(n, gens)
-            basis = _buchberger([_to_engine(g, order) for g in ideal.generators], order, n)
-            leads = [_lead(g, order, n) for g in basis]
-            member = gens[0] * random_poly(rng, n) + gens[1] * random_poly(rng, n)
-            for probe in (random_poly(rng, n), member):
-                if probe.is_zero():
-                    continue
-                rem, _ = _normal_form(_to_engine(probe, order), basis, leads, order, n, {})
-                assert ideal.contains(probe) == (not rem)
-            assert ideal.contains(member)
+            for images in permutations(range(1, n + 1)):
+                sigma = Permutation(images)
+                relabelled = Ideal(n, [apply_permutation(sigma, g) for g in gens])
+                for probe in probes:
+                    assert (relabelled.contains(apply_permutation(sigma, probe))
+                            == ideal.contains(probe))
+            assert ideal.contains(probes[-1])
+
+
+def membership_cases(n, count=10):
+    """Random generator pairs in n variables, each with probes: random
+    polynomials, then a combination of the generators, always a member."""
+    rng = random.Random(5 + n)
+    for _ in range(count):
+        gens = [random_poly(rng, n) for _ in range(2)]
+        member = gens[0] * random_poly(rng, n) + gens[1] * random_poly(rng, n)
+        yield gens, [random_poly(rng, n) for _ in range(2)] + [member]
 
 
 class TestNormalForm:
@@ -373,6 +383,19 @@ class TestIntersect:
             assert left.colength() == 2 and right.colength() == 2
             assert left.intersect(right).colength() == 4
 
+    @pytest.mark.parametrize("positive", [[x(1, 2)], [], [x(1, 2) ** 2 - x(2, 2)]])
+    def test_a_positive_dimensional_side_is_rejected(self, positive):
+        finite = point_ideal((1, 2))
+        for left, right in ((Ideal(2, positive), finite), (finite, Ideal(2, positive))):
+            with pytest.raises(ValueError, match="finite colength"):
+                left.intersect(right)
+
+    def test_unit_ideal_is_neutral(self):
+        unit = Ideal(2, [Polynomial.one(2)])
+        ideal = point_ideal((1, 2)).intersect(point_ideal((0, 3)))
+        assert unit.intersect(ideal) == ideal.intersect(unit) == ideal
+        assert unit.intersect(unit).groebner_basis() == (Polynomial.one(2),)
+
 
 class TestOrbitIdeal:
     def test_diagonal_point(self):
@@ -397,6 +420,22 @@ class TestOrbitIdeal:
             for j in range(1, n + 1):
                 shifted = power_sum(j, n) - Fraction(power_sum(j, n).evaluate(point))
                 assert ideal.contains(shifted)
+
+    @pytest.mark.parametrize("point", [(1, 2, 3), (Fraction(1, 2), 0, 3), (2, 2, -1, -1),
+                                       (0, 0, 1, 1, 2)])
+    def test_basis_vanishes_at_every_orbit_point(self, point):
+        for g in orbit_ideal(point).groebner_basis():
+            for p in orbit_points(point):
+                assert g.evaluate(p) == 0
+
+    @pytest.mark.parametrize("point", [(1, 2, 3), (Fraction(1, 2), 0, 3), (3, -1, -1, -1),
+                                       (1, 1, 2, 2), (1, 2, 3, 4)])
+    def test_generators_give_the_same_ideal_by_buchberger(self, point):
+        ideal = orbit_ideal(point)
+        fresh = Ideal(len(point), ideal.generators)
+        assert fresh._record is None
+        assert fresh == ideal
+        assert fresh._quotient().basis == ideal._quotient().basis
 
     def test_output_is_symmetric(self):
         ideal = orbit_ideal((4, 1, 1))
@@ -477,23 +516,13 @@ class TestSerialization:
         ideal.groebner_basis()
         assert ideal.to_json() == cold
 
-    def test_elimination_order_keys(self):
-        order = EliminationOrder()
-        # any power of the tail variable beats anything without it
-        assert order.key((0, 0, 1)) > order.key((5, 5, 0))
-
 
 # -- packed monomial keys ------------------------------------------------------
 
-ORDERS = [DEGREVLEX, EliminationOrder()]
 
-
-def tuple_key(order, m):
-    """The tuple keys the orders used before keys were packed into ints."""
-    if order is DEGREVLEX:
-        return (sum(m), tuple(-e for e in reversed(m)))
-    head, t = m[:-1], m[-1]
-    return (t, sum(head), tuple(-e for e in reversed(head)))
+def tuple_key(m):
+    """The tuple key degrevlex used before keys were packed into ints."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def exponents(bound):
@@ -503,69 +532,61 @@ def exponents(bound):
 
 
 @st.composite
-def order_and_monomials(draw, bound, count):
-    order = draw(st.sampled_from(ORDERS))
-    n = draw(st.integers(1 if order is DEGREVLEX else 2, 5))
+def monomials(draw, bound, count):
+    n = draw(st.integers(1, 5))
     monos = draw(st.lists(st.tuples(*[exponents(bound)] * n), min_size=count,
                           max_size=count + 4))
-    return order, n, monos
+    return n, monos
 
 
 class TestPackedKeys:
     @settings(max_examples=200, deadline=None)
-    @given(order_and_monomials(LIMIT, 2))
+    @given(monomials(LIMIT, 2))
     def test_key_is_additive(self, case):
-        order, _, (a, b, *_) = case
+        _, (a, b, *_) = case
         product = tuple(x + y for x, y in zip(a, b))
-        assert order.key(product) == order.key(a) + order.key(b)
+        assert DEGREVLEX.key(product) == DEGREVLEX.key(a) + DEGREVLEX.key(b)
 
     @settings(max_examples=200, deadline=None)
-    @given(order_and_monomials(1 << (W - 1), 2))
+    @given(monomials(1 << (W - 1), 2))
     def test_key_sorts_as_the_tuple_key(self, case):
-        order, _, monos = case
-        assert (sorted(monos, key=order.key)
-                == sorted(monos, key=lambda m: tuple_key(order, m)))
+        _, monos = case
+        assert sorted(monos, key=DEGREVLEX.key) == sorted(monos, key=tuple_key)
         a, b = monos[0], monos[1]
-        assert (order.key(a) < order.key(b)) == (tuple_key(order, a) < tuple_key(order, b))
-        assert (order.key(a) == order.key(b)) == (a == b)
+        assert (DEGREVLEX.key(a) < DEGREVLEX.key(b)) == (tuple_key(a) < tuple_key(b))
+        assert (DEGREVLEX.key(a) == DEGREVLEX.key(b)) == (a == b)
 
     @settings(max_examples=200, deadline=None)
-    @given(order_and_monomials(1 << (W - 1), 1))
+    @given(monomials(1 << (W - 1), 1))
     def test_unpack_inverts_key(self, case):
-        order, n, monos = case
+        n, monos = case
         for m in monos:
-            assert order.unpack(order.key(m), n) == m
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(exponents(1 << (W - 1)), min_size=1, max_size=5))
-    def test_tail_free_elimination_key_is_degrevlex(self, head):
-        # Ideal.intersect keeps the elimination keys of t-free elements
-        assert EliminationOrder().key(tuple(head) + (0,)) == DEGREVLEX.key(tuple(head))
+            assert DEGREVLEX.unpack(DEGREVLEX.key(m), n) == m
 
     @settings(max_examples=200, deadline=None)
-    @given(order_and_monomials(LIMIT, 2))
+    @given(monomials(LIMIT, 2))
     def test_guard_bit_divisibility(self, case):
-        order, n, (a, b, *_) = case
+        n, (a, b, *_) = case
         x = tuple(p + q for p, q in zip(a, b))  # a divides x
         guard = _masks(n)[0]
         for lead, m in ((a, x), (b, x), (x, a)):
-            packed_lead = order.exps(order.key(lead), n)
-            packed_m = order.exps(order.key(m), n)
+            packed_lead = DEGREVLEX.exps(DEGREVLEX.key(lead), n)
+            packed_m = DEGREVLEX.exps(DEGREVLEX.key(m), n)
             divides = all(p <= q for p, q in zip(lead, m))
             assert (((packed_m | guard) - packed_lead) & guard == guard) == divides
 
     @settings(max_examples=300, deadline=None)
-    @given(order_and_monomials(LIMIT, 2), st.data())
+    @given(monomials(LIMIT, 2), st.data())
     def test_packed_lcm_support_and_divisibility_match_the_tuples(self, case, data):
-        order, n, (a, b, *_) = case
+        n, (a, b, *_) = case
         # zero out some fields so that coprime pairs and equal fields occur
         zero = data.draw(st.lists(st.sampled_from(["a", "b", "none"]), min_size=n,
                                   max_size=n))
         a = tuple(0 if z == "a" else e for e, z in zip(a, zero))
         b = tuple(0 if z == "b" else e for e, z in zip(b, zero))
         guard = _masks(n)[0]
-        pa, pb = order.exps(order.key(a), n), order.exps(order.key(b), n)
-        assert order.monomial(_packed_lcm(pa, pb, guard), n) == tuple(map(max, a, b))
+        pa, pb = DEGREVLEX.exps(DEGREVLEX.key(a), n), DEGREVLEX.exps(DEGREVLEX.key(b), n)
+        assert DEGREVLEX.monomial(_packed_lcm(pa, pb, guard), n) == tuple(map(max, a, b))
         coprime = all(p == 0 or q == 0 for p, q in zip(a, b))
         assert (not _support(pa, n) & _support(pb, n)) == coprime
         for p, q, u, v in ((pa, pb, a, b), (pb, pa, b, a)):
@@ -584,7 +605,8 @@ class TestExponentBound:
             Ideal(n, [x(1, n)]).normal_form(at_bound + x(2, n))
         with pytest.raises(ValueError):
             Ideal(n, [at_bound, x(1, n)]).groebner_basis()
-        with pytest.raises(ValueError):
+        # the other side's infinite colength would raise too, but later
+        with pytest.raises(ValueError, match="too large"):
             Ideal(n, [x(2, n)]).intersect(Ideal(n, [at_bound, x(1, n)]))
 
     def test_below_the_bound_is_exact(self):
@@ -607,14 +629,14 @@ class TestExponentBound:
         quotient = ideal._quotient()
         work = [(DEGREVLEX.key((1, LIMIT)), 1)]
         with pytest.raises(ArithmeticError):
-            _normal_form(work, quotient.basis, quotient.leads, DEGREVLEX, n, {})
+            _normal_form(work, quotient.basis, quotient.leads, n, {})
 
     def test_spoly_multiplier_past_the_bound_raises(self):
         n = 2
         f = [(DEGREVLEX.key((LIMIT, 0)), 1)]
         g = [(DEGREVLEX.key((0, 1)), 1)]
         with pytest.raises(ArithmeticError):
-            _spoly(f, g, DEGREVLEX, n)
+            _spoly(f, g, n)
 
     def test_basis_element_past_the_bound_raises(self):
         n = 2
@@ -665,9 +687,9 @@ def tuple_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def reducer_oracle(k, basis, leads, order, n):
+def reducer_oracle(k, basis, leads, n):
     guard, quarter = _masks(n)[:2]
-    x = order.exps(k, n)
+    x = DEGREVLEX.exps(k, n)
     for g, a in zip(basis, leads):
         if ((x | guard) - a) & guard == guard:
             if (x - a) & quarter:
@@ -676,7 +698,7 @@ def reducer_oracle(k, basis, leads, order, n):
     return None
 
 
-def normal_form_oracle(terms, basis, leads, order, n):
+def normal_form_oracle(terms, basis, leads, n):
     divisors = {}
     mult = 1
     rem = []
@@ -685,7 +707,7 @@ def normal_form_oracle(terms, basis, leads, order, n):
     while i < len(work):
         k, lc = work[i]
         if k not in divisors:
-            divisors[k] = reducer_oracle(k, basis, leads, order, n)
+            divisors[k] = reducer_oracle(k, basis, leads, n)
         g = divisors[k]
         if g is None:
             rem.append(work[i])
@@ -710,8 +732,8 @@ def normal_form_oracle(terms, basis, leads, order, n):
     return rem, mult
 
 
-def spoly_oracle(f, g, order, n):
-    lcm = order.key(tuple_lcm(order.unpack(f[0][0], n), order.unpack(g[0][0], n)))
+def spoly_oracle(f, g, n):
+    lcm = DEGREVLEX.key(tuple_lcm(DEGREVLEX.unpack(f[0][0], n), DEGREVLEX.unpack(g[0][0], n)))
     kf, kg = lcm - f[0][0], lcm - g[0][0]
     cf, cg = f[0][1], g[0][1]
     d = gcd(cf, cg)
@@ -719,7 +741,7 @@ def spoly_oracle(f, g, order, n):
     return merge_oracle(shifted, 1, 1, g, kg, -(cf // d))
 
 
-def buchberger_oracle(inputs, order, n):
+def buchberger_oracle(inputs, n):
     G, leads, lms, alive = [], [], [], []
     heap, pair_alive = [], set()
 
@@ -736,7 +758,7 @@ def buchberger_oracle(inputs, order, n):
                 D.append((i, lcm_i))
         for i, lcm_i in D:
             if not coprime(lms[i], lt):
-                heapq.heappush(heap, (order.key(lcm_i), i, t))
+                heapq.heappush(heap, (DEGREVLEX.key(lcm_i), i, t))
                 pair_alive.add((i, t))
         for i, j in list(pair_alive):
             if j == t:
@@ -750,11 +772,11 @@ def buchberger_oracle(inputs, order, n):
                 alive[i] = False
 
     def add(f):
-        rem = _normalize(normal_form_oracle(f, G, leads, order, n)[0])
+        rem = _normalize(normal_form_oracle(f, G, leads, n)[0])
         if rem:
             G.append(rem)
-            leads.append(_lead(rem, order, n))
-            lms.append(order.unpack(rem[0][0], n))
+            leads.append(_lead(rem, n))
+            lms.append(DEGREVLEX.unpack(rem[0][0], n))
             alive.append(True)
             update(len(G) - 1)
 
@@ -764,43 +786,39 @@ def buchberger_oracle(inputs, order, n):
         _, i, j = heapq.heappop(heap)
         if (i, j) in pair_alive:
             pair_alive.discard((i, j))
-            s = spoly_oracle(G[i], G[j], order, n)
+            s = spoly_oracle(G[i], G[j], n)
             if s:
                 add(s)
     # reduced basis: minimal leading monomials, then tail reduction
     kept = []
     for g in sorted((G[i] for i in range(len(G)) if alive[i]), key=lambda t: t[0][0]):
-        lm = order.unpack(g[0][0], n)
-        if not any(tuple_divides(order.unpack(h[0][0], n), lm) for h in kept):
+        lm = DEGREVLEX.unpack(g[0][0], n)
+        if not any(tuple_divides(DEGREVLEX.unpack(h[0][0], n), lm) for h in kept):
             kept.append(g)
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        rem, _ = normal_form_oracle(g, others, [_lead(h, order, n) for h in others], order, n)
+        rem, _ = normal_form_oracle(g, others, [_lead(h, n) for h in others], n)
         reduced.append(_normalize(rem))
     return sorted(reduced, key=lambda t: t[0][0])
 
 
-ENGINE_ORDERS = [DEGREVLEX, EliminationOrder()]
-
-
 @st.composite
 def reduction_case(draw):
-    """An order, a list of reducers (any polynomials, not a Groebner basis)
-    with leading coefficients up to 9, and a polynomial to reduce."""
-    order = draw(st.sampled_from(ENGINE_ORDERS))
+    """A list of reducers (any polynomials, not a Groebner basis) with
+    leading coefficients up to 9, and a polynomial to reduce."""
     n = draw(st.sampled_from([2, 3]))
     gens = draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
     basis = []
     for g in gens:
-        terms = _to_engine(g, order)
+        terms = _to_engine(g)
         scale = draw(st.integers(1, 9))  # a leading coefficient past 1
         basis.append([(terms[0][0], terms[0][1] * scale)] + terms[1:])
     f = draw(polynomials(n, 4, 1, 6))
-    return order, n, basis, _engine_terms(f, order)[0]
+    return n, basis, _engine_terms(f)[0]
 
 
-def strip_case(order, qs):
+def strip_case(qs):
     """Reducers q_j*x1^j + x2^j (q_j from ``qs``, largest power first) after
     x2, and x3^(m+1) + x1^m + ... + x1 + x3 to reduce: each x1^j multiplies
     the multiplier by q_j, and once it passes 1,024 bits the content of the
@@ -809,8 +827,8 @@ def strip_case(order, qs):
     v = lambda i: x(i, n)
     reducers = [v(2)] + [qs[j - 1] * v(1) ** j + v(2) ** j for j in range(m, 0, -1)]
     f = v(3) ** (m + 1) + sum((v(1) ** j for j in range(1, m + 1)), v(3))
-    basis = [_to_engine(g, order) for g in reducers]
-    return n, basis, _engine_terms(f, order)[0]
+    basis = [_to_engine(g) for g in reducers]
+    return n, basis, _engine_terms(f)[0]
 
 
 class TestEngineOracles:
@@ -820,51 +838,50 @@ class TestEngineOracles:
     @settings(max_examples=150, deadline=None)
     @given(reduction_case())
     def test_normal_form_matches_the_merge_oracle(self, case):
-        order, n, basis, terms = case
-        leads = [_lead(g, order, n) for g in basis]
-        expected = normal_form_oracle(terms, basis, leads, order, n)
-        assert _normal_form(terms, basis, leads, order, n, {}) == expected
+        n, basis, terms = case
+        leads = [_lead(g, n) for g in basis]
+        expected = normal_form_oracle(terms, basis, leads, n)
+        assert _normal_form(terms, basis, leads, n, {}) == expected
 
-    @pytest.mark.parametrize("order", ENGINE_ORDERS, ids=str)
-    def test_scaled_rest_and_content_strip_match_the_oracle(self, order):
+    def test_scaled_rest_and_content_strip_match_the_oracle(self):
         qs = [(1 << 100) + k for k in (277, 331, 397, 513, 595, 1065, 1189, 1227,
                                        1393, 1621, 1735, 1797)]
-        n, basis, terms = strip_case(order, qs)
-        leads = [_lead(g, order, n) for g in basis]
-        rem, mult = _normal_form(terms, basis, leads, order, n, {})
-        assert (rem, mult) == normal_form_oracle(terms, basis, leads, order, n)
+        n, basis, terms = strip_case(qs)
+        leads = [_lead(g, n) for g in basis]
+        rem, mult = _normal_form(terms, basis, leads, n, {})
+        assert (rem, mult) == normal_form_oracle(terms, basis, leads, n)
         # the multiplier grew past 1,024 bits (every step scaled the rest)
         # and was cut back by the content strip
         full = 1
         for q in qs:
             full *= q
         assert full.bit_length() > 1024 and 1 < mult < full
-        assert [k for k, _ in rem] == [order.key((0, 0, len(qs) + 1)), order.key((0, 0, 1))]
+        assert [k for k, _ in rem] == [DEGREVLEX.key((0, 0, len(qs) + 1)),
+                                       DEGREVLEX.key((0, 0, 1))]
 
     @settings(max_examples=100, deadline=None)
     @given(reduction_case())
     def test_spoly_matches_the_tuple_oracle(self, case):
-        order, n, basis, _ = case
+        n, basis, _ = case
         for f in basis:
             for g in basis:
-                assert _spoly(f, g, order, n) == spoly_oracle(f, g, order, n)
+                assert _spoly(f, g, n) == spoly_oracle(f, g, n)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(ENGINE_ORDERS), st.sampled_from([2, 3]), st.data())
-    def test_buchberger_matches_the_tuple_oracle(self, order, n, data):
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_buchberger_matches_the_tuple_oracle(self, n, data):
         gens = data.draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
-        inputs = [_to_engine(g, order) for g in gens]
-        assert _buchberger(inputs, order, n) == buchberger_oracle(inputs, order, n)
+        inputs = [_to_engine(g) for g in gens]
+        assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
 
-    @pytest.mark.parametrize("order", ENGINE_ORDERS, ids=str)
-    def test_buchberger_matches_on_many_pairs(self, order):
+    def test_buchberger_matches_on_many_pairs(self):
         # the power sums and the pair products at n = 4: many pairs, pruned
         from symideal.classification import pair_products
 
         n = 4
         gens = [power_sum(k, n) for k in (1, 2)] + pair_products(n)
-        inputs = [_to_engine(g, order) for g in gens]
-        assert _buchberger(inputs, order, n) == buchberger_oracle(inputs, order, n)
+        inputs = [_to_engine(g) for g in gens]
+        assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
 
 
 class TestRunLongDivisorMemo:
@@ -873,36 +890,35 @@ class TestRunLongDivisorMemo:
     def test_no_divisor_entry_is_rechecked_after_an_append(self):
         # as in _buchberger: reduce with one basis, append the remainder as
         # a new element, reduce again with the same memo
-        n, order = 2, DEGREVLEX
-        basis = [_to_engine(x(1, n) ** 2 - x(2, n), order)]
-        leads = [_lead(g, order, n) for g in basis]
+        n = 2
+        basis = [_to_engine(x(1, n) ** 2 - x(2, n))]
+        leads = [_lead(g, n) for g in basis]
         divisors = {}
-        first, _ = _normal_form(_to_engine(x(2, n) ** 2 + x(2, n), order), basis, leads,
-                                order, n, divisors)
-        assert first == _to_engine(x(2, n) ** 2 + x(2, n), order)  # x2^2 is not reducible
-        assert divisors[order.key((0, 2))] == 1  # checked against one element
-        basis.append(_to_engine(x(2, n) ** 2 - x(1, n), order))
-        leads.append(_lead(basis[-1], order, n))
-        probe = _to_engine(x(2, n) ** 2 + x(2, n), order)
-        second, mult = _normal_form(probe, basis, leads, order, n, divisors)
-        assert (second, mult) == _normal_form(probe, basis, leads, order, n, {})
-        assert second == _to_engine(x(1, n) + x(2, n), order)
+        first, _ = _normal_form(_to_engine(x(2, n) ** 2 + x(2, n)), basis, leads, n, divisors)
+        assert first == _to_engine(x(2, n) ** 2 + x(2, n))  # x2^2 is not reducible
+        assert divisors[DEGREVLEX.key((0, 2))] == 1  # checked against one element
+        basis.append(_to_engine(x(2, n) ** 2 - x(1, n)))
+        leads.append(_lead(basis[-1], n))
+        probe = _to_engine(x(2, n) ** 2 + x(2, n))
+        second, mult = _normal_form(probe, basis, leads, n, divisors)
+        assert (second, mult) == _normal_form(probe, basis, leads, n, {})
+        assert second == _to_engine(x(1, n) + x(2, n))
         # a stale "no divisor" entry for x2^2 would leave it in the remainder
         guard = _masks(n)[0]
         for k, _ in second:
-            e = order.exps(k, n) | guard
+            e = DEGREVLEX.exps(k, n) | guard
             assert not any((e - a) & guard == guard for a in leads)
-        assert divisors[order.key((0, 2))] is basis[1]
+        assert divisors[DEGREVLEX.key((0, 2))] is basis[1]
 
     @settings(max_examples=40, deadline=None)
     @given(reduction_case(), st.data())
     def test_shared_memo_matches_a_fresh_one_as_the_basis_grows(self, case, data):
-        order, n, basis, terms = case
+        n, basis, terms = case
         probes = data.draw(st.lists(polynomials(n, 4, 1, 5), min_size=1, max_size=4))
         divisors = {}
         for size in range(1, len(basis) + 1):
-            prefix, leads = basis[:size], [_lead(g, order, n) for g in basis[:size]]
+            prefix, leads = basis[:size], [_lead(g, n) for g in basis[:size]]
             for f in probes:
-                t = _engine_terms(f, order)[0]
-                assert (_normal_form(t, prefix, leads, order, n, divisors)
-                        == _normal_form(t, prefix, leads, order, n, {}))
+                t = _engine_terms(f)[0]
+                assert (_normal_form(t, prefix, leads, n, divisors)
+                        == _normal_form(t, prefix, leads, n, {}))

@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of thirty-four JSON reports.
+"""Pinned SHA-256 digests of thirty-five JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -71,6 +71,9 @@ PINNED = {
         "005188076c58e0dfd07280eb2f4a436f0fa5d8234605ce5496aac4f408cb8ccb",
     "gr --n 6 --point 1,1,2,2,3,-9":
         "788e4e0e5a6fa41421f8e49668015f50701d5a374c750ca35f04276e26d23080",
+    # 360 points
+    "gr --n 6 --point 0,1,2,3,4,4":
+        "861395999ee82ee60d5897cf4ea16744f4eddfe40ab7db697854ab7f293c605d",
     "decompose --n 4 --row 9":
         "f82957076dfd8dde93434822ff34964d7419700713f370593d3ca14bff6aa50d",
     "decompose --n 6 --tanisaki 2,2,1,1":
