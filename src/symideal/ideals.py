@@ -44,6 +44,13 @@ the normal strategy with Gebauer-Moeller elimination, which makes reduced
 bases deterministic.  Reduced Groebner bases are canonical, so ideal
 equality is decided by comparing them.
 
+A degree cap: when every input is homogeneous and the inputs hold all
+C(n+d-1, d) monomials of some least degree d, the ideal is J + m^d, J
+spanned by the inputs below d.  Its reduced basis is that of J below d and
+monomials from d on, so ``_buchberger`` skips inputs and pairs of degree
+>= d and appends the degree-d monomials that no leading monomial divides,
+instead of reducing each monomial of m^d to zero.
+
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1, built together and replaced together.
@@ -64,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import chain, permutations
-from math import gcd, inf
+from math import comb, gcd, inf
 from struct import Struct
 
 from .linalg import KernelEchelon
@@ -281,9 +288,29 @@ def _spoly(f: list, g: list, n: int) -> list:
     return sorted(((k, c) for k, c in terms.items() if c), reverse=True)
 
 
+def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
+    """(d, keys): the least degree d at which the inputs hold every monomial
+    of degree d, as distinct keys, and those keys ascending; (inf, []) when
+    no degree is full or some input is not homogeneous."""
+    def degree(k: int) -> int:  # a key of degree e lies in ((e - 1) * B**n, e * B**n]
+        return (k + (1 << (W * n)) - 1) >> (W * n)
+
+    if any(degree(f[0][0]) != degree(f[-1][0]) for f in inputs):
+        return inf, []
+    found: dict[int, set] = {}
+    for f in inputs:
+        if len(f) == 1:
+            found.setdefault(degree(f[0][0]), set()).add(f[0][0])
+    full = [d for d, keys in found.items() if len(keys) == comb(n + d - 1, d)]
+    return (min(full), sorted(found[min(full)])) if full else (inf, [])
+
+
 def _buchberger(inputs: list[list], n: int) -> list[list]:
-    """Reduced Groebner basis from engine term lists."""
+    """Reduced Groebner basis from engine term lists, truncated at a degree
+    cap (see the module docstring)."""
     guard = _masks(n)[0]
+    cap, cap_keys = _degree_cap(inputs, n)
+    ceiling = (cap - 1) << (W * n) if cap_keys else inf  # keys of degree >= cap exceed it
     G: list[list] = []
     leads: list[int] = []  # packed leading exponents
     support: list[int] = []  # the guard bit of each nonzero field of a lead
@@ -307,8 +334,10 @@ def _buchberger(inputs: list[list], n: int) -> list[list]:
         # ...then drop the non-coprime survivors into the queue...
         for i, lcm in D:
             if support[i] & st:
-                heappush(heap, (DEGREVLEX.key(DEGREVLEX.monomial(lcm, n)), i, t))
-                pairs[i, t] = lcm
+                key = DEGREVLEX.key(DEGREVLEX.monomial(lcm, n))
+                if key <= ceiling:
+                    heappush(heap, (key, i, t))
+                    pairs[i, t] = lcm
         # ...and prune the old pairs superseded by the new element.
         stale = [(i, j) for (i, j), lcm in pairs.items()
                  if j != t and ((lcm | guard) - lt) & guard == guard
@@ -331,7 +360,7 @@ def _buchberger(inputs: list[list], n: int) -> list[list]:
             alive.append(True)
             update(len(G) - 1)
 
-    for f in sorted(inputs, key=lambda t: t[0][0]):
+    for f in sorted((f for f in inputs if f[0][0] <= ceiling), key=lambda t: t[0][0]):
         add(f)
 
     while heap:
@@ -342,7 +371,10 @@ def _buchberger(inputs: list[list], n: int) -> list[list]:
         if s:
             add(s)
 
-    return _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
+    basis = _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
+    below = [DEGREVLEX.exps(g[0][0], n) for g in basis]
+    return basis + [[(k, 1)] for k in cap_keys if not any(
+        ((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in below)]
 
 
 def _reduce_basis(basis: list[list], n: int) -> list[list]:
@@ -551,7 +583,8 @@ class Ideal:
 
 
 def maximal_power(n: int, d: int) -> Ideal:
-    """The d-th power of the homogeneous maximal ideal, by its monomials."""
+    """The d-th power of the homogeneous maximal ideal, by its monomials:
+    added to a homogeneous ideal, a degree cap that ends Buchberger at d."""
     if d < 1:
         raise ValueError("d must be at least 1")
     return Ideal(n, [Polynomial.monomial(m) for m in degree_monomials(n, d)])

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symideal.classification import row_case
+from symideal.combinat import Partition
 from symideal.ideals import Ideal, orbit_ideal, orbit_points
 from symideal.poly import Polynomial
+from symideal.tanisaki import tanisaki_ideal
 from test_ideals import membership_cases
 
 sympy = pytest.importorskip("sympy")
@@ -104,6 +107,17 @@ def test_symmetric_ideals_match_sympy(case):
     ours = Ideal(n, gens).groebner_basis()
     assert len(set(ours)) == len(ours)
     assert set(ours) == sympy_basis(gens, n)
+
+
+@pytest.mark.parametrize("build", [lambda: row_case("2b", 4, 7).ideal,
+                                   lambda: tanisaki_ideal(Partition([2, 1, 1]), "apolar")],
+                         ids=["row 2b n=4 r=7", "apolar (2,1,1)"])
+def test_capped_ideals_match_sympy(build):
+    # "+ m^d" truncates our walk at degree d; sympy runs untruncated
+    ideal = build()
+    ours = ideal.groebner_basis()
+    assert set(ours) == sympy_basis(ideal.generators, ideal.ambient_n)
+    assert len(set(ours)) == len(ours)
 
 
 @pytest.mark.parametrize("point", [(1, 2), (1, 1, -2), (0, 1, 3), (2, 2, -1, -1), (1, -1, 0, 0)])

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
-from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _engine_terms,
-                             _lead, _masks, _normal_form, _normalize, _pack, _packed_lcm,
-                             _spoly, _support, _to_engine, maximal_power, orbit_ideal,
-                             orbit_points)
+from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _degree_cap,
+                             _engine_terms, _lead, _masks, _normal_form, _normalize, _pack,
+                             _packed_lcm, _spoly, _support, _to_engine, maximal_power,
+                             orbit_ideal, orbit_points)
 from symideal.poly import Polynomial, apply_permutation, degree_monomials, power_sum
 from symideal.tanisaki import tanisaki_ideal
 
@@ -882,6 +882,71 @@ class TestEngineOracles:
         gens = [power_sum(k, n) for k in (1, 2)] + pair_products(n)
         inputs = [_to_engine(g) for g in gens]
         assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
+
+
+def cap_of(ideal):
+    return _degree_cap([_to_engine(g) for g in ideal.generators], ideal.ambient_n)
+
+
+def uncap(ideal):
+    """The generators of ``ideal`` with one cap monomial x^a replaced by
+    x^a + x^b, x^b another monomial of the cap degree d: the same ideal,
+    but no degree is full, so ``_buchberger`` runs untruncated."""
+    n = ideal.ambient_n
+    d, keys = cap_of(ideal)
+    assert d < inf, "the ideal has no degree cap"
+    a = Polynomial.monomial(DEGREVLEX.unpack(keys[0], n))
+    b = Polynomial.monomial(DEGREVLEX.unpack(keys[-1], n))
+    gens = list(ideal.generators)
+    gens[gens.index(a)] = a + b
+    assert cap_of(Ideal(n, gens)) == (inf, [])
+    return gens
+
+
+class TestDegreeCap:
+    """A full degree d of monomial inputs truncates ``_buchberger`` at d,
+    and the reduced basis is the one of the untruncated walk."""
+
+    @pytest.mark.parametrize("gens", [lambda v: [v(2), v(2)], lambda v: [v(1), 2 * v(1)]])
+    def test_duplicate_monomials_are_not_a_full_degree(self, gens):
+        # two inputs at degree 1 of n = 2, but one distinct monomial
+        n = 2
+        inputs = [_to_engine(g) for g in gens(lambda i: x(i, n))]
+        assert _degree_cap(inputs, n) == (inf, [])
+        assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
+        assert len(_buchberger(inputs, n)) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_classification_rows_match_the_uncapped_walk(self, n):
+        cases = classification_cases(n)
+        caps = [cap_of(c.ideal)[0] for c in cases]
+        # rows 12 and 13 (n = 3) are the only ones without "+ m^d"
+        assert {c.label for c, d in zip(cases, caps) if d == inf} <= {"12", "13"}
+        for case in (c for c, d in zip(cases, caps) if d < inf):
+            assert case.ideal.groebner_basis() == Ideal(n, uncap(case.ideal)).groebner_basis(), \
+                (case.label, case.colength)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_apolar_tanisaki_ideals_match_the_uncapped_walk(self, n):
+        for lam in partitions_of(n):
+            ideal = tanisaki_ideal(lam, "apolar")
+            assert ideal.groebner_basis() == Ideal(n, uncap(ideal)).groebner_basis(), lam
+
+    def test_non_homogeneous_inputs_run_untruncated(self):
+        # (x1 - 1) + m^2 at n = 2: degree 2 is full, but x1 - 1 is not
+        # homogeneous, and the ideal is the whole ring
+        n = 2
+        inputs = [_to_engine(g) for g in (x(1, n) - 1,) + maximal_power(n, 2).generators]
+        assert _degree_cap(inputs, n) == (inf, [])
+        assert _buchberger(inputs, n) == buchberger_oracle(inputs, n) == [[(0, 1)]]
+
+    def test_a_degree_zero_cap_is_the_unit_ideal(self):
+        n = 2
+        one = Polynomial.monomial((0, 0))
+        inputs = [_to_engine(g) for g in (one, x(1, n), x(2, n) ** 3)]
+        assert _degree_cap(inputs, n) == (0, [0])
+        assert _buchberger(inputs, n) == [[(0, 1)]]
+        assert Ideal(n, [one]).groebner_basis() == (one,)
 
 
 class TestRunLongDivisorMemo:
