@@ -30,8 +30,8 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
 from .ideals import DEGREVLEX, Ideal
 from .linalg import KernelEchelon, nullspace_tags
-from .poly import (Monomial, Polynomial, apolar_complement, apply_permutation,
-                   integrate_duals, linear_combination)
+from .poly import (Monomial, Polynomial, Vector, apply_permutation, combine_vectors,
+                   complement_vectors, integrate_vectors, to_polynomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -189,31 +189,34 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     complement W_d of m*I inside the full degree piece is obtained by
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
-    Groebner basis, which generates.  Returns ({degree: generators}, N)
-    where the quotient vanishes from degree N on.
+    Groebner basis, which generates.  Duals, W_d and generators are integer
+    vectors (terms, den) (see ``poly``); a ``Polynomial`` is built only for
+    ``Ideal.coordinates`` and for the generators returned.  Returns
+    ({degree: generators}, N) where the quotient vanishes from degree N on.
     """
     n = ideal.ambient_n
     hf = ideal.hilbert_function()
     N = len(hf)
-    duals: list[Polynomial] = [Polynomial.one(n)]
+    duals: list[Vector] = [({(0,) * n: 1}, 1)]
     generators: dict[int, list[Polynomial]] = {}
     for d in range(1, max(g.degree() for g in ideal.groebner_basis()) + 1):
-        w_space = integrate_duals(duals, n, d)
+        w_space = integrate_vectors(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        rows = ((ideal.coordinates(f), t) for t, f in enumerate(w_space))
-        new_gens = [linear_combination(w_space, relation) for relation in nullspace_tags(rows)]
+        rows = ((ideal.coordinates(Polynomial(n, terms)), t)
+                for t, (terms, _) in enumerate(w_space))
+        new_gens = [combine_vectors(w_space, relation) for relation in nullspace_tags(rows)]
         if len(new_gens) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
         if d < N:
             # next dual space: the pairing-orthogonal complement of the new
             # generators inside W_d (the pairing is definite, so dims add)
-            next_duals = apolar_complement(w_space, new_gens)
+            next_duals = complement_vectors(w_space, new_gens)
             if len(next_duals) != hf_d:
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
             duals = next_duals
         if new_gens:
-            generators[d] = new_gens
+            generators[d] = [to_polynomial(v, n) for v in new_gens]
     return generators, N
 
 

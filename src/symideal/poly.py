@@ -9,6 +9,14 @@ is the one place that drops zeros (and wraps a coefficient that is not yet a
 ``Fraction``), so a sum of terms accumulates into a plain dict with
 ``acc[k] = acc.get(k, 0) + c`` and is handed to the constructor once.
 
+The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
+``complement_vectors``, ``combine_vectors``) work on integer numerators
+instead: a vector is (terms, den) with int coefficients over one positive
+int denominator.  ``numerators`` and ``to_polynomial`` convert at the
+boundary, where the values are exactly those of the rational computation;
+``integrate_duals`` and ``apolar_complement`` wrap the kernels for
+``Polynomial`` input.
+
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
 ``^`` (for example ``x1^2*x2 - 3/2*x3``).
@@ -20,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .combinat import Permutation
 from .linalg import nullspace_tags
@@ -377,54 +385,7 @@ def monomial_weight(m: Monomial) -> int:
 
 def derivative(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative with respect to x_i (1-based)."""
-    j = i - 1
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        e = m[j]
-        if e:
-            terms[m[:j] + (e - 1,) + m[j + 1:]] = c * e
-    return Polynomial(f.ambient_n, terms)
-
-
-def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
-    """Degree-d polynomials whose partials all lie in the span of ``duals``.
-
-    Macaulay-duality workhorse: a tuple (m_1..m_n) of span members with
-    matching cross-partials integrates to (1/d) * sum x_j m_j by the Euler
-    identity, and every admissible polynomial arises exactly once.  The
-    linear algebra runs over the (small) dual span, never over the full
-    degree piece.
-    """
-    if not duals or d <= 0:
-        return []
-    partials = {(j, t): derivative(duals[t], j + 1)
-                for j in range(n) for t in range(len(duals))}
-
-    def cross_partials(j: int, t: int) -> dict:
-        col: dict = {}
-        for k in range(n):
-            if k == j:
-                continue
-            lo, hi = min(j, k), max(j, k)
-            sign = 1 if j == lo else -1
-            for m, c in partials[(k, t)].terms.items():
-                key = ((lo, hi), m)
-                col[key] = col.get(key, 0) + sign * c
-        return col
-
-    rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
-    out = []
-    for relation in nullspace_tags(rows):
-        terms: dict[Monomial, Fraction] = {}
-        for (j, t), coeff in relation.items():
-            scale = Fraction(coeff, d)
-            for m, c in duals[t].terms.items():
-                mono = m[:j] + (m[j] + 1,) + m[j + 1:]  # x_{j+1} * m
-                terms[mono] = terms.get(mono, 0) + scale * c
-        f = Polynomial(n, terms)
-        if not f.is_zero():
-            out.append(f)
-    return out
+    return Polynomial(f.ambient_n, partial_terms(f.terms, i - 1))
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
@@ -436,14 +397,123 @@ def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
     return Polynomial(space[0].ambient_n, terms)
 
 
+def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
+    """Degree-d polynomials whose partials all lie in the span of ``duals``;
+    ``integrate_vectors`` on their numerators."""
+    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
+
+
 def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
+    """Members of the span of ``space`` that pair to zero with all of
+    ``others``; ``complement_vectors`` on their numerators."""
+    if not space:
+        return []
+    return [to_polynomial(v, space[0].ambient_n)
+            for v in complement_vectors([numerators(f) for f in space],
+                                        [numerators(g) for g in others])]
+
+
+# ---- inverse-system kernels on integer numerators --------------------------
+#
+# A vector (terms, den) stands for the polynomial with coefficients
+# terms[m] / den: nonzero ints over a positive int.  Each elimination below
+# takes rows built from the numerators, so the row of a vector is den times
+# the row of its value; a kernel relation r over those rows is r_t * den_t
+# over the values, divided by its content.  Positive row and column scales
+# keep every pivot's sign, so this is the primitive relation that the
+# rational rows give, and every value matches the rational computation.
+
+Vector = tuple[dict[Monomial, int], int]
+
+
+def numerators(f: Polynomial) -> Vector:
+    """f as (terms, den), den the least common denominator."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
+
+def to_polynomial(v: Vector, n: int) -> Polynomial:
+    """The polynomial terms / den of a vector (terms, den)."""
+    terms, den = v
+    return Polynomial(n, {m: Fraction(c, den) for m, c in terms.items()})
+
+
+def partial_terms(terms: dict, j: int) -> dict:
+    """The partial derivative with respect to x_{j+1} of a term dict."""
+    out = {}
+    for m, c in terms.items():
+        e = m[j]
+        if e:
+            out[m[:j] + (e - 1,) + m[j + 1:]] = c * e
+    return out
+
+
+def combine_vectors(space: list[Vector] | dict[tuple[int, int], Vector],
+                    relation: dict) -> Vector:
+    """The combination of ``space``, indexed by the relation's tags, that a
+    kernel relation over its numerator rows stands for (see above)."""
+    terms: dict[Monomial, int] = {}
+    for t, c in relation.items():
+        for m, v in space[t][0].items():
+            terms[m] = terms.get(m, 0) + c * v
+    return ({m: v for m, v in terms.items() if v},
+            gcd(*(c * space[t][1] for t, c in relation.items())))
+
+
+def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
+    """Degree-d vectors whose partials all lie in the span of ``duals``.
+
+    Macaulay-duality workhorse: a tuple (m_1..m_n) of span members with
+    matching cross-partials integrates to (1/d) * sum x_j m_j by the Euler
+    identity, and every admissible polynomial arises exactly once.  The
+    linear algebra runs over the (small) dual span, never over the full
+    degree piece.
+    """
+    if not duals or d <= 0:
+        return []
+    partials = {(j, t): partial_terms(duals[t][0], j)
+                for j in range(n) for t in range(len(duals))}
+
+    def cross_partials(j: int, t: int) -> dict:
+        col: dict = {}
+        for k in range(n):
+            if k == j:
+                continue
+            lo, hi = min(j, k), max(j, k)
+            sign = 1 if j == lo else -1
+            for m, c in partials[(k, t)].items():
+                key = ((lo, hi), m)
+                col[key] = col.get(key, 0) + sign * c
+        return col
+
+    rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
+    shifted = {(j, t): ({m[:j] + (m[j] + 1,) + m[j + 1:]: c for m, c in terms.items()}, den)
+               for j in range(n) for t, (terms, den) in enumerate(duals)}  # x_{j+1} * m_t
+    out = []
+    for relation in nullspace_tags(rows):
+        terms, den = combine_vectors(shifted, relation)
+        if terms:
+            out.append((terms, den * d))
+    return out
+
+
+def complement_vectors(space: list[Vector], others: list[Vector]) -> list[Vector]:
     """Members of the span of ``space`` that pair to zero with all of ``others``.
 
-    One combination of ``space`` per kernel relation of the pairing matrix,
-    so for independent ``space`` a basis of len(space) minus its rank
-    members.  ``apolar_scalar`` is symmetric, so the side each argument
+    One combination of ``space`` per kernel relation of the pairing
+    matrix, so for independent ``space`` a basis of len(space) minus its
+    rank members.  The pairing, the sum of a_m * b_m * m! over the shared
+    monomials (``apolar_scalar``), is symmetric, so the side each argument
     pairs from does not matter.
     """
-    rows = (({u: apolar_scalar(f, g) for u, g in enumerate(others)}, t)
-            for t, f in enumerate(space))
-    return [linear_combination(space, relation) for relation in nullspace_tags(rows)]
+    weighted = [{m: c * monomial_weight(m) for m, c in terms.items()} for terms, _ in others]
+
+    def pairings(terms: dict) -> dict:
+        row = {}
+        for u, w in enumerate(weighted):
+            small, large = (terms, w) if len(terms) <= len(w) else (w, terms)
+            row[u] = sum(c * large[m] for m, c in small.items() if m in large)
+        return row
+
+    rows = ((pairings(terms), t) for t, (terms, _) in enumerate(space))
+    return [combine_vectors(space, relation) for relation in nullspace_tags(rows)]

@@ -27,8 +27,9 @@ from itertools import combinations
 from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
-from .poly import (Polynomial, apolar_complement, degree_monomials,
-                   derivative, elementary_symmetric, integrate_duals, power_sum)
+from .poly import (Polynomial, Vector, complement_vectors, degree_monomials,
+                   elementary_symmetric, integrate_vectors, numerators,
+                   partial_terms, power_sum, to_polynomial)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -58,7 +59,7 @@ def _reduced_generators(lam: Partition) -> list[Polynomial]:
     return gens
 
 
-def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
+def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     """Bases of the derivative spans of the Specht span, one per degree.
 
     Entry d, for d = 0..D with D the Specht degree, is a basis of the span
@@ -72,42 +73,47 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
     those kept before.  The image of x^a is one partial derivative of the
     image of x^(a - e_j), j the first index with a_j > 0, so only the
     images of one operator degree are held at a time; zero images are
-    dropped, as they change no basis.
+    dropped, as they change no basis.  Images are integer vectors
+    (terms, den), den that of their Specht polynomial: 1, as Specht
+    polynomials are integral.
     """
     top = spechts[0].degree()
-    level = [{(0,) * n: s} for s in spechts]
-    layers: list[list[Polynomial]] = []
+    sources = [numerators(s) for s in spechts]
+    level = [{(0,) * n: terms} for terms, _ in sources]
+    layers: list[list[Vector]] = []
     for k in range(top + 1):
         if k:
             steps = []
             for a in degree_monomials(n, k):
                 j = next(i for i, e in enumerate(a) if e)
-                steps.append((a, a[:j] + (a[j] - 1,) + a[j + 1:], j + 1))
+                steps.append((a, a[:j] + (a[j] - 1,) + a[j + 1:], j))
             for t, images in enumerate(level):
                 following = {}
-                for a, parent, i in steps:
+                for a, parent, j in steps:
                     source = images.get(parent)
                     if source is not None:
-                        image = derivative(source, i)
-                        if image.terms:
+                        image = partial_terms(source, j)
+                        if image:
                             following[a] = image
                 level[t] = following
         ech = KernelEchelon()
-        layers.append([image for images in level for image in images.values()
-                       if ech.add(image.terms) is None])
+        layers.append([(image, sources[t][1]) for t, images in enumerate(level)
+                       for image in images.values() if ech.add(image) is None])
     return layers[::-1]
 
 
 def _apolar_generators(lam: Partition) -> list[Polynomial]:
     """Minimal generators of the annihilator of the Specht span, degree by
     degree: integrate the previous dual layer to get the orthocomplement of
-    the carried part, then keep the members orthogonal to the current layer."""
+    the carried part, then keep the members orthogonal to the current layer.
+    All of it runs on integer vectors; each generator becomes a
+    ``Polynomial`` once, at the end."""
     n = lam.n
     layers = _dual_layers(distinct_specht_polynomials(lam), n)
-    gens: list[Polynomial] = []
+    gens: list[Vector] = []
     for d in range(1, d_min(lam) + 1):
-        gens += apolar_complement(integrate_duals(layers[d - 1], n, d), layers[d])
-    return gens
+        gens += complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d])
+    return [to_polynomial(v, n) for v in gens]
 
 
 def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:

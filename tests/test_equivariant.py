@@ -18,10 +18,10 @@ from symideal.equivariant import (decompose_quotient, group_generators,
                                   _minimal_generator_space, _swap_actions)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
-from symideal.poly import (Polynomial, apolar_complement, apply_permutation,
-                           integrate_duals, linear_combination, permute_monomial,
-                           power_sum)
+from symideal.poly import (Polynomial, apply_permutation, linear_combination,
+                           permute_monomial, power_sum)
 from symideal.tanisaki import tanisaki_ideal
+from test_poly import apolar_complement_oracle, integrate_duals_oracle
 
 
 def x(i, n):
@@ -105,20 +105,21 @@ def permutation_module_sum_oracle(rho: IsotypicDecomposition) -> list[Partition]
 
 def generator_space_oracle(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
     """``_minimal_generator_space`` with its degree loop running to the
-    vanishing degree N instead of the top Groebner degree."""
+    vanishing degree N instead of the top Groebner degree, on ``Polynomial``
+    values throughout instead of integer vectors."""
     n = ideal.ambient_n
     hf = ideal.hilbert_function()
     N = len(hf)
     duals: list[Polynomial] = [Polynomial.one(n)]
     generators: dict[int, list[Polynomial]] = {}
     for d in range(1, N + 1):
-        w_space = integrate_duals(duals, n, d)
+        w_space = integrate_duals_oracle(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         rows = ((ideal.coordinates(f), t) for t, f in enumerate(w_space))
         new_gens = [linear_combination(w_space, relation) for relation in nullspace_tags(rows)]
         assert len(new_gens) == len(w_space) - hf_d
         if d < N:
-            duals = apolar_complement(w_space, new_gens)
+            duals = apolar_complement_oracle(w_space, new_gens)
             assert len(duals) == hf_d
         if new_gens:
             generators[d] = new_gens
@@ -456,11 +457,16 @@ class TestMinimalGenerators:
         ideal = tanisaki_point(parts)
         assert _minimal_generator_space(ideal) == generator_space_oracle(ideal)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_row_generators_match_the_full_degree_loop(self, n):
-        for case in homogeneous_rows(n):
-            assert (_minimal_generator_space(case.ideal)
-                    == generator_space_oracle(case.ideal)), case.describe()
+        # the table1 rows at seed 0; the generators print alike too
+        for case in classification_cases(n, _random_parameters(0)):
+            if case.ideal.is_homogeneous():
+                got = _minimal_generator_space(case.ideal)
+                want = generator_space_oracle(case.ideal)
+                assert got == want, case.describe()
+                assert ([str(g) for gs in got[0].values() for g in gs]
+                        == [str(g) for gs in want[0].values() for g in gs])
 
 
 class TestTangentDimension:

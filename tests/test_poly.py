@@ -3,18 +3,19 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symideal import equivariant, poly
+from symideal import equivariant
 from symideal.classification import classification_cases
-from symideal.combinat import Permutation
+from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
-from symideal.poly import (Polynomial, apolar_pair, apolar_scalar,
-                           apply_permutation, degree_monomials, derivative,
-                           elementary_symmetric, integrate_duals,
-                           linear_combination, monomial_weight,
-                           parse_polynomial, power_sum, reynolds)
+from symideal.poly import (Polynomial, apolar_complement, apolar_pair,
+                           apolar_scalar, apply_permutation, degree_monomials,
+                           derivative, elementary_symmetric, integrate_duals,
+                           linear_combination, monomial_weight, numerators,
+                           parse_polynomial, power_sum, reynolds, to_polynomial)
+from symideal.tanisaki import _apolar_generators
 
 
 def x(i, n):
@@ -285,8 +286,22 @@ class TestStoredCoefficients:
                   apolar_pair(f, g), derivative(f, i),
                   linear_combination([f, g], {0: a, 1: b}), reynolds(f),
                   parse_polynomial(joined(f, g), n), parse_polynomial(joined(f, -f), n),
-                  *integrate_duals([f, g], n, d)):
+                  *integrate_duals([f, g], n, d), *apolar_complement([f, g], [f + a]),
+                  to_polynomial(numerators(f * a), n)):
             assert_clean(h)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_inverse_system_outputs_store_nonzero_fractions(self, n):
+        # the generators of the apolar ideals and of the generator spaces
+        # come out of the integer kernels; none may keep an int or a float
+        for lam in partitions_of(n):
+            for g in _apolar_generators(lam):
+                assert_clean(g)
+        for case in classification_cases(n):
+            if case.ideal.is_homogeneous():
+                for gens in equivariant._minimal_generator_space(case.ideal)[0].values():
+                    for g in gens:
+                        assert_clean(g)
 
     def test_constructor_wraps_keeps_and_drops(self):
         half = Fraction(1, 2)
@@ -361,6 +376,13 @@ def integrate_duals_oracle(duals, n, d):
     return out
 
 
+def apolar_complement_oracle(space, others):
+    """``apolar_complement`` on ``Fraction`` rows and ``linear_combination``."""
+    rows = (({u: apolar_scalar(f, g) for u, g in enumerate(others)}, t)
+            for t, f in enumerate(space))
+    return [linear_combination(space, relation) for relation in nullspace_tags(rows)]
+
+
 def assert_same(got, want):
     if isinstance(want, list):
         assert len(got) == len(want)
@@ -404,29 +426,52 @@ class TestAccumulationOracles:
     def test_integrate_duals_mixed_degrees(self, duals, d):
         assert_same(integrate_duals(duals, 3, d), integrate_duals_oracle(duals, 3, d))
 
+    @given(st.integers(2, 4), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apolar_complement_random(self, n, d, data):
+        space = data.draw(st.lists(homogeneous(n, d), min_size=1, max_size=4))
+        others = data.draw(st.lists(homogeneous(n, d), max_size=3))
+        assert_same(apolar_complement(space, others), apolar_complement_oracle(space, others))
+
+    @given(st.integers(2, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_integral_duals(self, n, d, data):
+        """Duals with a common denominator above 1, as the generator
+        spaces carry them, through integration and complement."""
+        duals = data.draw(st.lists(homogeneous(n, d - 1), min_size=1, max_size=4))
+        others = data.draw(st.lists(homogeneous(n, d), max_size=3))
+        assume(any(numerators(f)[1] > 1 for f in duals))
+        want = apolar_complement_oracle(integrate_duals_oracle(duals, n, d), others)
+        assert_same(apolar_complement(integrate_duals(duals, n, d), others), want)
+
     def test_dual_spaces_of_the_n4_generator_spaces(self, monkeypatch):
-        """Every integration and combination that ``_minimal_generator_space``
+        """Every integration and complement that ``_minimal_generator_space``
         meets on the homogeneous classification rows at n = 4 agrees with
-        the oracles, including those inside ``apolar_complement``."""
-        seen = {"integrate": 0, "combine": 0}
+        the oracles, on duals and spaces with denominators above 1."""
+        seen = {"integrate": 0, "complement": 0, "fractional": 0}
+        integrate_vectors = equivariant.integrate_vectors
+        complement_vectors = equivariant.complement_vectors
 
         def integrate(duals, n, d):
-            got = integrate_duals(duals, n, d)
-            assert_same(got, integrate_duals_oracle(duals, n, d))
+            got = integrate_vectors(duals, n, d)
+            want = integrate_duals_oracle([to_polynomial(v, n) for v in duals], n, d)
+            assert_same([to_polynomial(v, n) for v in got], want)
             seen["integrate"] += 1
+            seen["fractional"] += any(den > 1 for _, den in duals)
             return got
 
-        def combine(space, coeffs):
-            got = linear_combination(space, coeffs)
-            assert_same(got, linear_combination_oracle(space, coeffs))
-            seen["combine"] += 1
+        def complement(space, others):
+            got = complement_vectors(space, others)
+            want = apolar_complement_oracle([to_polynomial(v, 4) for v in space],
+                                            [to_polynomial(v, 4) for v in others])
+            assert_same([to_polynomial(v, 4) for v in got], want)
+            seen["complement"] += 1
             return got
 
-        monkeypatch.setattr(equivariant, "integrate_duals", integrate)
-        monkeypatch.setattr(equivariant, "linear_combination", combine)
-        monkeypatch.setattr(poly, "linear_combination", combine)
+        monkeypatch.setattr(equivariant, "integrate_vectors", integrate)
+        monkeypatch.setattr(equivariant, "complement_vectors", complement)
         rows = [case for case in classification_cases(4) if case.ideal.is_homogeneous()]
         assert len(rows) > 10
         for case in rows:
             equivariant._minimal_generator_space(case.ideal)
-        assert seen["integrate"] >= 90 and seen["combine"] >= 300
+        assert seen["integrate"] >= 90 and seen["complement"] >= 60 and seen["fractional"] >= 30

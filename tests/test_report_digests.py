@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of thirty-five JSON reports.
+"""Pinned SHA-256 digests of thirty-seven JSON reports.
 
 Each report runs in-process through ``cli.run`` with ``--format json`` and
 the digest of its standard output is compared with a value recorded from
@@ -39,6 +39,10 @@ PINNED = {
         "2d93b87747afa03dc80607d639ff5b47c940b2d64823fcbab3a472f254a6e1ca",
     "tanisaki --n 6 --lambda 2,2,2 --mode apolar":
         "4e306060b6ad034758c86ac783048af01db2b80017d64a36c479078dfd354e17",
+    "tanisaki --n 6 --lambda 4,1,1 --mode apolar":
+        "5c8d2031f9f96b157e7cd0f1cffae04f77ff853ee869bcee27a64b88d3d7fe94",
+    "tanisaki --n 6 --lambda 3,1,1,1 --mode apolar":
+        "1c5180e3526e8deaaf2408865762f14fa69ed651f15280010a6e91b0393663b7",
     "tanisaki --n 4 --lambda 2,1,1 --mode all":
         "8f53f302b0027471684c0cbe65bd0b874df64cd243b6ff9d1b5c2a7b358350c6",
     "tanisaki --n 5 --lambda 2,2,1 --mode all":

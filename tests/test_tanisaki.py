@@ -12,12 +12,14 @@ from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
 from symideal.poly import (Polynomial, apolar_pair, degree_monomials, derivative,
-                           power_sum)
+                           numerators, partial_terms, power_sum, to_polynomial)
 from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
                                tilde_ideal, two_row_presentation,
-                               _dual_layers, _subset_elementary_generators)
+                               _apolar_generators, _dual_layers,
+                               _subset_elementary_generators)
+from test_poly import apolar_complement_oracle, integrate_duals_oracle
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -72,11 +74,49 @@ def homogeneous_spaces(draw):
     return [Polynomial(n, terms) for terms in draw(st.lists(forms, min_size=1, max_size=3))]
 
 
+def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
+    """``_dual_layers`` on ``Polynomial`` images with ``Fraction`` coefficients."""
+    top = spechts[0].degree()
+    level = [{(0,) * n: s} for s in spechts]
+    layers: list[list[Polynomial]] = []
+    for k in range(top + 1):
+        if k:
+            steps = []
+            for a in degree_monomials(n, k):
+                j = next(i for i, e in enumerate(a) if e)
+                steps.append((a, a[:j] + (a[j] - 1,) + a[j + 1:], j + 1))
+            for t, images in enumerate(level):
+                following = {}
+                for a, parent, i in steps:
+                    source = images.get(parent)
+                    if source is not None:
+                        image = derivative(source, i)
+                        if image.terms:
+                            following[a] = image
+                level[t] = following
+        ech = KernelEchelon()
+        layers.append([image for images in level for image in images.values()
+                       if ech.add(image.terms) is None])
+    return layers[::-1]
+
+
+def apolar_generators_oracle(lam: Partition) -> list[Polynomial]:
+    """``_apolar_generators`` on ``Polynomial`` values throughout."""
+    n = lam.n
+    layers = dual_layers_oracle(distinct_specht_polynomials(lam), n)
+    gens: list[Polynomial] = []
+    for d in range(1, d_min(lam) + 1):
+        gens += apolar_complement_oracle(integrate_duals_oracle(layers[d - 1], n, d), layers[d])
+    return gens
+
+
 def assert_layers_match_the_oracle(spechts: list[Polynomial], n: int) -> None:
     layers = _dual_layers(spechts, n)
     assert len(layers) == spechts[0].degree() + 1
     for d, layer in enumerate(layers):
-        assert layer == dual_layer_oracle(spechts, n, d)
+        assert [to_polynomial(v, n) for v in layer] == dual_layer_oracle(spechts, n, d)
+    assert ([[to_polynomial(v, n) for v in layer] for layer in layers]
+            == dual_layers_oracle(spechts, n))
 
 
 class TestDualLayers:
@@ -98,20 +138,33 @@ class TestDualLayers:
     @given(homogeneous_spaces())
     def test_each_image_is_one_apolar_pair(self, spechts):
         # the derivatives taken, in order, are the nonzero images x^a . s
-        # of every operator degree k >= 1, Specht polynomials outermost
+        # of every operator degree k >= 1, Specht polynomials outermost,
+        # each scaled by the common denominator of s
         n = spechts[0].ambient_n
         images = []
 
-        def recording(f, i):
-            images.append(derivative(f, i))
-            return images[-1]
+        def recording(terms, j):
+            images.append(Polynomial(n, partial_terms(terms, j)))
+            return images[-1].terms
 
-        with mock.patch.object(tanisaki, "derivative", recording):
+        with mock.patch.object(tanisaki, "partial_terms", recording):
             _dual_layers(spechts, n)
-        expected = [apolar_pair(Polynomial.monomial(a), s)
+        expected = [apolar_pair(Polynomial.monomial(a), s) * numerators(s)[1]
                     for k in range(1, spechts[0].degree() + 1)
                     for s in spechts for a in degree_monomials(n, k)]
         assert [f for f in images if not f.is_zero()] == [f for f in expected if not f.is_zero()]
+
+
+class TestApolarGenerators:
+    """The generators from the integer kernels print exactly as those of
+    the ``Fraction`` computation."""
+
+    @pytest.mark.parametrize("parts", [lam.parts for n in range(1, 6) for lam in partitions_of(n)]
+                             + [[4, 1, 1], [3, 2, 1], [2, 2, 2], [3, 1, 1, 1]])
+    def test_match_the_oracle(self, parts):
+        lam = Partition(list(parts))
+        got, want = _apolar_generators(lam), apolar_generators_oracle(lam)
+        assert [str(g) for g in got] == [str(g) for g in want]
 
 
 class TestConstruction:
