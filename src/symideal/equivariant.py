@@ -28,10 +28,10 @@ from fractions import Fraction
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
-from .ideals import DEGREVLEX, Ideal
+from .ideals import DEGREVLEX, Ideal, pack_terms
 from .linalg import KernelEchelon, nullspace_tags
 from .poly import (Monomial, Polynomial, Vector, apply_permutation, combine_vectors,
-                   complement_vectors, integrate_vectors, to_polynomial)
+                   complement_vectors, integrate_vectors, numerators, to_polynomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -190,20 +190,21 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
     Groebner basis, which generates.  Duals, W_d and generators are integer
-    vectors (terms, den) (see ``poly``); a ``Polynomial`` is built only for
-    ``Ideal.coordinates`` and for the generators returned.  Returns
+    vectors (terms, den) (see ``poly``), read in R/I as packed numerators;
+    a ``Polynomial`` is built only for the generators returned.  Returns
     ({degree: generators}, N) where the quotient vanishes from degree N on.
     """
     n = ideal.ambient_n
     hf = ideal.hilbert_function()
     N = len(hf)
+    quotient = ideal._quotient()
     duals: list[Vector] = [({(0,) * n: 1}, 1)]
     generators: dict[int, list[Polynomial]] = {}
-    for d in range(1, max(g.degree() for g in ideal.groebner_basis()) + 1):
+    for d in range(1, max(DEGREVLEX.degree(g[0][0], n) for g in quotient.basis) + 1):
         w_space = integrate_vectors(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        rows = ((ideal.coordinates(Polynomial(n, terms)), t)
+        rows = ((quotient.coordinates(pack_terms(terms)), t)
                 for t, (terms, _) in enumerate(w_space))
         new_gens = [combine_vectors(w_space, relation) for relation in nullspace_tags(rows)]
         if len(new_gens) != len(w_space) - hf_d:
@@ -320,16 +321,18 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     scheme at the point cut out by the (homogeneous, symmetric,
     finite-colength) ideal.
 
-    One row per product b*v_i (b standard) holds its coordinates mod I^2
-    and, in columns below those, those of b*phi_t(v_i) mod I for each
-    hom-basis element t; a pivot there is a relation applied to each phi_t.
+    One row per product b*v_i (b standard) holds its coordinates mod I^2,
+    read from v_i's packed terms shifted by the key of b, and, in columns
+    below those, those of b*phi_t(v_i) mod I for each hom-basis element t,
+    NF_I(b*m) read from the key of b*m; a pivot there is a relation applied to
+    each phi_t.  I^2 is built from products of the packed basis of I
+    (``_Quotient.square``), without leaving engine terms.
     Minimal first syzygies of an Artinian homogeneous ideal have degree at
     most reg(I) + 1 = N + 1 (Eisenbud, *The Geometry of Syzygies*, ch. 4),
     where the elimination stops.  ``n2_count`` counts relations from
     HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d; the elimination must agree.
     """
     start = time.monotonic()
-    n = ideal.ambient_n
     if not ideal.is_homogeneous():
         raise ValueError("tangent computation needs a homogeneous ideal")
     colength = ideal.colength()
@@ -346,22 +349,22 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
 
     hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
-    basis = ideal.standard_monomials()
 
-    values: list[dict[Monomial, list]] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
+    values: list[dict[tuple, list]] = [{} for _ in gens]  # phi_t(v_i) as {(deg, key): [(t, c)]}
     for t, phi in enumerate(hom_basis):
         for (m, i), c in phi.items():
-            values[i].setdefault(m, []).append((t, c))
+            values[i].setdefault((sum(m), DEGREVLEX.key(m)), []).append((t, c))
 
-    gb = ideal.groebner_basis()
-    square = Ideal(n, [a * b for idx, a in enumerate(gb) for b in gb[idx:]])
+    quotient = ideal._quotient()
+    square = quotient.square()
     square_hf = dict(enumerate(square.hilbert_function()))
-    by_degree: dict[int, list[Monomial]] = {}
-    for m in basis:
-        by_degree.setdefault(sum(m), []).append(m)
+    by_degree: dict[int, list[int]] = {}
+    for m in ideal.standard_monomials():
+        by_degree.setdefault(sum(m), []).append(DEGREVLEX.key(m))
+    packed = [(pack_terms(terms), den) for terms, den in map(numerators, gens)]
 
     n2_count = products = constraint_rows = 0
-    normal_forms: dict[Monomial, dict[int, Fraction]] = {}  # NF_I(m), deg m < N
+    normal_forms: dict[int, dict[int, int | Fraction]] = {}  # NF_I(m) by key, deg m < N
     constraint_rank = KernelEchelon()
     for d in range(min(gen_degrees) + 1, syzygy_bound):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
@@ -371,12 +374,13 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
             continue
         products += len(pairs)
         echelon = KernelEchelon()
-        for i, b in pairs:
-            row = square.coordinates(Polynomial.monomial(b) * gens[i])
-            for m, coeffs in values[i].items():
-                bm = tuple(x + y for x, y in zip(b, m))
-                if sum(bm) < N and bm not in normal_forms:
-                    normal_forms[bm] = ideal.coordinates(Polynomial.monomial(bm))
+        for i, b in pairs:  # b*v_i: the packed terms of v_i shifted by the key of b
+            terms, den = packed[i]
+            row = square.coordinates([(key + b, c) for key, c in terms], den)
+            for (e, m), coeffs in values[i].items():
+                bm = b + m
+                if d - gen_degrees[i] + e < N and bm not in normal_forms:
+                    normal_forms[bm] = quotient.coordinates([(bm, 1)])
                 for key, v in normal_forms.get(bm, {}).items():
                     for t, c in coeffs:
                         row[-1 - key * k - t] = row.get(-1 - key * k - t, 0) + c * v

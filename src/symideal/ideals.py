@@ -54,9 +54,11 @@ instead of reducing each monomial of m^d to zero.
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1, built together and replaced together.
-``Ideal.coordinates(f)`` gives the normal form as {DEGREVLEX.key(m):
-coeff}, the coordinates of f in R/I on its standard monomials, with int
-columns that sort in the monomial order and int entries where integral.
+``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
+as {key: coeff}, coordinates in R/I, int where integral; ``Ideal.coordinates``
+packs a polynomial and reads it.  ``_Quotient.square()`` is I^2 from products
+of basis elements: primitive with positive leads (Gauss's lemma), each is the
+input ``_to_engine`` gives for the rational product.
 
 Orbit ideals and intersections are kernels of linear maps from R to
 finite-dimensional spaces (evaluation at points, R -> R/I + R/J), found by
@@ -75,7 +77,7 @@ from math import comb, gcd, inf
 from struct import Struct
 
 from .linalg import KernelEchelon
-from .poly import Monomial, Polynomial, degree_monomials, parse_polynomial
+from .poly import Monomial, Polynomial, degree_monomials, numerators, parse_polynomial
 
 # ---------------------------------------------------------------------------
 # the monomial order as packed integer keys
@@ -122,6 +124,9 @@ class DegRevLex:
     def key(self, m: Monomial) -> int:
         return (sum(m) << (W * len(m))) - _pack(m)
 
+    def degree(self, key: int, n: int) -> int:  # degree e: key in ((e - 1) * B**n, e * B**n]
+        return (key + (1 << (W * n)) - 1) >> (W * n)
+
     def exps(self, key: int, n: int) -> int:
         """The exponents of the monomial with this key, packed in W-bit fields."""
         return -key & ((1 << (W * n)) - 1)
@@ -161,28 +166,24 @@ def _normalize(terms: list) -> list:
     return terms
 
 
-def _engine_terms(f: Polynomial) -> tuple[list, int]:
-    """(terms, den): ``terms`` is den*f with integer coefficients, for the
-    least common denominator den of f's coefficients."""
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    terms = []
-    for m, c in f.terms.items():
+def pack_terms(terms: dict[Monomial, int]) -> list:
+    """Integer terms {monomial: coeff} as an engine term list."""
+    packed = []
+    for m, c in terms.items():
         if max(m, default=0) >= LIMIT:
             raise ValueError(f"exponent {max(m)} is too large: the engine takes "
                              f"exponents below 2^{W - 2}")
-        terms.append((DEGREVLEX.key(m), c.numerator * (den // c.denominator)))
-    terms.sort(reverse=True)
-    return terms, den
+        packed.append((DEGREVLEX.key(m), c))
+    packed.sort(reverse=True)
+    return packed
 
 
 def _to_engine(f: Polynomial) -> list:
-    return _normalize(_engine_terms(f)[0])
+    return _normalize(pack_terms(numerators(f)[0]))
 
 
-def _to_poly(terms: list, n: int, mult: int = 1) -> Polynomial:
-    return Polynomial(n, {DEGREVLEX.unpack(k, n): Fraction(c, mult) for k, c in terms})
+def _to_poly(terms: list, n: int) -> Polynomial:
+    return Polynomial(n, {DEGREVLEX.unpack(k, n): c for k, c in terms})
 
 
 def _lead(g: list, n: int) -> int:
@@ -292,15 +293,12 @@ def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
     """(d, keys): the least degree d at which the inputs hold every monomial
     of degree d, as distinct keys, and those keys ascending; (inf, []) when
     no degree is full or some input is not homogeneous."""
-    def degree(k: int) -> int:  # a key of degree e lies in ((e - 1) * B**n, e * B**n]
-        return (k + (1 << (W * n)) - 1) >> (W * n)
-
-    if any(degree(f[0][0]) != degree(f[-1][0]) for f in inputs):
+    if any(DEGREVLEX.degree(f[0][0], n) != DEGREVLEX.degree(f[-1][0], n) for f in inputs):
         return inf, []
     found: dict[int, set] = {}
     for f in inputs:
         if len(f) == 1:
-            found.setdefault(degree(f[0][0]), set()).add(f[0][0])
+            found.setdefault(DEGREVLEX.degree(f[0][0], n), set()).add(f[0][0])
     full = [d for d, keys in found.items() if len(keys) == comb(n + d - 1, d)]
     return (min(full), sorted(found[min(full)])) if full else (inf, [])
 
@@ -440,6 +438,32 @@ class _Quotient:
         found.sort(key=DEGREVLEX.key)
         return found
 
+    def hilbert_function(self) -> tuple[int, ...]:
+        """Standard monomials by degree, up to the last nonzero."""
+        by_degree: dict[int, int] = {}
+        for m in self.standard:
+            by_degree[sum(m)] = by_degree.get(sum(m), 0) + 1
+        return tuple(by_degree.get(d, 0) for d in range(max(by_degree, default=-1) + 1))
+
+    def coordinates(self, terms: list, den: int = 1) -> dict[int, int | Fraction]:
+        """The normal form of terms / den, for an engine term list sorted
+        descending by key, as {key: coeff}, integral entries as ints."""
+        rem, mult = _normal_form(terms, self.basis, self.leads, self.n, self.divisors)
+        scale = den * mult  # rem == scale * (terms / den) modulo the ideal
+        return {k: c // scale if c % scale == 0 else Fraction(c, scale) for k, c in rem}
+
+    def square(self) -> "_Quotient":
+        """The record of I^2, from the products of pairs of basis elements."""
+        products = []
+        for i, f in enumerate(self.basis):
+            for g in self.basis[i:]:  # keys add, coefficients multiply
+                terms: dict = {}
+                for k, c in f:
+                    for t, e in g:
+                        terms[k + t] = terms.get(k + t, 0) + c * e
+                products.append(sorted(((k, c) for k, c in terms.items() if c), reverse=True))
+        return _Quotient(_buchberger(products, self.n), self.n)
+
 
 class Ideal:
     """A polynomial ideal with its cached degrevlex ``_Quotient`` record."""
@@ -476,23 +500,16 @@ class Ideal:
         return tuple(_to_poly(g, n).monic() for g in self._quotient().basis)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.ambient_n != self.ambient_n:
-            raise ValueError("ambient size mismatch")
-        if f.is_zero():
-            return f
         n = self.ambient_n
-        q = self._quotient()
-        terms, den = _engine_terms(f)
-        # rem == mult * den * f modulo the ideal
-        rem, mult = _normal_form(terms, q.basis, q.leads, n, q.divisors)
-        return _to_poly(rem, n, den * mult)
+        return Polynomial(n, {DEGREVLEX.unpack(k, n): c for k, c in self.coordinates(f).items()})
 
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
-        """The degrevlex normal form of f as {DEGREVLEX.key(m): coeff}: int
-        columns that sort in the monomial order and add under products, and
-        integral entries as ints for cheaper arithmetic downstream."""
-        return {DEGREVLEX.key(m): c.numerator if c.denominator == 1 else c
-                for m, c in self.normal_form(f).terms.items()}
+        """The normal form of f as {DEGREVLEX.key(m): coeff}: int columns that
+        sort in the monomial order and add under products, ints where integral."""
+        if f.ambient_n != self.ambient_n:
+            raise ValueError("ambient size mismatch")
+        terms, den = numerators(f)  # den*f has integer coefficients
+        return self._quotient().coordinates(pack_terms(terms), den)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -508,23 +525,18 @@ class Ideal:
         return inf if std is None else len(std)
 
     def is_homogeneous(self) -> bool:
-        """Judged on the reduced Groebner basis, homogeneous iff the ideal is."""
-        return all(g.is_homogeneous() for g in self.groebner_basis())
+        """Judged on the reduced Groebner basis: first and last terms alike."""
+        n = self.ambient_n
+        return all(DEGREVLEX.degree(g[0][0], n) == DEGREVLEX.degree(g[-1][0], n)
+                   for g in self._quotient().basis)
 
     def hilbert_function(self) -> tuple[int, ...]:
         """Dimensions of the graded quotient pieces, up to the last nonzero."""
         if not self.is_homogeneous():
             raise ValueError("hilbert_function needs a homogeneous ideal")
-        std = self.standard_monomials()
-        if std is None:
+        if self.standard_monomials() is None:
             raise ValueError("quotient is not finite-dimensional")
-        by_degree: dict[int, int] = {}
-        for m in std:
-            by_degree[sum(m)] = by_degree.get(sum(m), 0) + 1
-        if not by_degree:
-            return ()
-        top = max(by_degree)
-        return tuple(by_degree.get(d, 0) for d in range(top + 1))
+        return self._quotient().hilbert_function()
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """I ∩ J, the kernel of R -> R/I ⊕ R/J, by ``_vanishing_ideal``;

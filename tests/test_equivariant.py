@@ -215,6 +215,62 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
     return k - constraint_rank.rank, n2_count
 
 
+def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
+    """``tangent_dimension``'s augmented elimination on ``Polynomial`` values:
+    I^2 as an ``Ideal`` of rational products of the monic reduced basis,
+    each row the coordinates of b*v_i in it, each image NF_I(b*m) read from
+    a monomial.  Returns ((tangent_dim, n2_count, details), I^2)."""
+    n = ideal.ambient_n
+    graded_gens, N = _minimal_generator_space(ideal)
+    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+    gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+    hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    k = len(hom_basis)
+    values: list[dict] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
+    for t, phi in enumerate(hom_basis):
+        for (m, i), c in phi.items():
+            values[i].setdefault(m, []).append((t, c))
+    square = square_of(ideal)
+    square_hf = dict(enumerate(square.hilbert_function()))
+    by_degree: dict = {}
+    for m in ideal.standard_monomials():
+        by_degree.setdefault(sum(m), []).append(m)
+    n2_count = products = constraint_rows = 0
+    normal_forms: dict = {}
+    constraint_rank = KernelEchelon()
+    for d in range(min(gen_degrees) + 1, N + max(gen_degrees)):
+        pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
+        relations = len(pairs) - square_hf.get(d, 0) + len(by_degree.get(d, []))
+        n2_count += relations
+        if d > N + 1:
+            continue
+        products += len(pairs)
+        echelon = KernelEchelon()
+        for i, b in pairs:
+            row = square.coordinates(Polynomial.monomial(b) * gens[i])
+            for m, coeffs in values[i].items():
+                bm = tuple(u + v for u, v in zip(b, m))
+                if sum(bm) < N and bm not in normal_forms:
+                    normal_forms[bm] = ideal.coordinates(Polynomial.monomial(bm))
+                for key, v in normal_forms.get(bm, {}).items():
+                    for t, c in coeffs:
+                        row[-1 - key * k - t] = row.get(-1 - key * k - t, 0) + c * v
+            echelon.add(row)
+        assert len(pairs) - sum(col >= 0 for col in echelon.pivots) == relations
+        for col, (row, _) in echelon.pivots.items():
+            if col < 0:
+                rows: dict = {}
+                for column, c in row.items():
+                    key, t = divmod(-1 - column, k)
+                    rows.setdefault(key, {})[t] = c
+                constraint_rows += len(rows)
+                for constraint in rows.values():
+                    constraint_rank.add(constraint)
+    details = {"products": products, "images": len(normal_forms),
+               "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns}
+    return (k - constraint_rank.rank, n2_count, details), square
+
+
 def generator_space_multiplicities(ideal: Ideal) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the minimal generator space N1,
     from class-representative traces on each degree piece."""
@@ -574,20 +630,55 @@ class TestRelationStep:
         assert tangent_dimension(ideal).n2_count == total
 
     def test_count_mismatch_exits_3(self, monkeypatch, capsys):
-        import symideal.equivariant as equivariant
         from symideal.cli import run
+        from symideal.ideals import _Quotient
 
-        class MiscountedSquare(Ideal):
-            def standard_monomials(self):
-                std = super().standard_monomials()
-                return std + [m for m in std if sum(m) == 2]  # degree 2 counted twice
+        square = _Quotient.square
 
-        monkeypatch.setattr(equivariant, "Ideal", MiscountedSquare)
+        def miscounted_square(self):
+            record = square(self)
+            std = record.standard
+            record.standard = std + [m for m in std if sum(m) == 2]  # degree 2 counted twice
+            return record
+
+        monkeypatch.setattr(_Quotient, "square", miscounted_square)
         with pytest.raises(SystemExit) as info:
             run(["tangent", "--n", "3", "--tanisaki", "2,1"])
         assert info.value.code == 3
         assert capsys.readouterr().err == ("symideal tangent: internal invariant broken: "
                                            "relation count mismatch in degree 2\n")
+
+
+def assert_matches_the_polynomial_route(ideal: Ideal, label: str = "") -> None:
+    """The packed I^2 has the reduced basis and Hilbert function of the
+    rational products' ideal, and ``tangent_dimension`` the counts and
+    details of the ``Polynomial`` relation step."""
+    report = tangent_dimension(ideal)
+    want, square = polynomial_relation_step_oracle(ideal)
+    packed = ideal._quotient().square()
+    assert packed.basis == square._quotient().basis, label
+    assert packed.hilbert_function() == square.hilbert_function(), label
+    assert (report.tangent_dim, report.n2_count, report.details) == want, label
+
+
+class TestPackedSquare:
+    """I^2 from products of packed basis elements, and the relation rows
+    read from shifted keys, against the rational route they replace."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_catalog_rows(self, n, seed):
+        for case in classification_cases(n, _random_parameters(seed)):
+            assert_matches_the_polynomial_route(case.ideal, case.describe())
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + [(4, 1, 1), (3, 3)])
+    def test_tanisaki_points(self, parts):
+        assert_matches_the_polynomial_route(tanisaki_point(parts))
+
+    def test_inhomogeneous_square(self):
+        # I^2 of an orbit ideal: the products are not homogeneous
+        ideal = orbit_ideal((1, 2, 2))
+        assert ideal._quotient().square().basis == square_of(ideal)._quotient().basis
 
 
 def graded_generators(ideal: Ideal) -> tuple[list[Polynomial], list[int]]:

@@ -5,16 +5,17 @@ from itertools import permutations, product
 from math import comb, factorial, gcd, inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
 from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _degree_cap,
-                             _engine_terms, _lead, _masks, _normal_form, _normalize, _pack,
-                             _packed_lcm, _spoly, _support, _to_engine, maximal_power,
-                             orbit_ideal, orbit_points)
-from symideal.poly import Polynomial, apply_permutation, degree_monomials, power_sum
+                             _lead, _masks, _normal_form, _normalize, _pack, _packed_lcm,
+                             _spoly, _support, _to_engine, maximal_power, orbit_ideal,
+                             orbit_points, pack_terms)
+from symideal.poly import (Polynomial, apply_permutation, degree_monomials, numerators,
+                           power_sum)
 from symideal.tanisaki import tanisaki_ideal
 
 
@@ -158,6 +159,74 @@ def ideal_and_probes(draw):
     gens = draw(st.lists(polynomials(n, 2), min_size=1, max_size=3))
     probes = draw(st.lists(polynomials(n, 4, 1, 4), min_size=1, max_size=12))
     return n, gens, probes
+
+
+def rational_polynomials(n, max_degree, max_terms=4):
+    monomials = st.tuples(*[st.integers(0, max_degree)] * n).filter(
+        lambda m: sum(m) <= max_degree)
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.dictionaries(monomials, coefficients, max_size=max_terms).map(
+        lambda terms: Polynomial(n, terms))
+
+
+@st.composite
+def ideal_and_rational_probe(draw):
+    """An ideal and a probe with Fraction coefficients: zero, a member of
+    the ideal, or neither, with or without a member added."""
+    n = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(polynomials(n, 2), min_size=1, max_size=3))
+    f = draw(rational_polynomials(n, 4))
+    if draw(st.booleans()):
+        f = f + draw(rational_polynomials(n, 2)) * draw(st.sampled_from(gens))
+    return Ideal(n, gens), f
+
+
+def division_normal_form(ideal, f) -> dict:
+    """{DEGREVLEX.key(m): c} of f divided by the monic reduced Groebner
+    basis in Fraction arithmetic, the leading term of the rest first: the
+    normal form, unique for a reduced basis, without the engine's packing."""
+    basis = [(g.leading_monomial(), g) for g in ideal.groebner_basis()]
+    rest, out = dict(f.terms), {}
+    while rest:
+        m = max(rest, key=DEGREVLEX.key)
+        c = rest.pop(m)
+        lead, g = next(((u, g) for u, g in basis if all(a <= b for a, b in zip(u, m))),
+                       (None, None))
+        if g is None:
+            out[DEGREVLEX.key(m)] = c
+            continue
+        for t, e in g.terms.items():
+            if t != lead:
+                t = tuple(a + b - d for a, b, d in zip(t, m, lead))
+                rest[t] = rest.get(t, 0) - c * e
+                if not rest[t]:
+                    del rest[t]
+    return out
+
+
+COINVARIANTS = Ideal(3, [power_sum(k, 3) for k in range(1, 4)])
+
+
+class TestPackedCoordinates:
+    """``Ideal.coordinates`` reads the packed normal form directly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideal_and_rational_probe())
+    @example((COINVARIANTS, Polynomial.zero(3)))
+    @example((COINVARIANTS, power_sum(2, 3) * Fraction(2, 3) * x(1, 3)))
+    def test_coordinates_are_the_keyed_normal_form(self, case):
+        ideal, f = case
+        coords = ideal.coordinates(f)
+        assert coords == {DEGREVLEX.key(m): c for m, c in ideal.normal_form(f).terms.items()}
+        assert coords == division_normal_form(ideal, f)
+        for c in coords.values():
+            assert c and type(c) is (int if c.denominator == 1 else Fraction)
+        if ideal is COINVARIANTS:  # the zero polynomial and a member of the ideal
+            assert coords == {}
+
+    def test_ambient_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="ambient size mismatch"):
+            COINVARIANTS.coordinates(x(1, 2))
 
 
 class TestDivisorMemo:
@@ -815,7 +884,7 @@ def reduction_case(draw):
         scale = draw(st.integers(1, 9))  # a leading coefficient past 1
         basis.append([(terms[0][0], terms[0][1] * scale)] + terms[1:])
     f = draw(polynomials(n, 4, 1, 6))
-    return n, basis, _engine_terms(f)[0]
+    return n, basis, pack_terms(numerators(f)[0])
 
 
 def strip_case(qs):
@@ -828,7 +897,7 @@ def strip_case(qs):
     reducers = [v(2)] + [qs[j - 1] * v(1) ** j + v(2) ** j for j in range(m, 0, -1)]
     f = v(3) ** (m + 1) + sum((v(1) ** j for j in range(1, m + 1)), v(3))
     basis = [_to_engine(g) for g in reducers]
-    return n, basis, _engine_terms(f)[0]
+    return n, basis, pack_terms(numerators(f)[0])
 
 
 class TestEngineOracles:
@@ -984,6 +1053,6 @@ class TestRunLongDivisorMemo:
         for size in range(1, len(basis) + 1):
             prefix, leads = basis[:size], [_lead(g, n) for g in basis[:size]]
             for f in probes:
-                t = _engine_terms(f)[0]
+                t = pack_terms(numerators(f)[0])
                 assert (_normal_form(t, prefix, leads, n, divisors)
                         == _normal_form(t, prefix, leads, n, {}))
