@@ -330,7 +330,9 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     Minimal first syzygies of an Artinian homogeneous ideal have degree at
     most reg(I) + 1 = N + 1 (Eisenbud, *The Geometry of Syzygies*, ch. 4),
     where the elimination stops.  ``n2_count`` counts relations from
-    HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d; the elimination must agree.
+    HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d below ``syzygy_bound``; the
+    elimination must agree.  Both read I^2 only below ``syzygy_bound``, so
+    it is built only there.
     """
     start = time.monotonic()
     if not ideal.is_homogeneous():
@@ -356,7 +358,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
             values[i].setdefault((sum(m), DEGREVLEX.key(m)), []).append((t, c))
 
     quotient = ideal._quotient()
-    square = quotient.square()
+    square = quotient.square(syzygy_bound)
     square_hf = dict(enumerate(square.hilbert_function()))
     by_degree: dict[int, list[int]] = {}
     for m in ideal.standard_monomials():

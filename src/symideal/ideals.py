@@ -19,7 +19,10 @@ and ``((a | G) - L) & G`` marks the nonzero fields, so two monomials are
 coprime when these masks do not meet.  The leading exponents of a basis
 are packed once and kept beside it, and Buchberger's pair bookkeeping
 (Gebauer-Moeller) runs on them, with each live pair's packed lcm stored
-and its key computed only when the pair is queued.
+and its key computed only when the pair is queued.  A new element's pairs
+are queued at minimal lcms only: fields never carry, so a proper divisor
+is a smaller int, and in ascending order each lcm meets only the minimal
+lcms before it.
 
 A reduction keeps the work polynomial as a dict from key to coefficient
 beside a max-heap of its keys, so each step touches only the reducer's
@@ -49,16 +52,19 @@ C(n+d-1, d) monomials of some least degree d, the ideal is J + m^d, J
 spanned by the inputs below d.  Its reduced basis is that of J below d and
 monomials from d on, so ``_buchberger`` skips inputs and pairs of degree
 >= d and appends the degree-d monomials that no leading monomial divides,
-instead of reducing each monomial of m^d to zero.
+instead of reducing each monomial of m^d to zero.  A bound ``below``
+truncates homogeneous inputs the same way: the ceiling is the lesser of
+cap and bound, and the result the reduced basis elements of lower degree.
 
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1, built together and replaced together.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
 as {key: coeff}, coordinates in R/I, int where integral; ``Ideal.coordinates``
-packs a polynomial and reads it.  ``_Quotient.square()`` is I^2 from products
-of basis elements: primitive with positive leads (Gauss's lemma), each is the
-input ``_to_engine`` gives for the rational product.
+packs a polynomial and reads it.  ``_Quotient.square(below)`` is I^2 below
+that degree from products of basis elements: primitive with positive leads
+(Gauss's lemma), each is the input ``_to_engine`` gives for the rational
+product.
 
 Orbit ideals and intersections are kernels of linear maps from R to
 finite-dimensional spaces (evaluation at points, R -> R/I + R/J), found by
@@ -72,7 +78,7 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import chain, permutations
+from itertools import permutations
 from math import comb, gcd, inf
 from struct import Struct
 
@@ -289,11 +295,16 @@ def _spoly(f: list, g: list, n: int) -> list:
     return sorted(((k, c) for k, c in terms.items() if c), reverse=True)
 
 
+def _homogeneous(polys: list[list], n: int) -> bool:
+    """Whether each term list's first and last terms have one degree."""
+    return all(DEGREVLEX.degree(f[0][0], n) == DEGREVLEX.degree(f[-1][0], n) for f in polys)
+
+
 def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
     """(d, keys): the least degree d at which the inputs hold every monomial
     of degree d, as distinct keys, and those keys ascending; (inf, []) when
     no degree is full or some input is not homogeneous."""
-    if any(DEGREVLEX.degree(f[0][0], n) != DEGREVLEX.degree(f[-1][0], n) for f in inputs):
+    if not _homogeneous(inputs, n):
         return inf, []
     found: dict[int, set] = {}
     for f in inputs:
@@ -303,12 +314,34 @@ def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
     return (min(full), sorted(found[min(full)])) if full else (inf, [])
 
 
-def _buchberger(inputs: list[list], n: int) -> list[list]:
+def _fresh_pairs(lcms: list[int], support: list[int], alive: list[bool], st: int,
+                 guard: int) -> list[tuple[int, int]]:
+    """The pairs (i, lcm) Gebauer-Moeller queues for a new element of support
+    st, from its lead's packed lcm with each earlier one: per minimal lcm of
+    live i, the lowest non-coprime i, unless some coprime pair has it."""
+    lowest: dict[int, int | None] = {}
+    for i, lcm in enumerate(lcms):
+        if alive[i]:
+            lowest[lcm] = lowest.get(lcm, i) if support[i] & st else None
+    queued, minimal = [], []
+    for lcm in sorted(lowest):
+        x = lcm | guard
+        if not any((x - m) & guard == guard for m in minimal):
+            minimal.append(lcm)
+            if lowest[lcm] is not None:
+                queued.append((lowest[lcm], lcm))
+    return queued
+
+
+def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[list]:
     """Reduced Groebner basis from engine term lists, truncated at a degree
-    cap (see the module docstring)."""
+    cap and below the degree ``below`` (see the module docstring)."""
+    if below < inf and not _homogeneous(inputs, n):
+        raise ValueError("a degree bound needs homogeneous inputs")
     guard = _masks(n)[0]
     cap, cap_keys = _degree_cap(inputs, n)
-    ceiling = (cap - 1) << (W * n) if cap_keys else inf  # keys of degree >= cap exceed it
+    top = min(cap, below)
+    ceiling = (top - 1) << (W * n) if top < inf else inf  # keys of degree >= top exceed it
     G: list[list] = []
     leads: list[int] = []  # packed leading exponents
     support: list[int] = []  # the guard bit of each nonzero field of a lead
@@ -318,24 +351,14 @@ def _buchberger(inputs: list[list], n: int) -> list[list]:
     divisors: dict = {}  # one memo for the run: G only grows by appending
 
     def update(t: int) -> None:
-        lt, st = leads[t], support[t]
+        lt = leads[t]
         lcms = [_packed_lcm(a, lt, guard) for a in leads[:t]]
-        # Gebauer-Moeller: prune the new pairs among themselves...
-        C = [(i, lcms[i]) for i in range(t) if alive[i]]
-        D: list = []
-        while C:
-            i, lcm = C.pop()
-            x = lcm | guard
-            if support[i] & st and any((x - m) & guard == guard for _, m in chain(C, D)):
-                continue
-            D.append((i, lcm))
-        # ...then drop the non-coprime survivors into the queue...
-        for i, lcm in D:
-            if support[i] & st:
-                key = DEGREVLEX.key(DEGREVLEX.monomial(lcm, n))
-                if key <= ceiling:
-                    heappush(heap, (key, i, t))
-                    pairs[i, t] = lcm
+        # Gebauer-Moeller: queue the new pairs at minimal lcms...
+        for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard):
+            key = DEGREVLEX.key(DEGREVLEX.monomial(lcm, n))
+            if key <= ceiling:
+                heappush(heap, (key, i, t))
+                pairs[i, t] = lcm
         # ...and prune the old pairs superseded by the new element.
         stale = [(i, j) for (i, j), lcm in pairs.items()
                  if j != t and ((lcm | guard) - lt) & guard == guard
@@ -370,9 +393,9 @@ def _buchberger(inputs: list[list], n: int) -> list[list]:
             add(s)
 
     basis = _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
-    below = [DEGREVLEX.exps(g[0][0], n) for g in basis]
-    return basis + [[(k, 1)] for k in cap_keys if not any(
-        ((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in below)]
+    leads = [DEGREVLEX.exps(g[0][0], n) for g in basis]
+    return basis + [[(k, 1)] for k in cap_keys if cap < below and not any(
+        ((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in leads)]
 
 
 def _reduce_basis(basis: list[list], n: int) -> list[list]:
@@ -404,17 +427,19 @@ class _Quotient:
     """R/I in degrevlex: the reduced Groebner basis, the packed leading
     exponents of its elements, the divisor memo of ``_normal_form`` and, on
     first use, the standard monomials.  A new basis gets a new record, so
-    the memo never outlives the basis it was filled from."""
+    the memo never outlives the basis it was filled from.  A record bounded
+    ``below`` a degree holds and reads only what lies below it."""
 
-    def __init__(self, basis: list[list], n: int) -> None:
+    def __init__(self, basis: list[list], n: int, below: int | float = inf) -> None:
         self.basis = basis
         self.leads = [_lead(g, n) for g in basis]
         self.divisors: dict = {}  # leading key -> first divisor in the basis, or len(basis)
         self.n = n
+        self.below = below
 
     @cached_property
     def standard(self) -> list[Monomial] | None:
-        """Monomials outside the leading-term staircase; None when infinite.
+        """Monomials outside the staircase, of degree < ``below``; None when infinite.
 
         The staircase is closed under division, so it grows from 1: each
         standard monomial m is multiplied by x_i for every i from its last
@@ -424,17 +449,17 @@ class _Quotient:
         lms = [DEGREVLEX.unpack(g[0][0], n) for g in self.basis]
         if any(sum(m) == 0 for m in lms):
             return []
-        if not all(any(sum(m) == m[i] for m in lms) for i in range(n)):
+        if self.below == inf and not all(any(sum(m) == m[i] for m in lms) for i in range(n)):
             return None  # no pure power of x_i leads: the staircase is infinite
         guard = _masks(n)[0]
         units = [1 << (W * i) for i in range(n)]
-        grown = [(0, 0)]  # (packed exponents, index of the last nonzero variable)
-        for x, last in grown:
+        grown = [(0, 0, 1)]  # (packed exponents, last nonzero variable, degree + 1)
+        for x, last, d in grown:
             for i in range(last, n):
                 y = (x + units[i]) | guard
-                if not any((y - a) & guard == guard for a in self.leads):
-                    grown.append((y ^ guard, i))
-        found = [DEGREVLEX.monomial(x, n) for x, _ in grown]
+                if d < self.below and not any((y - a) & guard == guard for a in self.leads):
+                    grown.append((y ^ guard, i, d + 1))
+        found = [DEGREVLEX.monomial(x, n) for x, _, _ in grown]
         found.sort(key=DEGREVLEX.key)
         return found
 
@@ -448,12 +473,14 @@ class _Quotient:
     def coordinates(self, terms: list, den: int = 1) -> dict[int, int | Fraction]:
         """The normal form of terms / den, for an engine term list sorted
         descending by key, as {key: coeff}, integral entries as ints."""
+        if terms and DEGREVLEX.degree(terms[0][0], self.n) >= self.below:
+            raise ValueError(f"a term past the record's bound {self.below}")
         rem, mult = _normal_form(terms, self.basis, self.leads, self.n, self.divisors)
         scale = den * mult  # rem == scale * (terms / den) modulo the ideal
         return {k: c // scale if c % scale == 0 else Fraction(c, scale) for k, c in rem}
 
-    def square(self) -> "_Quotient":
-        """The record of I^2, from the products of pairs of basis elements."""
+    def square(self, below: int | float = inf) -> "_Quotient":
+        """The record of I^2 below degree ``below``, from products of basis elements."""
         products = []
         for i, f in enumerate(self.basis):
             for g in self.basis[i:]:  # keys add, coefficients multiply
@@ -462,7 +489,7 @@ class _Quotient:
                     for t, e in g:
                         terms[k + t] = terms.get(k + t, 0) + c * e
                 products.append(sorted(((k, c) for k, c in terms.items() if c), reverse=True))
-        return _Quotient(_buchberger(products, self.n), self.n)
+        return _Quotient(_buchberger(products, self.n, below), self.n, below)
 
 
 class Ideal:
@@ -512,7 +539,7 @@ class Ideal:
         return self._quotient().coordinates(pack_terms(terms), den)
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        return not self.coordinates(f)
 
     # -- zero-dimensional toolkit ------------------------------------------
     def standard_monomials(self) -> list[Monomial] | None:
@@ -525,10 +552,8 @@ class Ideal:
         return inf if std is None else len(std)
 
     def is_homogeneous(self) -> bool:
-        """Judged on the reduced Groebner basis: first and last terms alike."""
-        n = self.ambient_n
-        return all(DEGREVLEX.degree(g[0][0], n) == DEGREVLEX.degree(g[-1][0], n)
-                   for g in self._quotient().basis)
+        """Judged on the reduced Groebner basis."""
+        return _homogeneous(self._quotient().basis, self.ambient_n)
 
     def hilbert_function(self) -> tuple[int, ...]:
         """Dimensions of the graded quotient pieces, up to the last nonzero."""

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
@@ -635,8 +635,8 @@ class TestRelationStep:
 
         square = _Quotient.square
 
-        def miscounted_square(self):
-            record = square(self)
+        def miscounted_square(self, below=inf):
+            record = square(self, below)
             std = record.standard
             record.standard = std + [m for m in std if sum(m) == 2]  # degree 2 counted twice
             return record
@@ -652,18 +652,28 @@ class TestRelationStep:
 def assert_matches_the_polynomial_route(ideal: Ideal, label: str = "") -> None:
     """The packed I^2 has the reduced basis and Hilbert function of the
     rational products' ideal, and ``tangent_dimension`` the counts and
-    details of the ``Polynomial`` relation step."""
+    details of the ``Polynomial`` relation step.  I^2 built below N + 1 or
+    below the syzygy bound is the full I^2 in the lower degrees: its basis
+    elements, standard monomials and Hilbert function."""
     report = tangent_dimension(ideal)
     want, square = polynomial_relation_step_oracle(ideal)
     packed = ideal._quotient().square()
     assert packed.basis == square._quotient().basis, label
     assert packed.hilbert_function() == square.hilbert_function(), label
     assert (report.tangent_dim, report.n2_count, report.details) == want, label
+    n, N = ideal.ambient_n, len(ideal.hilbert_function())
+    for below in sorted({N + 1, report.syzygy_bound}):
+        bounded = ideal._quotient().square(below)
+        assert bounded.basis == [g for g in packed.basis
+                                 if DEGREVLEX.degree(g[0][0], n) < below], (label, below)
+        assert bounded.standard == [m for m in packed.standard if sum(m) < below], (label, below)
+        assert bounded.hilbert_function() == packed.hilbert_function()[:below], (label, below)
 
 
 class TestPackedSquare:
-    """I^2 from products of packed basis elements, and the relation rows
-    read from shifted keys, against the rational route they replace."""
+    """I^2 from products of packed basis elements, full and truncated at a
+    degree bound, and the relation rows read from shifted keys, against
+    the rational route they replace."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -676,9 +686,19 @@ class TestPackedSquare:
         assert_matches_the_polynomial_route(tanisaki_point(parts))
 
     def test_inhomogeneous_square(self):
-        # I^2 of an orbit ideal: the products are not homogeneous
+        # I^2 of an orbit ideal: the products are not homogeneous, so they
+        # take no degree bound
         ideal = orbit_ideal((1, 2, 2))
         assert ideal._quotient().square().basis == square_of(ideal)._quotient().basis
+        with pytest.raises(ValueError, match="homogeneous"):
+            ideal._quotient().square(3)
+
+    def test_coordinates_past_the_bound_raise(self):
+        record = tanisaki_point((2, 1))._quotient()
+        bounded, x1_squared = record.square(3), [(DEGREVLEX.key((2, 0, 0)), 1)]
+        assert bounded.coordinates(x1_squared) == record.square().coordinates(x1_squared)
+        with pytest.raises(ValueError, match="past the record's bound 3"):
+            bounded.coordinates([(DEGREVLEX.key((3, 0, 0)), 1), (DEGREVLEX.key((2, 0, 0)), 1)])
 
 
 def graded_generators(ideal: Ideal) -> tuple[list[Polynomial], list[int]]:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
+from symideal import ideals
 from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _degree_cap,
-                             _lead, _masks, _normal_form, _normalize, _pack, _packed_lcm,
-                             _spoly, _support, _to_engine, maximal_power, orbit_ideal,
-                             orbit_points, pack_terms)
+                             _fresh_pairs, _lead, _masks, _normal_form, _normalize, _pack,
+                             _packed_lcm, _spoly, _support, _to_engine, maximal_power,
+                             orbit_ideal, orbit_points, pack_terms)
 from symideal.poly import (Polynomial, apply_permutation, degree_monomials, numerators,
                            power_sum)
 from symideal.tanisaki import tanisaki_ideal
@@ -951,6 +952,66 @@ class TestEngineOracles:
         gens = [power_sum(k, n) for k in (1, 2)] + pair_products(n)
         inputs = [_to_engine(g) for g in gens]
         assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
+
+
+def gebauer_moeller_oracle(lcms, support, alive, st, guard):
+    """The pairs (i, lcm) the quadratic Gebauer-Moeller loop queued: each
+    live pair, from the highest i down, is dropped when it is not coprime
+    and the lcm of a pair still to visit or already kept divides its own."""
+    C = [(i, lcms[i]) for i in range(len(lcms)) if alive[i]]
+    D = []
+    while C:
+        i, lcm = C.pop()
+        x = lcm | guard
+        if support[i] & st and any((x - m) & guard == guard for _, m in C + D):
+            continue
+        D.append((i, lcm))
+    return [(i, lcm) for i, lcm in D if support[i] & st]
+
+
+@st.composite
+def pair_update(draw):
+    """Leads of a basis and of a new element t, small exponents so that
+    equal lcms, divisible lcms and coprime pairs all occur, and which of
+    the earlier elements are still live."""
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(0, 10))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=t + 1,
+                          max_size=t + 1))
+    alive = draw(st.lists(st.booleans(), min_size=t, max_size=t))
+    return n, [_pack(m) for m in leads], alive
+
+
+class TestMinimalLcmPruning:
+    """``_fresh_pairs`` queues what the quadratic Gebauer-Moeller loop queued."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair_update())
+    def test_matches_the_quadratic_loop(self, case):
+        n, leads, alive = case
+        guard = _masks(n)[0]
+        t = len(leads) - 1
+        support = [_support(a, n) for a in leads]
+        lcms = [_packed_lcm(a, leads[t], guard) for a in leads[:t]]
+        new = {(i, t, lcm) for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard)}
+        old = {(i, t, lcm) for i, lcm in
+               gebauer_moeller_oracle(lcms, support, alive, support[t], guard)}
+        assert new == old
+
+    def test_matches_at_every_update_of_the_catalog_rows(self, monkeypatch):
+        fresh, updates = ideals._fresh_pairs, []
+
+        def checked(lcms, support, alive, st, guard):
+            queued = fresh(lcms, support, alive, st, guard)
+            assert set(queued) == set(gebauer_moeller_oracle(lcms, support, alive, st, guard))
+            updates.append(len(queued))
+            return queued
+
+        monkeypatch.setattr(ideals, "_fresh_pairs", checked)
+        for case in classification_cases(4):
+            record = case.ideal._quotient()
+            record.square()
+        assert len(updates) > 500 and sum(updates) > 500
 
 
 def cap_of(ideal):
