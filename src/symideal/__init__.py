@@ -9,20 +9,17 @@ the rationals.
 __version__ = "0.1.0"
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
-                       Tableau, d_min, dominates, irreducible_character,
-                       kostka_decomposition, kostka_number, multinomial,
-                       partitions_of, r_lambda, R_k, specht_dimension,
-                       standard_tableaux, transpose, word)
+                       Tableau, d_min, dominates, kostka_decomposition,
+                       kostka_number, multinomial, partitions_of, r_lambda,
+                       R_k, specht_dimension, standard_tableaux, transpose,
+                       word)
 from .combinat import index as tableau_index
 from .equivariant import (TangentReport, decompose_quotient,
                           is_permutation_module_sum, is_symmetric,
                           tangent_dimension)
 from .ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
-from .poly import (Polynomial, apolar_pair, apply_permutation,
-                   elementary_symmetric, parse_polynomial, power_sum,
-                   reynolds)
+from .poly import (Polynomial, apply_permutation, elementary_symmetric,
+                   parse_polynomial, power_sum)
 from .specht import (coinvariant_isotypic_basis, higher_specht,
-                     lemma_component, specht_ideal, specht_polynomial,
-                     vandermonde)
-from .tanisaki import (inclusion_chain_check, tanisaki_ideal, tilde_ideal,
-                       two_row_presentation)
+                     specht_polynomial, vandermonde)
+from .tanisaki import inclusion_chain_check, tanisaki_ideal, tilde_ideal

@@ -18,10 +18,13 @@ from itertools import combinations
 from .combinat import IsotypicDecomposition, Partition
 from .ideals import Ideal, maximal_power
 from .poly import Polynomial, power_sum
-from .specht import _x
 
 # ---------------------------------------------------------------------------
 # generator families
+
+
+def _x(i: int, n: int) -> Polynomial:
+    return Polynomial.variable(i, n)
 
 
 def differences(n: int) -> list[Polynomial]:

@@ -1,4 +1,4 @@
-"""Partitions, tableaux, dominance order, Kostka numbers, and S_n characters.
+"""Partitions, tableaux, dominance order, Kostka numbers and permutations.
 
 Everything here is exact integer combinatorics.  All types are immutable
 (frozen dataclasses over tuples) and safe to share, hash, and use as dict
@@ -150,19 +150,6 @@ class Permutation:
                     sign = -sign
         return sign
 
-    def cycle_type(self) -> Partition:
-        seen = [False] * self.n
-        lengths = []
-        for i in range(self.n):
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = self.images[j] - 1
-                    length += 1
-                lengths.append(length)
-        return Partition(sorted(lengths, reverse=True))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(range(1, n + 1))
@@ -177,17 +164,6 @@ class Permutation:
     def cycle(n: int) -> "Permutation":
         """The long cycle 1 -> 2 -> ... -> n -> 1."""
         return Permutation(list(range(2, n + 1)) + [1])
-
-    @staticmethod
-    def from_cycle_type(mu: Partition) -> "Permutation":
-        """A representative with consecutive cycles (1..mu_1)(mu_1+1..)..."""
-        images = []
-        start = 1
-        for part in mu.parts:
-            block = list(range(start + 1, start + part)) + [start]
-            images.extend(block)
-            start += part
-        return Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -395,46 +371,6 @@ def kostka_decomposition(lam: Partition) -> IsotypicDecomposition:
         if k:
             mult[mu] = k
     return IsotypicDecomposition.from_dict(mult)
-
-
-@lru_cache(maxsize=None)
-def _character(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> int:
-    if not lam_parts:
-        return 1
-    # Border strips of size k correspond to moves h -> h-k on the set of
-    # first-column hook lengths; the sign is read off from the crossings.
-    k = mu_parts[0]
-    rest = mu_parts[1:]
-    m = len(lam_parts)
-    hooks = [lam_parts[i] + (m - 1 - i) for i in range(m)]  # distinct, decreasing
-    hook_set = set(hooks)
-    total = 0
-    for pos, h in enumerate(hooks):
-        target = h - k
-        if target < 0 or target in hook_set:
-            continue
-        height = sum(1 for other in hooks if target < other < h)
-        new_hooks = sorted((hook_set - {h}) | {target}, reverse=True)
-        new_parts = [new_hooks[i] - (m - 1 - i) for i in range(m)]
-        new_parts = [p for p in new_parts if p > 0]
-        total += (-1) ** height * _character(tuple(new_parts), rest)
-    return total
-
-
-def irreducible_character(lam: Partition, class_mu: Partition) -> int:
-    """Character of the irreducible labelled by lam on the class of cycle type mu."""
-    if lam.n != class_mu.n:
-        raise ValueError("sizes differ")
-    return _character(lam.parts, class_mu.parts)
-
-
-def conjugacy_class_size(mu: Partition) -> int:
-    """Number of permutations of cycle type mu."""
-    z = 1
-    for part in set(mu.parts):
-        count = mu.parts.count(part)
-        z *= part**count * factorial(count)
-    return factorial(mu.n) // z
 
 
 def multinomial(lam: Partition) -> int:

@@ -31,7 +31,8 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
 from .ideals import DEGREVLEX, Ideal, pack_terms
 from .linalg import KernelEchelon, nullspace_tags
 from .poly import (Monomial, Polynomial, Vector, apply_permutation, combine_vectors,
-                   complement_vectors, integrate_vectors, numerators, to_polynomial)
+                   complement_vectors, integrate_vectors, numerators, permute_monomial,
+                   to_polynomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -46,14 +47,20 @@ def is_symmetric(ideal: Ideal) -> bool:
     under the two group generators.
 
     The basis generates the ideal, so the verdict is the one the input
-    generators would give; the basis is usually much shorter.  The verdict
-    is kept on the ideal, whose generators never change, so each ideal is
-    checked once however many callers ask.
+    generators would give; the basis is usually much shorter.  Each packed
+    basis element is permuted key by key and its normal form read from the
+    ideal's record.  The verdict is kept on the ideal, whose generators
+    never change, so each ideal is checked once however many callers ask.
     """
     if ideal._symmetric is None:
-        ideal._symmetric = all(ideal.contains(apply_permutation(sigma, g))
-                               for sigma in group_generators(ideal.ambient_n)
-                               for g in ideal.groebner_basis())
+        record, n = ideal._quotient(), ideal.ambient_n
+
+        def moved(sigma: Permutation, g: list) -> list:
+            return sorted(((DEGREVLEX.key(permute_monomial(sigma, DEGREVLEX.unpack(k, n))), c)
+                           for k, c in g), reverse=True)
+
+        ideal._symmetric = all(record.coordinates(moved(sigma, g)) == {}
+                               for sigma in group_generators(n) for g in record.basis)
     return ideal._symmetric
 
 

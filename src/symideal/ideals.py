@@ -66,10 +66,12 @@ that degree from products of basis elements: primitive with positive leads
 (Gauss's lemma), each is the input ``_to_engine`` gives for the rational
 product.
 
-Orbit ideals and intersections are kernels of linear maps from R to
-finite-dimensional spaces (evaluation at points, R -> R/I + R/J), found by
-the Buchberger-Moeller walk of ``_vanishing_ideal`` on one ``KernelEchelon``
-(Moeller-Buchberger 1982; Marinari-Moeller-Mora 1993).
+Orbit ideals are kernels of linear maps from R to finite-dimensional
+spaces (evaluation at the orbit's points), found by the Buchberger-Moeller
+walk of ``_vanishing_ideal`` on one ``KernelEchelon`` (Moeller-Buchberger
+1982; Marinari-Moeller-Mora 1993).  The tests build intersections of ideals
+of finite colength, the kernel of R -> R/I + R/J, on the same walk as an
+oracle.
 """
 
 from __future__ import annotations
@@ -526,10 +528,6 @@ class Ideal:
         n = self.ambient_n
         return tuple(_to_poly(g, n).monic() for g in self._quotient().basis)
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        n = self.ambient_n
-        return Polynomial(n, {DEGREVLEX.unpack(k, n): c for k, c in self.coordinates(f).items()})
-
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The normal form of f as {DEGREVLEX.key(m): coeff}: int columns that
         sort in the monomial order and add under products, ints where integral."""
@@ -562,22 +560,6 @@ class Ideal:
         if self.standard_monomials() is None:
             raise ValueError("quotient is not finite-dimensional")
         return self._quotient().hilbert_function()
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        """I ∩ J, the kernel of R -> R/I ⊕ R/J, by ``_vanishing_ideal``;
-        ValueError unless both quotients are finite-dimensional."""
-        if other.ambient_n != self.ambient_n:
-            raise ValueError("ambient size mismatch")
-        # both bases first, so that an input past the exponent bound says so
-        if inf in (self.colength(), other.colength()):
-            raise ValueError("intersect needs two ideals of finite colength")
-
-        def value(m: Monomial, parent, i) -> dict:
-            f = Polynomial.monomial(m)
-            return {(side, k): c for side, ideal in enumerate((self, other))
-                    for k, c in ideal.coordinates(f).items()}
-
-        return _vanishing_ideal(self.ambient_n, value)
 
     def associated_graded(self) -> "Ideal":
         """Ideal of top-degree forms (degree filtration at the origin)."""

@@ -6,13 +6,12 @@ pivots on its largest column.  The quotient coordinates of
 rows of normal forms pivot on their leading monomials.  Elimination is
 fraction-free: a step replaces r by the positive multiple (p[c]*r - r[c]*p),
 so the content is removed once per add, after the last step.
-Rational input is cleared to integers on entry; rational answers are
-reconstructed from the tracked tags on the way out.
+Rational input is cleared to integers on entry, and a relation comes out
+as an integer combination of the tags.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -94,17 +93,4 @@ def nullspace_tags(vectors) -> list[dict]:
         if relation is not None:
             out.append(relation)
     return out
-
-
-def solve_in_span(basis: list[dict], target: dict) -> list[Fraction] | None:
-    """Coefficients expressing target over the basis rows, or None."""
-    tracker = KernelEchelon()
-    for i, row in enumerate(basis):
-        if tracker.add(row, i) is not None:
-            raise ValueError("basis rows are linearly dependent")
-    relation = tracker.add(target, "target")
-    if relation is None:
-        return None
-    scale = relation["target"]
-    return [Fraction(-relation.get(i, 0), scale) for i in range(len(basis))]
 

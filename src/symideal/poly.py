@@ -13,9 +13,7 @@ The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 ``complement_vectors``, ``combine_vectors``) work on integer numerators
 instead: a vector is (terms, den) with int coefficients over one positive
 int denominator.  ``numerators`` and ``to_polynomial`` convert at the
-boundary, where the values are exactly those of the rational computation;
-``integrate_duals`` and ``apolar_complement`` wrap the kernels for
-``Polynomial`` input.
+boundary, where the values are exactly those of the rational computation.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -27,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .combinat import Permutation
@@ -193,19 +191,6 @@ class Polynomial:
             self._hash = hash((self.ambient_n, frozenset(self.terms.items())))
         return self._hash
 
-    def evaluate(self, point) -> Fraction:
-        values = [Fraction(v) for v in point]
-        if len(values) != self.ambient_n:
-            raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            prod = c
-            for v, e in zip(values, m):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
-
     # ---- printing / parsing ---------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
@@ -303,13 +288,6 @@ def apply_permutation(sigma: Permutation, f: Polynomial) -> Polynomial:
     return Polynomial(f.ambient_n, {permute_monomial(sigma, m): c for m, c in f.terms.items()})
 
 
-def reynolds(f: Polynomial) -> Polynomial:
-    """Average of f over all permutations of the variables."""
-    n = f.ambient_n
-    images = [apply_permutation(Permutation(p), f) for p in permutations(range(1, n + 1))]
-    return linear_combination(images, dict.fromkeys(range(len(images)), Fraction(1, factorial(n))))
-
-
 def power_sum(k: int, n: int) -> Polynomial:
     """x1^k + ... + xn^k."""
     if k < 1:
@@ -344,48 +322,9 @@ def degree_monomials(n: int, d: int) -> list[Monomial]:
     return [(e,) + rest for e in range(d, -1, -1) for rest in degree_monomials(n - 1, d - e)]
 
 
-def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Apply f as a constant-coefficient differential operator to g."""
-    if f.ambient_n != g.ambient_n:
-        raise ValueError("ambient sizes differ")
-    n = f.ambient_n
-    terms: dict[Monomial, Fraction] = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            if any(bi < ai for ai, bi in zip(a, b)):
-                continue
-            scale = 1
-            for ai, bi in zip(a, b):
-                if ai:
-                    scale *= factorial(bi) // factorial(bi - ai)
-            mono = tuple(bi - ai for ai, bi in zip(a, b))
-            terms[mono] = terms.get(mono, 0) + ca * cb * scale
-    return Polynomial(n, terms)
-
-
-def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
-    """The constant term of ``apolar_pair(f, g)``: sum of f_m g_m m! over
-    the shared monomials; for equal-degree forms, the whole pairing."""
-    if f.ambient_n != g.ambient_n:
-        raise ValueError("ambient sizes differ")
-    if len(f.terms) > len(g.terms):
-        f, g = g, f
-    total = Fraction(0)
-    for m, c in f.terms.items():
-        other = g.terms.get(m)
-        if other is not None:
-            total += c * other * monomial_weight(m)
-    return total
-
-
 def monomial_weight(m: Monomial) -> int:
     """Self-pairing of a monomial: the product of factorials of its exponents."""
     return reduce(lambda acc, e: acc * factorial(e), m, 1)
-
-
-def derivative(f: Polynomial, i: int) -> Polynomial:
-    """Partial derivative with respect to x_i (1-based)."""
-    return Polynomial(f.ambient_n, partial_terms(f.terms, i - 1))
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
@@ -395,22 +334,6 @@ def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
         for m, v in space[t].terms.items():
             terms[m] = terms.get(m, 0) + c * v
     return Polynomial(space[0].ambient_n, terms)
-
-
-def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
-    """Degree-d polynomials whose partials all lie in the span of ``duals``;
-    ``integrate_vectors`` on their numerators."""
-    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
-
-
-def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
-    """Members of the span of ``space`` that pair to zero with all of
-    ``others``; ``complement_vectors`` on their numerators."""
-    if not space:
-        return []
-    return [to_polynomial(v, space[0].ambient_n)
-            for v in complement_vectors([numerators(f) for f in space],
-                                        [numerators(g) for g in others])]
 
 
 # ---- inverse-system kernels on integer numerators --------------------------
@@ -503,8 +426,8 @@ def complement_vectors(space: list[Vector], others: list[Vector]) -> list[Vector
     One combination of ``space`` per kernel relation of the pairing
     matrix, so for independent ``space`` a basis of len(space) minus its
     rank members.  The pairing, the sum of a_m * b_m * m! over the shared
-    monomials (``apolar_scalar``), is symmetric, so the side each argument
-    pairs from does not matter.
+    monomials, is symmetric, so the side each argument pairs from does not
+    matter.
     """
     weighted = [{m: c * monomial_weight(m) for m, c in terms.items()} for terms, _ in others]
 

@@ -128,25 +128,6 @@ def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:
     raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
 
 
-def two_row_presentation(lam: Partition) -> Ideal:
-    """Presentation for two-part shapes: (p1, squares) plus, when the parts
-    differ by at least two, the orbit of the squarefree monomial of degree
-    one more than the second part."""
-    if lam.m != 2:
-        raise ValueError("the presentation needs exactly two parts")
-    n = lam.n
-    gens = [power_sum(1, n)]
-    gens += [Polynomial.variable(i, n) ** 2 for i in range(1, n + 1)]
-    lam1, lam2 = lam.parts
-    if lam1 >= lam2 + 2:
-        for subset in combinations(range(1, n + 1), lam2 + 1):
-            mono = [0] * n
-            for i in subset:
-                mono[i - 1] = 1
-            gens.append(Polynomial.monomial(tuple(mono)))
-    return Ideal(n, gens)
-
-
 def tilde_ideal(mu: Partition) -> Ideal:
     """Monomial-orbit companion: low power sums, the orbit of the m-th
     variable power, and the orbits of k-th powers of squarefree monomials

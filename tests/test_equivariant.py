@@ -8,7 +8,6 @@ import pytest
 
 from symideal.cli import _random_parameters
 from symideal.combinat import (IsotypicDecomposition, Partition, Permutation,
-                               conjugacy_class_size, irreducible_character,
                                kostka_decomposition, kostka_number,
                                multinomial, partitions_of, specht_dimension)
 from symideal.classification import classification_cases, row_case
@@ -17,10 +16,12 @@ from symideal.equivariant import (decompose_quotient, group_generators,
                                   tangent_dimension, _hom_basis_equivariant,
                                   _minimal_generator_space, _swap_actions)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
-from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
+from symideal.linalg import KernelEchelon, nullspace_tags
 from symideal.poly import (Polynomial, apply_permutation, linear_combination,
                            permute_monomial, power_sum)
 from symideal.tanisaki import tanisaki_ideal
+from test_combinat import conjugacy_class_size, from_cycle_type, irreducible_character
+from test_linalg import solve_in_span
 from test_poly import apolar_complement_oracle, integrate_duals_oracle
 
 
@@ -60,7 +61,7 @@ def decompose_quotient_oracle(ideal: Ideal) -> IsotypicDecomposition:
     traces: dict[Partition, dict[int, Fraction]] = {}
     for mu in classes:
         per_degree: dict[int, Fraction] = dict.fromkeys(degrees, 0)
-        action = _action(ideal, Permutation.from_cycle_type(mu))
+        action = _action(ideal, from_cycle_type(mu))
         for m, image in zip(basis, action):
             per_degree[sum(m)] += image.get(DEGREVLEX.key(m), 0)
         traces[mu] = per_degree
@@ -278,7 +279,7 @@ def generator_space_multiplicities(ideal: Ideal) -> dict[Partition, int]:
     graded_gens, _ = _minimal_generator_space(ideal)
     traces = {}
     for mu in partitions_of(n):
-        sigma = Permutation.from_cycle_type(mu)
+        sigma = from_cycle_type(mu)
         trace = Fraction(0)
         for gs in graded_gens.values():
             rows = [g.terms for g in gs]
@@ -302,10 +303,15 @@ class TestIsSymmetric:
     def test_single_variable_is_not(self):
         assert not is_symmetric(Ideal(2, [x(1, 2)]))
 
-    def test_verdict_is_kept_and_still_enforced(self):
+    def test_verdict_is_kept_and_still_enforced(self, monkeypatch):
         asymmetric = Ideal(2, [x(1, 2), x(2, 2) ** 2])  # homogeneous, colength 2
         assert not is_symmetric(asymmetric)
-        asymmetric.contains = None  # a second check would call it
+
+        def refuse(*args):
+            raise AssertionError("the verdict was checked a second time")
+
+        # a second check would read the permuted basis through the record
+        monkeypatch.setattr(asymmetric._quotient(), "coordinates", refuse)
         assert not is_symmetric(asymmetric)
         with pytest.raises(ValueError):
             decompose_quotient(asymmetric)
@@ -319,7 +325,7 @@ class TestIsSymmetric:
         for case in classification_cases(n):
             assert is_symmetric(case.ideal), case.label
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_basis_verdict_matches_the_generator_check(self, n):
         from symideal.classification import classification_cases
 
@@ -338,6 +344,20 @@ class TestIsSymmetric:
         assert is_symmetric(stable) and generator_check(stable)
         for case in classification_cases(n):
             assert is_symmetric(case.ideal) == generator_check(case.ideal), case.label
+
+    @pytest.mark.parametrize("ideal", [
+        orbit_ideal((1, 2, 3)),
+        orbit_ideal((0, 0, 1, 2)),
+        Ideal(3, [x(1, 3) - 1, x(2, 3) - 2, x(3, 3) - 3]),  # one point of an orbit
+        orbit_ideal((1, 2, 3)) + Ideal(3, [x(1, 3) * x(2, 3) - 2]),  # part of the orbit
+    ], ids=["orbit", "orbit-with-repeats", "point", "part-of-orbit"])
+    def test_inhomogeneous_bases(self, ideal):
+        # reduced bases with terms of several degrees, symmetric or not
+        verdict = all(ideal.contains(apply_permutation(sigma, g))
+                      for sigma in group_generators(ideal.ambient_n)
+                      for g in ideal.generators)
+        assert not ideal.is_homogeneous()
+        assert is_symmetric(ideal) == verdict
 
 
 class TestSwapActions:

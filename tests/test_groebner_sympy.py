@@ -21,7 +21,7 @@ from symideal.combinat import Partition
 from symideal.ideals import Ideal, orbit_ideal, orbit_points
 from symideal.poly import Polynomial
 from symideal.tanisaki import tanisaki_ideal
-from test_ideals import membership_cases
+from test_ideals import intersect, membership_cases
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -143,7 +143,7 @@ def test_intersection_matches_sympy(case):
     # x_i^3 on each side makes both quotients finite, as intersect needs
     cubes = [Polynomial.variable(i, n) ** 3 for i in range(1, n + 1)]
     left_gens, right_gens = left_gens + cubes, right_gens + cubes
-    ours = Ideal(n, left_gens).intersect(Ideal(n, right_gens)).groebner_basis()
+    ours = intersect(Ideal(n, left_gens), Ideal(n, right_gens)).groebner_basis()
     assert set(ours) == set(sympy_intersection(left_gens, right_gens, n))
 
 

@@ -4,7 +4,21 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symideal.linalg import KernelEchelon, nullspace_tags, solve_in_span
+from symideal.linalg import KernelEchelon, nullspace_tags
+
+
+# a coordinate solve that no CLI verb reaches
+def solve_in_span(basis: list[dict], target: dict) -> list[Fraction] | None:
+    """Coefficients expressing target over the basis rows, or None."""
+    tracker = KernelEchelon()
+    for i, row in enumerate(basis):
+        if tracker.add(row, i) is not None:
+            raise ValueError("basis rows are linearly dependent")
+    relation = tracker.add(target, "target")
+    if relation is None:
+        return None
+    scale = relation["target"]
+    return [Fraction(-relation.get(i, 0), scale) for i in range(len(basis))]
 
 
 class KernelEchelonOracle:

@@ -10,12 +10,12 @@ from symideal import equivariant
 from symideal.classification import classification_cases
 from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
-from symideal.poly import (Polynomial, apolar_complement, apolar_pair,
-                           apolar_scalar, apply_permutation, degree_monomials,
-                           derivative, elementary_symmetric, integrate_duals,
+from symideal.poly import (Polynomial, apply_permutation, complement_vectors,
+                           degree_monomials, elementary_symmetric, integrate_vectors,
                            linear_combination, monomial_weight, numerators,
-                           parse_polynomial, power_sum, reynolds, to_polynomial)
+                           parse_polynomial, partial_terms, power_sum, to_polynomial)
 from symideal.tanisaki import _apolar_generators
+from test_ideals import evaluate
 
 
 def x(i, n):
@@ -71,7 +71,7 @@ class TestArithmetic:
 
     def test_evaluate(self):
         f = x(1, 2) ** 2 - x(2, 2)
-        assert f.evaluate((3, 4)) == 5
+        assert evaluate(f, (3, 4)) == 5
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
@@ -324,6 +324,72 @@ class TestStoredCoefficients:
         assert parse_polynomial("x1 - x1 + x2", n).terms == {(0, 1): 1}
         assert apolar_pair(x1 - x2, x1 + x2).is_zero()
         assert linear_combination([x1, x1], {0: 1, 1: -1}).terms == {}
+
+
+# ---- Polynomial helpers that no CLI verb reaches ---------------------------
+#
+# The library keeps only the integer kernels behind them.
+
+def reynolds(f: Polynomial) -> Polynomial:
+    """Average of f over all permutations of the variables."""
+    n = f.ambient_n
+    images = [apply_permutation(Permutation(p), f) for p in permutations(range(1, n + 1))]
+    return linear_combination(images, dict.fromkeys(range(len(images)), Fraction(1, factorial(n))))
+
+
+def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Apply f as a constant-coefficient differential operator to g."""
+    if f.ambient_n != g.ambient_n:
+        raise ValueError("ambient sizes differ")
+    n = f.ambient_n
+    terms = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            if any(bi < ai for ai, bi in zip(a, b)):
+                continue
+            scale = 1
+            for ai, bi in zip(a, b):
+                if ai:
+                    scale *= factorial(bi) // factorial(bi - ai)
+            mono = tuple(bi - ai for ai, bi in zip(a, b))
+            terms[mono] = terms.get(mono, 0) + ca * cb * scale
+    return Polynomial(n, terms)
+
+
+def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
+    """The constant term of ``apolar_pair(f, g)``: sum of f_m g_m m! over
+    the shared monomials; for equal-degree forms, the whole pairing."""
+    if f.ambient_n != g.ambient_n:
+        raise ValueError("ambient sizes differ")
+    if len(f.terms) > len(g.terms):
+        f, g = g, f
+    total = Fraction(0)
+    for m, c in f.terms.items():
+        other = g.terms.get(m)
+        if other is not None:
+            total += c * other * monomial_weight(m)
+    return total
+
+
+def derivative(f: Polynomial, i: int) -> Polynomial:
+    """Partial derivative with respect to x_i (1-based)."""
+    return Polynomial(f.ambient_n, partial_terms(f.terms, i - 1))
+
+
+def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
+    """Degree-d polynomials whose partials all lie in the span of ``duals``;
+    ``integrate_vectors`` on their numerators."""
+    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
+
+
+def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
+    """Members of the span of ``space`` that pair to zero with all of
+    ``others``; ``complement_vectors`` on their numerators."""
+    if not space:
+        return []
+    return [to_polynomial(v, space[0].ambient_n)
+            for v in complement_vectors([numerators(f) for f in space],
+                                        [numerators(g) for g in others])]
 
 
 # ---- oracles: the accumulation code before every sum became one dict --------

@@ -1,23 +1,109 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
 
 from symideal.combinat import (Partition, Permutation, Tableau, d_min, index,
-                               irreducible_character, conjugacy_class_size,
                                partitions_of, specht_dimension,
                                standard_tableaux, transpose)
 from symideal.ideals import Ideal
 from symideal.linalg import KernelEchelon
-from symideal.poly import Polynomial, apolar_scalar, apply_permutation, power_sum
+from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.specht import (_column_group, _row_group,
-                             coinvariant_isotypic_basis, component_type,
-                             degree_component_tags,
+                             coinvariant_isotypic_basis,
                              distinct_specht_polynomials, higher_specht,
-                             lemma_component, specht_ideal,
                              specht_polynomial, tableau_monomial, vandermonde)
-from test_combinat import all_tableaux
+from test_combinat import (all_tableaux, conjugacy_class_size, from_cycle_type,
+                           irreducible_character)
+from test_ideals import evaluate, normal_form
+from test_poly import apolar_scalar
+
+
+def specht_ideal(lam: Partition) -> Ideal:
+    """Ideal generated by all Specht polynomials of the given shape."""
+    return Ideal(lam.n, distinct_specht_polynomials(lam))
+
+
+# ---------------------------------------------------------------------------
+# explicit isotypic spanning sets in degrees one to three, which no CLI verb
+# reaches: the decompositions that the low-degree tests check
+
+
+def _family(k: int, f):
+    """The builder of the normalized span of f(p, x_i1, ..., x_ik) over
+    distinct indices, where p[r] is the power sum of degree r."""
+
+    def build(n: int) -> list[Polynomial]:
+        p = {r: power_sum(r, n) for r in (1, 2, 3)}
+        seen: set[Polynomial] = set()
+        for combo in permutations(range(1, n + 1), k):
+            g = f(p, *(_x(i, n) for i in combo))
+            if not g.is_zero():
+                seen.add(g.monic())
+        return sorted(seen, key=str)
+
+    return build
+
+
+def _x(i: int, n: int) -> Polynomial:
+    return Polynomial.variable(i, n)
+
+
+
+
+# tag -> (degree, least n, type, builder) in tag order; the type is the
+# parts of the irreducible after its first, which is n minus their sum
+_COMPONENTS = {
+    "p1": (1, 3, (), _family(0, lambda p: p[1])),
+    "xi-xj": (1, 3, (1,), _family(2, lambda p, a, b: a - b)),
+    "p1^2": (2, 3, (), _family(0, lambda p: p[1] * p[1])),
+    "p2": (2, 3, (), _family(0, lambda p: p[2])),
+    "p1(xi-xj)": (2, 3, (1,), _family(2, lambda p, a, b: p[1] * (a - b))),
+    "xi^2-xj^2": (2, 3, (1,), _family(2, lambda p, a, b: a ** 2 - b ** 2)),
+    "(xi-xj)(xk-xl)": (2, 4, (2,), _family(4, lambda p, a, b, c, d: (a - b) * (c - d))),
+    "p1^3": (3, 3, (), _family(0, lambda p: p[1] ** 3)),
+    "p1p2": (3, 3, (), _family(0, lambda p: p[1] * p[2])),
+    "p3": (3, 3, (), _family(0, lambda p: p[3])),
+    "p1^2(xi-xj)": (3, 3, (1,), _family(2, lambda p, a, b: p[1] * p[1] * (a - b))),
+    "p2(xi-xj)": (3, 3, (1,), _family(2, lambda p, a, b: p[2] * (a - b))),
+    "p1(xi^2-xj^2)": (3, 3, (1,), _family(2, lambda p, a, b: p[1] * (a ** 2 - b ** 2))),
+    "xi^3-xj^3": (3, 4, (1,), _family(2, lambda p, a, b: a ** 3 - b ** 3)),
+    "p1(xi-xj)(xk-xl)": (3, 4, (2,),
+        _family(4, lambda p, a, b, c, d: p[1] * (a - b) * (c - d))),
+    "(xi+xj+xk+xl)(xi-xj)(xk-xl)": (3, 5, (2,),
+        _family(4, lambda p, a, b, c, d: (a + b + c + d) * (a - b) * (c - d))),
+    "(xi-xj)(xi-xk)(xj-xk)": (3, 3, (1, 1),
+        _family(3, lambda p, a, b, c: (a - b) * (a - c) * (b - c))),
+    "(xi-xj)(xk-xl)(xs-xt)": (3, 6, (3,),
+        _family(6, lambda p, a, b, c, d, e, f: (a - b) * (c - d) * (e - f))),
+}
+
+
+def degree_component_tags(d: int, n: int) -> list[str]:
+    """Valid summand tags for the degree-d decomposition at this n."""
+    if n < 3:
+        raise ValueError("decompositions are tabulated for n >= 3")
+    if d not in (1, 2, 3):
+        raise ValueError("decompositions are tabulated for degrees 1..3")
+    return [tag for tag, (degree, least, _, _) in _COMPONENTS.items()
+            if degree == d and n >= least]
+
+
+def lemma_component(d: int, n: int, tag: str) -> list[Polynomial]:
+    """Spanning set of one named direct summand of the degree-d piece."""
+    if tag not in degree_component_tags(d, n):
+        raise ValueError(f"tag {tag!r} is not a summand for degree {d} at n={n}")
+    return _COMPONENTS[tag][3](n)
+
+
+def component_type(tag: str, n: int) -> Partition:
+    """The irreducible type a tagged summand carries."""
+    _, least, tail, _ = _COMPONENTS[tag]
+    if n < least:
+        raise ValueError(f"tag {tag!r} is not a summand at n={n}")
+    return Partition([n - sum(tail), *tail])
 
 
 def rank_of(rows):
@@ -229,7 +315,7 @@ class TestCoinvariantBasis:
         rows = []
         for lam in partitions_of(n):
             for f in coinvariant_isotypic_basis(lam):
-                rows.append(dict(coinvariant.normal_form(f).terms))
+                rows.append(dict(normal_form(coinvariant, f).terms))
         assert rank_of(rows) == factorial(n)
 
     def test_alternating_shape_is_vandermonde_line(self):
@@ -253,7 +339,7 @@ class TestSpechtIdeal:
         n = 5
         ideal = specht_ideal(Partition([n - 2, 2]))
         point = (9, 2, 2, 2, 2)
-        assert all(g.evaluate(point) == 0 for g in ideal.generators)
+        assert all(evaluate(g, point) == 0 for g in ideal.generators)
 
 
 def isotypic_multiplicity_in_degree(lam, d):
@@ -272,7 +358,7 @@ def isotypic_multiplicity_in_degree(lam, d):
     walk(0, d, ())
     total = 0
     for mu in partitions_of(n):
-        sigma = Permutation.from_cycle_type(mu)
+        sigma = from_cycle_type(mu)
         fixed = sum(
             1 for m in monos
             if all(m[sigma.images[i] - 1] == m[i] for i in range(n))

@@ -20,6 +20,7 @@ from symideal.ideals import Ideal, maximal_power
 from symideal.poly import (Polynomial, apply_permutation, monomial_weight,
                            power_sum)
 from symideal.tanisaki import tanisaki_ideal
+from test_ideals import normal_form
 
 
 def degree_monomials(n, d):
@@ -164,8 +165,7 @@ def naive_tangent(ideal):
                 row = [Fraction(0)] * len(unknowns)
                 # sigma(f(v_i)) coefficient at r
                 for b in basis:
-                    moved = ideal.normal_form(
-                        apply_permutation(sigma, Polynomial.monomial(b)))
+                    moved = normal_form(ideal, apply_permutation(sigma, Polynomial.monomial(b)))
                     if moved.coefficient(r):
                         row[position[(b, i)]] += moved.coefficient(r)
                 # minus f(sigma(v_i)) coefficient at r
@@ -197,7 +197,7 @@ def naive_tangent(ideal):
                 row = [Fraction(0)] * len(unknowns)
                 for (i, m), c in syzygy.items():
                     for b in basis:
-                        reduced = ideal.normal_form(Polynomial.monomial(m) * Polynomial.monomial(b))
+                        reduced = normal_form(ideal, Polynomial.monomial(m) * Polynomial.monomial(b))
                         if reduced.coefficient(r):
                             row[position[(b, i)]] += c * reduced.coefficient(r)
                 if any(row):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -11,15 +12,15 @@ from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
-from symideal.poly import (Polynomial, apolar_pair, degree_monomials, derivative,
-                           numerators, partial_terms, power_sum, to_polynomial)
+from symideal.poly import (Polynomial, degree_monomials, numerators, partial_terms,
+                           power_sum, to_polynomial)
 from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
-                               tilde_ideal, two_row_presentation,
+                               tilde_ideal,
                                _apolar_generators, _dual_layers,
                                _subset_elementary_generators)
-from test_poly import apolar_complement_oracle, integrate_duals_oracle
+from test_poly import apolar_complement_oracle, apolar_pair, derivative, integrate_duals_oracle
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -207,6 +208,26 @@ class TestConstruction:
         assert min(
             len([i for i in range(n) if m[i]]) for g in gens for m in g.terms
         ) >= 1
+
+
+# a presentation that no CLI verb reaches, checked against the constructions
+def two_row_presentation(lam: Partition) -> Ideal:
+    """Presentation for two-part shapes: (p1, squares) plus, when the parts
+    differ by at least two, the orbit of the squarefree monomial of degree
+    one more than the second part."""
+    if lam.m != 2:
+        raise ValueError("the presentation needs exactly two parts")
+    n = lam.n
+    gens = [power_sum(1, n)]
+    gens += [Polynomial.variable(i, n) ** 2 for i in range(1, n + 1)]
+    lam1, lam2 = lam.parts
+    if lam1 >= lam2 + 2:
+        for subset in combinations(range(1, n + 1), lam2 + 1):
+            mono = [0] * n
+            for i in subset:
+                mono[i - 1] = 1
+            gens.append(Polynomial.monomial(tuple(mono)))
+    return Ideal(n, gens)
 
 
 class TestTwoRowPresentation:
