@@ -3,11 +3,15 @@
 
 Covers the classification tables at n = 3..5 (including tangent-space
 verdicts), the membership relations and inclusion chains at n = 3..6 (one n
-past the tables, at the full --max-n 5), and a per-partition ideal report for
-every partition of n <= 5.  Exits nonzero if anything fails.
+past the tables, at the full --max-n 5), and per-partition ideal and tangent
+reports for every partition of n <= 5.  Each tangent line shows the tangent
+dimension beside the number of parts of the shape, which it equals at a
+smooth point; that comparison is reported, not checked.  Exits nonzero if
+any verb fails.
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
@@ -41,8 +45,13 @@ def main() -> int:
     for n in range(2, args.max_n + 1):
         for lam in partitions_of(n):
             tag = "-".join(str(p) for p in lam.parts)
-            invoke(["tanisaki", "--n", str(n), "--lambda",
-                    ",".join(str(p) for p in lam.parts)], f"tanisaki_n{n}_{tag}.json")
+            parts = ",".join(str(p) for p in lam.parts)
+            invoke(["tanisaki", "--n", str(n), "--lambda", parts], f"tanisaki_n{n}_{tag}.json")
+            name = f"tangent_n{n}_{tag}.json"
+            invoke(["tangent", "--n", str(n), "--tanisaki", parts], name)
+            if name not in failures:
+                record = json.loads((out / name).read_text())["results"][0]
+                print(f"  tangent_dim {record['tangent_dim']}, parts {len(lam.parts)}")
 
     if failures:
         print("failures:", ", ".join(failures))

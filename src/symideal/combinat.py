@@ -130,12 +130,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(self.images[other.images[i] - 1] for i in range(self.n))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
-
     def sign(self) -> int:
         seen = [False] * self.n
         sign = 1
@@ -193,9 +187,6 @@ class IsotypicDecomposition:
 
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.multiplicities)
-
-    def multiplicity(self, lam: Partition) -> int:
-        return self.as_dict().get(lam, 0)
 
     def total_dim(self) -> int:
         return sum(m * specht_dimension(lam) for lam, m in self.multiplicities)

@@ -16,6 +16,9 @@ with ambient degree pieces: generator complements come from integrating
 Macaulay inverse systems (whose graded dimensions are the Hilbert
 function), and relations are only ever needed modulo the square of the
 ideal, where they are eliminated together with their images in the quotient.
+Each type kappa of R/I dominates the dominance meet mu of those types, so
+K_{kappa,mu} > 0 and a constraint vanishes on the relations iff on their
+S_mu-fixed part, which S_mu-invariant functionals read exactly.
 """
 
 from __future__ import annotations
@@ -25,14 +28,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, lcm, prod
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
 from .ideals import DEGREVLEX, Ideal, pack_terms
 from .linalg import KernelEchelon, nullspace_tags
-from .poly import (Monomial, Polynomial, Vector, apply_permutation, combine_vectors,
-                   complement_vectors, integrate_vectors, numerators, permute_monomial,
-                   to_polynomial)
+from .poly import (Polynomial, Vector, apply_permutation, combine_vectors, complement_vectors,
+                   integrate_vectors, numerators, permute_monomial, to_polynomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -64,25 +68,76 @@ def is_symmetric(ideal: Ideal) -> bool:
     return ideal._symmetric
 
 
+def _swapped(record, key: int, a: int) -> dict[int, int | Fraction]:
+    """Coordinates in a record of the key's monomial under the swap (a+1 a+2)."""
+    m = DEGREVLEX.unpack(key, record.n)
+    return record.coordinates([(DEGREVLEX.key(m[:a] + (m[a + 1], m[a]) + m[a + 2:]), 1)])
+
+
 def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
-    """Per adjacent transposition (a a+1), the quotient coordinates of each
-    swapped standard monomial, keyed by the monomial's key; kept on the ideal."""
+    """Per adjacent transposition, the quotient coordinates of each swapped
+    standard monomial, keyed by the monomial's key; kept on the ideal."""
     if ideal._swaps is None:
-        basis = ideal.standard_monomials()
-        standard = {DEGREVLEX.key(m) for m in basis}
-
-        def image(m: Monomial) -> dict[int, int | Fraction]:  # standard: its own coordinates
-            k = DEGREVLEX.key(m)
-            return {k: 1} if k in standard else ideal.coordinates(Polynomial.monomial(m))
-
-        ideal._swaps = [{DEGREVLEX.key(m): image(m[:a] + (m[a + 1], m[a]) + m[a + 2:])
-                         for m in basis} for a in range(ideal.ambient_n - 1)]
+        record = ideal._quotient()
+        ideal._swaps = [{k: _swapped(record, k, a) for k in map(DEGREVLEX.key, record.standard)}
+                        for a in range(ideal.ambient_n - 1)]
     return ideal._swaps
 
 
 def _word(mu: Partition) -> tuple[int, ...]:
     """The block labels 0, .., 0, 1, .., 1, ... of the Young subgroup S_mu."""
     return tuple(b for b, part in enumerate(mu.parts) for _ in range(part))
+
+
+def _meet(types: list[Partition]) -> Partition:
+    """The dominance meet: prefix sums the minima of theirs (still concave)."""
+    sums = [0] + [min(sum(lam.parts[:k]) for lam in types) for k in range(1, types[0].n + 1)]
+    return Partition(b - a for a, b in zip(sums, sums[1:]) if b > a)
+
+
+def _orbit_keys(mu: Partition, n: int):
+    """The key of the least member of a monomial key's S_mu-orbit (exponents
+    ascending within each block of mu), memoised; the key itself for (1^n)."""
+    if mu.m == n:
+        return lambda key: key
+    ends = [sum(mu.parts[:b]) for b in range(mu.m + 1)]
+
+    @lru_cache(maxsize=None)
+    def orbit(key: int) -> int:
+        m = DEGREVLEX.unpack(key, n)
+        return DEGREVLEX.key(tuple(e for lo, hi in zip(ends, ends[1:]) for e in sorted(m[lo:hi])))
+    return orbit
+
+
+def _invariant_functionals(record, keys: list[int], orbit, inside: list[int],
+                           start: int = 0) -> tuple[dict[int, dict], int]:
+    """A basis L_start, L_start+1, ... of the S_mu-invariant functionals on
+    the degree piece of a record with standard monomials ``keys``, as
+    {orbit: {j: L_j}}, and its size.  Such an L, read through the normal
+    form, is constant on S_mu-orbits of monomials: one unknown per orbit,
+    one equation L(NF(s_a*s)) = L(s) per inside swap s_a and standard s."""
+    columns: dict[int, dict] = {orbit(s): {} for s in keys}
+    for s in keys:
+        for a in inside:
+            nf = _swapped(record, s, a)
+            for key, c in {**nf, s: nf.get(s, 0) - 1}.items():
+                column = columns[orbit(key)]
+                column[(a, s)] = column.get((a, s), 0) + c
+    solutions = nullspace_tags((column, rep) for rep, column in columns.items())
+    return ({rep: {j: L[rep] for j, L in enumerate(solutions, start) if rep in L}
+             for rep in columns}, len(solutions))
+
+
+def _read(terms: list, functionals: dict, orbit, record) -> dict:
+    """{j: L_j(terms)} for functionals {orbit: {j: L_j}} of a record: terms
+    summed by orbit, those of orbits without a standard monomial reduced."""
+    sums: dict[int, int] = {}
+    for key, c in terms:
+        rep = orbit(key)
+        sums[rep] = sums.get(rep, 0) + c
+    rest = sorted(((r, c) for r, c in sums.items() if c and r not in functionals), reverse=True)
+    nf = record.coordinates(rest) if rest else {}
+    return _combine((c, functionals.get(orbit(key), {})) for key, c in [*sums.items(), *nf.items()])
 
 
 def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
@@ -115,7 +170,10 @@ def _kostka_peel(values: dict[Partition, int], order: list[Partition], kostka) -
 def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
     """Multiplicities of the irreducibles in the quotient ring, graded for a
     homogeneous ideal, from the Young-fixed dimensions of each degree piece
-    (one piece otherwise), solved with mu in ``partitions_of`` order."""
+    (one piece otherwise), solved with mu in ``partitions_of`` order; kept
+    on the ideal."""
+    if ideal._decomposition is not None:
+        return ideal._decomposition
     if ideal.colength() == float("inf"):
         raise ValueError("quotient must be finite-dimensional")
     if not is_symmetric(ideal):
@@ -132,7 +190,8 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
         if graded[d] is None:
             raise ArithmeticError(f"negative multiplicity from Young-fixed dimensions {fixed}")
     mult = {lam: sum(layer[lam] for layer in graded.values()) for lam in order}
-    return IsotypicDecomposition.from_dict(mult, graded if homogeneous else None)
+    ideal._decomposition = IsotypicDecomposition.from_dict(mult, graded if homogeneous else None)
+    return ideal._decomposition
 
 
 def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | None:
@@ -159,9 +218,10 @@ class TangentReport:
     """Result of the equivariant tangent-space computation.
 
     ``details`` holds deterministic work counts of the relation step:
-    ``products`` b*v_i reduced modulo the square of the ideal, distinct
-    monomial ``images`` reduced modulo the ideal, and ``constraint_rows``;
-    and ``hom_unknowns`` solved for by the hom step.  None is in ``to_json``.
+    ``products`` b*v_i and distinct monomial ``images`` b*m read, and
+    ``constraint_rows``; its Young subgroup ``mu`` and invariant functionals
+    per degree of R/I and R/I^2 (``quotient_``/``square_functionals``); and
+    ``hom_unknowns`` solved for by the hom step.  None is in ``to_json``.
     """
 
     ideal: Ideal
@@ -328,18 +388,21 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     scheme at the point cut out by the (homogeneous, symmetric,
     finite-colength) ideal.
 
-    One row per product b*v_i (b standard) holds its coordinates mod I^2,
-    read from v_i's packed terms shifted by the key of b, and, in columns
-    below those, those of b*phi_t(v_i) mod I for each hom-basis element t,
-    NF_I(b*m) read from the key of b*m; a pivot there is a relation applied to
-    each phi_t.  I^2 is built from products of the packed basis of I
-    (``_Quotient.square``), without leaving engine terms.
     Minimal first syzygies of an Artinian homogeneous ideal have degree at
     most reg(I) + 1 = N + 1 (Eisenbud, *The Geometry of Syzygies*, ch. 4),
-    where the elimination stops.  ``n2_count`` counts relations from
-    HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d below ``syzygy_bound``; the
-    elimination must agree.  Both read I^2 only below ``syzygy_bound``, so
-    it is built only there.
+    where the elimination stops.  ``n2_count`` counts the relations K_d from
+    HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d below ``syzygy_bound``, the bound
+    of the I^2 built (``_Quotient.square``); a degree without any is skipped.
+
+    K_d is the kernel of Phi: b (x) v_i -> b*v_i on ((R/I) (x) V)_d, and
+    phi_t constrains it through the equivariant psi_t: b (x) v_i ->
+    NF_I(b*phi_t(v_i)).  Each type kappa of R/I dominates their dominance
+    meet mu, so K_{kappa,mu} > 0 and the psi_t vanish on K_d iff on
+    K_d^{S_mu}.  S_mu-invariant functionals read x as its S_mu-average and
+    separate fixed vectors, so rows (L(b*v_i) | L'(psi_t(b (x) v_i))), L and
+    L' over those of (R/I^2)_d and R/I, eliminate to exactly the
+    constraints of K_d^{S_mu}; the L rank must be #L - #L'.  Below
+    |S_mu| = n orbit sums do not pay, and the trivial group is used.
     """
     start = time.monotonic()
     if not ideal.is_homogeneous():
@@ -350,6 +413,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     if not is_symmetric(ideal):
         raise ValueError("ideal is not stable under variable permutations")
 
+    n = ideal.ambient_n
     graded_gens, N = _minimal_generator_space(ideal)
     gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
     gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
@@ -359,49 +423,60 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
 
-    values: list[dict[tuple, list]] = [{} for _ in gens]  # phi_t(v_i) as {(deg, key): [(t, c)]}
-    for t, phi in enumerate(hom_basis):
-        for (m, i), c in phi.items():
-            values[i].setdefault((sum(m), DEGREVLEX.key(m)), []).append((t, c))
-
-    quotient = ideal._quotient()
-    square = quotient.square(syzygy_bound)
-    square_hf = dict(enumerate(square.hilbert_function()))
-    by_degree: dict[int, list[int]] = {}
-    for m in ideal.standard_monomials():
-        by_degree.setdefault(sum(m), []).append(DEGREVLEX.key(m))
     packed = [(pack_terms(terms), den) for terms, den in map(numerators, gens)]
+    values: list[dict[tuple, list]] = [{} for _ in gens]  # den*phi_t(v_i) as {(deg, key): [(t, c)]}
+    for t, phi in enumerate(hom_basis):  # phi_t scaled to integer values: the same constraint rank
+        scaled = {(m, i): c * packed[i][1] for (m, i), c in phi.items()}
+        scale = lcm(*(c.denominator for c in scaled.values()))
+        for (m, i), c in scaled.items():
+            values[i].setdefault((sum(m), DEGREVLEX.key(m)), []).append((t, int(c * scale)))
+
+    mu = _meet([lam for lam, _ in decompose_quotient(ideal).multiplicities])
+    mu = mu if prod(map(factorial, mu.parts)) >= n else Partition((1,) * n)
+    word, orbit = _word(mu), _orbit_keys(mu, n)
+    inside = [a for a in range(n - 1) if word[a] == word[a + 1]]
+    quotient, square = ideal._quotient(), ideal._quotient().square(syzygy_bound)
+    by_degree, square_keys = {}, {}
+    for record, keys in ((quotient, by_degree), (square, square_keys)):
+        for m in record.standard:
+            keys.setdefault(sum(m), []).append(DEGREVLEX.key(m))
+    quotient_functionals, quotient_counts = {}, {}  # L' numbered across all degrees
+    for e, keys in sorted(by_degree.items()):
+        quotient_functionals[e], quotient_counts[e] = _invariant_functionals(
+            quotient, keys, orbit, inside, sum(quotient_counts.values()))
+    images: dict[int, dict] = {}  # L'(NF_I(m)) by key, deg m < N
 
     n2_count = products = constraint_rows = 0
-    normal_forms: dict[int, dict[int, int | Fraction]] = {}  # NF_I(m) by key, deg m < N
+    square_counts: dict[int, int] = {}
     constraint_rank = KernelEchelon()
     for d in range(min(gen_degrees) + 1, syzygy_bound):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
-        relations = len(pairs) - square_hf.get(d, 0) + len(by_degree.get(d, []))
+        relations = len(pairs) - len(square_keys.get(d, [])) + len(by_degree.get(d, []))
         n2_count += relations
-        if d > N + 1:
+        if d > N + 1 or relations == 0:
             continue
         products += len(pairs)
+        functionals, square_counts[d] = _invariant_functionals(
+            square, square_keys.get(d, []), orbit, inside)
         echelon = KernelEchelon()
-        for i, b in pairs:  # b*v_i: the packed terms of v_i shifted by the key of b
-            terms, den = packed[i]
-            row = square.coordinates([(key + b, c) for key, c in terms], den)
+        for i, b in pairs:  # den*b*v_i: the packed terms of v_i shifted by the key of b
+            row = _read([(key + b, c) for key, c in packed[i][0]], functionals, orbit, square)
             for (e, m), coeffs in values[i].items():
-                bm = b + m
-                if d - gen_degrees[i] + e < N and bm not in normal_forms:
-                    normal_forms[bm] = quotient.coordinates([(bm, 1)])
-                for key, v in normal_forms.get(bm, {}).items():
+                e += d - gen_degrees[i]  # the degree of b*m
+                if e < N and b + m not in images:
+                    images[b + m] = _read([(b + m, 1)], quotient_functionals[e], orbit, quotient)
+                for g, v in images[b + m].items() if e < N else ():
                     for t, c in coeffs:
-                        row[-1 - key * k - t] = row.get(-1 - key * k - t, 0) + c * v
+                        row[-1 - g * k - t] = row.get(-1 - g * k - t, 0) + c * v
             echelon.add(row)
-        if len(pairs) - sum(col >= 0 for col in echelon.pivots) != relations:
+        if sum(col >= 0 for col in echelon.pivots) != square_counts[d] - quotient_counts.get(d, 0):
             raise ArithmeticError(f"relation count mismatch in degree {d}")
         for col, (row, _) in echelon.pivots.items():
             if col < 0:  # the I^2 part cancelled: a relation applied to each phi_t
                 rows: dict[int, dict[int, int]] = {}
                 for column, c in row.items():
-                    key, t = divmod(-1 - column, k)
-                    rows.setdefault(key, {})[t] = c
+                    g, t = divmod(-1 - column, k)
+                    rows.setdefault(g, {})[t] = c
                 constraint_rows += len(rows)
                 for constraint in rows.values():
                     constraint_rank.add(constraint)
@@ -415,6 +490,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
         tangent_dim=tangent,
         equivariant_hom_dim=k,
         wall_time_s=time.monotonic() - start,
-        details={"products": products, "images": len(normal_forms),
-                 "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns},
+        details={"products": products, "images": len(images), "mu": mu.parts,
+                 "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns,
+                 "quotient_functionals": quotient_counts, "square_functionals": square_counts},
     )

@@ -511,6 +511,7 @@ class Ideal:
         self._record: _Quotient | None = None
         self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
         self._swaps: list | None = None  # equivariant._swap_actions, the S_n action on R/I
+        self._decomposition = None  # equivariant.decompose_quotient, the types of R/I
 
     # -- Groebner bases ---------------------------------------------------
     def _quotient(self) -> _Quotient:

@@ -91,10 +91,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
     def homogeneous_part(self, d: int) -> "Polynomial":
         return Polynomial(self.ambient_n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
@@ -115,9 +111,6 @@ class Polynomial:
             return self
         lc = self.leading_coefficient()
         return Polynomial(self.ambient_n, {m: c / lc for m, c in self.terms.items()})
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)

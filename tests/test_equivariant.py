@@ -2,18 +2,18 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf
+from math import factorial, inf, prod
 
 import pytest
 
 from symideal.cli import _random_parameters
-from symideal.combinat import (IsotypicDecomposition, Partition, Permutation,
+from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, dominates,
                                kostka_decomposition, kostka_number,
                                multinomial, partitions_of, specht_dimension)
 from symideal.classification import classification_cases, row_case
 from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _hom_basis_equivariant,
+                                  tangent_dimension, _hom_basis_equivariant, _meet,
                                   _minimal_generator_space, _swap_actions)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
@@ -22,7 +22,7 @@ from symideal.poly import (Polynomial, apply_permutation, linear_combination,
 from symideal.tanisaki import tanisaki_ideal
 from test_combinat import conjugacy_class_size, from_cycle_type, irreducible_character
 from test_linalg import solve_in_span
-from test_poly import apolar_complement_oracle, integrate_duals_oracle
+from test_poly import apolar_complement_oracle, integrate_duals_oracle, is_homogeneous
 
 
 def x(i, n):
@@ -217,10 +217,12 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
 
 
 def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
-    """``tangent_dimension``'s augmented elimination on ``Polynomial`` values:
-    I^2 as an ``Ideal`` of rational products of the monic reduced basis,
-    each row the coordinates of b*v_i in it, each image NF_I(b*m) read from
-    a monomial.  Returns ((tangent_dim, n2_count, details), I^2)."""
+    """The augmented elimination on ``Polynomial`` values and coordinates,
+    with no group and no skipped degree: I^2 as an ``Ideal`` of rational
+    products of the monic reduced basis, each row the coordinates of b*v_i
+    in it, each image NF_I(b*m) read from a monomial.  Returns
+    ((tangent_dim, n2_count, details), I^2); ``details`` counts the
+    products in the degrees with relations, as ``tangent_dimension`` does."""
     n = ideal.ambient_n
     graded_gens, N = _minimal_generator_space(ideal)
     gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
@@ -236,7 +238,7 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     by_degree: dict = {}
     for m in ideal.standard_monomials():
         by_degree.setdefault(sum(m), []).append(m)
-    n2_count = products = constraint_rows = 0
+    n2_count = products = 0
     normal_forms: dict = {}
     constraint_rank = KernelEchelon()
     for d in range(min(gen_degrees) + 1, N + max(gen_degrees)):
@@ -245,7 +247,7 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
         n2_count += relations
         if d > N + 1:
             continue
-        products += len(pairs)
+        products += len(pairs) if relations else 0
         echelon = KernelEchelon()
         for i, b in pairs:
             row = square.coordinates(Polynomial.monomial(b) * gens[i])
@@ -264,12 +266,20 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
                 for column, c in row.items():
                     key, t = divmod(-1 - column, k)
                     rows.setdefault(key, {})[t] = c
-                constraint_rows += len(rows)
                 for constraint in rows.values():
                     constraint_rank.add(constraint)
-    details = {"products": products, "images": len(normal_forms),
-               "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns}
+    details = {"products": products, "hom_unknowns": hom_basis.unknowns}
     return (k - constraint_rank.rank, n2_count, details), square
+
+
+def meet_oracle(types: list[Partition]) -> Partition:
+    """The greatest lower bound of partitions of n in dominance order, by
+    search over all partitions of n."""
+    below = [nu for nu in partitions_of(types[0].n)
+             if all(dominates(kappa, nu) for kappa in types)]
+    greatest = [nu for nu in below if all(dominates(nu, omega) for omega in below)]
+    assert len(greatest) == 1
+    return greatest[0]
 
 
 def generator_space_multiplicities(ideal: Ideal) -> dict[Partition, int]:
@@ -519,7 +529,7 @@ class TestMinimalGenerators:
         assert vanishing_degree == 4
         for d, gs in graded.items():
             for g in gs:
-                assert g.is_homogeneous() and g.degree() == d
+                assert is_homogeneous(g) and g.degree() == d
                 assert ideal.contains(g)
 
     def test_generates_the_ideal(self):
@@ -573,28 +583,41 @@ class TestTangentDimension:
             report = tangent_dimension(row_case(label, n).ideal)
             assert report.tangent_dim >= 1
 
-    def test_details_count_the_relation_step(self):
-        lam = Partition((2, 1, 1))
+    @pytest.mark.parametrize("parts", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+    def test_details_count_the_relation_step(self, parts):
+        lam = Partition(parts)
         first = tangent_dimension(tanisaki_ideal(lam))
         second = tangent_dimension(tanisaki_ideal(lam))
         assert first.details == second.details
-        assert set(first.details) == {"products", "images", "constraint_rows", "hom_unknowns"}
+        assert set(first.details) == {"products", "images", "constraint_rows", "hom_unknowns",
+                                      "mu", "quotient_functionals", "square_functionals"}
         k = first.equivariant_hom_dim
         # hom_unknowns: phi(v_j) in a fixed subspace per module generator,
         # at least the answer and at most every entry of a map N1 -> R/I
         r, n1 = first.ideal.colength(), sum(first.n1_dims.values())
         assert k <= first.details["hom_unknowns"] <= r * n1
-        # products: one elimination row per b*v_i up to degree N + 1;
-        # images: the monomial normal forms NF_I(b*m), b and m standard
+        # products: one elimination row per b*v_i up to degree N + 1, in
+        # the degrees where the Hilbert functions leave relations;
+        # images: the monomials b*m read in R/I, b and m standard
         basis = first.ideal.standard_monomials()
-        N = len(first.ideal.hilbert_function())
+        hf = first.ideal.hilbert_function()
+        square_hf = square_of(first.ideal).hilbert_function()
+        N = len(hf)
         first_degree = min(first.n1_dims) + 1
+        pairs: dict[int, int] = {}
+        for e, count in first.n1_dims.items():
+            for b in basis:
+                pairs[sum(b) + e] = pairs.get(sum(b) + e, 0) + count
+        relations = {d: p - (square_hf[d] if d < len(square_hf) else 0) + (hf[d] if d < N else 0)
+                     for d, p in pairs.items()}
         assert first.details["products"] == sum(
-            count for e, count in first.n1_dims.items() for b in basis
-            if first_degree <= sum(b) + e <= N + 1)
+            p for d, p in pairs.items() if first_degree <= d <= N + 1 and relations[d])
+        assert set(first.details["square_functionals"]) == {
+            d for d in pairs if first_degree <= d <= N + 1 and relations[d]}
         products = {tuple(x + y for x, y in zip(b, m)) for b in basis for m in basis}
         assert 0 < first.details["images"] <= sum(sum(m) < N for m in products)
         assert first.details["constraint_rows"] >= k - first.tangent_dim
+        assert_functionals_count_the_fixed_vectors(first, square_of(first.ideal))
 
     def test_report_serialization(self):
         report = tangent_dimension(maximal_power(3, 2))
@@ -649,38 +672,109 @@ class TestRelationStep:
             total += nullity
         assert tangent_dimension(ideal).n2_count == total
 
-    def test_count_mismatch_exits_3(self, monkeypatch, capsys):
+    @staticmethod
+    def assert_exits_3(argv: list[str], degree: int, capsys) -> None:
         from symideal.cli import run
+
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 3
+        assert capsys.readouterr().err == ("symideal tangent: internal invariant broken: "
+                                           f"relation count mismatch in degree {degree}\n")
+
+    def test_count_mismatch_exits_3(self, monkeypatch, capsys):
+        # x1^2, the leading monomial of (x1+x2+x3)^2, counted as a standard
+        # monomial of I^2: the Hilbert functions then leave relations in
+        # degree 2, where the invariant functionals of I^2 (the coordinates,
+        # as |S_(2,1)| < 3) outnumber what the 5 products there can reach
         from symideal.ideals import _Quotient
 
         square = _Quotient.square
 
         def miscounted_square(self, below=inf):
             record = square(self, below)
-            std = record.standard
-            record.standard = std + [m for m in std if sum(m) == 2]  # degree 2 counted twice
+            record.standard = record.standard + [(2, 0, 0)]
             return record
 
         monkeypatch.setattr(_Quotient, "square", miscounted_square)
-        with pytest.raises(SystemExit) as info:
-            run(["tangent", "--n", "3", "--tanisaki", "2,1"])
-        assert info.value.code == 3
-        assert capsys.readouterr().err == ("symideal tangent: internal invariant broken: "
-                                           "relation count mismatch in degree 2\n")
+        self.assert_exits_3(["tangent", "--n", "3", "--tanisaki", "2,1"], 2, capsys)
+
+    def test_dropped_functional_exits_3(self, monkeypatch, capsys):
+        # the last invariant functional of I^2 in degree 5 left out, where
+        # R/I has functionals too (N = 7)
+        from symideal import equivariant
+
+        counted = equivariant._invariant_functionals
+
+        def dropped(record, keys, orbit, inside, start=0):
+            functionals, count = counted(record, keys, orbit, inside, start)
+            if record.below < inf and DEGREVLEX.degree(keys[0], 5) == 5:  # I^2 is bounded
+                return {rep: {j: v for j, v in entries.items() if j != count - 1}
+                        for rep, entries in functionals.items()}, count - 1
+            return functionals, count
+
+        monkeypatch.setattr(equivariant, "_invariant_functionals", dropped)
+        self.assert_exits_3(["tangent", "--n", "5", "--tanisaki", "2,1,1,1"], 5, capsys)
+
+
+class TestMeet:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_meet_is_the_greatest_lower_bound(self, n):
+        shapes = partitions_of(n)
+        for lam in shapes:
+            assert _meet([lam]) == lam
+            for mu in shapes:
+                assert _meet([lam, mu]) == meet_oracle([lam, mu]), (lam, mu)
+        rng = random.Random(n)
+        for _ in range(20):
+            types = rng.sample(shapes, min(len(shapes), rng.randint(3, 5)))
+            assert _meet(types) == meet_oracle(types), types
+
+    def test_tanisaki_points_meet_at_their_shape(self):
+        # R/I = M^lam has types kappa >= lam, lam among them
+        for parts in SHAPES_TO_FIVE + SHAPES_OF_SIX:
+            types = [kappa for kappa, _ in decompose_quotient(tanisaki_point(parts)).multiplicities]
+            assert _meet(types) == Partition(parts)
+
+
+def assert_functionals_count_the_fixed_vectors(report, square: Ideal, label: str = "") -> None:
+    """The relation step's group is the dominance meet mu of the types of
+    R/I, or the trivial group when |S_mu| < n, and every type dominates it;
+    in each degree its invariant functionals of R/I and of R/I^2 number
+    dim (piece)^{S_mu} = sum over kappa of K_{kappa,mu} * m_{kappa,d}
+    (Frobenius reciprocity), with m_{kappa,d} from the graded
+    decompositions of I and of I^2."""
+    n = report.ideal.ambient_n
+    types = [kappa for kappa, _ in decompose_quotient(report.ideal).multiplicities]
+    mu, meet = Partition(report.details["mu"]), meet_oracle(types)
+    assert mu == (meet if prod(map(factorial, meet.parts)) >= n else Partition((1,) * n)), label
+    assert all(dominates(kappa, mu) for kappa in types), label
+    for piece, counts in ((report.ideal, report.details["quotient_functionals"]),
+                          (square, report.details["square_functionals"])):
+        fixed = {d: sum(kostka_number(kappa, mu) * m for kappa, m in layer)
+                 for d, layer in decompose_quotient(piece).graded}
+        for d, count in counts.items():
+            assert count == fixed.get(d, 0), (label, d)
+    assert set(report.details["quotient_functionals"]) == set(
+        range(len(report.ideal.hilbert_function()))), label
 
 
 def assert_matches_the_polynomial_route(ideal: Ideal, label: str = "") -> None:
     """The packed I^2 has the reduced basis and Hilbert function of the
-    rational products' ideal, and ``tangent_dimension`` the counts and
-    details of the ``Polynomial`` relation step.  I^2 built below N + 1 or
-    below the syzygy bound is the full I^2 in the lower degrees: its basis
-    elements, standard monomials and Hilbert function."""
+    rational products' ideal, and ``tangent_dimension`` the counts of the
+    ``Polynomial`` relation step, which runs with no group, and the
+    functional counts of ``assert_functionals_count_the_fixed_vectors``.
+    I^2 built below N + 1 or below the syzygy bound is the full I^2 in the
+    lower degrees: its basis elements, standard monomials and Hilbert
+    function."""
     report = tangent_dimension(ideal)
     want, square = polynomial_relation_step_oracle(ideal)
     packed = ideal._quotient().square()
     assert packed.basis == square._quotient().basis, label
     assert packed.hilbert_function() == square.hilbert_function(), label
-    assert (report.tangent_dim, report.n2_count, report.details) == want, label
+    details = {key: report.details[key] for key in want[2]}
+    assert (report.tangent_dim, report.n2_count, details) == want, label
+    assert_functionals_count_the_fixed_vectors(report, square, label)
     n, N = ideal.ambient_n, len(ideal.hilbert_function())
     for below in sorted({N + 1, report.syzygy_bound}):
         bounded = ideal._quotient().square(below)
@@ -701,8 +795,9 @@ class TestPackedSquare:
         for case in classification_cases(n, _random_parameters(seed)):
             assert_matches_the_polynomial_route(case.ideal, case.describe())
 
-    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + [(4, 1, 1), (3, 3)])
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + [(4, 1, 1), (3, 3), (2, 2, 2)])
     def test_tanisaki_points(self, parts):
+        # the oracle also checks the relation count in the degrees the skip leaves out
         assert_matches_the_polynomial_route(tanisaki_point(parts))
 
     def test_inhomogeneous_square(self):

@@ -21,6 +21,7 @@ from symideal.poly import (Polynomial, apply_permutation, monomial_weight,
                            power_sum)
 from symideal.tanisaki import tanisaki_ideal
 from test_ideals import normal_form
+from test_poly import coefficient
 
 
 def degree_monomials(n, d):
@@ -67,7 +68,7 @@ def dense_nullspace(rows, ncols):
 
 
 def poly_vector(f, monomials):
-    return [f.coefficient(m) for m in monomials]
+    return [coefficient(f, m) for m in monomials]
 
 
 def apolar_dot(u, v, monomials):
@@ -152,8 +153,8 @@ def naive_tangent(ideal):
             moved = apply_permutation(sigma, g)
             same_degree = [j for j in range(len(gens)) if degrees[j] == degrees[i]]
             monomials = degree_monomials(n, degrees[i])
-            rows = [[gens[j].coefficient(m) for j in same_degree] for m in monomials]
-            target = [moved.coefficient(m) for m in monomials]
+            rows = [[coefficient(gens[j], m) for j in same_degree] for m in monomials]
+            target = [coefficient(moved, m) for m in monomials]
             solved = dense_nullspace(
                 [row + [t] for row, t in zip(rows, target)], len(same_degree) + 1)
             combo = next(vec for vec in solved if vec[-1])
@@ -166,8 +167,8 @@ def naive_tangent(ideal):
                 # sigma(f(v_i)) coefficient at r
                 for b in basis:
                     moved = normal_form(ideal, apply_permutation(sigma, Polynomial.monomial(b)))
-                    if moved.coefficient(r):
-                        row[position[(b, i)]] += moved.coefficient(r)
+                    if coefficient(moved, r):
+                        row[position[(b, i)]] += coefficient(moved, r)
                 # minus f(sigma(v_i)) coefficient at r
                 for j, c in images[i].items():
                     row[position[(r, j)]] -= c
@@ -198,8 +199,8 @@ def naive_tangent(ideal):
                 for (i, m), c in syzygy.items():
                     for b in basis:
                         reduced = normal_form(ideal, Polynomial.monomial(m) * Polynomial.monomial(b))
-                        if reduced.coefficient(r):
-                            row[position[(b, i)]] += c * reduced.coefficient(r)
+                        if coefficient(reduced, r):
+                            row[position[(b, i)]] += c * coefficient(reduced, r)
                 if any(row):
                     equations.append(row)
 
