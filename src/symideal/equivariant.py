@@ -36,7 +36,7 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
 from .ideals import DEGREVLEX, Ideal, pack_terms
 from .linalg import KernelEchelon, nullspace_tags
 from .poly import (Polynomial, Vector, apply_permutation, combine_vectors, complement_vectors,
-                   integrate_vectors, numerators, permute_monomial, to_polynomial)
+                   integrate_vectors, key_exponents, numerators, permute_monomial, to_polynomial)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -257,7 +257,7 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
     Groebner basis, which generates.  Duals, W_d and generators are integer
-    vectors (terms, den) (see ``poly``), read in R/I as packed numerators;
+    vectors (terms, den) (see ``poly``), read in R/I as engine terms;
     a ``Polynomial`` is built only for the generators returned.  Returns
     ({degree: generators}, N) where the quotient vanishes from degree N on.
     """
@@ -265,13 +265,14 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     hf = ideal.hilbert_function()
     N = len(hf)
     quotient = ideal._quotient()
-    duals: list[Vector] = [({(0,) * n: 1}, 1)]
+    duals: list[Vector] = [({0: 1}, 1)]
     generators: dict[int, list[Polynomial]] = {}
     for d in range(1, max(DEGREVLEX.degree(g[0][0], n) for g in quotient.basis) + 1):
         w_space = integrate_vectors(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        rows = ((quotient.coordinates(pack_terms(terms)), t)
+        rows = ((quotient.coordinates(pack_terms({key_exponents(k, n): c
+                                                  for k, c in terms.items()})), t)
                 for t, (terms, _) in enumerate(w_space))
         new_gens = [combine_vectors(w_space, relation) for relation in nullspace_tags(rows)]
         if len(new_gens) != len(w_space) - hf_d:
@@ -452,6 +453,8 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     for d in range(min(gen_degrees) + 1, syzygy_bound):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
         relations = len(pairs) - len(square_keys.get(d, [])) + len(by_degree.get(d, []))
+        if relations < 0:
+            raise ArithmeticError(f"negative relation count in degree {d}")
         n2_count += relations
         if d > N + 1 or relations == 0:
             continue

@@ -82,26 +82,19 @@ from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import permutations
 from math import comb, gcd, inf
-from struct import Struct
 
 from .linalg import KernelEchelon
-from .poly import Monomial, Polynomial, degree_monomials, numerators, parse_polynomial
+from .poly import (W, Monomial, Polynomial, degree_monomials, exponent_key, key_exponents,
+                   numerators, parse_polynomial)
 
 # ---------------------------------------------------------------------------
 # the monomial order as packed integer keys
 
-W = 32  # bits per exponent field
 LIMIT = 1 << (W - 2)  # exponents entering the engine stay below this
 
 
-@lru_cache(maxsize=None)
-def _fields(n: int) -> Struct:
-    """n unsigned W-bit fields, the first exponent in the low field."""
-    return Struct(f"<{n}I")
-
-
-def _pack(m: Monomial) -> int:
-    return int.from_bytes(_fields(len(m)).pack(*m), "little")
+def _pack(m: Monomial) -> int:  # the exponents in W-bit fields, the first in the low field
+    return exponent_key(m[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +134,7 @@ class DegRevLex:
 
     def monomial(self, exps: int, n: int) -> Monomial:
         """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
-        return _fields(n).unpack(exps.to_bytes(W // 8 * n, "little"))
+        return key_exponents(exps, n)[::-1]
 
     def unpack(self, key: int, n: int) -> Monomial:
         """The exponent tuple of the monomial with this key."""

@@ -4,8 +4,10 @@ Rows are dicts mapping comparable column keys to numbers, and a row
 pivots on its largest column.  The quotient coordinates of
 ``Ideal.coordinates`` are int columns that sort in the monomial order, so
 rows of normal forms pivot on their leading monomials.  Elimination is
-fraction-free: a step replaces r by the positive multiple (p[c]*r - r[c]*p),
-so the content is removed once per add, after the last step.
+fraction-free: a step replaces r by (p[c]*r - r[c]*p) / gcd(p[c], r[c]),
+negative when p[c] is, and one exact strip of the positive content ends
+each add.  So a stored row's or relation's sign follows the pivot entries
+it met, and keys standing for monomials must order as the monomials do.
 Rational input is cleared to integers on entry, and a relation comes out
 as an integer combination of the tags.
 """
@@ -71,7 +73,6 @@ class KernelEchelon:
                 else:
                     del tags[k]
             reduced = True
-        # steps scale by positive factors: one strip equals one per step
         if reduced:
             g = gcd(*row.values(), *tags.values())
             if g > 1:

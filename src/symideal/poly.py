@@ -12,8 +12,10 @@ is the one place that drops zeros (and wraps a coefficient that is not yet a
 The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 ``complement_vectors``, ``combine_vectors``) work on integer numerators
 instead: a vector is (terms, den) with int coefficients over one positive
-int denominator.  ``numerators`` and ``to_polynomial`` convert at the
-boundary, where the values are exactly those of the rational computation.
+int denominator, keyed by ``exponent_key``: the exponents in W-bit fields,
+the first in the high field, so keys order as exponent tuples do and so
+do pivots.  ``to_vector`` and ``to_polynomial`` convert at the boundary,
+where the values are exactly those of the rational computation.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -24,14 +26,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
+from struct import Struct
 
 from .combinat import Permutation
 from .linalg import nullspace_tags
 
 Monomial = tuple[int, ...]
+W = 32  # bits per exponent field of a packed monomial key, here and in the engine
 
 
 def monomial_key(m: Monomial) -> tuple:
@@ -315,9 +319,10 @@ def degree_monomials(n: int, d: int) -> list[Monomial]:
     return [(e,) + rest for e in range(d, -1, -1) for rest in degree_monomials(n - 1, d - e)]
 
 
-def monomial_weight(m: Monomial) -> int:
-    """Self-pairing of a monomial: the product of factorials of its exponents."""
-    return reduce(lambda acc, e: acc * factorial(e), m, 1)
+@lru_cache(maxsize=None)
+def monomial_weight(key: int) -> int:
+    """The product of the factorials of a key's exponents: its self-pairing."""
+    return factorial(key & ((1 << W) - 1)) * monomial_weight(key >> W) if key else 1
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
@@ -339,36 +344,55 @@ def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
 # keep every pivot's sign, so this is the primitive relation that the
 # rational rows give, and every value matches the rational computation.
 
-Vector = tuple[dict[Monomial, int], int]
+Vector = tuple[dict[int, int], int]
 
 
-def numerators(f: Polynomial) -> Vector:
-    """f as (terms, den), den the least common denominator."""
+@lru_cache(maxsize=None)
+def _fields(n: int) -> Struct:
+    """n unsigned W-bit fields, the first exponent in the high field."""
+    return Struct(f">{n}I")
+
+
+def exponent_key(m: Monomial) -> int:
+    """The key sum of m_i * 2**(W*(n-1-i)) of a vector term."""
+    return int.from_bytes(_fields(len(m)).pack(*m), "big")
+
+
+def key_exponents(key: int, n: int) -> Monomial:
+    """The exponent tuple of an n-variable key."""
+    return _fields(n).unpack(key.to_bytes(W // 8 * n, "big"))
+
+
+def numerators(f: Polynomial) -> tuple[dict[Monomial, int], int]:
+    """f as (terms, den) on exponent tuples, den the least common denominator."""
     den = lcm(*(c.denominator for c in f.terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
+def to_vector(f: Polynomial) -> Vector:
+    """f as a vector (terms, den), den the least common denominator."""
+    terms, den = numerators(f)
+    return {exponent_key(m): c for m, c in terms.items()}, den
+
+
 def to_polynomial(v: Vector, n: int) -> Polynomial:
-    """The polynomial terms / den of a vector (terms, den)."""
+    """The polynomial terms / den of a vector (terms, den) in n variables."""
     terms, den = v
-    return Polynomial(n, {m: Fraction(c, den) for m, c in terms.items()})
+    return Polynomial(n, {key_exponents(k, n): Fraction(c, den) for k, c in terms.items()})
 
 
-def partial_terms(terms: dict, j: int) -> dict:
-    """The partial derivative with respect to x_{j+1} of a term dict."""
-    out = {}
-    for m, c in terms.items():
-        e = m[j]
-        if e:
-            out[m[:j] + (e - 1,) + m[j + 1:]] = c * e
-    return out
+def partial_terms(terms: dict, j: int, n: int) -> dict:
+    """The partial derivative with respect to x_{j+1} of the terms of a vector."""
+    shift = W * (n - 1 - j)
+    unit, mask = 1 << shift, (1 << W) - 1
+    return {k - unit: c * e for k, c in terms.items() if (e := k >> shift & mask)}
 
 
 def combine_vectors(space: list[Vector] | dict[tuple[int, int], Vector],
                     relation: dict) -> Vector:
     """The combination of ``space``, indexed by the relation's tags, that a
     kernel relation over its numerator rows stands for (see above)."""
-    terms: dict[Monomial, int] = {}
+    terms: dict[int, int] = {}
     for t, c in relation.items():
         for m, v in space[t][0].items():
             terms[m] = terms.get(m, 0) + c * v
@@ -387,7 +411,7 @@ def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
     """
     if not duals or d <= 0:
         return []
-    partials = {(j, t): partial_terms(duals[t][0], j)
+    partials = {(j, t): partial_terms(duals[t][0], j, n)
                 for j in range(n) for t in range(len(duals))}
 
     def cross_partials(j: int, t: int) -> dict:
@@ -396,14 +420,13 @@ def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
             if k == j:
                 continue
             lo, hi = min(j, k), max(j, k)
-            sign = 1 if j == lo else -1
-            for m, c in partials[(k, t)].items():
-                key = ((lo, hi), m)
-                col[key] = col.get(key, 0) + sign * c
+            sign, pair = (1 if j == lo else -1), (lo * n + hi) << (W * n)
+            for m, c in partials[(k, t)].items():  # column ((lo, hi), m) in tuple order
+                col[pair | m] = col.get(pair | m, 0) + sign * c
         return col
 
     rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
-    shifted = {(j, t): ({m[:j] + (m[j] + 1,) + m[j + 1:]: c for m, c in terms.items()}, den)
+    shifted = {(j, t): ({m + (1 << W * (n - 1 - j)): c for m, c in terms.items()}, den)
                for j in range(n) for t, (terms, den) in enumerate(duals)}  # x_{j+1} * m_t
     out = []
     for relation in nullspace_tags(rows):

@@ -10,10 +10,10 @@ The three constructions of the ideal attached to a partition:
   per admissible subset;
 * ``apolar``: degreewise annihilator of the span of the Specht
   polynomials of the shape, capped by a power of the maximal ideal.
-  Its inverse system is built one derivative degree at a time: each
-  image of a monomial operator on a Specht polynomial is one partial
-  derivative of an image one degree lower, only one operator degree is
-  held at a time, and each layer keeps a greedy basis of its images.
+  Its inverse system is built one derivative degree at a time, each
+  layer a greedy basis of the images of monomial operators on the Specht
+  polynomials, taking the image of x^a only when every x^(a - e_j) was
+  kept: a dropped one's derivatives lie in the span of earlier images.
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
@@ -27,9 +27,9 @@ from itertools import combinations
 from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
-from .poly import (Polynomial, Vector, complement_vectors, degree_monomials,
-                   elementary_symmetric, integrate_vectors, numerators,
-                   partial_terms, power_sum, to_polynomial)
+from .poly import (W, Polynomial, Vector, complement_vectors, degree_monomials,
+                   elementary_symmetric, exponent_key, integrate_vectors,
+                   partial_terms, power_sum, to_polynomial, to_vector)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -70,35 +70,30 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     The basis is greedy: the images of the operators x^a of degree D - d
     on the Specht polynomials, Specht polynomials outermost and operators
     in ``degree_monomials`` order, each kept when it is independent of
-    those kept before.  The image of x^a is one partial derivative of the
-    image of x^(a - e_j), j the first index with a_j > 0, so only the
-    images of one operator degree are held at a time; zero images are
-    dropped, as they change no basis.  Images are integer vectors
-    (terms, den), den that of their Specht polynomial: 1, as Specht
-    polynomials are integral.
+    those kept before.  Only kept images are held, and that of x^a is
+    taken, as a derivative of its first parent x^(a - e_j), only when
+    every parent (a_j > 0) was kept one degree lower.  Nothing else would
+    be kept: a dropped parent lies in the span of earlier images, and lex
+    order is translation-invariant, so its derivatives lie in the span of
+    images before x^a.  Images are integer vectors (terms, den), den that
+    of their Specht polynomial: 1, as Specht polynomials are integral.
     """
-    top = spechts[0].degree()
-    sources = [numerators(s) for s in spechts]
-    level = [{(0,) * n: terms} for terms, _ in sources]
-    layers: list[list[Vector]] = []
-    for k in range(top + 1):
-        if k:
-            steps = []
-            for a in degree_monomials(n, k):
-                j = next(i for i, e in enumerate(a) if e)
-                steps.append((a, a[:j] + (a[j] - 1,) + a[j + 1:], j))
-            for t, images in enumerate(level):
-                following = {}
-                for a, parent, j in steps:
-                    source = images.get(parent)
-                    if source is not None:
-                        image = partial_terms(source, j)
-                        if image:
-                            following[a] = image
-                level[t] = following
-        ech = KernelEchelon()
-        layers.append([(image, sources[t][1]) for t, images in enumerate(level)
-                       for image in images.values() if ech.add(image) is None])
+    sources = [to_vector(s) for s in spechts]
+    kept, layers = [{0: terms} for terms, _ in sources], []  # degree 0: the operator 1
+    for k in range(spechts[0].degree() + 1):
+        steps = [(key, [(key - (1 << W * (n - 1 - j)), j) for j, e in enumerate(a) if e])
+                 for a in degree_monomials(n, k) for key in [exponent_key(a)]]
+        ech, layer = KernelEchelon(), []
+        for t, held in enumerate(kept):
+            following = {}
+            for a, parents in steps:
+                if all(p in held for p, _ in parents):
+                    image = partial_terms(held[parents[0][0]], parents[0][1], n) if k else held[a]
+                    if image and ech.add(image) is None:
+                        following[a] = image
+                        layer.append((image, sources[t][1]))
+            kept[t] = following
+        layers.append(layer)
     return layers[::-1]
 
 

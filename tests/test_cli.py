@@ -318,6 +318,25 @@ class TestExitCodes:
         assert err == ("symideal tangent: internal invariant broken: "
                        "generator count mismatch in degree 2\n")
 
+    def test_negative_relation_count_exits_3(self, monkeypatch, capsys):
+        # a square record that lists its degree-2 standard monomials twice
+        # leaves dim (I/I^2)_2 larger than the products that could span it
+        from symideal import ideals
+
+        square = ideals._Quotient.square
+
+        def doubled(self, below):
+            record = square(self, below)
+            record.standard = record.standard + [m for m in record.standard if sum(m) == 2]
+            return record
+
+        monkeypatch.setattr(ideals._Quotient, "square", doubled)
+        with pytest.raises(SystemExit) as info:
+            run(["tangent", "--n", "3", "--tanisaki", "2,1"])
+        assert info.value.code == 3
+        assert capsys.readouterr().err == ("symideal tangent: internal invariant broken: "
+                                           "negative relation count in degree 2\n")
+
     @pytest.mark.parametrize("verb", ["tangent", "decompose"])
     def test_exponent_past_the_engine_bound_is_bad_input(self, verb, capsys):
         with pytest.raises(SystemExit) as info:

@@ -683,21 +683,21 @@ class TestRelationStep:
                                            f"relation count mismatch in degree {degree}\n")
 
     def test_count_mismatch_exits_3(self, monkeypatch, capsys):
-        # x1^2, the leading monomial of (x1+x2+x3)^2, counted as a standard
-        # monomial of I^2: the Hilbert functions then leave relations in
-        # degree 2, where the invariant functionals of I^2 (the coordinates,
-        # as |S_(2,1)| < 3) outnumber what the 5 products there can reach
+        # x1^3, a multiple of x1^2, the leading monomial of (x1+x2+x3)^2,
+        # counted as a standard monomial of I^2: degree 3 keeps a relation
+        # count >= 0 (6 products, 5 functionals of I^2, the coordinates as
+        # |S_(2,1)| < 3, none of R/I), but the rows reach rank 4, not 5
         from symideal.ideals import _Quotient
 
         square = _Quotient.square
 
         def miscounted_square(self, below=inf):
             record = square(self, below)
-            record.standard = record.standard + [(2, 0, 0)]
+            record.standard = record.standard + [(3, 0, 0)]
             return record
 
         monkeypatch.setattr(_Quotient, "square", miscounted_square)
-        self.assert_exits_3(["tangent", "--n", "3", "--tanisaki", "2,1"], 2, capsys)
+        self.assert_exits_3(["tangent", "--n", "3", "--tanisaki", "2,1"], 3, capsys)
 
     def test_dropped_functional_exits_3(self, monkeypatch, capsys):
         # the last invariant functional of I^2 in degree 5 left out, where

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +10,11 @@ from symideal import equivariant
 from symideal.classification import classification_cases
 from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
-from symideal.poly import (Polynomial, apply_permutation, complement_vectors,
-                           degree_monomials, elementary_symmetric, integrate_vectors,
-                           linear_combination, monomial_weight, numerators,
-                           parse_polynomial, partial_terms, power_sum, to_polynomial)
+from symideal.poly import (W, Polynomial, apply_permutation, complement_vectors,
+                           degree_monomials, elementary_symmetric, exponent_key,
+                           integrate_vectors, key_exponents, linear_combination,
+                           monomial_weight, numerators, parse_polynomial, partial_terms,
+                           power_sum, to_polynomial, to_vector)
 from symideal.tanisaki import _apolar_generators
 from test_ideals import evaluate
 
@@ -182,7 +183,7 @@ class TestApolar:
     def test_monomial_self_pairing(self):
         m = (2, 3, 1)
         f = Polynomial.monomial(m)
-        assert apolar_pair(f, f) == Polynomial.constant(monomial_weight(m), 3)
+        assert apolar_pair(f, f) == Polynomial.constant(monomial_weight(exponent_key(m)), 3)
         g = Polynomial.monomial((1, 4, 1))
         assert apolar_scalar(f, g) == 0
 
@@ -259,6 +260,64 @@ class TestDuality:
         assert len(ratio) == 1
 
 
+exponent_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, (1 << (W - 1)) - 1), min_size=n, max_size=n).map(tuple)] * 2))
+
+
+class TestVectorKeys:
+    """The packed keys of the inverse-system vectors stand for exponent
+    tuples: the eliminations pivot on them as on the tuples."""
+
+    @given(exponent_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_key_order_is_tuple_order(self, pair):
+        a, b = pair
+        assert (exponent_key(a) < exponent_key(b)) == (a < b)
+        assert (exponent_key(a) == exponent_key(b)) == (a == b)
+        assert key_exponents(exponent_key(a), len(a)) == a
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple))
+    def test_monomial_weight_reads_the_fields(self, m):
+        assert monomial_weight(exponent_key(m)) == prod(map(factorial, m))
+
+    @given(exponent_pairs, st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_cross_partial_columns_order_as_tuples(self, pair, indices):
+        # integrate_vectors keys the column ((lo, hi), m), lo < hi, as one int
+        a, b = pair
+        n = len(a)
+
+        def column(lo: int, hi: int, m: tuple) -> int:
+            return ((lo * n + hi) << (W * n)) | exponent_key(m)
+
+        first, second = sorted(i % n for i in indices[:2]), sorted(i % n for i in indices[2:])
+        assert ((column(*first, a) < column(*second, b))
+                == ((tuple(first), a) < (tuple(second), b)))
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(polynomials(n=n), st.integers(0, n - 1))))
+    @settings(max_examples=100, deadline=None)
+    def test_partials_and_shifts_match_the_tuples(self, data):
+        f, j = data
+        n = f.ambient_n
+        terms, den = to_vector(f)
+        assert to_polynomial((partial_terms(terms, j, n), den), n) == derivative(f, j + 1)
+        unit = exponent_key(tuple(int(i == j) for i in range(n)))
+        assert unit == 1 << (W * (n - 1 - j))
+        assert (to_polynomial(({k + unit: c for k, c in terms.items()}, den), n)
+                == x(j + 1, n) * f)
+
+    @given(st.integers(1, 5).flatmap(lambda n: polynomials(n=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_to_polynomial_round_trips(self, f):
+        n = f.ambient_n
+        terms, den = to_vector(f)
+        assert (terms, den) == ({exponent_key(m): c for m, c in numerators(f)[0].items()},
+                                numerators(f)[1])
+        back = to_polynomial((terms, den), n)
+        assert back == f and str(back) == str(f)
+        assert_clean(back)
+
+
 # ---- the stored-coefficient invariant ---------------------------------------
 
 def assert_clean(f: Polynomial) -> None:
@@ -287,7 +346,7 @@ class TestStoredCoefficients:
                   linear_combination([f, g], {0: a, 1: b}), reynolds(f),
                   parse_polynomial(joined(f, g), n), parse_polynomial(joined(f, -f), n),
                   *integrate_duals([f, g], n, d), *apolar_complement([f, g], [f + a]),
-                  to_polynomial(numerators(f * a), n)):
+                  to_polynomial(to_vector(f * a), n)):
             assert_clean(h)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -375,29 +434,31 @@ def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
     for m, c in f.terms.items():
         other = g.terms.get(m)
         if other is not None:
-            total += c * other * monomial_weight(m)
+            total += c * other * prod(map(factorial, m))
     return total
 
 
 def derivative(f: Polynomial, i: int) -> Polynomial:
-    """Partial derivative with respect to x_i (1-based)."""
-    return Polynomial(f.ambient_n, partial_terms(f.terms, i - 1))
+    """Partial derivative with respect to x_i (1-based), on exponent tuples."""
+    j = i - 1
+    return Polynomial(f.ambient_n, {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j]
+                                    for m, c in f.terms.items() if m[j]})
 
 
 def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     """Degree-d polynomials whose partials all lie in the span of ``duals``;
-    ``integrate_vectors`` on their numerators."""
-    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
+    ``integrate_vectors`` on their vectors."""
+    return [to_polynomial(v, n) for v in integrate_vectors([to_vector(f) for f in duals], n, d)]
 
 
 def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
     """Members of the span of ``space`` that pair to zero with all of
-    ``others``; ``complement_vectors`` on their numerators."""
+    ``others``; ``complement_vectors`` on their vectors."""
     if not space:
         return []
     return [to_polynomial(v, space[0].ambient_n)
-            for v in complement_vectors([numerators(f) for f in space],
-                                        [numerators(g) for g in others])]
+            for v in complement_vectors([to_vector(f) for f in space],
+                                        [to_vector(g) for g in others])]
 
 
 # ---- oracles: the accumulation code before every sum became one dict --------

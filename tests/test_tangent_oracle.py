@@ -10,6 +10,7 @@ shortcuts used there.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -17,8 +18,7 @@ from symideal.classification import row_case
 from symideal.combinat import Partition
 from symideal.equivariant import group_generators, tangent_dimension
 from symideal.ideals import Ideal, maximal_power
-from symideal.poly import (Polynomial, apply_permutation, monomial_weight,
-                           power_sum)
+from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.tanisaki import tanisaki_ideal
 from test_ideals import normal_form
 from test_poly import coefficient
@@ -72,7 +72,7 @@ def poly_vector(f, monomials):
 
 
 def apolar_dot(u, v, monomials):
-    return sum(a * b * monomial_weight(m) for a, b, m in zip(u, v, monomials))
+    return sum(a * b * prod(map(factorial, m)) for a, b, m in zip(u, v, monomials))
 
 
 def echelon_basis(vectors):

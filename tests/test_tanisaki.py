@@ -77,7 +77,9 @@ def homogeneous_spaces(draw):
 
 
 def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
-    """``_dual_layers`` on ``Polynomial`` images with ``Fraction`` coefficients."""
+    """``_dual_layers`` on ``Polynomial`` images with ``Fraction`` coefficients,
+    taking the image of every operator whose first parent had a nonzero
+    image, kept or not."""
     top = spechts[0].degree()
     level = [{(0,) * n: s} for s in spechts]
     layers: list[list[Polynomial]] = []
@@ -127,7 +129,8 @@ class TestDualLayers:
         for lam in partitions_of(n):
             assert_layers_match_the_oracle(distinct_specht_polynomials(lam), n)
 
-    @pytest.mark.parametrize("parts", [(4, 2), (3, 3), (4, 1, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("parts", [(4, 2), (3, 3), (4, 1, 1), (3, 2, 1), (2, 2, 2),
+                                       (3, 1, 1, 1)])
     def test_matches_the_oracle_at_six(self, parts):
         assert_layers_match_the_oracle(distinct_specht_polynomials(Partition(list(parts))), 6)
 
@@ -139,22 +142,28 @@ class TestDualLayers:
     @settings(max_examples=60, deadline=None)
     @given(homogeneous_spaces())
     def test_each_image_is_one_apolar_pair(self, spechts):
-        # the derivatives taken, in order, are the nonzero images x^a . s
-        # of every operator degree k >= 1, Specht polynomials outermost,
-        # each scaled by the common denominator of s
-        n = spechts[0].ambient_n
-        images = []
+        # the nonzero derivatives taken, in order, are a subsequence of the
+        # nonzero images x^a . s of every operator degree k >= 1, Specht
+        # polynomials outermost, each scaled by the common denominator of s;
+        # in degree k at most n per image kept in degree k - 1
+        n, top = spechts[0].ambient_n, spechts[0].degree()
+        taken = []  # (operator degree, derivative)
 
-        def recording(terms, j):
-            images.append(Polynomial(n, partial_terms(terms, j)))
-            return images[-1].terms
+        def recording(terms, j, ambient):
+            image = partial_terms(terms, j, ambient)
+            k = top + 1 - to_polynomial((terms, 1), n).degree()
+            taken.append((k, to_polynomial((image, 1), n)))
+            return image
 
         with mock.patch.object(tanisaki, "partial_terms", recording):
-            _dual_layers(spechts, n)
-        expected = [apolar_pair(Polynomial.monomial(a), s) * numerators(s)[1]
-                    for k in range(1, spechts[0].degree() + 1)
-                    for s in spechts for a in degree_monomials(n, k)]
-        assert [f for f in images if not f.is_zero()] == [f for f in expected if not f.is_zero()]
+            layers = _dual_layers(spechts, n)
+        expected = iter([(k, f) for k in range(1, top + 1) for s in spechts
+                         for a in degree_monomials(n, k)
+                         for f in [apolar_pair(Polynomial.monomial(a), s) * numerators(s)[1]]
+                         if not f.is_zero()])
+        assert all(pair in expected for pair in taken if not pair[1].is_zero())
+        for k in range(1, top + 1):
+            assert sum(e == k for e, _ in taken) <= n * len(layers[top - k + 1])
 
 
 class TestApolarGenerators:
