@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        Tableau, d_min, dominates, kostka_decomposition,
                        kostka_number, multinomial, partitions_of, r_lambda,
-                       R_k, specht_dimension, standard_tableaux, transpose,
-                       word)
+                       R_k, standard_tableaux, transpose, word)
 from .combinat import index as tableau_index
 from .equivariant import (TangentReport, decompose_quotient,
                           is_permutation_module_sum, is_symmetric,

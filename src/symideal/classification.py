@@ -18,6 +18,7 @@ from itertools import combinations
 from .combinat import IsotypicDecomposition, Partition
 from .ideals import Ideal, maximal_power
 from .poly import Polynomial, power_sum
+from .specht import vandermonde
 
 # ---------------------------------------------------------------------------
 # generator families
@@ -55,10 +56,6 @@ def pair_products(n: int) -> list[Polynomial]:
 def differences_times_linear(n: int) -> list[Polynomial]:
     """Degree >= 2 part of the ideal of differences."""
     return [_x(k, n) * d for d in differences(n) for k in range(1, n + 1)]
-
-
-def triple_vandermonde(n: int) -> Polynomial:
-    return (_x(1, n) - _x(2, n)) * (_x(1, n) - _x(3, n)) * (_x(2, n) - _x(3, n))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +98,7 @@ def pair_product_ideal(n: int) -> Ideal:
     n = 3 the four-index products degenerate to the alternating cubic."""
     if n >= 4:
         return Ideal(n, pair_products(n))
-    return Ideal(n, [triple_vandermonde(n)])
+    return Ideal(n, [vandermonde((1, 2, 3), n)])
 
 
 def lemma_membership_ideal_a(n: int) -> Ideal:
@@ -136,19 +133,9 @@ class RowCase:
     component_dim: int
     param: tuple[Fraction, Fraction] | None = None
 
-    def describe(self) -> str:
-        text = f"row {self.label} (n={self.n}, r={self.colength})"
-        if self.param is not None:
-            text += f" [a:b]=[{self.param[0]}:{self.param[1]}]"
-        return text
-
 
 def _decomp(entries: dict[tuple[int, ...], int]) -> IsotypicDecomposition:
     return IsotypicDecomposition.from_dict({Partition(k): v for k, v in entries.items()})
-
-
-def _row_two_module(n: int, r: int) -> IsotypicDecomposition:
-    return _decomp({(n,): r - n + 1, (n - 1, 1): 1})
 
 
 def _std_module(n: int, trivials: int, standards: int) -> IsotypicDecomposition:
@@ -172,10 +159,10 @@ def classification_cases(n: int, parameter_samples: list[tuple[Fraction, Fractio
     for r in range(n + 3, 2 * n + 1):
         d = r - n + 1
         ideal = Ideal(n, differences_times_linear(n)) + maximal_power(n, d)
-        cases.append(RowCase("2a", n, r, ideal, _row_two_module(n, r), "singular", r - n + 2))
+        cases.append(RowCase("2a", n, r, ideal, _std_module(n, d, 1), "singular", r - n + 2))
         gens = p1_differences(n) + square_differences(n) + pair_products(n)
         ideal = Ideal(n, gens) + maximal_power(n, r - n)
-        cases.append(RowCase("2b", n, r, ideal, _row_two_module(n, r), "smooth", r - n + 2))
+        cases.append(RowCase("2b", n, r, ideal, _std_module(n, d, 1), "smooth", r - n + 2))
 
     cases.append(RowCase("3", n, n, Ideal(n, [p1]) + maximal_power(n, 2),
                          _std_module(n, 1, 1), "smooth", 2))
@@ -247,7 +234,7 @@ def classification_cases(n: int, parameter_samples: list[tuple[Fraction, Fractio
         p3 = power_sum(3, n)
         cases.append(RowCase("12", n, 6, Ideal(n, [p1, p2, p3]),
                              _decomp({(3,): 1, (2, 1): 2, (1, 1, 1): 1}), "smooth", 3))
-        cases.append(RowCase("13", n, 6, Ideal(n, [p1, p2, triple_vandermonde(n)]),
+        cases.append(RowCase("13", n, 6, Ideal(n, [p1, p2, vandermonde((1, 2, 3), n)]),
                              _decomp({(3,): 2, (2, 1): 2}), "smooth", 4))
     return cases
 

@@ -9,7 +9,6 @@ standard tableaux in lexicographic order of their row-major reading.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
@@ -42,18 +41,8 @@ class Partition:
         """The i-th part (1-based), read as zero past the end."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.parts))
-
-    @staticmethod
-    def from_json(text: str) -> "Partition":
-        return Partition(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -98,13 +87,6 @@ class Tableau:
     def __repr__(self) -> str:
         return "Tableau(" + "/".join(",".join(str(v) for v in row) for row in self.rows) + ")"
 
-    def to_json(self) -> str:
-        return json.dumps([list(row) for row in self.rows])
-
-    @staticmethod
-    def from_json(text: str) -> "Tableau":
-        return Tableau(json.loads(text))
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -120,9 +102,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self * other)(i) = self(other(i))."""
@@ -187,9 +166,6 @@ class IsotypicDecomposition:
 
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.multiplicities)
-
-    def total_dim(self) -> int:
-        return sum(m * specht_dimension(lam) for lam, m in self.multiplicities)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IsotypicDecomposition):
@@ -285,17 +261,6 @@ def standard_tableaux(lam: Partition) -> list[Tableau]:
 
     place(1)
     return sorted(found, key=lambda t: t.reading())
-
-
-def specht_dimension(lam: Partition) -> int:
-    """Number of standard tableaux, by the hook length formula."""
-    lam_t = transpose(lam)
-    hooks = prod(
-        lam.parts[i] - (j + 1) + lam_t.parts[j] - (i + 1) + 1
-        for i in range(lam.m)
-        for j in range(lam.parts[i])
-    )
-    return factorial(lam.n) // hooks
 
 
 def word(t: Tableau) -> tuple[int, ...]:

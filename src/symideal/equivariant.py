@@ -34,7 +34,7 @@ from math import factorial, lcm, prod
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
 from .ideals import DEGREVLEX, Ideal, pack_terms
-from .linalg import KernelEchelon, nullspace_tags
+from .linalg import KernelEchelon, combine, nullspace_tags
 from .poly import (Polynomial, Vector, apply_permutation, combine_vectors, complement_vectors,
                    integrate_vectors, key_exponents, numerators, permute_monomial, to_polynomial)
 
@@ -137,7 +137,7 @@ def _read(terms: list, functionals: dict, orbit, record) -> dict:
         sums[rep] = sums.get(rep, 0) + c
     rest = sorted(((r, c) for r, c in sums.items() if c and r not in functionals), reverse=True)
     nf = record.coordinates(rest) if rest else {}
-    return _combine((c, functionals.get(orbit(key), {})) for key, c in [*sums.items(), *nf.items()])
+    return combine((c, functionals.get(orbit(key), {})) for key, c in [*sums.items(), *nf.items()])
 
 
 def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
@@ -289,15 +289,6 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     return generators, N
 
 
-def _combine(terms) -> dict:
-    """The sum of c*vector over (c, vector) pairs, as a sparse vector."""
-    out: dict = {}
-    for c, vector in terms:
-        for key, v in vector.items():
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
-
-
 def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]:
     """sigma*vector for one sigma per coset of the Young subgroup fixing it,
     keyed by the relabelled word, each one swap away from an earlier one."""
@@ -306,19 +297,16 @@ def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]
         for a in range(len(w) - 1):
             swapped = w[:a] + (w[a + 1], w[a]) + w[a + 2:]
             if swapped not in images:
-                images[swapped] = _combine((c, actions[a][p]) for p, c in images[w].items())
+                images[swapped] = combine((c, actions[a][p]) for p, c in images[w].items())
                 queue.append(swapped)
     return images
 
 
-class _HomBasis(list):
-    unknowns = 0  # the number of unknowns solved for
-
-
 def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
-                           gen_degrees: list[int]) -> list[dict]:
+                           gen_degrees: list[int]) -> tuple[list[dict], int]:
     """Basis of the equivariant linear maps from the generator space into
-    the quotient, as dicts {(basis_monomial, generator_index): coeff}.
+    the quotient, as dicts {(basis_monomial, generator_index): coeff}, and
+    the number of unknowns solved for.
 
     Per degree piece, by Frobenius reciprocity (Hom_{S_n}(M^mu, W) = W^{S_mu}):
     module generators v_j fixed by Young subgroups S_{mu_j}, with mu scanned
@@ -330,7 +318,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     swaps = [Permutation.transposition(a, a + 1, n) for a in range(1, n)]
     quotient_action = _swap_actions(ideal)
     quotient_fixed: dict[tuple, list[dict]] = {}
-    out = _HomBasis()
+    out, unknown_count = [], 0
     for d in sorted(set(gen_degrees)):
         indices = [i for i, e in enumerate(gen_degrees) if e == d]
         size = len(indices)
@@ -362,24 +350,24 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                     fixed.append([_coset_images(f, word, quotient_action)
                                   for f in quotient_fixed[word]])
         unknowns = [(j, t) for j in range(len(fixed)) for t in range(len(fixed[j]))]
-        out.unknowns += len(unknowns)
+        unknown_count += len(unknowns)
         expressions = [span.add({pos: 1}, "generator") for pos in range(size)]
         scales = [-relation.pop("generator") for relation in expressions]
 
         def value(combination: dict, j: int, t: int) -> dict:
             """Unknown (j, t) applied to a combination of coset images."""
-            return _combine((c, fixed[j][t][w]) for (i, w), c in combination.items() if i == j)
+            return combine((c, fixed[j][t][w]) for (i, w), c in combination.items() if i == j)
 
         for solution in nullspace_tags(({(r, key): v for r, relation in enumerate(relations)
                                          for key, v in value(relation, *u).items()}, u)
                                        for u in unknowns):
             phi = {}
             for pos, relation in enumerate(expressions):
-                image = _combine((a, value(relation, *u)) for u, a in solution.items())
+                image = combine((a, value(relation, *u)) for u, a in solution.items())
                 phi.update({(monomial_of[key], indices[pos]): Fraction(v, scales[pos])
                             for key, v in image.items()})
             out.append(phi)
-    return out
+    return out, unknown_count
 
 
 def tangent_dimension(ideal: Ideal) -> TangentReport:
@@ -421,7 +409,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     max_gen_degree = max(gen_degrees)
     syzygy_bound = N + max_gen_degree  # relations from this degree on are vacuous
 
-    hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    hom_basis, hom_unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
 
     packed = [(pack_terms(terms), den) for terms, den in map(numerators, gens)]
@@ -494,6 +482,6 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
         equivariant_hom_dim=k,
         wall_time_s=time.monotonic() - start,
         details={"products": products, "images": len(images), "mu": mu.parts,
-                 "constraint_rows": constraint_rows, "hom_unknowns": hom_basis.unknowns,
+                 "constraint_rows": constraint_rows, "hom_unknowns": hom_unknowns,
                  "quotient_functionals": quotient_counts, "square_functionals": square_counts},
     )

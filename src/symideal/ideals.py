@@ -76,7 +76,6 @@ oracle.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
@@ -85,7 +84,7 @@ from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
 from .poly import (W, Monomial, Polynomial, degree_monomials, exponent_key, key_exponents,
-                   numerators, parse_polynomial)
+                   numerators)
 
 # ---------------------------------------------------------------------------
 # the monomial order as packed integer keys
@@ -578,17 +577,6 @@ class Ideal:
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal(n={self.ambient_n}, <{inside}>)"
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({"ambient_n": self.ambient_n,
-                           "generators": [str(g) for g in self.generators]})
-
-    @staticmethod
-    def from_json(text: str) -> "Ideal":
-        record = json.loads(text)
-        n = record["ambient_n"]
-        return Ideal(n, [parse_polynomial(s, n) for s in record["generators"]])
 
 
 # ---------------------------------------------------------------------------

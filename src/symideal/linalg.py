@@ -9,7 +9,9 @@ negative when p[c] is, and one exact strip of the positive content ends
 each add.  So a stored row's or relation's sign follows the pivot entries
 it met, and keys standing for monomials must order as the monomials do.
 Rational input is cleared to integers on entry, and a relation comes out
-as an integer combination of the tags.
+as an integer combination of the tags.  ``combine`` sums such rows with
+coefficients, keys in order of first appearance: every sparse linear
+combination of the package goes through it.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ class KernelEchelon:
             return tags
         pivots[col] = (row, tags)
         return None
+
+
+def combine(pairs) -> dict:
+    """The sum of c*row over (c, row) pairs, its zero entries dropped."""
+    out: dict = {}
+    for c, row in pairs:
+        for k, v in row.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 def nullspace_tags(vectors) -> list[dict]:

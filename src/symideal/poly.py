@@ -5,9 +5,11 @@ plain tuples of length ``ambient_n``.  Polynomials are immutable: every
 operation returns a new value, so sharing across threads is safe.
 
 Every stored coefficient is a nonzero ``Fraction``.  ``Polynomial.__init__``
-is the one place that drops zeros (and wraps a coefficient that is not yet a
-``Fraction``), so a sum of terms accumulates into a plain dict with
-``acc[k] = acc.get(k, 0) + c`` and is handed to the constructor once.
+drops zeros (and wraps a coefficient that is not yet a ``Fraction``), so a
+sum of terms accumulates into a plain dict with ``acc[k] = acc.get(k, 0) +
+c`` and is handed to the constructor once.  Linear combinations, of
+polynomials (``linear_combination``) and of the vectors below
+(``combine_vectors``), sum through ``linalg.combine``.
 
 The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 ``complement_vectors``, ``combine_vectors``) work on integer numerators
@@ -32,7 +34,7 @@ from math import factorial, gcd, lcm
 from struct import Struct
 
 from .combinat import Permutation
-from .linalg import nullspace_tags
+from .linalg import combine, nullspace_tags
 
 Monomial = tuple[int, ...]
 W = 32  # bits per exponent field of a packed monomial key, here and in the engine
@@ -95,12 +97,10 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.ambient_n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
     def top_form(self) -> "Polynomial":
         """Highest-degree homogeneous part."""
-        return self.homogeneous_part(self.degree())
+        d = self.degree()
+        return Polynomial(self.ambient_n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -142,9 +142,6 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = other if isinstance(other, Fraction) else Fraction(other)
@@ -160,9 +157,6 @@ class Polynomial:
         return Polynomial(self.ambient_n, terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Polynomial":
-        return self * (Fraction(1) / Fraction(scalar))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -327,11 +321,7 @@ def monomial_weight(key: int) -> int:
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
     """The sum of coeffs[t] * space[t]; ``space`` must be nonempty."""
-    terms: dict[Monomial, Fraction] = {}
-    for t, c in coeffs.items():
-        for m, v in space[t].terms.items():
-            terms[m] = terms.get(m, 0) + c * v
-    return Polynomial(space[0].ambient_n, terms)
+    return Polynomial(space[0].ambient_n, combine((c, space[t].terms) for t, c in coeffs.items()))
 
 
 # ---- inverse-system kernels on integer numerators --------------------------
@@ -392,11 +382,7 @@ def combine_vectors(space: list[Vector] | dict[tuple[int, int], Vector],
                     relation: dict) -> Vector:
     """The combination of ``space``, indexed by the relation's tags, that a
     kernel relation over its numerator rows stands for (see above)."""
-    terms: dict[int, int] = {}
-    for t, c in relation.items():
-        for m, v in space[t][0].items():
-            terms[m] = terms.get(m, 0) + c * v
-    return ({m: v for m, v in terms.items() if v},
+    return (combine((c, space[t][0]) for t, c in relation.items()),
             gcd(*(c * space[t][1] for t, c in relation.items())))
 
 

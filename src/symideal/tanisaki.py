@@ -35,13 +35,17 @@ from .specht import distinct_specht_polynomials
 MODES = ("subset_elementary", "reduced", "apolar")
 
 
+# Both loops take |S| = s > n - lam_1, where 1 <= r_lambda(s) <= s: the first
+# n - s columns of lam are nonempty and leave out column lam_1, so their
+# sum lies in n - s .. n - 1.
+
 def _subset_elementary_generators(lam: Partition) -> list[Polynomial]:
     n = lam.n
     gens = []
     for size in range(n - lam.parts[0] + 1, n + 1):
         threshold = r_lambda(lam, size)
         for subset in combinations(range(1, n + 1), size):
-            for r in range(max(threshold, 1), size + 1):
+            for r in range(threshold, size + 1):
                 gens.append(elementary_symmetric(r, subset, n))
     return gens
 
@@ -52,10 +56,8 @@ def _reduced_generators(lam: Partition) -> list[Polynomial]:
     gens = [elementary_symmetric(r, full, n) for r in range(1, lam.m + 1)]
     for size in range(n - lam.parts[0] + 1, n):
         threshold = r_lambda(lam, size)
-        if threshold > size:
-            continue
         for subset in combinations(range(1, n + 1), size):
-            gens.append(elementary_symmetric(max(threshold, 1), subset, n))
+            gens.append(elementary_symmetric(threshold, subset, n))
     return gens
 
 
@@ -183,27 +185,20 @@ def inclusion_chain_check(mu: Partition) -> InclusionReport:
     small = power_sum_specht_ideal(mu)
     middle = tilde_ideal(mu)
     large = tanisaki_ideal(mu)
-    failures: list[str] = []
-    for g in small.generators:
-        if not middle.contains(g):
-            failures.append(f"first inclusion fails at {g}")
-    for g in middle.generators:
-        if not large.contains(g):
-            failures.append(f"second inclusion fails at {g}")
-    first_holds = not any(f.startswith("first") for f in failures)
-    second_holds = not any(f.startswith("second") for f in failures)
+    first = [f"first inclusion fails at {g}" for g in small.generators if not middle.contains(g)]
+    second = [f"second inclusion fails at {g}" for g in middle.generators if not large.contains(g)]
     witnesses: dict[str, str] = {}
     first_strict = second_strict = False
-    if first_holds:
+    if not first:
         w = _strictness_witness(small, middle)
         if w is not None:
             first_strict = True
             witnesses["first"] = str(w)
-    if second_holds:
+    if not second:
         w = _strictness_witness(middle, large)
         if w is not None:
             second_strict = True
             witnesses["second"] = str(w)
-    return InclusionReport(mu, first_holds, second_holds, first_strict, second_strict,
-                           failures, witnesses)
+    return InclusionReport(mu, not first, not second, first_strict, second_strict,
+                           first + second, witnesses)
 

@@ -23,6 +23,7 @@ from symideal.equivariant import decompose_quotient, is_symmetric, tangent_dimen
 from symideal.ideals import maximal_power, orbit_ideal
 from symideal.specht import coinvariant_isotypic_basis, specht_polynomial
 from symideal.tanisaki import MODES, inclusion_chain_check, tanisaki_ideal
+from test_classification import describe
 from test_combinat import conjugacy_class_size, irreducible_character
 from test_ideals import intersect, normal_form
 from test_poly import apolar_scalar
@@ -95,12 +96,12 @@ def test_criterion_4_classification_reproduction(n):
     for case in classification_cases(n):
         ideal = case.ideal
         if not is_symmetric(ideal):
-            failures.append(f"symmetry {case.describe()}")
+            failures.append(f"symmetry {describe(case)}")
         colength = ideal.colength()
         if colength != case.colength or colength > 2 * n:
-            failures.append(f"colength {case.describe()}: {colength}")
+            failures.append(f"colength {describe(case)}: {colength}")
         if decompose_quotient(ideal) != case.expected:
-            failures.append(f"decomposition {case.describe()}")
+            failures.append(f"decomposition {describe(case)}")
     _report(4, failures)
 
 

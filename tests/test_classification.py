@@ -7,8 +7,17 @@ from symideal.classification import (classification_cases, pair_product_ideal,
                                      row_case)
 from symideal.combinat import Partition
 from symideal.equivariant import is_permutation_module_sum
+from test_combinat import total_dim
 from test_ideals import evaluate
 from test_specht import specht_ideal
+
+
+def describe(case) -> str:
+    """A row case's label, size, colength and parameter, for messages."""
+    text = f"row {case.label} (n={case.n}, r={case.colength})"
+    if case.param is not None:
+        text += f" [a:b]=[{case.param[0]}:{case.param[1]}]"
+    return text
 
 
 class TestCatalog:
@@ -16,7 +25,7 @@ class TestCatalog:
     def test_colengths_and_dimensions(self, n):
         for case in classification_cases(n):
             assert case.colength <= 2 * n
-            assert case.expected.total_dim() == case.colength
+            assert total_dim(case.expected) == case.colength
             assert case.ideal.is_homogeneous()
 
     @pytest.mark.parametrize("n", [3, 4, 5])

@@ -611,22 +611,6 @@ class TestLemmaMemberships:
         assert ideal_b.contains(cube)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        n = 3
-        ideal = Ideal(n, [power_sum(1, n), x(1, n) * x(2, n)])
-        ideal.groebner_basis()
-        clone = Ideal.from_json(ideal.to_json())
-        assert clone == ideal
-
-    def test_json_does_not_depend_on_the_cached_basis(self):
-        n = 3
-        ideal = Ideal(n, [power_sum(1, n), x(1, n) * x(2, n)])
-        cold = ideal.to_json()
-        ideal.groebner_basis()
-        assert ideal.to_json() == cold
-
-
 # -- packed monomial keys ------------------------------------------------------
 
 

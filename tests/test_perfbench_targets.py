@@ -3,13 +3,14 @@
 ``perfbench/tracing.py`` wraps library functions by dotted name and only
 warns when one is missing, so a rename would silently zero its per-layer
 metrics.  This test fails instead.  In the other direction, every name the
-package exports is used by the library's own code, the benchmark or the
-scripts, not only by tests.
+package exports, and every public function and method it defines, is used
+by the library's own code, the benchmark or the scripts, not only by tests.
 """
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,21 +72,48 @@ def resolve(mod_name, path):
 def names_used(path: Path) -> set[str]:
     """Identifiers a module's code names: variables, attributes and imports,
     not definitions, docstrings or other strings."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    return set(name_counts(ast.parse(path.read_text())))
+
+
+def name_counts(tree: ast.AST) -> Counter:
+    """How often the code under a node names each identifier."""
+    counts = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            counts[node.attr] += 1
         elif isinstance(node, ast.alias):
-            used.add(node.name)
-    return used
+            counts[node.name] += 1
+    return counts
+
+
+# the code whose names count as uses: not the tests, and not the exports
+USERS = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+USERS += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
 
 
 def test_every_export_has_a_user():
-    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    users += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    used = set().union(*map(names_used, users))
+    used = set().union(*map(names_used, USERS))
     exports = [alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in exports if name not in used] == []
+
+
+def test_every_public_definition_has_a_user():
+    # the method-level twin of the test above: a module-level function or a
+    # method of a module-level class must be named somewhere but in its own
+    # body, or it belongs beside the tests that use it
+    trees = {path: ast.parse(path.read_text()) for path in USERS}
+    counts = sum(map(name_counts, trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in defs:
+                if (isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+                        and counts[d.name] == name_counts(d)[d.name]):
+                    unused.append(f"{path.name}: {d.name}")
+    assert unused == []

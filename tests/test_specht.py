@@ -6,8 +6,7 @@ from math import factorial, prod
 import pytest
 
 from symideal.combinat import (Partition, Permutation, Tableau, d_min, index,
-                               partitions_of, specht_dimension,
-                               standard_tableaux, transpose)
+                               partitions_of, standard_tableaux, transpose)
 from symideal.ideals import Ideal
 from symideal.linalg import KernelEchelon
 from symideal.poly import Polynomial, apply_permutation, power_sum
@@ -16,7 +15,7 @@ from symideal.specht import (_column_group, _row_group,
                              distinct_specht_polynomials, higher_specht,
                              specht_polynomial, tableau_monomial, vandermonde)
 from test_combinat import (all_tableaux, conjugacy_class_size, from_cycle_type,
-                           irreducible_character)
+                           irreducible_character, specht_dimension)
 from test_ideals import evaluate, normal_form
 from test_poly import apolar_scalar
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symideal import tanisaki
 from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
-                               transpose)
+                               r_lambda, transpose)
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
@@ -207,6 +207,13 @@ class TestConstruction:
             for mode in MODES[1:]:
                 assert tanisaki_ideal(lam, mode) == reference
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_loop_thresholds_lie_in_one_to_size(self, n):
+        # both generator loops use r_lambda(s) unclamped over these sizes s
+        for lam in partitions_of(n):
+            for size in range(n - lam.parts[0] + 1, n + 1):
+                assert 1 <= r_lambda(lam, size) <= size, (lam, size)
+
     def test_generator_thresholds_match_transpose(self):
         lam = Partition([3, 1, 1])
         gens = _subset_elementary_generators(lam)
@@ -310,6 +317,17 @@ class TestInclusionChain:
         report = inclusion_chain_check(Partition([3]))
         assert report.ok
         assert not report.first_strict and not report.second_strict
+
+    @pytest.mark.parametrize("emptied, fails, holds", [("tilde_ideal", "first", "second"),
+                                                       ("tanisaki_ideal", "second", "first")])
+    def test_failures_name_the_broken_inclusion(self, emptied, fails, holds):
+        # with the larger ideal of one inclusion emptied, only that one fails
+        with mock.patch.object(tanisaki, emptied, lambda mu: Ideal(3, [])):
+            report = inclusion_chain_check(Partition([2, 1]))
+        assert not report.ok and report.failures
+        assert all(f.startswith(f"{fails} inclusion fails at ") for f in report.failures)
+        assert getattr(report, f"{holds}_holds") and not getattr(report, f"{fails}_holds")
+        assert fails not in report.witnesses and not getattr(report, f"{fails}_strict")
 
     def test_power_sum_specht_ideal_contents(self):
         mu = Partition([2, 1])
