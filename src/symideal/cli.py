@@ -42,7 +42,7 @@ SCHEMA_VERSION = 1
 N_GUARDS = {
     "specht": (1, 6),
     "tanisaki": (2, 6),
-    "table1": (3, 5),
+    "table1": (3, 6),
     "lemmas": (3, 6),
     "tangent": (2, 6),
     "decompose": (2, 6),

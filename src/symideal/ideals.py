@@ -31,7 +31,8 @@ whose leading monomial divides it; a divisor memo remembers it, or how
 many elements were checked without finding one.  ``_buchberger`` keeps
 one memo for its whole run, which stays valid because its basis only
 grows by appending: a "none" entry is re-checked against the elements
-appended since.
+appended since.  So does ``_reduce_basis``, which reduces each tail
+against the minimal elements kept before it: only smaller leads divide.
 
 Exactness: an exponent at or past 2**(W - 2) where a polynomial enters the
 engine raises ``ValueError``; every basis element is checked once to stay
@@ -55,6 +56,8 @@ monomials from d on, so ``_buchberger`` skips inputs and pairs of degree
 instead of reducing each monomial of m^d to zero.  A bound ``below``
 truncates homogeneous inputs the same way: the ceiling is the lesser of
 cap and bound, and the result the reduced basis elements of lower degree.
+An element one degree under the ceiling skips pair bookkeeping: as no
+earlier lead divides its lead, it queues, prunes and supersedes nothing.
 
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
@@ -344,8 +347,17 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
     pairs: dict = {}  # (i, j) -> packed lcm, for each live pair
     divisors: dict = {}  # one memo for the run: G only grows by appending
 
-    def update(t: int) -> None:
-        lt = leads[t]
+    def add(f: list) -> None:
+        rem = _normalize(_normal_form(f, G, leads, n, divisors)[0])
+        if not rem:
+            return
+        t, lt = len(G), _lead(rem, n)
+        G.append(rem)
+        leads.append(lt)
+        support.append(_support(lt, n))
+        alive.append(True)
+        if DEGREVLEX.degree(rem[0][0], n) >= top - 1:
+            return  # every pair lies past the ceiling: no earlier lead divides lt
         lcms = [_packed_lcm(a, lt, guard) for a in leads[:t]]
         # Gebauer-Moeller: queue the new pairs at minimal lcms...
         for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard):
@@ -363,17 +375,6 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
         for i in range(t):
             if alive[i] and ((leads[i] | guard) - lt) & guard == guard:
                 alive[i] = False
-
-    def add(f: list) -> None:
-        rem, _ = _normal_form(f, G, leads, n, divisors)
-        rem = _normalize(rem)
-        if rem:
-            G.append(rem)
-            lead = _lead(rem, n)
-            leads.append(lead)
-            support.append(_support(lead, n))
-            alive.append(True)
-            update(len(G) - 1)
 
     for f in sorted((f for f in inputs if f[0][0] <= ceiling), key=lambda t: t[0][0]):
         add(f)
@@ -395,21 +396,17 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
 def _reduce_basis(basis: list[list], n: int) -> list[list]:
     """The reduced Groebner basis from any Groebner basis of the ideal."""
     guard = _masks(n)[0]
-    # minimal basis: leading monomials pairwise non-divisible
-    kept: list[list] = []
+    kept: list[list] = []  # minimal basis: leading monomials pairwise non-divisible
     leads: list[int] = []
+    reduced: list[list] = []
+    divisors: dict = {}  # one memo for the pass: kept only grows by appending
     for g in sorted(basis, key=lambda t: t[0][0]):
         x = DEGREVLEX.exps(g[0][0], n) | guard
         if not any((x - a) & guard == guard for a in leads):
+            rem, mult = _normal_form(g[1:], kept, leads, n, divisors)
+            reduced.append(_normalize([(g[0][0], g[0][1] * mult)] + rem))
             kept.append(g)
             leads.append(x ^ guard)
-    # tail-reduce each element against the others
-    reduced: list[list] = []
-    for idx, g in enumerate(kept):
-        rem, _ = _normal_form(g, kept[:idx] + kept[idx + 1:], leads[:idx] + leads[idx + 1:],
-                              n, {})
-        reduced.append(_normalize(rem))
-    reduced.sort(key=lambda t: t[0][0])
     return reduced
 
 
@@ -474,10 +471,13 @@ class _Quotient:
         return {k: c // scale if c % scale == 0 else Fraction(c, scale) for k, c in rem}
 
     def square(self, below: int | float = inf) -> "_Quotient":
-        """The record of I^2 below degree ``below``, from products of basis elements."""
+        """The record of I^2 below degree ``below``, from products of basis
+        elements; a product of degree ``below`` or more is not formed."""
         products = []
         for i, f in enumerate(self.basis):
             for g in self.basis[i:]:  # keys add, coefficients multiply
+                if DEGREVLEX.degree(f[0][0] + g[0][0], self.n) >= below:
+                    continue
                 terms: dict = {}
                 for k, c in f:
                     for t, e in g:

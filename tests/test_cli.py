@@ -94,9 +94,14 @@ class TestTable1Verb:
         keys = [(r["row"], r.get("param"), r["tangent_dim"]) for r in serial["results"]]
         assert keys == [(r["row"], r.get("param"), r["tangent_dim"]) for r in parallel["results"]]
 
+    def test_n6_passes_every_row(self, tmp_path):
+        code, record = run_json(["table1", "--n", "6"], tmp_path, "t6.json")
+        assert code == 0 and record["ok"]
+        assert len(record["results"]) == 36 and all(r["ok"] for r in record["results"])
+
     def test_guard(self):
         with pytest.raises(SystemExit):
-            run(["table1", "--n", "6"])
+            run(["table1", "--n", "7"])
 
 
 class TestLemmasVerb:
@@ -212,9 +217,9 @@ class TestExitCodes:
 
     def test_guard_is_bad_input(self, capsys):
         with pytest.raises(SystemExit) as info:
-            run(["table1", "--n", "6"])
+            run(["table1", "--n", "7"])
         assert info.value.code == 2
-        assert capsys.readouterr().err == "symideal table1: table1 is guarded at 3 <= n <= 5\n"
+        assert capsys.readouterr().err == "symideal table1: table1 is guarded at 3 <= n <= 6\n"
 
     @pytest.mark.parametrize("verb, argv, n", [
         ("specht", ["--lambda", "1"], 0),
@@ -222,7 +227,7 @@ class TestExitCodes:
         ("tanisaki", ["--lambda", "1"], 1),
         ("tanisaki", ["--lambda", "7"], 7),
         ("table1", [], 2),
-        ("table1", [], 6),
+        ("table1", [], 7),
         ("lemmas", [], 2),
         ("lemmas", [], 7),
         ("tangent", ["--tanisaki", "7"], 7),

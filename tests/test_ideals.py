@@ -1,8 +1,10 @@
 import heapq
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, gcd, inf
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
+from symideal.equivariant import tangent_dimension
 from symideal import ideals
 from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _degree_cap,
                              _fresh_pairs, _lead, _masks, _normal_form, _normalize, _pack,
-                             _packed_lcm, _spoly, _support, _to_engine, _vanishing_ideal,
-                             maximal_power, orbit_ideal, orbit_points, pack_terms)
+                             _packed_lcm, _spoly, _support, _to_engine, _to_poly,
+                             _vanishing_ideal, maximal_power, orbit_ideal, orbit_points,
+                             pack_terms)
 from symideal.poly import (Polynomial, apply_permutation, degree_monomials, numerators,
                            power_sum)
 from symideal.tanisaki import tanisaki_ideal
@@ -835,7 +839,10 @@ def spoly_oracle(f, g, n):
     return merge_oracle(shifted, 1, 1, g, kg, -(cf // d))
 
 
-def buchberger_oracle(inputs, n):
+def buchberger_oracle(inputs, n, below=inf):
+    """The reduced basis below degree ``below`` (homogeneous inputs when
+    finite): every element is updated, and only pairs of lcm degree below
+    ``below`` are queued."""
     G, leads, lms, alive = [], [], [], []
     heap, pair_alive = [], set()
 
@@ -851,7 +858,7 @@ def buchberger_oracle(inputs, n):
             if coprime(lms[i], lt) or not any(tuple_divides(m, lcm_i) for _, m in C + D):
                 D.append((i, lcm_i))
         for i, lcm_i in D:
-            if not coprime(lms[i], lt):
+            if not coprime(lms[i], lt) and sum(lcm_i) < below:
                 heapq.heappush(heap, (DEGREVLEX.key(lcm_i), i, t))
                 pair_alive.add((i, t))
         for i, j in list(pair_alive):
@@ -875,7 +882,8 @@ def buchberger_oracle(inputs, n):
             update(len(G) - 1)
 
     for f in sorted(inputs, key=lambda t: t[0][0]):
-        add(f)
+        if DEGREVLEX.degree(f[0][0], n) < below:
+            add(f)
     while heap:
         _, i, j = heapq.heappop(heap)
         if (i, j) in pair_alive:
@@ -1036,6 +1044,159 @@ class TestMinimalLcmPruning:
             record = case.ideal._quotient()
             record.square()
         assert len(updates) > 500 and sum(updates) > 500
+
+
+def reduce_basis_oracle(basis, n):
+    """The reduced basis as ``_reduce_basis`` built it element by element:
+    the minimal leads, then each element's normal form against the others
+    with a fresh divisor memo."""
+    guard = _masks(n)[0]
+    kept, leads = [], []
+    for g in sorted(basis, key=lambda t: t[0][0]):
+        x = DEGREVLEX.exps(g[0][0], n) | guard
+        if not any((x - a) & guard == guard for a in leads):
+            kept.append(g)
+            leads.append(x ^ guard)
+    reduced = []
+    for idx, g in enumerate(kept):
+        rem, _ = _normal_form(g, kept[:idx] + kept[idx + 1:], leads[:idx] + leads[idx + 1:],
+                              n, {})
+        reduced.append(_normalize(rem))
+    return sorted(reduced, key=lambda t: t[0][0])
+
+
+def all_products(basis):
+    """Every product f*g, f before or at g in the basis, as engine inputs."""
+    products = []
+    for i, f in enumerate(basis):
+        for g in basis[i:]:
+            terms = {}
+            for k, c in f:
+                for t, e in g:
+                    terms[k + t] = terms.get(k + t, 0) + c * e
+            products.append(sorted(((k, c) for k, c in terms.items() if c), reverse=True))
+    return products
+
+
+def spoly_counts(inputs, n, below, oracle_below):
+    """S-polynomials formed by ``_buchberger`` at ``below`` and by the tuple
+    oracle at ``oracle_below``."""
+    with mock.patch.object(ideals, "_spoly", wraps=_spoly) as engine:
+        _buchberger(inputs, n, below)
+    with mock.patch.object(sys.modules[__name__], "spoly_oracle", wraps=spoly_oracle) as oracle:
+        buchberger_oracle(inputs, n, oracle_below)
+    return engine.call_count, oracle.call_count
+
+
+@st.composite
+def homogeneous_inputs(draw):
+    """Homogeneous engine inputs at n = 2, 3 of degrees 1 to 3, and a bound."""
+    n = draw(st.sampled_from([2, 3]))
+    inputs = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        terms = draw(st.dictionaries(st.sampled_from(degree_monomials(n, d)),
+                                     st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
+        inputs.append(_normalize(pack_terms(terms)))
+    return n, inputs, draw(st.integers(1, 7))
+
+
+def squares_in_tangent(ideal):
+    """(basis, below) of each I^2 the tangent computation builds at ``ideal``."""
+    calls, square = [], ideals._Quotient.square
+
+    def recorded(record, below=inf):
+        calls.append((record.basis, below))
+        return square(record, below)
+
+    with mock.patch.object(ideals._Quotient, "square", recorded):
+        tangent_dimension(ideal)
+    return calls
+
+
+class TestBoundedEngine:
+    """The bounded engine updates no top-degree element and forms only the
+    products below the bound, and gives what the oracle gives updating all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_inputs())
+    def test_bounded_run_is_the_unbounded_run_cut(self, case):
+        n, inputs, below = case
+        bounded = _buchberger(inputs, n, below)
+        cut = [g for g in _buchberger(inputs, n) if DEGREVLEX.degree(g[0][0], n) < below]
+        assert bounded == cut
+        assert bounded == buchberger_oracle(inputs, n, below)
+        # the oracle has no degree cap: it stops its pairs where the engine does
+        top = min(below, _degree_cap(inputs, n)[0])
+        engine, oracle = spoly_counts(inputs, n, below, top)
+        assert engine == oracle
+
+    @pytest.mark.parametrize("ideal", [
+        *(pytest.param(case.ideal, id=f"n{n}-{case.label}-{i}") for n in (3, 4)
+          for i, case in enumerate(classification_cases(n))),
+        pytest.param(tanisaki_ideal(Partition([4, 1, 1])), id="tanisaki-4,1,1"),
+        pytest.param(tanisaki_ideal(Partition([3, 3])), id="tanisaki-3,3"),
+    ])
+    def test_squares_match_the_oracle(self, ideal):
+        n = ideal.ambient_n
+        for basis, below in squares_in_tangent(ideal):
+            products = all_products(basis)
+            bounded = _buchberger(products, n, below)
+            assert bounded == ideals._Quotient(basis, n).square(below).basis
+            assert bounded == buchberger_oracle(products, n, below)
+            top = min(below, _degree_cap(products, n)[0])
+            engine, oracle = spoly_counts(products, n, below, top)
+            assert engine == oracle
+
+
+@st.composite
+def groebner_bases(draw):
+    """A Groebner basis that is not reduced: the reduced basis of drawn
+    generators, each element plus multiples of elements with smaller
+    leads below its lead, and multiples of elements that are not minimal."""
+    n = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
+    reduced = _buchberger([_to_engine(g) for g in gens], n)
+    polys = [_to_poly(g, n) for g in reduced]
+    basis = []
+    for i, f in enumerate(polys):
+        lead = f.leading_monomial()
+        for g in polys[:i]:
+            u = draw(st.sampled_from([(0,) * n] + [tuple(int(j == k) for j in range(n))
+                                                    for k in range(n)]))
+            if DEGREVLEX.key(tuple(a + b for a, b in zip(u, g.leading_monomial()))) \
+                    < DEGREVLEX.key(lead):
+                f = f + draw(st.integers(-3, 3)) * Polynomial.monomial(u) * g
+        basis.append(_to_engine(f))
+    for g in draw(st.lists(st.sampled_from(polys), max_size=2)):
+        basis.append(_to_engine(x(draw(st.integers(1, n)), n) * g))
+    return n, draw(st.permutations(basis)), reduced
+
+
+class TestOneMemoInterreduction:
+    """``_reduce_basis`` reduces every tail on one list and one memo, and
+    gives what the per-element loop gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(groebner_bases())
+    def test_matches_the_per_element_loop(self, case):
+        n, basis, reduced = case
+        assert ideals._reduce_basis(basis, n) == reduce_basis_oracle(basis, n) == reduced
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_on_the_squares_of_the_catalog_rows(self, n, monkeypatch):
+        reduce, checked = ideals._reduce_basis, []
+
+        def compared(basis, n):
+            result = reduce(basis, n)
+            assert result == reduce_basis_oracle(basis, n)
+            checked.append(len(basis))
+            return result
+
+        cases = classification_cases(n)
+        monkeypatch.setattr(ideals, "_reduce_basis", compared)
+        for case in cases:
+            case.ideal._quotient().square()
+        assert len(checked) == 2 * len(cases) and sum(checked) > 100
 
 
 def cap_of(ideal):
