@@ -16,8 +16,8 @@ from .combinat import index as tableau_index
 from .equivariant import (TangentReport, decompose_quotient,
                           is_permutation_module_sum, is_symmetric,
                           tangent_dimension)
-from .ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
-from .poly import (Polynomial, apply_permutation, elementary_symmetric,
+from .ideals import Ideal, maximal_power, orbit_ideal
+from .poly import (DEGREVLEX, Polynomial, apply_permutation, elementary_symmetric,
                    parse_polynomial, power_sum)
 from .specht import (coinvariant_isotypic_basis, higher_specht,
                      specht_polynomial, vandermonde)

@@ -273,11 +273,7 @@ def cmd_lemmas(args) -> tuple[list[dict], bool]:
 
 
 def cmd_tangent(args) -> tuple[list[dict], bool]:
-    ideal = _ideal_from_args(args)
-    report = tangent_dimension(ideal)
-    record = json.loads(report.to_json())
-    record["generators"] = [str(g) for g in ideal.generators]
-    return [record], True
+    return [tangent_dimension(_ideal_from_args(args)).record()], True
 
 
 def cmd_decompose(args) -> tuple[list[dict], bool]:

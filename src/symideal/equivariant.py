@@ -33,10 +33,10 @@ from math import factorial, lcm, prod
 
 from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
-from .ideals import DEGREVLEX, Ideal, pack_terms
+from .ideals import Ideal
 from .linalg import KernelEchelon, combine, nullspace_tags
-from .poly import (Polynomial, Vector, apply_permutation, combine_vectors, complement_vectors,
-                   integrate_vectors, key_exponents, numerators, permute_monomial, to_polynomial)
+from .poly import (DEGREVLEX, Polynomial, Vector, combine_vectors, complement_vectors,
+                   integrate_vectors, key_exponents, numerators, permute_key, swap_key)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -60,8 +60,7 @@ def is_symmetric(ideal: Ideal) -> bool:
         record, n = ideal._quotient(), ideal.ambient_n
 
         def moved(sigma: Permutation, g: list) -> list:
-            return sorted(((DEGREVLEX.key(permute_monomial(sigma, DEGREVLEX.unpack(k, n))), c)
-                           for k, c in g), reverse=True)
+            return sorted(((permute_key(sigma, k, n), c) for k, c in g), reverse=True)
 
         ideal._symmetric = all(record.coordinates(moved(sigma, g)) == {}
                                for sigma in group_generators(n) for g in record.basis)
@@ -70,8 +69,7 @@ def is_symmetric(ideal: Ideal) -> bool:
 
 def _swapped(record, key: int, a: int) -> dict[int, int | Fraction]:
     """Coordinates in a record of the key's monomial under the swap (a+1 a+2)."""
-    m = DEGREVLEX.unpack(key, record.n)
-    return record.coordinates([(DEGREVLEX.key(m[:a] + (m[a + 1], m[a]) + m[a + 2:]), 1)])
+    return record.coordinates([(swap_key(key, a, record.n), 1)])
 
 
 def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
@@ -79,7 +77,7 @@ def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
     standard monomial, keyed by the monomial's key; kept on the ideal."""
     if ideal._swaps is None:
         record = ideal._quotient()
-        ideal._swaps = [{k: _swapped(record, k, a) for k in map(DEGREVLEX.key, record.standard)}
+        ideal._swaps = [{k: _swapped(record, k, a) for k in record.standard}
                         for a in range(ideal.ambient_n - 1)]
     return ideal._swaps
 
@@ -181,8 +179,8 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
 
     homogeneous, order = ideal.is_homogeneous(), partitions_of(ideal.ambient_n)  # (n) first
     pieces: dict[int, list[int]] = {}
-    for m in ideal.standard_monomials():
-        pieces.setdefault(sum(m) if homogeneous else 0, []).append(DEGREVLEX.key(m))
+    for k in ideal._quotient().standard:
+        pieces.setdefault(DEGREVLEX.degree(k, ideal.ambient_n) if homogeneous else 0, []).append(k)
     graded: dict[int, dict[Partition, int]] = {}
     for d, keys in pieces.items():
         fixed = {mu: len(_fixed_vectors(_swap_actions(ideal), keys, _word(mu))) for mu in order}
@@ -221,7 +219,7 @@ class TangentReport:
     ``products`` b*v_i and distinct monomial ``images`` b*m read, and
     ``constraint_rows``; its Young subgroup ``mu`` and invariant functionals
     per degree of R/I and R/I^2 (``quotient_``/``square_functionals``); and
-    ``hom_unknowns`` solved for by the hom step.  None is in ``to_json``.
+    ``hom_unknowns`` solved for by the hom step.  None is in ``record``.
     """
 
     ideal: Ideal
@@ -233,19 +231,20 @@ class TangentReport:
     wall_time_s: float = 0.0
     details: dict = field(default_factory=dict)
 
-    def ideal_hash(self) -> str:
-        text = json.dumps([self.ideal.ambient_n, sorted(str(g) for g in self.ideal.generators)])
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "ideal_hash": self.ideal_hash(),
+    def record(self) -> dict:
+        """The JSON record of the report; the generators, rendered once, give
+        both its ``ideal_hash`` and its ``generators``."""
+        generators = [str(g) for g in self.ideal.generators]
+        text = json.dumps([self.ideal.ambient_n, sorted(generators)])
+        return {
+            "ideal_hash": hashlib.sha256(text.encode()).hexdigest()[:16],
             "n1_graded_dims": {str(d): v for d, v in sorted(self.n1_dims.items())},
             "n2_count": self.n2_count,
             "syzygy_degree_bound": self.syzygy_bound,
             "tangent_dim": self.tangent_dim,
             "wall_time_s": round(self.wall_time_s, 3),
-        })
+            "generators": generators,
+        }
 
 
 def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
@@ -257,9 +256,10 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
     Groebner basis, which generates.  Duals, W_d and generators are integer
-    vectors (terms, den) (see ``poly``), read in R/I as engine terms;
-    a ``Polynomial`` is built only for the generators returned.  Returns
-    ({degree: generators}, N) where the quotient vanishes from degree N on.
+    vectors (terms, den) (see ``poly``); W_d is re-keyed once by
+    ``DEGREVLEX``, to be read in R/I and to give the generators returned.
+    Returns ({degree: generators}, N) where the quotient vanishes from
+    degree N on.
     """
     n = ideal.ambient_n
     hf = ideal.hilbert_function()
@@ -271,21 +271,23 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
         w_space = integrate_vectors(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        rows = ((quotient.coordinates(pack_terms({key_exponents(k, n): c
-                                                  for k, c in terms.items()})), t)
-                for t, (terms, _) in enumerate(w_space))
-        new_gens = [combine_vectors(w_space, relation) for relation in nullspace_tags(rows)]
-        if len(new_gens) != len(w_space) - hf_d:
+        keyed = [({DEGREVLEX.key(key_exponents(k, n)): c for k, c in terms.items()}, den)
+                 for terms, den in w_space]
+        relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
+                                   for t, (terms, _) in enumerate(keyed))
+        if len(relations) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
         if d < N:
             # next dual space: the pairing-orthogonal complement of the new
             # generators inside W_d (the pairing is definite, so dims add)
-            next_duals = complement_vectors(w_space, new_gens)
+            next_duals = complement_vectors(w_space, [combine_vectors(w_space, relation)
+                                                      for relation in relations])
             if len(next_duals) != hf_d:
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
             duals = next_duals
-        if new_gens:
-            generators[d] = [to_polynomial(v, n) for v in new_gens]
+        if relations:
+            generators[d] = [Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
+                             for terms, den in (combine_vectors(keyed, r) for r in relations)]
     return generators, N
 
 
@@ -305,7 +307,7 @@ def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]
 def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                            gen_degrees: list[int]) -> tuple[list[dict], int]:
     """Basis of the equivariant linear maps from the generator space into
-    the quotient, as dicts {(basis_monomial, generator_index): coeff}, and
+    the quotient, as dicts {(standard_key, generator_index): coeff}, and
     the number of unknowns solved for.
 
     Per degree piece, by Frobenius reciprocity (Hom_{S_n}(M^mu, W) = W^{S_mu}):
@@ -314,8 +316,6 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     relation among the coset images sigma*v_j; phi(sigma*v_j) = sigma*phi(v_j).
     """
     n = ideal.ambient_n
-    monomial_of = {DEGREVLEX.key(m): m for m in ideal.standard_monomials()}
-    swaps = [Permutation.transposition(a, a + 1, n) for a in range(1, n)]
     quotient_action = _swap_actions(ideal)
     quotient_fixed: dict[tuple, list[dict]] = {}
     out, unknown_count = [], 0
@@ -325,8 +325,8 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
         echelon = KernelEchelon()  # gives each permuted generator in their basis
         for pos, i in enumerate(indices):
             echelon.add(gens[i].terms, pos)
-        permuted = [[echelon.add(apply_permutation(s, gens[i]).terms, "image") for i in indices]
-                    for s in swaps]
+        permuted = [[echelon.add({swap_key(k, a, n): c for k, c in gens[i].terms.items()}, "image")
+                     for i in indices] for a in range(n - 1)]
         if any(None in columns for columns in permuted):
             raise ArithmeticError("generator space is not permutation-stable")
         actions = [[{pos: Fraction(c, -r["image"]) for pos, c in r.items() if pos != "image"}
@@ -346,7 +346,8 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                                               for w, x in list(images.items())[1:])
                                   if r is not None]
                     if word not in quotient_fixed:  # a basis of (R/I)^{S_mu}
-                        quotient_fixed[word] = _fixed_vectors(quotient_action, monomial_of, word)
+                        quotient_fixed[word] = _fixed_vectors(quotient_action,
+                                                              ideal._quotient().standard, word)
                     fixed.append([_coset_images(f, word, quotient_action)
                                   for f in quotient_fixed[word]])
         unknowns = [(j, t) for j in range(len(fixed)) for t in range(len(fixed[j]))]
@@ -364,7 +365,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
             phi = {}
             for pos, relation in enumerate(expressions):
                 image = combine((a, value(relation, *u)) for u, a in solution.items())
-                phi.update({(monomial_of[key], indices[pos]): Fraction(v, scales[pos])
+                phi.update({(key, indices[pos]): Fraction(v, scales[pos])
                             for key, v in image.items()})
             out.append(phi)
     return out, unknown_count
@@ -412,13 +413,13 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     hom_basis, hom_unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
 
-    packed = [(pack_terms(terms), den) for terms, den in map(numerators, gens)]
+    packed = [numerators(g) for g in gens]
     values: list[dict[tuple, list]] = [{} for _ in gens]  # den*phi_t(v_i) as {(deg, key): [(t, c)]}
     for t, phi in enumerate(hom_basis):  # phi_t scaled to integer values: the same constraint rank
         scaled = {(m, i): c * packed[i][1] for (m, i), c in phi.items()}
         scale = lcm(*(c.denominator for c in scaled.values()))
         for (m, i), c in scaled.items():
-            values[i].setdefault((sum(m), DEGREVLEX.key(m)), []).append((t, int(c * scale)))
+            values[i].setdefault((DEGREVLEX.degree(m, n), m), []).append((t, int(c * scale)))
 
     mu = _meet([lam for lam, _ in decompose_quotient(ideal).multiplicities])
     mu = mu if prod(map(factorial, mu.parts)) >= n else Partition((1,) * n)
@@ -428,7 +429,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     by_degree, square_keys = {}, {}
     for record, keys in ((quotient, by_degree), (square, square_keys)):
         for m in record.standard:
-            keys.setdefault(sum(m), []).append(DEGREVLEX.key(m))
+            keys.setdefault(DEGREVLEX.degree(m, n), []).append(m)
     quotient_functionals, quotient_counts = {}, {}  # L' numbered across all degrees
     for e, keys in sorted(by_degree.items()):
         quotient_functionals[e], quotient_counts[e] = _invariant_functionals(
@@ -451,7 +452,8 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
             square, square_keys.get(d, []), orbit, inside)
         echelon = KernelEchelon()
         for i, b in pairs:  # den*b*v_i: the packed terms of v_i shifted by the key of b
-            row = _read([(key + b, c) for key, c in packed[i][0]], functionals, orbit, square)
+            terms = [(key + b, c) for key, c in packed[i][0].items()]
+            row = _read(terms, functionals, orbit, square)
             for (e, m), coeffs in values[i].items():
                 e += d - gen_degrees[i]  # the degree of b*m
                 if e < N and b + m not in images:

@@ -1,14 +1,12 @@
 """Groebner-basis engine and zero-dimensional ideal toolkit, in degrevlex.
 
-Monomials inside the engine are packed integers.  ``DEGREVLEX.key(m)`` is
-one Python int that increases strictly with the monomial while all
-exponents stay below 2**(W - 1), with W = 32 bits per exponent field, and
-that is additive: key(a*b) == key(a) + key(b).  An engine term is a
-``(key, coeff)`` pair and the key *is* the monomial: comparing two
-monomials compares two ints, and multiplying a polynomial by a monomial u
-adds key(u) to each of its keys.  ``DEGREVLEX.unpack(key, n)`` turns a key
-back into an exponent tuple only at the boundary: polynomials handed out
-and standard monomials.
+An engine term is a ``(key, coeff)`` pair, the key that of ``poly``:
+``DEGREVLEX.key(m)``, one Python int that increases strictly with the
+monomial while all exponents stay below 2**(W - 1), with W = 32 bits per
+exponent field, and that is additive: key(a*b) == key(a) + key(b).  So a
+``Polynomial`` enters the engine as its terms sorted descending and leaves
+it as a dict of them, comparing two monomials compares two ints, and
+multiplying a polynomial by a monomial u adds key(u) to each of its keys.
 
 Divisibility works on a second packing, ``DEGREVLEX.exps(key, n)``: the
 exponents side by side in W-bit fields whose top bit is a guard bit.  With
@@ -34,11 +32,12 @@ grows by appending: a "none" entry is re-checked against the elements
 appended since.  So does ``_reduce_basis``, which reduces each tail
 against the minimal elements kept before it: only smaller leads divide.
 
-Exactness: an exponent at or past 2**(W - 2) where a polynomial enters the
-engine raises ``ValueError``; every basis element is checked once to stay
-below that bound, and so is the multiplier u of every reduction step and
-S-polynomial (``ArithmeticError`` otherwise).  Every product then stays
-below 2**(W - 1), so no field ever carries into the next and every key
+Exactness: every exponent of a ``Polynomial`` stays below 2**(W - 2)
+(``poly`` checks each one where it enters, ``ValueError`` otherwise);
+every basis element is checked once to stay below that bound, and so is
+the multiplier u of every reduction step and S-polynomial
+(``ArithmeticError`` otherwise).  Every product then stays below
+2**(W - 1), so no field ever carries into the next and every key
 comparison is exact.
 
 The engine works on integer-coefficient term lists (content 1, positive
@@ -64,7 +63,7 @@ leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1, built together and replaced together.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
 as {key: coeff}, coordinates in R/I, int where integral; ``Ideal.coordinates``
-packs a polynomial and reads it.  ``_Quotient.square(below)`` is I^2 below
+sorts the integer terms of a polynomial and reads them.  ``_Quotient.square(below)`` is I^2 below
 that degree from products of basis elements: primitive with positive leads
 (Gauss's lemma), each is the input ``_to_engine`` gives for the rational
 product.
@@ -86,24 +85,18 @@ from itertools import permutations
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
-from .poly import (W, Monomial, Polynomial, degree_monomials, exponent_key, key_exponents,
-                   numerators)
+from .poly import DEGREVLEX, W, Monomial, Polynomial, degree_monomials, exponent_key, numerators
 
 # ---------------------------------------------------------------------------
-# the monomial order as packed integer keys
-
-LIMIT = 1 << (W - 2)  # exponents entering the engine stay below this
-
-
-def _pack(m: Monomial) -> int:  # the exponents in W-bit fields, the first in the low field
-    return exponent_key(m[::-1])
+# divisibility on packed exponents
 
 
 @lru_cache(maxsize=None)
 def _masks(n: int) -> tuple[int, int, int]:
     """(guard, quarter, low): the top bit of each of n fields, its top two
     bits, and its low bit."""
-    return (_pack((1 << (W - 1),) * n), _pack((3 << (W - 2),) * n), _pack((1,) * n))
+    return (exponent_key((1 << (W - 1),) * n), exponent_key((3 << (W - 2),) * n),
+            exponent_key((1,) * n))
 
 
 def _packed_lcm(a: int, b: int, guard: int) -> int:
@@ -118,32 +111,6 @@ def _support(a: int, n: int) -> int:
     monomials are coprime when their supports do not meet."""
     guard, _, low = _masks(n)
     return ((a | guard) - low) & guard
-
-
-class DegRevLex:
-    """Degree reverse lexicographic order, x1 > ... > xn, as packed keys:
-    key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
-
-    def key(self, m: Monomial) -> int:
-        return (sum(m) << (W * len(m))) - _pack(m)
-
-    def degree(self, key: int, n: int) -> int:  # degree e: key in ((e - 1) * B**n, e * B**n]
-        return (key + (1 << (W * n)) - 1) >> (W * n)
-
-    def exps(self, key: int, n: int) -> int:
-        """The exponents of the monomial with this key, packed in W-bit fields."""
-        return -key & ((1 << (W * n)) - 1)
-
-    def monomial(self, exps: int, n: int) -> Monomial:
-        """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
-        return key_exponents(exps, n)[::-1]
-
-    def unpack(self, key: int, n: int) -> Monomial:
-        """The exponent tuple of the monomial with this key."""
-        return self.monomial(self.exps(key, n), n)
-
-
-DEGREVLEX = DegRevLex()
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +136,8 @@ def _normalize(terms: list) -> list:
     return terms
 
 
-def pack_terms(terms: dict[Monomial, int]) -> list:
-    """Integer terms {monomial: coeff} as an engine term list."""
-    packed = []
-    for m, c in terms.items():
-        if max(m, default=0) >= LIMIT:
-            raise ValueError(f"exponent {max(m)} is too large: the engine takes "
-                             f"exponents below 2^{W - 2}")
-        packed.append((DEGREVLEX.key(m), c))
-    packed.sort(reverse=True)
-    return packed
-
-
 def _to_engine(f: Polynomial) -> list:
-    return _normalize(pack_terms(numerators(f)[0]))
-
-
-def _to_poly(terms: list, n: int) -> Polynomial:
-    return Polynomial(n, {DEGREVLEX.unpack(k, n): c for k, c in terms})
+    return _normalize(sorted(numerators(f)[0].items(), reverse=True))
 
 
 def _lead(g: list, n: int) -> int:
@@ -429,18 +380,19 @@ class _Quotient:
         self.below = below
 
     @cached_property
-    def standard(self) -> list[Monomial] | None:
-        """Monomials outside the staircase, of degree < ``below``; None when infinite.
+    def standard(self) -> list[int] | None:
+        """Keys of the monomials outside the staircase, of degree < ``below``,
+        ascending; None when infinite.
 
         The staircase is closed under division, so it grows from 1: each
         standard monomial m is multiplied by x_i for every i from its last
         nonzero variable on, which reaches each one exactly once.
         """
         n = self.n
-        lms = [DEGREVLEX.unpack(g[0][0], n) for g in self.basis]
-        if any(sum(m) == 0 for m in lms):
+        if 0 in self.leads:  # 1 leads
             return []
-        if self.below == inf and not all(any(sum(m) == m[i] for m in lms) for i in range(n)):
+        pure = {_support(a, n) for a in self.leads}  # a pure power of x_(i+1) has one field
+        if self.below == inf and not all(1 << (W * i + W - 1) in pure for i in range(n)):
             return None  # no pure power of x_i leads: the staircase is infinite
         guard = _masks(n)[0]
         units = [1 << (W * i) for i in range(n)]
@@ -450,16 +402,12 @@ class _Quotient:
                 y = (x + units[i]) | guard
                 if d < self.below and not any((y - a) & guard == guard for a in self.leads):
                     grown.append((y ^ guard, i, d + 1))
-        found = [DEGREVLEX.monomial(x, n) for x, _, _ in grown]
-        found.sort(key=DEGREVLEX.key)
-        return found
+        return sorted(((d - 1) << (W * n)) - x for x, _, d in grown)
 
     def hilbert_function(self) -> tuple[int, ...]:
         """Standard monomials by degree, up to the last nonzero."""
-        by_degree: dict[int, int] = {}
-        for m in self.standard:
-            by_degree[sum(m)] = by_degree.get(sum(m), 0) + 1
-        return tuple(by_degree.get(d, 0) for d in range(max(by_degree, default=-1) + 1))
+        degrees = [DEGREVLEX.degree(k, self.n) for k in self.standard]  # ascending
+        return tuple(degrees.count(d) for d in range(degrees[-1] + 1)) if degrees else ()
 
     def coordinates(self, terms: list, den: int = 1) -> dict[int, int | Fraction]:
         """The normal form of terms / den, for an engine term list sorted
@@ -518,8 +466,7 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
-        n = self.ambient_n
-        return tuple(_to_poly(g, n).monic() for g in self._quotient().basis)
+        return tuple(Polynomial(self.ambient_n, dict(g)).monic() for g in self._quotient().basis)
 
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The normal form of f as {DEGREVLEX.key(m): coeff}: int columns that
@@ -527,15 +474,16 @@ class Ideal:
         if f.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
         terms, den = numerators(f)  # den*f has integer coefficients
-        return self._quotient().coordinates(pack_terms(terms), den)
+        return self._quotient().coordinates(sorted(terms.items(), reverse=True), den)
 
     def contains(self, f: Polynomial) -> bool:
         return not self.coordinates(f)
 
     # -- zero-dimensional toolkit ------------------------------------------
     def standard_monomials(self) -> list[Monomial] | None:
-        """Monomials outside the leading-term staircase; None when infinite."""
-        return self._quotient().standard
+        """Monomials outside the leading-term staircase, ascending; None when infinite."""
+        std = self._quotient().standard
+        return None if std is None else [DEGREVLEX.unpack(k, self.ambient_n) for k in std]
 
     def colength(self):
         """Vector-space dimension of the quotient; inf when not finite."""
@@ -550,7 +498,7 @@ class Ideal:
         """Dimensions of the graded quotient pieces, up to the last nonzero."""
         if not self.is_homogeneous():
             raise ValueError("hilbert_function needs a homogeneous ideal")
-        if self.standard_monomials() is None:
+        if self._quotient().standard is None:
             raise ValueError("quotient is not finite-dimensional")
         return self._quotient().hilbert_function()
 
@@ -630,7 +578,7 @@ def _vanishing_ideal(n: int, value) -> Ideal:
         else:
             basis.append(_normalize(sorted(relation.items(), reverse=True)))
             leads.append(x)
-    ideal = Ideal(n, [_to_poly(g, n).monic() for g in basis])
+    ideal = Ideal(n, [Polynomial(n, dict(g)).monic() for g in basis])
     ideal._seed_basis(basis)
     return ideal
 

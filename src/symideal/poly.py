@@ -1,8 +1,21 @@
 """Sparse multivariate polynomials over the rationals, with the S_n action.
 
-Coefficients are exact ``fractions.Fraction`` values; exponent vectors are
-plain tuples of length ``ambient_n``.  Polynomials are immutable: every
-operation returns a new value, so sharing across threads is safe.
+Coefficients are exact ``fractions.Fraction`` values.  Polynomials are
+immutable: every operation returns a new value, so sharing across threads
+is safe.
+
+A term is keyed by ``DEGREVLEX.key`` of its monomial, deg * B**n -
+sum(e_i * B**(i-1)) with B = 2**W: one int that increases with the monomial
+in degree reverse lexicographic order (x1 > ... > xn) and adds under
+products.  The Groebner engine of ``ideals`` and the tangent step read the
+same keys, so a polynomial enters the engine by a sort and leaves it as a
+dict, and a permutation moves the fields of a key (``permute_key``,
+``swap_key``).  Exponent tuples appear only at the edges:
+``parse_polynomial``, ``str``, ``Polynomial.monomial`` and
+``Ideal.standard_monomials``.  Every exponent stays below LIMIT =
+2**(W - 2), as the engine's divisibility tests need: ``parse_polynomial``,
+``Polynomial.monomial`` and ``power_sum`` check each one they take, and a
+product checks its degree, which bounds them all (``ValueError``).
 
 Every stored coefficient is a nonzero ``Fraction``.  ``Polynomial.__init__``
 drops zeros (and wraps a coefficient that is not yet a ``Fraction``), so a
@@ -16,8 +29,10 @@ The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 instead: a vector is (terms, den) with int coefficients over one positive
 int denominator, keyed by ``exponent_key``: the exponents in W-bit fields,
 the first in the high field, so keys order as exponent tuples do and so
-do pivots.  ``to_vector`` and ``to_polynomial`` convert at the boundary,
-where the values are exactly those of the rational computation.
+do pivots.  ``KernelEchelon`` relation signs follow pivot order, so a
+degrevlex key there would change the signs of apolar generators.
+``to_vector`` and ``to_polynomial`` convert at the boundary, where the
+values are exactly those of the rational computation.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -38,29 +53,75 @@ from .linalg import combine, nullspace_tags
 
 Monomial = tuple[int, ...]
 W = 32  # bits per exponent field of a packed monomial key, here and in the engine
+LIMIT = 1 << (W - 2)  # every exponent of a Polynomial stays below this
+MASK = (1 << W) - 1  # one exponent field
 
 
-def monomial_key(m: Monomial) -> tuple:
-    """Ascending key for the graded reverse-lexicographic order."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+@lru_cache(maxsize=None)
+def _fields(n: int) -> Struct:
+    """n unsigned W-bit fields, the first exponent in the high field."""
+    return Struct(f">{n}I")
+
+
+def exponent_key(m: Monomial) -> int:
+    """The key sum of m_i * 2**(W*(n-1-i)) of a vector term."""
+    return int.from_bytes(_fields(len(m)).pack(*m), "big")
+
+
+def key_exponents(key: int, n: int) -> Monomial:
+    """The exponent tuple of an n-variable key."""
+    return _fields(n).unpack(key.to_bytes(W // 8 * n, "big"))
+
+
+class DegRevLex:
+    """Degree reverse lexicographic order, x1 > ... > xn, as packed keys:
+    key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
+
+    def key(self, m: Monomial) -> int:
+        return (sum(m) << (W * len(m))) - exponent_key(m[::-1])
+
+    def degree(self, key: int, n: int) -> int:  # degree e: key in ((e - 1) * B**n, e * B**n]
+        return (key + (1 << (W * n)) - 1) >> (W * n)
+
+    def exps(self, key: int, n: int) -> int:
+        """The exponents of the monomial with this key, packed in W-bit fields."""
+        return -key & ((1 << (W * n)) - 1)
+
+    def monomial(self, exps: int, n: int) -> Monomial:
+        """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
+        return key_exponents(exps, n)[::-1]
+
+    def unpack(self, key: int, n: int) -> Monomial:
+        """The exponent tuple of the monomial with this key."""
+        return self.monomial(self.exps(key, n), n)
+
+
+DEGREVLEX = DegRevLex()
+
+
+def _bounded(m: Monomial) -> Monomial:
+    """m, once each exponent is checked to stay below LIMIT."""
+    if max(m, default=0) >= LIMIT:
+        raise ValueError(f"exponent {max(m)} is too large: the engine takes "
+                         f"exponents below 2^{W - 2}")
+    return m
 
 
 class Polynomial:
-    """An exact-rational polynomial in variables x1..xn."""
+    """An exact-rational polynomial in variables x1..xn, its terms
+    {DEGREVLEX.key(m): coeff}."""
 
     __slots__ = ("ambient_n", "terms", "_hash")
 
-    def __init__(self, ambient_n: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, ambient_n: int, terms: dict[int, Fraction] | None = None):
         self.ambient_n = ambient_n
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != ambient_n:
-                    raise ValueError(f"monomial {mono} does not have {ambient_n} entries")
+            for key, coeff in terms.items():
                 if not isinstance(coeff, Fraction):
                     coeff = Fraction(coeff)
                 if coeff:
-                    clean[mono] = coeff
+                    clean[key] = coeff
         self.terms = clean
         self._hash: int | None = None
 
@@ -71,7 +132,7 @@ class Polynomial:
 
     @staticmethod
     def constant(c, n: int) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: Fraction(c)})
+        return Polynomial(n, {0: Fraction(c)})
 
     @staticmethod
     def one(n: int) -> "Polynomial":
@@ -79,45 +140,34 @@ class Polynomial:
 
     @staticmethod
     def variable(i: int, n: int) -> "Polynomial":
-        """The variable x_i (1-based)."""
+        """The variable x_i (1-based), of key B**n - B**(i-1)."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        mono = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return Polynomial(n, {mono: Fraction(1)})
+        return Polynomial(n, {(1 << (W * n)) - (1 << (W * (i - 1))): Fraction(1)})
 
     @staticmethod
     def monomial(exponents: Monomial, coeff=1) -> "Polynomial":
-        return Polynomial(len(exponents), {tuple(exponents): Fraction(coeff)})
+        m = _bounded(tuple(exponents))
+        return Polynomial(len(m), {DEGREVLEX.key(m): Fraction(coeff)})
 
     # ---- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        """Total degree, that of the largest key; -1 for the zero polynomial."""
+        return DEGREVLEX.degree(max(self.terms), self.ambient_n) if self.terms else -1
 
     def top_form(self) -> "Polynomial":
-        """Highest-degree homogeneous part."""
-        d = self.degree()
-        return Polynomial(self.ambient_n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        """Highest-degree homogeneous part: the keys above (degree - 1) * B**n."""
+        low = (self.degree() - 1) << (W * self.ambient_n)
+        return Polynomial(self.ambient_n, {k: c for k, c in self.terms.items() if k > low})
 
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        lc = self.leading_coefficient()
-        return Polynomial(self.ambient_n, {m: c / lc for m, c in self.terms.items()})
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
+        lc = self.terms[max(self.terms)]
+        return Polynomial(self.ambient_n, {k: c / lc for k, c in self.terms.items()})
 
     # ---- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -148,12 +198,16 @@ class Polynomial:
             return Polynomial(self.ambient_n, {m: c * v for m, v in self.terms.items()})
         if other.ambient_n != self.ambient_n:
             raise ValueError("ambient sizes differ")
-        terms: dict[Monomial, Fraction] = {}
+        degree = self.degree() + other.degree()  # bounds every exponent of the product
+        if degree >= LIMIT:
+            raise ValueError(f"degree {degree} is too large: the engine takes "
+                             f"exponents below 2^{W - 2}")
+        terms: dict[int, Fraction] = {}
         small, large = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        for m1, c1 in small.items():
-            for m2, c2 in large.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
+        for k1, c1 in small.items():  # keys add
+            for k2, c2 in large.items():
+                k = k1 + k2
+                terms[k] = terms.get(k, 0) + c1 * c2
         return Polynomial(self.ambient_n, terms)
 
     __rmul__ = __mul__
@@ -187,7 +241,8 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for mono, coeff in self.sorted_terms():
+        for key in sorted(self.terms, reverse=True):
+            mono, coeff = DEGREVLEX.unpack(key, self.ambient_n), self.terms[key]
             factors = [
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
@@ -235,7 +290,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             current.append(ch)
     chunks.append((sign, "".join(current)))
 
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for sgn, chunk in chunks:
         match = _TERM_RE.match(chunk)
         if not match or (not match.group("coeff") and not match.group("body")):
@@ -256,36 +311,41 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 if not 1 <= idx <= n:
                     raise ValueError(f"variable {var} out of range for n={n}")
                 exps[idx - 1] += int(power)
-        mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + sgn * coeff
+        key = DEGREVLEX.key(_bounded(tuple(exps)))
+        terms[key] = terms.get(key, 0) + sgn * coeff
     return Polynomial(n, terms)
 
 
 # ---- the S_n action and symmetric builders --------------------------------
 
-def permute_monomial(sigma: Permutation, m: Monomial) -> Monomial:
-    """The exponent of x_i moves to x_{sigma(i)}."""
-    out = [0] * len(m)
-    for i, e in enumerate(m):
-        if e:
-            out[sigma.images[i] - 1] = e
-    return tuple(out)
+def permute_key(sigma: Permutation, key: int, n: int) -> int:
+    """The key of the monomial whose exponent of x_i moves to x_{sigma(i)}."""
+    x = DEGREVLEX.exps(key, n)
+    return key + x - sum((x >> (W * i) & MASK) << (W * (j - 1))
+                         for i, j in enumerate(sigma.images))
+
+
+def swap_key(key: int, a: int, n: int) -> int:
+    """The key of the monomial with the exponents of x_(a+1) and x_(a+2)
+    swapped: key + (e_(a+2) - e_(a+1)) * (B**(a+1) - B**a)."""
+    x = DEGREVLEX.exps(key, n) >> (W * a)
+    return key + ((x >> W & MASK) - (x & MASK)) * ((1 << (W * (a + 1))) - (1 << (W * a)))
 
 
 def apply_permutation(sigma: Permutation, f: Polynomial) -> Polynomial:
     """Relabel variables: x_i goes to x_{sigma(i)}."""
     if sigma.n != f.ambient_n:
         raise ValueError("ambient sizes differ")
-    return Polynomial(f.ambient_n, {permute_monomial(sigma, m): c for m, c in f.terms.items()})
+    n = f.ambient_n
+    return Polynomial(n, {permute_key(sigma, k, n): c for k, c in f.terms.items()})
 
 
 def power_sum(k: int, n: int) -> Polynomial:
     """x1^k + ... + xn^k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return Polynomial(n, {
-        tuple(k if j == i else 0 for j in range(n)): Fraction(1) for i in range(n)
-    })
+    _bounded((k,))
+    return Polynomial(n, {(k << (W * n)) - (k << (W * i)): Fraction(1) for i in range(n)})
 
 
 def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
@@ -297,13 +357,8 @@ def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
         raise ValueError(f"need 0 <= r <= |S|, got r={r}, |S|={len(indices)}")
     if r == 0:
         return Polynomial.one(n)
-    terms: dict[Monomial, Fraction] = {}
-    for combo in combinations(indices, r):
-        mono = [0] * n
-        for i in combo:
-            mono[i - 1] = 1
-        terms[tuple(mono)] = Fraction(1)
-    return Polynomial(n, terms)
+    return Polynomial(n, {(r << (W * n)) - sum(1 << (W * (i - 1)) for i in combo): Fraction(1)
+                          for combo in combinations(indices, r)})
 
 
 def degree_monomials(n: int, d: int) -> list[Monomial]:
@@ -316,7 +371,7 @@ def degree_monomials(n: int, d: int) -> list[Monomial]:
 @lru_cache(maxsize=None)
 def monomial_weight(key: int) -> int:
     """The product of the factorials of a key's exponents: its self-pairing."""
-    return factorial(key & ((1 << W) - 1)) * monomial_weight(key >> W) if key else 1
+    return factorial(key & MASK) * monomial_weight(key >> W) if key else 1
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
@@ -337,24 +392,8 @@ def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
 Vector = tuple[dict[int, int], int]
 
 
-@lru_cache(maxsize=None)
-def _fields(n: int) -> Struct:
-    """n unsigned W-bit fields, the first exponent in the high field."""
-    return Struct(f">{n}I")
-
-
-def exponent_key(m: Monomial) -> int:
-    """The key sum of m_i * 2**(W*(n-1-i)) of a vector term."""
-    return int.from_bytes(_fields(len(m)).pack(*m), "big")
-
-
-def key_exponents(key: int, n: int) -> Monomial:
-    """The exponent tuple of an n-variable key."""
-    return _fields(n).unpack(key.to_bytes(W // 8 * n, "big"))
-
-
-def numerators(f: Polynomial) -> tuple[dict[Monomial, int], int]:
-    """f as (terms, den) on exponent tuples, den the least common denominator."""
+def numerators(f: Polynomial) -> tuple[dict[int, int], int]:
+    """f as (terms, den) on its own keys, den the least common denominator."""
     den = lcm(*(c.denominator for c in f.terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
@@ -362,20 +401,21 @@ def numerators(f: Polynomial) -> tuple[dict[Monomial, int], int]:
 def to_vector(f: Polynomial) -> Vector:
     """f as a vector (terms, den), den the least common denominator."""
     terms, den = numerators(f)
-    return {exponent_key(m): c for m, c in terms.items()}, den
+    return {exponent_key(DEGREVLEX.unpack(k, f.ambient_n)): c for k, c in terms.items()}, den
 
 
 def to_polynomial(v: Vector, n: int) -> Polynomial:
     """The polynomial terms / den of a vector (terms, den) in n variables."""
     terms, den = v
-    return Polynomial(n, {key_exponents(k, n): Fraction(c, den) for k, c in terms.items()})
+    return Polynomial(n, {DEGREVLEX.key(key_exponents(k, n)): Fraction(c, den)
+                          for k, c in terms.items()})
 
 
 def partial_terms(terms: dict, j: int, n: int) -> dict:
     """The partial derivative with respect to x_{j+1} of the terms of a vector."""
     shift = W * (n - 1 - j)
-    unit, mask = 1 << shift, (1 << W) - 1
-    return {k - unit: c * e for k, c in terms.items() if (e := k >> shift & mask)}
+    unit = 1 << shift
+    return {k - unit: c * e for k, c in terms.items() if (e := k >> shift & MASK)}
 
 
 def combine_vectors(space: list[Vector] | dict[tuple[int, int], Vector],

@@ -8,7 +8,7 @@ from symideal.classification import (classification_cases, pair_product_ideal,
 from symideal.combinat import Partition
 from symideal.equivariant import is_permutation_module_sum
 from test_combinat import total_dim
-from test_ideals import evaluate
+from test_poly import evaluate
 from test_specht import specht_ideal
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symideal import cli
 from symideal.cli import run
 from symideal.poly import parse_polynomial
+from test_report_digests import PINNED_BY_CLI
 
 
 def run_json(argv, tmp_path, name):
@@ -95,9 +96,11 @@ class TestTable1Verb:
         assert keys == [(r["row"], r.get("param"), r["tangent_dim"]) for r in parallel["results"]]
 
     def test_n6_passes_every_row(self, tmp_path):
-        code, record = run_json(["table1", "--n", "6"], tmp_path, "t6.json")
+        code, record = run_json(["table1", "--n", "6", "--seed", "0"], tmp_path, "t6.json")
         assert code == 0 and record["ok"]
         assert len(record["results"]) == 36 and all(r["ok"] for r in record["results"])
+        digest = hashlib.sha256((tmp_path / "t6.json").read_bytes()).hexdigest()
+        assert digest == PINNED_BY_CLI["table1 --n 6 --seed 0"]
 
     def test_guard(self):
         with pytest.raises(SystemExit):
@@ -327,12 +330,14 @@ class TestExitCodes:
         # a square record that lists its degree-2 standard monomials twice
         # leaves dim (I/I^2)_2 larger than the products that could span it
         from symideal import ideals
+        from symideal.poly import DEGREVLEX
 
         square = ideals._Quotient.square
 
         def doubled(self, below):
             record = square(self, below)
-            record.standard = record.standard + [m for m in record.standard if sum(m) == 2]
+            record.standard = record.standard + [k for k in record.standard
+                                                 if DEGREVLEX.degree(k, 3) == 2]
             return record
 
         monkeypatch.setattr(ideals._Quotient, "square", doubled)

@@ -17,14 +17,14 @@ from symideal.equivariant import (decompose_quotient, group_generators,
                                   _minimal_generator_space, _swap_actions)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
-from symideal.poly import (Polynomial, apply_permutation, linear_combination,
-                           permute_monomial, power_sum)
+from symideal.poly import Polynomial, apply_permutation, linear_combination, power_sum
 from symideal.tanisaki import tanisaki_ideal
 from test_classification import describe
 from test_combinat import (conjugacy_class_size, from_cycle_type, irreducible_character,
                            specht_dimension, total_dim)
 from test_linalg import solve_in_span
-from test_poly import apolar_complement_oracle, integrate_duals_oracle, is_homogeneous
+from test_poly import (apolar_complement_oracle, integrate_duals_oracle, is_homogeneous,
+                       permute_monomial)
 
 
 def x(i, n):
@@ -170,7 +170,7 @@ def hom_basis_oracle(ideal: Ideal, gens: list[Polynomial], gen_degrees: list[int
                     col[(s, kb, i_prime)] = col.get((s, kb, i_prime), 0) - c
         return col
 
-    return nullspace_tags((equivariance_column(p, i), (b, i))
+    return nullspace_tags((equivariance_column(p, i), (DEGREVLEX.key(b), i))
                           for i in range(len(gens)) for p, b in enumerate(basis))
 
 
@@ -234,7 +234,7 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     values: list[dict] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
     for t, phi in enumerate(hom_basis):
         for (m, i), c in phi.items():
-            values[i].setdefault(m, []).append((t, c))
+            values[i].setdefault(DEGREVLEX.unpack(m, n), []).append((t, c))
     square = square_of(ideal)
     square_hf = dict(enumerate(square.hilbert_function()))
     by_degree: dict = {}
@@ -623,9 +623,11 @@ class TestTangentDimension:
 
     def test_report_serialization(self):
         report = tangent_dimension(maximal_power(3, 2))
-        record = json.loads(report.to_json())
+        record = report.record()
+        assert json.loads(json.dumps(record)) == record
         assert set(record) == {"ideal_hash", "n1_graded_dims", "n2_count",
-                               "syzygy_degree_bound", "tangent_dim", "wall_time_s"}
+                               "syzygy_degree_bound", "tangent_dim", "wall_time_s", "generators"}
+        assert record["generators"] == [str(g) for g in report.ideal.generators]
         assert record["tangent_dim"] == report.tangent_dim
         assert report.n1_dims == {2: 6}
 
@@ -695,7 +697,7 @@ class TestRelationStep:
 
         def miscounted_square(self, below=inf):
             record = square(self, below)
-            record.standard = record.standard + [(3, 0, 0)]
+            record.standard = record.standard + [DEGREVLEX.key((3, 0, 0))]
             return record
 
         monkeypatch.setattr(_Quotient, "square", miscounted_square)
@@ -782,7 +784,8 @@ def assert_matches_the_polynomial_route(ideal: Ideal, label: str = "") -> None:
         bounded = ideal._quotient().square(below)
         assert bounded.basis == [g for g in packed.basis
                                  if DEGREVLEX.degree(g[0][0], n) < below], (label, below)
-        assert bounded.standard == [m for m in packed.standard if sum(m) < below], (label, below)
+        assert bounded.standard == [k for k in packed.standard
+                                    if DEGREVLEX.degree(k, n) < below], (label, below)
         assert bounded.hilbert_function() == packed.hilbert_function()[:below], (label, below)
 
 

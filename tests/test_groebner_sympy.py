@@ -22,6 +22,7 @@ from symideal.ideals import Ideal, orbit_ideal, orbit_points
 from symideal.poly import Polynomial
 from symideal.tanisaki import tanisaki_ideal
 from test_ideals import intersect, membership_cases
+from test_poly import from_tuple_terms, tuple_terms
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -34,13 +35,13 @@ def symbols(n):
 def to_sympy(f: Polynomial, xs):
     return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*[x ** e for x, e in zip(xs, m)])
-                       for m, c in f.terms.items()])
+                       for m, c in tuple_terms(f).items()])
 
 
 def from_sympy(expr, xs) -> Polynomial:
     poly = sympy.Poly(expr, *xs, domain="QQ")
-    return Polynomial(len(xs), {m: Fraction(int(c.numerator), int(c.denominator))
-                                for m, c in poly.terms()})
+    return from_tuple_terms(len(xs), {m: Fraction(int(c.numerator), int(c.denominator))
+                                      for m, c in poly.terms()})
 
 
 def sympy_basis(gens, n) -> set[Polynomial]:
@@ -73,8 +74,8 @@ def reynolds(f: Polynomial) -> Polynomial:
     total = Polynomial.zero(n)
     images = list(permutations(range(n)))
     for perm in images:
-        total = total + Polynomial(n, {tuple(m[i] for i in perm): c
-                                       for m, c in f.terms.items()})
+        total = total + from_tuple_terms(n, {tuple(m[i] for i in perm): c
+                                             for m, c in tuple_terms(f).items()})
     return total * Fraction(1, len(images))
 
 
@@ -83,7 +84,7 @@ def polynomials(n, max_degree):
         lambda m: 0 < sum(m) <= max_degree)
     return st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
                            min_size=1, max_size=3).map(
-        lambda terms: Polynomial(n, {m: Fraction(c) for m, c in terms.items()}))
+        lambda terms: from_tuple_terms(n, {m: Fraction(c) for m, c in terms.items()}))
 
 
 @st.composite

@@ -14,14 +14,14 @@ from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
 from symideal.equivariant import tangent_dimension
 from symideal import ideals
-from symideal.ideals import (DEGREVLEX, LIMIT, W, Ideal, _buchberger, _degree_cap,
-                             _fresh_pairs, _lead, _masks, _normal_form, _normalize, _pack,
-                             _packed_lcm, _spoly, _support, _to_engine, _to_poly,
-                             _vanishing_ideal, maximal_power, orbit_ideal, orbit_points,
-                             pack_terms)
-from symideal.poly import (Polynomial, apply_permutation, degree_monomials, numerators,
-                           power_sum)
+from symideal.ideals import (Ideal, _buchberger, _degree_cap, _fresh_pairs, _lead, _masks,
+                             _normal_form, _normalize, _packed_lcm, _spoly, _support,
+                             _to_engine, _vanishing_ideal, maximal_power, orbit_ideal,
+                             orbit_points)
+from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, degree_monomials,
+                           numerators, parse_polynomial, power_sum)
 from symideal.tanisaki import tanisaki_ideal
+from test_poly import evaluate, from_tuple_terms, leading_monomial, tuple_terms
 
 
 def x(i, n):
@@ -34,12 +34,15 @@ def point_ideal(point):
     return Ideal(n, [x(i + 1, n) - Fraction(v) for i, v in enumerate(point)])
 
 
-# normal forms as polynomials, intersections and point evaluation, which no
-# CLI verb reaches
+def packed_exponents(m):
+    """The exponents of m in W-bit fields, the first in the low field."""
+    return DEGREVLEX.exps(DEGREVLEX.key(m), len(m))
+
+
+# normal forms as polynomials and intersections, which no CLI verb reaches
 def normal_form(ideal, f):
     """The normal form of f modulo the ideal, as a polynomial."""
-    n = ideal.ambient_n
-    return Polynomial(n, {DEGREVLEX.unpack(k, n): c for k, c in ideal.coordinates(f).items()})
+    return Polynomial(ideal.ambient_n, ideal.coordinates(f))
 
 
 def intersect(left, right):
@@ -57,21 +60,6 @@ def intersect(left, right):
                 for k, c in ideal.coordinates(f).items()}
 
     return _vanishing_ideal(left.ambient_n, value)
-
-
-def evaluate(f, point):
-    """The value of f at a rational point."""
-    values = [Fraction(v) for v in point]
-    if len(values) != f.ambient_n:
-        raise ValueError("point has wrong length")
-    total = Fraction(0)
-    for m, c in f.terms.items():
-        prod = c
-        for v, e in zip(values, m):
-            if e:
-                prod *= v**e
-        total += prod
-    return total
 
 
 def random_poly(rng, n, max_degree=2, terms=3):
@@ -169,9 +157,9 @@ class TestNormalForm:
         f = x(1, n) ** 2 * x(2, n) + 3 * x(3, n) ** 4 - x(2, n)
         nf = normal_form(ideal, f)
         coords = ideal.coordinates(f)
-        assert coords == {DEGREVLEX.key(m): c for m, c in nf.terms.items()}
+        assert coords == {DEGREVLEX.key(m): c for m, c in tuple_terms(nf).items()}
         # the int columns sort as the monomials do: the largest is the leading one
-        assert max(coords) == DEGREVLEX.key(nf.leading_monomial())
+        assert max(coords) == DEGREVLEX.key(leading_monomial(nf))
         assert ideal.coordinates(power_sum(2, n) * x(1, n)) == {}
 
     def test_coordinates_are_ints_exactly_where_integral(self):
@@ -182,7 +170,8 @@ class TestNormalForm:
             for m in degree_monomials(n, d):
                 f = Polynomial.monomial(m)
                 coords = ideal.coordinates(f)
-                assert coords == {DEGREVLEX.key(k): c for k, c in normal_form(ideal, f).terms.items()}
+                assert coords == {DEGREVLEX.key(k): c
+                                  for k, c in tuple_terms(normal_form(ideal, f)).items()}
                 for c in coords.values():
                     assert type(c) is (int if c.denominator == 1 else Fraction)
                     kinds.add(type(c))
@@ -195,7 +184,7 @@ def polynomials(n, max_degree, min_terms=0, max_terms=3):
     coefficients = st.integers(-4, 4).filter(bool)
     return st.dictionaries(monomials, coefficients, min_size=min_terms,
                            max_size=max_terms).map(
-        lambda terms: Polynomial(n, {m: Fraction(c) for m, c in terms.items()}))
+        lambda terms: from_tuple_terms(n, {m: Fraction(c) for m, c in terms.items()}))
 
 
 @st.composite
@@ -211,7 +200,7 @@ def rational_polynomials(n, max_degree, max_terms=4):
         lambda m: sum(m) <= max_degree)
     coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     return st.dictionaries(monomials, coefficients, max_size=max_terms).map(
-        lambda terms: Polynomial(n, terms))
+        lambda terms: from_tuple_terms(n, terms))
 
 
 @st.composite
@@ -230,8 +219,8 @@ def division_normal_form(ideal, f) -> dict:
     """{DEGREVLEX.key(m): c} of f divided by the monic reduced Groebner
     basis in Fraction arithmetic, the leading term of the rest first: the
     normal form, unique for a reduced basis, without the engine's packing."""
-    basis = [(g.leading_monomial(), g) for g in ideal.groebner_basis()]
-    rest, out = dict(f.terms), {}
+    basis = [(leading_monomial(g), g) for g in ideal.groebner_basis()]
+    rest, out = tuple_terms(f), {}
     while rest:
         m = max(rest, key=DEGREVLEX.key)
         c = rest.pop(m)
@@ -240,7 +229,7 @@ def division_normal_form(ideal, f) -> dict:
         if g is None:
             out[DEGREVLEX.key(m)] = c
             continue
-        for t, e in g.terms.items():
+        for t, e in tuple_terms(g).items():
             if t != lead:
                 t = tuple(a + b - d for a, b, d in zip(t, m, lead))
                 rest[t] = rest.get(t, 0) - c * e
@@ -262,7 +251,8 @@ class TestPackedCoordinates:
     def test_coordinates_are_the_keyed_normal_form(self, case):
         ideal, f = case
         coords = ideal.coordinates(f)
-        assert coords == {DEGREVLEX.key(m): c for m, c in normal_form(ideal, f).terms.items()}
+        assert coords == {DEGREVLEX.key(m): c
+                          for m, c in tuple_terms(normal_form(ideal, f)).items()}
         assert coords == division_normal_form(ideal, f)
         for c in coords.values():
             assert c and type(c) is (int if c.denominator == 1 else Fraction)
@@ -382,7 +372,7 @@ def standard_monomials_oracle(ideal):
     guard = _masks(n)[0]
     found = []
     for m in product(*(range(c) for c in caps)):
-        x = _pack(m) | guard
+        x = packed_exponents(m) | guard
         if not any((x - a) & guard == guard for a in q.leads):
             found.append(m)
     found.sort(key=DEGREVLEX.key)
@@ -697,15 +687,32 @@ class TestExponentBound:
     finish quickly with a wrong answer instead of raising."""
 
     def test_input_at_the_bound_is_rejected(self):
+        # where an exponent enters a Polynomial, so that no ideal, normal
+        # form or intersection meets one
         n = 2
-        at_bound = Polynomial.monomial((LIMIT, 0))
-        with pytest.raises(ValueError):
-            normal_form(Ideal(n, [x(1, n)]), at_bound + x(2, n))
-        with pytest.raises(ValueError):
-            Ideal(n, [at_bound, x(1, n)]).groebner_basis()
-        # the other side's infinite colength would raise too, but later
+        with pytest.raises(ValueError, match="exponent 1073741824 is too large"):
+            Polynomial.monomial((LIMIT, 0))
+        for text in (f"x1^{LIMIT} + x2", f"x1^{LIMIT // 2}*x1^{LIMIT // 2}*x2"):
+            with pytest.raises(ValueError, match="exponent 1073741824 is too large"):
+                parse_polynomial(text, n)
         with pytest.raises(ValueError, match="too large"):
-            intersect(Ideal(n, [x(2, n)]), Ideal(n, [at_bound, x(1, n)]))
+            power_sum(LIMIT, n)
+        below = Polynomial.monomial((LIMIT - 1, 0))
+        assert str(below) == f"x1^{LIMIT - 1}" and parse_polynomial(str(below), n) == below
+        assert power_sum(LIMIT - 1, n) == below + Polynomial.monomial((0, LIMIT - 1))
+
+    def test_product_reaching_the_bound_raises(self):
+        # a product is checked by degree, which bounds every exponent
+        n = 2
+        half = Polynomial.monomial((LIMIT // 2, 0))
+        for f, g in ((Polynomial.monomial((LIMIT - 1, 0)), x(2, n)),
+                     (half, half), (half, Polynomial.monomial((0, LIMIT // 2)))):
+            with pytest.raises(ValueError, match=f"degree {LIMIT} is too large"):
+                f * g
+        with pytest.raises(ValueError, match="too large"):
+            half ** 2
+        below = Polynomial.monomial((LIMIT // 2 - 1, 0))
+        assert half * below == Polynomial.monomial((LIMIT - 1, 0))
 
     def test_below_the_bound_is_exact(self):
         n = 2
@@ -717,7 +724,7 @@ class TestExponentBound:
         # the bound, since it never enters a reduction again
         shuffle = Ideal(n, [x(1, n) ** 2 - x(1, n) * x(2, n)])
         assert (normal_form(shuffle, Polynomial.monomial((2, big)))
-                == Polynomial.monomial((1, LIMIT)))
+                == Polynomial(n, {DEGREVLEX.key((1, LIMIT)): 1}))  # past Polynomial.monomial
 
     def test_multiplier_past_the_bound_raises(self):
         # a work term x1*x2^LIMIT, as a reduction step can create one, meets
@@ -905,6 +912,11 @@ def buchberger_oracle(inputs, n, below=inf):
     return sorted(reduced, key=lambda t: t[0][0])
 
 
+def engine_terms(f):
+    """The numerators of f as an engine term list, descending by key."""
+    return sorted(numerators(f)[0].items(), reverse=True)
+
+
 @st.composite
 def reduction_case(draw):
     """A list of reducers (any polynomials, not a Groebner basis) with
@@ -917,7 +929,7 @@ def reduction_case(draw):
         scale = draw(st.integers(1, 9))  # a leading coefficient past 1
         basis.append([(terms[0][0], terms[0][1] * scale)] + terms[1:])
     f = draw(polynomials(n, 4, 1, 6))
-    return n, basis, pack_terms(numerators(f)[0])
+    return n, basis, engine_terms(f)
 
 
 def strip_case(qs):
@@ -930,7 +942,7 @@ def strip_case(qs):
     reducers = [v(2)] + [qs[j - 1] * v(1) ** j + v(2) ** j for j in range(m, 0, -1)]
     f = v(3) ** (m + 1) + sum((v(1) ** j for j in range(1, m + 1)), v(3))
     basis = [_to_engine(g) for g in reducers]
-    return n, basis, pack_terms(numerators(f)[0])
+    return n, basis, engine_terms(f)
 
 
 class TestEngineOracles:
@@ -1011,7 +1023,7 @@ def pair_update(draw):
     leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=t + 1,
                           max_size=t + 1))
     alive = draw(st.lists(st.booleans(), min_size=t, max_size=t))
-    return n, [_pack(m) for m in leads], alive
+    return n, [packed_exponents(m) for m in leads], alive
 
 
 class TestMinimalLcmPruning:
@@ -1096,7 +1108,8 @@ def homogeneous_inputs(draw):
     for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
         terms = draw(st.dictionaries(st.sampled_from(degree_monomials(n, d)),
                                      st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
-        inputs.append(_normalize(pack_terms(terms)))
+        inputs.append(_normalize(sorted(((DEGREVLEX.key(m), c) for m, c in terms.items()),
+                                        reverse=True)))
     return n, inputs, draw(st.integers(1, 7))
 
 
@@ -1156,14 +1169,14 @@ def groebner_bases(draw):
     n = draw(st.sampled_from([2, 3]))
     gens = draw(st.lists(polynomials(n, 2, 1, 3), min_size=1, max_size=4))
     reduced = _buchberger([_to_engine(g) for g in gens], n)
-    polys = [_to_poly(g, n) for g in reduced]
+    polys = [Polynomial(n, dict(g)) for g in reduced]
     basis = []
     for i, f in enumerate(polys):
-        lead = f.leading_monomial()
+        lead = leading_monomial(f)
         for g in polys[:i]:
             u = draw(st.sampled_from([(0,) * n] + [tuple(int(j == k) for j in range(n))
                                                     for k in range(n)]))
-            if DEGREVLEX.key(tuple(a + b for a, b in zip(u, g.leading_monomial()))) \
+            if DEGREVLEX.key(tuple(a + b for a, b in zip(u, leading_monomial(g)))) \
                     < DEGREVLEX.key(lead):
                 f = f + draw(st.integers(-3, 3)) * Polynomial.monomial(u) * g
         basis.append(_to_engine(f))
@@ -1299,6 +1312,6 @@ class TestRunLongDivisorMemo:
         for size in range(1, len(basis) + 1):
             prefix, leads = basis[:size], [_lead(g, n) for g in basis[:size]]
             for f in probes:
-                t = pack_terms(numerators(f)[0])
+                t = engine_terms(f)
                 assert (_normal_form(t, prefix, leads, n, divisors)
                         == _normal_form(t, prefix, leads, n, {}))

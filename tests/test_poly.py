@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -10,17 +11,70 @@ from symideal import equivariant
 from symideal.classification import classification_cases
 from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
-from symideal.poly import (W, Polynomial, apply_permutation, complement_vectors,
-                           degree_monomials, elementary_symmetric, exponent_key,
-                           integrate_vectors, key_exponents, linear_combination,
+from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation,
+                           complement_vectors, degree_monomials, elementary_symmetric,
+                           exponent_key, integrate_vectors, key_exponents, linear_combination,
                            monomial_weight, numerators, parse_polynomial, partial_terms,
-                           power_sum, to_polynomial, to_vector)
+                           permute_key, power_sum, swap_key, to_polynomial, to_vector)
 from symideal.tanisaki import _apolar_generators
-from test_ideals import evaluate
 
 
 def x(i, n):
     return Polynomial.variable(i, n)
+
+
+# ---- terms keyed by exponent tuples -----------------------------------------
+#
+# ``Polynomial.terms`` is keyed by ``DEGREVLEX.key``; the tests read and
+# build polynomials on exponent tuples through these.
+
+def tuple_terms(f: Polynomial) -> dict:
+    """The terms of f keyed by exponent tuples."""
+    return {DEGREVLEX.unpack(k, f.ambient_n): c for k, c in f.terms.items()}
+
+
+def from_tuple_terms(n: int, terms: dict) -> Polynomial:
+    """The polynomial with these terms keyed by exponent tuples."""
+    return Polynomial(n, {DEGREVLEX.key(tuple(m)): c for m, c in terms.items()})
+
+
+def monomial_key(m: tuple) -> tuple:
+    """Ascending key for the graded reverse-lexicographic order, on tuples."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def leading_monomial(f: Polynomial) -> tuple:
+    if not f.terms:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(tuple_terms(f), key=monomial_key)
+
+
+def leading_coefficient(f: Polynomial) -> Fraction:
+    return tuple_terms(f)[leading_monomial(f)]
+
+
+def permute_monomial(sigma: Permutation, m: tuple) -> tuple:
+    """The exponent of x_i moves to x_{sigma(i)}."""
+    out = [0] * len(m)
+    for i, e in enumerate(m):
+        if e:
+            out[sigma.images[i] - 1] = e
+    return tuple(out)
+
+
+def evaluate(f, point):
+    """The value of f at a rational point."""
+    values = [Fraction(v) for v in point]
+    if len(values) != f.ambient_n:
+        raise ValueError("point has wrong length")
+    total = Fraction(0)
+    for m, c in tuple_terms(f).items():
+        prod = c
+        for v, e in zip(values, m):
+            if e:
+                prod *= v**e
+        total += prod
+    return total
 
 
 @st.composite
@@ -31,7 +85,7 @@ def polynomials(draw, n=3, max_terms=4, max_degree=3):
         coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
         if coeff:
             terms[mono] = coeff
-    return Polynomial(n, terms)
+    return from_tuple_terms(n, terms)
 
 
 @st.composite
@@ -204,7 +258,7 @@ class TestApolar:
                 c = data.draw(st.integers(-5, 5))
                 if c:
                     terms[mono] = Fraction(c)
-            return Polynomial(n, terms)
+            return from_tuple_terms(n, terms)
         f, g = homog("f"), homog("g")
         assert apolar_scalar(f, g) == apolar_scalar(g, f)
 
@@ -311,11 +365,142 @@ class TestVectorKeys:
     def test_to_polynomial_round_trips(self, f):
         n = f.ambient_n
         terms, den = to_vector(f)
-        assert (terms, den) == ({exponent_key(m): c for m, c in numerators(f)[0].items()},
-                                numerators(f)[1])
+        assert (terms, den) == ({exponent_key(DEGREVLEX.unpack(k, n)): c
+                                 for k, c in numerators(f)[0].items()}, numerators(f)[1])
         back = to_polynomial((terms, den), n)
         assert back == f and str(back) == str(f)
         assert_clean(back)
+
+
+# ---- oracles: the tuple-keyed printer, product and parser ---------------------
+#
+# Polynomial terms were once keyed by exponent tuples in ``monomial_key``
+# order; these are those loops, on {tuple: coeff} dicts.
+
+_TERM = re.compile(r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<body>(?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*)?)$")
+
+
+def nonzero(terms: dict) -> dict:
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def str_oracle(terms: dict) -> str:
+    if not terms:
+        return "0"
+    pieces = []
+    for mono, coeff in sorted(terms.items(), key=lambda t: monomial_key(t[0]), reverse=True):
+        factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e]
+        body = "*".join(factors)
+        mag = abs(coeff)
+        if not factors:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(pieces)
+
+
+def mul_oracle(a: dict, b: dict) -> dict:
+    terms: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(u + v for u, v in zip(m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return nonzero(terms)
+
+
+def parse_oracle(text: str, n: int) -> dict:
+    compact = text.replace(" ", "")
+    if not compact or compact == "0":
+        return {}
+    chunks: list = []
+    sign, start = 1, 0
+    if compact[0] in "+-":
+        sign = -1 if compact[0] == "-" else 1
+        start = 1
+    current = []
+    for ch in compact[start:]:
+        if ch in "+-":
+            chunks.append((sign, "".join(current)))
+            sign = -1 if ch == "-" else 1
+            current = []
+        else:
+            current.append(ch)
+    chunks.append((sign, "".join(current)))
+    terms: dict = {}
+    for sgn, chunk in chunks:
+        match = _TERM.match(chunk)
+        if not match or (not match.group("coeff") and not match.group("body")):
+            raise ValueError(f"cannot parse term {chunk!r}")
+        coeff = Fraction(match.group("coeff") or 1)
+        exps = [0] * n
+        if match.group("body"):
+            for factor in match.group("body").split("*"):
+                var, _, power = factor.partition("^")
+                exps[int(var[1:]) - 1] += int(power or 1)
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + sgn * coeff
+    return nonzero(terms)
+
+
+@st.composite
+def keyed_cases(draw):
+    """(f, g, sigma) in a random ambient size up to six."""
+    n = draw(st.integers(1, 6))
+    return (draw(polynomials(n=n, max_terms=5, max_degree=4)),
+            draw(polynomials(n=n, max_terms=5, max_degree=4)), draw(permutations_of(n=n)))
+
+
+class TestKeyedTerms:
+    """Terms keyed by ``DEGREVLEX.key`` give what the tuple-keyed loops gave."""
+
+    @given(keyed_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_tuple_oracles(self, case):
+        f, g, sigma = case
+        n = f.ambient_n
+        a, b = tuple_terms(f), tuple_terms(g)
+        assert str(f) == str_oracle(a)
+        assert tuple_terms(parse_polynomial(str(f), n)) == parse_oracle(str_oracle(a), n) == a
+        text = joined(f, g)  # unordered, with repeated monomials
+        assert tuple_terms(parse_polynomial(text, n)) == parse_oracle(text, n)
+        assert tuple_terms(f + g) == nonzero({m: a.get(m, 0) + b.get(m, 0) for m in {**a, **b}})
+        assert tuple_terms(f * g) == mul_oracle(a, b)
+        assert str(f * g) == str_oracle(mul_oracle(a, b))
+        degree = max(map(sum, a), default=-1)
+        assert f.degree() == degree
+        assert tuple_terms(f.top_form()) == {m: c for m, c in a.items() if sum(m) == degree}
+        lead = max(a, key=monomial_key, default=None)
+        assert tuple_terms(f.monic()) == {m: c / a[lead] for m, c in a.items()}
+        assert (tuple_terms(apply_permutation(sigma, f))
+                == {permute_monomial(sigma, m): c for m, c in a.items()})
+
+    def test_swap_on_every_monomial_to_degree_four(self):
+        n = 4
+        for d in range(5):
+            for m in degree_monomials(n, d):
+                key = DEGREVLEX.key(m)
+                u = DEGREVLEX.unpack(key, n)
+                for a in range(n - 1):
+                    swapped = u[:a] + (u[a + 1], u[a]) + u[a + 2:]
+                    assert swap_key(key, a, n) == DEGREVLEX.key(swapped)
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(LIMIT - 40, LIMIT - 1) | st.integers(0, 3),
+                 min_size=n, max_size=n).map(tuple),
+        st.integers(0, n - 2), permutations_of(n=n))))
+    @settings(max_examples=200, deadline=None)
+    def test_swap_and_permutation_near_the_bound(self, case):
+        m, a, sigma = case
+        n, key = len(m), DEGREVLEX.key(m)
+        u = DEGREVLEX.unpack(key, n)
+        assert u == m
+        assert swap_key(key, a, n) == DEGREVLEX.key(u[:a] + (u[a + 1], u[a]) + u[a + 2:])
+        assert permute_key(sigma, key, n) == DEGREVLEX.key(permute_monomial(sigma, u))
 
 
 # ---- the stored-coefficient invariant ---------------------------------------
@@ -363,10 +548,11 @@ class TestStoredCoefficients:
                         assert_clean(g)
 
     def test_constructor_wraps_keeps_and_drops(self):
-        half = Fraction(1, 2)
-        f = Polynomial(2, {(1, 0): 3, (0, 1): 0, (0, 0): Fraction(0), (1, 1): half})
-        assert f.terms == {(1, 0): Fraction(3), (1, 1): half}
-        assert f.terms[(1, 1)] is half  # a Fraction is stored as given
+        half, key = Fraction(1, 2), DEGREVLEX.key
+        f = Polynomial(2, {key((1, 0)): 3, key((0, 1)): 0, key((0, 0)): Fraction(0),
+                           key((1, 1)): half})
+        assert f.terms == {key((1, 0)): Fraction(3), key((1, 1)): half}
+        assert f.terms[key((1, 1))] is half  # a Fraction is stored as given
         assert_clean(f)
 
     def test_cancellation_leaves_no_term(self):
@@ -375,12 +561,12 @@ class TestStoredCoefficients:
         total = (x1 - x2) + (x2 - x1)
         assert total.is_zero() and total.terms == {}
         square = (x1 + x2) * (x1 - x2)
-        assert (1, 1) not in square.terms
-        assert square.terms == {(2, 0): 1, (0, 2): -1}
+        assert (1, 1) not in tuple_terms(square)
+        assert tuple_terms(square) == {(2, 0): 1, (0, 2): -1}
         assert_clean(square)
         parsed = parse_polynomial("x1 - x1", n)
         assert parsed.is_zero() and parsed.terms == {}
-        assert parse_polynomial("x1 - x1 + x2", n).terms == {(0, 1): 1}
+        assert tuple_terms(parse_polynomial("x1 - x1 + x2", n)) == {(0, 1): 1}
         assert apolar_pair(x1 - x2, x1 + x2).is_zero()
         assert linear_combination([x1, x1], {0: 1, 1: -1}).terms == {}
 
@@ -390,11 +576,11 @@ class TestStoredCoefficients:
 # The library keeps only the integer kernels behind them.
 
 def is_homogeneous(f: Polynomial) -> bool:
-    return len({sum(m) for m in f.terms}) <= 1
+    return len({sum(m) for m in tuple_terms(f)}) <= 1
 
 
 def coefficient(f: Polynomial, m) -> Fraction:
-    return f.terms.get(tuple(m), Fraction(0))
+    return f.terms.get(DEGREVLEX.key(tuple(m)), Fraction(0))
 
 
 def reynolds(f: Polynomial) -> Polynomial:
@@ -410,8 +596,8 @@ def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("ambient sizes differ")
     n = f.ambient_n
     terms = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
+    for a, ca in tuple_terms(f).items():
+        for b, cb in tuple_terms(g).items():
             if any(bi < ai for ai, bi in zip(a, b)):
                 continue
             scale = 1
@@ -420,7 +606,7 @@ def apolar_pair(f: Polynomial, g: Polynomial) -> Polynomial:
                     scale *= factorial(bi) // factorial(bi - ai)
             mono = tuple(bi - ai for ai, bi in zip(a, b))
             terms[mono] = terms.get(mono, 0) + ca * cb * scale
-    return Polynomial(n, terms)
+    return from_tuple_terms(n, terms)
 
 
 def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
@@ -434,15 +620,15 @@ def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
     for m, c in f.terms.items():
         other = g.terms.get(m)
         if other is not None:
-            total += c * other * prod(map(factorial, m))
+            total += c * other * prod(map(factorial, DEGREVLEX.unpack(m, f.ambient_n)))
     return total
 
 
 def derivative(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative with respect to x_i (1-based), on exponent tuples."""
     j = i - 1
-    return Polynomial(f.ambient_n, {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j]
-                                    for m, c in f.terms.items() if m[j]})
+    return from_tuple_terms(f.ambient_n, {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j]
+                                        for m, c in tuple_terms(f).items() if m[j]})
 
 
 def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
@@ -491,7 +677,7 @@ def integrate_duals_oracle(duals, n, d):
                 continue
             lo, hi = min(j, k), max(j, k)
             sign = 1 if j == lo else -1
-            for m, c in partials[(k, t)].terms.items():
+            for m, c in tuple_terms(partials[(k, t)]).items():  # pivots in tuple order
                 key = ((lo, hi), m)
                 value = col.get(key, 0) + sign * c
                 if value:
@@ -534,7 +720,7 @@ def homogeneous(n, d, max_terms=4):
     monos = degree_monomials(n, d)
     return st.dictionaries(st.sampled_from(monos),
                            st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)),
-                           max_size=max_terms).map(lambda terms: Polynomial(n, terms))
+                           max_size=max_terms).map(lambda terms: from_tuple_terms(n, terms))
 
 
 class TestAccumulationOracles:

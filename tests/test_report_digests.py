@@ -6,6 +6,10 @@ the library at version 0.1.0.  A refactor that claims "same outputs" must
 keep every digest; a deliberate change to a report's content must update
 its digest here and say why.  The reports carry ``library_version``, so a
 ``__version__`` bump changes every digest.
+
+One more report, ``table1 --n 6 --seed 0``, is pinned in ``PINNED_BY_CLI``
+and checked by ``test_cli.py``'s n = 6 test on the report it writes, so
+that the suite runs table1 at n = 6 once.
 """
 
 import hashlib
@@ -95,6 +99,11 @@ PINNED = {
         "834298067153be118b14e91f1fe7b43e27cbaa9b0296e80f43e7e6016e5a5da3",
     "specht --n 6 --lambda 1,1,1,1,1,1":
         "9f9379feddd0e1364bf082edf89cfdabdca2474cfa7ec266bf4cef8f36567487",
+}
+
+PINNED_BY_CLI = {
+    "table1 --n 6 --seed 0":
+        "5511bdb17eb0d5d999dd658401105bae066ccee7aa1e5fe1eeaa9a41b77c6e04",
 }
 
 

@@ -16,8 +16,8 @@ from symideal.specht import (_column_group, _row_group,
                              specht_polynomial, tableau_monomial, vandermonde)
 from test_combinat import (all_tableaux, conjugacy_class_size, from_cycle_type,
                            irreducible_character, specht_dimension)
-from test_ideals import evaluate, normal_form
-from test_poly import apolar_scalar
+from test_ideals import normal_form
+from test_poly import apolar_scalar, evaluate, leading_coefficient, leading_monomial
 
 
 def specht_ideal(lam: Partition) -> Ideal:
@@ -134,8 +134,8 @@ def reduction_by_single(f, g):
     """True iff g divides f, via repeated leading-term cancellation."""
     work = f
     while not work.is_zero():
-        lm, lc = work.leading_monomial(), work.leading_coefficient()
-        glm, glc = g.leading_monomial(), g.leading_coefficient()
+        lm, lc = leading_monomial(work), leading_coefficient(work)
+        glm, glc = leading_monomial(g), leading_coefficient(g)
         if any(a < b for a, b in zip(lm, glm)):
             return False
         shift = tuple(a - b for a, b in zip(lm, glm))

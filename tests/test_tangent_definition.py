@@ -26,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from symideal.classification import row_case
+from test_poly import tuple_terms
 from test_tangent_oracle import degree_monomials
 
 
@@ -209,7 +210,7 @@ ROWS = [
 @pytest.mark.parametrize("label,factory,expected", ROWS)
 def test_hom_dimension_from_definition(label, factory, expected):
     case = factory()
-    generators = [dict(g.terms) for g in case.ideal.generators]
+    generators = [tuple_terms(g) for g in case.ideal.generators]
     assert equivariant_hom_dimension(case.n, generators) == expected
 
 

@@ -21,7 +21,7 @@ from symideal.ideals import Ideal, maximal_power
 from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.tanisaki import tanisaki_ideal
 from test_ideals import normal_form
-from test_poly import coefficient
+from test_poly import coefficient, from_tuple_terms
 
 
 def degree_monomials(n, d):
@@ -113,7 +113,7 @@ def naive_minimal_generators(ideal):
         lower_monos = degree_monomials(n, d - 1)
         shifted = []
         for vec in lower:
-            f = Polynomial(n, {m: c for m, c in zip(lower_monos, vec) if c})
+            f = from_tuple_terms(n, {m: c for m, c in zip(lower_monos, vec) if c})
             for j in range(1, n + 1):
                 shifted.append(poly_vector(Polynomial.variable(j, n) * f, monomials))
         shifted = echelon_basis(shifted)
@@ -124,9 +124,9 @@ def naive_minimal_generators(ideal):
         for coeffs in kernel:
             vec = [sum(c * v[i] for c, v in zip(coeffs, ideal_basis))
                    for i in range(len(monomials))]
-            new.append(Polynomial(n, {m: c for m, c in zip(monomials, vec) if c}))
+            new.append(from_tuple_terms(n, {m: c for m, c in zip(monomials, vec) if c}))
         if not shifted:
-            new = [Polynomial(n, {m: c for m, c in zip(monomials, vec) if c})
+            new = [from_tuple_terms(n, {m: c for m, c in zip(monomials, vec) if c})
                    for vec in ideal_basis]
         for f in new:
             generators.append((d, f))

@@ -20,8 +20,8 @@ from symideal.tanisaki import (MODES, inclusion_chain_check,
                                tilde_ideal,
                                _apolar_generators, _dual_layers,
                                _subset_elementary_generators)
-from test_poly import (apolar_complement_oracle, apolar_pair, derivative, integrate_duals_oracle,
-                       is_homogeneous)
+from test_poly import (apolar_complement_oracle, apolar_pair, derivative, from_tuple_terms,
+                       integrate_duals_oracle, is_homogeneous, tuple_terms)
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -73,7 +73,7 @@ def homogeneous_spaces(draw):
     monomials = degree_monomials(n, draw(st.integers(0, 4)))
     coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
     forms = st.dictionaries(st.sampled_from(monomials), coefficients, min_size=1)
-    return [Polynomial(n, terms) for terms in draw(st.lists(forms, min_size=1, max_size=3))]
+    return [from_tuple_terms(n, terms) for terms in draw(st.lists(forms, min_size=1, max_size=3))]
 
 
 def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
@@ -221,9 +221,9 @@ class TestConstruction:
         for g in gens:
             assert is_homogeneous(g)
         # subsets strictly smaller than n - lam_1 + 1 contribute nothing
-        sizes = {max(sum(m) for m in g.terms) or None for g in gens}
+        sizes = {max(sum(m) for m in tuple_terms(g)) or None for g in gens}
         assert min(
-            len([i for i in range(n) if m[i]]) for g in gens for m in g.terms
+            len([i for i in range(n) if m[i]]) for g in gens for m in tuple_terms(g)
         ) >= 1
 
 
