@@ -36,7 +36,7 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
 from .ideals import Ideal
 from .linalg import KernelEchelon, combine, nullspace_tags
 from .poly import (DEGREVLEX, Polynomial, Vector, combine_vectors, complement_vectors,
-                   integrate_vectors, key_exponents, numerators, permute_key, swap_key)
+                   degrevlex_terms, integrate_vectors, numerators, permute_key, swap_key)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -271,8 +271,7 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
         w_space = integrate_vectors(duals, n, d)
         hf_d = hf[d] if d < len(hf) else 0
         # members of W_d inside the ideal are exactly the new generators
-        keyed = [({DEGREVLEX.key(key_exponents(k, n)): c for k, c in terms.items()}, den)
-                 for terms, den in w_space]
+        keyed = [(degrevlex_terms(terms, n), den) for terms, den in w_space]
         relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
                                    for t, (terms, _) in enumerate(keyed))
         if len(relations) != len(w_space) - hf_d:

@@ -32,8 +32,8 @@ grows by appending: a "none" entry is re-checked against the elements
 appended since.  So does ``_reduce_basis``, which reduces each tail
 against the minimal elements kept before it: only smaller leads divide.
 
-Exactness: every exponent of a ``Polynomial`` stays below 2**(W - 2)
-(``poly`` checks each one where it enters, ``ValueError`` otherwise);
+Exactness: every exponent entering the engine stays below 2**(W - 2)
+(``_engine_terms`` checks, ``ValueError`` otherwise; see ``poly``);
 every basis element is checked once to stay below that bound, and so is
 the multiplier u of every reduction step and S-polynomial
 (``ArithmeticError`` otherwise).  Every product then stays below
@@ -62,9 +62,10 @@ An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1, built together and replaced together.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
-as {key: coeff}, coordinates in R/I, int where integral; ``Ideal.coordinates``
-sorts the integer terms of a polynomial and reads them.  ``_Quotient.square(below)`` is I^2 below
-that degree from products of basis elements: primitive with positive leads
+as {key: coeff}, coordinates in R/I, int where integral;
+``Ideal.coordinates`` reads the checked, sorted integer terms of a
+polynomial.  ``_Quotient.square(below)`` is I^2 below that degree from
+products of basis elements: primitive with positive leads
 (Gauss's lemma), each is the input ``_to_engine`` gives for the rational
 product.
 
@@ -85,7 +86,8 @@ from itertools import permutations
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
-from .poly import DEGREVLEX, W, Monomial, Polynomial, degree_monomials, exponent_key, numerators
+from .poly import (DEGREVLEX, W, Monomial, Polynomial, bounded, degree_monomials, exponent_key,
+                   numerators)
 
 # ---------------------------------------------------------------------------
 # divisibility on packed exponents
@@ -136,8 +138,19 @@ def _normalize(terms: list) -> list:
     return terms
 
 
+def _engine_terms(f: Polynomial) -> tuple[list, int]:
+    """The integer terms of den * f sorted descending, and den, once each
+    exponent is checked to stay below LIMIT: f may be built from its keys."""
+    n, quarter = f.ambient_n, _masks(f.ambient_n)[1]
+    terms, den = numerators(f)
+    for k in terms:
+        if DEGREVLEX.exps(k, n) & quarter:
+            bounded(DEGREVLEX.unpack(k, n))
+    return sorted(terms.items(), reverse=True), den
+
+
 def _to_engine(f: Polynomial) -> list:
-    return _normalize(sorted(numerators(f)[0].items(), reverse=True))
+    return _normalize(_engine_terms(f)[0])
 
 
 def _lead(g: list, n: int) -> int:
@@ -473,8 +486,7 @@ class Ideal:
         sort in the monomial order and add under products, ints where integral."""
         if f.ambient_n != self.ambient_n:
             raise ValueError("ambient size mismatch")
-        terms, den = numerators(f)  # den*f has integer coefficients
-        return self._quotient().coordinates(sorted(terms.items(), reverse=True), den)
+        return self._quotient().coordinates(*_engine_terms(f))
 
     def contains(self, f: Polynomial) -> bool:
         return not self.coordinates(f)

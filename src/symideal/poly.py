@@ -5,17 +5,21 @@ immutable: every operation returns a new value, so sharing across threads
 is safe.
 
 A term is keyed by ``DEGREVLEX.key`` of its monomial, deg * B**n -
-sum(e_i * B**(i-1)) with B = 2**W: one int that increases with the monomial
-in degree reverse lexicographic order (x1 > ... > xn) and adds under
-products.  The Groebner engine of ``ideals`` and the tangent step read the
-same keys, so a polynomial enters the engine by a sort and leaves it as a
-dict, and a permutation moves the fields of a key (``permute_key``,
-``swap_key``).  Exponent tuples appear only at the edges:
-``parse_polynomial``, ``str``, ``Polynomial.monomial`` and
-``Ideal.standard_monomials``.  Every exponent stays below LIMIT =
-2**(W - 2), as the engine's divisibility tests need: ``parse_polynomial``,
-``Polynomial.monomial`` and ``power_sum`` check each one they take, and a
-product checks its degree, which bounds them all (``ValueError``).
+sum(e_i * B**(i-1)) with B = 2**W: an int that increases with the monomial
+in degrevlex order (x1 > ... > xn) and adds under products.  The engine of
+``ideals`` and the tangent step read the same keys, and a permutation
+moves a key's fields (``permute_key``; ``swap_key`` for an adjacent
+transposition, the hot path of the S_n action).  Exponent tuples appear
+only in ``parse_polynomial``, ``str``, ``Polynomial.monomial`` and
+``Ideal.standard_monomials``.
+
+Every exponent stays below LIMIT = 2**(W - 2), as the engine's
+divisibility tests need (``ValueError`` otherwise): ``parse_polynomial``,
+``Polynomial.monomial`` and ``power_sum`` check each one they take, the
+engine each polynomial it takes (``Polynomial(n, terms)`` takes any key),
+and a product its degree, which bounds its exponents: so a product of
+degree LIMIT or more raises even where each exponent stays below, as
+x1^(LIMIT/2) * x2^(LIMIT/2) and such a polynomial times 1 do.
 
 Every stored coefficient is a nonzero ``Fraction``.  ``Polynomial.__init__``
 drops zeros (and wraps a coefficient that is not yet a ``Fraction``), so a
@@ -29,10 +33,10 @@ The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 instead: a vector is (terms, den) with int coefficients over one positive
 int denominator, keyed by ``exponent_key``: the exponents in W-bit fields,
 the first in the high field, so keys order as exponent tuples do and so
-do pivots.  ``KernelEchelon`` relation signs follow pivot order, so a
-degrevlex key there would change the signs of apolar generators.
-``to_vector`` and ``to_polynomial`` convert at the boundary, where the
-values are exactly those of the rational computation.
+do pivots (``KernelEchelon`` relation signs follow pivot order, so a
+degrevlex key would change the signs of apolar generators).
+``to_vector``, ``to_polynomial`` and ``degrevlex_terms`` convert at the
+boundary, where the values are exactly those of the rational computation.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -99,8 +103,8 @@ class DegRevLex:
 DEGREVLEX = DegRevLex()
 
 
-def _bounded(m: Monomial) -> Monomial:
-    """m, once each exponent is checked to stay below LIMIT."""
+def bounded(m: Monomial) -> Monomial:
+    """m, once each exponent is checked to stay below LIMIT (ValueError)."""
     if max(m, default=0) >= LIMIT:
         raise ValueError(f"exponent {max(m)} is too large: the engine takes "
                          f"exponents below 2^{W - 2}")
@@ -147,7 +151,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(exponents: Monomial, coeff=1) -> "Polynomial":
-        m = _bounded(tuple(exponents))
+        m = bounded(tuple(exponents))
         return Polynomial(len(m), {DEGREVLEX.key(m): Fraction(coeff)})
 
     # ---- basic queries -------------------------------------------------
@@ -311,7 +315,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 if not 1 <= idx <= n:
                     raise ValueError(f"variable {var} out of range for n={n}")
                 exps[idx - 1] += int(power)
-        key = DEGREVLEX.key(_bounded(tuple(exps)))
+        key = DEGREVLEX.key(bounded(tuple(exps)))
         terms[key] = terms.get(key, 0) + sgn * coeff
     return Polynomial(n, terms)
 
@@ -344,7 +348,7 @@ def power_sum(k: int, n: int) -> Polynomial:
     """x1^k + ... + xn^k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _bounded((k,))
+    bounded((k,))
     return Polynomial(n, {(k << (W * n)) - (k << (W * i)): Fraction(1) for i in range(n)})
 
 
@@ -404,11 +408,15 @@ def to_vector(f: Polynomial) -> Vector:
     return {exponent_key(DEGREVLEX.unpack(k, f.ambient_n)): c for k, c in terms.items()}, den
 
 
+def degrevlex_terms(terms: dict, n: int) -> dict:
+    """The terms of an n-variable vector re-keyed by ``DEGREVLEX.key``."""
+    return {DEGREVLEX.key(key_exponents(k, n)): c for k, c in terms.items()}
+
+
 def to_polynomial(v: Vector, n: int) -> Polynomial:
     """The polynomial terms / den of a vector (terms, den) in n variables."""
     terms, den = v
-    return Polynomial(n, {DEGREVLEX.key(key_exponents(k, n)): Fraction(c, den)
-                          for k, c in terms.items()})
+    return Polynomial(n, {k: Fraction(c, den) for k, c in degrevlex_terms(terms, n).items()})
 
 
 def partial_terms(terms: dict, j: int, n: int) -> dict:

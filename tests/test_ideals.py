@@ -14,12 +14,12 @@ from symideal.classification import classification_cases
 from symideal.combinat import Partition, Permutation, partitions_of
 from symideal.equivariant import tangent_dimension
 from symideal import ideals
-from symideal.ideals import (Ideal, _buchberger, _degree_cap, _fresh_pairs, _lead, _masks,
-                             _normal_form, _normalize, _packed_lcm, _spoly, _support,
+from symideal.ideals import (Ideal, _buchberger, _degree_cap, _engine_terms, _fresh_pairs, _lead,
+                             _masks, _normal_form, _normalize, _packed_lcm, _spoly, _support,
                              _to_engine, _vanishing_ideal, maximal_power, orbit_ideal,
                              orbit_points)
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, degree_monomials,
-                           numerators, parse_polynomial, power_sum)
+                           parse_polynomial, power_sum)
 from symideal.tanisaki import tanisaki_ideal
 from test_poly import evaluate, from_tuple_terms, leading_monomial, tuple_terms
 
@@ -701,6 +701,19 @@ class TestExponentBound:
         assert str(below) == f"x1^{LIMIT - 1}" and parse_polynomial(str(below), n) == below
         assert power_sum(LIMIT - 1, n) == below + Polynomial.monomial((0, LIMIT - 1))
 
+    def test_input_built_from_its_key_is_rejected_by_the_engine(self):
+        # Polynomial(n, terms) takes any key, so the engine checks each
+        # polynomial it takes as well
+        n = 2
+        at_bound = Polynomial(n, {DEGREVLEX.key((LIMIT, 0)): 1})
+        with pytest.raises(ValueError, match="exponent 1073741824 is too large"):
+            normal_form(Ideal(n, [x(1, n)]), at_bound + x(2, n))
+        with pytest.raises(ValueError, match="exponent 1073741824 is too large"):
+            Ideal(n, [at_bound, x(1, n)]).groebner_basis()
+        # the other side's infinite colength would raise too, but later
+        with pytest.raises(ValueError, match="too large"):
+            intersect(Ideal(n, [x(2, n)]), Ideal(n, [at_bound, x(1, n)]))
+
     def test_product_reaching_the_bound_raises(self):
         # a product is checked by degree, which bounds every exponent
         n = 2
@@ -713,6 +726,20 @@ class TestExponentBound:
             half ** 2
         below = Polynomial.monomial((LIMIT // 2 - 1, 0))
         assert half * below == Polynomial.monomial((LIMIT - 1, 0))
+
+    def test_degree_at_the_bound_enters_the_engine_but_no_product(self):
+        # every exponent of f stays below the bound, so the parser and the
+        # engine take it; its degree does not, so a product with it raises,
+        # by 1 too
+        n = 2
+        f = parse_polynomial(f"x1^{LIMIT // 2}*x2^{LIMIT // 2}", n)
+        assert f.degree() == LIMIT
+        assert normal_form(Ideal(n, [x(2, n)]), f + x(1, n)) == x(1, n)
+        for g in (Polynomial.one(n), x(1, n)):
+            with pytest.raises(ValueError, match=f"degree {LIMIT + g.degree()} is too large"):
+                f * g
+        with pytest.raises(ValueError, match="too large"):
+            f ** 1
 
     def test_below_the_bound_is_exact(self):
         n = 2
@@ -912,11 +939,6 @@ def buchberger_oracle(inputs, n, below=inf):
     return sorted(reduced, key=lambda t: t[0][0])
 
 
-def engine_terms(f):
-    """The numerators of f as an engine term list, descending by key."""
-    return sorted(numerators(f)[0].items(), reverse=True)
-
-
 @st.composite
 def reduction_case(draw):
     """A list of reducers (any polynomials, not a Groebner basis) with
@@ -929,7 +951,7 @@ def reduction_case(draw):
         scale = draw(st.integers(1, 9))  # a leading coefficient past 1
         basis.append([(terms[0][0], terms[0][1] * scale)] + terms[1:])
     f = draw(polynomials(n, 4, 1, 6))
-    return n, basis, engine_terms(f)
+    return n, basis, _engine_terms(f)[0]
 
 
 def strip_case(qs):
@@ -942,7 +964,7 @@ def strip_case(qs):
     reducers = [v(2)] + [qs[j - 1] * v(1) ** j + v(2) ** j for j in range(m, 0, -1)]
     f = v(3) ** (m + 1) + sum((v(1) ** j for j in range(1, m + 1)), v(3))
     basis = [_to_engine(g) for g in reducers]
-    return n, basis, engine_terms(f)
+    return n, basis, _engine_terms(f)[0]
 
 
 class TestEngineOracles:
@@ -1312,6 +1334,6 @@ class TestRunLongDivisorMemo:
         for size in range(1, len(basis) + 1):
             prefix, leads = basis[:size], [_lead(g, n) for g in basis[:size]]
             for f in probes:
-                t = engine_terms(f)
+                t = _engine_terms(f)[0]
                 assert (_normal_form(t, prefix, leads, n, divisors)
                         == _normal_form(t, prefix, leads, n, {}))
