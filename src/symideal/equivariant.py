@@ -1,15 +1,16 @@
 """Isotypic decomposition of quotient rings and equivariant tangent spaces.
 
-Both rest on one S_n action on R/I, kept on the ideal: the quotient
+Both rest on one S_n action on R/I, one table per ideal: the quotient
 coordinates of each standard monomial under each adjacent transposition.
 The decomposition counts the vectors fixed by each Young subgroup S_mu and
 solves dim (R/I)^{S_mu} = sum over lam of K_{lam,mu} * m_lam (Frobenius
 reciprocity) down the unitriangular Kostka matrix.  The tangent
 computation follows the presentation route: pick a minimal graded stable
-generating space of the ideal, span the relations among those generators,
-and impose the relation constraints on the equivariant module
-homomorphisms into the quotient, found through Young-fixed module
-generators of the generating space.
+generating space of the ideal, integer vectors (terms, den) keyed by
+``DEGREVLEX`` throughout, span the relations among those generators, and
+impose the relation constraints on the equivariant module homomorphisms
+into the quotient, found through Young-fixed module generators of the
+generating space.
 
 All linear algebra is arranged to scale with the colength rather than
 with ambient degree pieces: generator complements come from integrating
@@ -18,7 +19,8 @@ function), and relations are only ever needed modulo the square of the
 ideal, where they are eliminated together with their images in the quotient.
 Each type kappa of R/I dominates the dominance meet mu of those types, so
 K_{kappa,mu} > 0 and a constraint vanishes on the relations iff on their
-S_mu-fixed part, which S_mu-invariant functionals read exactly.
+S_mu-fixed part, which S_mu-invariant functionals read exactly: those of
+R/I from the swap table, those of I^2 from fresh normal forms.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
 from .ideals import Ideal
 from .linalg import KernelEchelon, combine, nullspace_tags
-from .poly import (DEGREVLEX, Polynomial, Vector, combine_vectors, complement_vectors,
-                   degrevlex_terms, integrate_vectors, numerators, permute_key, swap_key)
+from .poly import (DEGREVLEX, Vector, combine_vectors, complement_vectors, degrevlex_terms,
+                   integrate_vectors, permute_key, swap_key)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -67,18 +69,18 @@ def is_symmetric(ideal: Ideal) -> bool:
     return ideal._symmetric
 
 
-def _swapped(record, key: int, a: int) -> dict[int, int | Fraction]:
-    """Coordinates in a record of the key's monomial under the swap (a+1 a+2)."""
-    return record.coordinates([(swap_key(key, a, record.n), 1)])
+def _swap_table(record, keys: list[int], swaps) -> dict[int, dict[int, dict]]:
+    """Per swap (a+1 a+2), a in ``swaps``, a record's coordinates of each key swapped."""
+    return {a: {k: record.coordinates([(swap_key(k, a, record.n), 1)]) for k in keys}
+            for a in swaps}
 
 
 def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
     """Per adjacent transposition, the quotient coordinates of each swapped
     standard monomial, keyed by the monomial's key; kept on the ideal."""
     if ideal._swaps is None:
-        record = ideal._quotient()
-        ideal._swaps = [{k: _swapped(record, k, a) for k in record.standard}
-                        for a in range(ideal.ambient_n - 1)]
+        record, n = ideal._quotient(), ideal.ambient_n
+        ideal._swaps = list(_swap_table(record, record.standard, range(n - 1)).values())
     return ideal._swaps
 
 
@@ -107,17 +109,17 @@ def _orbit_keys(mu: Partition, n: int):
     return orbit
 
 
-def _invariant_functionals(record, keys: list[int], orbit, inside: list[int],
+def _invariant_functionals(actions, keys: list[int], orbit, inside: list[int],
                            start: int = 0) -> tuple[dict[int, dict], int]:
-    """A basis L_start, L_start+1, ... of the S_mu-invariant functionals on
-    the degree piece of a record with standard monomials ``keys``, as
-    {orbit: {j: L_j}}, and its size.  Such an L, read through the normal
-    form, is constant on S_mu-orbits of monomials: one unknown per orbit,
+    """A basis L_start, L_start+1, ... of the S_mu-invariant functionals on the
+    degree piece of a record with standard monomials ``keys`` and swap table
+    ``actions``, as {orbit: {j: L_j}}, and its size.  Such an L, read through the
+    normal form, is constant on S_mu-orbits of monomials: one unknown per orbit,
     one equation L(NF(s_a*s)) = L(s) per inside swap s_a and standard s."""
     columns: dict[int, dict] = {orbit(s): {} for s in keys}
     for s in keys:
         for a in inside:
-            nf = _swapped(record, s, a)
+            nf = actions[a][s]
             for key, c in {**nf, s: nf.get(s, 0) - 1}.items():
                 column = columns[orbit(key)]
                 column[(a, s)] = column.get((a, s), 0) + c
@@ -178,9 +180,7 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
         raise ValueError("ideal is not stable under variable permutations")
 
     homogeneous, order = ideal.is_homogeneous(), partitions_of(ideal.ambient_n)  # (n) first
-    pieces: dict[int, list[int]] = {}
-    for k in ideal._quotient().standard:
-        pieces.setdefault(DEGREVLEX.degree(k, ideal.ambient_n) if homogeneous else 0, []).append(k)
+    pieces = ideal._quotient().graded if homogeneous else {0: ideal._quotient().standard}
     graded: dict[int, dict[Partition, int]] = {}
     for d, keys in pieces.items():
         fixed = {mu: len(_fixed_vectors(_swap_actions(ideal), keys, _word(mu))) for mu in order}
@@ -247,7 +247,7 @@ class TangentReport:
         }
 
 
-def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
+def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int]:
     """Graded minimal generating space of a homogeneous ideal.
 
     Works degree by degree with Macaulay inverse systems: the dual space
@@ -257,19 +257,17 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
     members of W_d lying in the ideal, up to the top degree of the reduced
     Groebner basis, which generates.  Duals, W_d and generators are integer
     vectors (terms, den) (see ``poly``); W_d is re-keyed once by
-    ``DEGREVLEX``, to be read in R/I and to give the generators returned.
-    Returns ({degree: generators}, N) where the quotient vanishes from
-    degree N on.
+    ``DEGREVLEX``, to be read in R/I and to give the generators returned,
+    which stay so keyed.  Returns ({degree: generators}, N) where the
+    quotient vanishes from degree N on.
     """
-    n = ideal.ambient_n
-    hf = ideal.hilbert_function()
-    N = len(hf)
-    quotient = ideal._quotient()
+    n, quotient = ideal.ambient_n, ideal._quotient()
+    N = len(ideal.hilbert_function())
     duals: list[Vector] = [({0: 1}, 1)]
-    generators: dict[int, list[Polynomial]] = {}
+    generators: dict[int, list[Vector]] = {}
     for d in range(1, max(DEGREVLEX.degree(g[0][0], n) for g in quotient.basis) + 1):
         w_space = integrate_vectors(duals, n, d)
-        hf_d = hf[d] if d < len(hf) else 0
+        hf_d = len(quotient.graded.get(d, ()))
         # members of W_d inside the ideal are exactly the new generators
         keyed = [(degrevlex_terms(terms, n), den) for terms, den in w_space]
         relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
@@ -285,8 +283,7 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Polynomial]],
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
             duals = next_duals
         if relations:
-            generators[d] = [Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
-                             for terms, den in (combine_vectors(keyed, r) for r in relations)]
+            generators[d] = [combine_vectors(keyed, r) for r in relations]
     return generators, N
 
 
@@ -303,11 +300,11 @@ def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]
     return images
 
 
-def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
+def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
                            gen_degrees: list[int]) -> tuple[list[dict], int]:
-    """Basis of the equivariant linear maps from the generator space into
-    the quotient, as dicts {(standard_key, generator_index): coeff}, and
-    the number of unknowns solved for.
+    """Basis of the equivariant linear maps from the generator space into the
+    quotient, given on the generators' terms (den*v), as dicts
+    {(standard_key, generator_index): coeff}, and the number of unknowns solved for.
 
     Per degree piece, by Frobenius reciprocity (Hom_{S_n}(M^mu, W) = W^{S_mu}):
     module generators v_j fixed by Young subgroups S_{mu_j}, with mu scanned
@@ -315,16 +312,16 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
     relation among the coset images sigma*v_j; phi(sigma*v_j) = sigma*phi(v_j).
     """
     n = ideal.ambient_n
-    quotient_action = _swap_actions(ideal)
-    quotient_fixed: dict[tuple, list[dict]] = {}
+    quotient_action, standard = _swap_actions(ideal), ideal._quotient().standard
+    quotient_fixed: dict[tuple, list[dict]] = {}  # per word, the images of a basis of (R/I)^{S_mu}
     out, unknown_count = [], 0
     for d in sorted(set(gen_degrees)):
         indices = [i for i, e in enumerate(gen_degrees) if e == d]
         size = len(indices)
         echelon = KernelEchelon()  # gives each permuted generator in their basis
         for pos, i in enumerate(indices):
-            echelon.add(gens[i].terms, pos)
-        permuted = [[echelon.add({swap_key(k, a, n): c for k, c in gens[i].terms.items()}, "image")
+            echelon.add(gens[i][0], pos)
+        permuted = [[echelon.add({swap_key(k, a, n): c for k, c in gens[i][0].items()}, "image")
                      for i in indices] for a in range(n - 1)]
         if any(None in columns for columns in permuted):
             raise ArithmeticError("generator space is not permutation-stable")
@@ -344,11 +341,11 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Polynomial],
                     relations += [r for r in (span.add(x, (j, w))
                                               for w, x in list(images.items())[1:])
                                   if r is not None]
-                    if word not in quotient_fixed:  # a basis of (R/I)^{S_mu}
-                        quotient_fixed[word] = _fixed_vectors(quotient_action,
-                                                              ideal._quotient().standard, word)
-                    fixed.append([_coset_images(f, word, quotient_action)
-                                  for f in quotient_fixed[word]])
+                    if word not in quotient_fixed:
+                        quotient_fixed[word] = [
+                            _coset_images(f, word, quotient_action)
+                            for f in _fixed_vectors(quotient_action, standard, word)]
+                    fixed.append(quotient_fixed[word])
         unknowns = [(j, t) for j in range(len(fixed)) for t in range(len(fixed[j]))]
         unknown_count += len(unknowns)
         expressions = [span.add({pos: 1}, "generator") for pos in range(size)]
@@ -404,7 +401,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
 
     n = ideal.ambient_n
     graded_gens, N = _minimal_generator_space(ideal)
-    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]  # (terms, den)
     gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
     max_gen_degree = max(gen_degrees)
     syzygy_bound = N + max_gen_degree  # relations from this degree on are vacuous
@@ -412,27 +409,22 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     hom_basis, hom_unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
 
-    packed = [numerators(g) for g in gens]
-    values: list[dict[tuple, list]] = [{} for _ in gens]  # den*phi_t(v_i) as {(deg, key): [(t, c)]}
+    values: list[dict[int, list]] = [{} for _ in gens]  # phi_t(den*v_i) as {key: [(t, c)]}
     for t, phi in enumerate(hom_basis):  # phi_t scaled to integer values: the same constraint rank
-        scaled = {(m, i): c * packed[i][1] for (m, i), c in phi.items()}
-        scale = lcm(*(c.denominator for c in scaled.values()))
-        for (m, i), c in scaled.items():
-            values[i].setdefault((DEGREVLEX.degree(m, n), m), []).append((t, int(c * scale)))
+        scale = lcm(*(c.denominator for c in phi.values()))
+        for (m, i), c in phi.items():
+            values[i].setdefault(m, []).append((t, int(c * scale)))
 
     mu = _meet([lam for lam, _ in decompose_quotient(ideal).multiplicities])
     mu = mu if prod(map(factorial, mu.parts)) >= n else Partition((1,) * n)
     word, orbit = _word(mu), _orbit_keys(mu, n)
     inside = [a for a in range(n - 1) if word[a] == word[a + 1]]
     quotient, square = ideal._quotient(), ideal._quotient().square(syzygy_bound)
-    by_degree, square_keys = {}, {}
-    for record, keys in ((quotient, by_degree), (square, square_keys)):
-        for m in record.standard:
-            keys.setdefault(DEGREVLEX.degree(m, n), []).append(m)
+    by_degree, square_keys = quotient.graded, square.graded
     quotient_functionals, quotient_counts = {}, {}  # L' numbered across all degrees
-    for e, keys in sorted(by_degree.items()):
+    for e, keys in by_degree.items():
         quotient_functionals[e], quotient_counts[e] = _invariant_functionals(
-            quotient, keys, orbit, inside, sum(quotient_counts.values()))
+            _swap_actions(ideal), keys, orbit, inside, sum(quotient_counts.values()))
     images: dict[int, dict] = {}  # L'(NF_I(m)) by key, deg m < N
 
     n2_count = products = constraint_rows = 0
@@ -447,14 +439,14 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
         if d > N + 1 or relations == 0:
             continue
         products += len(pairs)
+        keys = square_keys.get(d, [])
         functionals, square_counts[d] = _invariant_functionals(
-            square, square_keys.get(d, []), orbit, inside)
+            _swap_table(square, keys, inside), keys, orbit, inside)
         echelon = KernelEchelon()
-        for i, b in pairs:  # den*b*v_i: the packed terms of v_i shifted by the key of b
-            terms = [(key + b, c) for key, c in packed[i][0].items()]
-            row = _read(terms, functionals, orbit, square)
-            for (e, m), coeffs in values[i].items():
-                e += d - gen_degrees[i]  # the degree of b*m
+        for i, b in pairs:  # den*b*v_i: the terms of v_i shifted by the key of b
+            row = _read([(key + b, c) for key, c in gens[i][0].items()], functionals, orbit, square)
+            for m, coeffs in values[i].items():
+                e = DEGREVLEX.degree(b + m, n)
                 if e < N and b + m not in images:
                     images[b + m] = _read([(b + m, 1)], quotient_functionals[e], orbit, quotient)
                 for g, v in images[b + m].items() if e < N else ():

@@ -60,7 +60,7 @@ earlier lead divides its lead, it queues, prunes and supersedes nothing.
 
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
-monomials, grown from 1, built together and replaced together.
+monomials, grown from 1 and ``graded`` by degree, built and replaced together.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
 as {key: coeff}, coordinates in R/I, int where integral;
 ``Ideal.coordinates`` reads the checked, sorted integer terms of a
@@ -82,12 +82,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
-from .poly import (DEGREVLEX, W, Monomial, Polynomial, bounded, degree_monomials, exponent_key,
-                   numerators)
+from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, exponent_key, numerators
 
 # ---------------------------------------------------------------------------
 # divisibility on packed exponents
@@ -417,10 +416,17 @@ class _Quotient:
                     grown.append((y ^ guard, i, d + 1))
         return sorted(((d - 1) << (W * n)) - x for x, _, d in grown)
 
+    @cached_property
+    def graded(self) -> dict[int, list[int]]:
+        """The standard keys by degree, ascending; no degree below the top is empty."""
+        pieces: dict[int, list[int]] = {}
+        for k in self.standard:
+            pieces.setdefault(DEGREVLEX.degree(k, self.n), []).append(k)
+        return pieces
+
     def hilbert_function(self) -> tuple[int, ...]:
         """Standard monomials by degree, up to the last nonzero."""
-        degrees = [DEGREVLEX.degree(k, self.n) for k in self.standard]  # ascending
-        return tuple(degrees.count(d) for d in range(degrees[-1] + 1)) if degrees else ()
+        return tuple(map(len, self.graded.values()))
 
     def coordinates(self, terms: list, den: int = 1) -> dict[int, int | Fraction]:
         """The normal form of terms / den, for an engine term list sorted
@@ -544,11 +550,15 @@ class Ideal:
 
 
 def maximal_power(n: int, d: int) -> Ideal:
-    """The d-th power of the homogeneous maximal ideal, by its monomials:
-    added to a homogeneous ideal, a degree cap that ends Buchberger at d."""
+    """The d-th power of the homogeneous maximal ideal, by its monomials
+    (their exponent tuples descending, each key d * B**n less B**(i-1) per
+    factor x_i): added to a homogeneous ideal, a degree cap that ends Buchberger at d."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    return Ideal(n, [Polynomial.monomial(m) for m in degree_monomials(n, d)])
+    bounded((d,))  # the largest exponent, that of x1^d
+    one, top = Fraction(1), d << (W * n)
+    return Ideal(n, [Polynomial(n, {top - sum(1 << (W * i) for i in chosen): one})
+                     for chosen in combinations_with_replacement(range(n), d)])
 
 
 def orbit_points(point) -> list[tuple[Fraction, ...]]:

@@ -115,7 +115,7 @@ class Polynomial:
     """An exact-rational polynomial in variables x1..xn, its terms
     {DEGREVLEX.key(m): coeff}."""
 
-    __slots__ = ("ambient_n", "terms", "_hash")
+    __slots__ = ("ambient_n", "terms")
 
     def __init__(self, ambient_n: int, terms: dict[int, Fraction] | None = None):
         self.ambient_n = ambient_n
@@ -127,7 +127,6 @@ class Polynomial:
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
-        self._hash: int | None = None
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -236,9 +235,7 @@ class Polynomial:
         return self.ambient_n == other.ambient_n and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ambient_n, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ambient_n, frozenset(self.terms.items())))
 
     # ---- printing / parsing ---------------------------------------------
     def __str__(self) -> str:

@@ -11,13 +11,16 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
                                kostka_decomposition, kostka_number,
                                multinomial, partitions_of)
 from symideal.classification import classification_cases, row_case
+from symideal import equivariant
 from symideal.equivariant import (decompose_quotient, group_generators,
                                   is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _hom_basis_equivariant, _meet,
-                                  _minimal_generator_space, _swap_actions)
+                                  tangent_dimension, _fixed_vectors, _hom_basis_equivariant,
+                                  _invariant_functionals, _meet, _minimal_generator_space,
+                                  _orbit_keys, _swap_actions, _word)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
-from symideal.poly import Polynomial, apply_permutation, linear_combination, power_sum
+from symideal.poly import (Polynomial, Vector, apply_permutation, linear_combination, power_sum,
+                           swap_key)
 from symideal.tanisaki import tanisaki_ideal
 from test_classification import describe
 from test_combinat import (conjugacy_class_size, from_cycle_type, irreducible_character,
@@ -106,6 +109,30 @@ def permutation_module_sum_oracle(rho: IsotypicDecomposition) -> list[Partition]
     return out
 
 
+def as_polynomial(v: Vector, n: int) -> Polynomial:
+    """A generator vector (terms, den), keyed by ``DEGREVLEX``, as terms / den."""
+    terms, den = v
+    return Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
+
+
+def generator_polynomials(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
+    """``_minimal_generator_space`` with each generator as a ``Polynomial``."""
+    graded, N = _minimal_generator_space(ideal)
+    return {d: [as_polynomial(v, ideal.ambient_n) for v in vs] for d, vs in graded.items()}, N
+
+
+def graded_generators(ideal: Ideal) -> tuple[list[Vector], list[int]]:
+    graded_gens, _ = _minimal_generator_space(ideal)
+    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
+    return gens, [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+
+
+def numerator_polynomials(gens: list[Vector], n: int) -> list[Polynomial]:
+    """The numerators of the generator vectors, on which the hom basis is
+    given, as ``Polynomial`` values."""
+    return [Polynomial(n, terms) for terms, _ in gens]
+
+
 def generator_space_oracle(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
     """``_minimal_generator_space`` with its degree loop running to the
     vanishing degree N instead of the top Groebner degree, on ``Polynomial``
@@ -180,10 +207,10 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
     modulo I^2, each relation expanded through every hom-basis element into
     constraint rows, one polynomial normal form per (t, i, b)."""
     n = ideal.ambient_n
-    graded_gens, N = _minimal_generator_space(ideal)
-    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
-    gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
-    hom_basis, _ = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    vectors, gen_degrees = graded_generators(ideal)
+    N = len(ideal.hilbert_function())
+    gens = numerator_polynomials(vectors, n)
+    hom_basis, _ = _hom_basis_equivariant(ideal, vectors, gen_degrees)
     k = len(hom_basis)
     hom_values = [[Polynomial(n, {b: c for (b, i2), c in phi.items() if i2 == i})
                    for i in range(len(gens))] for phi in hom_basis]
@@ -226,10 +253,10 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     ((tangent_dim, n2_count, details), I^2); ``details`` counts the
     products in the degrees with relations, as ``tangent_dimension`` does."""
     n = ideal.ambient_n
-    graded_gens, N = _minimal_generator_space(ideal)
-    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
-    gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
-    hom_basis, unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    vectors, gen_degrees = graded_generators(ideal)
+    N = len(ideal.hilbert_function())
+    gens = numerator_polynomials(vectors, n)
+    hom_basis, unknowns = _hom_basis_equivariant(ideal, vectors, gen_degrees)
     k = len(hom_basis)
     values: list[dict] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
     for t, phi in enumerate(hom_basis):
@@ -288,7 +315,7 @@ def generator_space_multiplicities(ideal: Ideal) -> dict[Partition, int]:
     """Multiplicities of the irreducibles in the minimal generator space N1,
     from class-representative traces on each degree piece."""
     n = ideal.ambient_n
-    graded_gens, _ = _minimal_generator_space(ideal)
+    graded_gens, _ = generator_polynomials(ideal)
     traces = {}
     for mu in partitions_of(n):
         sigma = from_cycle_type(mu)
@@ -401,6 +428,112 @@ class TestSwapActions:
         ideal = Ideal(3, [Polynomial.one(3)])
         assert _swap_actions(ideal) == [{}, {}]
         self.assert_matches_normal_forms(ideal)
+
+
+def fresh_functionals(record, keys: list[int], orbit, inside: list[int],
+                      start: int = 0) -> tuple[dict[int, dict], int]:
+    """``_invariant_functionals`` on fresh normal forms: the coordinates of
+    s_a*s taken in the record per inside swap s_a and standard s, as the
+    relation step read R/I before the ideal's swap table served it."""
+    columns: dict[int, dict] = {orbit(s): {} for s in keys}
+    for s in keys:
+        for a in inside:
+            nf = record.coordinates([(swap_key(s, a, record.n), 1)])
+            for key, c in {**nf, s: nf.get(s, 0) - 1}.items():
+                column = columns[orbit(key)]
+                column[(a, s)] = column.get((a, s), 0) + c
+    solutions = nullspace_tags((column, rep) for rep, column in columns.items())
+    return ({rep: {j: L[rep] for j, L in enumerate(solutions, start) if rep in L}
+             for rep in columns}, len(solutions))
+
+
+def graded_oracle_keys(ideal: Ideal) -> dict[int, list[int]]:
+    """The standard keys grouped by the degree of their exponent tuples."""
+    pieces: dict[int, list[int]] = {}
+    for m in ideal.standard_monomials():
+        pieces.setdefault(sum(m), []).append(DEGREVLEX.key(m))
+    return pieces
+
+
+def catalog_ideals(n: int) -> list[tuple[str, Ideal]]:
+    return [(describe(case), case.ideal)
+            for case in classification_cases(n, _random_parameters(0))]
+
+
+class TestQuotientTables:
+    """The tangent step reads R/I through the ideal's one swap table and the
+    record's one grouping of standard keys by degree."""
+
+    @staticmethod
+    def assert_table_functionals_are_fresh(ideal: Ideal, label: str = "") -> None:
+        # every Young subgroup, each piece numbered on from the last, as
+        # tangent_dimension numbers those of R/I
+        n, record = ideal.ambient_n, ideal._quotient()
+        pieces = record.graded if ideal.is_homogeneous() else {0: record.standard}
+        for mu in partitions_of(n):
+            word, orbit = _word(mu), _orbit_keys(mu, n)
+            inside = [a for a in range(n - 1) if word[a] == word[a + 1]]
+            start = 0
+            for d, keys in pieces.items():
+                got = _invariant_functionals(_swap_actions(ideal), keys, orbit, inside, start)
+                assert got == fresh_functionals(record, keys, orbit, inside, start), (label, mu, d)
+                start += got[1]
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+    def test_tanisaki_functionals_match_fresh_normal_forms(self, parts):
+        self.assert_table_functionals_are_fresh(tanisaki_point(parts))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_catalog_functionals_match_fresh_normal_forms(self, n):
+        for label, ideal in catalog_ideals(n):
+            self.assert_table_functionals_are_fresh(ideal, label)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_graded_is_the_counted_hilbert_function(self, n):
+        ideals = [(str(lam), tanisaki_ideal(lam)) for lam in partitions_of(n)] + catalog_ideals(n)
+        for label, ideal in ideals:
+            record, want = ideal._quotient(), graded_oracle_keys(ideal)
+            assert record.graded == want and list(record.graded) == sorted(want), label
+            assert record.hilbert_function() == tuple(
+                len(want.get(d, [])) for d in range(max(want, default=-1) + 1)), label
+            if ideal.is_homogeneous():
+                assert ideal.hilbert_function() == record.hilbert_function(), label
+
+    def test_swapped_normal_forms_are_taken_once_per_ideal(self, monkeypatch):
+        # decompose_quotient and the hom step read the table, and the relation
+        # step the table for R/I and fresh normal forms for I^2 only
+        ideal = tanisaki_ideal(Partition([2, 2, 1]))
+        tabled, swap_table = [], equivariant._swap_table
+
+        def counted(record, keys, swaps):
+            tabled.append(record)
+            return swap_table(record, keys, swaps)
+
+        monkeypatch.setattr(equivariant, "_swap_table", counted)
+        tangent_dimension(ideal)
+        tangent_dimension(ideal)
+        assert tabled.count(ideal._quotient()) == 1
+        assert all(record.below < inf for record in tabled if record is not ideal._quotient())
+        assert len(tabled) > 2
+
+    @pytest.mark.parametrize("parts", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (4, 2)])
+    def test_quotient_coset_images_are_built_once_per_word(self, parts, monkeypatch):
+        ideal = tanisaki_point(parts)
+        action = _swap_actions(ideal)
+        words: list[tuple] = []
+        coset_images = equivariant._coset_images
+
+        def counted(vector, word, actions):
+            if actions is action:
+                words.append(word)
+            return coset_images(vector, word, actions)
+
+        monkeypatch.setattr(equivariant, "_coset_images", counted)
+        _hom_basis_equivariant(ideal, *graded_generators(ideal))
+        standard = ideal._quotient().standard
+        for word in set(words):  # one image list per member of a basis of (R/I)^{S_mu}
+            assert words.count(word) == len(_fixed_vectors(action, standard, word)), word
+        assert words
 
 
 class TestDecomposeQuotient:
@@ -526,7 +659,7 @@ class TestMinimalGenerators:
     def test_coinvariant_generators_by_degree(self):
         n = 3
         ideal = Ideal(n, [power_sum(k, n) for k in range(1, n + 1)])
-        graded, vanishing_degree = _minimal_generator_space(ideal)
+        graded, vanishing_degree = generator_polynomials(ideal)
         assert {d: len(gs) for d, gs in graded.items()} == {1: 1, 2: 1, 3: 1}
         assert vanishing_degree == 4
         for d, gs in graded.items():
@@ -536,21 +669,21 @@ class TestMinimalGenerators:
 
     def test_generates_the_ideal(self):
         case = row_case("6", 4)
-        graded, _ = _minimal_generator_space(case.ideal)
+        graded, _ = generator_polynomials(case.ideal)
         flat = [g for gs in graded.values() for g in gs]
         assert Ideal(4, flat) == case.ideal
 
     @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
     def test_tanisaki_generators_match_the_full_degree_loop(self, parts):
         ideal = tanisaki_point(parts)
-        assert _minimal_generator_space(ideal) == generator_space_oracle(ideal)
+        assert generator_polynomials(ideal) == generator_space_oracle(ideal)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_row_generators_match_the_full_degree_loop(self, n):
         # the table1 rows at seed 0; the generators print alike too
         for case in classification_cases(n, _random_parameters(0)):
             if case.ideal.is_homogeneous():
-                got = _minimal_generator_space(case.ideal)
+                got = generator_polynomials(case.ideal)
                 want = generator_space_oracle(case.ideal)
                 assert got == want, describe(case)
                 assert ([str(g) for gs in got[0].values() for g in gs]
@@ -655,9 +788,9 @@ class TestRelationStep:
         # in every degree up to N + top generator degree - 1, past the cut
         # at N + 1 where the elimination stops
         ideal = tanisaki_point(parts)
-        graded_gens, N = _minimal_generator_space(ideal)
-        gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
-        gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
+        vectors, gen_degrees = graded_generators(ideal)
+        N = len(ideal.hilbert_function())
+        gens = numerator_polynomials(vectors, ideal.ambient_n)
         top = N + max(gen_degrees) - 1
         assert top > N + 1
         square = square_of(ideal)
@@ -706,13 +839,13 @@ class TestRelationStep:
     def test_dropped_functional_exits_3(self, monkeypatch, capsys):
         # the last invariant functional of I^2 in degree 5 left out, where
         # R/I has functionals too (N = 7)
-        from symideal import equivariant
-
         counted = equivariant._invariant_functionals
 
-        def dropped(record, keys, orbit, inside, start=0):
-            functionals, count = counted(record, keys, orbit, inside, start)
-            if record.below < inf and DEGREVLEX.degree(keys[0], 5) == 5:  # I^2 is bounded
+        def dropped(actions, keys, orbit, inside, start=0):
+            functionals, count = counted(actions, keys, orbit, inside, start)
+            # R/I numbers its functionals on from those of lower degrees:
+            # in degree 5 only those of I^2 start at 0
+            if start == 0 and DEGREVLEX.degree(keys[0], 5) == 5:
                 return {rep: {j: v for j, v in entries.items() if j != count - 1}
                         for rep, entries in functionals.items()}, count - 1
             return functionals, count
@@ -821,12 +954,6 @@ class TestPackedSquare:
             bounded.coordinates([(DEGREVLEX.key((3, 0, 0)), 1), (DEGREVLEX.key((2, 0, 0)), 1)])
 
 
-def graded_generators(ideal: Ideal) -> tuple[list[Polynomial], list[int]]:
-    graded_gens, _ = _minimal_generator_space(ideal)
-    gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]
-    return gens, [d for d, gs in sorted(graded_gens.items()) for _ in gs]
-
-
 def schur_pairing(ideal: Ideal) -> int:
     # dim Hom_{S_n}(N1, R/I) = sum over mu of m_mu(N1) * m_mu(R/I)
     quotient = decompose_quotient(ideal).as_dict()
@@ -864,7 +991,7 @@ class TestHomBasis:
         ideal = tanisaki_point(parts)
         gens, gen_degrees = graded_generators(ideal)
         new, _ = _hom_basis_equivariant(ideal, gens, gen_degrees)
-        old = hom_basis_oracle(ideal, gens, gen_degrees)
+        old = hom_basis_oracle(ideal, numerator_polynomials(gens, ideal.ambient_n), gen_degrees)
         assert hom_rank(new) == hom_rank(old) == hom_rank(new, old) == len(new) == len(old)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -872,6 +999,6 @@ class TestHomBasis:
         for case in homogeneous_rows(n):
             gens, gen_degrees = graded_generators(case.ideal)
             new, _ = _hom_basis_equivariant(case.ideal, gens, gen_degrees)
-            old = hom_basis_oracle(case.ideal, gens, gen_degrees)
+            old = hom_basis_oracle(case.ideal, numerator_polynomials(gens, case.n), gen_degrees)
             assert (hom_rank(new) == hom_rank(old) == hom_rank(new, old)
                     == len(new) == len(old)), describe(case)

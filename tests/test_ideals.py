@@ -590,6 +590,22 @@ class TestMaximalPower:
         for g in maximal_power(n, 3).generators:
             assert ideal.contains(g)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_are_the_degree_monomials_in_order(self, n):
+        for d in range(1, 6):
+            assert list(maximal_power(n, d).generators) == [
+                Polynomial.monomial(m) for m in degree_monomials(n, d)], d
+
+    def test_degree_is_checked_before_any_monomial_is_built(self):
+        # m^(2^30) would hold 2^30 + 1 monomials
+        with mock.patch.object(ideals, "combinations_with_replacement",
+                               side_effect=AssertionError("monomials enumerated")):
+            with pytest.raises(ValueError, match="too large"):
+                maximal_power(2, LIMIT)
+            for d in (0, -1):
+                with pytest.raises(ValueError, match="at least 1"):
+                    maximal_power(3, d)
+
 
 class TestLemmaMemberships:
     @pytest.mark.parametrize("n", [4, 5])

@@ -544,8 +544,18 @@ class TestStoredCoefficients:
         for case in classification_cases(n):
             if case.ideal.is_homogeneous():
                 for gens in equivariant._minimal_generator_space(case.ideal)[0].values():
-                    for g in gens:
-                        assert_clean(g)
+                    for terms, den in gens:  # nonzero ints over a positive int
+                        assert type(den) is int and den > 0
+                        assert all(type(c) is int and c for c in terms.values())
+                        assert_clean(Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()}))
+
+    def test_hash_follows_equality(self):
+        # hashed on demand from the terms, whatever their insertion order
+        n = 3
+        f = x(1, n) * x(2, n) + Fraction(1, 2) * x(3, n)
+        g = Polynomial(n, dict(reversed(list(f.terms.items()))))
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert Polynomial.__slots__ == ("ambient_n", "terms")
 
     def test_constructor_wraps_keeps_and_drops(self):
         half, key = Fraction(1, 2), DEGREVLEX.key
