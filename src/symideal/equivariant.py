@@ -37,8 +37,8 @@ from .combinat import (IsotypicDecomposition, Partition, Permutation,
                        kostka_number, multinomial, partitions_of)
 from .ideals import Ideal
 from .linalg import KernelEchelon, combine, nullspace_tags
-from .poly import (DEGREVLEX, Vector, combine_vectors, complement_vectors, degrevlex_terms,
-                   integrate_vectors, permute_key, swap_key)
+from .poly import (DEGREVLEX, Vector, combine_vectors, complement_vectors, integrate_vectors,
+                   permute_key, swap_key)
 
 
 def group_generators(n: int) -> list[Permutation]:
@@ -256,9 +256,8 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
     Groebner basis, which generates.  Duals, W_d and generators are integer
-    vectors (terms, den) (see ``poly``); W_d is re-keyed once by
-    ``DEGREVLEX``, to be read in R/I and to give the generators returned,
-    which stay so keyed.  Returns ({degree: generators}, N) where the
+    vectors (terms, den) keyed by ``DEGREVLEX`` (see ``poly``), so W_d is
+    read in R/I as it comes.  Returns ({degree: generators}, N) where the
     quotient vanishes from degree N on.
     """
     n, quotient = ideal.ambient_n, ideal._quotient()
@@ -269,21 +268,20 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int
         w_space = integrate_vectors(duals, n, d)
         hf_d = len(quotient.graded.get(d, ()))
         # members of W_d inside the ideal are exactly the new generators
-        keyed = [(degrevlex_terms(terms, n), den) for terms, den in w_space]
         relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
-                                   for t, (terms, _) in enumerate(keyed))
+                                   for t, (terms, _) in enumerate(w_space))
         if len(relations) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
         if d < N:
             # next dual space: the pairing-orthogonal complement of the new
             # generators inside W_d (the pairing is definite, so dims add)
             next_duals = complement_vectors(w_space, [combine_vectors(w_space, relation)
-                                                      for relation in relations])
+                                                      for relation in relations], n)
             if len(next_duals) != hf_d:
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
             duals = next_duals
         if relations:
-            generators[d] = [combine_vectors(keyed, r) for r in relations]
+            generators[d] = [combine_vectors(w_space, r) for r in relations]
     return generators, N
 
 

@@ -44,8 +44,9 @@ The engine works on integer-coefficient term lists (content 1, positive
 leading coefficient) so that all reductions are fraction-free; rational
 results are reconstructed from tracked multipliers.  Pair selection uses
 the normal strategy with Gebauer-Moeller elimination, which makes reduced
-bases deterministic.  Reduced Groebner bases are canonical, so ideal
-equality is decided by comparing them.
+bases deterministic.  Reduced Groebner bases are canonical, and so are
+these primitive ones sorted by leading monomial: ideal equality compares
+the term lists.
 
 A degree cap: when every input is homogeneous and the inputs hold all
 C(n+d-1, d) monomials of some least degree d, the ideal is J + m^d, J
@@ -86,7 +87,7 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
-from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, exponent_key, numerators
+from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, numerators
 
 # ---------------------------------------------------------------------------
 # divisibility on packed exponents
@@ -96,8 +97,8 @@ from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, exponent_key, num
 def _masks(n: int) -> tuple[int, int, int]:
     """(guard, quarter, low): the top bit of each of n fields, its top two
     bits, and its low bit."""
-    return (exponent_key((1 << (W - 1),) * n), exponent_key((3 << (W - 2),) * n),
-            exponent_key((1,) * n))
+    return (DEGREVLEX.pack((1 << (W - 1),) * n), DEGREVLEX.pack((3 << (W - 2),) * n),
+            DEGREVLEX.pack((1,) * n))
 
 
 def _packed_lcm(a: int, b: int, guard: int) -> int:
@@ -536,7 +537,7 @@ class Ideal:
             return NotImplemented
         if self.ambient_n != other.ambient_n:
             return False
-        return self.groebner_basis() == other.groebner_basis()
+        return self._quotient().basis == other._quotient().basis
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -10,8 +10,8 @@ in degrevlex order (x1 > ... > xn) and adds under products.  The engine of
 ``ideals`` and the tangent step read the same keys, and a permutation
 moves a key's fields (``permute_key``; ``swap_key`` for an adjacent
 transposition, the hot path of the S_n action).  Exponent tuples appear
-only in ``parse_polynomial``, ``str``, ``Polynomial.monomial`` and
-``Ideal.standard_monomials``.
+only in ``parse_polynomial``, ``str``, ``Polynomial.monomial``,
+``Ideal.standard_monomials`` and the apolar operators of ``tanisaki``.
 
 Every exponent stays below LIMIT = 2**(W - 2), as the engine's
 divisibility tests need (``ValueError`` otherwise): ``parse_polynomial``,
@@ -31,12 +31,12 @@ polynomials (``linear_combination``) and of the vectors below
 The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
 ``complement_vectors``, ``combine_vectors``) work on integer numerators
 instead: a vector is (terms, den) with int coefficients over one positive
-int denominator, keyed by ``exponent_key``: the exponents in W-bit fields,
-the first in the high field, so keys order as exponent tuples do and so
-do pivots (``KernelEchelon`` relation signs follow pivot order, so a
-degrevlex key would change the signs of apolar generators).
-``to_vector``, ``to_polynomial`` and ``degrevlex_terms`` convert at the
-boundary, where the values are exactly those of the rational computation.
+int denominator, keyed by ``DEGREVLEX.key`` as a ``Polynomial`` is, so a
+derivative or a shift subtracts or adds the key of a variable.  Their
+pivots follow degrevlex order, and so do the signs of the relations
+(``KernelEchelon``), those of the apolar generators among them.
+``numerators`` and ``to_polynomial`` convert at the boundary, where the
+values are exactly those of the rational computation.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -49,7 +49,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from struct import Struct
 
 from .combinat import Permutation
@@ -63,37 +63,32 @@ MASK = (1 << W) - 1  # one exponent field
 
 @lru_cache(maxsize=None)
 def _fields(n: int) -> Struct:
-    """n unsigned W-bit fields, the first exponent in the high field."""
-    return Struct(f">{n}I")
-
-
-def exponent_key(m: Monomial) -> int:
-    """The key sum of m_i * 2**(W*(n-1-i)) of a vector term."""
-    return int.from_bytes(_fields(len(m)).pack(*m), "big")
-
-
-def key_exponents(key: int, n: int) -> Monomial:
-    """The exponent tuple of an n-variable key."""
-    return _fields(n).unpack(key.to_bytes(W // 8 * n, "big"))
+    """n unsigned W-bit fields, the first exponent in the low field."""
+    return Struct(f"<{n}I")
 
 
 class DegRevLex:
     """Degree reverse lexicographic order, x1 > ... > xn, as packed keys:
-    key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W."""
+    key = deg * B**n - sum(e_i * B**(i-1)), B = 2**W.  The one converter
+    between exponent tuples and ints."""
+
+    def pack(self, m: Monomial) -> int:
+        """The exponents of m in W-bit fields, e_i in field i - 1."""
+        return int.from_bytes(_fields(len(m)).pack(*m), "little")
 
     def key(self, m: Monomial) -> int:
-        return (sum(m) << (W * len(m))) - exponent_key(m[::-1])
+        return (sum(m) << (W * len(m))) - self.pack(m)
 
     def degree(self, key: int, n: int) -> int:  # degree e: key in ((e - 1) * B**n, e * B**n]
         return (key + (1 << (W * n)) - 1) >> (W * n)
 
     def exps(self, key: int, n: int) -> int:
-        """The exponents of the monomial with this key, packed in W-bit fields."""
+        """The exponents of the monomial with this key, packed as ``pack`` packs them."""
         return -key & ((1 << (W * n)) - 1)
 
     def monomial(self, exps: int, n: int) -> Monomial:
-        """The exponent tuple packed in ``exps`` as ``exps(key, n)`` packs it."""
-        return key_exponents(exps, n)[::-1]
+        """The exponent tuple packed in ``exps``."""
+        return _fields(n).unpack(exps.to_bytes(W // 8 * n, "little"))
 
     def unpack(self, key: int, n: int) -> Monomial:
         """The exponent tuple of the monomial with this key."""
@@ -370,9 +365,10 @@ def degree_monomials(n: int, d: int) -> list[Monomial]:
 
 
 @lru_cache(maxsize=None)
-def monomial_weight(key: int) -> int:
-    """The product of the factorials of a key's exponents: its self-pairing."""
-    return factorial(key & MASK) * monomial_weight(key >> W) if key else 1
+def monomial_weight(key: int, n: int) -> int:
+    """The product of the factorials of the exponents of an n-variable key:
+    its monomial's self-pairing."""
+    return prod(map(factorial, DEGREVLEX.unpack(key, n)))
 
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
@@ -399,28 +395,17 @@ def numerators(f: Polynomial) -> tuple[dict[int, int], int]:
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
-def to_vector(f: Polynomial) -> Vector:
-    """f as a vector (terms, den), den the least common denominator."""
-    terms, den = numerators(f)
-    return {exponent_key(DEGREVLEX.unpack(k, f.ambient_n)): c for k, c in terms.items()}, den
-
-
-def degrevlex_terms(terms: dict, n: int) -> dict:
-    """The terms of an n-variable vector re-keyed by ``DEGREVLEX.key``."""
-    return {DEGREVLEX.key(key_exponents(k, n)): c for k, c in terms.items()}
-
-
 def to_polynomial(v: Vector, n: int) -> Polynomial:
     """The polynomial terms / den of a vector (terms, den) in n variables."""
     terms, den = v
-    return Polynomial(n, {k: Fraction(c, den) for k, c in degrevlex_terms(terms, n).items()})
+    return Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
 
 
 def partial_terms(terms: dict, j: int, n: int) -> dict:
-    """The partial derivative with respect to x_{j+1} of the terms of a vector."""
-    shift = W * (n - 1 - j)
-    unit = 1 << shift
-    return {k - unit: c * e for k, c in terms.items() if (e := k >> shift & MASK)}
+    """The partial derivative with respect to x_{j+1} of the terms of a
+    vector: each key less that of x_{j+1}, B**n - B**j, times e_{j+1}."""
+    unit, shift = (1 << (W * n)) - (1 << (W * j)), W * j
+    return {k - unit: c * e for k, c in terms.items() if (e := -k >> shift & MASK)}
 
 
 def combine_vectors(space: list[Vector] | dict[tuple[int, int], Vector],
@@ -451,14 +436,15 @@ def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
             if k == j:
                 continue
             lo, hi = min(j, k), max(j, k)
-            sign, pair = (1 if j == lo else -1), (lo * n + hi) << (W * n)
-            for m, c in partials[(k, t)].items():  # column ((lo, hi), m) in tuple order
-                col[pair | m] = col.get(pair | m, 0) + sign * c
+            sign, pair = (1 if j == lo else -1), (lo * n + hi) << (W * (n + 1))
+            for m, c in partials[(k, t)].items():  # column ((lo, hi), m), m in degrevlex
+                col[pair + m] = col.get(pair + m, 0) + sign * c
         return col
 
     rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
-    shifted = {(j, t): ({m + (1 << W * (n - 1 - j)): c for m, c in terms.items()}, den)
-               for j in range(n) for t, (terms, den) in enumerate(duals)}  # x_{j+1} * m_t
+    shifted = {(j, t): ({m + unit: c for m, c in terms.items()}, den)  # x_{j+1} * m_t
+               for j, unit in enumerate((1 << W * n) - (1 << W * j) for j in range(n))
+               for t, (terms, den) in enumerate(duals)}
     out = []
     for relation in nullspace_tags(rows):
         terms, den = combine_vectors(shifted, relation)
@@ -467,7 +453,7 @@ def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
     return out
 
 
-def complement_vectors(space: list[Vector], others: list[Vector]) -> list[Vector]:
+def complement_vectors(space: list[Vector], others: list[Vector], n: int) -> list[Vector]:
     """Members of the span of ``space`` that pair to zero with all of ``others``.
 
     One combination of ``space`` per kernel relation of the pairing
@@ -476,7 +462,7 @@ def complement_vectors(space: list[Vector], others: list[Vector]) -> list[Vector
     monomials, is symmetric, so the side each argument pairs from does not
     matter.
     """
-    weighted = [{m: c * monomial_weight(m) for m, c in terms.items()} for terms, _ in others]
+    weighted = [{m: c * monomial_weight(m, n) for m, c in terms.items()} for terms, _ in others]
 
     def pairings(terms: dict) -> dict:
         row = {}

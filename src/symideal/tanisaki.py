@@ -27,9 +27,9 @@ from itertools import combinations
 from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
-from .poly import (W, Polynomial, Vector, complement_vectors, degree_monomials,
-                   elementary_symmetric, exponent_key, integrate_vectors,
-                   partial_terms, power_sum, to_polynomial, to_vector)
+from .poly import (DEGREVLEX, W, Polynomial, Vector, complement_vectors, degree_monomials,
+                   elementary_symmetric, integrate_vectors, numerators, partial_terms,
+                   power_sum, to_polynomial)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -77,14 +77,15 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     every parent (a_j > 0) was kept one degree lower.  Nothing else would
     be kept: a dropped parent lies in the span of earlier images, and lex
     order is translation-invariant, so its derivatives lie in the span of
-    images before x^a.  Images are integer vectors (terms, den), den that
-    of their Specht polynomial: 1, as Specht polynomials are integral.
+    images before x^a.  Images are integer vectors (terms, den) keyed by
+    ``DEGREVLEX.key``, as are the operators, den that of their Specht
+    polynomial: 1, as Specht polynomials are integral.
     """
-    sources = [to_vector(s) for s in spechts]
+    sources = [numerators(s) for s in spechts]
     kept, layers = [{0: terms} for terms, _ in sources], []  # degree 0: the operator 1
     for k in range(spechts[0].degree() + 1):
-        steps = [(key, [(key - (1 << W * (n - 1 - j)), j) for j, e in enumerate(a) if e])
-                 for a in degree_monomials(n, k) for key in [exponent_key(a)]]
+        steps = [(key, [(key - (1 << W * n) + (1 << W * j), j) for j, e in enumerate(a) if e])
+                 for a in degree_monomials(n, k) for key in [DEGREVLEX.key(a)]]
         ech, layer = KernelEchelon(), []
         for t, held in enumerate(kept):
             following = {}
@@ -109,7 +110,7 @@ def _apolar_generators(lam: Partition) -> list[Polynomial]:
     layers = _dual_layers(distinct_specht_polynomials(lam), n)
     gens: list[Vector] = []
     for d in range(1, d_min(lam) + 1):
-        gens += complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d])
+        gens += complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
     return [to_polynomial(v, n) for v in gens]
 
 

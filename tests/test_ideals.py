@@ -20,7 +20,7 @@ from symideal.ideals import (Ideal, _buchberger, _degree_cap, _engine_terms, _fr
                              orbit_points)
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, degree_monomials,
                            parse_polynomial, power_sum)
-from symideal.tanisaki import tanisaki_ideal
+from symideal.tanisaki import MODES, tanisaki_ideal
 from test_poly import evaluate, from_tuple_terms, leading_monomial, tuple_terms
 
 
@@ -574,6 +574,41 @@ class TestAssociatedGraded:
 
         ideal = orbit_ideal((2, -1, -1))  # coordinate sum zero
         assert ideal.associated_graded() == tanisaki_ideal(Partition([2, 1]))
+
+
+def sum_zero_point(lam: Partition) -> tuple:
+    """A point of orbit type lam with coordinate sum zero: value i - mean
+    taken lam_i times."""
+    values = [i for i, part in enumerate(lam.parts) for _ in range(part)]
+    mean = Fraction(sum(values), len(values))
+    return tuple(v - mean for v in values)
+
+
+class TestEquality:
+    """``==`` compares the engine's primitive reduced bases; it must agree
+    with comparing the monic bases of ``groebner_basis``."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_agrees_with_the_monic_bases(self, n):
+        samples = [(Fraction(1, 2), Fraction(-3)), (Fraction(2), Fraction(1, 3))]
+        ideals = [case.ideal for case in classification_cases(n, samples)]
+        for lam in partitions_of(n):
+            ideals += [tanisaki_ideal(lam, mode) for mode in MODES]
+            orbit = orbit_ideal(sum_zero_point(lam))
+            ideals += [orbit, orbit.associated_graded()]
+        monic = [ideal.groebner_basis() for ideal in ideals]
+        equal = 0
+        for a, basis_a in zip(ideals, monic):
+            for b, basis_b in zip(ideals, monic):
+                assert (a == b) == (basis_a == basis_b)
+                equal += a is not b and basis_a == basis_b
+        assert equal > 0
+        # the routes that must meet: the three Tanisaki modes, and gr of a
+        # sum-zero orbit of type lam with the Tanisaki ideal of lam
+        for lam in partitions_of(n):
+            reference = tanisaki_ideal(lam)
+            assert all(tanisaki_ideal(lam, mode) == reference for mode in MODES)
+            assert orbit_ideal(sum_zero_point(lam)).associated_graded() == reference
 
 
 class TestMaximalPower:

@@ -13,9 +13,9 @@ from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation,
                            complement_vectors, degree_monomials, elementary_symmetric,
-                           exponent_key, integrate_vectors, key_exponents, linear_combination,
-                           monomial_weight, numerators, parse_polynomial, partial_terms,
-                           permute_key, power_sum, swap_key, to_polynomial, to_vector)
+                           integrate_vectors, linear_combination, monomial_weight, numerators,
+                           parse_polynomial, partial_terms, permute_key, power_sum, swap_key,
+                           to_polynomial)
 from symideal.tanisaki import _apolar_generators
 
 
@@ -237,7 +237,7 @@ class TestApolar:
     def test_monomial_self_pairing(self):
         m = (2, 3, 1)
         f = Polynomial.monomial(m)
-        assert apolar_pair(f, f) == Polynomial.constant(monomial_weight(exponent_key(m)), 3)
+        assert apolar_pair(f, f) == Polynomial.constant(monomial_weight(DEGREVLEX.key(m), 3), 3)
         g = Polynomial.monomial((1, 4, 1))
         assert apolar_scalar(f, g) == 0
 
@@ -314,49 +314,58 @@ class TestDuality:
         assert len(ratio) == 1
 
 
+# exponents at both ends and near LIMIT = 2**30, the bound every Polynomial keeps
+exponents = st.one_of(st.integers(0, 3), st.integers(LIMIT - 3, LIMIT - 1),
+                      st.integers(0, (1 << (W - 1)) - 1))
 exponent_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(
-    *[st.lists(st.integers(0, (1 << (W - 1)) - 1), min_size=n, max_size=n).map(tuple)] * 2))
+    *[st.lists(exponents, min_size=n, max_size=n).map(tuple)] * 2))
+# pairs of one monomial degree below LIMIT, as products keep it
+degree_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, LIMIT // n - 1), min_size=n, max_size=n).map(tuple)] * 2))
 
 
 class TestVectorKeys:
-    """The packed keys of the inverse-system vectors stand for exponent
-    tuples: the eliminations pivot on them as on the tuples."""
+    """The inverse-system vectors are keyed by ``DEGREVLEX.key`` as
+    ``Polynomial`` terms are: the eliminations pivot on degrevlex order, a
+    derivative or a shift moves a key by that of a variable."""
 
     @given(exponent_pairs)
     @settings(max_examples=200, deadline=None)
-    def test_key_order_is_tuple_order(self, pair):
+    def test_keys_round_trip_and_order_as_degrevlex(self, pair):
         a, b = pair
-        assert (exponent_key(a) < exponent_key(b)) == (a < b)
-        assert (exponent_key(a) == exponent_key(b)) == (a == b)
-        assert key_exponents(exponent_key(a), len(a)) == a
+        n = len(a)
+        assert (DEGREVLEX.key(a) < DEGREVLEX.key(b)) == (monomial_key(a) < monomial_key(b))
+        assert (DEGREVLEX.key(a) == DEGREVLEX.key(b)) == (a == b)
+        assert DEGREVLEX.unpack(DEGREVLEX.key(a), n) == a
+        assert DEGREVLEX.monomial(DEGREVLEX.pack(a), n) == a
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple))
     def test_monomial_weight_reads_the_fields(self, m):
-        assert monomial_weight(exponent_key(m)) == prod(map(factorial, m))
+        assert monomial_weight(DEGREVLEX.key(m), len(m)) == prod(map(factorial, m))
 
-    @given(exponent_pairs, st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    @given(degree_pairs, st.lists(st.integers(0, 5), min_size=4, max_size=4))
     @settings(max_examples=100, deadline=None)
-    def test_cross_partial_columns_order_as_tuples(self, pair, indices):
+    def test_cross_partial_columns_order_as_pairs_then_degrevlex(self, pair, indices):
         # integrate_vectors keys the column ((lo, hi), m), lo < hi, as one int
         a, b = pair
         n = len(a)
 
         def column(lo: int, hi: int, m: tuple) -> int:
-            return ((lo * n + hi) << (W * n)) | exponent_key(m)
+            return ((lo * n + hi) << (W * (n + 1))) + DEGREVLEX.key(m)
 
         first, second = sorted(i % n for i in indices[:2]), sorted(i % n for i in indices[2:])
         assert ((column(*first, a) < column(*second, b))
-                == ((tuple(first), a) < (tuple(second), b)))
+                == ((tuple(first), monomial_key(a)) < (tuple(second), monomial_key(b))))
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(polynomials(n=n), st.integers(0, n - 1))))
     @settings(max_examples=100, deadline=None)
     def test_partials_and_shifts_match_the_tuples(self, data):
         f, j = data
         n = f.ambient_n
-        terms, den = to_vector(f)
+        terms, den = numerators(f)
         assert to_polynomial((partial_terms(terms, j, n), den), n) == derivative(f, j + 1)
-        unit = exponent_key(tuple(int(i == j) for i in range(n)))
-        assert unit == 1 << (W * (n - 1 - j))
+        unit = DEGREVLEX.key(tuple(int(i == j) for i in range(n)))
+        assert unit == (1 << (W * n)) - (1 << (W * j))
         assert (to_polynomial(({k + unit: c for k, c in terms.items()}, den), n)
                 == x(j + 1, n) * f)
 
@@ -364,9 +373,8 @@ class TestVectorKeys:
     @settings(max_examples=100, deadline=None)
     def test_to_polynomial_round_trips(self, f):
         n = f.ambient_n
-        terms, den = to_vector(f)
-        assert (terms, den) == ({exponent_key(DEGREVLEX.unpack(k, n)): c
-                                 for k, c in numerators(f)[0].items()}, numerators(f)[1])
+        terms, den = numerators(f)
+        assert terms.keys() == f.terms.keys()
         back = to_polynomial((terms, den), n)
         assert back == f and str(back) == str(f)
         assert_clean(back)
@@ -531,7 +539,7 @@ class TestStoredCoefficients:
                   linear_combination([f, g], {0: a, 1: b}), reynolds(f),
                   parse_polynomial(joined(f, g), n), parse_polynomial(joined(f, -f), n),
                   *integrate_duals([f, g], n, d), *apolar_complement([f, g], [f + a]),
-                  to_polynomial(to_vector(f * a), n)):
+                  to_polynomial(numerators(f * a), n)):
             assert_clean(h)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -644,7 +652,7 @@ def derivative(f: Polynomial, i: int) -> Polynomial:
 def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     """Degree-d polynomials whose partials all lie in the span of ``duals``;
     ``integrate_vectors`` on their vectors."""
-    return [to_polynomial(v, n) for v in integrate_vectors([to_vector(f) for f in duals], n, d)]
+    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
 
 
 def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
@@ -652,9 +660,10 @@ def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list
     ``others``; ``complement_vectors`` on their vectors."""
     if not space:
         return []
-    return [to_polynomial(v, space[0].ambient_n)
-            for v in complement_vectors([to_vector(f) for f in space],
-                                        [to_vector(g) for g in others])]
+    n = space[0].ambient_n
+    return [to_polynomial(v, n)
+            for v in complement_vectors([numerators(f) for f in space],
+                                        [numerators(g) for g in others], n)]
 
 
 # ---- oracles: the accumulation code before every sum became one dict --------
@@ -674,7 +683,11 @@ def reynolds_oracle(f):
     return total * Fraction(1, factorial(n))
 
 
-def integrate_duals_oracle(duals, n, d):
+def integrate_duals_oracle(duals, n, d, order=monomial_key):
+    """``integrate_duals`` on ``Polynomial`` values, each cross-partial
+    column ((lo, hi), order(m)): ``monomial_key``, the kernel's degrevlex
+    pivots, or the identity, the exponent-tuple (lex) pivots the kernel
+    once took, whose relations differ from it in sign only."""
     if not duals or d <= 0:
         return []
     partials = {(j, t): derivative(duals[t], j + 1)
@@ -687,8 +700,8 @@ def integrate_duals_oracle(duals, n, d):
                 continue
             lo, hi = min(j, k), max(j, k)
             sign = 1 if j == lo else -1
-            for m, c in tuple_terms(partials[(k, t)]).items():  # pivots in tuple order
-                key = ((lo, hi), m)
+            for m, c in tuple_terms(partials[(k, t)]).items():
+                key = ((lo, hi), order(m))
                 value = col.get(key, 0) + sign * c
                 if value:
                     col[key] = value
@@ -791,8 +804,8 @@ class TestAccumulationOracles:
             seen["fractional"] += any(den > 1 for _, den in duals)
             return got
 
-        def complement(space, others):
-            got = complement_vectors(space, others)
+        def complement(space, others, n):
+            got = complement_vectors(space, others, n)
             want = apolar_complement_oracle([to_polynomial(v, 4) for v in space],
                                             [to_polynomial(v, 4) for v in others])
             assert_same([to_polynomial(v, 4) for v in got], want)

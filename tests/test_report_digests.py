@@ -40,7 +40,7 @@ PINNED = {
     "tanisaki --n 5 --lambda 2,1,1,1 --mode apolar":
         "77d7a4043c5be82cf57cfab6f51cdd9c813f381c83d6845534e0cb80240cf112",
     "tanisaki --n 6 --lambda 3,2,1 --mode apolar":
-        "2d93b87747afa03dc80607d639ff5b47c940b2d64823fcbab3a472f254a6e1ca",
+        "6f9757d42eadc13aa0aec017b630032347b3347656a79352962c14508cc8b668",
     "tanisaki --n 6 --lambda 2,2,2 --mode apolar":
         "4e306060b6ad034758c86ac783048af01db2b80017d64a36c479078dfd354e17",
     "tanisaki --n 6 --lambda 4,1,1 --mode apolar":

@@ -21,7 +21,7 @@ from symideal.tanisaki import (MODES, inclusion_chain_check,
                                _apolar_generators, _dual_layers,
                                _subset_elementary_generators)
 from test_poly import (apolar_complement_oracle, apolar_pair, derivative, from_tuple_terms,
-                       integrate_duals_oracle, is_homogeneous, tuple_terms)
+                       integrate_duals_oracle, is_homogeneous, monomial_key, tuple_terms)
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -104,13 +104,15 @@ def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomia
     return layers[::-1]
 
 
-def apolar_generators_oracle(lam: Partition) -> list[Polynomial]:
-    """``_apolar_generators`` on ``Polynomial`` values throughout."""
+def apolar_generators_oracle(lam: Partition, order=monomial_key) -> list[Polynomial]:
+    """``_apolar_generators`` on ``Polynomial`` values throughout, the
+    integration pivoting on ((lo, hi), order(m)) (``integrate_duals_oracle``)."""
     n = lam.n
     layers = dual_layers_oracle(distinct_specht_polynomials(lam), n)
     gens: list[Polynomial] = []
     for d in range(1, d_min(lam) + 1):
-        gens += apolar_complement_oracle(integrate_duals_oracle(layers[d - 1], n, d), layers[d])
+        gens += apolar_complement_oracle(integrate_duals_oracle(layers[d - 1], n, d, order),
+                                         layers[d])
     return gens
 
 
@@ -166,16 +168,28 @@ class TestDualLayers:
             assert sum(e == k for e, _ in taken) <= n * len(layers[top - k + 1])
 
 
+APOLAR_SHAPES = ([lam.parts for n in range(1, 6) for lam in partitions_of(n)]
+                 + [[4, 1, 1], [3, 2, 1], [2, 2, 2], [3, 1, 1, 1]])
+
+
 class TestApolarGenerators:
     """The generators from the integer kernels print exactly as those of
     the ``Fraction`` computation."""
 
-    @pytest.mark.parametrize("parts", [lam.parts for n in range(1, 6) for lam in partitions_of(n)]
-                             + [[4, 1, 1], [3, 2, 1], [2, 2, 2], [3, 1, 1, 1]])
+    @pytest.mark.parametrize("parts", APOLAR_SHAPES)
     def test_match_the_oracle(self, parts):
         lam = Partition(list(parts))
         got, want = _apolar_generators(lam), apolar_generators_oracle(lam)
         assert [str(g) for g in got] == [str(g) for g in want]
+
+    @pytest.mark.parametrize("parts", APOLAR_SHAPES)
+    def test_lex_pivots_change_signs_only(self, parts):
+        # the integration once pivoted on exponent tuples (lex); the
+        # generators it gave are these, each up to its sign
+        lam = Partition(list(parts))
+        got, lex = _apolar_generators(lam), apolar_generators_oracle(lam, order=lambda m: m)
+        assert len(got) == len(lex)
+        assert all(g == w or g == -w for g, w in zip(got, lex))
 
 
 class TestConstruction:
