@@ -255,18 +255,31 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int
     complement W_d of m*I inside the full degree piece is obtained by
     integrating the previous dual space, and the new generators are the
     members of W_d lying in the ideal, up to the top degree of the reduced
-    Groebner basis, which generates.  Duals, W_d and generators are integer
+    Groebner basis G, which generates.  Duals, W_d and generators are integer
     vectors (terms, den) keyed by ``DEGREVLEX`` (see ``poly``), so W_d is
     read in R/I as it comes.  Returns ({degree: generators}, N) where the
     quotient vanishes from degree N on.
+
+    Each element of I_d reduces to zero by G, and a reducer of lower degree
+    contributes a member of (m*I_{d-1})_d, so I_d = span(G_d) + (m*I_{d-1})_d.
+    So at a degree where G has no element W_d holds no generator and is the
+    next dual space itself: its coordinates and complement are not computed,
+    and only the dual dimension len(W_d) = HF(d) is checked.
     """
     n, quotient = ideal.ambient_n, ideal._quotient()
     N = len(ideal.hilbert_function())
     duals: list[Vector] = [({0: 1}, 1)]
     generators: dict[int, list[Vector]] = {}
-    for d in range(1, max(DEGREVLEX.degree(g[0][0], n) for g in quotient.basis) + 1):
+    basis_degrees = {DEGREVLEX.degree(g[0][0], n) for g in quotient.basis}
+    for d in range(1, max(basis_degrees) + 1):
         w_space = integrate_vectors(duals, n, d)
         hf_d = len(quotient.graded.get(d, ()))
+        if d not in basis_degrees:
+            # I_d = (m*I_{d-1})_d: no generator, and W_d is the dual space
+            if len(w_space) != hf_d:
+                raise ArithmeticError(f"dual dimension mismatch in degree {d}")
+            duals = w_space
+            continue
         # members of W_d inside the ideal are exactly the new generators
         relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
                                    for t, (terms, _) in enumerate(w_space))
@@ -376,7 +389,10 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     most reg(I) + 1 = N + 1 (Eisenbud, *The Geometry of Syzygies*, ch. 4),
     where the elimination stops.  ``n2_count`` counts the relations K_d from
     HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d below ``syzygy_bound``, the bound
-    of the I^2 built (``_Quotient.square``); a degree without any is skipped.
+    of the I^2 built (``_Quotient.square``, which forms no S-polynomial of two
+    products sharing a factor); a degree without any is skipped.  The
+    generator space reads W_d in R/I only in the degrees of the reduced
+    basis of I (``_minimal_generator_space``).
 
     K_d is the kernel of Phi: b (x) v_i -> b*v_i on ((R/I) (x) V)_d, and
     phi_t constrains it through the equivariant psi_t: b (x) v_i ->

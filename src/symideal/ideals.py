@@ -68,7 +68,10 @@ as {key: coeff}, coordinates in R/I, int where integral;
 polynomial.  ``_Quotient.square(below)`` is I^2 below that degree from
 products of basis elements: primitive with positive leads
 (Gauss's lemma), each is the input ``_to_engine`` gives for the rational
-product.
+product.  Each product carries its factor pair (a, b) into ``_buchberger``,
+and two elements led by products sharing a factor g_a form no S-polynomial,
+which G already settles: Buchberger's criterion for the sum of the ideals
+g_a*I, kept in Gebauer-Moeller's bookkeeping as a coprime pair is.
 
 Orbit ideals are kernels of linear maps from R to finite-dimensional
 spaces (evaluation at the orbit's points), found by the Buchberger-Moeller
@@ -83,7 +86,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, repeat
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
@@ -276,14 +279,16 @@ def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
 
 
 def _fresh_pairs(lcms: list[int], support: list[int], alive: list[bool], st: int,
-                 guard: int) -> list[tuple[int, int]]:
+                 guard: int, settled: set | tuple = ()) -> list[tuple[int, int]]:
     """The pairs (i, lcm) Gebauer-Moeller queues for a new element of support
     st, from its lead's packed lcm with each earlier one: per minimal lcm of
-    live i, the lowest non-coprime i, unless some coprime pair has it."""
+    live i, the lowest non-coprime i not in ``settled``, unless some coprime
+    or settled pair has it.  A settled pair, like a coprime one, has a
+    standard representation unformed, and its lcm still blocks its multiples."""
     lowest: dict[int, int | None] = {}
     for i, lcm in enumerate(lcms):
         if alive[i]:
-            lowest[lcm] = lowest.get(lcm, i) if support[i] & st else None
+            lowest[lcm] = lowest.get(lcm, i) if support[i] & st and i not in settled else None
     queued, minimal = [], []
     for lcm in sorted(lowest):
         x = lcm | guard
@@ -294,9 +299,12 @@ def _fresh_pairs(lcms: list[int], support: list[int], alive: list[bool], st: int
     return queued
 
 
-def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[list]:
+def _buchberger(inputs: list[list], n: int, below: int | float = inf,
+                factors: list[tuple[int, int]] | None = None) -> list[list]:
     """Reduced Groebner basis from engine term lists, truncated at a degree
-    cap and below the degree ``below`` (see the module docstring)."""
+    cap and below the degree ``below`` (see the module docstring).
+    ``factors[i]``, when given, is the pair (a, b) with ``inputs[i]`` the
+    product g_a*g_b of a Groebner basis: see ``_Quotient.square``."""
     if below < inf and not _homogeneous(inputs, n):
         raise ValueError("a degree bound needs homogeneous inputs")
     guard = _masks(n)[0]
@@ -310,8 +318,9 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
     heap: list = []  # (lcm key, i, j)
     pairs: dict = {}  # (i, j) -> packed lcm, for each live pair
     divisors: dict = {}  # one memo for the run: G only grows by appending
+    with_factor: dict[int, list[int]] = {}  # a -> the elements led by a product g_a*g_b
 
-    def add(f: list) -> None:
+    def add(f: list, pair: tuple[int, int] | None = None) -> None:
         rem = _normalize(_normal_form(f, G, leads, n, divisors)[0])
         if not rem:
             return
@@ -320,11 +329,16 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
         leads.append(lt)
         support.append(_support(lt, n))
         alive.append(True)
+        settled: set | tuple = ()
+        if pair is not None and rem[0][0] == f[0][0]:  # led by the product itself
+            settled = {i for a in pair for i in with_factor.get(a, ())}
+            for a in pair:
+                with_factor.setdefault(a, []).append(t)
         if DEGREVLEX.degree(rem[0][0], n) >= top - 1:
             return  # every pair lies past the ceiling: no earlier lead divides lt
         lcms = [_packed_lcm(a, lt, guard) for a in leads[:t]]
         # Gebauer-Moeller: queue the new pairs at minimal lcms...
-        for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard):
+        for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard, settled):
             key = DEGREVLEX.key(DEGREVLEX.monomial(lcm, n))
             if key <= ceiling:
                 heappush(heap, (key, i, t))
@@ -340,8 +354,9 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf) -> list[li
             if alive[i] and ((leads[i] | guard) - lt) & guard == guard:
                 alive[i] = False
 
-    for f in sorted((f for f in inputs if f[0][0] <= ceiling), key=lambda t: t[0][0]):
-        add(f)
+    for f, pair in sorted(((f, pair) for f, pair in zip(inputs, factors or repeat(None))
+                           if f[0][0] <= ceiling), key=lambda t: t[0][0][0]):
+        add(f, pair)
 
     while heap:
         _, i, j = heappop(heap)
@@ -439,11 +454,24 @@ class _Quotient:
         return {k: c // scale if c % scale == 0 else Fraction(c, scale) for k, c in rem}
 
     def square(self, below: int | float = inf) -> "_Quotient":
-        """The record of I^2 below degree ``below``, from products of basis
-        elements; a product of degree ``below`` or more is not formed."""
-        products = []
+        """The record of I^2 below degree ``below``, from the products of
+        basis elements; a product of degree ``below`` or more is not formed.
+
+        I^2 is the sum of the ideals g_a*I, with Groebner bases g_a*G, so
+        each product goes to ``_buchberger`` with its factors (a, b), and no
+        S-polynomial is formed of two elements p, q led by g_a*g_b and
+        g_a*g_c, leads that survived their reduction.  With L = lcm(LT p,
+        LT q), S(p, q) is u*g_a*S(g_b, g_c) plus multiples of earlier
+        elements led below L; as G is a Groebner basis, S(g_b, g_c) =
+        sum h_k*g_k with each LT(h_k*g_k) below lcm(LT g_b, LT g_c).  So
+        each h_k*g_a*g_k is led below L, and g_a*g_k, of degree at most that
+        of L, was an input, which has a representation over the final basis
+        no higher than its own lead: the pair has a standard representation.
+        A bounded record's basis need not be a Groebner basis of the ideal
+        it generates, so it hands no factors."""
+        products, factors = [], []
         for i, f in enumerate(self.basis):
-            for g in self.basis[i:]:  # keys add, coefficients multiply
+            for j, g in enumerate(self.basis[i:], i):  # keys add, coefficients multiply
                 if DEGREVLEX.degree(f[0][0] + g[0][0], self.n) >= below:
                     continue
                 terms: dict = {}
@@ -451,7 +479,9 @@ class _Quotient:
                     for t, e in g:
                         terms[k + t] = terms.get(k + t, 0) + c * e
                 products.append(sorted(((k, c) for k, c in terms.items() if c), reverse=True))
-        return _Quotient(_buchberger(products, self.n, below), self.n, below)
+                factors.append((i, j))
+        return _Quotient(_buchberger(products, self.n, below,
+                                     factors if self.below == inf else None), self.n, below)
 
 
 class Ideal:

@@ -19,7 +19,8 @@ from symideal.equivariant import (decompose_quotient, group_generators,
                                   _orbit_keys, _swap_actions, _word)
 from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
-from symideal.poly import (Polynomial, Vector, apply_permutation, linear_combination, power_sum,
+from symideal.poly import (Polynomial, Vector, apply_permutation, combine_vectors,
+                           complement_vectors, integrate_vectors, linear_combination, power_sum,
                            swap_key)
 from symideal.tanisaki import tanisaki_ideal
 from test_classification import describe
@@ -154,6 +155,35 @@ def generator_space_oracle(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], i
         if new_gens:
             generators[d] = new_gens
     return generators, N
+
+
+def every_degree_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int]:
+    """``_minimal_generator_space`` reading W_d in R/I and taking its
+    complement at every degree up to the top Groebner degree, also where
+    the reduced basis has no element."""
+    n, quotient = ideal.ambient_n, ideal._quotient()
+    N = len(ideal.hilbert_function())
+    duals: list[Vector] = [({0: 1}, 1)]
+    generators: dict[int, list[Vector]] = {}
+    for d in range(1, max(DEGREVLEX.degree(g[0][0], n) for g in quotient.basis) + 1):
+        w_space = integrate_vectors(duals, n, d)
+        hf_d = len(quotient.graded.get(d, ()))
+        relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
+                                   for t, (terms, _) in enumerate(w_space))
+        assert len(relations) == len(w_space) - hf_d
+        if d < N:
+            duals = complement_vectors(w_space, [combine_vectors(w_space, relation)
+                                                 for relation in relations], n)
+            assert len(duals) == hf_d
+        if relations:
+            generators[d] = [combine_vectors(w_space, r) for r in relations]
+    return generators, N
+
+
+def ordered(space: tuple[dict[int, list[Vector]], int]) -> tuple:
+    """A generator space with each vector's terms in their order."""
+    graded, N = space
+    return [(d, [(list(terms.items()), den) for terms, den in vs]) for d, vs in graded.items()], N
 
 
 def square_of(ideal: Ideal) -> Ideal:
@@ -688,6 +718,45 @@ class TestMinimalGenerators:
                 assert got == want, describe(case)
                 assert ([str(g) for gs in got[0].values() for g in gs]
                         == [str(g) for gs in want[0].values() for g in gs])
+
+
+class TestSkippedDegrees:
+    """Where the reduced basis G has no element, W_d is the next dual space
+    as it stands: the generators, their order and N are those of the loop
+    that reads W_d in R/I and takes its complement at every degree."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_the_every_degree_loop(self, n, seed):
+        skipped = 0
+        for case in classification_cases(n, _random_parameters(seed)):
+            if case.ideal.is_homogeneous():
+                got = _minimal_generator_space(case.ideal)
+                assert ordered(got) == ordered(every_degree_generator_space(case.ideal)), \
+                    describe(case)
+                degrees = {DEGREVLEX.degree(g[0][0], n) for g in case.ideal._quotient().basis}
+                skipped += max(degrees) - len(degrees)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+    def test_tanisaki_points_match_the_every_degree_loop(self, parts):
+        ideal = tanisaki_point(parts)
+        assert ordered(_minimal_generator_space(ideal)) == \
+            ordered(every_degree_generator_space(ideal))
+
+    def test_extra_dual_at_a_skipped_degree_is_an_internal_error(self, monkeypatch):
+        # G holds quadrics only, and W_1 holds the 3 linear forms
+        ideal = row_case("4a", 3).ideal
+        assert {DEGREVLEX.degree(g[0][0], 3) for g in ideal._quotient().basis} == {2}
+        integrate = equivariant.integrate_vectors
+
+        def padded(duals, n, d):
+            out = integrate(duals, n, d)
+            return out + [({DEGREVLEX.key((1, 0, 0)): 1}, 1)] if d == 1 else out
+
+        monkeypatch.setattr(equivariant, "integrate_vectors", padded)
+        with pytest.raises(ArithmeticError, match="dual dimension mismatch in degree 1"):
+            _minimal_generator_space(ideal)
 
 
 class TestTangentDimension:

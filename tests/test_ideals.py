@@ -7,10 +7,11 @@ from math import comb, factorial, gcd, inf
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symideal.classification import classification_cases
+from symideal.cli import _random_parameters
 from symideal.combinat import Partition, Permutation, partitions_of
 from symideal.equivariant import tangent_dimension
 from symideal import ideals
@@ -1071,32 +1072,37 @@ class TestEngineOracles:
         assert _buchberger(inputs, n) == buchberger_oracle(inputs, n)
 
 
-def gebauer_moeller_oracle(lcms, support, alive, st, guard):
+def gebauer_moeller_oracle(lcms, support, alive, st, guard, settled=()):
     """The pairs (i, lcm) the quadratic Gebauer-Moeller loop queued: each
     live pair, from the highest i down, is dropped when it is not coprime
-    and the lcm of a pair still to visit or already kept divides its own."""
+    and the lcm of a pair still to visit or already kept divides its own.
+    A pair with i in ``settled`` counts as coprime."""
+    def coprime(i):
+        return not support[i] & st or i in settled
+
     C = [(i, lcms[i]) for i in range(len(lcms)) if alive[i]]
     D = []
     while C:
         i, lcm = C.pop()
         x = lcm | guard
-        if support[i] & st and any((x - m) & guard == guard for _, m in C + D):
+        if not coprime(i) and any((x - m) & guard == guard for _, m in C + D):
             continue
         D.append((i, lcm))
-    return [(i, lcm) for i, lcm in D if support[i] & st]
+    return [(i, lcm) for i, lcm in D if not coprime(i)]
 
 
 @st.composite
 def pair_update(draw):
     """Leads of a basis and of a new element t, small exponents so that
-    equal lcms, divisible lcms and coprime pairs all occur, and which of
-    the earlier elements are still live."""
+    equal lcms, divisible lcms and coprime pairs all occur, which of the
+    earlier elements are still live, and which pairs are settled."""
     n = draw(st.integers(1, 4))
     t = draw(st.integers(0, 10))
     leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=t + 1,
                           max_size=t + 1))
     alive = draw(st.lists(st.booleans(), min_size=t, max_size=t))
-    return n, [packed_exponents(m) for m in leads], alive
+    settled = draw(st.sets(st.integers(0, t - 1))) if t else set()
+    return n, [packed_exponents(m) for m in leads], alive, settled
 
 
 class TestMinimalLcmPruning:
@@ -1105,30 +1111,37 @@ class TestMinimalLcmPruning:
     @settings(max_examples=400, deadline=None)
     @given(pair_update())
     def test_matches_the_quadratic_loop(self, case):
-        n, leads, alive = case
+        n, leads, alive, settled = case
         guard = _masks(n)[0]
         t = len(leads) - 1
         support = [_support(a, n) for a in leads]
         lcms = [_packed_lcm(a, leads[t], guard) for a in leads[:t]]
-        new = {(i, t, lcm) for i, lcm in _fresh_pairs(lcms, support, alive, support[t], guard)}
-        old = {(i, t, lcm) for i, lcm in
-               gebauer_moeller_oracle(lcms, support, alive, support[t], guard)}
-        assert new == old
+        for settles in ((), settled):
+            new = {(i, t, lcm) for i, lcm in
+                   _fresh_pairs(lcms, support, alive, support[t], guard, settles)}
+            old = {(i, t, lcm) for i, lcm in
+                   gebauer_moeller_oracle(lcms, support, alive, support[t], guard, settles)}
+            assert new == old
 
     def test_matches_at_every_update_of_the_catalog_rows(self, monkeypatch):
-        fresh, updates = ideals._fresh_pairs, []
+        fresh, updates, settling = ideals._fresh_pairs, [], []
 
-        def checked(lcms, support, alive, st, guard):
-            queued = fresh(lcms, support, alive, st, guard)
-            assert set(queued) == set(gebauer_moeller_oracle(lcms, support, alive, st, guard))
+        def checked(lcms, support, alive, st, guard, settled=()):
+            queued = fresh(lcms, support, alive, st, guard, settled)
+            assert set(queued) == set(gebauer_moeller_oracle(lcms, support, alive, st, guard,
+                                                             settled))
             updates.append(len(queued))
+            settling.append(len(settled))
             return queued
 
         monkeypatch.setattr(ideals, "_fresh_pairs", checked)
         for case in classification_cases(4):
             record = case.ideal._quotient()
             record.square()
+            _buchberger(all_products(record.basis), 4)  # the same products, no factors
         assert len(updates) > 500 and sum(updates) > 500
+        # the squares settle pairs of products sharing a factor
+        assert sum(map(bool, settling)) > 100
 
 
 def reduce_basis_oracle(basis, n):
@@ -1174,16 +1187,48 @@ def spoly_counts(inputs, n, below, oracle_below):
 
 
 @st.composite
-def homogeneous_inputs(draw):
-    """Homogeneous engine inputs at n = 2, 3 of degrees 1 to 3, and a bound."""
+def homogeneous_inputs(draw, low=1, min_size=1):
+    """Homogeneous engine inputs at n = 2, 3 of degrees ``low`` to 3, at
+    least ``min_size`` of them, and a bound."""
     n = draw(st.sampled_from([2, 3]))
     inputs = []
-    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+    for d in draw(st.lists(st.integers(low, 3), min_size=min_size, max_size=4)):
         terms = draw(st.dictionaries(st.sampled_from(degree_monomials(n, d)),
                                      st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
         inputs.append(_normalize(sorted(((DEGREVLEX.key(m), c) for m, c in terms.items()),
                                         reverse=True)))
     return n, inputs, draw(st.integers(1, 7))
+
+
+def basis_of(n, texts):
+    """The engine's reduced basis of the ideal of the polynomials given as text."""
+    return _buchberger([_to_engine(parse_polynomial(t, n)) for t in texts], n)
+
+
+@st.composite
+def homogeneous_bases(draw):
+    """The reduced basis of three or four drawn homogeneous inputs of degree
+    2 or 3 at n = 2, 3, when it has at least three elements, and a degree
+    bound."""
+    n, inputs, below = draw(homogeneous_inputs(low=2, min_size=3))
+    basis = _buchberger(inputs, n)
+    assume(len(basis) >= 3)
+    return n, basis, below
+
+
+TANGENT_SHAPES = [(5, 1), (4, 2), (3, 3), (4, 1, 1)]  # the benchmark's tangent points
+
+
+def homogeneous_table1_rows(n):
+    """(label, ideal) of each distinct homogeneous ``table1`` row at n,
+    seeds 0..2."""
+    rows = {}
+    for seed in range(3):
+        for i, case in enumerate(classification_cases(n, _random_parameters(seed))):
+            if case.ideal.is_homogeneous():
+                key = tuple(sorted(map(str, case.ideal.generators)))
+                rows.setdefault(key, (f"n{n}-s{seed}-{case.label}-{i}", case.ideal))
+    return list(rows.values())
 
 
 def squares_in_tangent(ideal):
@@ -1219,10 +1264,12 @@ class TestBoundedEngine:
     @pytest.mark.parametrize("ideal", [
         *(pytest.param(case.ideal, id=f"n{n}-{case.label}-{i}") for n in (3, 4)
           for i, case in enumerate(classification_cases(n))),
-        pytest.param(tanisaki_ideal(Partition([4, 1, 1])), id="tanisaki-4,1,1"),
-        pytest.param(tanisaki_ideal(Partition([3, 3])), id="tanisaki-3,3"),
+        *(pytest.param(ideal, id=label) for label, ideal in homogeneous_table1_rows(5)),
+        *(pytest.param(tanisaki_ideal(Partition(list(parts))),
+                       id="tanisaki-" + ",".join(map(str, parts))) for parts in TANGENT_SHAPES),
     ])
     def test_squares_match_the_oracle(self, ideal):
+        # the engine without factors is the oracle of the labelled square
         n = ideal.ambient_n
         for basis, below in squares_in_tangent(ideal):
             products = all_products(basis)
@@ -1232,6 +1279,33 @@ class TestBoundedEngine:
             top = min(below, _degree_cap(products, n)[0])
             engine, oracle = spoly_counts(products, n, below, top)
             assert engine == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_bases())
+    # labels kept past a reduced lead, and pairs settled without a shared factor, fail these
+    @example((3, basis_of(3, ["x1*x2 - x2*x3", "x1^2 + x2*x3", "x3^3", "x2^2*x3 + x2*x3^2"]), 5))
+    @example((3, basis_of(3, ["x1^2 + x2*x3", "x2*x3^2", "x1*x2^2", "x2^3*x3"]), 5))
+    def test_labelled_squares_of_drawn_ideals(self, case):
+        n, basis, below = case
+        products = all_products(basis)
+        for bound in (below, inf):
+            unlabelled = _buchberger(products, n, bound)
+            assert ideals._Quotient(basis, n).square(bound).basis == unlabelled
+            assert unlabelled == buchberger_oracle(products, n, bound)
+
+    def test_factors_save_spolys(self):
+        # at (5,1) neither run forms an S-polynomial below the bound
+        counts = []
+        for parts in TANGENT_SHAPES:
+            ideal = tanisaki_ideal(Partition(list(parts)))
+            for basis, below in squares_in_tangent(ideal):
+                with mock.patch.object(ideals, "_spoly", wraps=_spoly) as labelled:
+                    ideals._Quotient(basis, 6).square(below)
+                with mock.patch.object(ideals, "_spoly", wraps=_spoly) as unlabelled:
+                    _buchberger(all_products(basis), 6, below)
+                counts.append((labelled.call_count, unlabelled.call_count))
+        assert all(a < b or a == b == 0 for a, b in counts), counts
+        assert sum(a for a, _ in counts) < sum(b for _, b in counts)
 
 
 @st.composite
