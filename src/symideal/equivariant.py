@@ -264,7 +264,9 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int
     contributes a member of (m*I_{d-1})_d, so I_d = span(G_d) + (m*I_{d-1})_d.
     So at a degree where G has no element W_d holds no generator and is the
     next dual space itself: its coordinates and complement are not computed,
-    and only the dual dimension len(W_d) = HF(d) is checked.
+    and only the dual dimension len(W_d) = HF(d) is checked.  A degree of G
+    whose members all lie in (m*I_{d-1})_d gives no generator either, and
+    skips the complement alike.
     """
     n, quotient = ideal.ambient_n, ideal._quotient()
     N = len(ideal.hilbert_function())
@@ -285,16 +287,16 @@ def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int
                                    for t, (terms, _) in enumerate(w_space))
         if len(relations) != len(w_space) - hf_d:
             raise ArithmeticError(f"generator count mismatch in degree {d}")
+        new = [combine_vectors(w_space, relation) for relation in relations]
         if d < N:
             # next dual space: the pairing-orthogonal complement of the new
-            # generators inside W_d (the pairing is definite, so dims add)
-            next_duals = complement_vectors(w_space, [combine_vectors(w_space, relation)
-                                                      for relation in relations], n)
-            if len(next_duals) != hf_d:
+            # generators inside W_d (the pairing is definite, so dims add),
+            # W_d itself when there is none
+            duals = complement_vectors(w_space, new, n) if new else w_space
+            if len(duals) != hf_d:
                 raise ArithmeticError(f"dual dimension mismatch in degree {d}")
-            duals = next_duals
-        if relations:
-            generators[d] = [combine_vectors(w_space, r) for r in relations]
+        if new:
+            generators[d] = new
     return generators, N
 
 

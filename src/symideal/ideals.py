@@ -90,7 +90,7 @@ from itertools import combinations_with_replacement, permutations, repeat
 from math import comb, gcd, inf
 
 from .linalg import KernelEchelon
-from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, numerators
+from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded
 
 # ---------------------------------------------------------------------------
 # divisibility on packed exponents
@@ -142,14 +142,13 @@ def _normalize(terms: list) -> list:
 
 
 def _engine_terms(f: Polynomial) -> tuple[list, int]:
-    """The integer terms of den * f sorted descending, and den, once each
+    """The numerators of f sorted descending, and its den, once each
     exponent is checked to stay below LIMIT: f may be built from its keys."""
     n, quarter = f.ambient_n, _masks(f.ambient_n)[1]
-    terms, den = numerators(f)
-    for k in terms:
+    for k in f.terms:
         if DEGREVLEX.exps(k, n) & quarter:
             bounded(DEGREVLEX.unpack(k, n))
-    return sorted(terms.items(), reverse=True), den
+    return sorted(f.terms.items(), reverse=True), f.den
 
 
 def _to_engine(f: Polynomial) -> list:
@@ -516,7 +515,7 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         """The reduced (monic) Groebner basis, sorted by leading monomial."""
-        return tuple(Polynomial(self.ambient_n, dict(g)).monic() for g in self._quotient().basis)
+        return tuple(Polynomial(self.ambient_n, dict(g), g[0][1]) for g in self._quotient().basis)
 
     def coordinates(self, f: Polynomial) -> dict[int, int | Fraction]:
         """The normal form of f as {DEGREVLEX.key(m): coeff}: int columns that
@@ -587,8 +586,8 @@ def maximal_power(n: int, d: int) -> Ideal:
     if d < 1:
         raise ValueError("d must be at least 1")
     bounded((d,))  # the largest exponent, that of x1^d
-    one, top = Fraction(1), d << (W * n)
-    return Ideal(n, [Polynomial(n, {top - sum(1 << (W * i) for i in chosen): one})
+    top = d << (W * n)
+    return Ideal(n, [Polynomial(n, {top - sum(1 << (W * i) for i in chosen): 1})
                      for chosen in combinations_with_replacement(range(n), d)])
 
 
@@ -631,7 +630,7 @@ def _vanishing_ideal(n: int, value) -> Ideal:
         else:
             basis.append(_normalize(sorted(relation.items(), reverse=True)))
             leads.append(x)
-    ideal = Ideal(n, [Polynomial(n, dict(g)).monic() for g in basis])
+    ideal = Ideal(n, [Polynomial(n, dict(g), g[0][1]) for g in basis])
     ideal._seed_basis(basis)
     return ideal
 

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over the rationals, with the S_n action.
 
-Coefficients are exact ``fractions.Fraction`` values.  Polynomials are
-immutable: every operation returns a new value, so sharing across threads
-is safe.
+Coefficients are exact rationals, held as integer numerators over one
+denominator (below).  Polynomials are immutable: every operation returns a
+new value, so sharing across threads is safe.
 
 A term is keyed by ``DEGREVLEX.key`` of its monomial, deg * B**n -
 sum(e_i * B**(i-1)) with B = 2**W: an int that increases with the monomial
@@ -21,22 +21,23 @@ and a product its degree, which bounds its exponents: so a product of
 degree LIMIT or more raises even where each exponent stays below, as
 x1^(LIMIT/2) * x2^(LIMIT/2) and such a polynomial times 1 do.
 
-Every stored coefficient is a nonzero ``Fraction``.  ``Polynomial.__init__``
-drops zeros (and wraps a coefficient that is not yet a ``Fraction``), so a
-sum of terms accumulates into a plain dict with ``acc[k] = acc.get(k, 0) +
-c`` and is handed to the constructor once.  Linear combinations, of
+A polynomial is integer numerators over one positive denominator, in
+lowest terms: ``terms`` {key: nonzero int} and ``den``, with
+gcd(den, *terms.values()) == 1, so equal values have equal fields.  The
+constructor drops zeros and clears ``Fraction`` coefficients into den, so
+a sum of terms accumulates into a plain dict with ``acc[k] = acc.get(k, 0)
++ c`` and is handed to it once.  The engine of ``ideals`` reads the two
+fields as they are; ``Fraction`` values appear only where a coefficient is
+parsed, printed or given by the caller.  Linear combinations, of
 polynomials (``linear_combination``) and of the vectors below
 (``combine_vectors``), sum through ``linalg.combine``.
 
 The inverse-system kernels (``partial_terms``, ``integrate_vectors``,
-``complement_vectors``, ``combine_vectors``) work on integer numerators
-instead: a vector is (terms, den) with int coefficients over one positive
-int denominator, keyed by ``DEGREVLEX.key`` as a ``Polynomial`` is, so a
-derivative or a shift subtracts or adds the key of a variable.  Their
-pivots follow degrevlex order, and so do the signs of the relations
-(``KernelEchelon``), those of the apolar generators among them.
-``numerators`` and ``to_polynomial`` convert at the boundary, where the
-values are exactly those of the rational computation.
+``complement_vectors``, ``combine_vectors``) take the same two fields as a
+vector (terms, den), not brought to lowest terms, so a derivative or a
+shift subtracts or adds the key of a variable.  Their pivots follow
+degrevlex order, and so do the signs of the relations (``KernelEchelon``),
+those of the apolar generators among them.
 
 The text format is round-trip exact: terms joined by ``+``/``-``,
 coefficients printed as ``p/q``, variables ``x1..xn``, powers marked with
@@ -107,21 +108,29 @@ def bounded(m: Monomial) -> Monomial:
 
 
 class Polynomial:
-    """An exact-rational polynomial in variables x1..xn, its terms
-    {DEGREVLEX.key(m): coeff}."""
+    """A rational polynomial in variables x1..xn: integer numerators
+    {DEGREVLEX.key(m): coeff} over one positive denominator ``den``, in
+    lowest terms, gcd(den, *terms.values()) == 1."""
 
-    __slots__ = ("ambient_n", "terms")
+    __slots__ = ("ambient_n", "terms", "den")
 
-    def __init__(self, ambient_n: int, terms: dict[int, Fraction] | None = None):
+    def __init__(self, ambient_n: int, terms: dict | None = None, den: int = 1):
+        """The polynomial terms / den, den a nonzero int: int or ``Fraction``
+        coefficients, zeros dropped, cleared into den, and the whole brought
+        to lowest terms over a positive den."""
         self.ambient_n = ambient_n
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
+        clean = {key: coeff for key, coeff in terms.items() if coeff} if terms else {}
+        if set(map(type, clean.values())) - {int}:
+            scale = lcm(*(c.denominator for c in clean.values()))
+            clean = {k: c.numerator * (scale // c.denominator) for k, c in clean.items()}
+            den *= scale
+        if den != 1:
+            g = gcd(den, *clean.values())
+            g = g if den > 0 else -g
+            if g != 1:
+                clean = {k: c // g for k, c in clean.items()}
+                den //= g
+        self.terms, self.den = clean, den
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -130,23 +139,24 @@ class Polynomial:
 
     @staticmethod
     def constant(c, n: int) -> "Polynomial":
-        return Polynomial(n, {0: Fraction(c)})
+        c = Fraction(c)
+        return Polynomial(n, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def one(n: int) -> "Polynomial":
-        return Polynomial.constant(1, n)
+        return Polynomial(n, {0: 1})
 
     @staticmethod
     def variable(i: int, n: int) -> "Polynomial":
         """The variable x_i (1-based), of key B**n - B**(i-1)."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return Polynomial(n, {(1 << (W * n)) - (1 << (W * (i - 1))): Fraction(1)})
+        return Polynomial(n, {(1 << (W * n)) - (1 << (W * (i - 1))): 1})
 
     @staticmethod
     def monomial(exponents: Monomial, coeff=1) -> "Polynomial":
-        m = bounded(tuple(exponents))
-        return Polynomial(len(m), {DEGREVLEX.key(m): Fraction(coeff)})
+        m, c = bounded(tuple(exponents)), Fraction(coeff)
+        return Polynomial(len(m), {DEGREVLEX.key(m): c.numerator}, c.denominator)
 
     # ---- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
@@ -159,13 +169,11 @@ class Polynomial:
     def top_form(self) -> "Polynomial":
         """Highest-degree homogeneous part: the keys above (degree - 1) * B**n."""
         low = (self.degree() - 1) << (W * self.ambient_n)
-        return Polynomial(self.ambient_n, {k: c for k, c in self.terms.items() if k > low})
+        return Polynomial(self.ambient_n, {k: c for k, c in self.terms.items() if k > low}, self.den)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.terms[max(self.terms)]
-        return Polynomial(self.ambient_n, {k: c / lc for k, c in self.terms.items()})
+        """terms / lc: the leading numerator becomes the denominator."""
+        return Polynomial(self.ambient_n, self.terms, self.terms[max(self.terms)]) if self.terms else self
 
     # ---- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -177,15 +185,14 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.ambient_n, terms)
+        den = lcm(self.den, other.den)
+        return Polynomial(self.ambient_n, combine(((den // self.den, self.terms),
+                                                   (den // other.den, other.terms))), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ambient_n, {m: -c for m, c in self.terms.items()})
+        return Polynomial(self.ambient_n, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -193,20 +200,21 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = other if isinstance(other, Fraction) else Fraction(other)
-            return Polynomial(self.ambient_n, {m: c * v for m, v in self.terms.items()})
+            return Polynomial(self.ambient_n, {m: c.numerator * v for m, v in self.terms.items()},
+                              self.den * c.denominator)
         if other.ambient_n != self.ambient_n:
             raise ValueError("ambient sizes differ")
         degree = self.degree() + other.degree()  # bounds every exponent of the product
         if degree >= LIMIT:
             raise ValueError(f"degree {degree} is too large: the engine takes "
                              f"exponents below 2^{W - 2}")
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         small, large = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         for k1, c1 in small.items():  # keys add
             for k2, c2 in large.items():
                 k = k1 + k2
                 terms[k] = terms.get(k, 0) + c1 * c2
-        return Polynomial(self.ambient_n, terms)
+        return Polynomial(self.ambient_n, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -227,10 +235,10 @@ class Polynomial:
             other = Polynomial.constant(other, self.ambient_n)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ambient_n == other.ambient_n and self.terms == other.terms
+        return (self.ambient_n, self.den, self.terms) == (other.ambient_n, other.den, other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_n, frozenset(self.terms.items())))
+        return hash((self.ambient_n, self.den, frozenset(self.terms.items())))
 
     # ---- printing / parsing ---------------------------------------------
     def __str__(self) -> str:
@@ -239,13 +247,13 @@ class Polynomial:
         pieces = []
         for key in sorted(self.terms, reverse=True):
             mono, coeff = DEGREVLEX.unpack(key, self.ambient_n), self.terms[key]
+            mag = Fraction(abs(coeff), self.den)
             factors = [
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)
                 if e
             ]
             body = "*".join(factors)
-            mag = abs(coeff)
             if not factors:
                 text = str(mag)
             elif mag == 1:
@@ -286,7 +294,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             current.append(ch)
     chunks.append((sign, "".join(current)))
 
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, Fraction] = {}  # cleared to numerators by the constructor
     for sgn, chunk in chunks:
         match = _TERM_RE.match(chunk)
         if not match or (not match.group("coeff") and not match.group("body")):
@@ -333,7 +341,7 @@ def apply_permutation(sigma: Permutation, f: Polynomial) -> Polynomial:
     if sigma.n != f.ambient_n:
         raise ValueError("ambient sizes differ")
     n = f.ambient_n
-    return Polynomial(n, {permute_key(sigma, k, n): c for k, c in f.terms.items()})
+    return Polynomial(n, {permute_key(sigma, k, n): c for k, c in f.terms.items()}, f.den)
 
 
 def power_sum(k: int, n: int) -> Polynomial:
@@ -341,7 +349,7 @@ def power_sum(k: int, n: int) -> Polynomial:
     if k < 1:
         raise ValueError("k must be at least 1")
     bounded((k,))
-    return Polynomial(n, {(k << (W * n)) - (k << (W * i)): Fraction(1) for i in range(n)})
+    return Polynomial(n, {(k << (W * n)) - (k << (W * i)): 1 for i in range(n)})
 
 
 def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
@@ -353,7 +361,7 @@ def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
         raise ValueError(f"need 0 <= r <= |S|, got r={r}, |S|={len(indices)}")
     if r == 0:
         return Polynomial.one(n)
-    return Polynomial(n, {(r << (W * n)) - sum(1 << (W * (i - 1)) for i in combo): Fraction(1)
+    return Polynomial(n, {(r << (W * n)) - sum(1 << (W * (i - 1)) for i in combo): 1
                           for combo in combinations(indices, r)})
 
 
@@ -373,7 +381,10 @@ def monomial_weight(key: int, n: int) -> int:
 
 def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
     """The sum of coeffs[t] * space[t]; ``space`` must be nonempty."""
-    return Polynomial(space[0].ambient_n, combine((c, space[t].terms) for t, c in coeffs.items()))
+    scaled = [(Fraction(c, space[t].den), space[t].terms) for t, c in coeffs.items()]
+    den = lcm(*(c.denominator for c, _ in scaled))
+    return Polynomial(space[0].ambient_n, combine((c.numerator * (den // c.denominator), terms)
+                                                  for c, terms in scaled), den)
 
 
 # ---- inverse-system kernels on integer numerators --------------------------
@@ -387,18 +398,6 @@ def linear_combination(space: list[Polynomial], coeffs: dict) -> Polynomial:
 # rational rows give, and every value matches the rational computation.
 
 Vector = tuple[dict[int, int], int]
-
-
-def numerators(f: Polynomial) -> tuple[dict[int, int], int]:
-    """f as (terms, den) on its own keys, den the least common denominator."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
-
-
-def to_polynomial(v: Vector, n: int) -> Polynomial:
-    """The polynomial terms / den of a vector (terms, den) in n variables."""
-    terms, den = v
-    return Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
 
 
 def partial_terms(terms: dict, j: int, n: int) -> dict:

@@ -28,8 +28,7 @@ from .combinat import Partition, R_k, d_min, r_lambda
 from .ideals import Ideal, maximal_power
 from .linalg import KernelEchelon
 from .poly import (DEGREVLEX, W, Polynomial, Vector, complement_vectors, degree_monomials,
-                   elementary_symmetric, integrate_vectors, numerators, partial_terms,
-                   power_sum, to_polynomial)
+                   elementary_symmetric, integrate_vectors, partial_terms, power_sum)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -81,8 +80,7 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     ``DEGREVLEX.key``, as are the operators, den that of their Specht
     polynomial: 1, as Specht polynomials are integral.
     """
-    sources = [numerators(s) for s in spechts]
-    kept, layers = [{0: terms} for terms, _ in sources], []  # degree 0: the operator 1
+    kept, layers = [{0: s.terms} for s in spechts], []  # degree 0: the operator 1
     for k in range(spechts[0].degree() + 1):
         steps = [(key, [(key - (1 << W * n) + (1 << W * j), j) for j, e in enumerate(a) if e])
                  for a in degree_monomials(n, k) for key in [DEGREVLEX.key(a)]]
@@ -94,7 +92,7 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
                     image = partial_terms(held[parents[0][0]], parents[0][1], n) if k else held[a]
                     if image and ech.add(image) is None:
                         following[a] = image
-                        layer.append((image, sources[t][1]))
+                        layer.append((image, spechts[t].den))
             kept[t] = following
         layers.append(layer)
     return layers[::-1]
@@ -111,7 +109,7 @@ def _apolar_generators(lam: Partition) -> list[Polynomial]:
     gens: list[Vector] = []
     for d in range(1, d_min(lam) + 1):
         gens += complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
-    return [to_polynomial(v, n) for v in gens]
+    return [Polynomial(n, terms, den) for terms, den in gens]
 
 
 def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:

@@ -110,16 +110,10 @@ def permutation_module_sum_oracle(rho: IsotypicDecomposition) -> list[Partition]
     return out
 
 
-def as_polynomial(v: Vector, n: int) -> Polynomial:
-    """A generator vector (terms, den), keyed by ``DEGREVLEX``, as terms / den."""
-    terms, den = v
-    return Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()})
-
-
 def generator_polynomials(ideal: Ideal) -> tuple[dict[int, list[Polynomial]], int]:
     """``_minimal_generator_space`` with each generator as a ``Polynomial``."""
     graded, N = _minimal_generator_space(ideal)
-    return {d: [as_polynomial(v, ideal.ambient_n) for v in vs] for d, vs in graded.items()}, N
+    return {d: [Polynomial(ideal.ambient_n, *v) for v in vs] for d, vs in graded.items()}, N
 
 
 def graded_generators(ideal: Ideal) -> tuple[list[Vector], list[int]]:
@@ -743,6 +737,26 @@ class TestSkippedDegrees:
         ideal = tanisaki_point(parts)
         assert ordered(_minimal_generator_space(ideal)) == \
             ordered(every_degree_generator_space(ideal))
+
+    def test_no_complement_without_new_generators(self, monkeypatch):
+        # a degree of G whose members all lie in m*I gives no generator: W_d
+        # is the next dual space as it stands, with no complement taken
+        complement, calls, idle = equivariant.complement_vectors, [], 0
+
+        def recording(space, others, n):
+            calls.append(len(others))
+            return complement(space, others, n)
+
+        monkeypatch.setattr(equivariant, "complement_vectors", recording)
+        for case in classification_cases(5, _random_parameters(0)):
+            if case.ideal.is_homogeneous():
+                got = _minimal_generator_space(case.ideal)
+                assert ordered(got) == ordered(every_degree_generator_space(case.ideal)), \
+                    describe(case)
+                degrees = {DEGREVLEX.degree(g[0][0], 5) for g in case.ideal._quotient().basis}
+                idle += len({d for d in degrees if d < got[1]} - set(got[0]))
+        assert calls and 0 not in calls
+        assert idle > 0
 
     def test_extra_dual_at_a_skipped_degree_is_an_internal_error(self, monkeypatch):
         # G holds quadrics only, and W_1 holds the 3 linear forms

@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,9 +13,8 @@ from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation,
                            complement_vectors, degree_monomials, elementary_symmetric,
-                           integrate_vectors, linear_combination, monomial_weight, numerators,
-                           parse_polynomial, partial_terms, permute_key, power_sum, swap_key,
-                           to_polynomial)
+                           integrate_vectors, linear_combination, monomial_weight,
+                           parse_polynomial, partial_terms, permute_key, power_sum, swap_key)
 from symideal.tanisaki import _apolar_generators
 
 
@@ -25,12 +24,13 @@ def x(i, n):
 
 # ---- terms keyed by exponent tuples -----------------------------------------
 #
-# ``Polynomial.terms`` is keyed by ``DEGREVLEX.key``; the tests read and
-# build polynomials on exponent tuples through these.
+# ``Polynomial.terms`` holds integer numerators over ``den``, keyed by
+# ``DEGREVLEX.key``; the tests read and build polynomials on exponent
+# tuples with rational coefficients through these.
 
 def tuple_terms(f: Polynomial) -> dict:
-    """The terms of f keyed by exponent tuples."""
-    return {DEGREVLEX.unpack(k, f.ambient_n): c for k, c in f.terms.items()}
+    """The rational coefficients of f keyed by exponent tuples."""
+    return {DEGREVLEX.unpack(k, f.ambient_n): Fraction(c, f.den) for k, c in f.terms.items()}
 
 
 def from_tuple_terms(n: int, terms: dict) -> Polynomial:
@@ -176,7 +176,7 @@ class TestReynolds:
         f = (x(1, n) ** 2 - x(2, n) ** 2) * x(1, n)
         target = n * power_sum(3, n) - power_sum(2, n) * power_sum(1, n)
         r = reynolds(f)
-        ratios = {r.terms[m] / c for m, c in target.terms.items()}
+        ratios = {Fraction(r.terms[m], c) for m, c in target.terms.items()}
         assert len(ratios) == 1 and ratios.pop() != 0
         assert set(r.terms) == set(target.terms)
 
@@ -186,7 +186,7 @@ class TestReynolds:
         f = p1 * (x(1, n) - x(2, n)) * x(1, n)
         target = p1 * (p1 * p1 - n * p2)
         r = reynolds(f)
-        ratios = {r.terms[m] / c for m, c in target.terms.items()}
+        ratios = {Fraction(r.terms[m], c) for m, c in target.terms.items()}
         assert len(ratios) == 1 and ratios.pop() != 0
         assert set(r.terms) == set(target.terms)
 
@@ -310,7 +310,7 @@ class TestDuality:
         p1 = power_sum(1, n)
         w = integrate_duals([p1], n, 2)
         assert len(w) == 1
-        ratio = {w[0].terms[m] / c for m, c in (p1 * p1).terms.items()}
+        ratio = {Fraction(w[0].terms[m], c) for m, c in (p1 * p1).terms.items()}
         assert len(ratio) == 1
 
 
@@ -362,21 +362,20 @@ class TestVectorKeys:
     def test_partials_and_shifts_match_the_tuples(self, data):
         f, j = data
         n = f.ambient_n
-        terms, den = numerators(f)
-        assert to_polynomial((partial_terms(terms, j, n), den), n) == derivative(f, j + 1)
+        terms, den = f.terms, f.den
+        assert Polynomial(n, partial_terms(terms, j, n), den) == derivative(f, j + 1)
         unit = DEGREVLEX.key(tuple(int(i == j) for i in range(n)))
         assert unit == (1 << (W * n)) - (1 << (W * j))
-        assert (to_polynomial(({k + unit: c for k, c in terms.items()}, den), n)
-                == x(j + 1, n) * f)
+        assert Polynomial(n, {k + unit: c for k, c in terms.items()}, den) == x(j + 1, n) * f
 
-    @given(st.integers(1, 5).flatmap(lambda n: polynomials(n=n)))
+    @given(st.integers(1, 5).flatmap(lambda n: polynomials(n=n)), st.integers(-6, 6).filter(bool))
     @settings(max_examples=100, deadline=None)
-    def test_to_polynomial_round_trips(self, f):
+    def test_fields_round_trip_from_any_multiple(self, f, k):
+        # a vector (k*terms, k*den) of the kernels is f again, in lowest terms
         n = f.ambient_n
-        terms, den = numerators(f)
-        assert terms.keys() == f.terms.keys()
-        back = to_polynomial((terms, den), n)
+        back = Polynomial(n, {m: k * c for m, c in f.terms.items()}, k * f.den)
         assert back == f and str(back) == str(f)
+        assert (back.terms, back.den) == (f.terms, f.den)
         assert_clean(back)
 
 
@@ -514,9 +513,12 @@ class TestKeyedTerms:
 # ---- the stored-coefficient invariant ---------------------------------------
 
 def assert_clean(f: Polynomial) -> None:
-    """Every stored coefficient is a nonzero Fraction."""
+    """Every stored coefficient is a nonzero int, over a positive int den,
+    in lowest terms."""
     for mono, c in f.terms.items():
-        assert type(c) is Fraction and c != 0, (mono, c)
+        assert type(c) is int and c != 0, (mono, c)
+    assert type(f.den) is int and f.den > 0
+    assert gcd(f.den, *f.terms.values()) == 1
 
 
 def joined(f: Polynomial, g: Polynomial) -> str:
@@ -532,20 +534,20 @@ scalars = st.one_of(st.integers(-3, 3),
 class TestStoredCoefficients:
     @given(polynomials(), polynomials(), scalars, scalars, st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_every_operation_stores_nonzero_fractions(self, f, g, a, b, i, d):
+    def test_every_operation_stores_lowest_terms(self, f, g, a, b, i, d):
         n = f.ambient_n
         for h in (f + g, f - g, f + a, -f + a, f * g, f * a, a * f, -f, f - f,
                   apolar_pair(f, g), derivative(f, i),
                   linear_combination([f, g], {0: a, 1: b}), reynolds(f),
                   parse_polynomial(joined(f, g), n), parse_polynomial(joined(f, -f), n),
                   *integrate_duals([f, g], n, d), *apolar_complement([f, g], [f + a]),
-                  to_polynomial(numerators(f * a), n)):
+                  Polynomial(n, (f * a).terms, (f * a).den)):
             assert_clean(h)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_inverse_system_outputs_store_nonzero_fractions(self, n):
+    def test_inverse_system_outputs_store_lowest_terms(self, n):
         # the generators of the apolar ideals and of the generator spaces
-        # come out of the integer kernels; none may keep an int or a float
+        # come out of the integer kernels, as vectors not in lowest terms
         for lam in partitions_of(n):
             for g in _apolar_generators(lam):
                 assert_clean(g)
@@ -555,23 +557,30 @@ class TestStoredCoefficients:
                     for terms, den in gens:  # nonzero ints over a positive int
                         assert type(den) is int and den > 0
                         assert all(type(c) is int and c for c in terms.values())
-                        assert_clean(Polynomial(n, {k: Fraction(c, den) for k, c in terms.items()}))
+                        assert_clean(Polynomial(n, terms, den))
 
     def test_hash_follows_equality(self):
         # hashed on demand from the terms, whatever their insertion order
         n = 3
         f = x(1, n) * x(2, n) + Fraction(1, 2) * x(3, n)
-        g = Polynomial(n, dict(reversed(list(f.terms.items()))))
+        g = Polynomial(n, dict(reversed(list(f.terms.items()))), f.den)
         assert f == g and hash(f) == hash(g) and len({f, g}) == 1
-        assert Polynomial.__slots__ == ("ambient_n", "terms")
+        assert Polynomial.__slots__ == ("ambient_n", "terms", "den")
 
-    def test_constructor_wraps_keeps_and_drops(self):
-        half, key = Fraction(1, 2), DEGREVLEX.key
+    def test_constructor_stores_lowest_terms(self):
+        key = DEGREVLEX.key
         f = Polynomial(2, {key((1, 0)): 3, key((0, 1)): 0, key((0, 0)): Fraction(0),
-                           key((1, 1)): half})
-        assert f.terms == {key((1, 0)): Fraction(3), key((1, 1)): half}
-        assert f.terms[key((1, 1))] is half  # a Fraction is stored as given
+                           key((1, 1)): Fraction(1, 2)})
+        assert (f.terms, f.den) == ({key((1, 0)): 6, key((1, 1)): 1}, 2)  # 3*x1 + 1/2*x1*x2
         assert_clean(f)
+        g = Polynomial(2, {key((1, 0)): 4, key((0, 1)): -6, key((0, 0)): Fraction(2, 3)}, 8)
+        assert (g.terms, g.den) == ({key((1, 0)): 6, key((0, 1)): -9, key((0, 0)): 1}, 12)
+        h = Polynomial(2, {key((1, 0)): 4, key((0, 1)): -6}, -2)  # the sign moves to the terms
+        assert (h.terms, h.den) == ({key((1, 0)): -2, key((0, 1)): 3}, 1)
+        assert_clean(g)
+        assert_clean(h)
+        zero = Polynomial(2, {key((1, 0)): 0}, 6)
+        assert (zero.terms, zero.den) == ({}, 1)
 
     def test_cancellation_leaves_no_term(self):
         n = 2
@@ -589,6 +598,90 @@ class TestStoredCoefficients:
         assert linear_combination([x1, x1], {0: 1, 1: -1}).terms == {}
 
 
+# ---- the representation against a Fraction-dict reference -------------------
+#
+# The reference computes on {key: Fraction} dicts, one rational per term.
+
+def fraction_terms(n: int):
+    """Fraction dicts of up to four terms in n variables, as a strategy."""
+    monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    coefficients = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+    return st.dictionaries(monomials, coefficients, max_size=4).map(
+        lambda terms: {DEGREVLEX.key(m): c for m, c in terms.items()})
+
+
+def values(f: Polynomial) -> dict:
+    """f as a Fraction dict, once its fields are checked to be in lowest terms."""
+    assert_clean(f)
+    return {k: Fraction(c, f.den) for k, c in f.terms.items()}
+
+
+def ref_sum(pairs) -> dict:
+    """The sum of c * a over (c, a) pairs of scalars and Fraction dicts."""
+    out: dict = {}
+    for c, a in pairs:
+        for k, v in a.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def fraction_cases(draw):
+    """(n, a, b, c, scalar) with a, b, c Fraction dicts in n variables."""
+    n = draw(st.integers(1, 4))
+    return (n, *(draw(fraction_terms(n)) for _ in range(3)),
+            draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))))
+
+
+class TestRepresentation:
+    """Integer numerators over ``den`` give what Fraction coefficients give."""
+
+    @given(fraction_cases(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_fraction_reference(self, case, k):
+        n, a, b, c, scalar = case
+        f, g, h = Polynomial(n, a), Polynomial(n, b), Polynomial(n, c)
+        assert values(f) == a
+        assert values(f + g) == ref_sum([(1, a), (1, b)])
+        assert values(f - g) == ref_sum([(1, a), (-1, b)])
+        assert values(-f) == ref_sum([(-1, a)])
+        assert values(f * g) == ref_product(a, b)
+        assert values(f * scalar) == values(scalar * f) == ref_sum([(scalar, a)])
+        power = {0: Fraction(1)}
+        for _ in range(k):
+            power = ref_product(power, a)
+        assert values(f ** k) == power
+        if a:
+            lead = a[max(a)]
+            assert values(f.monic()) == {key: v / lead for key, v in a.items()}
+            top = max(DEGREVLEX.degree(key, n) for key in a)
+            assert values(f.top_form()) == {key: v for key, v in a.items()
+                                            if DEGREVLEX.degree(key, n) == top}
+        coeffs = {0: scalar, 1: Fraction(-3, 2), 2: 5}
+        assert (values(linear_combination([f, g, h], coeffs))
+                == ref_sum([(scalar, a), (Fraction(-3, 2), b), (5, c)]))
+        assert parse_polynomial(str(f), n) == f
+
+    @given(fraction_cases(), st.integers(-30, 30).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_from_any_den_compare_and_hash_equal(self, case, k):
+        n, a, _, _, _ = case
+        f = Polynomial(n, a)
+        g = Polynomial(n, {key: k * c for key, c in f.terms.items()}, k * f.den)
+        common = lcm(*(v.denominator for v in a.values())) * abs(k)
+        h = Polynomial(n, {key: int(v * common) for key, v in a.items()}, common)
+        assert f == g == h and hash(f) == hash(g) == hash(h) and len({f, g, h}) == 1
+        assert (g.terms, g.den) == (h.terms, h.den) == (f.terms, f.den)
+
+
 # ---- Polynomial helpers that no CLI verb reaches ---------------------------
 #
 # The library keeps only the integer kernels behind them.
@@ -598,7 +691,7 @@ def is_homogeneous(f: Polynomial) -> bool:
 
 
 def coefficient(f: Polynomial, m) -> Fraction:
-    return f.terms.get(DEGREVLEX.key(tuple(m)), Fraction(0))
+    return Fraction(f.terms.get(DEGREVLEX.key(tuple(m)), 0), f.den)
 
 
 def reynolds(f: Polynomial) -> Polynomial:
@@ -634,12 +727,12 @@ def apolar_scalar(f: Polynomial, g: Polynomial) -> Fraction:
         raise ValueError("ambient sizes differ")
     if len(f.terms) > len(g.terms):
         f, g = g, f
-    total = Fraction(0)
+    total = 0
     for m, c in f.terms.items():
         other = g.terms.get(m)
         if other is not None:
             total += c * other * prod(map(factorial, DEGREVLEX.unpack(m, f.ambient_n)))
-    return total
+    return Fraction(total, f.den * g.den)
 
 
 def derivative(f: Polynomial, i: int) -> Polynomial:
@@ -652,7 +745,7 @@ def derivative(f: Polynomial, i: int) -> Polynomial:
 def integrate_duals(duals: list[Polynomial], n: int, d: int) -> list[Polynomial]:
     """Degree-d polynomials whose partials all lie in the span of ``duals``;
     ``integrate_vectors`` on their vectors."""
-    return [to_polynomial(v, n) for v in integrate_vectors([numerators(f) for f in duals], n, d)]
+    return [Polynomial(n, *v) for v in integrate_vectors([(f.terms, f.den) for f in duals], n, d)]
 
 
 def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list[Polynomial]:
@@ -661,9 +754,8 @@ def apolar_complement(space: list[Polynomial], others: list[Polynomial]) -> list
     if not space:
         return []
     n = space[0].ambient_n
-    return [to_polynomial(v, n)
-            for v in complement_vectors([numerators(f) for f in space],
-                                        [numerators(g) for g in others], n)]
+    return [Polynomial(n, *v) for v in complement_vectors([(f.terms, f.den) for f in space],
+                                                          [(g.terms, g.den) for g in others], n)]
 
 
 # ---- oracles: the accumulation code before every sum became one dict --------
@@ -784,7 +876,7 @@ class TestAccumulationOracles:
         spaces carry them, through integration and complement."""
         duals = data.draw(st.lists(homogeneous(n, d - 1), min_size=1, max_size=4))
         others = data.draw(st.lists(homogeneous(n, d), max_size=3))
-        assume(any(numerators(f)[1] > 1 for f in duals))
+        assume(any(f.den > 1 for f in duals))
         want = apolar_complement_oracle(integrate_duals_oracle(duals, n, d), others)
         assert_same(apolar_complement(integrate_duals(duals, n, d), others), want)
 
@@ -792,7 +884,7 @@ class TestAccumulationOracles:
         """Every integration and complement that ``_minimal_generator_space``
         meets on the homogeneous classification rows at n = 4 and 5 agrees
         with the oracles, on duals and spaces with denominators above 1.
-        (n = 4 alone meets 33 complements: a degree without a basis element
+        (n = 4 alone meets 31 complements: a degree without a new generator
         takes none.)"""
         seen = {"integrate": 0, "complement": 0, "fractional": 0}
         integrate_vectors = equivariant.integrate_vectors
@@ -800,17 +892,17 @@ class TestAccumulationOracles:
 
         def integrate(duals, n, d):
             got = integrate_vectors(duals, n, d)
-            want = integrate_duals_oracle([to_polynomial(v, n) for v in duals], n, d)
-            assert_same([to_polynomial(v, n) for v in got], want)
+            want = integrate_duals_oracle([Polynomial(n, *v) for v in duals], n, d)
+            assert_same([Polynomial(n, *v) for v in got], want)
             seen["integrate"] += 1
             seen["fractional"] += any(den > 1 for _, den in duals)
             return got
 
         def complement(space, others, n):
             got = complement_vectors(space, others, n)
-            want = apolar_complement_oracle([to_polynomial(v, n) for v in space],
-                                            [to_polynomial(v, n) for v in others])
-            assert_same([to_polynomial(v, n) for v in got], want)
+            want = apolar_complement_oracle([Polynomial(n, *v) for v in space],
+                                            [Polynomial(n, *v) for v in others])
+            assert_same([Polynomial(n, *v) for v in got], want)
             seen["complement"] += 1
             return got
 

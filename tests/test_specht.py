@@ -17,7 +17,7 @@ from symideal.specht import (_column_group, _row_group,
 from test_combinat import (all_tableaux, conjugacy_class_size, from_cycle_type,
                            irreducible_character, specht_dimension)
 from test_ideals import normal_form
-from test_poly import apolar_scalar, evaluate, leading_coefficient, leading_monomial
+from test_poly import apolar_scalar, assert_clean, evaluate, leading_coefficient, leading_monomial
 
 
 def specht_ideal(lam: Partition) -> Ideal:
@@ -230,7 +230,7 @@ class TestHigherSpecht:
             for t in standard_tableaux(lam):
                 f = higher_specht(t, s0)
                 spe = specht_polynomial(t)
-                ratios = {f.terms[m] / c for m, c in spe.terms.items()}
+                ratios = {Fraction(f.terms[m] * spe.den, c * f.den) for m, c in spe.terms.items()}
                 assert len(ratios) == 1
                 constant = ratios.pop()
                 assert constant != 0 and f == constant * spe
@@ -280,7 +280,7 @@ def higher_specht_oracle(t: Tableau, s: Tableau) -> Polynomial:
 
 def assert_same_polynomial(got: Polynomial, want: Polynomial) -> None:
     assert got == want and str(got) == str(want)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert_clean(got)
 
 
 class TestHigherSpechtOracle:
@@ -321,7 +321,7 @@ class TestCoinvariantBasis:
         basis = coinvariant_isotypic_basis(Partition([1, 1, 1]))
         assert len(basis) == 1
         delta = vandermonde((1, 2, 3), 3)
-        ratios = {basis[0].terms[m] / c for m, c in delta.terms.items()}
+        ratios = {Fraction(basis[0].terms[m], c) for m, c in delta.terms.items()}
         assert len(ratios) == 1
 
 

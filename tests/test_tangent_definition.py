@@ -204,6 +204,16 @@ ROWS = [
     ("row 2a d=4, n=4", lambda: row_case("2a", 4, 7), 6),
     ("row 2b d=3, n=4", lambda: row_case("2b", 4, 7), 5),
     ("row 6, n=4", lambda: row_case("6", 4), 1),
+    # n = 6: the rows that take seconds here (7b, and 1, 2a, 2b at r >= 6, take longer)
+    ("row 3, n=6", lambda: row_case("3", 6), 2),
+    ("row 4a, n=6", lambda: row_case("4a", 6), 4),
+    ("row 4b, n=6", lambda: row_case("4b", 6), 3),
+    ("row 5 [1:0], n=6", lambda: row_case("5", 6, param=(Fraction(1), Fraction(0))), 4),
+    ("row 5 [-1:6], n=6", lambda: row_case("5", 6, param=(Fraction(-1), Fraction(6))), 5),
+    ("row 6, n=6", lambda: row_case("6", 6), 1),
+    ("row 7a, n=6", lambda: row_case("7a", 6), 4),
+    ("row 7c [1:0], n=6", lambda: row_case("7c", 6, param=(Fraction(1), Fraction(0))), 5),
+    ("row 7c [-2:6], n=6", lambda: row_case("7c", 6, param=(Fraction(-2), Fraction(6))), 4),
 ]
 
 

@@ -12,8 +12,7 @@ from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
-from symideal.poly import (Polynomial, degree_monomials, numerators, partial_terms,
-                           power_sum, to_polynomial)
+from symideal.poly import Polynomial, degree_monomials, partial_terms, power_sum
 from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
@@ -120,8 +119,8 @@ def assert_layers_match_the_oracle(spechts: list[Polynomial], n: int) -> None:
     layers = _dual_layers(spechts, n)
     assert len(layers) == spechts[0].degree() + 1
     for d, layer in enumerate(layers):
-        assert [to_polynomial(v, n) for v in layer] == dual_layer_oracle(spechts, n, d)
-    assert ([[to_polynomial(v, n) for v in layer] for layer in layers]
+        assert [Polynomial(n, *v) for v in layer] == dual_layer_oracle(spechts, n, d)
+    assert ([[Polynomial(n, *v) for v in layer] for layer in layers]
             == dual_layers_oracle(spechts, n))
 
 
@@ -153,15 +152,15 @@ class TestDualLayers:
 
         def recording(terms, j, ambient):
             image = partial_terms(terms, j, ambient)
-            k = top + 1 - to_polynomial((terms, 1), n).degree()
-            taken.append((k, to_polynomial((image, 1), n)))
+            k = top + 1 - Polynomial(n, terms).degree()
+            taken.append((k, Polynomial(n, image)))
             return image
 
         with mock.patch.object(tanisaki, "partial_terms", recording):
             layers = _dual_layers(spechts, n)
         expected = iter([(k, f) for k in range(1, top + 1) for s in spechts
                          for a in degree_monomials(n, k)
-                         for f in [apolar_pair(Polynomial.monomial(a), s) * numerators(s)[1]]
+                         for f in [apolar_pair(Polynomial.monomial(a), s) * s.den]
                          if not f.is_zero()])
         assert all(pair in expected for pair in taken if not pair[1].is_zero())
         for k in range(1, top + 1):
