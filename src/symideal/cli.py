@@ -38,7 +38,7 @@ from .tanisaki import MODES, inclusion_chain_check, tanisaki_ideal
 SCHEMA_VERSION = 1
 
 # the n each verb accepts, checked before it starts; one Specht polynomial
-# (``specht --tableau``) is bounded by its term count instead
+# (``specht --tableau``) is bounded by its term count and TABLEAU_N_BOUND instead
 N_GUARDS = {
     "specht": (1, 6),
     "tanisaki": (2, 6),
@@ -49,8 +49,10 @@ N_GUARDS = {
     "gr": (2, 6),
 }
 
-# ``specht --tableau``: a column of height k contributes k! terms
+# ``specht --tableau``: a column of height k contributes k! terms, each
+# packed in n fields and printed with n exponents
 TABLEAU_TERM_BOUND = factorial(7)
+TABLEAU_N_BOUND = 64
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -410,9 +412,11 @@ def run(argv: list[str] | None = None) -> int:
     }
     started = time.monotonic()
     try:
-        lo, hi = N_GUARDS[args.command]
-        if not lo <= args.n <= hi and not getattr(args, "tableau", None):
-            raise ValueError(f"{args.command} is guarded at {lo} <= n <= {hi}")
+        verb, (lo, hi) = args.command, N_GUARDS[args.command]
+        if getattr(args, "tableau", None):
+            verb, hi = "specht --tableau", TABLEAU_N_BOUND
+        if not lo <= args.n <= hi:
+            raise ValueError(f"{verb} is guarded at {lo} <= n <= {hi}")
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
             raise ValueError(f"--out {args.out!r} is not a file in an existing directory")

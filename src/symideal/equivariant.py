@@ -1,8 +1,10 @@
 """Isotypic decomposition of quotient rings and equivariant tangent spaces.
 
-Both rest on one S_n action on R/I, one table per ideal: the quotient
-coordinates of each standard monomial under each adjacent transposition.
-The decomposition counts the vectors fixed by each Young subgroup S_mu and
+Both rest on one S_n action on R/I, the ``swaps`` table of the ideal's
+``_Quotient`` record: the quotient coordinates of each standard monomial
+under each adjacent transposition.  The record also keeps the symmetry
+verdict and the decomposition, so a new basis drops all three.  The
+decomposition counts the vectors fixed by each Young subgroup S_mu and
 solves dim (R/I)^{S_mu} = sum over lam of K_{lam,mu} * m_lam (Frobenius
 reciprocity) down the unitriangular Kostka matrix.  The tangent
 computation follows the presentation route: pick a minimal graded stable
@@ -33,55 +35,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .combinat import (IsotypicDecomposition, Partition, Permutation,
-                       kostka_number, multinomial, partitions_of)
+from .combinat import (IsotypicDecomposition, Partition, kostka_number, multinomial,
+                       partitions_of)
 from .ideals import Ideal
 from .linalg import KernelEchelon, combine, nullspace_tags
 from .poly import (DEGREVLEX, Vector, combine_vectors, complement_vectors, integrate_vectors,
-                   permute_key, swap_key)
-
-
-def group_generators(n: int) -> list[Permutation]:
-    """An adjacent transposition and the long cycle generate everything."""
-    if n == 1:
-        return [Permutation.identity(1)]
-    return [Permutation.transposition(1, 2, n), Permutation.cycle(n)]
+                   swap_key)
 
 
 def is_symmetric(ideal: Ideal) -> bool:
     """True iff each element of the reduced Groebner basis stays inside
-    under the two group generators.
-
-    The basis generates the ideal, so the verdict is the one the input
-    generators would give; the basis is usually much shorter.  Each packed
-    basis element is permuted key by key and its normal form read from the
-    ideal's record.  The verdict is kept on the ideal, whose generators
-    never change, so each ideal is checked once however many callers ask.
-    """
-    if ideal._symmetric is None:
-        record, n = ideal._quotient(), ideal.ambient_n
-
-        def moved(sigma: Permutation, g: list) -> list:
-            return sorted(((permute_key(sigma, k, n), c) for k, c in g), reverse=True)
-
-        ideal._symmetric = all(record.coordinates(moved(sigma, g)) == {}
-                               for sigma in group_generators(n) for g in record.basis)
-    return ideal._symmetric
-
-
-def _swap_table(record, keys: list[int], swaps) -> dict[int, dict[int, dict]]:
-    """Per swap (a+1 a+2), a in ``swaps``, a record's coordinates of each key swapped."""
-    return {a: {k: record.coordinates([(swap_key(k, a, record.n), 1)]) for k in keys}
-            for a in swaps}
-
-
-def _swap_actions(ideal: Ideal) -> list[dict[int, dict[int, int | Fraction]]]:
-    """Per adjacent transposition, the quotient coordinates of each swapped
-    standard monomial, keyed by the monomial's key; kept on the ideal."""
-    if ideal._swaps is None:
-        record, n = ideal._quotient(), ideal.ambient_n
-        ideal._swaps = list(_swap_table(record, record.standard, range(n - 1)).values())
-    return ideal._swaps
+    under (1 2) and the long cycle: the verdict ``_Quotient.symmetric``
+    kept on the ideal's record.  The basis generates the ideal, so the
+    verdict is the one the input generators would give; the basis is
+    usually much shorter."""
+    return ideal._quotient().symmetric
 
 
 def _word(mu: Partition) -> tuple[int, ...]:
@@ -171,25 +139,26 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
     """Multiplicities of the irreducibles in the quotient ring, graded for a
     homogeneous ideal, from the Young-fixed dimensions of each degree piece
     (one piece otherwise), solved with mu in ``partitions_of`` order; kept
-    on the ideal."""
-    if ideal._decomposition is not None:
-        return ideal._decomposition
+    on the ideal's record."""
+    record = ideal._quotient()
+    if record.decomposition is not None:
+        return record.decomposition
     if ideal.colength() == float("inf"):
         raise ValueError("quotient must be finite-dimensional")
     if not is_symmetric(ideal):
         raise ValueError("ideal is not stable under variable permutations")
 
     homogeneous, order = ideal.is_homogeneous(), partitions_of(ideal.ambient_n)  # (n) first
-    pieces = ideal._quotient().graded if homogeneous else {0: ideal._quotient().standard}
+    pieces = record.graded if homogeneous else {0: record.standard}
     graded: dict[int, dict[Partition, int]] = {}
     for d, keys in pieces.items():
-        fixed = {mu: len(_fixed_vectors(_swap_actions(ideal), keys, _word(mu))) for mu in order}
+        fixed = {mu: len(_fixed_vectors(record.swaps, keys, _word(mu))) for mu in order}
         graded[d] = _kostka_peel(fixed, order, kostka_number)
         if graded[d] is None:
             raise ArithmeticError(f"negative multiplicity from Young-fixed dimensions {fixed}")
     mult = {lam: sum(layer[lam] for layer in graded.values()) for lam in order}
-    ideal._decomposition = IsotypicDecomposition.from_dict(mult, graded if homogeneous else None)
-    return ideal._decomposition
+    record.decomposition = IsotypicDecomposition.from_dict(mult, graded if homogeneous else None)
+    return record.decomposition
 
 
 def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | None:
@@ -325,7 +294,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
     relation among the coset images sigma*v_j; phi(sigma*v_j) = sigma*phi(v_j).
     """
     n = ideal.ambient_n
-    quotient_action, standard = _swap_actions(ideal), ideal._quotient().standard
+    quotient_action, standard = ideal._quotient().swaps, ideal._quotient().standard
     quotient_fixed: dict[tuple, list[dict]] = {}  # per word, the images of a basis of (R/I)^{S_mu}
     out, unknown_count = [], 0
     for d in sorted(set(gen_degrees)):
@@ -440,7 +409,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     quotient_functionals, quotient_counts = {}, {}  # L' numbered across all degrees
     for e, keys in by_degree.items():
         quotient_functionals[e], quotient_counts[e] = _invariant_functionals(
-            _swap_actions(ideal), keys, orbit, inside, sum(quotient_counts.values()))
+            quotient.swaps, keys, orbit, inside, sum(quotient_counts.values()))
     images: dict[int, dict] = {}  # L'(NF_I(m)) by key, deg m < N
 
     n2_count = products = constraint_rows = 0
@@ -457,7 +426,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
         products += len(pairs)
         keys = square_keys.get(d, [])
         functionals, square_counts[d] = _invariant_functionals(
-            _swap_table(square, keys, inside), keys, orbit, inside)
+            square.swapped(keys, inside), keys, orbit, inside)
         echelon = KernelEchelon()
         for i, b in pairs:  # den*b*v_i: the terms of v_i shifted by the key of b
             row = _read([(key + b, c) for key, c in gens[i][0].items()], functionals, orbit, square)

@@ -61,9 +61,12 @@ earlier lead divides its lead, it queues, prunes and supersedes nothing.
 
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
-monomials, grown from 1 and ``graded`` by degree, built and replaced together.
+monomials, grown from 1 and ``graded`` by degree, and what they fix of R/I
+as an S_n-module: the ``swaps`` table of the action, the ``symmetric``
+verdict and the decomposition, built and replaced together.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
-as {key: coeff}, coordinates in R/I, int where integral;
+as {key: coeff}, coordinates in R/I, int where integral, and
+``swapped(keys, swaps)`` those of keys under adjacent transpositions;
 ``Ideal.coordinates`` reads the checked, sorted integer terms of a
 polynomial.  ``_Quotient.square(below)`` is I^2 below that degree from
 products of basis elements: primitive with positive leads
@@ -89,8 +92,9 @@ from heapq import heappop, heappush
 from itertools import combinations_with_replacement, permutations, repeat
 from math import comb, gcd, inf
 
+from .combinat import Permutation
 from .linalg import KernelEchelon
-from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded
+from .poly import DEGREVLEX, W, Monomial, Polynomial, bounded, permute_key, swap_key
 
 # ---------------------------------------------------------------------------
 # divisibility on packed exponents
@@ -395,9 +399,11 @@ def _reduce_basis(basis: list[list], n: int) -> list[list]:
 class _Quotient:
     """R/I in degrevlex: the reduced Groebner basis, the packed leading
     exponents of its elements, the divisor memo of ``_normal_form`` and, on
-    first use, the standard monomials.  A new basis gets a new record, so
-    the memo never outlives the basis it was filled from.  A record bounded
-    ``below`` a degree holds and reads only what lies below it."""
+    first use, the standard monomials, the S_n action on them, the symmetry
+    verdict and the decomposition of ``equivariant.decompose_quotient``.  A
+    new basis gets a new record, so nothing derived outlives the basis it
+    came from.  A record bounded ``below`` a degree holds and reads only
+    what lies below it."""
 
     def __init__(self, basis: list[list], n: int, below: int | float = inf) -> None:
         self.basis = basis
@@ -405,6 +411,7 @@ class _Quotient:
         self.divisors: dict = {}  # leading key -> first divisor in the basis, or len(basis)
         self.n = n
         self.below = below
+        self.decomposition = None  # set by equivariant.decompose_quotient
 
     @cached_property
     def standard(self) -> list[int] | None:
@@ -452,6 +459,27 @@ class _Quotient:
         scale = den * mult  # rem == scale * (terms / den) modulo the ideal
         return {k: c // scale if c % scale == 0 else Fraction(c, scale) for k, c in rem}
 
+    def swapped(self, keys: list[int], swaps) -> dict[int, dict[int, dict]]:
+        """Per swap (a+1 a+2), a in ``swaps``, the coordinates of each key swapped."""
+        return {a: {k: self.coordinates([(swap_key(k, a, self.n), 1)]) for k in keys}
+                for a in swaps}
+
+    @cached_property
+    def swaps(self) -> list[dict[int, dict[int, int | Fraction]]]:
+        """The S_n action on R/I: per adjacent transposition, the coordinates
+        of each swapped standard monomial, keyed by the monomial's key."""
+        return list(self.swapped(self.standard, range(self.n - 1)).values())
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether each basis element stays in I under (1 2) and the long
+        cycle, which generate S_n: permuted key by key and reduced."""
+        n = self.n
+        sigmas = [Permutation.transposition(1, 2, n), Permutation.cycle(n)] if n > 1 else []
+        return all(not self.coordinates(sorted(((permute_key(sigma, k, n), c) for k, c in g),
+                                               reverse=True))
+                   for sigma in sigmas for g in self.basis)
+
     def square(self, below: int | float = inf) -> "_Quotient":
         """The record of I^2 below degree ``below``, from the products of
         basis elements; a product of degree ``below`` or more is not formed.
@@ -498,9 +526,6 @@ class Ideal:
         self.ambient_n = ambient_n
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._record: _Quotient | None = None
-        self._symmetric: bool | None = None  # verdict of equivariant.is_symmetric
-        self._swaps: list | None = None  # equivariant._swap_actions, the S_n action on R/I
-        self._decomposition = None  # equivariant.decompose_quotient, the types of R/I
 
     # -- Groebner bases ---------------------------------------------------
     def _quotient(self) -> _Quotient:
@@ -510,7 +535,8 @@ class Ideal:
         return self._record
 
     def _seed_basis(self, basis: list[list]) -> None:
-        """Install a known reduced Groebner basis, sorted by leading monomial."""
+        """Install a known reduced Groebner basis, sorted by leading monomial,
+        in a new record: nothing derived from the old basis is kept."""
         self._record = _Quotient(basis, self.ambient_n)
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:

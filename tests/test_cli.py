@@ -253,7 +253,8 @@ class TestExitCodes:
     def test_one_specht_polynomial_is_not_guarded(self, monkeypatch):
         # the n guard stops the higher Specht basis of specht without
         # --tableau, not the single product of specht --tableau (the README
-        # runs it at n = 9); that product is bounded by its term count
+        # runs it at n = 9); that product is bounded by its term count and
+        # by TABLEAU_N_BOUND
         monkeypatch.setattr(cli, "cmd_specht", lambda args: ([{"n": args.n}], True))
         assert run(["specht", "--n", "12", "--lambda", "12",
                     "--tableau", ",".join(map(str, range(1, 13)))]) == 0
@@ -274,6 +275,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "specht_polynomial", lambda t, n: "built")
         assert run(["specht", "--n", "7", "--lambda", "1,1,1,1,1,1,1",
                     "--tableau", "/".join(map(str, range(1, 8)))]) == 0
+        assert "specht_polynomial: built" in capsys.readouterr().out
+
+    def test_tableau_n_is_bounded(self, monkeypatch, capsys):
+        # lambda = (n - 6, 1^6): one column of height 7, within the term
+        # bound, but each term packs and prints n exponents
+        def tableau(n):
+            return "/".join([",".join(map(str, range(1, n - 5)))]
+                            + [str(v) for v in range(n - 5, n + 1)])
+
+        def built(*args):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(cli, "specht_polynomial", built)
+        n = cli.TABLEAU_N_BOUND + 1
+        with pytest.raises(SystemExit) as info:
+            run(["specht", "--n", str(n), "--lambda", f"{n - 6},1,1,1,1,1,1",
+                 "--tableau", tableau(n)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"symideal specht: specht --tableau is guarded at 1 <= n <= {n - 1}\n")
+        # n = TABLEAU_N_BOUND is built
+        monkeypatch.setattr(cli, "specht_polynomial", lambda t, n: "built")
+        n -= 1
+        assert run(["specht", "--n", str(n), "--lambda", f"{n - 6},1,1,1,1,1,1",
+                    "--tableau", tableau(n)]) == 0
         assert "specht_polynomial: built" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [

@@ -44,6 +44,13 @@ def from_cycle_type(mu: Partition) -> Permutation:
     return Permutation(images)
 
 
+def group_generators(n: int) -> list[Permutation]:
+    """An adjacent transposition and the long cycle, which generate S_n."""
+    if n == 1:
+        return [Permutation.identity(1)]
+    return [Permutation.transposition(1, 2, n), Permutation.cycle(n)]
+
+
 @lru_cache(maxsize=None)
 def _character(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> int:
     if not lam_parts:

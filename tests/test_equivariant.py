@@ -12,20 +12,19 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
                                multinomial, partitions_of)
 from symideal.classification import classification_cases, row_case
 from symideal import equivariant
-from symideal.equivariant import (decompose_quotient, group_generators,
-                                  is_permutation_module_sum, is_symmetric,
+from symideal.equivariant import (decompose_quotient, is_permutation_module_sum, is_symmetric,
                                   tangent_dimension, _fixed_vectors, _hom_basis_equivariant,
                                   _invariant_functionals, _meet, _minimal_generator_space,
-                                  _orbit_keys, _swap_actions, _word)
-from symideal.ideals import DEGREVLEX, Ideal, maximal_power, orbit_ideal
+                                  _orbit_keys, _word)
+from symideal.ideals import DEGREVLEX, Ideal, _Quotient, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
 from symideal.poly import (Polynomial, Vector, apply_permutation, combine_vectors,
                            complement_vectors, integrate_vectors, linear_combination, power_sum,
                            swap_key)
 from symideal.tanisaki import tanisaki_ideal
 from test_classification import describe
-from test_combinat import (conjugacy_class_size, from_cycle_type, irreducible_character,
-                           specht_dimension, total_dim)
+from test_combinat import (conjugacy_class_size, from_cycle_type, group_generators,
+                           irreducible_character, specht_dimension, total_dim)
 from test_linalg import solve_in_span
 from test_poly import (apolar_complement_oracle, integrate_duals_oracle, is_homogeneous,
                        permute_monomial)
@@ -431,7 +430,7 @@ class TestSwapActions:
     def assert_matches_normal_forms(ideal):
         n = ideal.ambient_n
         keys = [DEGREVLEX.key(m) for m in ideal.standard_monomials()]
-        actions = _swap_actions(ideal)
+        actions = ideal._quotient().swaps
         assert len(actions) == n - 1
         for a, action in enumerate(actions):
             expected = _action(ideal, Permutation.transposition(a + 1, a + 2, n))
@@ -450,7 +449,7 @@ class TestSwapActions:
 
     def test_unit_ideal(self):
         ideal = Ideal(3, [Polynomial.one(3)])
-        assert _swap_actions(ideal) == [{}, {}]
+        assert ideal._quotient().swaps == [{}, {}]
         self.assert_matches_normal_forms(ideal)
 
 
@@ -499,7 +498,7 @@ class TestQuotientTables:
             inside = [a for a in range(n - 1) if word[a] == word[a + 1]]
             start = 0
             for d, keys in pieces.items():
-                got = _invariant_functionals(_swap_actions(ideal), keys, orbit, inside, start)
+                got = _invariant_functionals(ideal._quotient().swaps, keys, orbit, inside, start)
                 assert got == fresh_functionals(record, keys, orbit, inside, start), (label, mu, d)
                 start += got[1]
 
@@ -527,13 +526,13 @@ class TestQuotientTables:
         # decompose_quotient and the hom step read the table, and the relation
         # step the table for R/I and fresh normal forms for I^2 only
         ideal = tanisaki_ideal(Partition([2, 2, 1]))
-        tabled, swap_table = [], equivariant._swap_table
+        tabled, swapped = [], _Quotient.swapped
 
         def counted(record, keys, swaps):
             tabled.append(record)
-            return swap_table(record, keys, swaps)
+            return swapped(record, keys, swaps)
 
-        monkeypatch.setattr(equivariant, "_swap_table", counted)
+        monkeypatch.setattr(_Quotient, "swapped", counted)
         tangent_dimension(ideal)
         tangent_dimension(ideal)
         assert tabled.count(ideal._quotient()) == 1
@@ -543,7 +542,7 @@ class TestQuotientTables:
     @pytest.mark.parametrize("parts", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (4, 2)])
     def test_quotient_coset_images_are_built_once_per_word(self, parts, monkeypatch):
         ideal = tanisaki_point(parts)
-        action = _swap_actions(ideal)
+        action = ideal._quotient().swaps
         words: list[tuple] = []
         coset_images = equivariant._coset_images
 

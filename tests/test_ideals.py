@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from symideal.classification import classification_cases
 from symideal.cli import _random_parameters
 from symideal.combinat import Partition, Permutation, partitions_of
-from symideal.equivariant import tangent_dimension
+from symideal.equivariant import decompose_quotient, is_symmetric, tangent_dimension
 from symideal import ideals
 from symideal.ideals import (Ideal, _buchberger, _degree_cap, _engine_terms, _fresh_pairs, _lead,
                              _masks, _normal_form, _normalize, _packed_lcm, _spoly, _support,
@@ -312,6 +312,19 @@ class TestDivisorMemo:
         # and stale standard monomials would still be [1]
         assert normal_form(ideal, x(1, n)) == x(2, n)
         assert ideal.standard_monomials() == [(0, 0), (0, 1)]
+
+        # so do the S_n action, the symmetry verdict and the decomposition:
+        # (x1 + x2, x1*x2) is symmetric of colength 2, (x1, x2^3) is not
+        ideal = Ideal(n, [x(1, n) + x(2, n), x(1, n) * x(2, n)])
+        assert is_symmetric(ideal)
+        assert decompose_quotient(ideal).as_dict() == {Partition([2]): 1, Partition([1, 1]): 1}
+        ideal._seed_basis(Ideal(n, [x(1, n), x(2, n) ** 3])._quotient().basis)
+        assert ideal.colength() == 3 and not is_symmetric(ideal)
+        assert list(ideal._quotient().swaps[0]) == ideal._quotient().standard
+        with pytest.raises(ValueError, match="not stable"):
+            decompose_quotient(ideal)
+        # the ideal holds nothing else that a new basis could leave stale
+        assert set(vars(ideal)) == {"ambient_n", "generators", "_record"}
 
 
 class TestColength:

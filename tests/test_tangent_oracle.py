@@ -16,10 +16,11 @@ import pytest
 
 from symideal.classification import row_case
 from symideal.combinat import Partition
-from symideal.equivariant import group_generators, tangent_dimension
+from symideal.equivariant import tangent_dimension
 from symideal.ideals import Ideal, maximal_power
 from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.tanisaki import tanisaki_ideal
+from test_combinat import group_generators
 from test_ideals import normal_form
 from test_poly import coefficient, from_tuple_terms
 

@@ -406,3 +406,79 @@ class TestModuleStructure:
             layers = dict(decomposition.graded)
             located = [d for d, layer in layers.items() if dict(layer).get(lam)]
             assert located == [d_min(lam)]
+
+
+def semistandard_tableaux(shape: Partition, content: Partition) -> list[list[list[int]]]:
+    """Every semistandard tableau of a shape and content, as rows."""
+    rows: list[list[int]] = [[] for _ in shape.parts]
+    left, found = list(content.parts), []
+
+    def fill(cell: int) -> None:
+        if cell == shape.n:
+            found.append([row[:] for row in rows])
+            return
+        i = next(r for r, part in enumerate(shape.parts) if len(rows[r]) < part)
+        j = len(rows[i])
+        for v in range(1, len(left) + 1):  # rows weakly increase, columns strictly
+            if left[v - 1] and (not j or rows[i][-1] <= v) and (not i or rows[i - 1][j] < v):
+                rows[i].append(v)
+                left[v - 1] -= 1
+                fill(cell + 1)
+                left[v - 1] += 1
+                rows[i].pop()
+
+    fill(0)
+    return found
+
+
+def charge(t: list[list[int]]) -> int:
+    """Lascoux-Schuetzenberger charge of a tableau of partition content.
+
+    The word reads the rows from the bottom up, each left to right.  It
+    splits into standard subwords: each starts at the rightmost 1 left
+    and searches leftward, cyclically, for 2, 3, ...; the index rises by
+    1 at each wrap, and the charge is the sum of the indices."""
+    word = [v for row in reversed(t) for v in row]
+    used, total = [False] * len(word), 0
+    while not all(used):
+        pos = max(p for p, v in enumerate(word) if v == 1 and not used[p])
+        used[pos], index, k = True, 0, 2
+        while True:
+            found = [p for p in [*range(pos - 1, -1, -1), *range(len(word) - 1, pos, -1)]
+                     if word[p] == k and not used[p]]
+            if not found:
+                break
+            index += found[0] > pos  # wrapped round the right end
+            pos, used[found[0]] = found[0], True
+            total += index
+            k += 1
+    return total
+
+
+def garsia_procesi(lam: Partition, degree=lambda lam, c: d_min(lam) - c) -> dict:
+    """The graded decomposition of R/I_lam by Garsia-Procesi (Adv. Math. 94,
+    1992): kappa occurs in degree n(lam) - charge(T) once per semistandard
+    tableau T of shape kappa and content lam, n(lam) = d_min(lam)."""
+    layers: dict[int, dict[Partition, int]] = {}
+    for kappa in partitions_of(lam.n):
+        for t in semistandard_tableaux(kappa, lam):
+            layer = layers.setdefault(degree(lam, charge(t)), {})
+            layer[kappa] = layer.get(kappa, 0) + 1
+    return {d: tuple(sorted(layer.items())) for d, layer in layers.items()}
+
+
+class TestGarsiaProcesi:
+    """The graded decomposition of each Tanisaki quotient is the cocharge
+    Kostka-Foulkes polynomial of Garsia and Procesi."""
+
+    @pytest.mark.parametrize("parts", [lam.parts for n in range(1, 7) for lam in partitions_of(n)])
+    def test_graded_decomposition_is_the_cocharge_count(self, parts):
+        lam = Partition(parts)
+        assert dict(decompose_quotient(tanisaki_ideal(lam)).graded) == garsia_procesi(lam)
+
+    def test_charge_in_place_of_cocharge_fails(self):
+        # at (1,1) charge would put the trivial module in degree 1
+        lam = Partition([1, 1])
+        by_charge = garsia_procesi(lam, lambda lam, c: c)
+        assert by_charge[1] == ((Partition([2]), 1),)
+        assert dict(decompose_quotient(tanisaki_ideal(lam)).graded) != by_charge
