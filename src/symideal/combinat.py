@@ -286,37 +286,33 @@ def index(t: Tableau) -> tuple[int, ...]:
     return tuple(idx_of_value[v] for v in w)
 
 
-@lru_cache(maxsize=None)
 def kostka_number(mu: Partition, lam: Partition) -> int:
     """Count of semistandard tableaux of shape mu and content lam."""
     if mu.n != lam.n:
         raise ValueError("sizes differ")
-    shape = mu.parts
-    content = list(lam.parts)
-    rows: list[list[int]] = [[] for _ in shape]
+    return _kostka(mu.parts, lam.parts)
 
-    def count(cell: int) -> int:
-        if cell == mu.n:
-            return 1
-        # fill row by row; semistandard: rows weakly increase, columns strictly
-        i = next(r for r in range(len(shape)) if len(rows[r]) < shape[r])
-        j = len(rows[i])
-        total = 0
-        for v in range(1, len(content) + 1):
-            if content[v - 1] == 0:
-                continue
-            if j > 0 and v < rows[i][-1]:
-                continue
-            if i > 0 and (len(rows[i - 1]) <= j or v <= rows[i - 1][j]):
-                continue
-            rows[i].append(v)
-            content[v - 1] -= 1
-            total += count(cell + 1)
-            content[v - 1] += 1
-            rows[i].pop()
-        return total
 
-    return count(0)
+@lru_cache(maxsize=None)
+def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """The branching rule: the entries equal to len(content) fill a
+    horizontal strip shape/nu of size content[-1], so the count is the sum
+    of _kostka(nu, content[:-1]) over the shapes nu such a strip leaves."""
+    if len(shape) > len(content):  # a column holds distinct entries
+        return 0
+    if not content:
+        return 1
+    rest = content[:-1]
+
+    # nu interlaces shape: shape[i+1] <= nu[i] <= shape[i]
+    def strips(i: int, left: int, nu: tuple[int, ...]) -> int:
+        if i == len(shape):
+            return 0 if left else _kostka(tuple(p for p in nu if p), rest)
+        low = shape[i + 1] if i + 1 < len(shape) else 0
+        return sum(strips(i + 1, left - take, nu + (shape[i] - take,))
+                   for take in range(min(left, shape[i] - low) + 1))
+
+    return strips(0, content[-1], ())
 
 
 def kostka_decomposition(lam: Partition) -> IsotypicDecomposition:

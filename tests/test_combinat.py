@@ -274,6 +274,37 @@ class TestPermutation:
         assert cycle_type(from_cycle_type(mu)) == mu
 
 
+def kostka_by_tableaux(mu: Partition, lam: Partition) -> int:
+    """Oracle: count the semistandard tableaux of shape mu and content lam
+    one by one, filling row by row."""
+    shape = mu.parts
+    content = list(lam.parts)
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def count(cell: int) -> int:
+        if cell == mu.n:
+            return 1
+        # rows weakly increase, columns strictly
+        i = next(r for r in range(len(shape)) if len(rows[r]) < shape[r])
+        j = len(rows[i])
+        total = 0
+        for v in range(1, len(content) + 1):
+            if content[v - 1] == 0:
+                continue
+            if j > 0 and v < rows[i][-1]:
+                continue
+            if i > 0 and (len(rows[i - 1]) <= j or v <= rows[i - 1][j]):
+                continue
+            rows[i].append(v)
+            content[v - 1] -= 1
+            total += count(cell + 1)
+            content[v - 1] += 1
+            rows[i].pop()
+        return total
+
+    return count(0)
+
+
 class TestKostka:
     def test_single_row_content(self):
         n = 5
@@ -297,6 +328,16 @@ class TestKostka:
         for lam in partitions_of(n):
             total = sum(kostka_number(mu, lam) * specht_dimension(mu) for mu in partitions_of(n))
             assert total == multinomial(lam)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_branching_rule_matches_the_tableau_count(self, n):
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                assert kostka_number(mu, lam) == kostka_by_tableaux(mu, lam)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            kostka_number(Partition([2]), Partition([2, 1]))
 
     def test_unitriangular(self):
         for n in (4, 5):

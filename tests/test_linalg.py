@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symideal import linalg, tanisaki
+from symideal.combinat import Partition, partitions_of
 from symideal.linalg import KernelEchelon, nullspace_tags
 
 
@@ -145,22 +148,36 @@ def test_solve_in_span_fractional():
     assert coeffs == [3]
 
 
-ENTRIES = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+INTS = st.integers(-9, 9)
+ENTRIES = st.one_of(INTS, st.builds(Fraction, INTS, st.integers(1, 6)))
+# leading entries of short rows: -1 pivots negate the rows they reduce, the
+# others rescale them by a factor above one
+LEADS = st.sampled_from([-1, -1, -2, -3, 2, 3, 4, -6])
 
 
 @st.composite
-def tagged_sequences(draw, cols=5):
-    """Rows mixing int and Fraction entries, zeros included, each tagged or
-    not; some repeat or rescale an earlier row, so that duplicates, negated
-    pivots and contents above one occur."""
+def tagged_sequences(draw, cols=6):
+    """Rows each tagged or not: all-int rows with and without zeros, rows
+    mixing int and Fraction entries, short rows on the top columns with a
+    negative or large leading entry, and rows that repeat or rescale an
+    earlier one.  So runs of steps against negative pivot entries, steps by
+    a factor above one on rows longer than their pivot, duplicates and
+    contents above one occur."""
     out = []
     for i in range(draw(st.integers(0, 10))):
-        if out and draw(st.booleans()):
+        kind = draw(st.sampled_from(["int", "mixed", "short", "repeat"] if out else
+                                    ["int", "mixed", "short"]))
+        if kind == "repeat":
             earlier = draw(st.sampled_from(out))[0]
             factor = draw(st.sampled_from([1, -1, 2, -3, 6, Fraction(4, 3), Fraction(-1, 2)]))
             row = {c: v * factor for c, v in earlier.items()}
+        elif kind == "short":
+            lead = draw(st.integers(cols // 2, cols - 1))
+            row = {lead: draw(LEADS)}
+            row.update(draw(st.dictionaries(st.integers(0, lead - 1), INTS, max_size=1)))
         else:
-            row = draw(st.dictionaries(st.integers(0, cols - 1), ENTRIES, max_size=cols))
+            row = draw(st.dictionaries(st.integers(0, cols - 1), INTS if kind == "int" else ENTRIES,
+                                       max_size=cols))
         out.append((row, draw(st.sampled_from([None, i]))))
     return out
 
@@ -181,3 +198,46 @@ def test_add_leaves_its_input_unchanged():
     relation = tracker.add(row, "b")
     assert row == {0: 4, 1: Fraction(3, 4)}
     assert relation is None and tracker.rank == 2
+
+
+def test_add_leaves_an_int_row_unchanged():
+    # an all-int row is copied whole: neither the stored pivot nor a later
+    # step may write into the caller's dict
+    tracker = KernelEchelon()
+    row = {0: 1, 1: 2, 2: 0}
+    assert tracker.add(row, "a") is None
+    assert row == {0: 1, 1: 2, 2: 0}
+    stored, _ = tracker.pivots[1]
+    assert stored == {0: 1, 1: 2} and stored is not row
+    row = {0: 3, 1: -4}
+    relation = tracker.add(row, "b")
+    assert row == {0: 3, 1: -4}
+    assert relation is None and tracker.rank == 2
+    row = {0: 5, 1: 2, 2: 0}
+    assert tracker.add(row, "c") is not None
+    assert row == {0: 5, 1: 2, 2: 0}
+
+
+def test_negated_steps_match_the_oracle():
+    # a row meeting k pivots of leading entry -1 in a row flips sign k times
+    for k in range(1, 6):
+        staircase = [({c: -1, c - 1: c}, c) for c in range(5, 5 - k, -1)]
+        for last in ({c: 1 for c in range(6)}, {c: -2 for c in range(6)}):
+            tracker, oracle = KernelEchelon(), KernelEchelonOracle()
+            for row, tag in staircase + [(last, "last")]:
+                assert tracker.add(dict(row), tag) == oracle.add(dict(row), tag)
+                assert tracker.pivots == oracle.pivots
+
+
+@pytest.mark.parametrize("parts", [lam.parts for n in range(1, 6) for lam in partitions_of(n)]
+                         + [(3, 2, 1), (2, 2, 2)])
+def test_apolar_generators_match_the_oracle_kernel(parts, monkeypatch):
+    # the dual layers (tanisaki) and the integrations and complements (poly,
+    # through nullspace_tags) on the first-written kernel give the same
+    # generators, signs included
+    lam = Partition(parts)
+    got = [(g.terms, g.den) for g in tanisaki._apolar_generators(lam)]
+    monkeypatch.setattr(linalg, "KernelEchelon", KernelEchelonOracle)
+    monkeypatch.setattr(tanisaki, "KernelEchelon", KernelEchelonOracle)
+    want = [(g.terms, g.den) for g in tanisaki._apolar_generators(lam)]
+    assert got == want
