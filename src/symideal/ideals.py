@@ -63,7 +63,19 @@ An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1 and ``graded`` by degree, and what they fix of R/I
 as an S_n-module: the ``swaps`` table of the action, the ``symmetric``
-verdict and the decomposition, built and replaced together.
+verdict and the decomposition, built and replaced together.  The record
+may be bounded: for homogeneous generators ``contains(f)`` reads one
+bounded below deg f + 1, the reduced basis elements of lower degree.  A
+term of degree e is reduced only by elements of degree <= e (no higher
+lead divides it, and an element's tail keeps its lead's degree), so the
+normal form of f, and the answer, are those of the full basis.  A higher
+degree asked rebuilds the record at least doubling its bound, from its
+basis and the generators of degree past the old bound b: the elements
+below b reduce every generator of lower degree to zero, so they generate
+it.  A bound at or past the degree cap is the full run, and
+non-homogeneous generators always take it.  Every other reader
+(``_quotient()``, ``==``, ``groebner_basis``, ``colength``, the tangent and
+decomposition code) asks the full record, which replaces a bounded one.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
 as {key: coeff}, coordinates in R/I, int where integral, and
 ``swapped(keys, swaps)`` those of keys under adjacent transpositions;
@@ -87,9 +99,9 @@ oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import combinations_with_replacement, groupby, permutations, repeat
 from math import comb, gcd, inf
 
 from .combinat import Permutation
@@ -264,7 +276,8 @@ def _spoly(f: list, g: list, n: int) -> list:
 
 def _homogeneous(polys: list[list], n: int) -> bool:
     """Whether each term list's first and last terms have one degree."""
-    return all(DEGREVLEX.degree(f[0][0], n) == DEGREVLEX.degree(f[-1][0], n) for f in polys)
+    return all(len(f) == 1 or DEGREVLEX.degree(f[0][0], n) == DEGREVLEX.degree(f[-1][0], n)
+               for f in polys)
 
 
 def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
@@ -273,12 +286,12 @@ def _degree_cap(inputs: list[list], n: int) -> tuple[int | float, list[int]]:
     no degree is full or some input is not homogeneous."""
     if not _homogeneous(inputs, n):
         return inf, []
-    found: dict[int, set] = {}
-    for f in inputs:
-        if len(f) == 1:
-            found.setdefault(DEGREVLEX.degree(f[0][0], n), set()).add(f[0][0])
-    full = [d for d, keys in found.items() if len(keys) == comb(n + d - 1, d)]
-    return (min(full), sorted(found[min(full)])) if full else (inf, [])
+    monomials = sorted({f[0][0] for f in inputs if len(f) == 1})  # ascending degree
+    for d, keys in groupby(monomials, partial(DEGREVLEX.degree, n=n)):
+        keys = list(keys)
+        if len(keys) == comb(n + d - 1, d):
+            return d, keys
+    return inf, []
 
 
 def _fresh_pairs(lcms: list[int], support: list[int], alive: list[bool], st: int,
@@ -308,10 +321,10 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf,
     cap and below the degree ``below`` (see the module docstring).
     ``factors[i]``, when given, is the pair (a, b) with ``inputs[i]`` the
     product g_a*g_b of a Groebner basis: see ``_Quotient.square``."""
-    if below < inf and not _homogeneous(inputs, n):
+    cap, cap_keys = _degree_cap(inputs, n)
+    if below < inf and cap == inf and not _homogeneous(inputs, n):
         raise ValueError("a degree bound needs homogeneous inputs")
     guard = _masks(n)[0]
-    cap, cap_keys = _degree_cap(inputs, n)
     top = min(cap, below)
     ceiling = (top - 1) << (W * n) if top < inf else inf  # keys of degree >= top exceed it
     G: list[list] = []
@@ -528,11 +541,28 @@ class Ideal:
         self._record: _Quotient | None = None
 
     # -- Groebner bases ---------------------------------------------------
-    def _quotient(self) -> _Quotient:
-        if self._record is None:
-            inputs = [_to_engine(g) for g in self.generators]
-            self._record = _Quotient(_buchberger(inputs, self.ambient_n), self.ambient_n)
-        return self._record
+    def _quotient(self, below: int | float = inf) -> _Quotient:
+        """The record, exact below degree ``below``: the full one by default.
+
+        A record bounded under ``below`` is rebuilt, at least doubling its
+        bound, from its basis and the generators of degree past it; a bound
+        is kept only for homogeneous generators, and only while it lies
+        under their degree cap, past which the run is the full one anyway
+        (see the module docstring)."""
+        record = self._record
+        if record is None or record.below < below:
+            n = self.ambient_n
+            if record is None:
+                inputs = [_to_engine(g) for g in self.generators]
+            else:
+                below = max(below, 2 * record.below)
+                inputs = record.basis + [_to_engine(g) for g in self.generators
+                                         if g.degree() >= record.below]
+            cap = _degree_cap(inputs, n)[0]
+            if cap <= below or cap == inf and not _homogeneous(inputs, n):
+                below = inf
+            record = self._record = _Quotient(_buchberger(inputs, n, below), n, below)
+        return record
 
     def _seed_basis(self, basis: list[list]) -> None:
         """Install a known reduced Groebner basis, sorted by leading monomial,
@@ -551,7 +581,12 @@ class Ideal:
         return self._quotient().coordinates(*_engine_terms(f))
 
     def contains(self, f: Polynomial) -> bool:
-        return not self.coordinates(f)
+        """Read off a record bounded below deg f + 1 when it may be bounded."""
+        if f.ambient_n != self.ambient_n:
+            raise ValueError("ambient size mismatch")
+        terms, den = _engine_terms(f)
+        below = DEGREVLEX.degree(terms[0][0], self.ambient_n) + 1 if terms else 1
+        return not self._quotient(below).coordinates(terms, den)
 
     # -- zero-dimensional toolkit ------------------------------------------
     def standard_monomials(self) -> list[Monomial] | None:

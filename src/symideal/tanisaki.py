@@ -14,6 +14,11 @@ The three constructions of the ideal attached to a partition:
   layer a greedy basis of the images of monomial operators on the Specht
   polynomials, taking the image of x^a only when every x^(a - e_j) was
   kept: a dropped one's derivatives lie in the span of earlier images.
+  Its generators are sought only in the degrees that hold some: with J
+  the ideal of those of degree < d and Ann the annihilator, J_d =
+  (m*Ann_(d-1))_d, so degree d holds HF_(R/J)(d) - dim(layer d) of them,
+  the Hilbert function read off a record of J bounded below d + 1, and a
+  degree where they are equal is skipped (``_apolar_generators``).
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
@@ -98,18 +103,43 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     return layers[::-1]
 
 
-def _apolar_generators(lam: Partition) -> list[Polynomial]:
-    """Minimal generators of the annihilator of the Specht span, degree by
-    degree: integrate the previous dual layer to get the orthocomplement of
-    the carried part, then keep the members orthogonal to the current layer.
-    All of it runs on integer vectors; each generator becomes a
-    ``Polynomial`` once, at the end."""
-    n = lam.n
+def _apolar_generators(lam: Partition) -> tuple[list[Polynomial], Ideal]:
+    """Minimal generators of the annihilator Ann of the Specht span, degree
+    by degree, and the apolar ideal they generate with m^(D+1), D = d_min.
+
+    In a degree d with new generators, integrate the previous dual layer
+    to get the orthocomplement of the carried part, then keep the members
+    orthogonal to the current layer.  A degree with none is skipped: with
+    J the ideal of the generators of degree < d, J_d = (m*Ann_(d-1))_d, so
+    degree d holds dim Ann_d - dim J_d = HF_(R/J)(d) - dim layers[d] new
+    generators, and HF_(R/J)(d) is read off a record of J + m^(D+1) bounded
+    below d + 1 (adding m^(D+1) changes no degree <= D).  As J is inside
+    Ann, that count is never negative, and an integrated degree yields
+    exactly that many generators (the pairing is definite, so the complement
+    of layers[d] in the integrals loses len(layers[d])): either failing is
+    an ``ArithmeticError``.  The apolar ideal keeps the last record the
+    search built, full once a bound reaches D + 1, its degree cap.  All of
+    it runs on integer vectors; each generator becomes a ``Polynomial``
+    once."""
+    n, top = lam.n, d_min(lam)
     layers = _dual_layers(distinct_specht_polynomials(lam), n)
-    gens: list[Vector] = []
-    for d in range(1, d_min(lam) + 1):
-        gens += complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
-    return [Polynomial(n, terms, den) for terms, den in gens]
+    cap = maximal_power(n, top + 1).generators
+    gens: list[Polynomial] = []
+    ideal = Ideal(n, cap)
+    for d in range(1, top + 1):
+        new = len(ideal._quotient(d + 1).graded.get(d, ())) - len(layers[d])
+        if new < 0:
+            raise ArithmeticError(f"the apolar generators of degree < {d} leave fewer "
+                                  f"standard monomials in degree {d} than the dual layer")
+        if not new:
+            continue
+        found = complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
+        if len(found) != new:
+            raise ArithmeticError(f"degree {d} gave {len(found)} apolar generators, "
+                                  f"not {new}")
+        gens += [Polynomial(n, terms, den) for terms, den in found]
+        ideal = Ideal(n, gens + list(cap))
+    return gens, ideal
 
 
 def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:
@@ -120,7 +150,7 @@ def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:
     if mode == "reduced":
         return Ideal(n, _reduced_generators(lam))
     if mode == "apolar":
-        return Ideal(n, _apolar_generators(lam)) + maximal_power(n, d_min(lam) + 1)
+        return _apolar_generators(lam)[1]
     raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
 
 

@@ -1321,6 +1321,96 @@ class TestBoundedEngine:
         assert sum(a for a, _ in counts) < sum(b for _, b in counts)
 
 
+def forms(n, degree, max_terms=3):
+    """Nonzero forms of one degree, integer coefficients."""
+    return st.dictionaries(st.sampled_from(degree_monomials(n, degree)),
+                           st.integers(-4, 4).filter(bool), min_size=1, max_size=max_terms).map(
+        lambda terms: from_tuple_terms(n, {m: Fraction(c) for m, c in terms.items()}))
+
+
+@st.composite
+def homogeneous_ideal_and_probes(draw):
+    """Homogeneous generators of degree 1 to 3 at n = 2, 3, and probes of
+    every degree 0 to 6 in drawn order: a form, a member (the form plus a
+    multiple of a generator) or a sum of two forms of different degrees."""
+    n = draw(st.sampled_from([2, 3]))
+    gens = [draw(forms(n, d)) for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    probes = []
+    for e in draw(st.permutations(range(7))):
+        f = draw(forms(n, e))
+        kind = draw(st.sampled_from(["form", "member", "mixed"]))
+        g = draw(st.sampled_from(gens))
+        if kind == "member" and e >= g.degree():
+            f = f + draw(forms(n, e - g.degree())) * g
+        elif kind == "mixed":
+            f = f + draw(forms(n, draw(st.integers(0, 6).filter(lambda d: d != e))))
+        probes.append(f)
+    return n, gens, probes
+
+
+class TestBoundedMembership:
+    """``contains`` on homogeneous generators reads a record bounded below
+    deg f + 1, which answers as the full record does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_ideal_and_probes())
+    def test_bounded_answers_are_the_full_answers(self, case):
+        n, gens, probes = case
+        fresh, full = Ideal(n, gens), Ideal(n, gens)
+        full._quotient()
+        for f in probes:
+            assert fresh.contains(f) == full.contains(f), f
+            if fresh._record.below < inf:
+                assert fresh._record.below > f.degree()
+        # the readers of the full record replace a bounded one
+        assert fresh.groebner_basis() == full.groebner_basis()
+        assert fresh._record.below == inf
+        assert fresh == full
+
+    def test_a_bound_holds_the_degrees_asked_and_grows_by_doubling(self):
+        n = 3
+        ideal = Ideal(n, [power_sum(1, n), power_sum(2, n)])
+        assert ideal.contains(power_sum(1, n) * x(1, n))
+        assert ideal._record.below == 3
+        assert not ideal.contains(x(1, n) ** 3)  # degree 3: at least double 3
+        assert ideal._record.below == 6
+        assert ideal.contains(power_sum(2, n) * x(2, n) ** 3)  # degree 5: held
+        assert ideal._record.below == 6
+
+    def test_equality_reads_the_full_record(self):
+        n = 3
+        ideal = Ideal(n, [power_sum(1, n), power_sum(2, n)])
+        ideal.contains(x(1, n))
+        assert ideal._record.below == 2
+        assert ideal == Ideal(n, [power_sum(1, n), power_sum(2, n), power_sum(2, n) * x(1, n) ** 2])
+        assert ideal._record.below == inf
+
+    def test_a_bound_at_the_cap_is_the_full_record(self):
+        # (x1) + m^3: degree 3 is full, so a bound of 3 or more runs to the end
+        n = 2
+        ideal = Ideal(n, [x(1, n)]) + maximal_power(n, 3)
+        assert not ideal.contains(x(2, n))
+        assert ideal._record.below == 2
+        assert not ideal.contains(x(2, n) ** 2)  # a bound of 4 reaches the cap
+        assert ideal._record.below == inf
+        other = Ideal(n, ideal.generators)
+        assert other.contains(x(1, n) * x(2, n))  # degree 2: a bound of 3, the cap
+        assert other._record.below == inf
+
+    def test_non_homogeneous_generators_take_the_full_record(self):
+        n = 2
+        ideal = Ideal(n, [x(1, n) ** 2 - x(2, n), x(2, n) ** 3])
+        assert ideal.contains(x(2, n) ** 3)
+        assert ideal._record.below == inf
+
+    def test_zero_and_constants(self):
+        n = 2
+        ideal = Ideal(n, [x(1, n)])
+        assert ideal.contains(Polynomial.zero(n)) and not ideal.contains(Polynomial.one(n))
+        assert ideal._record.below == 1
+        assert Ideal(n, []).contains(Polynomial.zero(n))
+
+
 @st.composite
 def groebner_bases(draw):
     """A Groebner basis that is not reduced: the reduced basis of drawn

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symideal import tanisaki
+from symideal import ideals, tanisaki
+from symideal.cli import run
 from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
                                r_lambda, transpose)
 from symideal.equivariant import decompose_quotient
@@ -178,15 +179,85 @@ class TestApolarGenerators:
     @pytest.mark.parametrize("parts", APOLAR_SHAPES)
     def test_match_the_oracle(self, parts):
         lam = Partition(list(parts))
-        got, want = _apolar_generators(lam), apolar_generators_oracle(lam)
+        got, want = _apolar_generators(lam)[0], apolar_generators_oracle(lam)
         assert [str(g) for g in got] == [str(g) for g in want]
+
+    @pytest.mark.parametrize("parts", [(6,), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2), (3, 1, 1, 1)])
+    def test_skipped_degrees_hold_no_oracle_generator(self, parts):
+        # the oracle integrates every degree; the search skips exactly the
+        # degrees where the oracle finds nothing
+        lam, seen = Partition(list(parts)), []
+        integrate = tanisaki.integrate_vectors
+
+        def recording(duals, n, d):
+            seen.append(d)
+            return integrate(duals, n, d)
+
+        with mock.patch.object(tanisaki, "integrate_vectors", recording):
+            _apolar_generators(lam)
+        found = {g.degree() for g in apolar_generators_oracle(lam)}
+        assert seen == sorted(found)
+
+    @pytest.mark.parametrize("parts, degrees, runs",
+                             [((3, 3), 3, 2), ((2, 2, 2), 6, 3), ((3, 1, 1, 1), 6, 4)])
+    def test_integrations_stop_where_the_generators_do(self, parts, degrees, runs):
+        # one integration per degree 1..d_min(lam) before degrees were skipped
+        lam = Partition(list(parts))
+        with mock.patch.object(tanisaki, "integrate_vectors",
+                               wraps=tanisaki.integrate_vectors) as integrate:
+            _apolar_generators(lam)
+        assert (d_min(lam), integrate.call_count) == (degrees, runs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_the_search_record_is_the_apolar_record(self, n):
+        # the apolar ideal's record is the last the search built: reading its
+        # basis runs Buchberger at most once, and not at all when the search
+        # asked the final ideal about degree d_min(lam) (it skipped it); the
+        # basis is that of a fresh ideal
+        for lam in partitions_of(n):
+            gens, ideal = _apolar_generators(lam)
+            assert ideal.generators == tuple(gens) + maximal_power(n, d_min(lam) + 1).generators
+            with mock.patch.object(ideals, "_buchberger", wraps=ideals._buchberger) as runs:
+                basis = ideal.groebner_basis()
+            top_skipped = d_min(lam) > 0 and all(g.degree() < d_min(lam) for g in gens)
+            assert runs.call_count == (0 if top_skipped else 1), lam
+            assert basis == Ideal(n, ideal.generators).groebner_basis()
+
+    def test_a_dropped_generator_breaks_an_invariant(self, capsys):
+        # an integrated degree must give HF_(R/J)(d) - dim layers[d] generators
+        complement = tanisaki.complement_vectors
+
+        def dropping(space, others, n):
+            return complement(space, others, n)[1:]
+
+        with mock.patch.object(tanisaki, "complement_vectors", dropping):
+            with pytest.raises(ArithmeticError, match="apolar generators, not"):
+                _apolar_generators(Partition([2, 1, 1]))
+            with pytest.raises(SystemExit) as info:
+                run(["tanisaki", "--n", "4", "--lambda", "2,1,1", "--mode", "apolar"])
+        assert info.value.code == 3
+        assert "internal invariant broken: degree 1 gave 0 apolar generators, not 1" in (
+            capsys.readouterr().err)
+
+    def test_an_oversized_layer_breaks_an_invariant(self):
+        # J lies in Ann, so R/J has at least dim layers[d] standard monomials in degree d
+        layers = tanisaki._dual_layers
+
+        def padded(spechts, n):
+            out = layers(spechts, n)
+            out[1] = out[1] + [out[1][0]] * (n + 1)
+            return out
+
+        with mock.patch.object(tanisaki, "_dual_layers", padded):
+            with pytest.raises(ArithmeticError, match="fewer standard monomials"):
+                _apolar_generators(Partition([2, 1, 1]))
 
     @pytest.mark.parametrize("parts", APOLAR_SHAPES)
     def test_lex_pivots_change_signs_only(self, parts):
         # the integration once pivoted on exponent tuples (lex); the
         # generators it gave are these, each up to its sign
         lam = Partition(list(parts))
-        got, lex = _apolar_generators(lam), apolar_generators_oracle(lam, order=lambda m: m)
+        got, lex = _apolar_generators(lam)[0], apolar_generators_oracle(lam, order=lambda m: m)
         assert len(got) == len(lex)
         assert all(g == w or g == -w for g, w in zip(got, lex))
 
@@ -341,6 +412,20 @@ class TestInclusionChain:
         assert all(f.startswith(f"{fails} inclusion fails at ") for f in report.failures)
         assert getattr(report, f"{holds}_holds") and not getattr(report, f"{fails}_holds")
         assert fails not in report.witnesses and not getattr(report, f"{fails}_strict")
+
+    def test_the_small_ideal_is_read_below_degree_five(self):
+        # the strictness witness at (3,2) has degree 2: the record of
+        # (power sums + Specht) never holds a degree above 4
+        made, build = [], tanisaki.power_sum_specht_ideal
+
+        def keeping(mu):
+            made.append(build(mu))
+            return made[-1]
+
+        with mock.patch.object(tanisaki, "power_sum_specht_ideal", keeping):
+            report = inclusion_chain_check(Partition([3, 2]))
+        assert report.ok and report.witnesses["first"] == "x1^2"
+        assert made[0]._record.below <= 5
 
     def test_power_sum_specht_ideal_contents(self):
         mu = Partition([2, 1])
