@@ -73,7 +73,10 @@ degree asked rebuilds the record at least doubling its bound, from its
 basis and the generators of degree past the old bound b: the elements
 below b reduce every generator of lower degree to zero, so they generate
 it.  A bound at or past the degree cap is the full run, and
-non-homogeneous generators always take it.  Every other reader
+non-homogeneous generators always take it.  ``_Quotient.grown`` makes
+that run, the record of a basis and more generators; the apolar search
+of ``tanisaki`` grows its records of J by it too, each from the last
+basis and the generators found since.  Every other reader
 (``_quotient()``, ``==``, ``groebner_basis``, ``colength``, the tangent and
 decomposition code) asks the full record, which replaces a bounded one.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
@@ -493,6 +496,19 @@ class _Quotient:
                                                reverse=True))
                    for sigma in sigmas for g in self.basis)
 
+    def grown(self, generators, below: int | float = inf) -> "_Quotient":
+        """The record of the ideal of this basis and ``generators``, exact
+        below ``below``: full when ``below`` reaches the inputs' degree cap or
+        they are not homogeneous.  Each generator enters the engine once.
+        Exact when this basis generates its ideal, as a record bounded below
+        b does when all its generators have degree < b (module docstring)."""
+        n = self.n
+        inputs = self.basis + [_to_engine(g) for g in generators]
+        cap = _degree_cap(inputs, n)[0]
+        if cap <= below or cap == inf and not _homogeneous(inputs, n):
+            below = inf
+        return _Quotient(_buchberger(inputs, n, below), n, below)
+
     def square(self, below: int | float = inf) -> "_Quotient":
         """The record of I^2 below degree ``below``, from the products of
         basis elements; a product of degree ``below`` or more is not formed.
@@ -549,20 +565,11 @@ class Ideal:
         is kept only for homogeneous generators, and only while it lies
         under their degree cap, past which the run is the full one anyway
         (see the module docstring)."""
-        record = self._record
-        if record is None or record.below < below:
-            n = self.ambient_n
-            if record is None:
-                inputs = [_to_engine(g) for g in self.generators]
-            else:
-                below = max(below, 2 * record.below)
-                inputs = record.basis + [_to_engine(g) for g in self.generators
-                                         if g.degree() >= record.below]
-            cap = _degree_cap(inputs, n)[0]
-            if cap <= below or cap == inf and not _homogeneous(inputs, n):
-                below = inf
-            record = self._record = _Quotient(_buchberger(inputs, n, below), n, below)
-        return record
+        base = self._record or _Quotient([], self.ambient_n, 0)  # the zero ideal, read nowhere
+        if base.below < below:
+            self._record = base.grown([g for g in self.generators if g.degree() >= base.below],
+                                      max(below, 2 * base.below))
+        return self._record
 
     def _seed_basis(self, basis: list[list]) -> None:
         """Install a known reduced Groebner basis, sorted by leading monomial,

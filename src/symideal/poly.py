@@ -365,13 +365,6 @@ def elementary_symmetric(r: int, subset, n: int) -> Polynomial:
                           for combo in combinations(indices, r)})
 
 
-def degree_monomials(n: int, d: int) -> list[Monomial]:
-    """All exponent vectors of total degree d, lexicographically descending."""
-    if n == 1:
-        return [(d,)]
-    return [(e,) + rest for e in range(d, -1, -1) for rest in degree_monomials(n - 1, d - e)]
-
-
 @lru_cache(maxsize=None)
 def monomial_weight(key: int, n: int) -> int:
     """The product of the factorials of the exponents of an n-variable key:

@@ -13,12 +13,16 @@ The three constructions of the ideal attached to a partition:
   Its inverse system is built one derivative degree at a time, each
   layer a greedy basis of the images of monomial operators on the Specht
   polynomials, taking the image of x^a only when every x^(a - e_j) was
-  kept: a dropped one's derivatives lie in the span of earlier images.
-  Its generators are sought only in the degrees that hold some: with J
-  the ideal of those of degree < d and Ann the annihilator, J_d =
-  (m*Ann_(d-1))_d, so degree d holds HF_(R/J)(d) - dim(layer d) of them,
-  the Hilbert function read off a record of J bounded below d + 1, and a
-  degree where they are equal is skipped (``_apolar_generators``).
+  kept (a dropped one's derivatives lie in the span of earlier images),
+  so a degree's candidates are the children x_j*x^b of the operators
+  kept one degree lower.  Its generators are sought only in the degrees
+  that hold some: with J the ideal of those of degree < d and Ann the
+  annihilator, J_d = (m*Ann_(d-1))_d, so degree d holds HF_(R/J)(d) -
+  dim(layer d) of them, the Hilbert function read off a record of J
+  bounded below d + 1, and a degree where they are equal is skipped.
+  One record of J is grown by each degree's generators, and the
+  monomials of the cap enter once, in the apolar ideal's full record
+  (``_apolar_generators``).
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
@@ -30,10 +34,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .combinat import Partition, R_k, d_min, r_lambda
-from .ideals import Ideal, maximal_power
+from .ideals import Ideal, _Quotient, maximal_power
 from .linalg import KernelEchelon
-from .poly import (DEGREVLEX, W, Polynomial, Vector, complement_vectors, degree_monomials,
-                   elementary_symmetric, integrate_vectors, partial_terms, power_sum)
+from .poly import (DEGREVLEX, W, Polynomial, Vector, complement_vectors, elementary_symmetric,
+                   integrate_vectors, partial_terms, power_sum)
 from .specht import distinct_specht_polynomials
 
 MODES = ("subset_elementary", "reduced", "apolar")
@@ -65,6 +69,21 @@ def _reduced_generators(lam: Partition) -> list[Polynomial]:
     return gens
 
 
+def _children(held: dict, n: int) -> list[tuple[int, int | None]]:
+    """The operators x_(j+1)*a of the operators a in ``held``, each once, by
+    exponent tuples in descending lex order, as (key, j): j the first
+    variable of the child when every parent x^(a - e_i) of it (a_i > 0) is
+    held, else None."""
+    units = [(1 << (W * n)) - (1 << (W * j)) for j in range(n)]  # the key of x_(j+1)
+    parents: dict[int, list[int]] = {}
+    for a in held:
+        for j, u in enumerate(units):
+            parents.setdefault(a + u, []).append(j)
+    children = [(DEGREVLEX.unpack(a, n), a, js) for a, js in parents.items()]
+    children.sort(reverse=True)  # the exponent tuples are distinct
+    return [(a, min(js) if len(js) == n - m.count(0) else None) for m, a, js in children]
+
+
 def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
     """Bases of the derivative spans of the Specht span, one per degree.
 
@@ -75,30 +94,32 @@ def _dual_layers(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
 
     The basis is greedy: the images of the operators x^a of degree D - d
     on the Specht polynomials, Specht polynomials outermost and operators
-    in ``degree_monomials`` order, each kept when it is independent of
-    those kept before.  Only kept images are held, and that of x^a is
-    taken, as a derivative of its first parent x^(a - e_j), only when
-    every parent (a_j > 0) was kept one degree lower.  Nothing else would
-    be kept: a dropped parent lies in the span of earlier images, and lex
-    order is translation-invariant, so its derivatives lie in the span of
-    images before x^a.  Images are integer vectors (terms, den) keyed by
-    ``DEGREVLEX.key``, as are the operators, den that of their Specht
-    polynomial: 1, as Specht polynomials are integral.
+    by exponent tuples in descending lex order, each kept when it is
+    independent of those kept before.  Only kept images are held, and that
+    of x^a is taken, as a derivative of its first parent x^(a - e_j), only
+    when every parent (a_j > 0) was kept one degree lower.  Nothing else
+    would be kept: a dropped parent lies in the span of earlier images, and
+    lex order is translation-invariant, so its derivatives lie in the span
+    of images before x^a.  An operator of degree k >= 1 has a parent, so
+    one whose parents were all kept is a child x_j * x^b of a kept x^b:
+    the children of the kept operators (``_children``), at most n per kept
+    image, are all the candidates, and in lex order they give the layer a
+    scan of every operator would.  Images are integer vectors (terms, den)
+    keyed by ``DEGREVLEX.key``, as are the operators, den that of their
+    Specht polynomial: 1, as Specht polynomials are integral.
     """
     kept, layers = [{0: s.terms} for s in spechts], []  # degree 0: the operator 1
     for k in range(spechts[0].degree() + 1):
-        steps = [(key, [(key - (1 << W * n) + (1 << W * j), j) for j, e in enumerate(a) if e])
-                 for a in degree_monomials(n, k) for key in [DEGREVLEX.key(a)]]
         ech, layer = KernelEchelon(), []
         for t, held in enumerate(kept):
-            following = {}
-            for a, parents in steps:
-                if all(p in held for p, _ in parents):
-                    image = partial_terms(held[parents[0][0]], parents[0][1], n) if k else held[a]
-                    if image and ech.add(image) is None:
-                        following[a] = image
-                        layer.append((image, spechts[t].den))
-            kept[t] = following
+            images = held.items() if not k else (
+                (a, partial_terms(held[a - (1 << W * n) + (1 << W * j)], j, n))
+                for a, j in _children(held, n) if j is not None)
+            kept[t] = {}
+            for a, image in images:
+                if image and ech.add(image) is None:
+                    kept[t][a] = image
+                    layer.append((image, spechts[t].den))
         layers.append(layer)
     return layers[::-1]
 
@@ -112,33 +133,45 @@ def _apolar_generators(lam: Partition) -> tuple[list[Polynomial], Ideal]:
     orthogonal to the current layer.  A degree with none is skipped: with
     J the ideal of the generators of degree < d, J_d = (m*Ann_(d-1))_d, so
     degree d holds dim Ann_d - dim J_d = HF_(R/J)(d) - dim layers[d] new
-    generators, and HF_(R/J)(d) is read off a record of J + m^(D+1) bounded
-    below d + 1 (adding m^(D+1) changes no degree <= D).  As J is inside
-    Ann, that count is never negative, and an integrated degree yields
-    exactly that many generators (the pairing is definite, so the complement
-    of layers[d] in the integrals loses len(layers[d])): either failing is
-    an ``ArithmeticError``.  The apolar ideal keeps the last record the
-    search built, full once a bound reaches D + 1, its degree cap.  All of
-    it runs on integer vectors; each generator becomes a ``Polynomial``
-    once."""
+    generators, and HF_(R/J)(d) is read off a record of J bounded below
+    d + 1.  As J is inside Ann, that count is never negative, and an
+    integrated degree yields exactly that many generators (the pairing is
+    definite, so the complement of layers[d] in the integrals loses
+    len(layers[d])): either failing is an ``ArithmeticError``.
+
+    One record of J is grown (``_Quotient.grown``): after a degree with
+    generators, the next is ``_buchberger`` of the last record's basis and
+    the new generators, bounded below the next degree asked plus one; a
+    record too short for a skipped degree at least doubles its bound, up to
+    D + 1.  The last record's basis generates J, so the C(n+D, D+1)
+    monomials of m^(D+1) enter once, in the final full record of the
+    apolar ideal, which is installed in it.  All of it runs on integer
+    vectors; each generator becomes a ``Polynomial`` once, and enters the
+    engine once."""
     n, top = lam.n, d_min(lam)
     layers = _dual_layers(distinct_specht_polynomials(lam), n)
-    cap = maximal_power(n, top + 1).generators
     gens: list[Polynomial] = []
-    ideal = Ideal(n, cap)
+    new: list[Polynomial] = []  # the generators not yet in the record
+    record = _Quotient([], n, 2)  # J = 0, read below degree 2
     for d in range(1, top + 1):
-        new = len(ideal._quotient(d + 1).graded.get(d, ())) - len(layers[d])
-        if new < 0:
+        if new or record.below <= d:
+            below = d + 1 if new else min(max(d + 1, 2 * record.below), top + 1)
+            record, new = record.grown(new, below), []
+        free = len(record.graded.get(d, ())) - len(layers[d])
+        if free < 0:
             raise ArithmeticError(f"the apolar generators of degree < {d} leave fewer "
                                   f"standard monomials in degree {d} than the dual layer")
-        if not new:
+        if not free:
             continue
         found = complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
-        if len(found) != new:
+        if len(found) != free:
             raise ArithmeticError(f"degree {d} gave {len(found)} apolar generators, "
-                                  f"not {new}")
-        gens += [Polynomial(n, terms, den) for terms, den in found]
-        ideal = Ideal(n, gens + list(cap))
+                                  f"not {free}")
+        new = [Polynomial(n, terms, den) for terms, den in found]
+        gens += new
+    cap = maximal_power(n, top + 1).generators
+    ideal = Ideal(n, gens + list(cap))
+    ideal._seed_basis(record.grown(new + list(cap)).basis)
     return gens, ideal
 
 

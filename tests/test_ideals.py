@@ -19,10 +19,11 @@ from symideal.ideals import (Ideal, _buchberger, _degree_cap, _engine_terms, _fr
                              _masks, _normal_form, _normalize, _packed_lcm, _spoly, _support,
                              _to_engine, _vanishing_ideal, maximal_power, orbit_ideal,
                              orbit_points)
-from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, degree_monomials,
-                           parse_polynomial, power_sum)
+from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, parse_polynomial,
+                           power_sum)
 from symideal.tanisaki import MODES, tanisaki_ideal
-from test_poly import evaluate, from_tuple_terms, leading_monomial, tuple_terms
+from test_poly import (degree_monomials, evaluate, from_tuple_terms, leading_monomial,
+                       tuple_terms)
 
 
 def x(i, n):
@@ -1376,6 +1377,33 @@ class TestBoundedMembership:
         assert ideal._record.below == 6
         assert ideal.contains(power_sum(2, n) * x(2, n) ** 3)  # degree 5: held
         assert ideal._record.below == 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_ideal_and_probes(), st.integers(1, 4), st.integers(0, 3))
+    def test_a_grown_record_is_a_fresh_record(self, case, bound, more):
+        # a record of the generators of degree < b, grown by the others to a
+        # bound c >= b, holds the basis a fresh run gives below c
+        n, gens, _ = case
+        low = [g for g in gens if g.degree() < bound]
+        record = ideals._Quotient([], n, 0).grown(low, bound)
+        grown = record.grown([g for g in gens if g.degree() >= bound], bound + more)
+        fresh = ideals._Quotient([], n, 0).grown(gens, bound + more)
+        assert grown.below >= bound + more and fresh.below >= bound + more
+        assert ([g for g in grown.basis if DEGREVLEX.degree(g[0][0], n) < bound + more]
+                == [g for g in fresh.basis if DEGREVLEX.degree(g[0][0], n) < bound + more])
+
+    def test_a_rebuild_grows_the_record(self):
+        # Ideal._quotient extends its record by _Quotient.grown: the basis
+        # below the old bound, and the generators of degree past it
+        n = 3
+        ideal = Ideal(n, [power_sum(1, n), power_sum(3, n)])
+        ideal.contains(x(1, n))
+        old = ideal._record
+        with mock.patch.object(ideals._Quotient, "grown", autospec=True,
+                               side_effect=ideals._Quotient.grown) as grown:
+            ideal.contains(x(1, n) ** 2)
+        grown.assert_called_once_with(old, [power_sum(3, n)], 4)
+        assert ideal._record.below == 4
 
     def test_equality_reads_the_full_record(self):
         n = 3

@@ -12,10 +12,17 @@ from symideal.classification import classification_cases
 from symideal.combinat import Permutation, partitions_of
 from symideal.linalg import nullspace_tags
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation,
-                           complement_vectors, degree_monomials, elementary_symmetric,
+                           complement_vectors, elementary_symmetric,
                            integrate_vectors, linear_combination, monomial_weight,
                            parse_polynomial, partial_terms, permute_key, power_sum, swap_key)
 from symideal.tanisaki import _apolar_generators
+
+
+def degree_monomials(n: int, d: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of total degree d, lexicographically descending."""
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1) for rest in degree_monomials(n - 1, d - e)]
 
 
 def x(i, n):

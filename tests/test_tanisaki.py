@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb, inf
 from unittest import mock
 
 import pytest
@@ -13,15 +14,16 @@ from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
-from symideal.poly import Polynomial, degree_monomials, partial_terms, power_sum
+from symideal.poly import DEGREVLEX, W, Polynomial, Vector, partial_terms, power_sum
 from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
                                tilde_ideal,
                                _apolar_generators, _dual_layers,
                                _subset_elementary_generators)
-from test_poly import (apolar_complement_oracle, apolar_pair, derivative, from_tuple_terms,
-                       integrate_duals_oracle, is_homogeneous, monomial_key, tuple_terms)
+from test_poly import (apolar_complement_oracle, apolar_pair, degree_monomials, derivative,
+                       from_tuple_terms, integrate_duals_oracle, is_homogeneous, monomial_key,
+                       tuple_terms)
 
 
 def homogeneous_membership(f: Polynomial, generators: list[Polynomial]) -> bool:
@@ -76,7 +78,7 @@ def homogeneous_spaces(draw):
     return [from_tuple_terms(n, terms) for terms in draw(st.lists(forms, min_size=1, max_size=3))]
 
 
-def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
+def fraction_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomial]]:
     """``_dual_layers`` on ``Polynomial`` images with ``Fraction`` coefficients,
     taking the image of every operator whose first parent had a nonzero
     image, kept or not."""
@@ -104,11 +106,32 @@ def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Polynomia
     return layers[::-1]
 
 
+def dual_layers_oracle(spechts: list[Polynomial], n: int) -> list[list[Vector]]:
+    """``_dual_layers`` by a scan of every operator of each degree for every
+    Specht polynomial, each taken when all its parents were kept."""
+    kept, layers = [{0: s.terms} for s in spechts], []  # degree 0: the operator 1
+    for k in range(spechts[0].degree() + 1):
+        steps = [(key, [(key - (1 << W * n) + (1 << W * j), j) for j, e in enumerate(a) if e])
+                 for a in degree_monomials(n, k) for key in [DEGREVLEX.key(a)]]
+        ech, layer = KernelEchelon(), []
+        for t, held in enumerate(kept):
+            following = {}
+            for a, parents in steps:
+                if all(p in held for p, _ in parents):
+                    image = partial_terms(held[parents[0][0]], parents[0][1], n) if k else held[a]
+                    if image and ech.add(image) is None:
+                        following[a] = image
+                        layer.append((image, spechts[t].den))
+            kept[t] = following
+        layers.append(layer)
+    return layers[::-1]
+
+
 def apolar_generators_oracle(lam: Partition, order=monomial_key) -> list[Polynomial]:
     """``_apolar_generators`` on ``Polynomial`` values throughout, the
     integration pivoting on ((lo, hi), order(m)) (``integrate_duals_oracle``)."""
     n = lam.n
-    layers = dual_layers_oracle(distinct_specht_polynomials(lam), n)
+    layers = fraction_layers_oracle(distinct_specht_polynomials(lam), n)
     gens: list[Polynomial] = []
     for d in range(1, d_min(lam) + 1):
         gens += apolar_complement_oracle(integrate_duals_oracle(layers[d - 1], n, d, order),
@@ -118,11 +141,12 @@ def apolar_generators_oracle(lam: Partition, order=monomial_key) -> list[Polynom
 
 def assert_layers_match_the_oracle(spechts: list[Polynomial], n: int) -> None:
     layers = _dual_layers(spechts, n)
+    assert layers == dual_layers_oracle(spechts, n)
     assert len(layers) == spechts[0].degree() + 1
     for d, layer in enumerate(layers):
         assert [Polynomial(n, *v) for v in layer] == dual_layer_oracle(spechts, n, d)
     assert ([[Polynomial(n, *v) for v in layer] for layer in layers]
-            == dual_layers_oracle(spechts, n))
+            == fraction_layers_oracle(spechts, n))
 
 
 class TestDualLayers:
@@ -167,6 +191,45 @@ class TestDualLayers:
         for k in range(1, top + 1):
             assert sum(e == k for e, _ in taken) <= n * len(layers[top - k + 1])
 
+    @pytest.mark.parametrize("parts", [lam.parts for n in range(1, 7) for lam in partitions_of(n)]
+                             + [(3, 2, 1, 1), (2, 2, 2, 1)])
+    def test_matches_the_scan(self, parts):
+        # the children of the kept operators give the layers, vectors, order
+        # and dens, that a scan of every operator gives
+        lam = Partition(list(parts))
+        spechts = distinct_specht_polynomials(lam)
+        assert _dual_layers(spechts, lam.n) == dual_layers_oracle(spechts, lam.n)
+
+    @pytest.mark.parametrize("parts", [(3, 2, 1), (3, 1, 1, 1), (2, 2, 2), (1, 1, 1, 1, 1, 1),
+                                       (2, 2, 2, 1)])
+    def test_candidates_are_at_most_n_per_kept_image(self, parts):
+        # the scan checked every operator of each degree for every Specht
+        # polynomial: 13,845 candidates for 120 images at (3,1,1,1)
+        lam, checked = Partition(list(parts)), []
+        children = tanisaki._children
+
+        def recording(held, n):
+            out = children(held, n)
+            assert len(out) <= n * len(held)
+            checked.append(len(out))
+            return out
+
+        with mock.patch.object(tanisaki, "_children", recording):
+            layers = _dual_layers(distinct_specht_polynomials(lam), lam.n)
+        assert 0 < sum(checked) <= lam.n * sum(map(len, layers))
+
+    @pytest.mark.parametrize("parts", [(3, 2, 1), (3, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1)])
+    def test_derivatives_are_those_of_the_scan(self, parts):
+        # a child with a dropped parent would only give a dependent image:
+        # no derivative is taken for it, as the scan takes none
+        spechts = distinct_specht_polynomials(Partition(list(parts)))
+        with mock.patch.object(tanisaki, "partial_terms", wraps=partial_terms) as taken:
+            _dual_layers(spechts, 6)
+        with mock.patch.dict(globals(), partial_terms=mock.Mock(wraps=partial_terms)):
+            dual_layers_oracle(spechts, 6)
+            scanned = globals()["partial_terms"]
+        assert taken.call_args_list == scanned.call_args_list
+
 
 APOLAR_SHAPES = ([lam.parts for n in range(1, 6) for lam in partitions_of(n)]
                  + [[4, 1, 1], [3, 2, 1], [2, 2, 2], [3, 1, 1, 1]])
@@ -210,18 +273,48 @@ class TestApolarGenerators:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_the_search_record_is_the_apolar_record(self, n):
-        # the apolar ideal's record is the last the search built: reading its
-        # basis runs Buchberger at most once, and not at all when the search
-        # asked the final ideal about degree d_min(lam) (it skipped it); the
-        # basis is that of a fresh ideal
+        # the apolar ideal holds the full record the search ends with:
+        # reading its basis runs no Buchberger, and the basis is that of a
+        # fresh ideal
         for lam in partitions_of(n):
             gens, ideal = _apolar_generators(lam)
             assert ideal.generators == tuple(gens) + maximal_power(n, d_min(lam) + 1).generators
             with mock.patch.object(ideals, "_buchberger", wraps=ideals._buchberger) as runs:
                 basis = ideal.groebner_basis()
-            top_skipped = d_min(lam) > 0 and all(g.degree() < d_min(lam) for g in gens)
-            assert runs.call_count == (0 if top_skipped else 1), lam
+            assert runs.call_count == 0, lam
             assert basis == Ideal(n, ideal.generators).groebner_basis()
+
+    @pytest.mark.parametrize("parts", [(2, 1, 1), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2),
+                                       (1, 1, 1, 1, 1)])
+    def test_one_record_is_grown(self, parts):
+        # each run starts from the basis the run before returned; only the
+        # last gets the monomials of m^(D+1), each once, and no generator
+        # enters the engine twice
+        lam = Partition(list(parts))
+        n, top = lam.n, d_min(lam)
+        runs, converted = [], []
+        buchberger, to_engine = ideals._buchberger, ideals._to_engine
+
+        def recording_run(inputs, n, below=inf, factors=None):
+            basis = buchberger(inputs, n, below, factors)
+            runs.append((inputs, basis))
+            return basis
+
+        def recording_conversion(f):
+            converted.append(str(f))
+            return to_engine(f)
+
+        with mock.patch.object(ideals, "_buchberger", recording_run), \
+                mock.patch.object(ideals, "_to_engine", recording_conversion):
+            gens, ideal = _apolar_generators(lam)
+        for (_, basis), (inputs, _) in zip(runs, runs[1:]):
+            assert inputs[:len(basis)] == basis
+        caps = [[f[0][0] for f in inputs if len(f) == 1 and DEGREVLEX.degree(f[0][0], n) == top + 1]
+                for inputs, _ in runs]
+        assert not any(caps[:-1])
+        assert sorted(set(caps[-1])) == sorted(caps[-1]) and len(caps[-1]) == comb(n + top, top + 1)
+        assert sorted(converted) == sorted(map(str, ideal.generators))
+        assert ideal._record.basis == runs[-1][1]
 
     def test_a_dropped_generator_breaks_an_invariant(self, capsys):
         # an integrated degree must give HF_(R/J)(d) - dim layers[d] generators
