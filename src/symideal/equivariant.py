@@ -108,18 +108,31 @@ def _read(terms: list, functionals: dict, orbit, record) -> dict:
     return combine((c, functionals.get(orbit(key), {})) for key, c in [*sums.items(), *nf.items()])
 
 
-def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
-    """Basis of the vectors fixed by the Young subgroup whose blocks the
-    word labels, given the columns of the adjacent transpositions."""
+def _fixed_columns(actions: list, keys, word: tuple):
+    """(column, p) for p in keys: the images (s_a - 1)(p) under the adjacent
+    transpositions s_a inside the blocks of the Young subgroup that the word
+    labels, given their columns; the fixed vectors are their kernel."""
     inside = [a for a in range(len(word) - 1) if word[a] == word[a + 1]]
-
-    def column(p) -> dict:  # (s_a - 1) applied to the unit vector at p
+    for p in keys:
         col = {(a, row): c for a in inside for row, c in actions[a][p].items()}
         for a in inside:
             col[(a, p)] = col.get((a, p), 0) - 1
-        return col
+        yield col, p
 
-    return nullspace_tags((column(p), p) for p in keys)
+
+def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
+    """Basis of the vectors fixed by the Young subgroup whose blocks the
+    word labels, given the columns of the adjacent transpositions."""
+    return nullspace_tags(_fixed_columns(actions, keys, word))
+
+
+def _fixed_dimension(actions: list, keys: list, word: tuple) -> int:
+    """The dimension of the fixed vectors of ``_fixed_vectors``: len(keys)
+    less the rank of the columns, which forms no kernel relation."""
+    echelon = KernelEchelon()
+    for col, _ in _fixed_columns(actions, keys, word):
+        echelon.add(col)
+    return len(keys) - echelon.rank
 
 
 def _kostka_peel(values: dict[Partition, int], order: list[Partition], kostka) -> dict | None:
@@ -152,7 +165,7 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
     pieces = record.graded if homogeneous else {0: record.standard}
     graded: dict[int, dict[Partition, int]] = {}
     for d, keys in pieces.items():
-        fixed = {mu: len(_fixed_vectors(record.swaps, keys, _word(mu))) for mu in order}
+        fixed = {mu: _fixed_dimension(record.swaps, keys, _word(mu)) for mu in order}
         graded[d] = _kostka_peel(fixed, order, kostka_number)
         if graded[d] is None:
             raise ArithmeticError(f"negative multiplicity from Young-fixed dimensions {fixed}")

@@ -541,9 +541,14 @@ class _Quotient:
 
 
 class Ideal:
-    """A polynomial ideal with its cached degrevlex ``_Quotient`` record."""
+    """A polynomial ideal with its cached degrevlex ``_Quotient`` record.
 
-    def __init__(self, ambient_n: int, generators) -> None:
+    ``orbits``, when given, labels each (nonzero) generator by its S_n-orbit:
+    the generators of a label are one whole orbit up to nonzero scalars.  So
+    the ideal is symmetric, and as a permutation is a ring automorphism,
+    membership in it has one answer on an orbit."""
+
+    def __init__(self, ambient_n: int, generators, orbits: list | None = None) -> None:
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -553,7 +558,10 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.ambient_n = ambient_n
+        if orbits is not None and len(orbits) != len(gens):
+            raise ValueError("need one orbit label per nonzero generator")
         self.generators: tuple[Polynomial, ...] = tuple(gens)
+        self.orbits = orbits
         self._record: _Quotient | None = None
 
     # -- Groebner bases ---------------------------------------------------
@@ -596,14 +604,9 @@ class Ideal:
         return not self._quotient(below).coordinates(terms, den)
 
     # -- zero-dimensional toolkit ------------------------------------------
-    def standard_monomials(self) -> list[Monomial] | None:
-        """Monomials outside the leading-term staircase, ascending; None when infinite."""
-        std = self._quotient().standard
-        return None if std is None else [DEGREVLEX.unpack(k, self.ambient_n) for k in std]
-
     def colength(self):
         """Vector-space dimension of the quotient; inf when not finite."""
-        std = self.standard_monomials()
+        std = self._quotient().standard
         return inf if std is None else len(std)
 
     def is_homogeneous(self) -> bool:

@@ -10,8 +10,8 @@ in degrevlex order (x1 > ... > xn) and adds under products.  The engine of
 ``ideals`` and the tangent step read the same keys, and a permutation
 moves a key's fields (``permute_key``; ``swap_key`` for an adjacent
 transposition, the hot path of the S_n action).  Exponent tuples appear
-only in ``parse_polynomial``, ``str``, ``Polynomial.monomial``,
-``Ideal.standard_monomials`` and the apolar operators of ``tanisaki``.
+only in ``parse_polynomial``, ``str``, ``Polynomial.monomial`` and the
+apolar operators of ``tanisaki``.
 
 Every exponent stays below LIMIT = 2**(W - 2), as the engine's
 divisibility tests need (``ValueError`` otherwise): ``parse_polynomial``,
@@ -429,8 +429,8 @@ def integrate_vectors(duals: list[Vector], n: int, d: int) -> list[Vector]:
                 continue
             lo, hi = min(j, k), max(j, k)
             sign, pair = (1 if j == lo else -1), (lo * n + hi) << (W * (n + 1))
-            for m, c in partials[(k, t)].items():  # column ((lo, hi), m), m in degrevlex
-                col[pair + m] = col.get(pair + m, 0) + sign * c
+            # columns ((lo, hi), m), m in degrevlex: no two k share one
+            col.update({pair + m: sign * c for m, c in partials[(k, t)].items()})
         return col
 
     rows = ((cross_partials(j, t), (j, t)) for j in range(n) for t in range(len(duals)))
@@ -454,13 +454,16 @@ def complement_vectors(space: list[Vector], others: list[Vector], n: int) -> lis
     monomials, is symmetric, so the side each argument pairs from does not
     matter.
     """
-    weighted = [{m: c * monomial_weight(m, n) for m, c in terms.items()} for terms, _ in others]
+    index: dict[int, list] = {}  # monomial -> [(u, its weighted coefficient in others[u])]
+    for u, (terms, _) in enumerate(others):
+        for m, c in terms.items():
+            index.setdefault(m, []).append((u, c * monomial_weight(m, n)))
 
     def pairings(terms: dict) -> dict:
-        row = {}
-        for u, w in enumerate(weighted):
-            small, large = (terms, w) if len(terms) <= len(w) else (w, terms)
-            row[u] = sum(c * large[m] for m, c in small.items() if m in large)
+        row = dict.fromkeys(range(len(others)), 0)  # every u, in order
+        for m, c in terms.items():
+            for u, w in index.get(m, ()):
+                row[u] += c * w
         return row
 
     rows = ((pairings(terms), t) for t, (terms, _) in enumerate(space))

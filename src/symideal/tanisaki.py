@@ -26,6 +26,14 @@ The three constructions of the ideal attached to a partition:
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
+
+The ideals of the inclusion chain, subset-elementary, monomial-orbit and
+power-sum/Specht, are generated by whole S_n-orbits, and the loops that
+build them label each generator by its orbit up to a scalar
+(``Ideal.orbits``): each p_j alone, the Specht polynomials of one shape,
+{x_i^m}, the k-th powers of squarefree monomials of one support size, and
+e_r(x_S) by (|S|, r).  As a permutation is a ring automorphism fixing such
+an ideal, ``inclusion_chain_check`` asks ``contains`` once per orbit.
 """
 
 from __future__ import annotations
@@ -47,15 +55,17 @@ MODES = ("subset_elementary", "reduced", "apolar")
 # n - s columns of lam are nonempty and leave out column lam_1, so their
 # sum lies in n - s .. n - 1.
 
-def _subset_elementary_generators(lam: Partition) -> list[Polynomial]:
+def _subset_elementary_generators(lam: Partition) -> tuple[list[Polynomial], list]:
+    """The generators e_r(x_S) and the S_n-orbit of each, (|S|, r)."""
     n = lam.n
-    gens = []
+    gens, orbits = [], []
     for size in range(n - lam.parts[0] + 1, n + 1):
         threshold = r_lambda(lam, size)
         for subset in combinations(range(1, n + 1), size):
             for r in range(threshold, size + 1):
                 gens.append(elementary_symmetric(r, subset, n))
-    return gens
+                orbits.append((size, r))
+    return gens, orbits
 
 
 def _reduced_generators(lam: Partition) -> list[Polynomial]:
@@ -179,7 +189,7 @@ def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:
     """The ideal attached to the partition, by the requested construction."""
     n = lam.n
     if mode == "subset_elementary":
-        return Ideal(n, _subset_elementary_generators(lam))
+        return Ideal(n, *_subset_elementary_generators(lam))
     if mode == "reduced":
         return Ideal(n, _reduced_generators(lam))
     if mode == "apolar":
@@ -190,10 +200,12 @@ def tanisaki_ideal(lam: Partition, mode: str = "subset_elementary") -> Ideal:
 def tilde_ideal(mu: Partition) -> Ideal:
     """Monomial-orbit companion: low power sums, the orbit of the m-th
     variable power, and the orbits of k-th powers of squarefree monomials
-    whose support size is the tail-sum threshold."""
+    whose support size is the tail-sum threshold; its orbits are each p_j,
+    {x_i^m} and, per k, those k-th powers."""
     n, m = mu.n, mu.m
     gens: list[Polynomial] = [power_sum(j, n) for j in range(1, m)]
     gens += [Polynomial.variable(i, n) ** m for i in range(1, n + 1)]
+    orbits: list = [*range(1, m), *[0] * n]  # p_j: j, x_i^m: 0, k-th powers: -k
     for k in range(1, m):
         size = R_k(mu, k)
         for subset in combinations(range(1, n + 1), size):
@@ -201,19 +213,24 @@ def tilde_ideal(mu: Partition) -> Ideal:
             for i in subset:
                 mono[i - 1] = k
             gens.append(Polynomial.monomial(tuple(mono)))
-    return Ideal(n, gens)
+            orbits.append(-k)
+    return Ideal(n, gens, orbits)
 
 
 def power_sum_specht_ideal(mu: Partition) -> Ideal:
-    """(p_1..p_n, Specht polynomials of every shape not dominating mu)."""
+    """(p_1..p_n, Specht polynomials of every shape not dominating mu); its
+    orbits are each p_j and the Specht polynomials of one shape."""
     from .combinat import dominates, partitions_of
 
     n = mu.n
     gens = [power_sum(j, n) for j in range(1, n + 1)]
+    orbits: list = list(range(1, n + 1))  # p_j: j, a Specht polynomial: its shape
     for lam in partitions_of(n):
         if not dominates(lam, mu):
-            gens.extend(distinct_specht_polynomials(lam))
-    return Ideal(n, gens)
+            spechts = distinct_specht_polynomials(lam)
+            gens += spechts
+            orbits += [lam] * len(spechts)
+    return Ideal(n, gens, orbits)
 
 
 @dataclass
@@ -233,22 +250,57 @@ class InclusionReport:
         return self.first_holds and self.second_holds
 
 
+def _orbits(ideal: Ideal, container: Ideal) -> list[list[int]]:
+    """The indices of the generators of ``ideal``, grouped so that a group
+    lies in ``container`` or outside it as a whole: by the recorded orbits
+    when the container records its own, so is symmetric, else one apiece."""
+    if container.orbits is None or ideal.orbits is None:
+        return [[i] for i in range(len(ideal.generators))]
+    groups: dict = {}
+    for i, label in enumerate(ideal.orbits):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values())
+
+
+def _outside(ideal: Ideal, container: Ideal) -> list[Polynomial]:
+    """The generators of ``ideal`` not in ``container``, in order, one
+    ``contains`` per group of ``_orbits``."""
+    gens = ideal.generators
+    out = sorted(i for group in _orbits(ideal, container)
+                 if not container.contains(gens[group[0]]) for i in group)
+    return [gens[i] for i in out]
+
+
 def _strictness_witness(smaller: Ideal, larger: Ideal) -> Polynomial | None:
-    """A generator of the larger ideal missing from the smaller one."""
-    for g in sorted(larger.generators, key=lambda f: (f.degree(), str(f))):
-        if not smaller.contains(g):
-            return g
+    """The generator of the larger ideal missing from the smaller one that
+    is least by (degree, str): degrees are walked upward, each group of
+    ``_orbits`` asked once, and ``str`` is read only in the first degree
+    with a missing group, so no record of the smaller ideal is read past it."""
+    gens, by_degree = larger.generators, {}
+    for group in _orbits(larger, smaller):
+        by_degree.setdefault(gens[group[0]].degree(), []).append(group)
+    for d in sorted(by_degree):
+        missing = [gens[i] for group in by_degree[d]
+                   if not smaller.contains(gens[group[0]]) for i in group]
+        if missing:
+            return min(missing, key=str)
     return None
 
 
 def inclusion_chain_check(mu: Partition) -> InclusionReport:
     """Verify (power sums + non-dominating Specht) inside the monomial-orbit
-    companion inside the subset-elementary ideal, with strictness witnesses."""
+    companion inside the subset-elementary ideal, with strictness witnesses.
+
+    All three ideals record the S_n-orbits of their generators
+    (``Ideal.orbits``), so each is symmetric: a permutation is a ring
+    automorphism fixing it, and a generator lies in it exactly when the
+    others of its orbit do.  So ``contains`` is asked once per orbit; a
+    container without the record is asked about each generator."""
     small = power_sum_specht_ideal(mu)
     middle = tilde_ideal(mu)
     large = tanisaki_ideal(mu)
-    first = [f"first inclusion fails at {g}" for g in small.generators if not middle.contains(g)]
-    second = [f"second inclusion fails at {g}" for g in middle.generators if not large.contains(g)]
+    first = [f"first inclusion fails at {g}" for g in _outside(small, middle)]
+    second = [f"second inclusion fails at {g}" for g in _outside(middle, large)]
     witnesses: dict[str, str] = {}
     first_strict = second_strict = False
     if not first:

@@ -13,7 +13,8 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
 from symideal.classification import classification_cases, row_case
 from symideal import equivariant
 from symideal.equivariant import (decompose_quotient, is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _fixed_vectors, _hom_basis_equivariant,
+                                  tangent_dimension, _fixed_dimension, _fixed_vectors,
+                                  _hom_basis_equivariant,
                                   _invariant_functionals, _meet, _minimal_generator_space,
                                   _orbit_keys, _word)
 from symideal.ideals import DEGREVLEX, Ideal, _Quotient, maximal_power, orbit_ideal
@@ -26,6 +27,7 @@ from test_classification import describe
 from test_combinat import (conjugacy_class_size, from_cycle_type, group_generators,
                            irreducible_character, specht_dimension, total_dim)
 from test_linalg import solve_in_span
+from test_ideals import standard_monomials
 from test_poly import (apolar_complement_oracle, integrate_duals_oracle, is_homogeneous,
                        permute_monomial)
 
@@ -52,7 +54,7 @@ def homogeneous_rows(n: int) -> list:
 def _action(ideal: Ideal, sigma: Permutation) -> list[dict]:
     """The quotient coordinates of sigma(m) for each standard monomial m."""
     return [ideal.coordinates(Polynomial.monomial(permute_monomial(sigma, m)))
-            for m in ideal.standard_monomials()]
+            for m in standard_monomials(ideal)]
 
 
 def decompose_quotient_oracle(ideal: Ideal) -> IsotypicDecomposition:
@@ -60,7 +62,7 @@ def decompose_quotient_oracle(ideal: Ideal) -> IsotypicDecomposition:
     per conjugacy class is traced on the standard-monomial basis, per
     degree, and the traces are paired with the character table."""
     n = ideal.ambient_n
-    basis = ideal.standard_monomials()
+    basis = standard_monomials(ideal)
     classes = partitions_of(n)
     degrees = sorted({sum(m) for m in basis})
     traces: dict[Partition, dict[int, Fraction]] = {}
@@ -190,7 +192,7 @@ def hom_basis_oracle(ideal: Ideal, gens: list[Polynomial], gen_degrees: list[int
     a transposition and the long cycle, whose action on each degree piece
     of the generators comes from ``solve_in_span``."""
     n = ideal.ambient_n
-    basis = ideal.standard_monomials()
+    basis = standard_monomials(ideal)
     sigmas = group_generators(n)
     rho_action = [_action(ideal, sigma) for sigma in sigmas]
     by_degree: dict = {}
@@ -239,7 +241,7 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
                    for i in range(len(gens))] for phi in hom_basis]
     square = square_of(ideal)
     by_degree: dict = {}
-    for m in ideal.standard_monomials():
+    for m in standard_monomials(ideal):
         by_degree.setdefault(sum(m), []).append(m)
     n2_count = 0
     images: dict = {}
@@ -288,7 +290,7 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     square = square_of(ideal)
     square_hf = dict(enumerate(square.hilbert_function()))
     by_degree: dict = {}
-    for m in ideal.standard_monomials():
+    for m in standard_monomials(ideal):
         by_degree.setdefault(sum(m), []).append(m)
     n2_count = products = 0
     normal_forms: dict = {}
@@ -429,7 +431,7 @@ class TestSwapActions:
     @staticmethod
     def assert_matches_normal_forms(ideal):
         n = ideal.ambient_n
-        keys = [DEGREVLEX.key(m) for m in ideal.standard_monomials()]
+        keys = [DEGREVLEX.key(m) for m in standard_monomials(ideal)]
         actions = ideal._quotient().swaps
         assert len(actions) == n - 1
         for a, action in enumerate(actions):
@@ -473,7 +475,7 @@ def fresh_functionals(record, keys: list[int], orbit, inside: list[int],
 def graded_oracle_keys(ideal: Ideal) -> dict[int, list[int]]:
     """The standard keys grouped by the degree of their exponent tuples."""
     pieces: dict[int, list[int]] = {}
-    for m in ideal.standard_monomials():
+    for m in standard_monomials(ideal):
         pieces.setdefault(sum(m), []).append(DEGREVLEX.key(m))
     return pieces
 
@@ -628,6 +630,23 @@ class TestYoungFixedDecomposition:
             "homogeneous_ideal_inhomogeneous_generators"])
     def test_special_ideals(self, ideal):
         assert graded_decomposition(ideal) == graded_oracle(ideal)
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + [(3, 1, 1, 1)])
+    def test_fixed_dimensions_are_ranks(self, parts, monkeypatch):
+        # each Young-fixed dimension is the number of fixed vectors, and the
+        # decomposition counts it from a rank, with no kernel relation tagged
+        record = tanisaki_point(parts)._quotient()
+        for keys in record.graded.values():
+            for mu in partitions_of(sum(parts)):
+                word = _word(mu)
+                assert (_fixed_dimension(record.swaps, keys, word)
+                        == len(_fixed_vectors(record.swaps, keys, word)))
+        tags, add = [], KernelEchelon.add
+        monkeypatch.setattr(KernelEchelon, "add",
+                            lambda self, row, tag=None: tags.append(tag) or add(self, row, tag))
+        record.decomposition = None
+        assert graded_decomposition(tanisaki_point(parts)) == graded_oracle(tanisaki_point(parts))
+        assert tags and set(tags) == {None}
 
     def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
         import symideal.equivariant as equivariant
@@ -816,7 +835,7 @@ class TestTangentDimension:
         # products: one elimination row per b*v_i up to degree N + 1, in
         # the degrees where the Hilbert functions leave relations;
         # images: the monomials b*m read in R/I, b and m standard
-        basis = first.ideal.standard_monomials()
+        basis = standard_monomials(first.ideal)
         hf = first.ideal.hilbert_function()
         square_hf = square_of(first.ideal).hilbert_function()
         N = len(hf)
@@ -878,7 +897,7 @@ class TestRelationStep:
         square = square_of(ideal)
         hf, square_hf = ideal.hilbert_function(), square.hilbert_function()
         by_degree: dict = {}
-        for m in ideal.standard_monomials():
+        for m in standard_monomials(ideal):
             by_degree.setdefault(sum(m), []).append(m)
         total = 0
         for d in range(min(gen_degrees) + 1, top + 1):

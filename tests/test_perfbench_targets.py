@@ -21,12 +21,15 @@ PACKAGE = ROOT / "src" / "symideal"
 
 # traced by name but deleted from the library; the benchmark drops these
 # targets in its next change.  ``Echelon`` was folded into ``KernelEchelon``.
-# The other six were reached by no CLI verb and moved beside the tests that
-# use them; each of their per-layer metrics already read 0 on every
-# workload, so the tracer's output does not change.
+# Six more were reached by no CLI verb and moved beside the tests that use
+# them; each of their per-layer metrics already read 0 on every workload,
+# so the tracer's output does not change.  ``Ideal.standard_monomials``
+# followed once ``Ideal.colength``, its last caller, counted the record's
+# standard keys instead: its metric reads 0 from then on.
 DEAD = {
     ("symideal.linalg", "Echelon.add"),
     ("symideal.ideals", "Ideal.normal_form"),
+    ("symideal.ideals", "Ideal.standard_monomials"),
     ("symideal.linalg", "solve_in_span"),
     ("symideal.poly", "apolar_pair"),
     ("symideal.poly", "apolar_scalar"),

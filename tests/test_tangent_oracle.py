@@ -21,7 +21,7 @@ from symideal.ideals import Ideal, maximal_power
 from symideal.poly import Polynomial, apply_permutation, power_sum
 from symideal.tanisaki import tanisaki_ideal
 from test_combinat import group_generators
-from test_ideals import normal_form
+from test_ideals import normal_form, standard_monomials
 from test_poly import coefficient, from_tuple_terms
 
 
@@ -142,7 +142,7 @@ def naive_tangent(ideal):
     degrees = [d for d, _ in generators]
     gens = [g for _, g in generators]
     bound = vanish + max(degrees)
-    basis = ideal.standard_monomials()
+    basis = standard_monomials(ideal)
     unknowns = [(b, i) for i in range(len(gens)) for b in basis]
     position = {u: p for p, u in enumerate(unknowns)}
     equations = []

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from symideal import ideals, tanisaki
 from symideal.cli import run
-from symideal.combinat import (Partition, d_min, multinomial, partitions_of,
-                               r_lambda, transpose)
+from symideal.combinat import (Partition, Permutation, R_k, d_min, dominates, multinomial,
+                               partitions_of, r_lambda, transpose)
 from symideal.equivariant import decompose_quotient
 from symideal.ideals import Ideal, maximal_power
 from symideal.linalg import KernelEchelon
-from symideal.poly import DEGREVLEX, W, Polynomial, Vector, partial_terms, power_sum
+from symideal.poly import (DEGREVLEX, W, Polynomial, Vector, apply_permutation,
+                          elementary_symmetric, partial_terms, power_sum)
 from symideal.specht import distinct_specht_polynomials
 from symideal.tanisaki import (MODES, inclusion_chain_check,
                                power_sum_specht_ideal, tanisaki_ideal,
@@ -393,7 +394,7 @@ class TestConstruction:
 
     def test_generator_thresholds_match_transpose(self):
         lam = Partition([3, 1, 1])
-        gens = _subset_elementary_generators(lam)
+        gens, _ = _subset_elementary_generators(lam)
         n, lam_t = lam.n, transpose(lam)
         for g in gens:
             assert is_homogeneous(g)
@@ -468,7 +469,7 @@ class TestTildeIdeal:
         mu = Partition([3, 3, 1, 1])
         smaller = list(tilde_ideal(mu).generators)
         witness = None
-        for g in sorted(_subset_elementary_generators(mu),
+        for g in sorted(_subset_elementary_generators(mu)[0],
                         key=lambda f: (f.degree(), str(f))):
             if not homogeneous_membership(g, smaller):
                 witness = g
@@ -526,6 +527,147 @@ class TestInclusionChain:
         # shapes failing to dominate (2,1): only the single column
         degrees = sorted({g.degree() for g in ideal.generators})
         assert degrees == [1, 2, 3]
+
+
+# the generator lists and the per-generator chain check that the orbit
+# records replaced, kept as oracles
+
+def subset_elementary_oracle(lam: Partition) -> list[Polynomial]:
+    n = lam.n
+    return [elementary_symmetric(r, subset, n)
+            for size in range(n - lam.parts[0] + 1, n + 1)
+            for subset in combinations(range(1, n + 1), size)
+            for r in range(r_lambda(lam, size), size + 1)]
+
+
+def tilde_oracle(mu: Partition) -> list[Polynomial]:
+    n, m = mu.n, mu.m
+    gens = [power_sum(j, n) for j in range(1, m)]
+    gens += [Polynomial.variable(i, n) ** m for i in range(1, n + 1)]
+    for k in range(1, m):
+        for subset in combinations(range(1, n + 1), R_k(mu, k)):
+            gens.append(Polynomial.monomial(tuple(k if i + 1 in subset else 0 for i in range(n))))
+    return gens
+
+
+def power_sum_specht_oracle(mu: Partition) -> list[Polynomial]:
+    n = mu.n
+    gens = [power_sum(j, n) for j in range(1, n + 1)]
+    for lam in partitions_of(n):
+        if not dominates(lam, mu):
+            gens.extend(distinct_specht_polynomials(lam))
+    return gens
+
+
+def strictness_witness_oracle(smaller: Ideal, larger: Ideal) -> Polynomial | None:
+    for g in sorted(larger.generators, key=lambda f: (f.degree(), str(f))):
+        if not smaller.contains(g):
+            return g
+    return None
+
+
+def inclusion_chain_oracle(mu: Partition) -> tanisaki.InclusionReport:
+    """One ``contains`` per generator, on ideals built without orbit records."""
+    n = mu.n
+    small = Ideal(n, power_sum_specht_oracle(mu))
+    middle = Ideal(n, tilde_oracle(mu))
+    large = Ideal(n, subset_elementary_oracle(mu))
+    first = [f"first inclusion fails at {g}" for g in small.generators if not middle.contains(g)]
+    second = [f"second inclusion fails at {g}" for g in middle.generators if not large.contains(g)]
+    witnesses = {}
+    if not first and (w := strictness_witness_oracle(small, middle)) is not None:
+        witnesses["first"] = str(w)
+    if not second and (w := strictness_witness_oracle(middle, large)) is not None:
+        witnesses["second"] = str(w)
+    return tanisaki.InclusionReport(mu, not first, not second, "first" in witnesses,
+                                    "second" in witnesses, first + second, witnesses)
+
+
+SHAPES_TO_SIX = [mu for n in range(1, 7) for mu in partitions_of(n)]
+ORBIT_IDEALS = [power_sum_specht_ideal, tilde_ideal, tanisaki_ideal]
+
+
+def orbit_groups(ideal: Ideal) -> dict:
+    groups: dict = {}
+    for g, label in zip(ideal.generators, ideal.orbits):
+        groups.setdefault(label, []).append(g)
+    return groups
+
+
+class TestOrbitRecords:
+    @pytest.mark.parametrize("mu", SHAPES_TO_SIX, ids=str)
+    @pytest.mark.parametrize("build", ORBIT_IDEALS, ids=lambda f: f.__name__)
+    def test_each_label_is_one_whole_orbit(self, build, mu):
+        # the labels partition the generators, and a label's generators are,
+        # up to scalars, the orbit of its first under s_1..s_(n-1)
+        ideal, n = build(mu), mu.n
+        assert len(ideal.orbits) == len(ideal.generators)
+        swaps = [Permutation.transposition(a, a + 1, n) for a in range(1, n)]
+        for group in orbit_groups(ideal).values():
+            members = {g.monic() for g in group}
+            assert len(members) == len(group)
+            orbit, queue = {group[0].monic()}, [group[0]]
+            for f in queue:
+                for s in swaps:
+                    image = apply_permutation(s, f).monic()
+                    if image not in orbit:
+                        orbit.add(image)
+                        queue.append(image)
+            assert orbit == members
+
+    @pytest.mark.parametrize("mu", SHAPES_TO_SIX, ids=str)
+    def test_generator_lists_are_unchanged(self, mu):
+        for build, oracle in zip(ORBIT_IDEALS, [power_sum_specht_oracle, tilde_oracle,
+                                                subset_elementary_oracle]):
+            assert list(build(mu).generators) == oracle(mu)
+
+    def test_other_constructions_record_none(self):
+        lam = Partition([2, 1, 1])
+        assert all(tanisaki_ideal(lam, mode).orbits is None for mode in MODES[1:])
+        assert Ideal(4, []).orbits is None and (tilde_ideal(lam) + tilde_ideal(lam)).orbits is None
+
+    def test_labels_must_match_the_generators(self):
+        with pytest.raises(ValueError, match="one orbit label per"):
+            Ideal(2, [Polynomial.variable(1, 2), Polynomial.zero(2)], [0, 0])
+
+    @pytest.mark.parametrize("mu", SHAPES_TO_SIX, ids=str)
+    def test_reports_match_the_per_generator_check(self, mu):
+        assert inclusion_chain_check(mu) == inclusion_chain_oracle(mu)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_contains_is_asked_once_per_orbit(self, n):
+        # the checks ask each orbit once; the witness walk asks the orbits of
+        # the degrees up to the witness's, or all of them when there is none
+        for mu in partitions_of(n):
+            small, middle, large = (build(mu) for build in ORBIT_IDEALS)
+            report = inclusion_chain_check(mu)
+            assert report.ok
+            expected = len(orbit_groups(small)) + len(orbit_groups(middle))
+            for name, larger in [("first", middle), ("second", large)]:
+                top = next((g.degree() for g in larger.generators
+                            if str(g) == report.witnesses.get(name)), inf)
+                expected += sum(group[0].degree() <= top for group in orbit_groups(larger).values())
+            with mock.patch.object(Ideal, "contains", autospec=True,
+                                   side_effect=Ideal.contains) as contains:
+                assert inclusion_chain_check(mu) == report
+            assert contains.call_count == expected, mu
+
+    def test_an_emptied_container_is_asked_about_each_generator(self):
+        # emptied, the companion carries no record: every generator of the
+        # small ideal is asked, and the witness walk asks the generators of
+        # the Tanisaki ideal's least degree, each missing from it
+        mu = Partition([3, 1])
+        small, large = power_sum_specht_ideal(mu), tanisaki_ideal(mu)
+        with mock.patch.object(tanisaki, "tilde_ideal", lambda mu: Ideal(4, [])), \
+                mock.patch.object(Ideal, "contains", autospec=True,
+                                  side_effect=Ideal.contains) as contains:
+            report = inclusion_chain_check(mu)
+        least = min(g.degree() for g in large.generators)
+        assert [call.args[1] for call in contains.call_args_list] == [
+            *small.generators, *(g for g in large.generators if g.degree() == least)]
+        assert len(small.generators) > len(set(small.orbits))
+        assert report.witnesses == {
+            "second": str(strictness_witness_oracle(Ideal(4, []), large))}
 
 
 class TestDegreewiseMembership:
