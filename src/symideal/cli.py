@@ -18,7 +18,6 @@ import sys
 import time
 from fractions import Fraction
 from math import factorial, prod
-from multiprocessing import Pool
 
 from . import __version__
 from .classification import (RowCase, classification_cases,
@@ -220,6 +219,7 @@ def cmd_table1(args) -> tuple[list[dict], bool]:
     cases = classification_cases(args.n, _random_parameters(args.seed))
     workers = pool_size(args.jobs, len(cases))
     if workers > 1:
+        from multiprocessing import Pool  # imported only when a pool runs
         with Pool(workers) as pool:
             results = pool.map(verify_row_case, cases)
     else:

@@ -15,10 +15,10 @@ into the quotient, found through Young-fixed module generators of the
 generating space.
 
 All linear algebra is arranged to scale with the colength rather than
-with ambient degree pieces: generator complements come from integrating
-Macaulay inverse systems (whose graded dimensions are the Hilbert
-function), and relations are only ever needed modulo the square of the
-ideal, where they are eliminated together with their images in the quotient.
+with ambient degree pieces: generators are S_n-spans of few reduced basis
+elements, read modulo the generators of lower degree, and relations are
+only ever needed modulo the square of the ideal, where they are
+eliminated together with their images in the quotient.
 Each type kappa of R/I dominates the dominance meet mu of those types, so
 K_{kappa,mu} > 0 and a constraint vanishes on the relations iff on their
 S_mu-fixed part, which S_mu-invariant functionals read exactly: those of
@@ -33,14 +33,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, islice
 from math import factorial, lcm, prod
 
 from .combinat import (IsotypicDecomposition, Partition, kostka_number, multinomial,
                        partitions_of)
-from .ideals import Ideal
+from .ideals import Ideal, _Quotient
 from .linalg import KernelEchelon, combine, nullspace_tags
-from .poly import (DEGREVLEX, Vector, combine_vectors, complement_vectors, integrate_vectors,
-                   swap_key)
+from .poly import DEGREVLEX, Polynomial, Vector, combine_vectors, complement_vectors, swap_key
 
 
 def is_symmetric(ideal: Ideal) -> bool:
@@ -230,56 +230,55 @@ class TangentReport:
 
 
 def _minimal_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]], int]:
-    """Graded minimal generating space of a homogeneous ideal.
+    """Graded minimal S_n-stable generating space V of a homogeneous
+    symmetric ideal, integer vectors (terms, den) keyed by ``DEGREVLEX``, and
+    the degree N from which R/I vanishes: ({degree: generators}, N).
 
-    Works degree by degree with Macaulay inverse systems: the dual space
-    of the degree-d quotient piece is carried along, the orthogonal
-    complement W_d of m*I inside the full degree piece is obtained by
-    integrating the previous dual space, and the new generators are the
-    members of W_d lying in the ideal, up to the top degree of the reduced
-    Groebner basis G, which generates.  Duals, W_d and generators are integer
-    vectors (terms, den) keyed by ``DEGREVLEX`` (see ``poly``), so W_d is
-    read in R/I as it comes.  Returns ({degree: generators}, N) where the
-    quotient vanishes from degree N on.
+    In each degree d of the reduced Groebner basis G, with J the ideal of
+    the generators below d (one record, grown by each degree's generators
+    and bounded below d + 1: ``_Quotient.grown``): U_d is the S_n-span,
+    closed under adjacent swaps in one ``KernelEchelon``, of members of G_d
+    outside U_d + J_d, until dim U_d/(U_d ∩ J_d) = HF_{R/J}(d) - HF_{R/I}(d)
+    = dim I_d/J_d; U_d ∩ J_d is the kernel of their coordinates in R/J, and
+    V_d, its pairing-orthogonal complement in U_d, must have that many
+    members (``ArithmeticError`` otherwise).
 
-    Each element of I_d reduces to zero by G, and a reducer of lower degree
-    contributes a member of (m*I_{d-1})_d, so I_d = span(G_d) + (m*I_{d-1})_d.
-    So at a degree where G has no element W_d holds no generator and is the
-    next dual space itself: its coordinates and complement are not computed,
-    and only the dual dimension len(W_d) = HF(d) is checked.  A degree of G
-    whose members all lie in (m*I_{d-1})_d gives no generator either, and
-    skips the complement alike.
+    Exactness: each element of I_d reduces to zero by G, and a reducer of
+    lower degree contributes a member of (m*I_{d-1})_d = J_d, so I_d =
+    span(G_d) + J_d, and U_d + J_d = I_d by the count.  U_d, J_d and the
+    apolar pairing are S_n-stable and the pairing is definite over Q, so
+    V_d is an S_n-stable complement of J_d in I_d, and V a minimal
+    generating space.  ``n1_graded_dims``, ``n2_count``,
+    ``syzygy_degree_bound`` and ``tangent_dim`` do not depend on which
+    complement is taken, and no report prints V.
     """
     n, quotient = ideal.ambient_n, ideal._quotient()
-    N = len(ideal.hilbert_function())
-    duals: list[Vector] = [({0: 1}, 1)]
     generators: dict[int, list[Vector]] = {}
-    basis_degrees = {DEGREVLEX.degree(g[0][0], n) for g in quotient.basis}
-    for d in range(1, max(basis_degrees) + 1):
-        w_space = integrate_vectors(duals, n, d)
-        hf_d = len(quotient.graded.get(d, ()))
-        if d not in basis_degrees:
-            # I_d = (m*I_{d-1})_d: no generator, and W_d is the dual space
-            if len(w_space) != hf_d:
-                raise ArithmeticError(f"dual dimension mismatch in degree {d}")
-            duals = w_space
-            continue
-        # members of W_d inside the ideal are exactly the new generators
-        relations = nullspace_tags((quotient.coordinates(sorted(terms.items(), reverse=True)), t)
-                                   for t, (terms, _) in enumerate(w_space))
-        if len(relations) != len(w_space) - hf_d:
-            raise ArithmeticError(f"generator count mismatch in degree {d}")
-        new = [combine_vectors(w_space, relation) for relation in relations]
-        if d < N:
-            # next dual space: the pairing-orthogonal complement of the new
-            # generators inside W_d (the pairing is definite, so dims add),
-            # W_d itself when there is none
-            duals = complement_vectors(w_space, new, n) if new else w_space
-            if len(duals) != hf_d:
-                raise ArithmeticError(f"dual dimension mismatch in degree {d}")
-        if new:
-            generators[d] = new
-    return generators, N
+    record, new = _Quotient([], n, 1), []  # J = 0
+    for d, members in groupby(quotient.basis, lambda g: DEGREVLEX.degree(g[0][0], n)):
+        record = record.grown(new, d + 1)
+        free = len(record.graded.get(d, ())) - len(quotient.graded.get(d, ()))
+        span, images = KernelEchelon(), KernelEchelon()  # U_d, and its image in R/J
+        orbit, inside = [], []  # a basis of U_d; the relations of its image, U_d ∩ J_d
+        for g in members:
+            if images.rank == free or images.add(record.coordinates(g), len(orbit)) is not None:
+                continue  # enough is spanned, or g lies in U_d + J_d
+            span.add(dict(g))
+            orbit.append(dict(g))
+            for u in islice(orbit, len(orbit) - 1, None):  # runs on as the orbit grows
+                for w in ({swap_key(k, a, n): c for k, c in u.items()} for a in range(n - 1)):
+                    if span.add(w) is None:
+                        terms = sorted(w.items(), reverse=True)
+                        inside.append(images.add(record.coordinates(terms), len(orbit)))
+                        orbit.append(w)
+        space = [(u, 1) for u in orbit]
+        found = complement_vectors(space, [combine_vectors(space, r) for r in inside if r], n)
+        if len(found) != free:
+            raise ArithmeticError(f"degree {d} gave {len(found)} generators, not {free}")
+        if found:
+            generators[d] = found
+        new = [Polynomial(n, terms, den) for terms, den in found]
+    return generators, len(ideal.hilbert_function())
 
 
 def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]:
@@ -374,9 +373,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     where the elimination stops.  ``n2_count`` counts the relations K_d from
     HF_{R/I^2} - HF_{R/I} = dim (I/I^2)_d below ``syzygy_bound``, the bound
     of the I^2 built (``_Quotient.square``, which forms no S-polynomial of two
-    products sharing a factor); a degree without any is skipped.  The
-    generator space reads W_d in R/I only in the degrees of the reduced
-    basis of I (``_minimal_generator_space``).
+    products sharing a factor); a degree without any is skipped.
 
     K_d is the kernel of Phi: b (x) v_i -> b*v_i on ((R/I) (x) V)_d, and
     phi_t constrains it through the equivariant psi_t: b (x) v_i ->

@@ -75,8 +75,9 @@ below b reduce every generator of lower degree to zero, so they generate
 it.  A bound at or past the degree cap is the full run, and
 non-homogeneous generators always take it.  ``_Quotient.grown`` makes
 that run, the record of a basis and more generators; the apolar search
-of ``tanisaki`` grows its records of J by it too, each from the last
-basis and the generators found since.  Every other reader
+of ``tanisaki`` and the generator step of ``equivariant`` grow their
+records of J by it too, each from the last basis and the generators found
+since.  Every other reader
 (``_quotient()``, ``==``, ``groebner_basis``, ``colength``, the tangent and
 decomposition code) asks the full record, which replaces a bounded one.
 ``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
@@ -386,9 +387,14 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf,
             add(s)
 
     basis = _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
-    leads = [DEGREVLEX.exps(g[0][0], n) for g in basis]
-    return basis + [[(k, 1)] for k in cap_keys if cap < below and not any(
-        ((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in leads)]
+    return basis + _uncovered(basis, cap_keys, n) if cap < below else basis
+
+
+def _uncovered(basis: list[list], keys: list[int], n: int) -> list[list]:
+    """The monomials of ``keys`` that no lead of ``basis`` divides, as term lists."""
+    guard, leads = _masks(n)[0], [DEGREVLEX.exps(g[0][0], n) for g in basis]
+    return [[(k, 1)] for k in keys
+            if not any(((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in leads)]
 
 
 def _reduce_basis(basis: list[list], n: int) -> list[list]:

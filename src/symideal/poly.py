@@ -247,7 +247,7 @@ class Polynomial:
         pieces = []
         for key in sorted(self.terms, reverse=True):
             mono, coeff = DEGREVLEX.unpack(key, self.ambient_n), self.terms[key]
-            mag = Fraction(abs(coeff), self.den)
+            mag = Fraction(abs(coeff), self.den) if self.den != 1 else abs(coeff)
             factors = [
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)

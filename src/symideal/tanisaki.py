@@ -16,13 +16,8 @@ The three constructions of the ideal attached to a partition:
   kept (a dropped one's derivatives lie in the span of earlier images),
   so a degree's candidates are the children x_j*x^b of the operators
   kept one degree lower.  Its generators are sought only in the degrees
-  that hold some: with J the ideal of those of degree < d and Ann the
-  annihilator, J_d = (m*Ann_(d-1))_d, so degree d holds HF_(R/J)(d) -
-  dim(layer d) of them, the Hilbert function read off a record of J
-  bounded below d + 1, and a degree where they are equal is skipped.
-  One record of J is grown by each degree's generators, and the
-  monomials of the cap enter once, in the apolar ideal's full record
-  (``_apolar_generators``).
+  that hold some, counted on one record of the ideal they generate, grown
+  degree by degree (``_apolar_generators``).
 
 All three generate the same ideal; tests compare their reduced Groebner
 bases.
@@ -42,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .combinat import Partition, R_k, d_min, r_lambda
-from .ideals import Ideal, _Quotient, maximal_power
+from .ideals import Ideal, _Quotient, _uncovered, maximal_power
 from .linalg import KernelEchelon
 from .poly import (DEGREVLEX, W, Polynomial, Vector, complement_vectors, elementary_symmetric,
                    integrate_vectors, partial_terms, power_sum)
@@ -153,11 +148,11 @@ def _apolar_generators(lam: Partition) -> tuple[list[Polynomial], Ideal]:
     generators, the next is ``_buchberger`` of the last record's basis and
     the new generators, bounded below the next degree asked plus one; a
     record too short for a skipped degree at least doubles its bound, up to
-    D + 1.  The last record's basis generates J, so the C(n+D, D+1)
-    monomials of m^(D+1) enter once, in the final full record of the
-    apolar ideal, which is installed in it.  All of it runs on integer
-    vectors; each generator becomes a ``Polynomial`` once, and enters the
-    engine once."""
+    D + 1.  The last, below D + 1, and the degree-(D+1) monomials no lead
+    divides are the reduced basis of the apolar ideal (the degree cap of
+    ``ideals``), so the C(n+D, D+1) monomials of m^(D+1) never enter the
+    engine.  All of it runs on integer vectors; each generator becomes a
+    ``Polynomial`` once, and enters the engine once."""
     n, top = lam.n, d_min(lam)
     layers = _dual_layers(distinct_specht_polynomials(lam), n)
     gens: list[Polynomial] = []
@@ -175,13 +170,14 @@ def _apolar_generators(lam: Partition) -> tuple[list[Polynomial], Ideal]:
             continue
         found = complement_vectors(integrate_vectors(layers[d - 1], n, d), layers[d], n)
         if len(found) != free:
-            raise ArithmeticError(f"degree {d} gave {len(found)} apolar generators, "
-                                  f"not {free}")
+            raise ArithmeticError(f"degree {d} gave {len(found)} apolar generators, not {free}")
         new = [Polynomial(n, terms, den) for terms, den in found]
         gens += new
+    record = record.grown(new, top + 1) if new or record.below <= top else record
     cap = maximal_power(n, top + 1).generators
     ideal = Ideal(n, gens + list(cap))
-    ideal._seed_basis(record.grown(new + list(cap)).basis)
+    keys = sorted(k for m in cap for k in m.terms)
+    ideal._seed_basis(record.basis + _uncovered(record.basis, keys, n))
     return gens, ideal
 
 
@@ -264,10 +260,11 @@ def _orbits(ideal: Ideal, container: Ideal) -> list[list[int]]:
 
 def _outside(ideal: Ideal, container: Ideal) -> list[Polynomial]:
     """The generators of ``ideal`` not in ``container``, in order, one
-    ``contains`` per group of ``_orbits``."""
+    ``contains`` per group of ``_orbits``, asked highest degree first: the
+    container's bounded record is built once, at the top degree."""
     gens = ideal.generators
-    out = sorted(i for group in _orbits(ideal, container)
-                 if not container.contains(gens[group[0]]) for i in group)
+    groups = sorted(_orbits(ideal, container), key=lambda group: -gens[group[0]].degree())
+    out = sorted(i for group in groups if not container.contains(gens[group[0]]) for i in group)
     return [gens[i] for i in out]
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, inf, prod
+from unittest import mock
 
 import pytest
 
@@ -11,7 +12,7 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
                                kostka_decomposition, kostka_number,
                                multinomial, partitions_of)
 from symideal.classification import classification_cases, row_case
-from symideal import equivariant
+from symideal import equivariant, poly, tanisaki
 from symideal.equivariant import (decompose_quotient, is_permutation_module_sum, is_symmetric,
                                   tangent_dimension, _fixed_dimension, _fixed_vectors,
                                   _hom_basis_equivariant,
@@ -173,12 +174,6 @@ def every_degree_generator_space(ideal: Ideal) -> tuple[dict[int, list[Vector]],
         if relations:
             generators[d] = [combine_vectors(w_space, r) for r in relations]
     return generators, N
-
-
-def ordered(space: tuple[dict[int, list[Vector]], int]) -> tuple:
-    """A generator space with each vector's terms in their order."""
-    graded, N = space
-    return [(d, [(list(terms.items()), den) for terms, den in vs]) for d, vs in graded.items()], N
 
 
 def square_of(ideal: Ideal) -> Ideal:
@@ -697,7 +692,47 @@ class TestPermutationModuleSum:
         assert 0 < found < 60
 
 
+def assert_generator_space(ideal: Ideal, oracle: dict[int, list], label: str = "") -> None:
+    """The contract of ``_minimal_generator_space``: each V_d lies in I_d and
+    is S_n-stable, it meets J_d (J the ideal of the generators below d) only
+    in 0, V generates I, and the counts per degree are those of ``oracle``,
+    an inverse-system route's generators."""
+    n = ideal.ambient_n
+    graded, N = _minimal_generator_space(ideal)
+    assert N == len(ideal.hilbert_function()), label
+    assert {d: len(vs) for d, vs in graded.items()} == \
+        {d: len(vs) for d, vs in oracle.items()}, label
+    lower: list[Polynomial] = []
+    for d, vectors in graded.items():
+        polys = [Polynomial(n, *v) for v in vectors]
+        assert all(is_homogeneous(f) and f.degree() == d and ideal.contains(f)
+                   for f in polys), label
+        span = KernelEchelon()
+        assert all(span.add(terms) is None for terms, _ in vectors), label
+        assert all(span.add({swap_key(k, a, n): c for k, c in terms.items()}) is not None
+                   for a in range(n - 1) for terms, _ in vectors), label
+        below = Ideal(n, lower)
+        assert not nullspace_tags((below.coordinates(f), t) for t, f in enumerate(polys)), label
+        lower += polys
+    assert Ideal(n, lower) == ideal, label
+
+
+def assert_tangent_on_both_routes(ideal: Ideal, label: str = "") -> None:
+    """``tangent_dimension`` gives the same report numbers whether it reads
+    V from ``_minimal_generator_space`` or from the test-side route."""
+    def numbers(report):
+        return report.tangent_dim, report.n1_dims, report.n2_count, report.syzygy_bound
+
+    got = numbers(tangent_dimension(ideal))
+    with mock.patch.object(equivariant, "_minimal_generator_space",
+                           every_degree_generator_space):
+        assert numbers(tangent_dimension(ideal)) == got, label
+
+
 class TestMinimalGenerators:
+    """V_d, the complement of U_d ∩ J_d in the S_n-span U_d of members of the
+    reduced basis G_d, against the inverse-system routes kept here."""
+
     def test_coinvariant_generators_by_degree(self):
         n = 3
         ideal = Ideal(n, [power_sum(k, n) for k in range(1, n + 1)])
@@ -716,79 +751,60 @@ class TestMinimalGenerators:
         assert Ideal(4, flat) == case.ideal
 
     @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
-    def test_tanisaki_generators_match_the_full_degree_loop(self, parts):
+    def test_tanisaki_points(self, parts):
         ideal = tanisaki_point(parts)
-        assert generator_polynomials(ideal) == generator_space_oracle(ideal)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_row_generators_match_the_full_degree_loop(self, n):
-        # the table1 rows at seed 0; the generators print alike too
-        for case in classification_cases(n, _random_parameters(0)):
-            if case.ideal.is_homogeneous():
-                got = generator_polynomials(case.ideal)
-                want = generator_space_oracle(case.ideal)
-                assert got == want, describe(case)
-                assert ([str(g) for gs in got[0].values() for g in gs]
-                        == [str(g) for gs in want[0].values() for g in gs])
-
-
-class TestSkippedDegrees:
-    """Where the reduced basis G has no element, W_d is the next dual space
-    as it stands: the generators, their order and N are those of the loop
-    that reads W_d in R/I and takes its complement at every degree."""
+        assert_generator_space(ideal, generator_space_oracle(ideal)[0])
+        if ideal.colength() > 1:
+            assert_tangent_on_both_routes(ideal)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_match_the_every_degree_loop(self, n, seed):
-        skipped = 0
+    def test_rows(self, n, seed):
         for case in classification_cases(n, _random_parameters(seed)):
-            if case.ideal.is_homogeneous():
-                got = _minimal_generator_space(case.ideal)
-                assert ordered(got) == ordered(every_degree_generator_space(case.ideal)), \
-                    describe(case)
-                degrees = {DEGREVLEX.degree(g[0][0], n) for g in case.ideal._quotient().basis}
-                skipped += max(degrees) - len(degrees)
-        assert skipped > 0
+            if not case.ideal.is_homogeneous():
+                continue
+            assert_generator_space(case.ideal, every_degree_generator_space(case.ideal)[0],
+                                   describe(case))
+            assert_tangent_on_both_routes(case.ideal, describe(case))
 
-    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
-    def test_tanisaki_points_match_the_every_degree_loop(self, parts):
-        ideal = tanisaki_point(parts)
-        assert ordered(_minimal_generator_space(ideal)) == \
-            ordered(every_degree_generator_space(ideal))
+    def test_row_1_takes_the_power_sum(self):
+        # (x_i - x_j) + m^r: U_r is spanned by the x_i^r, and p_r is the
+        # complement of their differences, which lie in J
+        for r in range(2, 11):
+            graded, _ = _minimal_generator_space(row_case("1", 5, r).ideal)
+            assert [Polynomial(5, *v).monic() for v in graded[r]] == [power_sum(r, 5)]
 
-    def test_no_complement_without_new_generators(self, monkeypatch):
-        # a degree of G whose members all lie in m*I gives no generator: W_d
-        # is the next dual space as it stands, with no complement taken
-        complement, calls, idle = equivariant.complement_vectors, [], 0
+    def test_no_inverse_system_is_integrated(self):
+        # at 1^6 the span of G_d in R/J replaces the integration of duals
+        ideal = tanisaki_point((1,) * 6)
+        ideal._quotient().standard
+        with mock.patch.object(poly, "integrate_vectors",
+                               side_effect=AssertionError("integrated")) as integrate, \
+                mock.patch.object(tanisaki, "integrate_vectors", integrate):
+            graded, _ = _minimal_generator_space(ideal)
+        assert integrate.call_count == 0 and not hasattr(equivariant, "integrate_vectors")
+        assert {d: len(vs) for d, vs in graded.items()} == dict.fromkeys(range(1, 7), 1)
 
-        def recording(space, others, n):
-            calls.append(len(others))
-            return complement(space, others, n)
-
-        monkeypatch.setattr(equivariant, "complement_vectors", recording)
-        for case in classification_cases(5, _random_parameters(0)):
-            if case.ideal.is_homogeneous():
-                got = _minimal_generator_space(case.ideal)
-                assert ordered(got) == ordered(every_degree_generator_space(case.ideal)), \
-                    describe(case)
-                degrees = {DEGREVLEX.degree(g[0][0], 5) for g in case.ideal._quotient().basis}
-                idle += len({d for d in degrees if d < got[1]} - set(got[0]))
-        assert calls and 0 not in calls
-        assert idle > 0
-
-    def test_extra_dual_at_a_skipped_degree_is_an_internal_error(self, monkeypatch):
-        # G holds quadrics only, and W_1 holds the 3 linear forms
-        ideal = row_case("4a", 3).ideal
-        assert {DEGREVLEX.degree(g[0][0], 3) for g in ideal._quotient().basis} == {2}
-        integrate = equivariant.integrate_vectors
-
-        def padded(duals, n, d):
-            out = integrate(duals, n, d)
-            return out + [({DEGREVLEX.key((1, 0, 0)): 1}, 1)] if d == 1 else out
-
-        monkeypatch.setattr(equivariant, "integrate_vectors", padded)
-        with pytest.raises(ArithmeticError, match="dual dimension mismatch in degree 1"):
+    def test_spans_stop_at_the_count(self):
+        # coinvariants of S_6: each G_d is one element, whose S_6-span meets
+        # R/J in the single e_d direction; one orbit is spanned per degree
+        ideal = tanisaki_point((1,) * 6)
+        with mock.patch.object(equivariant, "complement_vectors",
+                               wraps=equivariant.complement_vectors) as complement:
             _minimal_generator_space(ideal)
+        assert [len(call.args[0]) - len(call.args[1]) for call in complement.call_args_list] \
+            == [1] * 6
+
+    def test_a_dropped_generator_is_an_internal_error(self):
+        # V_d must have HF_(R/J)(d) - HF_(R/I)(d) members: here the 6 quadrics
+        complement = equivariant.complement_vectors
+
+        def dropping(space, others, n):
+            return complement(space, others, n)[1:]
+
+        with mock.patch.object(equivariant, "complement_vectors", dropping):
+            with pytest.raises(ArithmeticError, match="degree 2 gave 5 generators, not 6"):
+                _minimal_generator_space(row_case("4a", 3).ideal)
 
 
 class TestTangentDimension:

@@ -288,9 +288,10 @@ class TestApolarGenerators:
     @pytest.mark.parametrize("parts", [(2, 1, 1), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2),
                                        (1, 1, 1, 1, 1)])
     def test_one_record_is_grown(self, parts):
-        # each run starts from the basis the run before returned; only the
-        # last gets the monomials of m^(D+1), each once, and no generator
-        # enters the engine twice
+        # each run starts from the basis the run before returned; no run gets
+        # a monomial of m^(D+1) and no generator enters the engine twice; the
+        # installed basis is the last run's, then the cap monomials no lead
+        # divides, each once
         lam = Partition(list(parts))
         n, top = lam.n, d_min(lam)
         runs, converted = [], []
@@ -312,10 +313,13 @@ class TestApolarGenerators:
             assert inputs[:len(basis)] == basis
         caps = [[f[0][0] for f in inputs if len(f) == 1 and DEGREVLEX.degree(f[0][0], n) == top + 1]
                 for inputs, _ in runs]
-        assert not any(caps[:-1])
-        assert sorted(set(caps[-1])) == sorted(caps[-1]) and len(caps[-1]) == comb(n + top, top + 1)
-        assert sorted(converted) == sorted(map(str, ideal.generators))
-        assert ideal._record.basis == runs[-1][1]
+        assert not any(caps)
+        assert sorted(converted) == sorted(map(str, gens))
+        last, basis = runs[-1][1], ideal._record.basis
+        assert basis[:len(last)] == last and basis == sorted(basis, key=lambda f: f[0][0])
+        cap = [f[0][0] for f in basis[len(last):]]
+        assert all(DEGREVLEX.degree(k, n) == top + 1 for k in cap) and len(set(cap)) == len(cap)
+        assert len(converted) + comb(n + top, top + 1) == len(ideal.generators)
 
     def test_a_dropped_generator_breaks_an_invariant(self, capsys):
         # an integrated degree must give HF_(R/J)(d) - dim layers[d] generators
@@ -621,6 +625,17 @@ class TestOrbitRecords:
                                                 subset_elementary_oracle]):
             assert list(build(mu).generators) == oracle(mu)
 
+    @pytest.mark.parametrize("mu", [(3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)], ids=str)
+    def test_each_container_record_is_built_once(self, mu):
+        # asked highest degree first, a fresh container builds its record at
+        # the top degree and reads every lower one from it
+        mu = Partition(list(mu))
+        chain = [power_sum_specht_ideal(mu), tilde_ideal(mu), tanisaki_ideal(mu)]
+        with mock.patch.object(ideals._Quotient, "grown", autospec=True,
+                               side_effect=ideals._Quotient.grown) as grown:
+            outside = [tanisaki._outside(*pair) for pair in zip(chain, chain[1:])]
+        assert grown.call_count == 2 and outside == [[], []]
+
     def test_other_constructions_record_none(self):
         lam = Partition([2, 1, 1])
         assert all(tanisaki_ideal(lam, mode).orbits is None for mode in MODES[1:])
@@ -663,8 +678,10 @@ class TestOrbitRecords:
                                   side_effect=Ideal.contains) as contains:
             report = inclusion_chain_check(mu)
         least = min(g.degree() for g in large.generators)
+        # the containment asks highest degree first, the witness walk upward
         assert [call.args[1] for call in contains.call_args_list] == [
-            *small.generators, *(g for g in large.generators if g.degree() == least)]
+            *sorted(small.generators, key=lambda g: -g.degree()),
+            *(g for g in large.generators if g.degree() == least)]
         assert len(small.generators) > len(set(small.orbits))
         assert report.witnesses == {
             "second": str(strictness_witness_oracle(Ideal(4, []), large))}
