@@ -754,8 +754,12 @@ class TestMinimalGenerators:
     def test_tanisaki_points(self, parts):
         ideal = tanisaki_point(parts)
         assert_generator_space(ideal, generator_space_oracle(ideal)[0])
-        if ideal.colength() > 1:
-            assert_tangent_on_both_routes(ideal)
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE)
+    def test_tanisaki_points_tangent_on_both_routes(self, parts):
+        # colength 1 included: there I = m, V = the linear forms, and the
+        # tangent space Hom(m/m^2, Q)^(S_n) has dimension 1
+        assert_tangent_on_both_routes(tanisaki_point(parts))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
