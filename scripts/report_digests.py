@@ -8,18 +8,18 @@ for the same partitions, the reports that print Specht, higher Specht and
 inverse-system polynomials as text, then ``tanisaki --mode apolar``
 for the eight shapes of 6 of colength <= 120 and for (2,2,1,1) and
 (2,1,1,1,1), then ``tangent --tanisaki`` for every partition of n = 3..5
-and eight shapes of 6, ``decompose --tanisaki`` for every partition of
+and all shapes of 6 but (6), ``decompose --tanisaki`` for every partition of
 n = 3..6, ``gr`` at six points, ``decompose --gens`` for a free orbit at
 n = 3 and for a homogeneous ideal given by inhomogeneous generators, and
 last ``lemmas --n 6`` and ``tanisaki --mode apolar`` at 1^6, whose
 constructions skip the most Groebner work above the degree asked.  The
 orbit ideals are the only non-homogeneous ideals in the set.  Each report
 runs in-process through ``cli.run`` with ``--format json``, and one line
-``sha256  command`` is printed per report, in a fixed order: 126 in all,
-in about 15 s on a 2-vCPU machine.  The listing is committed beside this
+``sha256  command`` is printed per report, in a fixed order: 128 in all,
+in about 14 s on a 2-vCPU machine.  The listing is committed beside this
 script as ``report_digests.txt``, and CI compares the output with it, so
 a change to any report fails CI; a deliberate change updates the listing
-and says why.  At commit ce107d2 all 126 lines match under Python
+and says why.  At commit ce107d2 all 126 lines then listed match under Python
 3.10.13 and 3.13.0 as well as 3.11.7, and they still do once the apolar
 search grows one record (``tanisaki._apolar_generators``).  To check a
 change by hand:
@@ -43,8 +43,10 @@ from symideal.combinat import partitions_of
 # dual layers keep the fewest of the images they could take
 N6_APOLAR_SHAPES = ("6", "5,1", "4,2", "4,1,1", "3,3", "3,2,1", "2,2,2", "3,1,1,1",
                     "2,2,1,1", "2,1,1,1,1")
-# the shapes of 6 whose tangent report takes under twenty seconds
-N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", "3,1,1,1")
+# every shape of 6 but (6), whose quotient is the field; each tangent
+# report takes under five seconds
+N6_TANGENT_SHAPES = ("5,1", "4,2", "3,3", "4,1,1", "3,2,1", "2,2,2", "2,2,1,1", "3,1,1,1",
+                     "2,1,1,1,1", "1,1,1,1,1,1")
 # split on whitespace, so the generators are written without spaces
 DECOMPOSE_GENS = ((3, "x1+x2+x3;x1^2+x2^2+x3^2-6;x1^3+x2^3+x3^3"),  # the orbit of (0,√3,-√3)
                   (2, "x1+x2+x1^2;x1+x2;x1*x2"))  # == (x1+x2, x1^2, x1*x2)

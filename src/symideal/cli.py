@@ -205,10 +205,8 @@ def verify_row_case(case: RowCase) -> dict:
     checks["decomposition"] = decomposition == case.expected
     report = tangent_dimension(ideal)
     record["tangent_dim"] = report.tangent_dim
-    if case.geometry == "smooth":
-        checks["geometry"] = report.tangent_dim == case.component_dim
-    else:
-        checks["geometry"] = report.tangent_dim > case.component_dim
+    checks["geometry"] = (report.tangent_dim == case.component_dim if case.geometry == "smooth"
+                          else report.tangent_dim > case.component_dim)
     record["checks"] = checks
     record["ok"] = all(checks.values())
     record["wall_time_s"] = round(time.monotonic() - started, 3)
@@ -236,17 +234,10 @@ def cmd_lemmas(args) -> tuple[list[dict], bool]:
     pair_ideal = pair_product_ideal(n)
     f, g, p = relation_f(n), relation_g(n), relation_p(n)
     if n == 3:
-        containments = {
-            "relation_f_vanishes": f.is_zero(),
-            "relation_g_vanishes": g.is_zero(),
-            "relation_p": pair_ideal.contains(p),
-        }
+        containments = {"relation_f_vanishes": f.is_zero(), "relation_g_vanishes": g.is_zero()}
     else:
-        containments = {
-            "relation_f": pair_ideal.contains(f),
-            "relation_g": pair_ideal.contains(g),
-            "relation_p": pair_ideal.contains(p),
-        }
+        containments = {"relation_f": pair_ideal.contains(f), "relation_g": pair_ideal.contains(g)}
+    containments["relation_p"] = pair_ideal.contains(p)
     ideal_a = lemma_membership_ideal_a(n)
     ideal_b = lemma_membership_ideal_b(n)
     cube_difference = x1 ** 3 - x2 ** 3

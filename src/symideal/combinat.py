@@ -178,11 +178,8 @@ class IsotypicDecomposition:
     def __repr__(self) -> str:
         if not self.multiplicities:
             return "0"
-        pieces = []
-        for lam, m in sorted(self.multiplicities, key=lambda t: t[0].parts, reverse=True):
-            head = "" if m == 1 else f"{m}*"
-            pieces.append(f"{head}S{list(lam.parts)}")
-        return " + ".join(pieces)
+        pieces = sorted(self.multiplicities, key=lambda t: t[0].parts, reverse=True)
+        return " + ".join(("" if m == 1 else f"{m}*") + f"S{list(lam.parts)}" for lam, m in pieces)
 
 
 def partitions_of(n: int) -> list[Partition]:
@@ -265,10 +262,7 @@ def standard_tableaux(lam: Partition) -> list[Tableau]:
 
 def word(t: Tableau) -> tuple[int, ...]:
     """Columns read bottom-to-top, left-to-right."""
-    out: list[int] = []
-    for col in t.columns():
-        out.extend(reversed(col))
-    return tuple(out)
+    return tuple(v for col in t.columns() for v in reversed(col))
 
 
 def index(t: Tableau) -> tuple[int, ...]:

@@ -22,7 +22,9 @@ eliminated together with their images in the quotient.
 Each type kappa of R/I dominates the dominance meet mu of those types, so
 K_{kappa,mu} > 0 and a constraint vanishes on the relations iff on their
 S_mu-fixed part, which S_mu-invariant functionals read exactly: those of
-R/I from the swap table, those of I^2 from fresh normal forms.
+R/I from the swap table, those of I^2 from fresh normal forms.  They read
+b (x) v_i and its S_mu-images alike, so one row per S_mu-orbit of
+multipliers b and per coinvariant of Stab(b) on the generators spans them.
 """
 
 from __future__ import annotations
@@ -108,29 +110,30 @@ def _read(terms: list, functionals: dict, orbit, record) -> dict:
     return combine((c, functionals.get(orbit(key), {})) for key, c in [*sums.items(), *nf.items()])
 
 
-def _fixed_columns(actions: list, keys, word: tuple):
-    """(column, p) for p in keys: the images (s_a - 1)(p) under the adjacent
-    transpositions s_a inside the blocks of the Young subgroup that the word
-    labels, given their columns; the fixed vectors are their kernel."""
-    inside = [a for a in range(len(word) - 1) if word[a] == word[a + 1]]
+def _swap_columns(actions: list, keys) -> list[dict]:
+    """Per adjacent transposition s_a, given its columns, {p: (s_a - 1)(p)}
+    for p in keys, keyed (a, row): one build serves every Young subgroup."""
+    return [{p: {**{(a, row): c for row, c in action[p].items()}, (a, p): action[p].get(p, 0) - 1}
+             for p in keys} for a, action in enumerate(actions)]
+
+
+def _fixed_columns(columns: list, keys, word: tuple):
+    """(column, p) for p in keys: the ``_swap_columns`` of the adjacent
+    transpositions inside the blocks of the Young subgroup that the word
+    labels, merged; their kernel relations are a basis of the fixed vectors."""
+    inside = [columns[a] for a in range(len(word) - 1) if word[a] == word[a + 1]]
     for p in keys:
-        col = {(a, row): c for a in inside for row, c in actions[a][p].items()}
-        for a in inside:
-            col[(a, p)] = col.get((a, p), 0) - 1
+        col: dict = {}
+        for swap in inside:
+            col.update(swap[p])
         yield col, p
 
 
-def _fixed_vectors(actions: list, keys, word: tuple) -> list[dict]:
-    """Basis of the vectors fixed by the Young subgroup whose blocks the
-    word labels, given the columns of the adjacent transpositions."""
-    return nullspace_tags(_fixed_columns(actions, keys, word))
-
-
-def _fixed_dimension(actions: list, keys: list, word: tuple) -> int:
-    """The dimension of the fixed vectors of ``_fixed_vectors``: len(keys)
+def _fixed_dimension(columns: list, keys: list, word: tuple) -> int:
+    """The dimension of the fixed vectors of ``_fixed_columns``: len(keys)
     less the rank of the columns, which forms no kernel relation."""
     echelon = KernelEchelon()
-    for col, _ in _fixed_columns(actions, keys, word):
+    for col, _ in _fixed_columns(columns, keys, word):
         echelon.add(col)
     return len(keys) - echelon.rank
 
@@ -165,7 +168,8 @@ def decompose_quotient(ideal: Ideal) -> IsotypicDecomposition:
     pieces = record.graded if homogeneous else {0: record.standard}
     graded: dict[int, dict[Partition, int]] = {}
     for d, keys in pieces.items():
-        fixed = {mu: _fixed_dimension(record.swaps, keys, _word(mu)) for mu in order}
+        columns = _swap_columns(record.swaps, keys)
+        fixed = {mu: _fixed_dimension(columns, keys, _word(mu)) for mu in order}
         graded[d] = _kostka_peel(fixed, order, kostka_number)
         if graded[d] is None:
             raise ArithmeticError(f"negative multiplicity from Young-fixed dimensions {fixed}")
@@ -197,11 +201,11 @@ def is_permutation_module_sum(rho: IsotypicDecomposition) -> list[Partition] | N
 class TangentReport:
     """Result of the equivariant tangent-space computation.
 
-    ``details`` holds deterministic work counts of the relation step:
-    ``products`` b*v_i and distinct monomial ``images`` b*m read, and
-    ``constraint_rows``; its Young subgroup ``mu`` and invariant functionals
-    per degree of R/I and R/I^2 (``quotient_``/``square_functionals``); and
-    ``hom_unknowns`` solved for by the hom step.  None is in ``record``.
+    ``details`` holds deterministic work counts of the relation step: the
+    ``products`` b*v_i eliminated, the S_mu-orbits of monomials b*m read in
+    R/I (``images``), ``constraint_rows``, the Young subgroup ``mu``, the
+    invariant functionals per degree of R/I and R/I^2 (``quotient_``/
+    ``square_functionals``) and the hom step's ``hom_unknowns``; none is in ``record``.
     """
 
     ideal: Ideal
@@ -309,6 +313,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
     quotient_action, standard = ideal._quotient().swaps, ideal._quotient().standard
     quotient_fixed: dict[tuple, list[dict]] = {}  # per word, the images of a basis of (R/I)^{S_mu}
     out, unknown_count = [], 0
+    quotient_columns = _swap_columns(quotient_action, standard)
     for d in sorted(set(gen_degrees)):
         indices = [i for i, e in enumerate(gen_degrees) if e == d]
         size = len(indices)
@@ -324,11 +329,12 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
 
         # keep an S_mu-fixed v_j if it enlarges the submodule spanned so far
         span, relations, fixed = KernelEchelon(), [], []  # fixed[j][t]: images by word
+        columns = _swap_columns(actions, range(size))
         for mu in sorted(partitions_of(n), key=multinomial):  # refines dominance
             if span.rank == size:
                 break
             word = _word(mu)
-            for v in _fixed_vectors(actions, range(size), word):
+            for v in nullspace_tags(_fixed_columns(columns, range(size), word)):
                 j = len(fixed)
                 if span.add(v, (j, word)) is None:
                     images = _coset_images(v, word, actions)
@@ -338,7 +344,8 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
                     if word not in quotient_fixed:
                         quotient_fixed[word] = [
                             _coset_images(f, word, quotient_action)
-                            for f in _fixed_vectors(quotient_action, standard, word)]
+                            for f in nullspace_tags(_fixed_columns(quotient_columns, standard,
+                                                                   word))]
                     fixed.append(quotient_fixed[word])
         unknowns = [(j, t) for j in range(len(fixed)) for t in range(len(fixed[j]))]
         unknown_count += len(unknowns)
@@ -359,6 +366,17 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
                             for key, v in image.items()})
             out.append(phi)
     return out, unknown_count
+
+
+def _coinvariant_generators(gens: list[Vector], indices: list[int], swaps, n: int) -> list[int]:
+    """The i in ``indices`` whose v_i, spanning an S_n-stable space, stay independent
+    modulo the (s_a - 1)v_j, s_a over ``swaps``: its coinvariants' basis."""
+    span = KernelEchelon()
+    for a in swaps:
+        for i in indices:
+            span.add(combine(((1, {swap_key(m, a, n): c for m, c in gens[i][0].items()}),
+                              (-1, gens[i][0]))))
+    return [i for i in indices if span.add(gens[i][0]) is None]
 
 
 def tangent_dimension(ideal: Ideal) -> TangentReport:
@@ -384,6 +402,17 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     L' over those of (R/I^2)_d and R/I, eliminate to exactly the
     constraints of K_d^{S_mu}; the L rank must be #L - #L'.  Below
     |S_mu| = n orbit sums do not pay, and the trivial group is used.
+
+    Phi and psi_t are equivariant and L, L' invariant, so row(sigma*x) =
+    row(x) for sigma in S_mu: sigma*b (x) v = sigma*(b (x) sigma^-1*v) reads
+    as b (x) V_e does, and b (x) (tau - 1)*v as 0 for tau in Stab(b).  So b
+    runs over the least member of each S_mu-orbit of degree-(d - e)
+    monomials holding a standard one, v_i over those of V_e independent
+    modulo the (s_a - 1)*V_e, s_a the swaps inside a block of mu where b's
+    exponents agree (they generate Stab(b)); a non-standard b reads as
+    NF_I(b), as I (x) V dies mod I^2 and under each psi_t.  These rows span
+    those of all pairs: the constraints and the L rank stay, and
+    ``n2_count`` counts all pairs.
     """
     start = time.monotonic()
     if not ideal.is_homogeneous():
@@ -398,8 +427,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     graded_gens, N = _minimal_generator_space(ideal)
     gens = [g for d, gs in sorted(graded_gens.items()) for g in gs]  # (terms, den)
     gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
-    max_gen_degree = max(gen_degrees)
-    syzygy_bound = N + max_gen_degree  # relations from this degree on are vacuous
+    syzygy_bound = N + max(gen_degrees)  # relations from this degree on are vacuous
 
     hom_basis, hom_unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
@@ -420,34 +448,44 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     for e, keys in by_degree.items():
         quotient_functionals[e], quotient_counts[e] = _invariant_functionals(
             quotient.swaps, keys, orbit, inside, sum(quotient_counts.values()))
-    images: dict[int, dict] = {}  # L'(NF_I(m)) by key, deg m < N
+    images: dict[int, dict] = {}  # L'(NF_I(m)) by orbit, deg m < N
+    kept: dict[tuple, list[int]] = {}  # by (e, Stab(b)): v_i spanning V_e's coinvariants
 
     n2_count = products = constraint_rows = 0
     square_counts: dict[int, int] = {}
     constraint_rank = KernelEchelon()
     for d in range(min(gen_degrees) + 1, syzygy_bound):
-        pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
-        relations = len(pairs) - len(square_keys.get(d, [])) + len(by_degree.get(d, []))
+        relations = (sum(len(by_degree.get(d - e, [])) for e in gen_degrees)
+                     - len(square_keys.get(d, [])) + len(by_degree.get(d, [])))
         if relations < 0:
             raise ArithmeticError(f"negative relation count in degree {d}")
         n2_count += relations
         if d > N + 1 or relations == 0:
             continue
-        products += len(pairs)
         keys = square_keys.get(d, [])
         functionals, square_counts[d] = _invariant_functionals(
             square.swapped(keys, inside), keys, orbit, inside)
         echelon = KernelEchelon()
-        for i, b in pairs:  # den*b*v_i: the terms of v_i shifted by the key of b
-            row = _read([(key + b, c) for key, c in gens[i][0].items()], functionals, orbit, square)
-            for m, coeffs in values[i].items():
-                e = DEGREVLEX.degree(b + m, n)
-                if e < N and b + m not in images:
-                    images[b + m] = _read([(b + m, 1)], quotient_functionals[e], orbit, quotient)
-                for g, v in images[b + m].items() if e < N else ():
-                    for t, c in coeffs:
-                        row[-1 - g * k - t] = row.get(-1 - g * k - t, 0) + c * v
-            echelon.add(row)
+        for e, indices in groupby(range(len(gens)), gen_degrees.__getitem__):
+            indices = list(indices)
+            for b in dict.fromkeys(map(orbit, by_degree.get(d - e, []))):  # orbit-least
+                exps = DEGREVLEX.unpack(b, n)
+                stabilizer = tuple(a for a in inside if exps[a] == exps[a + 1])
+                if (e, stabilizer) not in kept:
+                    kept[e, stabilizer] = _coinvariant_generators(gens, indices, stabilizer, n)
+                for i in kept[e, stabilizer]:  # den*b*v_i: the terms of v_i shifted by b's key
+                    products += 1
+                    row = _read([(m + b, c) for m, c in gens[i][0].items()],
+                                functionals, orbit, square)
+                    for m, coeffs in values[i].items():
+                        rep, deg = orbit(b + m), DEGREVLEX.degree(b + m, n)
+                        if deg < N and rep not in images:
+                            images[rep] = _read([(rep, 1)], quotient_functionals[deg], orbit,
+                                                quotient)
+                        for g, v in images[rep].items() if deg < N else ():
+                            for t, c in coeffs:
+                                row[-1 - g * k - t] = row.get(-1 - g * k - t, 0) + c * v
+                    echelon.add(row)
         if sum(col >= 0 for col in echelon.pivots) != square_counts[d] - quotient_counts.get(d, 0):
             raise ArithmeticError(f"relation count mismatch in degree {d}")
         for col, (row, _) in echelon.pivots.items():

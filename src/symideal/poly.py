@@ -248,22 +248,11 @@ class Polynomial:
         for key in sorted(self.terms, reverse=True):
             mono, coeff = DEGREVLEX.unpack(key, self.ambient_n), self.terms[key]
             mag = Fraction(abs(coeff), self.den) if self.den != 1 else abs(coeff)
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
-            ]
-            body = "*".join(factors)
-            if not factors:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+            body = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                            for i, e in enumerate(mono) if e)
+            text = f"{mag}*{body}" if body and mag != 1 else body or str(mag)
+            sign = ("+ " if coeff > 0 else "- ") if pieces else ("" if coeff > 0 else "-")
+            pieces.append(sign + text)
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -278,21 +267,9 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     compact = text.replace(" ", "")
     if not compact or compact == "0":
         return Polynomial.zero(n)
-    # split into signed terms
-    chunks: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        start = 1
-    current = []
-    for ch in compact[start:]:
-        if ch in "+-":
-            chunks.append((sign, "".join(current)))
-            sign = -1 if ch == "-" else 1
-            current = []
-        else:
-            current.append(ch)
-    chunks.append((sign, "".join(current)))
+    # split into signed terms: ['', sign, term, sign, term, ...]
+    parts = re.split(r"([+-])", compact if compact[0] in "+-" else "+" + compact)
+    chunks = [(-1 if sign == "-" else 1, chunk) for sign, chunk in zip(parts[1::2], parts[2::2])]
 
     terms: dict[int, Fraction] = {}  # cleared to numerators by the constructor
     for sgn, chunk in chunks:

@@ -2,7 +2,8 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf, prod
+from itertools import permutations, product
+from math import factorial, inf, lcm, prod
 from unittest import mock
 
 import pytest
@@ -14,10 +15,10 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
 from symideal.classification import classification_cases, row_case
 from symideal import equivariant, poly, tanisaki
 from symideal.equivariant import (decompose_quotient, is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _fixed_dimension, _fixed_vectors,
+                                  tangent_dimension, _fixed_columns, _fixed_dimension,
                                   _hom_basis_equivariant,
                                   _invariant_functionals, _meet, _minimal_generator_space,
-                                  _orbit_keys, _word)
+                                  _orbit_keys, _read, _swap_columns, _word)
 from symideal.ideals import DEGREVLEX, Ideal, _Quotient, maximal_power, orbit_ideal
 from symideal.linalg import KernelEchelon, nullspace_tags
 from symideal.poly import (Polynomial, Vector, apply_permutation, combine_vectors,
@@ -265,13 +266,119 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
     return k - constraint_rank.rank, n2_count
 
 
+def young_subgroup(mu: Partition) -> list[Permutation]:
+    """Every permutation of 1..n that keeps each block of mu."""
+    blocks, start = [], 1
+    for part in mu.parts:
+        blocks.append(range(start, start + part))
+        start += part
+    return [Permutation([i for block in images for i in block])
+            for images in product(*map(permutations, blocks))]
+
+
+def relation_group(ideal: Ideal) -> Partition:
+    """The group of the relation step: the dominance meet of the types of
+    R/I, by search, or the trivial group when it has fewer than n elements."""
+    n = ideal.ambient_n
+    meet = meet_oracle([kappa for kappa, _ in decompose_quotient(ideal).multiplicities])
+    return meet if prod(map(factorial, meet.parts)) >= n else Partition((1,) * n)
+
+
+def orbit_row_count(ideal: Ideal, mu: Partition, gens: list[Polynomial],
+                    gen_degrees: list[int], degrees) -> int:
+    """The rows of the relation step counted from their definition: in each
+    degree d of ``degrees`` and generator degree e, one per S_mu-orbit of
+    degree-(d - e) monomials holding a standard one, times the dimension
+    of the coinvariants on V_e of the stabilizer of a member b.  Orbits
+    and stabilizers by brute permutation within the blocks of mu, the
+    coinvariants as dim V_e less the rank of the sigma*v - v."""
+    group, standard = young_subgroup(mu), standard_monomials(ideal)
+    coinvariants: dict[tuple, int] = {}
+    count = 0
+    for d in degrees:
+        for e in sorted(set(gen_degrees)):
+            space = [g for g, e_i in zip(gens, gen_degrees) if e_i == e]
+            seen: set = set()
+            for b in (b for b in standard if sum(b) == d - e):
+                if b in seen:
+                    continue
+                seen.update(permute_monomial(sigma, b) for sigma in group)
+                stabilizer = tuple(sigma for sigma in group if permute_monomial(sigma, b) == b)
+                if (e, stabilizer) not in coinvariants:
+                    echelon = KernelEchelon()
+                    for sigma in stabilizer:
+                        for v in space:
+                            echelon.add((apply_permutation(sigma, v) - v).terms)
+                    coinvariants[e, stabilizer] = len(space) - echelon.rank
+                count += coinvariants[e, stabilizer]
+    return count
+
+
+def pair_route(ideal: Ideal) -> tuple[int, int, int]:
+    """(tangent_dim, n2_count, rows) by the relation step with one row per
+    pair (b, v_i), b standard, read through the invariant functionals of
+    the group ``tangent_dimension`` takes (``equivariant._meet``, patched
+    or not): the rows that its rows must span."""
+    n, quotient = ideal.ambient_n, ideal._quotient()
+    gens, gen_degrees = graded_generators(ideal)
+    N, top = len(ideal.hilbert_function()), max(gen_degrees)
+    hom_basis, _ = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    k = len(hom_basis)
+    values: list[dict] = [{} for _ in gens]  # phi_t(den*v_i) scaled to integers
+    for t, phi in enumerate(hom_basis):
+        scale = lcm(*(c.denominator for c in phi.values()))
+        for (m, i), c in phi.items():
+            values[i].setdefault(m, []).append((t, int(c * scale)))
+    mu = equivariant._meet([kappa for kappa, _ in decompose_quotient(ideal).multiplicities])
+    mu = mu if prod(map(factorial, mu.parts)) >= n else Partition((1,) * n)
+    word, orbit = _word(mu), _orbit_keys(mu, n)
+    inside = [a for a in range(n - 1) if word[a] == word[a + 1]]
+    square, quotient_functionals, start = quotient.square(N + top), {}, 0
+    for e, keys in quotient.graded.items():
+        quotient_functionals[e], count = _invariant_functionals(
+            quotient.swaps, keys, orbit, inside, start)
+        start += count
+    n2_count = rows = 0
+    constraint_rank = KernelEchelon()
+    for d in range(min(gen_degrees) + 1, N + top):
+        pairs = [(i, b) for i, e in enumerate(gen_degrees) for b in quotient.graded.get(d - e, [])]
+        relations = len(pairs) - len(square.graded.get(d, [])) + len(quotient.graded.get(d, []))
+        n2_count += relations
+        if d > N + 1 or relations == 0:
+            continue
+        rows += len(pairs)
+        keys = square.graded.get(d, [])
+        functionals, _ = _invariant_functionals(square.swapped(keys, inside), keys, orbit, inside)
+        echelon = KernelEchelon()
+        for i, b in pairs:
+            row = _read([(m + b, c) for m, c in gens[i][0].items()], functionals, orbit, square)
+            for m, coeffs in values[i].items():
+                e = DEGREVLEX.degree(b + m, n)
+                for g, v in _read([(b + m, 1)], quotient_functionals[e], orbit,
+                                  quotient).items() if e < N else ():
+                    for t, c in coeffs:
+                        row[-1 - g * k - t] = row.get(-1 - g * k - t, 0) + c * v
+            echelon.add(row)
+        for col, (row, _) in echelon.pivots.items():
+            if col < 0:  # one constraint per quotient functional g
+                constraints: dict = {}
+                for column, c in row.items():
+                    g, t = divmod(-1 - column, k)
+                    constraints.setdefault(g, {})[t] = c
+                for constraint in constraints.values():
+                    constraint_rank.add(constraint)
+    return k - constraint_rank.rank, n2_count, rows
+
+
 def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     """The augmented elimination on ``Polynomial`` values and coordinates,
     with no group and no skipped degree: I^2 as an ``Ideal`` of rational
     products of the monic reduced basis, each row the coordinates of b*v_i
     in it, each image NF_I(b*m) read from a monomial.  Returns
-    ((tangent_dim, n2_count, details), I^2); ``details`` counts the
-    products in the degrees with relations, as ``tangent_dimension`` does."""
+    ((tangent_dim, n2_count, details, pairs), I^2): ``details`` counts the
+    rows that ``tangent_dimension`` eliminates in the degrees with
+    relations (``orbit_row_count`` under ``relation_group``), and ``pairs``
+    the products b*v_i there, one row each here."""
     n = ideal.ambient_n
     vectors, gen_degrees = graded_generators(ideal)
     N = len(ideal.hilbert_function())
@@ -290,13 +397,16 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     n2_count = products = 0
     normal_forms: dict = {}
     constraint_rank = KernelEchelon()
+    degrees = []  # those with relations, up to N + 1
     for d in range(min(gen_degrees) + 1, N + max(gen_degrees)):
         pairs = [(i, b) for i, e_i in enumerate(gen_degrees) for b in by_degree.get(d - e_i, [])]
         relations = len(pairs) - square_hf.get(d, 0) + len(by_degree.get(d, []))
         n2_count += relations
         if d > N + 1:
             continue
-        products += len(pairs) if relations else 0
+        if relations:
+            products += len(pairs)
+            degrees.append(d)
         echelon = KernelEchelon()
         for i, b in pairs:
             row = square.coordinates(Polynomial.monomial(b) * gens[i])
@@ -317,8 +427,9 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
                     rows.setdefault(key, {})[t] = c
                 for constraint in rows.values():
                     constraint_rank.add(constraint)
-    details = {"products": products, "hom_unknowns": unknowns}
-    return (k - constraint_rank.rank, n2_count, details), square
+    rows = orbit_row_count(ideal, relation_group(ideal), gens, gen_degrees, degrees)
+    details = {"products": rows, "hom_unknowns": unknowns}
+    return (k - constraint_rank.rank, n2_count, details, products), square
 
 
 def meet_oracle(types: list[Partition]) -> Partition:
@@ -551,8 +662,10 @@ class TestQuotientTables:
         monkeypatch.setattr(equivariant, "_coset_images", counted)
         _hom_basis_equivariant(ideal, *graded_generators(ideal))
         standard = ideal._quotient().standard
+        columns = _swap_columns(action, standard)
         for word in set(words):  # one image list per member of a basis of (R/I)^{S_mu}
-            assert words.count(word) == len(_fixed_vectors(action, standard, word)), word
+            assert words.count(word) == len(
+                nullspace_tags(_fixed_columns(columns, standard, word))), word
         assert words
 
 
@@ -632,16 +745,26 @@ class TestYoungFixedDecomposition:
         # decomposition counts it from a rank, with no kernel relation tagged
         record = tanisaki_point(parts)._quotient()
         for keys in record.graded.values():
+            columns = _swap_columns(record.swaps, keys)
             for mu in partitions_of(sum(parts)):
                 word = _word(mu)
-                assert (_fixed_dimension(record.swaps, keys, word)
-                        == len(_fixed_vectors(record.swaps, keys, word)))
+                assert (_fixed_dimension(columns, keys, word)
+                        == len(nullspace_tags(_fixed_columns(columns, keys, word))))
         tags, add = [], KernelEchelon.add
         monkeypatch.setattr(KernelEchelon, "add",
                             lambda self, row, tag=None: tags.append(tag) or add(self, row, tag))
         record.decomposition = None
         assert graded_decomposition(tanisaki_point(parts)) == graded_oracle(tanisaki_point(parts))
         assert tags and set(tags) == {None}
+
+    def test_swap_columns_are_built_once_per_piece(self, monkeypatch):
+        # and merged for every Young subgroup
+        ideal = tanisaki_ideal(Partition([3, 1, 1]))
+        built, swap_columns = [], equivariant._swap_columns
+        monkeypatch.setattr(equivariant, "_swap_columns",
+                            lambda actions, keys: built.append(keys) or swap_columns(actions, keys))
+        assert graded_decomposition(ideal) == graded_oracle(ideal)
+        assert built == list(ideal._quotient().graded.values())
 
     def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
         import symideal.equivariant as equivariant
@@ -852,9 +975,10 @@ class TestTangentDimension:
         # at least the answer and at most every entry of a map N1 -> R/I
         r, n1 = first.ideal.colength(), sum(first.n1_dims.values())
         assert k <= first.details["hom_unknowns"] <= r * n1
-        # products: one elimination row per b*v_i up to degree N + 1, in
-        # the degrees where the Hilbert functions leave relations;
-        # images: the monomials b*m read in R/I, b and m standard
+        # products: one elimination row per S_mu-orbit of multipliers b and
+        # coinvariant of its stabilizer on V_e, at most one per b*v_i, up to
+        # degree N + 1, in the degrees where the Hilbert functions leave
+        # relations; images: the orbits of monomials b*m read in R/I
         basis = standard_monomials(first.ideal)
         hf = first.ideal.hilbert_function()
         square_hf = square_of(first.ideal).hilbert_function()
@@ -866,10 +990,13 @@ class TestTangentDimension:
                 pairs[sum(b) + e] = pairs.get(sum(b) + e, 0) + count
         relations = {d: p - (square_hf[d] if d < len(square_hf) else 0) + (hf[d] if d < N else 0)
                      for d, p in pairs.items()}
-        assert first.details["products"] == sum(
-            p for d, p in pairs.items() if first_degree <= d <= N + 1 and relations[d])
-        assert set(first.details["square_functionals"]) == {
-            d for d in pairs if first_degree <= d <= N + 1 and relations[d]}
+        degrees = [d for d in sorted(pairs) if first_degree <= d <= N + 1 and relations[d]]
+        gens, gen_degrees = graded_generators(first.ideal)
+        assert first.details["products"] == orbit_row_count(
+            first.ideal, relation_group(first.ideal), numerator_polynomials(gens, lam.n),
+            gen_degrees, degrees)
+        assert first.details["products"] <= sum(pairs[d] for d in degrees)
+        assert set(first.details["square_functionals"]) == set(degrees)
         products = {tuple(x + y for x, y in zip(b, m)) for b in basis for m in basis}
         assert 0 < first.details["images"] <= sum(sum(m) < N for m in products)
         assert first.details["constraint_rows"] >= k - first.tangent_dim
@@ -896,12 +1023,36 @@ class TestRelationStep:
         report = tangent_dimension(ideal)
         assert (report.tangent_dim, report.n2_count) == relation_step_oracle(ideal)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rows_match_the_tagged_loop(self, n):
         for case in homogeneous_rows(n):
             report = tangent_dimension(case.ideal)
             assert ((report.tangent_dim, report.n2_count)
                     == relation_step_oracle(case.ideal)), describe(case)
+
+    def test_a_non_standard_orbit_least_multiplier(self, monkeypatch):
+        # no catalog row and no Tanisaki point of n <= 6 takes a multiplier
+        # b, least in its S_mu-orbit, outside the standard monomials; with
+        # the group forced to S_3, this ideal takes x2*x3^2, a leading
+        # monomial, and its rows must still span those of all pairs under
+        # the same group
+        n = 3
+        f = x(1, n) ** 3 - 2 * x(1, n) ** 2 * x(3, n)
+        orbit = {apply_permutation(sigma, f) for sigma in young_subgroup(Partition([n]))}
+        ideal = Ideal(n, sorted(orbit, key=str)) + maximal_power(n, 5)
+        monkeypatch.setattr(equivariant, "_meet", lambda types: Partition([n]))
+        report = tangent_dimension(ideal)
+        tangent, n2_count, pairs = pair_route(ideal)
+        assert (report.tangent_dim, report.n2_count) == (tangent, n2_count)
+        gens, gen_degrees = graded_generators(ideal)
+        degrees = sorted(report.details["square_functionals"])
+        assert report.details["products"] == orbit_row_count(
+            ideal, Partition([n]), numerator_polynomials(gens, n), gen_degrees, degrees) < pairs
+        standard = standard_monomials(ideal)
+        least = {min((permute_monomial(sigma, b) for sigma in young_subgroup(Partition([n]))),
+                     key=DEGREVLEX.key)
+                 for d in degrees for e in gen_degrees for b in standard if sum(b) == d - e}
+        assert least - set(standard) == {(0, 1, 2)}
 
     @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (3, 1, 1),
                                        (2, 2, 1), (2, 1, 1, 1), (4, 2)])
@@ -1002,10 +1153,9 @@ def assert_functionals_count_the_fixed_vectors(report, square: Ideal, label: str
     dim (piece)^{S_mu} = sum over kappa of K_{kappa,mu} * m_{kappa,d}
     (Frobenius reciprocity), with m_{kappa,d} from the graded
     decompositions of I and of I^2."""
-    n = report.ideal.ambient_n
     types = [kappa for kappa, _ in decompose_quotient(report.ideal).multiplicities]
-    mu, meet = Partition(report.details["mu"]), meet_oracle(types)
-    assert mu == (meet if prod(map(factorial, meet.parts)) >= n else Partition((1,) * n)), label
+    mu = Partition(report.details["mu"])
+    assert mu == relation_group(report.ideal), label
     assert all(dominates(kappa, mu) for kappa in types), label
     for piece, counts in ((report.ideal, report.details["quotient_functionals"]),
                           (square, report.details["square_functionals"])):
@@ -1020,18 +1170,20 @@ def assert_functionals_count_the_fixed_vectors(report, square: Ideal, label: str
 def assert_matches_the_polynomial_route(ideal: Ideal, label: str = "") -> None:
     """The packed I^2 has the reduced basis and Hilbert function of the
     rational products' ideal, and ``tangent_dimension`` the counts of the
-    ``Polynomial`` relation step, which runs with no group, and the
-    functional counts of ``assert_functionals_count_the_fixed_vectors``.
+    ``Polynomial`` relation step, which runs with no group, one row per
+    S_mu-orbit and coinvariant (``orbit_row_count``, at most one per pair),
+    and the functional counts of ``assert_functionals_count_the_fixed_vectors``.
     I^2 built below N + 1 or below the syzygy bound is the full I^2 in the
     lower degrees: its basis elements, standard monomials and Hilbert
     function."""
     report = tangent_dimension(ideal)
-    want, square = polynomial_relation_step_oracle(ideal)
+    (tangent, n2_count, details, pairs), square = polynomial_relation_step_oracle(ideal)
     packed = ideal._quotient().square()
     assert packed.basis == square._quotient().basis, label
     assert packed.hilbert_function() == square.hilbert_function(), label
-    details = {key: report.details[key] for key in want[2]}
-    assert (report.tangent_dim, report.n2_count, details) == want, label
+    assert (report.tangent_dim, report.n2_count) == (tangent, n2_count), label
+    assert {key: report.details[key] for key in details} == details, label
+    assert details["products"] <= pairs, label
     assert_functionals_count_the_fixed_vectors(report, square, label)
     n, N = ideal.ambient_n, len(ideal.hilbert_function())
     for below in sorted({N + 1, report.syzygy_bound}):
