@@ -24,7 +24,8 @@ K_{kappa,mu} > 0 and a constraint vanishes on the relations iff on their
 S_mu-fixed part, which S_mu-invariant functionals read exactly: those of
 R/I from the swap table, those of I^2 from fresh normal forms.  They read
 b (x) v_i and its S_mu-images alike, so one row per S_mu-orbit of
-multipliers b and per coinvariant of Stab(b) on the generators spans them.
+multipliers b and per coinvariant of Stab(b) on the generators spans them
+(coinvariants read in the coordinates of V_e, by the hom step's swap matrices).
 """
 
 from __future__ import annotations
@@ -299,10 +300,11 @@ def _coset_images(vector: dict, word: tuple, actions: list) -> dict[tuple, dict]
 
 
 def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
-                           gen_degrees: list[int]) -> tuple[list[dict], int]:
+                           gen_degrees: list[int]) -> tuple[list[dict], int, dict[int, list]]:
     """Basis of the equivariant linear maps from the generator space into the
     quotient, given on the generators' terms (den*v), as dicts
-    {(standard_key, generator_index): coeff}, and the number of unknowns solved for.
+    {(standard_key, generator_index): coeff}, the number of unknowns solved
+    for, and {e: actions}, actions[a][p] = s_a*(p-th generator of degree e) on them.
 
     Per degree piece, by Frobenius reciprocity (Hom_{S_n}(M^mu, W) = W^{S_mu}):
     module generators v_j fixed by Young subgroups S_{mu_j}, with mu scanned
@@ -312,7 +314,7 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
     n = ideal.ambient_n
     quotient_action, standard = ideal._quotient().swaps, ideal._quotient().standard
     quotient_fixed: dict[tuple, list[dict]] = {}  # per word, the images of a basis of (R/I)^{S_mu}
-    out, unknown_count = [], 0
+    out, unknown_count, degree_actions = [], 0, {}
     quotient_columns = _swap_columns(quotient_action, standard)
     for d in sorted(set(gen_degrees)):
         indices = [i for i, e in enumerate(gen_degrees) if e == d]
@@ -324,8 +326,8 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
                      for i in indices] for a in range(n - 1)]
         if any(None in columns for columns in permuted):
             raise ArithmeticError("generator space is not permutation-stable")
-        actions = [[{pos: Fraction(c, -r["image"]) for pos, c in r.items() if pos != "image"}
-                    for r in columns] for columns in permuted]
+        actions = degree_actions[d] = [[{p: Fraction(c, -r["image"]) for p, c in r.items()
+                                        if p != "image"} for r in columns] for columns in permuted]
 
         # keep an S_mu-fixed v_j if it enlarges the submodule spanned so far
         span, relations, fixed = KernelEchelon(), [], []  # fixed[j][t]: images by word
@@ -365,18 +367,17 @@ def _hom_basis_equivariant(ideal: Ideal, gens: list[Vector],
                 phi.update({(key, indices[pos]): Fraction(v, scales[pos])
                             for key, v in image.items()})
             out.append(phi)
-    return out, unknown_count
+    return out, unknown_count, degree_actions
 
 
-def _coinvariant_generators(gens: list[Vector], indices: list[int], swaps, n: int) -> list[int]:
-    """The i in ``indices`` whose v_i, spanning an S_n-stable space, stay independent
-    modulo the (s_a - 1)v_j, s_a over ``swaps``: its coinvariants' basis."""
+def _coinvariant_generators(actions: list, indices: list[int], swaps) -> list[int]:
+    """The i in ``indices`` whose v_i, with s_a*v_(indices[p]) = actions[a][p], stay
+    independent modulo the (s_a - 1)v_j, s_a over ``swaps``: a basis of the coinvariants."""
     span = KernelEchelon()
     for a in swaps:
-        for i in indices:
-            span.add(combine(((1, {swap_key(m, a, n): c for m, c in gens[i][0].items()}),
-                              (-1, gens[i][0]))))
-    return [i for i in indices if span.add(gens[i][0]) is None]
+        for p, image in enumerate(actions[a]):
+            span.add({**image, p: image.get(p, 0) - 1})
+    return [i for p, i in enumerate(indices) if span.add({p: 1}) is None]
 
 
 def tangent_dimension(ideal: Ideal) -> TangentReport:
@@ -429,7 +430,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
     gen_degrees = [d for d, gs in sorted(graded_gens.items()) for _ in gs]
     syzygy_bound = N + max(gen_degrees)  # relations from this degree on are vacuous
 
-    hom_basis, hom_unknowns = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    hom_basis, hom_unknowns, actions = _hom_basis_equivariant(ideal, gens, gen_degrees)
     k = len(hom_basis)
 
     values: list[dict[int, list]] = [{} for _ in gens]  # phi_t(den*v_i) as {key: [(t, c)]}
@@ -472,7 +473,7 @@ def tangent_dimension(ideal: Ideal) -> TangentReport:
                 exps = DEGREVLEX.unpack(b, n)
                 stabilizer = tuple(a for a in inside if exps[a] == exps[a + 1])
                 if (e, stabilizer) not in kept:
-                    kept[e, stabilizer] = _coinvariant_generators(gens, indices, stabilizer, n)
+                    kept[e, stabilizer] = _coinvariant_generators(actions[e], indices, stabilizer)
                 for i in kept[e, stabilizer]:  # den*b*v_i: the terms of v_i shifted by b's key
                     products += 1
                     row = _read([(m + b, c) for m, c in gens[i][0].items()],

@@ -29,8 +29,11 @@ whose leading monomial divides it; a divisor memo remembers it, or how
 many elements were checked without finding one.  ``_buchberger`` keeps
 one memo for its whole run, which stays valid because its basis only
 grows by appending: a "none" entry is re-checked against the elements
-appended since.  So does ``_reduce_basis``, which reduces each tail
-against the minimal elements kept before it: only smaller leads divide.
+appended since.  Each element arrives fully reduced by those before it;
+it is clean when no later one has a smaller lead, as a later, larger lead
+divides no term below its own.  ``_reduce_basis`` keeps clean elements as
+they are and reduces the other tails on one memo, each against the
+reduced elements before it: only smaller leads divide.
 
 Exactness: every exponent entering the engine stays below 2**(W - 2)
 (``_engine_terms`` checks, ``ValueError`` otherwise; see ``poly``);
@@ -62,35 +65,27 @@ earlier lead divides its lead, it queues, prunes and supersedes nothing.
 An ``Ideal`` keeps one ``_Quotient`` record: the reduced basis, its packed
 leading exponents, the divisor memo of the reductions and the standard
 monomials, grown from 1 and ``graded`` by degree, and what they fix of R/I
-as an S_n-module: the ``swaps`` table of the action, the ``symmetric``
-verdict and the decomposition, built and replaced together.  The record
-may be bounded: for homogeneous generators ``contains(f)`` reads one
-bounded below deg f + 1, the reduced basis elements of lower degree.  A
-term of degree e is reduced only by elements of degree <= e (no higher
-lead divides it, and an element's tail keeps its lead's degree), so the
-normal form of f, and the answer, are those of the full basis.  A higher
-degree asked rebuilds the record at least doubling its bound, from its
-basis and the generators of degree past the old bound b: the elements
-below b reduce every generator of lower degree to zero, so they generate
-it.  A bound at or past the degree cap is the full run, and
+as an S_n-module (``_Quotient``), built and replaced together.  A monomial
+is standard when it is no lead and each parent m/x_j is standard: a lead
+properly dividing m divides one of its parents.  The staircase enters
+each standard key in the memo as having no divisor, as a record's basis
+never grows, so reading or swapping a standard term scans no lead.
+
+The record may be bounded: for homogeneous generators ``contains(f)``
+reads one bounded below deg f + 1, the reduced basis elements of lower
+degree.  A term of degree e is reduced only by elements of degree <= e
+(no higher lead divides it, and an element's tail keeps its lead's
+degree), so the normal form of f, and the answer, are those of the full
+basis.  A higher degree asked rebuilds the record at least doubling its
+bound, from its basis and the generators of degree past the old bound b:
+the elements below b reduce every generator of lower degree to zero, so
+they generate it.  A bound at or past the degree cap is the full run, and
 non-homogeneous generators always take it.  ``_Quotient.grown`` makes
-that run, the record of a basis and more generators; the apolar search
-of ``tanisaki`` and the generator step of ``equivariant`` grow their
-records of J by it too, each from the last basis and the generators found
-since.  Every other reader
-(``_quotient()``, ``==``, ``groebner_basis``, ``colength``, the tangent and
-decomposition code) asks the full record, which replaces a bounded one.
-``_Quotient.coordinates(terms, den)`` reads the normal form of terms / den
-as {key: coeff}, coordinates in R/I, int where integral, and
-``swapped(keys, swaps)`` those of keys under adjacent transpositions;
-``Ideal.coordinates`` reads the checked, sorted integer terms of a
-polynomial.  ``_Quotient.square(below)`` is I^2 below that degree from
-products of basis elements: primitive with positive leads
-(Gauss's lemma), each is the input ``_to_engine`` gives for the rational
-product.  Each product carries its factor pair (a, b) into ``_buchberger``,
-and two elements led by products sharing a factor g_a form no S-polynomial,
-which G already settles: Buchberger's criterion for the sum of the ideals
-g_a*I, kept in Gebauer-Moeller's bookkeeping as a coprime pair is.
+that run; the apolar search of ``tanisaki`` and the generator step of
+``equivariant`` grow their records of J by it too.  Every other reader
+asks the full record, which replaces a bounded one.  ``_Quotient.square``
+forms I^2 from products of basis elements, primitive with positive leads
+by Gauss's lemma, each with its factor pair (see there).
 
 Orbit ideals are kernels of linear maps from R to finite-dimensional
 spaces (evaluation at the orbit's points), found by the Buchberger-Moeller
@@ -105,7 +100,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, groupby, permutations, repeat
+from itertools import accumulate, combinations_with_replacement, groupby, permutations, repeat
 from math import comb, gcd, inf
 
 from .combinat import Permutation
@@ -386,7 +381,10 @@ def _buchberger(inputs: list[list], n: int, below: int | float = inf,
         if s:
             add(s)
 
-    basis = _reduce_basis([G[i] for i in range(len(G)) if alive[i]], n)
+    # G[i] is clean when its lead is the least of G[i:] (module docstring)
+    least = [*accumulate((g[0][0] for g in reversed(G)), min)][::-1]
+    basis = _reduce_basis([g for g, live in zip(G, alive) if live], n,
+                          [g[0][0] == m for g, m, live in zip(G, least, alive) if live])
     return basis + _uncovered(basis, cap_keys, n) if cap < below else basis
 
 
@@ -397,19 +395,20 @@ def _uncovered(basis: list[list], keys: list[int], n: int) -> list[list]:
             if not any(((DEGREVLEX.exps(k, n) | guard) - a) & guard == guard for a in leads)]
 
 
-def _reduce_basis(basis: list[list], n: int) -> list[list]:
-    """The reduced Groebner basis from any Groebner basis of the ideal."""
+def _reduce_basis(basis: list[list], n: int, clean: list[bool] | None = None) -> list[list]:
+    """The reduced Groebner basis from any Groebner basis of the ideal; a
+    normalized ``basis[i]`` marked ``clean[i]`` is kept as it is (module docstring)."""
     guard = _masks(n)[0]
-    kept: list[list] = []  # minimal basis: leading monomials pairwise non-divisible
+    reduced: list[list] = []  # leading monomials pairwise non-divisible
     leads: list[int] = []
-    reduced: list[list] = []
-    divisors: dict = {}  # one memo for the pass: kept only grows by appending
-    for g in sorted(basis, key=lambda t: t[0][0]):
+    divisors: dict = {}  # one memo for the pass: reduced only grows by appending
+    for g, done in sorted(zip(basis, clean or repeat(False)), key=lambda t: t[0][0][0]):
         x = DEGREVLEX.exps(g[0][0], n) | guard
         if not any((x - a) & guard == guard for a in leads):
-            rem, mult = _normal_form(g[1:], kept, leads, n, divisors)
-            reduced.append(_normalize([(g[0][0], g[0][1] * mult)] + rem))
-            kept.append(g)
+            if not done:
+                rem, mult = _normal_form(g[1:], reduced, leads, n, divisors)
+                g = _normalize([(g[0][0], g[0][1] * mult)] + rem)
+            reduced.append(g)
             leads.append(x ^ guard)
     return reduced
 
@@ -438,11 +437,13 @@ class _Quotient:
     @cached_property
     def standard(self) -> list[int] | None:
         """Keys of the monomials outside the staircase, of degree < ``below``,
-        ascending; None when infinite.
+        ascending, each entered in the divisor memo; None when infinite.
 
         The staircase is closed under division, so it grows from 1: each
         standard monomial m is multiplied by x_i for every i from its last
-        nonzero variable on, which reaches each one exactly once.
+        nonzero variable on, which reaches each one exactly once, a degree
+        after all of the degree before, when it is no lead and all its
+        parents are standard (module docstring).
         """
         n = self.n
         if 0 in self.leads:  # 1 leads
@@ -450,15 +451,17 @@ class _Quotient:
         pure = {_support(a, n) for a in self.leads}  # a pure power of x_(i+1) has one field
         if self.below == inf and not all(1 << (W * i + W - 1) in pure for i in range(n)):
             return None  # no pure power of x_i leads: the staircase is infinite
-        guard = _masks(n)[0]
-        units = [1 << (W * i) for i in range(n)]
-        grown = [(0, 0, 1)]  # (packed exponents, last nonzero variable, degree + 1)
-        for x, last, d in grown:
-            for i in range(last, n):
-                y = (x + units[i]) | guard
-                if d < self.below and not any((y - a) & guard == guard for a in self.leads):
-                    grown.append((y ^ guard, i, d + 1))
-        return sorted(((d - 1) << (W * n)) - x for x, _, d in grown)
+        leads, seen = {g[0][0] for g in self.basis}, {0}
+        steps = [(1 << (W * n)) - (1 << (W * i)) for i in range(n)]  # the key of x_(i+1)
+        grown = [(0, frozenset(), 1)]  # (key, its nonzero variables, degree + 1)
+        for k, support, d in grown:
+            for i in range(max(support, default=0), n) if d < self.below else ():
+                y = k + steps[i]
+                if y not in leads and all(y - steps[j] in seen for j in support):
+                    seen.add(y)
+                    grown.append((y, support | {i}, d + 1))
+        self.divisors.update(dict.fromkeys(seen, len(self.basis)))
+        return sorted(seen)
 
     @cached_property
     def graded(self) -> dict[int, list[int]]:
@@ -573,12 +576,8 @@ class Ideal:
     # -- Groebner bases ---------------------------------------------------
     def _quotient(self, below: int | float = inf) -> _Quotient:
         """The record, exact below degree ``below``: the full one by default.
-
-        A record bounded under ``below`` is rebuilt, at least doubling its
-        bound, from its basis and the generators of degree past it; a bound
-        is kept only for homogeneous generators, and only while it lies
-        under their degree cap, past which the run is the full one anyway
-        (see the module docstring)."""
+        One bounded under ``below`` is rebuilt, at least doubling its bound,
+        from its basis and the generators of degree past it (module docstring)."""
         base = self._record or _Quotient([], self.ambient_n, 0)  # the zero ideal, read nowhere
         if base.below < below:
             self._record = base.grown([g for g in self.generators if g.degree() >= base.below],

@@ -15,12 +15,12 @@ from symideal.combinat import (IsotypicDecomposition, Partition, Permutation, do
 from symideal.classification import classification_cases, row_case
 from symideal import equivariant, poly, tanisaki
 from symideal.equivariant import (decompose_quotient, is_permutation_module_sum, is_symmetric,
-                                  tangent_dimension, _fixed_columns, _fixed_dimension,
-                                  _hom_basis_equivariant,
+                                  tangent_dimension, _coinvariant_generators, _fixed_columns,
+                                  _fixed_dimension, _hom_basis_equivariant,
                                   _invariant_functionals, _meet, _minimal_generator_space,
                                   _orbit_keys, _read, _swap_columns, _word)
 from symideal.ideals import DEGREVLEX, Ideal, _Quotient, maximal_power, orbit_ideal
-from symideal.linalg import KernelEchelon, nullspace_tags
+from symideal.linalg import KernelEchelon, combine, nullspace_tags
 from symideal.poly import (Polynomial, Vector, apply_permutation, combine_vectors,
                            complement_vectors, integrate_vectors, linear_combination, power_sum,
                            swap_key)
@@ -231,7 +231,7 @@ def relation_step_oracle(ideal: Ideal) -> tuple[int, int]:
     vectors, gen_degrees = graded_generators(ideal)
     N = len(ideal.hilbert_function())
     gens = numerator_polynomials(vectors, n)
-    hom_basis, _ = _hom_basis_equivariant(ideal, vectors, gen_degrees)
+    hom_basis = _hom_basis_equivariant(ideal, vectors, gen_degrees)[0]
     k = len(hom_basis)
     hom_values = [[Polynomial(n, {b: c for (b, i2), c in phi.items() if i2 == i})
                    for i in range(len(gens))] for phi in hom_basis]
@@ -314,6 +314,54 @@ def orbit_row_count(ideal: Ideal, mu: Partition, gens: list[Polynomial],
     return count
 
 
+def coinvariant_generators_oracle(gens: list[Vector], indices: list[int], swaps,
+                                  n: int) -> list[int]:
+    """``_coinvariant_generators`` on the generators' terms: the i in
+    ``indices`` whose v_i stay independent modulo the (s_a - 1)v_j, s_a over
+    ``swaps``, each v_j swapped key by key."""
+    span = KernelEchelon()
+    for a in swaps:
+        for i in indices:
+            span.add(combine(((1, {swap_key(m, a, n): c for m, c in gens[i][0].items()}),
+                              (-1, gens[i][0]))))
+    return [i for i in indices if span.add(gens[i][0]) is None]
+
+
+def assert_coinvariants_on_both_routes(ideal: Ideal, label: str = "") -> None:
+    """The coinvariant generators in the coordinates of V_e keep the indices
+    the oracle keeps: for every generator degree e and every set of
+    adjacent swaps, and for each call ``tangent_dimension`` makes."""
+    n = ideal.ambient_n
+    gens, gen_degrees = graded_generators(ideal)
+    actions = _hom_basis_equivariant(ideal, gens, gen_degrees)[2]
+    for e in sorted(actions):
+        indices = [i for i, d in enumerate(gen_degrees) if d == e]
+        for mask in range(2 ** (n - 1)):
+            swaps = tuple(a for a in range(n - 1) if mask >> a & 1)
+            assert (_coinvariant_generators(actions[e], indices, swaps)
+                    == coinvariant_generators_oracle(gens, indices, swaps, n)), (label, e, swaps)
+    calls = []
+
+    def recorded(actions_e, indices, swaps):
+        kept = _coinvariant_generators(actions_e, indices, swaps)
+        calls.append((indices, swaps, kept))
+        return kept
+
+    with mock.patch.object(equivariant, "_coinvariant_generators", recorded):
+        tangent_dimension(ideal)
+    for indices, swaps, kept in calls:
+        assert kept == coinvariant_generators_oracle(gens, indices, swaps, n), (label, swaps)
+
+
+def forced_group_ideal() -> Ideal:
+    """An ideal of n = 3 that, with the relation group forced to S_3, takes
+    a multiplier least in its orbit outside the standard monomials."""
+    n = 3
+    f = x(1, n) ** 3 - 2 * x(1, n) ** 2 * x(3, n)
+    orbit = {apply_permutation(sigma, f) for sigma in young_subgroup(Partition([n]))}
+    return Ideal(n, sorted(orbit, key=str)) + maximal_power(n, 5)
+
+
 def pair_route(ideal: Ideal) -> tuple[int, int, int]:
     """(tangent_dim, n2_count, rows) by the relation step with one row per
     pair (b, v_i), b standard, read through the invariant functionals of
@@ -322,7 +370,7 @@ def pair_route(ideal: Ideal) -> tuple[int, int, int]:
     n, quotient = ideal.ambient_n, ideal._quotient()
     gens, gen_degrees = graded_generators(ideal)
     N, top = len(ideal.hilbert_function()), max(gen_degrees)
-    hom_basis, _ = _hom_basis_equivariant(ideal, gens, gen_degrees)
+    hom_basis = _hom_basis_equivariant(ideal, gens, gen_degrees)[0]
     k = len(hom_basis)
     values: list[dict] = [{} for _ in gens]  # phi_t(den*v_i) scaled to integers
     for t, phi in enumerate(hom_basis):
@@ -383,7 +431,7 @@ def polynomial_relation_step_oracle(ideal: Ideal) -> tuple[tuple, Ideal]:
     vectors, gen_degrees = graded_generators(ideal)
     N = len(ideal.hilbert_function())
     gens = numerator_polynomials(vectors, n)
-    hom_basis, unknowns = _hom_basis_equivariant(ideal, vectors, gen_degrees)
+    hom_basis, unknowns, _ = _hom_basis_equivariant(ideal, vectors, gen_degrees)
     k = len(hom_basis)
     values: list[dict] = [{} for _ in gens]  # phi_t(v_i) as {m: [(t, c)]}
     for t, phi in enumerate(hom_basis):
@@ -866,6 +914,9 @@ class TestMinimalGenerators:
             for g in gs:
                 assert is_homogeneous(g) and g.degree() == d
                 assert ideal.contains(g)
+        # one generator per degree: under any swap, (s_a - 1)v = 0 for the
+        # symmetric p_k, so each v stays a coinvariant on both routes
+        assert_coinvariants_on_both_routes(ideal)
 
     def test_generates_the_ideal(self):
         case = row_case("6", 4)
@@ -1036,10 +1087,7 @@ class TestRelationStep:
         # the group forced to S_3, this ideal takes x2*x3^2, a leading
         # monomial, and its rows must still span those of all pairs under
         # the same group
-        n = 3
-        f = x(1, n) ** 3 - 2 * x(1, n) ** 2 * x(3, n)
-        orbit = {apply_permutation(sigma, f) for sigma in young_subgroup(Partition([n]))}
-        ideal = Ideal(n, sorted(orbit, key=str)) + maximal_power(n, 5)
+        n, ideal = 3, forced_group_ideal()
         monkeypatch.setattr(equivariant, "_meet", lambda types: Partition([n]))
         report = tangent_dimension(ideal)
         tangent, n2_count, pairs = pair_route(ideal)
@@ -1124,6 +1172,28 @@ class TestRelationStep:
 
         monkeypatch.setattr(equivariant, "_invariant_functionals", dropped)
         self.assert_exits_3(["tangent", "--n", "5", "--tanisaki", "2,1,1,1"], 5, capsys)
+
+
+class TestCoinvariantGenerators:
+    """``_coinvariant_generators`` in V_e-coordinates against the oracle on
+    the generators' terms: the coordinate map is an isomorphism."""
+
+    @pytest.mark.parametrize("parts", SHAPES_TO_FIVE + SHAPES_OF_SIX + [(4, 1, 1)])
+    def test_tanisaki_points(self, parts):
+        assert_coinvariants_on_both_routes(tanisaki_point(parts), parts)
+
+    def test_forced_group(self, monkeypatch):
+        monkeypatch.setattr(equivariant, "_meet", lambda types: Partition([3]))
+        assert_coinvariants_on_both_routes(forced_group_ideal())
+
+    def test_some_generators_are_dropped(self):
+        # at (4, 1, 1), s_1 = (1 2) keeps fewer than |V_e| in some degree e
+        ideal = tanisaki_point((4, 1, 1))
+        gens, gen_degrees = graded_generators(ideal)
+        actions = _hom_basis_equivariant(ideal, gens, gen_degrees)[2]
+        indices = {e: [i for i, d in enumerate(gen_degrees) if d == e] for e in actions}
+        assert any(len(_coinvariant_generators(actions[e], indices[e], (0,))) < len(indices[e])
+                   for e in actions)
 
 
 class TestMeet:
@@ -1251,7 +1321,7 @@ def test_hom_dimension_is_the_schur_pairing(parts):
 @pytest.mark.parametrize("n", [3, 4])
 def test_row_hom_dimension_is_the_schur_pairing(n):
     for case in homogeneous_rows(n):
-        hom, _ = _hom_basis_equivariant(case.ideal, *graded_generators(case.ideal))
+        hom = _hom_basis_equivariant(case.ideal, *graded_generators(case.ideal))[0]
         assert len(hom) == schur_pairing(case.ideal), describe(case)
 
 
@@ -1263,7 +1333,7 @@ class TestHomBasis:
     def test_tanisaki_span_is_the_oracle_span(self, parts):
         ideal = tanisaki_point(parts)
         gens, gen_degrees = graded_generators(ideal)
-        new, _ = _hom_basis_equivariant(ideal, gens, gen_degrees)
+        new = _hom_basis_equivariant(ideal, gens, gen_degrees)[0]
         old = hom_basis_oracle(ideal, numerator_polynomials(gens, ideal.ambient_n), gen_degrees)
         assert hom_rank(new) == hom_rank(old) == hom_rank(new, old) == len(new) == len(old)
 
@@ -1271,7 +1341,7 @@ class TestHomBasis:
     def test_row_span_is_the_oracle_span(self, n):
         for case in homogeneous_rows(n):
             gens, gen_degrees = graded_generators(case.ideal)
-            new, _ = _hom_basis_equivariant(case.ideal, gens, gen_degrees)
+            new = _hom_basis_equivariant(case.ideal, gens, gen_degrees)[0]
             old = hom_basis_oracle(case.ideal, numerator_polynomials(gens, case.n), gen_degrees)
             assert (hom_rank(new) == hom_rank(old) == hom_rank(new, old)
                     == len(new) == len(old)), describe(case)

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from symideal.classification import classification_cases
 from symideal.cli import _random_parameters
 from symideal.combinat import Partition, Permutation, partitions_of
-from symideal.equivariant import decompose_quotient, is_symmetric, tangent_dimension
+from symideal.equivariant import (_minimal_generator_space, decompose_quotient, is_symmetric,
+                                  tangent_dimension)
 from symideal import ideals
 from symideal.ideals import (Ideal, _buchberger, _degree_cap, _engine_terms, _fresh_pairs, _lead,
                              _masks, _normal_form, _normalize, _packed_lcm, _spoly, _support,
                              _to_engine, _vanishing_ideal, maximal_power, orbit_ideal,
                              orbit_points)
 from symideal.poly import (DEGREVLEX, LIMIT, W, Polynomial, apply_permutation, parse_polynomial,
-                           power_sum)
+                           power_sum, swap_key)
 from symideal.tanisaki import MODES, tanisaki_ideal
 from test_poly import (degree_monomials, evaluate, from_tuple_terms, leading_monomial,
                        tuple_terms)
@@ -1447,6 +1448,87 @@ class TestBoundedMembership:
         assert Ideal(n, []).contains(Polynomial.zero(n))
 
 
+def staircase_oracle(record) -> list[int] | None:
+    """The keys of every monomial of degree < ``record.below`` that no lead
+    divides, ascending, by comparing exponent tuples; a full record takes
+    the degrees below the sum of its pure-power caps, and None when some
+    variable has no pure power leading."""
+    n = record.n
+    leads = [DEGREVLEX.unpack(g[0][0], n) for g in record.basis]
+    top = record.below
+    if top == inf:
+        pure = [[m[i] for m in leads if sum(m) == m[i]] for i in range(n)]
+        if not all(pure):
+            return None
+        top = sum(map(min, pure)) - n + 1
+    return sorted(DEGREVLEX.key(m) for d in range(max(top, 0)) for m in degree_monomials(n, d)
+                  if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads))
+
+
+def assert_staircase(record) -> None:
+    """``standard`` is the brute-force staircase; after it, a standard key
+    reads as itself without a scan of the leads, and each swapped one as
+    on a fresh record, whose divisor memo is unseeded."""
+    n, standard = record.n, record.standard
+    assert standard == staircase_oracle(record)
+    if standard is None:
+        return
+    with mock.patch.object(ideals, "_reducer", side_effect=AssertionError("leads scanned")):
+        for k in standard:
+            assert record.coordinates([(k, 1)]) == {k: 1}
+    fresh = ideals._Quotient(record.basis, n, record.below)
+    for k in standard:
+        for a in range(n - 1):
+            swapped = [(swap_key(k, a, n), 1)]
+            assert record.coordinates(swapped) == fresh.coordinates(swapped)
+
+
+def syzygy_square(ideal):
+    """The record of I^2 that ``tangent_dimension`` reads: below N plus the
+    top generator degree."""
+    graded, N = _minimal_generator_space(ideal)
+    return ideal._quotient().square(N + max(graded))
+
+
+def generator_lists(min_terms=1, min_size=1):
+    """n = 2 or 3 and ``min_size`` to 4 polynomials of degree <= 3 with
+    ``min_terms`` to 3 terms."""
+    return st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(polynomials(n, 3, min_terms, 3), min_size=min_size, max_size=4)))
+
+
+class TestStaircaseByParents:
+    """A monomial is standard when it is no lead and all its parents are."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists())
+    def test_full_records(self, case):
+        n, gens = case
+        assert_staircase(Ideal(n, gens)._quotient())
+
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_inputs())
+    def test_bounded_records(self, case):
+        n, inputs, below = case
+        assert_staircase(ideals._Quotient(_buchberger(inputs, n, below), n, below))
+
+    def test_an_infinite_staircase(self):
+        n = 3  # nothing leads with a power of x2
+        record = Ideal(n, [x(1, n) ** 2, x(2, n) * x(3, n), x(3, n) ** 4])._quotient()
+        assert record.standard is None and not record.divisors
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tanisaki_points_and_their_squares(self, n):
+        for lam in partitions_of(n):
+            ideal = tanisaki_ideal(lam)
+            assert_staircase(ideal._quotient())
+            assert_staircase(syzygy_square(ideal))
+
+    @pytest.mark.parametrize("parts", TANGENT_SHAPES)
+    def test_squares_at_the_tangent_shapes_of_six(self, parts):
+        assert_staircase(syzygy_square(tanisaki_ideal(Partition(list(parts)))))
+
+
 @st.composite
 def groebner_bases(draw):
     """A Groebner basis that is not reduced: the reduced basis of drawn
@@ -1471,9 +1553,24 @@ def groebner_bases(draw):
     return n, draw(st.permutations(basis)), reduced
 
 
+def compared_reductions(flags: list):
+    """``_reduce_basis`` checked on each call against the oracle and against
+    itself with every element taken as not clean; the clean flags that
+    ``_buchberger`` hands it are collected in ``flags``."""
+    reduce = ideals._reduce_basis
+
+    def compared(basis, n, clean=None):
+        result = reduce(basis, n, clean)
+        assert result == reduce(basis, n) == reduce_basis_oracle(basis, n)
+        flags.append(list(clean))
+        return result
+    return compared
+
+
 class TestOneMemoInterreduction:
-    """``_reduce_basis`` reduces every tail on one list and one memo, and
-    gives what the per-element loop gave."""
+    """``_reduce_basis`` reduces every tail on one list and one memo, keeps
+    the clean elements ``_buchberger`` marks, and gives what the
+    per-element loop gave."""
 
     @settings(max_examples=150, deadline=None)
     @given(groebner_bases())
@@ -1483,19 +1580,30 @@ class TestOneMemoInterreduction:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_on_the_squares_of_the_catalog_rows(self, n, monkeypatch):
-        reduce, checked = ideals._reduce_basis, []
-
-        def compared(basis, n):
-            result = reduce(basis, n)
-            assert result == reduce_basis_oracle(basis, n)
-            checked.append(len(basis))
-            return result
-
+        flags = []
         cases = classification_cases(n)
-        monkeypatch.setattr(ideals, "_reduce_basis", compared)
+        monkeypatch.setattr(ideals, "_reduce_basis", compared_reductions(flags))
         for case in cases:
             case.ideal._quotient().square()
-        assert len(checked) == 2 * len(cases) and sum(checked) > 100
+        assert len(flags) == 2 * len(cases) and sum(map(len, flags)) > 100
+        assert any(all(clean) for clean in flags) and not all(map(all, flags))
+
+    def test_elements_led_above_a_later_lead_are_reduced(self):
+        # inputs enter in ascending lead order before any S-polynomial, so
+        # an S-polynomial of degree 2 or 3 lands below the leads of inputs
+        # of degree 3 added before it: those are not clean, and the
+        # interreduction must still reduce their tails
+        flags = []
+
+        @settings(max_examples=80, deadline=None)
+        @given(generator_lists(min_terms=2, min_size=2))
+        def check(case):
+            n, gens = case
+            with mock.patch.object(ideals, "_reduce_basis", compared_reductions(flags)):
+                _buchberger([_to_engine(g) for g in gens], n)
+
+        check()
+        assert sum(clean.count(False) for clean in flags) > 20
 
 
 def cap_of(ideal):
